@@ -36,29 +36,29 @@
 //
 // # Sharding
 //
-// For massive corpora the index can be partitioned into K independent
-// shards (Options.Shards, or BuildSharded): trajectories are split
-// into K contiguous ranges balanced by edge count, each range gets its
-// own complete CiNCT index, the K indexes are built concurrently, and
-// every query fans out over the shards in parallel with results merged
-// under global trajectory IDs. Query answers are identical to the
-// unsharded index over the same corpus; build time on a multi-core
-// machine approaches 1/K of the monolithic build. Save/Load handle
-// both the single-index and the sharded container format
-// transparently.
+// An Index is a list of shards over contiguous trajectory-ID ranges,
+// each a complete CiNCT index (Options.Shards; the default is one).
+// Trajectories are split into ranges balanced by edge count, the
+// shards are built concurrently, and every query fans out over them in
+// parallel with results merged under global trajectory IDs. Query
+// answers do not depend on the shard count; build time on a multi-core
+// machine approaches 1/K of the one-shard build. A temporal index is
+// the same thing with a timestamp store per shard. Save/Load handle
+// every container format transparently.
 package cinct
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"runtime"
 	"sort"
+	"sync"
 
 	"cinct/internal/core"
 	"cinct/internal/etgraph"
 	"cinct/internal/mmapfile"
+	"cinct/internal/tempo"
 	"cinct/internal/trajstr"
 	"cinct/internal/wavelet"
 )
@@ -83,10 +83,8 @@ type Options struct {
 	// counts. Default 64.
 	SampleRate int
 	// Shards partitions the corpus into this many independently built
-	// and queried sub-indexes (see the package-level Sharding section).
-	// 0 or 1 builds the classic monolithic index; values above the
-	// trajectory count are clamped. BuildSharded treats 0 as
-	// runtime.GOMAXPROCS(0).
+	// and queried shards (see the package-level Sharding section). 0
+	// means 1; values above the trajectory count are clamped.
 	Shards int
 }
 
@@ -113,23 +111,40 @@ func (o *Options) coreOptions() core.Options {
 	return core.Options{Spec: spec, Strategy: strat, Seed: o.Seed, SASample: o.SampleRate}
 }
 
-// Index is a compressed, searchable trajectory corpus. An Index is
-// immutable after Build/Load and safe for concurrent use by multiple
-// goroutines.
+// Index is a compressed, searchable trajectory corpus: a list of
+// shards over contiguous trajectory-ID ranges, each a complete CiNCT
+// self-index plus — on a temporal index — the timestamp store of the
+// same trajectories. The one-shard index is the paper's; K shards are
+// the same thing K times over, queried in parallel and merged under
+// global IDs, so answers never depend on the shard count.
 //
-// An Index is either monolithic (one core self-index over the whole
-// corpus) or a facade over a ShardedIndex; the query API behaves
-// identically in both cases.
+// An Index is immutable after Build/Load and safe for concurrent use
+// by multiple goroutines. Growing or compacting one (AppendSealed,
+// CompactRange, Writer) returns a new value sharing the untouched
+// shards.
 type Index struct {
-	sharded *ShardedIndex // non-nil iff built with Shards > 1
+	shards []*shard
+	// bounds[s] is the global ID of shard s's first trajectory;
+	// bounds[len(shards)] is the corpus size. Shard s owns global IDs
+	// [bounds[s], bounds[s+1]).
+	bounds []int
+	edges  int // distinct edge IDs across all shards
+	hasLoc bool
+}
 
+// shard is one contiguous trajectory-ID range of an Index. Its
+// trajectory IDs are local: global ID minus the owning bound.
+type shard struct {
 	corpus *trajstr.Corpus
 	core   *core.Index
-	hasLoc bool
-
-	// backing pins the memory-mapped v3 container this index reads
-	// from (nil for heap-loaded indexes). The mapping is released by
-	// the garbage collector once the index is unreachable.
+	// ts holds the range's timestamp columns; nil on a spatial index.
+	// Either every shard of an Index carries a store or none does.
+	ts *tempo.Store
+	// backing pins the memory-mapped v3 container the shard reads from
+	// (nil for heap shards). It lives on the shard, not the Index, so a
+	// running query — which holds shards, not the Index — keeps the
+	// mapping alive, and the mapping is released by the garbage
+	// collector once no index still holds one of its shards.
 	backing *mmapfile.File
 }
 
@@ -149,27 +164,60 @@ var ErrNoLocate = errors.New("cinct: index built without locate support (SampleR
 
 // Build indexes a corpus. Each trajectory is a non-empty sequence of
 // road edge IDs in travel order; IDs need not be dense. opts may be
-// nil for defaults. With Options.Shards > 1 the returned Index is
-// transparently backed by a ShardedIndex (see Sharded).
+// nil for defaults.
 func Build(trajs [][]uint32, opts *Options) (*Index, error) {
+	return build(trajs, nil, opts)
+}
+
+// build is the one constructor behind Build and BuildTemporal: times
+// is nil for a spatial index, otherwise row-aligned with trajs (the
+// caller has checked the shapes).
+func build(trajs [][]uint32, times [][]int64, opts *Options) (*Index, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 {
-		si, err := buildSharded(trajs, opts, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return &Index{sharded: si, hasLoc: si.hasLoc}, nil
+	if len(trajs) == 0 {
+		return nil, trajstr.ErrEmptyCorpus
 	}
-	corpus, err := trajstr.New(trajs)
+	lengths := make([]int, len(trajs))
+	for i, tr := range trajs {
+		if len(tr) == 0 {
+			return nil, fmt.Errorf("%w (index %d)", trajstr.ErrEmptyTrajectory, i)
+		}
+		lengths[i] = len(tr)
+	}
+	bounds := trajstr.PartitionBounds(lengths, max(opts.Shards, 1))
+	corpora, err := trajstr.PartitionCorpus(trajs, bounds)
 	if err != nil {
 		return nil, err
 	}
-	return buildOne(corpus, opts), nil
+	shards := make([]*shard, len(corpora))
+	// Bounded worker pool: up to min(K, GOMAXPROCS) shard builds in
+	// flight (a build is CPU-bound; more workers than cores only adds
+	// peak memory).
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(len(corpora), runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range jobs {
+				shards[s] = newShard(corpora[s], opts)
+				if times != nil {
+					shards[s].ts = tempo.New(times[bounds[s]:bounds[s+1]])
+				}
+			}
+		}()
+	}
+	for s := range corpora {
+		jobs <- s
+	}
+	close(jobs)
+	wg.Wait()
+	return newIndex(shards...)
 }
 
 func validateOptions(opts *Options) error {
@@ -187,62 +235,52 @@ func validateOptions(opts *Options) error {
 	return nil
 }
 
-// buildOne builds a monolithic index over one (already encoded)
-// corpus. It is the unit of work of the sharded build: each shard is a
-// buildOne over its partition.
-func buildOne(corpus *trajstr.Corpus, opts *Options) *Index {
+// newShard compresses one (already encoded) corpus — the unit of work
+// of a build, a seal and a compaction alike.
+func newShard(corpus *trajstr.Corpus, opts *Options) *shard {
 	co := opts.coreOptions()
-	ix := &Index{
-		corpus: corpus,
-		core:   core.Build(corpus.Text, corpus.Sigma, co),
-		hasLoc: co.SASample > 0,
-	}
+	sh := &shard{corpus: corpus, core: core.Build(corpus.Text, corpus.Sigma, co)}
 	// The corpus text is recoverable from the self-index; drop it so
 	// the resident footprint is the compressed structures only.
-	if ix.hasLoc {
-		ix.corpus.Text = nil
+	if co.SASample > 0 {
+		sh.corpus.Text = nil
 	}
-	return ix
+	return sh
 }
 
-// Sharded returns the backing ShardedIndex when the index was built or
-// loaded with more than one shard, and nil for a monolithic index.
-func (ix *Index) Sharded() *ShardedIndex { return ix.sharded }
+// Shards returns the number of corpus partitions.
+func (ix *Index) Shards() int { return len(ix.shards) }
 
-// Shards returns the number of corpus partitions (1 for a monolithic
-// index).
-func (ix *Index) Shards() int {
-	if ix.sharded != nil {
-		return len(ix.sharded.shards)
-	}
-	return 1
-}
+// Temporal reports whether the index carries timestamps — every shard
+// has its store — and therefore answers interval queries.
+func (ix *Index) Temporal() bool { return len(ix.shards) > 0 && ix.shards[0].ts != nil }
 
 // NumTrajectories returns the number of indexed trajectories.
-func (ix *Index) NumTrajectories() int {
-	if ix.sharded != nil {
-		return ix.sharded.NumTrajectories()
-	}
-	return ix.corpus.NumTrajectories()
-}
+func (ix *Index) NumTrajectories() int { return ix.bounds[len(ix.shards)] }
 
 // NumEdges returns the number of distinct road edges in the corpus.
-func (ix *Index) NumEdges() int {
-	if ix.sharded != nil {
-		return ix.sharded.NumEdges()
-	}
-	return ix.corpus.NumEdges()
-}
+func (ix *Index) NumEdges() int { return ix.edges }
 
 // Len returns the total symbol count |T| of the underlying trajectory
-// string (edges + separators). A sharded index has one terminator per
-// shard, so its Len exceeds the monolithic index of the same corpus by
-// Shards()-1.
+// strings (edges + separators). Each shard carries its own '#'
+// terminator, so a K-shard index exceeds the one-shard index of the
+// same corpus by K-1.
 func (ix *Index) Len() int {
-	if ix.sharded != nil {
-		return ix.sharded.Len()
+	n := 0
+	for _, sh := range ix.shards {
+		n += sh.core.Len()
 	}
-	return ix.core.Len()
+	return n
+}
+
+// shardOf resolves a global trajectory ID to its owning shard and the
+// shard-local ID; ok is false when id is out of range.
+func (ix *Index) shardOf(id int) (sh *shard, local int, ok bool) {
+	if id < 0 || id >= ix.NumTrajectories() {
+		return nil, 0, false
+	}
+	s := sort.Search(len(ix.shards), func(i int) bool { return ix.bounds[i+1] > id })
+	return ix.shards[s], id - ix.bounds[s], true
 }
 
 // Count returns the number of occurrences of the path (edge IDs in
@@ -262,27 +300,27 @@ func (ix *Index) Count(path []uint32) int {
 	return n
 }
 
-// countOne answers a count against one monolithic index — the
-// O(|path|) backward search of the paper, the per-shard unit of
-// Search's CountOnly fan-out.
-func (ix *Index) countOne(path []uint32) int {
+// count answers a count against one shard — the O(|path|) backward
+// search of the paper, the per-shard unit of Search's CountOnly
+// fan-out.
+func (sh *shard) count(path []uint32) int {
 	if len(path) == 0 {
 		return 0
 	}
-	pat, ok := ix.corpus.ReversedPattern(path)
+	pat, ok := sh.corpus.ReversedPattern(path)
 	if !ok {
 		return 0
 	}
-	return int(ix.core.Count(pat))
+	return int(sh.core.Count(pat))
 }
 
 // Find returns up to limit occurrences of the path (limit <= 0 means
 // all). The same trajectory appears once per occurrence. Matches are
 // sorted by (Trajectory, Offset), and a positive limit keeps the
 // first limit matches in that order — so answers are identical
-// whether the index is sharded or not. Every occurrence in the suffix
-// range is still located; the limit bounds the materialized result,
-// not the locate scan. Requires locate support.
+// whatever the shard count. Every occurrence in the suffix range is
+// still located; the limit bounds the materialized result, not the
+// locate scan. Requires locate support.
 //
 // Find is the legacy form of Search with Kind Occurrences; new code
 // should prefer Search, which streams hits lazily, honors context
@@ -305,25 +343,25 @@ func (ix *Index) Find(path []uint32, limit int) ([]Match, error) {
 	return out, nil
 }
 
-// locateOccurrences enumerates every occurrence of path in a
-// monolithic index, calling visit(trajectory, travel-order offset) in
-// suffix-range (i.e. unspecified) order, checking ctx periodically so
-// a cancelled query stops scanning. It is the one locate loop behind
-// every Search kind, so the pattern-reversal and offset arithmetic
-// cannot drift between the spatial and temporal answers. LF-walk work
-// accumulates into st. Requires locate support.
-func (ix *Index) locateOccurrences(ctx context.Context, path []uint32, st *QueryStats, visit func(doc, offset int)) error {
-	if !ix.hasLoc {
+// locate enumerates every occurrence of path in one shard, calling
+// visit(local trajectory, travel-order offset) in suffix-range (i.e.
+// unspecified) order, checking ctx periodically so a cancelled query
+// stops scanning. It is the one locate loop behind every Search kind,
+// so the pattern-reversal and offset arithmetic cannot drift between
+// the spatial and temporal answers. LF-walk work accumulates into st.
+// Requires locate support.
+func (sh *shard) locate(ctx context.Context, path []uint32, st *QueryStats, visit func(doc, offset int)) error {
+	if sh.core.SampleRate() == 0 {
 		return ErrNoLocate
 	}
 	if len(path) == 0 {
 		return nil
 	}
-	pat, ok := ix.corpus.ReversedPattern(path)
+	pat, ok := sh.corpus.ReversedPattern(path)
 	if !ok {
 		return nil
 	}
-	sp, ep, ok := ix.core.SuffixRange(pat)
+	sp, ep, ok := sh.core.SuffixRange(pat)
 	if !ok {
 		return nil
 	}
@@ -333,9 +371,11 @@ func (ix *Index) locateOccurrences(ctx context.Context, path []uint32, st *Query
 				return err
 			}
 		}
-		pos, lf := ix.core.LocateSteps(j)
+		pos, lf := sh.core.LocateSteps(j)
 		st.LFSteps += lf
-		doc, endOff, inDoc := ix.docAt(pos)
+		// The corpus text was dropped at build; the document tables
+		// alone map a text position to (trajectory, offset).
+		doc, endOff, inDoc := sh.corpus.DocAtByTables(int(pos))
 		if !inDoc {
 			continue
 		}
@@ -347,17 +387,10 @@ func (ix *Index) locateOccurrences(ctx context.Context, path []uint32, st *Query
 }
 
 // sortMatches orders matches by matchLess — the canonical order every
-// query path promises, and the one that lets sharded results merge by
-// concatenation (shards hold contiguous global ID ranges).
+// query path promises, and the one that lets per-shard results merge
+// by concatenation (shards hold contiguous global ID ranges).
 func sortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool { return matchLess(ms[i], ms[j]) })
-}
-
-// docAt maps a text position to (trajectory, travel-order offset)
-// without the corpus text (which Build dropped): it relies only on the
-// document start/length tables.
-func (ix *Index) docAt(pos int64) (doc, offset int, ok bool) {
-	return ix.corpus.DocAtByTables(int(pos))
 }
 
 // FindTrajectories returns the IDs of up to limit *distinct*
@@ -385,50 +418,64 @@ func (ix *Index) FindTrajectories(path []uint32, limit int) ([]int, error) {
 	return ids, nil
 }
 
+// errTrajectoryRange is the one out-of-range-ID error of Index and
+// Writer.
+func errTrajectoryRange(id, n int) error {
+	return fmt.Errorf("cinct: trajectory %d out of range [0,%d)", id, n)
+}
+
 // Trajectory reconstructs trajectory id (0 <= id < NumTrajectories) in
-// travel order from the compressed index alone. Requires locate
-// support.
+// travel order from the compressed index alone; an out-of-range id is
+// an error. Requires locate support.
 func (ix *Index) Trajectory(id int) ([]uint32, error) {
 	return ix.SubPath(id, 0, ix.TrajectoryLen(id))
 }
 
-// TrajectoryLen returns the length (edge count) of trajectory id.
+// TrajectoryLen returns the length (edge count) of trajectory id, or
+// -1 when id is out of range.
 func (ix *Index) TrajectoryLen(id int) int {
-	if ix.sharded != nil {
-		return ix.sharded.TrajectoryLen(id)
+	sh, local, ok := ix.shardOf(id)
+	if !ok {
+		return -1
 	}
-	return ix.corpus.TrajectoryLen(id)
+	return sh.corpus.TrajectoryLen(local)
 }
 
 // SubPath extracts edges [from, to) of trajectory id in travel order —
 // the paper's sub-path extraction query (§IV-C) lifted to trajectory
-// coordinates. Requires locate support.
+// coordinates. An out-of-range id or slice is an error. Requires
+// locate support.
 func (ix *Index) SubPath(id, from, to int) ([]uint32, error) {
-	if ix.sharded != nil {
-		return ix.sharded.SubPath(id, from, to)
+	sh, local, ok := ix.shardOf(id)
+	if !ok {
+		return nil, errTrajectoryRange(id, ix.NumTrajectories())
 	}
-	if !ix.hasLoc {
+	return sh.subPath(local, from, to)
+}
+
+func (sh *shard) subPath(local, from, to int) ([]uint32, error) {
+	if sh.core.SampleRate() == 0 {
 		return nil, ErrNoLocate
 	}
-	ln := ix.corpus.TrajectoryLen(id) // panics on bad id, as documented
+	ln := sh.corpus.TrajectoryLen(local)
 	if from < 0 || to > ln || from > to {
 		return nil, fmt.Errorf("cinct: SubPath[%d,%d) out of range [0,%d)", from, to, ln)
 	}
 	if from == to {
 		return nil, nil
 	}
-	// Trajectory id occupies text [start, start+ln) storing the
+	// The trajectory occupies text [start, start+ln) storing the
 	// *reversed* edges; travel offsets [from, to) map to text
 	// [start+ln-to, start+ln-from).
-	start := int64(ix.corpus.DocStart(id))
+	start := int64(sh.corpus.DocStart(local))
 	a := start + int64(ln-to)
 	b := start + int64(ln-from)
 	var out []uint32
 	if err := containCorrupt(func() error {
-		syms := ix.core.ExtractRange(a, b)
+		syms := sh.core.ExtractRange(a, b)
 		out = make([]uint32, len(syms))
 		for i, s := range syms {
-			out[len(syms)-1-i] = ix.corpus.EdgeFor(s)
+			out[len(syms)-1-i] = sh.corpus.EdgeFor(s)
 		}
 		return nil
 	}); err != nil {
@@ -440,7 +487,7 @@ func (ix *Index) SubPath(id, from, to int) ([]uint32, error) {
 // Stats summarizes the index. The JSON tags define the wire form the
 // cinctd daemon serves under /v1/indexes.
 type Stats struct {
-	// Shards is the number of corpus partitions (1 when monolithic).
+	// Shards is the number of corpus partitions.
 	Shards int `json:"shards"`
 	// Trajectories and Edges describe the corpus.
 	Trajectories int `json:"trajectories"`
@@ -467,100 +514,63 @@ type Stats struct {
 	BitsPerSymbol float64 `json:"bitsPerSymbol"`
 }
 
-// Stats reports size and shape statistics. On a sharded index the
-// breakdown aggregates over shards: sizes and counts sum, MaxLabel is
-// the max, LabelEntropy and AvgOutDegree are corpus-weighted averages.
-func (ix *Index) Stats() Stats {
-	if ix.sharded != nil {
-		return ix.sharded.Stats()
-	}
-	s := ix.core.Sizes()
-	g := ix.core.Graph()
+func (sh *shard) stats() Stats {
+	s := sh.core.Sizes()
+	g := sh.core.Graph()
 	return Stats{
 		Shards:        1,
-		Trajectories:  ix.corpus.NumTrajectories(),
-		Edges:         ix.corpus.NumEdges(),
-		TextLen:       ix.core.Len(),
-		MaxLabel:      ix.core.MaxLabel(),
+		Trajectories:  sh.corpus.NumTrajectories(),
+		Edges:         sh.corpus.NumEdges(),
+		TextLen:       sh.core.Len(),
+		MaxLabel:      sh.core.MaxLabel(),
 		ETGraphEdges:  g.NumEdges(),
 		AvgOutDegree:  g.AvgOutDegree(),
-		LabelEntropy:  ix.core.LabelEntropy(),
+		LabelEntropy:  sh.core.LabelEntropy(),
 		WaveletBits:   s.LabeledWT,
 		GraphBits:     s.ETGraph,
 		CArrayBits:    s.CArray,
 		LocateBits:    s.Locate,
-		BitsPerSymbol: ix.core.BitsPerSymbol(true),
+		BitsPerSymbol: sh.core.BitsPerSymbol(true),
 	}
 }
 
-// Save writes the index to w; Load reads it back. A monolithic index
-// writes the corpus metadata (edge map, document table) followed by
-// the compressed core index; a sharded index writes the shard
-// container format (see ShardedIndex.Save).
-func (ix *Index) Save(w io.Writer) (int64, error) {
-	if ix.sharded != nil {
-		return ix.sharded.Save(w)
+// Stats reports size and shape statistics, aggregated over the shards:
+// counts and size fields sum, MaxLabel is the maximum, LabelEntropy is
+// weighted by shard text length, and AvgOutDegree is recomputed from
+// the summed ET-graph edge and node counts.
+func (ix *Index) Stats() Stats {
+	if len(ix.shards) == 1 {
+		// The paper's single-index figures exactly, not re-derived
+		// through the aggregate's floating-point averages.
+		return ix.shards[0].stats()
 	}
-	return ix.saveOne(w)
-}
-
-// saveOne writes the single-index (seed v1) format.
-func (ix *Index) saveOne(w io.Writer) (int64, error) {
-	n1, err := ix.corpus.SaveMeta(w)
-	if err != nil {
-		return n1, err
-	}
-	n2, err := ix.core.Save(w)
-	return n1 + n2, err
-}
-
-// Load reads an index written by Save or SaveV3 — any format: the
-// sharded and v3 containers are recognized by their magics, anything
-// else is parsed as the original single-index layout.
-func Load(r io.Reader) (*Index, error) {
-	// One shared buffered reader: the sub-loaders each call
-	// bufio.NewReader, which returns this same object rather than
-	// wrapping again — so no bytes are lost to read-ahead.
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(v3Magic)); err == nil && isV3Magic(magic) {
-		ix, _, err := loadV3(br, v3FlavorSpatial)
-		return ix, err
-	}
-	if magic, err := br.Peek(len(shardMagic)); err == nil && string(magic) == shardMagic {
-		si, err := LoadSharded(br)
-		if err != nil {
-			return nil, err
+	agg := Stats{Shards: len(ix.shards), Edges: ix.edges}
+	var nodes, entropyBits, indexBits float64
+	for _, sh := range ix.shards {
+		s := sh.stats()
+		agg.Trajectories += s.Trajectories
+		agg.TextLen += s.TextLen
+		agg.ETGraphEdges += s.ETGraphEdges
+		agg.WaveletBits += s.WaveletBits
+		agg.GraphBits += s.GraphBits
+		agg.CArrayBits += s.CArrayBits
+		agg.LocateBits += s.LocateBits
+		if s.MaxLabel > agg.MaxLabel {
+			agg.MaxLabel = s.MaxLabel
 		}
-		return &Index{sharded: si, hasLoc: si.hasLoc}, nil
+		if s.AvgOutDegree > 0 {
+			nodes += float64(s.ETGraphEdges) / s.AvgOutDegree
+		}
+		entropyBits += s.LabelEntropy * float64(s.TextLen)
+		// BitsPerSymbol excludes locate structures (paper accounting).
+		indexBits += float64(s.WaveletBits + s.GraphBits + s.CArrayBits)
 	}
-	return loadOne(br)
-}
-
-// ErrCorruptIndex reports an index stream whose corpus metadata and
-// compressed core disagree — each half parsed, but pairing them would
-// let a query walk out of bounds.
-var ErrCorruptIndex = errors.New("cinct: corpus metadata inconsistent with core index")
-
-// loadOne reads the single-index (seed v1) format and cross-validates
-// the halves: the document tables must describe exactly the text the
-// core index was built over, so shape corruption fails the load
-// instead of panicking inside a query.
-func loadOne(br *bufio.Reader) (*Index, error) {
-	corpus, err := trajstr.LoadMeta(br)
-	if err != nil {
-		return nil, err
+	if nodes > 0 {
+		agg.AvgOutDegree = float64(agg.ETGraphEdges) / nodes
 	}
-	ci, err := core.Load(br)
-	if err != nil {
-		return nil, err
+	if agg.TextLen > 0 {
+		agg.LabelEntropy = entropyBits / float64(agg.TextLen)
+		agg.BitsPerSymbol = indexBits / float64(agg.TextLen)
 	}
-	if got, want := ci.Len(), corpus.TextLenFromTables(); got != want {
-		return nil, fmt.Errorf("%w: core holds %d symbols, document tables imply %d",
-			ErrCorruptIndex, got, want)
-	}
-	if got, want := ci.Sigma(), corpus.Sigma; got != want {
-		return nil, fmt.Errorf("%w: core alphabet %d, corpus alphabet %d",
-			ErrCorruptIndex, got, want)
-	}
-	return &Index{corpus: corpus, core: ci, hasLoc: ci.SampleRate() > 0}, nil
+	return agg
 }

@@ -3,6 +3,8 @@ package cinct
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -129,6 +131,79 @@ func TestSubPath(t *testing.T) {
 	empty, err := ix.SubPath(0, 2, 2)
 	if err != nil || len(empty) != 0 {
 		t.Fatal("empty range should return no edges")
+	}
+}
+
+// TestOutOfRangeTrajectoryID pins one contract for a bad trajectory ID
+// on every index shape: Trajectory and SubPath return an error,
+// TrajectoryLen returns -1, Timestamps returns nil — never a panic, and
+// the same on an Index as on a Writer (sealed and delta ranges alike).
+func TestOutOfRangeTrajectoryID(t *testing.T) {
+	trajs, times := fuzzCorpus()
+	type lookup interface {
+		NumTrajectories() int
+		Trajectory(id int) ([]uint32, error)
+		SubPath(id, from, to int) ([]uint32, error)
+		TrajectoryLen(id int) int
+	}
+	shapes := map[string]lookup{}
+	for _, k := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Shards = k
+		ix, err := Build(trajs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes[fmt.Sprintf("Index/%d", k)] = ix
+		tix, err := BuildTemporal(trajs, times, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes[fmt.Sprintf("TemporalIndex/%d", k)] = tix
+		// A writer whose ID space ends in the sealed range, and one
+		// whose last IDs live in the delta.
+		sealed, err := NewWriterAt(ix, WriterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes[fmt.Sprintf("Writer/%d/sealed", k)] = sealed
+		delta, err := NewWriterAt(ix, WriterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := delta.Append([]uint32{1, 2}, nil); err != nil {
+			t.Fatal(err)
+		}
+		shapes[fmt.Sprintf("Writer/%d/delta", k)] = delta
+	}
+	empty, err := NewWriter(WriterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes["Writer/empty"] = empty
+	for name, ix := range shapes {
+		n := ix.NumTrajectories()
+		for _, id := range []int{-1, n, math.MaxInt} {
+			if tr, err := ix.Trajectory(id); err == nil {
+				t.Errorf("%s: Trajectory(%d) = %v, want an error", name, id, tr)
+			}
+			if sub, err := ix.SubPath(id, 0, 1); err == nil {
+				t.Errorf("%s: SubPath(%d,0,1) = %v, want an error", name, id, sub)
+			}
+			if got := ix.TrajectoryLen(id); got != -1 {
+				t.Errorf("%s: TrajectoryLen(%d) = %d, want -1", name, id, got)
+			}
+			if tix, ok := ix.(*TemporalIndex); ok {
+				if col := tix.Timestamps(id); col != nil {
+					t.Errorf("%s: Timestamps(%d) = %v, want nil", name, id, col)
+				}
+			}
+		}
+		if n > 0 {
+			if _, err := ix.Trajectory(n - 1); err != nil {
+				t.Errorf("%s: Trajectory(%d): %v", name, n-1, err)
+			}
+		}
 	}
 }
 

@@ -131,171 +131,150 @@ func pickCompaction(sizes []int, p CompactionPolicy) (lo, hi int) {
 
 // shardSizes returns the per-shard trajectory-string lengths, the size
 // measure the compaction policy tiers on.
-func shardSizes(si *ShardedIndex) []int {
-	sizes := make([]int, len(si.shards))
-	for i, s := range si.shards {
-		sizes[i] = s.Len()
+func (ix *Index) shardSizes() []int {
+	sizes := make([]int, len(ix.shards))
+	for i, sh := range ix.shards {
+		sizes[i] = sh.core.Len()
 	}
 	return sizes
 }
 
+// emptyIndex is the zero-shard index every shard list grows from
+// (through spliced, the only constructor of bounds). It is an internal
+// starting point — a built or loaded Index always has a shard.
+func emptyIndex(hasLoc bool) *Index {
+	return &Index{bounds: []int{0}, hasLoc: hasLoc}
+}
+
+// newIndex assembles freshly built or loaded shards, in ID order.
+func newIndex(shards ...*shard) (*Index, error) {
+	return emptyIndex(shards[0].core.SampleRate() > 0).spliced(0, 0, shards...)
+}
+
 // spliced is the one audited copy-on-write shard-set primitive: it
-// returns a new ShardedIndex with shards[lo:hi) replaced by repl
-// (lo == hi == len(shards) appends instead). Both mutations of the
-// shard set — a seal appending one shard, a compaction substituting a
-// merged shard for its victims — go through here. si is unchanged, so
-// in-flight queries against the old value stay correct; a replacement
-// must hold exactly the victims' trajectory count, so every global ID
-// (and therefore every outstanding cursor) keeps its meaning.
-func (si *ShardedIndex) spliced(lo, hi int, repl *Index) (*ShardedIndex, error) {
+// returns a new Index with shards[lo:hi) replaced by repl (lo == hi ==
+// len(shards) appends instead). Every shard set comes from here — a
+// build or load assembling its shards, a seal appending one, a
+// compaction substituting a merged shard for its victims. ix is
+// unchanged, so in-flight queries against the old value stay correct; a
+// replacement must hold exactly the victims' trajectory count, so every
+// global ID (and therefore every outstanding cursor) keeps its meaning.
+// A shard's timestamp store travels with it, and either every shard
+// has one or none does.
+func (ix *Index) spliced(lo, hi int, repl ...*shard) (*Index, error) {
 	switch {
-	case lo < 0 || hi > len(si.shards) || lo > hi:
-		return nil, fmt.Errorf("cinct: splice [%d,%d) outside shard range [0,%d]", lo, hi, len(si.shards))
-	case lo == hi && lo != len(si.shards):
+	case lo < 0 || hi > len(ix.shards) || lo > hi:
+		return nil, fmt.Errorf("cinct: splice [%d,%d) outside shard range [0,%d]", lo, hi, len(ix.shards))
+	case lo == hi && lo != len(ix.shards):
 		return nil, fmt.Errorf("cinct: splice can only insert at the end of the shard list")
-	case repl.hasLoc != si.hasLoc:
-		return nil, fmt.Errorf("%w: existing shards and new shard disagree on locate support", ErrNotAppendable)
 	}
-	if lo < hi {
-		if got, want := repl.NumTrajectories(), si.bounds[hi]-si.bounds[lo]; got != want {
-			return nil, fmt.Errorf("cinct: splice replacement holds %d trajectories where victims held %d", got, want)
+	temporal := ix.Temporal()
+	if len(ix.shards) == 0 && len(repl) > 0 {
+		temporal = repl[0].ts != nil
+	}
+	rows := 0
+	for _, sh := range repl {
+		n := sh.corpus.NumTrajectories()
+		switch {
+		case (sh.core.SampleRate() > 0) != ix.hasLoc:
+			return nil, fmt.Errorf("%w: existing shards and new shard disagree on locate support", ErrNotAppendable)
+		case (sh.ts != nil) != temporal:
+			return nil, fmt.Errorf("%w: existing shards and new shard disagree on carrying timestamps", ErrNotAppendable)
+		case temporal && sh.ts.NumTrajectories() != n:
+			return nil, fmt.Errorf("cinct: %d timestamp columns for a %d-trajectory shard", sh.ts.NumTrajectories(), n)
 		}
+		rows += n
 	}
-	shards := make([]*Index, 0, len(si.shards)-(hi-lo)+1)
-	shards = append(shards, si.shards[:lo]...)
-	shards = append(shards, repl)
-	shards = append(shards, si.shards[hi:]...)
+	if want := ix.bounds[hi] - ix.bounds[lo]; lo < hi && rows != want {
+		return nil, fmt.Errorf("cinct: splice replacement holds %d trajectories where victims held %d", rows, want)
+	}
+	shards := make([]*shard, 0, len(ix.shards)-(hi-lo)+len(repl))
+	shards = append(shards, ix.shards[:lo]...)
+	shards = append(shards, repl...)
+	shards = append(shards, ix.shards[hi:]...)
 	// Replacements preserve the victims' row count and appends extend
 	// past the old end, so every surviving bound is reusable verbatim.
 	bounds := make([]int, 0, len(shards)+1)
-	bounds = append(bounds, si.bounds[:lo+1]...)
-	bounds = append(bounds, bounds[lo]+repl.NumTrajectories())
-	bounds = append(bounds, si.bounds[hi+1:]...)
+	bounds = append(bounds, ix.bounds[:lo+1]...)
+	for _, sh := range repl {
+		bounds = append(bounds, bounds[len(bounds)-1]+sh.corpus.NumTrajectories())
+	}
+	bounds = append(bounds, ix.bounds[hi+1:]...)
 	// The distinct-edge union is recomputed over all shards: the count
 	// alone cannot be merged incrementally (overlap with the new shard
 	// is unknown), and the map build is dwarfed by the compression
 	// build that preceded every call here.
 	corpora := make([]*trajstr.Corpus, len(shards))
-	for i, s := range shards {
-		corpora[i] = s.corpus
+	for i, sh := range shards {
+		corpora[i] = sh.corpus
 	}
-	return &ShardedIndex{
+	return &Index{
 		shards: shards,
 		bounds: bounds,
 		edges:  trajstr.CountDistinctEdges(corpora),
-		hasLoc: si.hasLoc,
+		hasLoc: ix.hasLoc,
 	}, nil
 }
 
-// spliced mirrors ShardedIndex.spliced for a temporal index, keeping
-// the per-shard timestamp stores aligned with the spatial shard list.
-// The legacy layout (sharded spatial index, single global store)
-// cannot be spliced: its store is indexed by global IDs and cannot
-// absorb a per-shard column range.
-func (t *TemporalIndex) spliced(lo, hi int, shard *Index, store *tempo.Store) (*TemporalIndex, error) {
-	if t.Index.sharded != nil && !t.aligned() {
-		return nil, fmt.Errorf("%w: legacy single-store temporal layout", ErrNotAppendable)
-	}
-	nsi, err := t.Index.asSharded().spliced(lo, hi, shard)
+// buildShard compresses validated rows — and, when times is non-nil,
+// their timestamp columns — into one shard: the unit a seal appends
+// and a compaction substitutes.
+func buildShard(trajs [][]uint32, times [][]int64, opts *Options) (*shard, error) {
+	corpus, err := trajstr.New(trajs)
 	if err != nil {
 		return nil, err
 	}
-	if store.NumTrajectories() != shard.NumTrajectories() {
-		return nil, fmt.Errorf("cinct: %d timestamp columns for a %d-trajectory shard",
-			store.NumTrajectories(), shard.NumTrajectories())
+	sh := newShard(corpus, opts)
+	if times != nil {
+		sh.ts = tempo.New(times)
 	}
-	stores := make([]*tempo.Store, 0, len(t.stores)-(hi-lo)+1)
-	stores = append(stores, t.stores[:lo]...)
-	stores = append(stores, store)
-	stores = append(stores, t.stores[hi:]...)
-	return &TemporalIndex{Index: &Index{sharded: nsi, hasLoc: nsi.hasLoc}, stores: stores}, nil
+	return sh, nil
 }
 
-// mergeShards decodes every trajectory owned by shards[lo:hi) — in
-// global-ID order, so the merged shard assigns each row the same
-// global ID its victim shard did — and rebuilds them as one
-// CiNCT-compressed shard sharing a single wavelet/ET-graph model.
-func (si *ShardedIndex) mergeShards(lo, hi int, opts *Options) (*Index, error) {
-	trajs := make([][]uint32, 0, si.bounds[hi]-si.bounds[lo])
-	for s := lo; s < hi; s++ {
-		ix := si.shards[s]
-		for k, n := 0, ix.NumTrajectories(); k < n; k++ {
-			tr, err := ix.Trajectory(k)
+// mergeShards decodes every trajectory (and timestamp column) owned by
+// shards[lo:hi) — in global-ID order, so the merged shard assigns each
+// row the same global ID its victim shard did — and rebuilds them as
+// one CiNCT-compressed shard sharing a single wavelet/ET-graph model.
+func (ix *Index) mergeShards(lo, hi int, opts *Options) (*shard, error) {
+	trajs := make([][]uint32, 0, ix.bounds[hi]-ix.bounds[lo])
+	var times [][]int64
+	for s, sh := range ix.shards[lo:hi] {
+		for k, n := 0, sh.corpus.NumTrajectories(); k < n; k++ {
+			tr, err := sh.subPath(k, 0, sh.corpus.TrajectoryLen(k))
 			if err != nil {
-				return nil, fmt.Errorf("cinct: compaction decoding shard %d row %d: %w", s, k, err)
+				return nil, fmt.Errorf("cinct: compaction decoding shard %d row %d: %w", lo+s, k, err)
 			}
 			trajs = append(trajs, tr)
+			if sh.ts != nil {
+				times = append(times, sh.ts.Column(k))
+			}
 		}
 	}
-	return sealShard(trajs, opts)
+	return buildShard(trajs, times, opts)
 }
 
-// mergeStores decodes the timestamp columns of stores[lo:hi) into one
-// combined store, aligned with mergeShards' row order.
-func mergeStores(stores []*tempo.Store, lo, hi int) *tempo.Store {
-	rows := 0
-	for s := lo; s < hi; s++ {
-		rows += stores[s].NumTrajectories()
-	}
-	cols := make([][]int64, 0, rows)
-	for s := lo; s < hi; s++ {
-		st := stores[s]
-		for k, n := 0, st.NumTrajectories(); k < n; k++ {
-			cols = append(cols, st.Column(k))
-		}
-	}
-	return tempo.New(cols)
-}
-
-// CompactRange merges shards [lo, hi) into one CiNCT-compressed shard
-// and returns the new index; si is unchanged (copy-on-write, like
-// AppendSealed). Global trajectory IDs are preserved exactly: the
-// victims form a contiguous ID range and the merged shard assigns the
-// same IDs in the same order, so query answers — and outstanding
-// (Trajectory, Offset) cursors — are identical before and after.
-// opts nil means DefaultOptions.
-func (si *ShardedIndex) CompactRange(lo, hi int, opts *Options) (*ShardedIndex, error) {
+// CompactRange merges shards [lo, hi) — spatial indexes and timestamp
+// stores together — into one CiNCT-compressed shard and returns the
+// new index; ix is unchanged (copy-on-write, like AppendSealed). Global
+// trajectory IDs are preserved exactly: the victims form a contiguous
+// ID range and the merged shard assigns the same IDs in the same order,
+// so query answers — and outstanding (Trajectory, Offset) cursors — are
+// identical before and after. opts nil means DefaultOptions.
+func (ix *Index) CompactRange(lo, hi int, opts *Options) (*Index, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	if lo < 0 || hi > len(si.shards) || hi-lo < 2 {
-		return nil, fmt.Errorf("cinct: CompactRange [%d,%d) needs at least two shards in [0,%d]", lo, hi, len(si.shards))
+	if lo < 0 || hi > len(ix.shards) || hi-lo < 2 {
+		return nil, fmt.Errorf("cinct: CompactRange [%d,%d) needs at least two shards in [0,%d]", lo, hi, len(ix.shards))
 	}
-	merged, err := si.mergeShards(lo, hi, opts)
+	merged, err := ix.mergeShards(lo, hi, opts)
 	if err != nil {
 		return nil, err
 	}
-	return si.spliced(lo, hi, merged)
-}
-
-// CompactRange merges shards [lo, hi) of a temporal index — spatial
-// shards and their timestamp stores together. Semantics mirror
-// ShardedIndex.CompactRange.
-func (t *TemporalIndex) CompactRange(lo, hi int, opts *Options) (*TemporalIndex, error) {
-	if opts == nil {
-		opts = DefaultOptions()
-	}
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	if opts.SampleRate == 0 {
-		return nil, fmt.Errorf("cinct: temporal index requires SampleRate > 0")
-	}
-	if t.Index.sharded != nil && !t.aligned() {
-		return nil, fmt.Errorf("%w: legacy single-store temporal layout", ErrNotAppendable)
-	}
-	si := t.Index.asSharded()
-	if lo < 0 || hi > len(si.shards) || hi-lo < 2 {
-		return nil, fmt.Errorf("cinct: CompactRange [%d,%d) needs at least two shards in [0,%d]", lo, hi, len(si.shards))
-	}
-	merged, err := si.mergeShards(lo, hi, opts)
-	if err != nil {
-		return nil, err
-	}
-	return t.spliced(lo, hi, merged, mergeStores(t.stores, lo, hi))
+	return ix.spliced(lo, hi, merged)
 }
 
 // CompactionResult reports one Writer.Compact round.
@@ -333,14 +312,10 @@ func (w *Writer) Compact(p CompactionPolicy) (CompactionResult, error) {
 	w.compactMu.Lock()
 	defer w.compactMu.Unlock()
 	w.mu.RLock()
-	sealedIx, sealedT := w.sealed, w.temp
+	snap := w.sealed
 	w.mu.RUnlock()
-	if sealedIx == nil {
-		return CompactionResult{}, nil
-	}
-	snap := sealedIx.asSharded()
 	res := CompactionResult{ShardsBefore: len(snap.shards), ShardsAfter: len(snap.shards)}
-	lo, hi := pickCompaction(shardSizes(snap), p)
+	lo, hi := pickCompaction(snap.shardSizes(), p)
 	if hi-lo < 2 {
 		return res, nil
 	}
@@ -348,50 +323,30 @@ func (w *Writer) Compact(p CompactionPolicy) (CompactionResult, error) {
 	if err != nil {
 		return res, err
 	}
-	var store *tempo.Store
-	if sealedT != nil {
-		store = mergeStores(sealedT.stores, lo, hi)
-	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	// Concurrent seals may have appended shards since the snapshot,
 	// but shards [lo, hi) are still the victims: seals only ever
-	// append, compactions are serialized above, and asSharded keeps
-	// shard pointers stable across promotion. Verify anyway — a
-	// silent mismatch here would corrupt the ID space.
-	cur := w.sealed.asSharded()
+	// append, compactions are serialized above, and a splice keeps the
+	// untouched shard pointers. Verify anyway — a silent mismatch here
+	// would corrupt the ID space.
+	cur := w.sealed
 	if len(cur.shards) < hi {
-		w.mu.Unlock()
 		return res, errCompactRaced
 	}
 	for i := lo; i < hi; i++ {
 		if cur.shards[i] != snap.shards[i] {
-			w.mu.Unlock()
 			return res, errCompactRaced
 		}
 	}
-	var newIx *Index
-	var newT *TemporalIndex
-	if w.temporal && w.temp != nil {
-		newT, err = w.temp.spliced(lo, hi, merged, store)
-		if err == nil {
-			newIx = newT.Index
-		}
-	} else {
-		var nsi *ShardedIndex
-		nsi, err = cur.spliced(lo, hi, merged)
-		if err == nil {
-			newIx = &Index{sharded: nsi, hasLoc: nsi.hasLoc}
-		}
-	}
+	next, err := cur.spliced(lo, hi, merged)
 	if err != nil {
-		w.mu.Unlock()
 		return res, err
 	}
-	w.sealed, w.temp = newIx, newT
+	w.sealed = next
 	w.gen++
-	w.mu.Unlock()
 	res.Merged = hi - lo
-	res.Rows = merged.NumTrajectories()
+	res.Rows = merged.corpus.NumTrajectories()
 	res.Lo, res.Hi = lo, hi
 	res.ShardsAfter = res.ShardsBefore - res.Merged + 1
 	return res, nil
@@ -403,11 +358,5 @@ func (w *Writer) Compact(p CompactionPolicy) (CompactionResult, error) {
 func (w *Writer) SealedShards() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.sealed == nil {
-		return 0
-	}
-	if w.sealed.sharded == nil {
-		return 1
-	}
-	return len(w.sealed.sharded.shards)
+	return len(w.sealed.shards)
 }

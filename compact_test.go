@@ -55,7 +55,7 @@ func TestCompactRange(t *testing.T) {
 	opts.Shards = 4
 
 	t.Run("spatial", func(t *testing.T) {
-		si, err := BuildSharded(trajs, opts)
+		si, err := Build(trajs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,10 +63,10 @@ func TestCompactRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(compacted.shards); got != 2 {
+		if got := compacted.Shards(); got != 2 {
 			t.Fatalf("compacted holds %d shards, want 2", got)
 		}
-		if got := len(si.shards); got != 4 {
+		if got := si.Shards(); got != 4 {
 			t.Fatalf("CompactRange mutated the receiver: %d shards", got)
 		}
 		if got, want := compacted.NumTrajectories(), len(trajs); got != want {
@@ -111,12 +111,12 @@ func TestCompactRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(compacted.stores); got != 2 {
-			t.Fatalf("compacted holds %d stores, want 2", got)
+		if got := compacted.Shards(); got != 2 || !compacted.Temporal() {
+			t.Fatalf("compacted holds %d shards (temporal %v), want 2 with stores", got, compacted.Temporal())
 		}
 		q := Query{Path: genPath(rng, trajs), Kind: Occurrences,
 			Interval: &Interval{From: -1 << 60, To: 1 << 60}}
-		got := searchHitsT(t, compacted, q)
+		got := searchHits(t, compacted, q)
 		want, _ := oracleSearch(trajs, times, q)
 		if !sameHits(got, want) {
 			t.Fatalf("compacted temporal Search = %v, want %v", got, want)
@@ -136,11 +136,11 @@ func TestSplicedValidation(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Shards = 3
-	si, err := BuildSharded(trajs, opts)
+	si, err := Build(trajs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl, err := sealShard([][]uint32{{1, 2}, {3}}, DefaultOptions())
+	repl, err := buildShard([][]uint32{{1, 2}, {3}}, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

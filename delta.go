@@ -19,8 +19,8 @@ import (
 // Query support is a brute-force scan: the delta is bounded by the
 // seal threshold, so O(rows × len) matching is cheaper than
 // maintaining any incremental index, and it plugs into the same
-// streaming Search core as the compressed shards (one more unit in
-// the canonical k-way merge).
+// streaming Search core as the compressed shards (one more unit,
+// after the last shard).
 type deltaShard struct {
 	// base is the global ID of the delta's first trajectory: all
 	// sealed trajectories sort before every delta trajectory, which is
@@ -105,7 +105,7 @@ func (d *deltaShard) snap() *deltaSnap {
 func (s *deltaSnap) len() int { return len(s.trajs) }
 
 // locate enumerates every occurrence of path in the snapshot,
-// mirroring Index.locateOccurrences: visit(local trajectory, travel
+// mirroring shard.locate: visit(local trajectory, travel
 // offset), ctx checked periodically, rows scanned accounted into st.
 // Occurrences are produced in canonical order by construction (rows
 // ascending, offsets ascending), but callers do not rely on that —

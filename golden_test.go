@@ -1,0 +1,64 @@
+package cinct
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"testing"
+)
+
+// goldenHashes pins the exact bytes Save and SaveV3 write for
+// fixed-seed corpora (timedCorpus(7)), captured at commit 805741c — the
+// last one before Index became the shard list. A container format is a
+// contract with files already on disk: any change here must be a
+// deliberate format revision, never a side effect of a refactor.
+var goldenHashes = map[string]string{
+	"spatial-1/v1":  "129a9ed4ebd8c5ac715edefbdfe98dd34c52a55074e52dc87247c61ae780d2ef",
+	"spatial-1/v3":  "964bc4c8b81a6ae0d64f7796d263814ecd8a2738f842c8219fa49710500bf965",
+	"spatial-4/v1":  "0955a30de2985af0a05e2c2d130f12b5c186dc3da8326635d6835713e1056d4c",
+	"spatial-4/v3":  "9e456dd051aa3b102b9b0e09adac701e999f185602f46d836b8ed8c34f2c5a3b",
+	"temporal-1/v1": "dd598cce416697f78ec632d9bbf5f355b3996f9121010302ab9551d5630c197f",
+	"temporal-1/v3": "eacbb31f4785f728b0b52874921232887d8e148f053550a24c5e4a39058dd4e2",
+	"temporal-4/v1": "b670a187401fb7f7be67fa1ca09804a7e3c4b546991b75ad50acca13997949a1",
+	"temporal-4/v3": "a0d6794fd8fabdf94d06ff79fd51e4e1efc3722a7af3a35f31fbff4120fda333",
+}
+
+func TestGoldenBytes(t *testing.T) {
+	trajs, times := timedCorpus(7)
+	type saver func(io.Writer) (int64, error)
+	check := func(name string, save saver) {
+		t.Helper()
+		var buf bytes.Buffer
+		n, err := save(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if int(n) != buf.Len() {
+			t.Errorf("%s: reported %d bytes, wrote %d", name, n, buf.Len())
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != goldenHashes[name] {
+			t.Errorf("%s: sha256 %s, want %s", name, got, goldenHashes[name])
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"1", 1}, {"4", 4}} {
+		opts := DefaultOptions()
+		opts.Shards = tc.shards
+		ix, err := Build(trajs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("spatial-"+tc.name+"/v1", ix.Save)
+		check("spatial-"+tc.name+"/v3", ix.SaveV3)
+		tix, err := BuildTemporal(trajs, times, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("temporal-"+tc.name+"/v1", tix.Save)
+		check("temporal-"+tc.name+"/v3", tix.SaveV3)
+	}
+}

@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -101,12 +102,12 @@ type entry struct {
 	// reloaded index fails with ErrStaleCursor instead of silently
 	// paging through renumbered data, while a resume across a seal
 	// keeps working.
-	epoch   uint64
-	spatial *cinct.Index
-	temp    *cinct.TemporalIndex // non-nil iff temporal
+	epoch uint64
+	// ix is the loaded index; it carries timestamps iff temporal.
+	ix *cinct.Index
 	// w is the live ingestion writer, created lazily on the first
-	// Append. Once present it supersedes spatial/temp (which remain
-	// the writer's original base) as the query target.
+	// Append. Once present it supersedes ix (which remains the writer's
+	// original base) as the query target.
 	w *cinct.Writer
 	// sealErr records the outcome of the most recent seal's
 	// persistence attempt (nil on success or when there is nothing to
@@ -130,16 +131,30 @@ type entry struct {
 	walErr error
 }
 
+// target is the query surface a snapshot answers from: the live
+// writer once an entry has one, else the loaded index. Both are the
+// same thing to a query — a list of shards under global trajectory IDs
+// — the writer's just ends in an uncompressed delta.
+type target interface {
+	Search(ctx context.Context, q cinct.Query) (*cinct.Results, error)
+	Trajectory(id int) ([]uint32, error)
+	SubPath(id, from, to int) ([]uint32, error)
+	NumTrajectories() int
+	Stats() cinct.Stats
+}
+
 // view is an immutable snapshot of an entry's current binding.
 type view struct {
 	name     string
 	gen      uint64
 	epoch    uint64
 	sig      uint64
-	spatial  *cinct.Index
-	temp     *cinct.TemporalIndex
-	w        *cinct.Writer
 	temporal bool
+	// q is where queries go, chosen once by snapshot; ix and w are the
+	// parts it was chosen from, for the callers that manage them.
+	q  target
+	ix *cinct.Index
+	w  *cinct.Writer
 }
 
 // indexSig fingerprints an index's structural identity from its Stats:
@@ -148,49 +163,16 @@ type view struct {
 // moves at least one of these, which is what lets cursors detect "the
 // index on disk is not the one this cursor was minted against" across
 // process restarts where epochs reset.
-func indexSig(ix *cinct.Index, t *cinct.TemporalIndex) uint64 {
-	if t != nil {
-		ix = t.Index
-	}
-	if ix == nil {
-		return 0
-	}
+func indexSig(ix *cinct.Index) uint64 {
 	st := ix.Stats()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%d|%d",
 		st.Shards, st.Trajectories, st.Edges, st.TextLen, st.MaxLabel,
 		st.ETGraphEdges, st.WaveletBits, st.GraphBits, st.CArrayBits, st.LocateBits)
-	if t != nil {
-		fmt.Fprintf(h, "|t%d", t.TimestampBits())
+	if ix.Temporal() {
+		fmt.Fprintf(h, "|t%d", ix.TimestampBits())
 	}
 	return h.Sum64()
-}
-
-// index returns the spatial index backing the snapshot (a temporal
-// index embeds one). It is the query target only when the snapshot
-// has no live writer.
-func (v view) index() *cinct.Index {
-	if v.temp != nil {
-		return v.temp.Index
-	}
-	return v.spatial
-}
-
-// numTrajectories returns the snapshot's trajectory-ID space size,
-// including any unsealed delta rows.
-func (v view) numTrajectories() int {
-	if v.w != nil {
-		return v.w.NumTrajectories()
-	}
-	return v.index().NumTrajectories()
-}
-
-// isTemporal reports whether the snapshot answers interval queries.
-func (v view) isTemporal() bool {
-	if v.w != nil {
-		return v.w.Temporal()
-	}
-	return v.temp != nil
 }
 
 // snapshot captures the entry's current binding, failing if closed.
@@ -200,8 +182,12 @@ func (en *entry) snapshot() (view, error) {
 	if en.closed {
 		return view{}, fmt.Errorf("%w: %q", ErrNotFound, en.name)
 	}
-	return view{name: en.name, gen: en.gen, epoch: en.epoch, sig: en.sig,
-		spatial: en.spatial, temp: en.temp, w: en.w, temporal: en.temporal}, nil
+	v := view{name: en.name, gen: en.gen, epoch: en.epoch, sig: en.sig,
+		temporal: en.temporal, q: en.ix, ix: en.ix, w: en.w}
+	if en.w != nil {
+		v.q = en.w
+	}
+	return v, nil
 }
 
 // swap installs a freshly loaded index, bumps the generation
@@ -210,7 +196,7 @@ func (en *entry) snapshot() (view, error) {
 // hold arbitrarily different data), and discards any live writer: an
 // unsealed delta does not survive a reload. It returns the new
 // generation.
-func (en *entry) swap(ix *cinct.Index, t *cinct.TemporalIndex) (uint64, error) {
+func (en *entry) swap(ix *cinct.Index) (uint64, error) {
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	if en.closed {
@@ -218,8 +204,8 @@ func (en *entry) swap(ix *cinct.Index, t *cinct.TemporalIndex) (uint64, error) {
 	}
 	en.gen++
 	en.epoch++
-	en.spatial, en.temp = ix, t
-	en.sig = indexSig(ix, t)
+	en.ix = ix
+	en.sig = indexSig(ix)
 	en.w = nil
 	return en.gen, nil
 }
@@ -234,45 +220,51 @@ func (en *entry) bumpGen() uint64 {
 	return en.gen
 }
 
-// loadFromFile reads the entry's backing file into a fresh index pair.
-// With mmap set and a v3 container on disk, the file is mapped
-// zero-copy; anything else decodes onto the heap.
-func (en *entry) loadFromFile() (*cinct.Index, *cinct.TemporalIndex, error) {
+// loadFromFile reads the entry's backing file into a fresh index (one
+// carrying timestamps for a temporal entry). With mmap set and a v3
+// container on disk, the file is mapped zero-copy; anything else
+// decodes onto the heap.
+func (en *entry) loadFromFile() (*cinct.Index, error) {
 	if en.mmap {
 		if v3, err := isV3File(en.path); err != nil {
-			return nil, nil, err
+			return nil, err
 		} else if v3 {
+			var ix *cinct.Index
 			if en.temporal {
-				t, err := cinct.OpenMappedTemporal(en.path)
-				if err != nil {
-					return nil, nil, fmt.Errorf("engine: mapping %q from %s: %w", en.name, en.path, err)
-				}
-				return nil, t, nil
+				ix, err = unwrap(cinct.OpenMappedTemporal(en.path))
+			} else {
+				ix, err = cinct.OpenMapped(en.path)
 			}
-			ix, err := cinct.OpenMapped(en.path)
 			if err != nil {
-				return nil, nil, fmt.Errorf("engine: mapping %q from %s: %w", en.name, en.path, err)
+				return nil, fmt.Errorf("engine: mapping %q from %s: %w", en.name, en.path, err)
 			}
-			return ix, nil, nil
+			return ix, nil
 		}
 	}
 	f, err := os.Open(en.path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
+	var ix *cinct.Index
 	if en.temporal {
-		t, err := cinct.LoadTemporal(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: loading %q from %s: %w", en.name, en.path, err)
-		}
-		return nil, t, nil
+		ix, err = unwrap(cinct.LoadTemporal(f))
+	} else {
+		ix, err = cinct.Load(f)
 	}
-	ix, err := cinct.Load(f)
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: loading %q from %s: %w", en.name, en.path, err)
+		return nil, fmt.Errorf("engine: loading %q from %s: %w", en.name, en.path, err)
 	}
-	return ix, nil, nil
+	return ix, nil
+}
+
+// unwrap reduces a temporal load to the Index that carries its stores —
+// the one shape the catalog holds.
+func unwrap(t *cinct.TemporalIndex, err error) (*cinct.Index, error) {
+	if err != nil {
+		return nil, err
+	}
+	return t.Index, nil
 }
 
 // isV3File sniffs the file's magic without reading the body.
@@ -343,7 +335,7 @@ func (en *entry) markClosed() (gen, epoch uint64) {
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	en.closed = true
-	en.spatial, en.temp, en.w = nil, nil, nil
+	en.ix, en.w = nil, nil
 	if en.wal != nil {
 		en.wal.Close() //nolint:errcheck // best-effort final sync; segments replay regardless
 		en.wal = nil

@@ -298,7 +298,7 @@ func (e *Engine) searchOwned(ctx context.Context, name string, q cinct.Query) (*
 	if err != nil {
 		return nil, err
 	}
-	if q.Interval != nil && !v.isTemporal() {
+	if q.Interval != nil && !v.temporal {
 		return nil, fmt.Errorf("%w: %q", ErrNotTemporal, v.name)
 	}
 	key := fmt.Sprintf("o|%x|", cl.Fingerprint()) + searchKey(v.name, v.gen, enc)
@@ -321,13 +321,7 @@ func (e *Engine) searchOwned(ctx context.Context, name string, q cinct.Query) (*
 	lq.Limit = 0
 	lr, err := func() (lr *cinct.Results, err error) {
 		defer recoverQuery(&err)
-		switch {
-		case v.w != nil:
-			return v.w.Search(ctx, lq)
-		case v.temp != nil:
-			return v.temp.Search(ctx, lq)
-		}
-		return v.spatial.Search(ctx, lq)
+		return v.q.Search(ctx, lq)
 	}()
 	if err != nil {
 		e.release()

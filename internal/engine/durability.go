@@ -104,7 +104,7 @@ func (e *Engine) openWALLocked(en *entry) error {
 	if w != nil {
 		durable = w.SealedTrajectories()
 	} else if v, verr := en.snapshot(); verr == nil {
-		durable = v.numTrajectories()
+		durable = v.q.NumTrajectories()
 	}
 	if err := l.Retire(durable); err != nil {
 		e.logf("engine: retiring %q wal segments: %v", en.name, err)

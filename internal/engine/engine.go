@@ -188,13 +188,12 @@ func (e *Engine) OpenDir(dir string) ([]string, error) {
 	var names []string
 	for _, en := range entries {
 		en.mmap = e.mmap
-		ix, t, err := en.loadFromFile()
+		ix, err := en.loadFromFile()
 		if err != nil {
 			return names, err
 		}
 		en.gen, en.epoch = 1, 1
-		en.spatial, en.temp = ix, t
-		en.sig = indexSig(ix, t)
+		en.ix, en.sig = ix, indexSig(ix)
 		// WAL before install: once the entry is reachable through the
 		// catalog an Append must find a live log handle, or its batch
 		// would be acknowledged without a record.
@@ -228,13 +227,12 @@ func (e *Engine) LoadTemporal(name, path string) error {
 
 func (e *Engine) loadAs(name, path string, temporal bool) error {
 	en := &entry{name: name, path: path, temporal: temporal, mmap: e.mmap}
-	ix, t, err := en.loadFromFile()
+	ix, err := en.loadFromFile()
 	if err != nil {
 		return err
 	}
 	en.gen, en.epoch = 1, 1
-	en.spatial, en.temp = ix, t
-	en.sig = indexSig(ix, t)
+	en.ix, en.sig = ix, indexSig(ix)
 	// WAL before install, so no Append can reach an entry whose log is
 	// missing or mid-replay (see OpenDir).
 	if err := e.openWAL(en); err != nil {
@@ -247,12 +245,12 @@ func (e *Engine) loadAs(name, path string, temporal bool) error {
 // Register publishes an in-memory spatial index under name (no backing
 // file; Reload will fail with ErrNoFile).
 func (e *Engine) Register(name string, ix *cinct.Index) {
-	e.cat.install(&entry{name: name, gen: 1, epoch: 1, sig: indexSig(ix, nil), spatial: ix})
+	e.cat.install(&entry{name: name, gen: 1, epoch: 1, sig: indexSig(ix), ix: ix})
 }
 
 // RegisterTemporal publishes an in-memory temporal index under name.
 func (e *Engine) RegisterTemporal(name string, t *cinct.TemporalIndex) {
-	e.cat.install(&entry{name: name, gen: 1, epoch: 1, sig: indexSig(nil, t), temp: t, temporal: true})
+	e.cat.install(&entry{name: name, gen: 1, epoch: 1, sig: indexSig(t.Index), ix: t.Index, temporal: true})
 }
 
 // Reload re-reads name's backing file, atomically swaps the new index
@@ -271,7 +269,7 @@ func (e *Engine) Reload(name string) (uint64, error) {
 	}
 	en.loadMu.Lock()
 	defer en.loadMu.Unlock()
-	ix, t, err := en.loadFromFile()
+	ix, err := en.loadFromFile()
 	if err != nil {
 		return 0, err
 	}
@@ -283,7 +281,7 @@ func (e *Engine) Reload(name string) (uint64, error) {
 	// rows silently dropped) or be acknowledged while en.wal is nil
 	// (acked rows never logged).
 	en.ingestMu.Lock()
-	gen, err := en.swap(ix, t)
+	gen, err := en.swap(ix)
 	if err != nil {
 		en.ingestMu.Unlock()
 		return 0, err
@@ -368,19 +366,16 @@ func (e *Engine) Info(name string) (Info, error) {
 	if wl != nil {
 		info.WALSegments, info.WALBytes = wl.Stats()
 	}
+	info.Stats = v.q.Stats()
+	sealed := v.ix
 	if v.w != nil {
-		info.Stats = v.w.Stats()
 		info.Delta = v.w.DeltaTrajectories()
-		if _, t := v.w.Snapshot(); t != nil {
-			info.TimestampBits = t.TimestampBits()
+		if ix, _ := v.w.Snapshot(); ix != nil {
+			sealed = ix
 		}
-		return info, nil
 	}
-	info.Stats = v.index().Stats()
-	info.Mapped = v.index().Mapped()
-	if v.temp != nil {
-		info.TimestampBits = v.temp.TimestampBits()
-	}
+	info.Mapped = sealed.Mapped()
+	info.TimestampBits = sealed.TimestampBits()
 	return info, nil
 }
 
@@ -500,13 +495,7 @@ func (e *Engine) writerFor(en *entry) (*cinct.Writer, error) {
 			e.publishAppend(en.name, first, trajs, times)
 		},
 	}
-	var w *cinct.Writer
-	var err error
-	if en.temporal {
-		w, err = cinct.NewTemporalWriterAt(en.temp, cfg)
-	} else {
-		w, err = cinct.NewWriterAt(en.spatial, cfg)
-	}
+	w, err := cinct.NewWriterAt(en.ix, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -1058,7 +1047,7 @@ func (e *Engine) searchLocal(ctx context.Context, name string, q cinct.Query) (*
 	if err != nil {
 		return nil, err
 	}
-	if q.Interval != nil && !v.isTemporal() {
+	if q.Interval != nil && !v.temporal {
 		return nil, fmt.Errorf("%w: %q", ErrNotTemporal, v.name)
 	}
 	key := searchKey(v.name, v.gen, enc)
@@ -1076,13 +1065,7 @@ func (e *Engine) searchLocal(ctx context.Context, name string, q cinct.Query) (*
 	}
 	lr, err := func() (lr *cinct.Results, err error) {
 		defer recoverQuery(&err)
-		switch {
-		case v.w != nil:
-			return v.w.Search(ctx, q)
-		case v.temp != nil:
-			return v.temp.Search(ctx, q)
-		}
-		return v.spatial.Search(ctx, q)
+		return v.q.Search(ctx, q)
 	}()
 	if err != nil {
 		e.release()
@@ -1161,11 +1144,11 @@ func (e *Engine) FindTrajectories(ctx context.Context, name string, path []uint3
 }
 
 // checkTrajectory validates a trajectory ID against the snapshot
-// (including unsealed delta rows), converting the library's
-// documented panic-on-bad-ID contract into an error a server can map
-// to a 4xx.
+// (including unsealed delta rows), giving a bad ID the engine's typed
+// ErrOutOfRange — the error a server maps to a 4xx — before any worker
+// slot is taken.
 func checkTrajectory(v view, id int) error {
-	if n := v.numTrajectories(); id < 0 || id >= n {
+	if n := v.q.NumTrajectories(); id < 0 || id >= n {
 		return fmt.Errorf("%w: trajectory %d not in [0,%d)", ErrOutOfRange, id, n)
 	}
 	return nil
@@ -1185,10 +1168,7 @@ func (e *Engine) Trajectory(ctx context.Context, name string, id int) ([]uint32,
 		return nil, err
 	}
 	defer e.release()
-	if v.w != nil {
-		return v.w.Trajectory(id)
-	}
-	return v.index().Trajectory(id)
+	return v.q.Trajectory(id)
 }
 
 // SubPath extracts edges [from, to) of trajectory id of index name.
@@ -1204,12 +1184,7 @@ func (e *Engine) SubPath(ctx context.Context, name string, id, from, to int) ([]
 		return nil, err
 	}
 	defer e.release()
-	var sub []uint32
-	if v.w != nil {
-		sub, err = v.w.SubPath(id, from, to)
-	} else {
-		sub, err = v.index().SubPath(id, from, to)
-	}
+	sub, err := v.q.SubPath(id, from, to)
 	if err != nil {
 		if errors.Is(err, cinct.ErrNoLocate) {
 			// Index capability, not bad parameters — don't blame the

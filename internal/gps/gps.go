@@ -200,8 +200,8 @@ func interpolateTimes(ptIdx []int, pts []Point) []int64 {
 
 // Simulate fabricates a noisy timed trace along a known edge path —
 // the synthetic stand-in for device traffic used by tests, the smoke
-// script and cinctbench. Timestamps start at start and advance dt per
-// point.
+// script and the benchmark. Timestamps start at start and advance dt
+// per point.
 func Simulate(g *roadnet.Graph, path []roadnet.EdgeID, noise float64, start, dt int64, rng *rand.Rand) Trace {
 	raw := mapmatch.SimulateTrace(g, path, noise, rng)
 	tr := Trace{Points: make([]Point, len(raw))}

@@ -236,8 +236,17 @@ func TestSearchLimitRule(t *testing.T) {
 	if _, err := tix.Search(ctx, Query{Path: path, Kind: Kind(99)}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("unknown kind: err = %v, want ErrBadQuery", err)
 	}
-	// Interval queries against a spatial-only index are refused.
-	if _, err := tix.Index.Search(ctx, Query{Path: path, Interval: &Interval{From: 0, To: 1}}); !errors.Is(err, ErrNoTimestamps) {
+	// Interval queries are accepted exactly when the stores are there:
+	// the embedded Index of a temporal index carries them, a spatial
+	// build does not.
+	if _, err := tix.Index.Search(ctx, Query{Path: path, Interval: &Interval{From: 0, To: 1}}); err != nil {
+		t.Fatalf("interval on the embedded Index of a temporal index: %v", err)
+	}
+	spatial, err := Build(trajs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spatial.Search(ctx, Query{Path: path, Interval: &Interval{From: 0, To: 1}}); !errors.Is(err, ErrNoTimestamps) {
 		t.Fatalf("interval on spatial index: err = %v, want ErrNoTimestamps", err)
 	}
 }
@@ -445,15 +454,15 @@ func frequentEdge(trajs [][]uint32) []uint32 {
 // atSteps sums the decode counters across a temporal index's stores.
 func atSteps(tix *TemporalIndex) int64 {
 	var n int64
-	for _, ts := range tix.stores {
-		n += ts.AtSteps()
+	for _, sh := range tix.shards {
+		n += sh.ts.AtSteps()
 	}
 	return n
 }
 
 func resetAtSteps(tix *TemporalIndex) {
-	for _, ts := range tix.stores {
-		ts.ResetAtSteps()
+	for _, sh := range tix.shards {
+		sh.ts.ResetAtSteps()
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"sync"
-
-	"cinct/internal/tempo"
 )
 
 // containCorrupt runs fn and converts any panic escaping it into an
@@ -46,10 +44,15 @@ type Hit struct {
 // be resumed by ranging over All again; Count drains whatever remains.
 // A Results is not safe for concurrent use.
 type Results struct {
-	q      Query
-	count  int // CountOnly answer
-	merged *mergeIter
-	units  []*unitCursor // every search unit, for Stats aggregation
+	q     Query
+	count int // CountOnly answer
+	// units are the search units in ascending ID order; stream is nil
+	// for a CountOnly result. Units own contiguous ascending ID ranges,
+	// so the canonical merge is a concatenation: cur is the first unit
+	// not yet drained.
+	units  []*unitCursor
+	stream *searchShared
+	cur    int
 
 	n         int // hits yielded so far
 	last      Hit
@@ -66,7 +69,7 @@ type Results struct {
 // element's error.
 func (r *Results) All() iter.Seq2[Hit, error] {
 	return func(yield func(Hit, error) bool) {
-		if r.merged == nil || r.exhausted {
+		if r.stream == nil || r.exhausted {
 			return
 		}
 		if r.err != nil {
@@ -77,7 +80,7 @@ func (r *Results) All() iter.Seq2[Hit, error] {
 			if r.q.Limit > 0 && r.n >= r.q.Limit {
 				return
 			}
-			h, ok, err := r.merged.next()
+			h, ok, err := r.next()
 			if err != nil {
 				r.err = err
 				yield(Hit{}, err)
@@ -101,7 +104,7 @@ func (r *Results) All() iter.Seq2[Hit, error] {
 // it drains any hits not yet consumed through All and returns the
 // total number of hits yielded (bounded by Limit).
 func (r *Results) Count() (int, error) {
-	if r.merged == nil {
+	if r.stream == nil {
 		return r.count, r.err
 	}
 	for _, err := range r.All() {
@@ -156,46 +159,50 @@ func compile(q Query) (compiled, error) {
 	return c, nil
 }
 
-// Search executes a Query against the index, monolithic or sharded.
-// CountOnly queries are answered eagerly; Occurrences and Trajectories
-// queries locate and canonically order the candidate set per shard (in
-// parallel), then stream hits lazily through Results — timestamp
-// decoding, interval filtering and deduplication happen on pull, so a
-// small Limit or an abandoned iteration does proportionally less work.
-// Interval queries require a TemporalIndex (use TemporalIndex.Search);
-// on a plain Index they fail with ErrNoTimestamps.
+// Search executes a Query against the index. CountOnly queries are
+// answered eagerly; Occurrences and Trajectories queries locate and
+// canonically order the candidate set per shard (in parallel), then
+// stream hits lazily through Results — timestamp decoding, interval
+// filtering and deduplication happen on pull, so a small Limit or an
+// abandoned iteration does proportionally less work. Interval queries
+// need timestamps (a TemporalIndex): candidates are pruned against
+// per-trajectory (min, max) summaries before any timestamp decode and
+// probed lazily during iteration; on a spatial index they fail with
+// ErrNoTimestamps.
 func (ix *Index) Search(ctx context.Context, q Query) (*Results, error) {
-	if q.Interval != nil {
+	if q.Interval != nil && !ix.Temporal() {
 		return nil, ErrNoTimestamps
 	}
-	return search(ctx, q, ix, nil)
+	return runSearch(ctx, q, ix, nil)
 }
 
-// Search executes a Query against the temporal index; unlike
-// Index.Search it accepts interval-constrained queries, pruning
-// candidates against per-trajectory (min, max) summaries before any
-// timestamp decode and probing timestamps lazily during iteration.
-func (t *TemporalIndex) Search(ctx context.Context, q Query) (*Results, error) {
-	return search(ctx, q, t.Index, t)
-}
-
-func search(ctx context.Context, q Query, ix *Index, t *TemporalIndex) (*Results, error) {
-	return runSearch(ctx, q, assembleUnits(ix, t), ix.hasLoc)
-}
-
-// runSearch is the transport between a compiled query and the
-// streaming merge, shared by the immutable indexes and the live
-// Writer: the units may be compressed shards, a delta snapshot, or
-// any mix — each contributes candidates through the same collect /
-// advance protocol. hasLoc reports whether the compressed units can
-// locate (delta units always can).
-func runSearch(ctx context.Context, q Query, units []*unitCursor, hasLoc bool) (*Results, error) {
+// runSearch is the transport between a compiled query and the result
+// stream, shared by the immutable Index and the live Writer: the units
+// are ix's shards followed by the delta snapshot (nil on an Index) —
+// each contributes candidates through the same collect / advance
+// protocol.
+func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Results, error) {
 	c, err := compile(q)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	units := make([]*unitCursor, len(ix.shards), len(ix.shards)+1)
+	for s, sh := range ix.shards {
+		units[s] = &unitCursor{sh: sh, base: ix.bounds[s], n: ix.bounds[s+1] - ix.bounds[s]}
+	}
+	if delta != nil && delta.len() > 0 {
+		units = append(units, &unitCursor{d: delta, base: delta.base, n: delta.len()})
+	}
+	// Concatenation is the merge only while every unit starts where the
+	// previous one ended; spliced and the delta's base guarantee it.
+	for i := 1; i < len(units); i++ {
+		if end := units[i-1].base + units[i-1].n; units[i].base != end {
+			return nil, fmt.Errorf("cinct: search unit %d starts at trajectory %d, previous ends at %d",
+				i, units[i].base, end)
+		}
 	}
 	if c.kind == CountOnly {
 		n, err := countUnits(ctx, c, units)
@@ -204,7 +211,7 @@ func runSearch(ctx context.Context, q Query, units []*unitCursor, hasLoc bool) (
 		}
 		return &Results{q: q, count: n, exhausted: true, units: units}, nil
 	}
-	if !hasLoc {
+	if !ix.hasLoc {
 		return nil, ErrNoLocate
 	}
 	runUnits(units, func(_ int, u *unitCursor) {
@@ -216,39 +223,45 @@ func runSearch(ctx context.Context, q Query, units []*unitCursor, hasLoc bool) (
 		}
 	}
 	shared := &searchShared{ctx: ctx, c: c}
-	m := &mergeIter{shared: shared}
 	for _, u := range units {
 		u.lastTraj = -1
 		u.advance(shared)
 		if u.err != nil {
 			return nil, u.err
 		}
-		if u.hasHead {
-			m.units = append(m.units, u)
-		}
 	}
-	m.init()
-	return &Results{q: q, merged: m, units: units}, nil
+	return &Results{q: q, units: units, stream: shared}, nil
 }
 
-// unitCursor is one shard's contribution to a Search: an index over a
-// contiguous global-ID range, its timestamp store (when temporal), the
-// canonically sorted candidate set produced by collect, and the lazy
-// iteration state advanced during the merge. A unit is backed either
-// by a compressed monolithic index (ix) or by a live delta snapshot
-// (d) — the collect/advance protocol is identical, only the locate
-// and timestamp probes dispatch differently.
+// next yields the head of the first undrained unit and advances it.
+func (r *Results) next() (Hit, bool, error) {
+	for ; r.cur < len(r.units); r.cur++ {
+		u := r.units[r.cur]
+		if !u.hasHead {
+			continue
+		}
+		h := u.head
+		u.advance(r.stream)
+		if u.err != nil {
+			return Hit{}, false, u.err
+		}
+		return h, true, nil
+	}
+	return Hit{}, false, nil
+}
+
+// unitCursor is one unit's contribution to a Search: a shard (or the
+// delta) over a contiguous global-ID range, the canonically sorted
+// candidate set produced by collect, and the lazy iteration state
+// advanced as the stream is pulled. A unit is backed either by a
+// compressed shard (sh) or by a live delta snapshot (d) — the
+// collect/advance protocol is identical, only the locate and timestamp
+// probes dispatch differently.
 type unitCursor struct {
-	ix   *Index     // monolithic shard index; nil for a delta unit
+	sh   *shard     // compressed shard; nil for a delta unit
 	d    *deltaSnap // uncompressed delta snapshot; nil for sealed units
 	base int        // global ID of the unit's first trajectory
 	n    int        // trajectories in the unit
-	// ts is the timestamp store probed for interval queries; nil for
-	// purely spatial searches. tsGlobal marks the legacy layout where a
-	// single corpus-wide store is shared by all units and probed with
-	// global IDs instead of shard-local ones.
-	ts       *tempo.Store
-	tsGlobal bool
 
 	cands []Match // shard-local, canonically sorted
 	pos   int
@@ -260,18 +273,9 @@ type unitCursor struct {
 
 	// st is the unit's work account. Plain fields are sound: collect
 	// and count touch the unit from a single goroutine of the parallel
-	// fan-out, and advance runs only on the merge goroutine after that
-	// fan-out has joined.
+	// fan-out, and advance runs only on the pulling goroutine after
+	// that fan-out has joined.
 	st QueryStats
-}
-
-// probeID returns the trajectory ID in the coordinate space of the
-// unit's timestamp store.
-func (u *unitCursor) probeID(local int) int {
-	if u.tsGlobal {
-		return local + u.base
-	}
-	return local
 }
 
 // locate enumerates every occurrence of path in the unit — the
@@ -281,7 +285,7 @@ func (u *unitCursor) locate(ctx context.Context, path []uint32, visit func(doc, 
 	if u.d != nil {
 		return u.d.locate(ctx, path, &u.st, visit)
 	}
-	return u.ix.locateOccurrences(ctx, path, &u.st, visit)
+	return u.sh.locate(ctx, path, &u.st, visit)
 }
 
 // countPath answers the no-interval CountOnly contribution of the
@@ -290,17 +294,17 @@ func (u *unitCursor) countPath(path []uint32) int {
 	if u.d != nil {
 		return u.d.count(path, &u.st)
 	}
-	return u.ix.countOne(path)
+	return u.sh.count(path)
 }
 
-// tsMinMax returns the (min, max) timestamp summary of a shard-local
+// tsMinMax returns the (min, max) timestamp summary of a unit-local
 // trajectory; tsAt probes one timestamp. Valid only under an interval
 // query, where every unit carries temporal data.
 func (u *unitCursor) tsMinMax(local int) (int64, int64) {
 	if u.d != nil {
 		return u.d.minMax(local)
 	}
-	return u.ts.MinMax(u.probeID(local))
+	return u.sh.ts.MinMax(local)
 }
 
 func (u *unitCursor) tsAt(local, offset int) int64 {
@@ -308,36 +312,9 @@ func (u *unitCursor) tsAt(local, offset int) int64 {
 		u.st.DecodeSteps++ // one plain column access
 		return u.d.at(local, offset)
 	}
-	v, decodes := u.ts.AtCounted(u.probeID(local), offset)
+	v, decodes := u.sh.ts.AtCounted(local, offset)
 	u.st.DecodeSteps += int64(decodes)
 	return v
-}
-
-// assembleUnits flattens an index (and its optional temporal stores)
-// into per-shard search units. Build only produces store layouts
-// aligned with the spatial shards; the one legacy layout — a sharded
-// spatial index with a single corpus-wide store — is handled by
-// marking the shared store global.
-func assembleUnits(ix *Index, t *TemporalIndex) []*unitCursor {
-	if si := ix.sharded; si != nil {
-		units := make([]*unitCursor, len(si.shards))
-		for s, shard := range si.shards {
-			units[s] = &unitCursor{ix: shard, base: si.bounds[s], n: si.bounds[s+1] - si.bounds[s]}
-			if t != nil {
-				if t.aligned() {
-					units[s].ts = t.stores[s]
-				} else {
-					units[s].ts, units[s].tsGlobal = t.stores[0], true
-				}
-			}
-		}
-		return units
-	}
-	u := &unitCursor{ix: ix, base: 0, n: ix.corpus.NumTrajectories()}
-	if t != nil {
-		u.ts = t.stores[0]
-	}
-	return []*unitCursor{u}
 }
 
 // runUnits executes fn once per unit, in parallel when there is more
@@ -581,70 +558,9 @@ func (u *unitCursor) advanceStep(s *searchShared) {
 	u.hasHead = false
 }
 
-// mergeIter is the canonical-order streaming k-way merge over per-unit
-// candidate streams: a binary min-heap of units keyed by their current
-// head hit. Shards own contiguous ID ranges, so the heap degenerates
-// to concatenation under today's layout — but correctness does not
-// hinge on that invariant.
-type mergeIter struct {
-	units  []*unitCursor // min-heap by head (Trajectory, Offset)
-	shared *searchShared
-}
-
-func (m *mergeIter) init() {
-	for i := len(m.units)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-}
-
-func (m *mergeIter) less(i, j int) bool {
-	return matchLess(m.units[i].head.Match, m.units[j].head.Match)
-}
-
-func (m *mergeIter) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(m.units) && m.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(m.units) && m.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		m.units[i], m.units[smallest] = m.units[smallest], m.units[i]
-		i = smallest
-	}
-}
-
-// next pops the globally smallest head, advances its unit, and
-// restores the heap.
-func (m *mergeIter) next() (Hit, bool, error) {
-	if len(m.units) == 0 {
-		return Hit{}, false, nil
-	}
-	u := m.units[0]
-	h := u.head
-	u.advance(m.shared)
-	if u.err != nil {
-		return Hit{}, false, u.err
-	}
-	if !u.hasHead {
-		last := len(m.units) - 1
-		m.units[0] = m.units[last]
-		m.units = m.units[:last]
-	}
-	if len(m.units) > 0 {
-		m.siftDown(0)
-	}
-	return h, true, nil
-}
-
 // matchLess is the one canonical (Trajectory, Offset) comparison: the
-// per-shard sort, the bounded heaps, and the k-way merge all order
-// through it, so they cannot disagree.
+// per-shard sort and the bounded heaps both order through it, so they
+// cannot disagree.
 func matchLess(a, b Match) bool {
 	if a.Trajectory != b.Trajectory {
 		return a.Trajectory < b.Trajectory

@@ -28,7 +28,7 @@ import (
 //	  [2] flavor: 1 spatial, 2 temporal
 //	  [3] section count S
 //	  [4] file size in bytes
-//	  [5] K: spatial shard count (0 = monolithic)
+//	  [5] K: spatial shard count (0 = one shard, the single-index form)
 //	  [6] T: timestamp store count (0 for spatial files)
 //	  [7] reserved (0)
 //	TOC      S × 4 words: {kind, shard, byte offset, byte length}
@@ -75,15 +75,20 @@ func v3MagicWord() uint64 {
 	return w
 }
 
-// SaveV3 writes the index in container format v3. The v3 file is what
-// OpenMapped serves in place; Load accepts it too (alongside v1/v2).
+// SaveV3 writes the spatial index in container format v3 (timestamps,
+// if any, are not written — that is TemporalIndex.SaveV3). The v3 file
+// is what OpenMapped serves in place; Load accepts it too (alongside
+// v1/v2).
 func (ix *Index) SaveV3(w io.Writer) (int64, error) {
-	return saveV3(w, ix, nil)
+	return saveV3(w, ix, false)
 }
 
 // SaveV3 writes the temporal index in container format v3.
 func (t *TemporalIndex) SaveV3(w io.Writer) (int64, error) {
-	return saveV3(w, t.Index, t.stores)
+	if !t.Temporal() {
+		return 0, ErrNoTimestamps
+	}
+	return saveV3(w, t.Index, true)
 }
 
 type v3Section struct {
@@ -92,33 +97,38 @@ type v3Section struct {
 	words []uint64
 }
 
-func saveV3(w io.Writer, ix *Index, stores []*tempo.Store) (int64, error) {
-	var secs []v3Section
-	appendSpatial := func(one *Index, shard int) {
-		fw := flat.NewWriter()
-		one.corpus.AppendFlatMeta(fw)
-		one.core.AppendFlat(fw)
-		secs = append(secs, v3Section{kind: v3KindSpatial, shard: uint64(shard), words: fw.Words()})
-	}
-	shardCount := uint64(0)
-	if si := ix.sharded; si != nil {
-		shardCount = uint64(len(si.shards))
-		for s, shard := range si.shards {
-			appendSpatial(shard, s)
-		}
-	} else {
-		appendSpatial(ix, 0)
-	}
-	flavor := uint64(v3FlavorSpatial)
-	if stores != nil {
-		flavor = v3FlavorTemporal
-		for s, ts := range stores {
-			fw := flat.NewWriter()
-			ts.AppendFlat(fw)
-			secs = append(secs, v3Section{kind: v3KindTempo, shard: uint64(s), words: fw.Words()})
-		}
-	}
+// spatialSection lays shard s's corpus metadata and core index out as
+// one flat section.
+func (sh *shard) spatialSection(s int) v3Section {
+	fw := flat.NewWriter()
+	sh.corpus.AppendFlatMeta(fw)
+	sh.core.AppendFlat(fw)
+	return v3Section{kind: v3KindSpatial, shard: uint64(s), words: fw.Words()}
+}
 
+func saveV3(w io.Writer, ix *Index, temporal bool) (int64, error) {
+	var secs []v3Section
+	for s, sh := range ix.shards {
+		secs = append(secs, sh.spatialSection(s))
+	}
+	// A one-shard index is written in the single-index form, K = 0.
+	shardCount := uint64(len(ix.shards))
+	if shardCount == 1 {
+		shardCount = 0
+	}
+	if !temporal {
+		return writeV3(w, v3FlavorSpatial, shardCount, 0, secs)
+	}
+	for s, sh := range ix.shards {
+		fw := flat.NewWriter()
+		sh.ts.AppendFlat(fw)
+		secs = append(secs, v3Section{kind: v3KindTempo, shard: uint64(s), words: fw.Words()})
+	}
+	return writeV3(w, v3FlavorTemporal, shardCount, uint64(len(ix.shards)), secs)
+}
+
+// writeV3 lays the sections out behind the header and TOC.
+func writeV3(w io.Writer, flavor, shardCount, storeCount uint64, secs []v3Section) (int64, error) {
 	alignUp := func(n int64) int64 { return (n + v3PageSize - 1) &^ (v3PageSize - 1) }
 	tocBytes := int64(8*8) + int64(len(secs))*4*8
 	offset := alignUp(tocBytes)
@@ -132,7 +142,7 @@ func saveV3(w io.Writer, ix *Index, stores []*tempo.Store) (int64, error) {
 
 	header := [8]uint64{
 		v3MagicWord(), v3Version, flavor,
-		uint64(len(secs)), uint64(fileSize), shardCount, uint64(len(stores)), 0,
+		uint64(len(secs)), uint64(fileSize), shardCount, storeCount, 0,
 	}
 
 	bw := bufio.NewWriter(w)
@@ -188,66 +198,59 @@ func saveV3(w io.Writer, ix *Index, stores []*tempo.Store) (int64, error) {
 // of index size, resident memory is whatever the kernel pages in (and
 // can be evicted under pressure), and processes serving the same file
 // share physical pages. The mapping lives as long as the returned
-// Index is reachable; it is released by the garbage collector, so no
-// Close is needed (or offered — queries may outlive any safe close
-// point).
+// Index — or any index or running query sharing its shards — is
+// reachable; it is released by the garbage collector, so no Close is
+// needed (or offered — queries may outlive any safe close point).
 func OpenMapped(path string) (*Index, error) {
-	f, err := mmapfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	ix, _, err := viewContainer(f.Words(), v3FlavorSpatial)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	ix.retain(f)
-	return ix, nil
+	return openMapped(path, v3FlavorSpatial)
 }
 
 // OpenMappedTemporal is OpenMapped for temporal (flavor 2) containers.
 func OpenMappedTemporal(path string) (*TemporalIndex, error) {
+	ix, err := openMapped(path, v3FlavorTemporal)
+	if err != nil {
+		return nil, err
+	}
+	return &TemporalIndex{ix}, nil
+}
+
+func openMapped(path string, flavor uint64) (*Index, error) {
 	f, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	ix, stores, err := viewContainer(f.Words(), v3FlavorTemporal)
-	if err == nil {
-		t := &TemporalIndex{Index: ix, stores: stores}
-		if err = t.validateStores(); err == nil {
-			ix.retain(f)
-			return t, nil
-		}
+	ix, err := viewContainer(f.Words(), flavor)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
-	f.Close()
-	return nil, err
-}
-
-// retain pins the mapping to the index — and to every shard, since a
-// running query may hold a shard *Index without the facade.
-func (ix *Index) retain(f *mmapfile.File) {
-	ix.backing = f
-	if ix.sharded != nil {
-		for _, shard := range ix.sharded.shards {
-			shard.backing = f
-		}
+	for _, sh := range ix.shards {
+		sh.backing = f
 	}
+	return ix, nil
 }
 
 // Mapped reports whether the index serves from a memory-mapped v3
 // container (false for heap-loaded indexes, including v3 files read
 // through Load on hosts without mmap).
-func (ix *Index) Mapped() bool { return ix.backing != nil && ix.backing.Mapped() }
+func (ix *Index) Mapped() bool {
+	for _, sh := range ix.shards {
+		if sh.backing != nil && sh.backing.Mapped() {
+			return true
+		}
+	}
+	return false
+}
 
 // loadV3 reads a whole v3 stream into an aligned heap buffer and views
 // it there — the non-mmap path used by Load/LoadTemporal.
-func loadV3(br *bufio.Reader, flavor uint64) (*Index, []*tempo.Store, error) {
+func loadV3(br *bufio.Reader, flavor uint64) (*Index, error) {
 	data, err := io.ReadAll(br)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if len(data)%8 != 0 {
-		return nil, nil, fmt.Errorf("%w: %d bytes is not a whole number of words", ErrCorrupt, len(data))
+		return nil, fmt.Errorf("%w: %d bytes is not a whole number of words", ErrCorrupt, len(data))
 	}
 	words := make([]uint64, len(data)/8)
 	if len(words) > 0 {
@@ -258,9 +261,10 @@ func loadV3(br *bufio.Reader, flavor uint64) (*Index, []*tempo.Store, error) {
 
 // viewContainer parses a v3 container from its word image, wrapping
 // (not copying) every structure. wantFlavor distinguishes the spatial
-// and temporal entry points. Every error wraps ErrCorrupt (section
+// and temporal entry points; a temporal container's stores come back
+// attached to their shards. Every error wraps ErrCorrupt (section
 // errors additionally carry their specific flat/package error).
-func viewContainer(words []uint64, wantFlavor uint64) (ix *Index, stores []*tempo.Store, err error) {
+func viewContainer(words []uint64, wantFlavor uint64) (ix *Index, err error) {
 	defer func() {
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
@@ -269,25 +273,25 @@ func viewContainer(words []uint64, wantFlavor uint64) (ix *Index, stores []*temp
 	return viewContainerInner(words, wantFlavor)
 }
 
-func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, []*tempo.Store, error) {
+func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, error) {
 	if !flat.CanView() {
-		return nil, nil, fmt.Errorf("%w: v3 containers require a little-endian host", ErrCorrupt)
+		return nil, fmt.Errorf("%w: v3 containers require a little-endian host", ErrCorrupt)
 	}
 	if len(words) < 8 {
-		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if words[0] != v3MagicWord() || words[1] != v3Version {
-		return nil, nil, fmt.Errorf("%w: bad magic or version", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad magic or version", ErrCorrupt)
 	}
 	flavor, nSec := words[2], words[3]
 	fileSize, shardCount, storeCount := words[4], words[5], words[6]
 	if flavor != wantFlavor {
 		kinds := map[uint64]string{v3FlavorSpatial: "spatial", v3FlavorTemporal: "temporal"}
-		return nil, nil, fmt.Errorf("%w: %s container opened as %s",
+		return nil, fmt.Errorf("%w: %s container opened as %s",
 			ErrCorrupt, kinds[flavor], kinds[wantFlavor])
 	}
 	if fileSize != uint64(len(words))*8 || fileSize%v3PageSize != 0 {
-		return nil, nil, fmt.Errorf("%w: header claims %d bytes, have %d",
+		return nil, fmt.Errorf("%w: header claims %d bytes, have %d",
 			ErrCorrupt, fileSize, len(words)*8)
 	}
 	wantSpatial := shardCount
@@ -296,11 +300,11 @@ func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, []*tempo.Sto
 	}
 	wantStores := storeCount
 	if flavor == v3FlavorSpatial && wantStores != 0 {
-		return nil, nil, fmt.Errorf("%w: spatial container with %d timestamp stores",
+		return nil, fmt.Errorf("%w: spatial container with %d timestamp stores",
 			ErrCorrupt, wantStores)
 	}
 	if flavor == v3FlavorTemporal && wantStores == 0 {
-		return nil, nil, fmt.Errorf("%w: temporal container without timestamp stores", ErrCorrupt)
+		return nil, fmt.Errorf("%w: temporal container without timestamp stores", ErrCorrupt)
 	}
 	// Bound every header count before any arithmetic on them: a section
 	// needs at least one TOC word, so nSec (and hence shardCount and
@@ -308,16 +312,16 @@ func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, []*tempo.Sto
 	// fields individually first keeps wantSpatial+wantStores from
 	// wrapping uint64 on attacker-controlled headers.
 	if nSec > uint64(len(words)) || shardCount > nSec || storeCount > nSec {
-		return nil, nil, fmt.Errorf("%w: header counts (%d sections, %d shards, %d stores) exceed %d words",
+		return nil, fmt.Errorf("%w: header counts (%d sections, %d shards, %d stores) exceed %d words",
 			ErrCorrupt, nSec, shardCount, storeCount, len(words))
 	}
 	if nSec != wantSpatial+wantStores {
-		return nil, nil, fmt.Errorf("%w: %d sections for %d shards + %d stores",
+		return nil, fmt.Errorf("%w: %d sections for %d shards + %d stores",
 			ErrCorrupt, nSec, wantSpatial, wantStores)
 	}
 	tocEnd := 8 + 4*nSec
 	if tocEnd > uint64(len(words)) {
-		return nil, nil, fmt.Errorf("%w: truncated TOC", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated TOC", ErrCorrupt)
 	}
 
 	sectionWords := func(i uint64, wantKind, wantShard uint64) ([]uint64, error) {
@@ -335,77 +339,53 @@ func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, []*tempo.Sto
 		return words[off/8 : off/8+length/8], nil
 	}
 
-	shards := make([]*Index, wantSpatial)
-	corpora := make([]*trajstr.Corpus, wantSpatial)
-	hasLoc := false
-	for s := uint64(0); s < wantSpatial; s++ {
-		sw, err := sectionWords(s, v3KindSpatial, s)
+	shards := make([]*shard, wantSpatial)
+	for s := range shards {
+		sw, err := sectionWords(uint64(s), v3KindSpatial, uint64(s))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cur := flat.NewCursor(sw)
 		corpus, err := trajstr.ViewFlatMeta(cur)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cinct: shard %d: %w", s, err)
+			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
 		}
 		ci, err := core.ViewFlat(cur)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cinct: shard %d: %w", s, err)
+			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
 		}
 		if cur.Remaining() != 0 {
-			return nil, nil, fmt.Errorf("%w: shard %d has %d trailing words",
+			return nil, fmt.Errorf("%w: shard %d has %d trailing words",
 				ErrCorrupt, s, cur.Remaining())
 		}
-		if got, want := ci.Len(), corpus.TextLenFromTables(); got != want {
-			return nil, nil, fmt.Errorf("%w: shard %d core holds %d symbols, tables imply %d",
-				ErrCorruptIndex, s, got, want)
-		}
-		if got, want := ci.Sigma(), corpus.Sigma; got != want {
-			return nil, nil, fmt.Errorf("%w: shard %d core alphabet %d, corpus alphabet %d",
-				ErrCorruptIndex, s, got, want)
-		}
-		loc := ci.SampleRate() > 0
-		if s > 0 && loc != hasLoc {
-			return nil, nil, fmt.Errorf("%w: shards disagree on locate support", ErrCorrupt)
-		}
-		hasLoc = loc
-		shards[s] = &Index{corpus: corpus, core: ci, hasLoc: loc}
-		corpora[s] = corpus
-	}
-
-	var ix *Index
-	if shardCount == 0 {
-		ix = shards[0]
-	} else {
-		si := &ShardedIndex{shards: shards, bounds: make([]int, 1, wantSpatial+1), hasLoc: hasLoc}
-		total := 0
-		for _, shard := range shards {
-			total += shard.corpus.NumTrajectories()
-			si.bounds = append(si.bounds, total)
-		}
-		si.edges = trajstr.CountDistinctEdges(corpora)
-		ix = &Index{sharded: si, hasLoc: hasLoc}
-	}
-
-	var stores []*tempo.Store
-	if wantStores > 0 {
-		stores = make([]*tempo.Store, wantStores)
-		for s := uint64(0); s < wantStores; s++ {
-			sw, err := sectionWords(wantSpatial+s, v3KindTempo, s)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur := flat.NewCursor(sw)
-			ts, err := tempo.ViewFlat(cur)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cinct: timestamp store %d: %w", s, err)
-			}
-			if cur.Remaining() != 0 {
-				return nil, nil, fmt.Errorf("%w: store %d has %d trailing words",
-					ErrCorrupt, s, cur.Remaining())
-			}
-			stores[s] = ts
+		shards[s] = &shard{corpus: corpus, core: ci}
+		if err := shards[s].validate(); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
-	return ix, stores, nil
+	ix, err := newIndex(shards...)
+	if err != nil {
+		return nil, err
+	}
+	if wantStores == 0 {
+		return ix, nil
+	}
+	stores := make([]*tempo.Store, wantStores)
+	for s := range stores {
+		sw, err := sectionWords(wantSpatial+uint64(s), v3KindTempo, uint64(s))
+		if err != nil {
+			return nil, err
+		}
+		cur := flat.NewCursor(sw)
+		ts, err := tempo.ViewFlat(cur)
+		if err != nil {
+			return nil, fmt.Errorf("cinct: timestamp store %d: %w", s, err)
+		}
+		if cur.Remaining() != 0 {
+			return nil, fmt.Errorf("%w: store %d has %d trailing words",
+				ErrCorrupt, s, cur.Remaining())
+		}
+		stores[s] = ts
+	}
+	return ix, ix.attachStores(stores)
 }

@@ -55,9 +55,6 @@ func TestShardedDifferential(t *testing.T) {
 		if sharded.Shards() != k {
 			t.Fatalf("Shards() = %d, want %d", sharded.Shards(), k)
 		}
-		if sharded.Sharded() == nil {
-			t.Fatal("Sharded() must expose the backing ShardedIndex")
-		}
 		assertSameAnswers(t, mono, sharded, trajs)
 	}
 }
@@ -188,8 +185,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 }
 
 // TestShardedSaveLoadRoundTrip asserts a sharded index survives
-// serialization with identical answers, through both Load and
-// LoadSharded.
+// serialization with identical answers.
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	trajs := shardedTestCorpus(t)
 	opts := DefaultOptions()
@@ -214,14 +210,6 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("loaded Shards() = %d, want 3", loaded.Shards())
 	}
 	assertSameAnswers(t, ix, loaded, trajs)
-
-	si, err := LoadSharded(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if si.NumShards() != 3 || si.NumTrajectories() != len(trajs) {
-		t.Fatalf("LoadSharded: %d shards, %d trajectories", si.NumShards(), si.NumTrajectories())
-	}
 }
 
 // TestSeedFormatBackwardCompatible asserts the original single-index
@@ -252,7 +240,7 @@ func TestSeedFormatBackwardCompatible(t *testing.T) {
 }
 
 func TestLoadShardedRejectsGarbage(t *testing.T) {
-	if _, err := LoadSharded(bytes.NewReader([]byte("CNCTmeta junk"))); !errors.Is(err, ErrBadShardContainer) {
+	if _, err := Load(bytes.NewReader([]byte("CNCTshrd junk"))); !errors.Is(err, ErrBadShardContainer) {
 		t.Fatalf("want ErrBadShardContainer, got %v", err)
 	}
 	// A truncated container must error, not hang or panic.
@@ -274,13 +262,13 @@ func TestLoadShardedRejectsGarbage(t *testing.T) {
 
 func TestBuildShardedDefaults(t *testing.T) {
 	trajs := [][]uint32{{1, 2}, {2, 3}, {3, 4}, {4, 5}}
-	// Shards = 0 ⇒ GOMAXPROCS, clamped to the trajectory count.
-	si, err := BuildSharded(trajs, nil)
+	// Shards = 0 ⇒ one shard.
+	one, err := Build(trajs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si.NumShards() < 1 || si.NumShards() > len(trajs) {
-		t.Fatalf("NumShards = %d", si.NumShards())
+	if one.Shards() != 1 {
+		t.Fatalf("Shards() = %d, want 1", one.Shards())
 	}
 	// More shards than trajectories clamps to one per trajectory.
 	opts := DefaultOptions()

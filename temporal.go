@@ -8,30 +8,28 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"cinct/internal/tempo"
 )
 
-// TemporalIndex pairs a spatial CiNCT index with a delta-compressed
-// timestamp store, answering the *strict path query* of Krogh et al.
-// (GIS 2014): find trajectories that traveled along path P within a
-// time interval. The paper (§VII) positions CiNCT as the spatial
-// engine of exactly such systems (SNT-index, CTR); this type is the
+// TemporalIndex is an Index that carries timestamps: every shard pairs
+// its spatial CiNCT index with a delta-compressed store of the same
+// trajectories' entry times. It answers the *strict path query* of
+// Krogh et al. (GIS 2014): find trajectories that traveled along path
+// P within a time interval. The paper (§VII) positions CiNCT as the
+// spatial engine of exactly such systems (SNT-index, CTR); this is the
 // combination, with timestamps compressed losslessly as in CTR [3].
 //
-// Timestamps are sharded alongside the spatial index: a K-shard
-// spatial index carries K tempo stores, one per contiguous trajectory
-// range, and interval queries fan out over the shards in parallel with
-// results merged into canonical (Trajectory, Offset) order — answers
-// are identical to the monolithic index over the same corpus.
+// The type exists to carry that guarantee — and the temporal container
+// formats of Save/SaveV3 — through signatures; the query surface is the
+// embedded Index's, whose Search accepts an Interval exactly when the
+// stores are there. BuildTemporal, LoadTemporal and OpenMappedTemporal
+// produce one; an Index whose Temporal method reports true (the result
+// of AppendSealed or CompactRange on a temporal index) may be wrapped
+// as &TemporalIndex{Index: ix}. Wrapping a spatial index is a mistake
+// the methods answer with ErrNoTimestamps.
 type TemporalIndex struct {
 	*Index
-	// stores holds one tempo store per spatial shard when the layout
-	// is aligned (the only layout Build produces), or a single
-	// corpus-wide store for monolithic indexes and for legacy files
-	// that paired a sharded spatial index with one global store.
-	stores []*tempo.Store
 }
 
 // TemporalMatch is one strict-path-query hit.
@@ -48,62 +46,35 @@ var ErrCorruptTimestamps = errors.New("cinct: timestamp store inconsistent with 
 // BuildTemporal indexes trajectories with their timestamp columns:
 // times[k][i] is when trajectory k entered its i-th edge. opts may be
 // nil. The index must keep locate support (SampleRate > 0) — strict
-// path queries need to identify trajectories. With Options.Shards > 1
-// the timestamp columns are partitioned into per-shard stores mirroring
-// the spatial partition.
+// path queries need to identify trajectories. Each shard gets the
+// store of its own trajectory range.
 func BuildTemporal(trajs [][]uint32, times [][]int64, opts *Options) (*TemporalIndex, error) {
-	if len(times) != len(trajs) {
-		return nil, fmt.Errorf("cinct: %d timestamp columns for %d trajectories",
-			len(times), len(trajs))
-	}
-	for k := range trajs {
-		if len(times[k]) != len(trajs[k]) {
-			return nil, fmt.Errorf("cinct: trajectory %d has %d edges but %d timestamps",
-				k, len(trajs[k]), len(times[k]))
-		}
+	if err := checkColumns(trajs, times); err != nil {
+		return nil, err
 	}
 	if opts != nil && opts.SampleRate == 0 {
 		return nil, fmt.Errorf("cinct: temporal index requires SampleRate > 0")
 	}
-	ix, err := Build(trajs, opts)
+	ix, err := build(trajs, times, opts)
 	if err != nil {
 		return nil, err
 	}
-	t := &TemporalIndex{Index: ix}
-	if si := ix.sharded; si != nil {
-		// One store per shard, built concurrently (cheap next to the
-		// spatial build, but there is no reason to serialize K encodes).
-		t.stores = make([]*tempo.Store, len(si.shards))
-		var wg sync.WaitGroup
-		wg.Add(len(si.shards))
-		for s := range si.shards {
-			go func(s int) {
-				defer wg.Done()
-				t.stores[s] = tempo.New(times[si.bounds[s]:si.bounds[s+1]])
-			}(s)
+	return &TemporalIndex{ix}, nil
+}
+
+// checkColumns verifies that times is row- and length-aligned with
+// trajs.
+func checkColumns(trajs [][]uint32, times [][]int64) error {
+	if len(times) != len(trajs) {
+		return fmt.Errorf("cinct: %d timestamp columns for %d trajectories", len(times), len(trajs))
+	}
+	for k := range trajs {
+		if len(times[k]) != len(trajs[k]) {
+			return fmt.Errorf("cinct: trajectory %d has %d edges but %d timestamps",
+				k, len(trajs[k]), len(times[k]))
 		}
-		wg.Wait()
-	} else {
-		t.stores = []*tempo.Store{tempo.New(times)}
 	}
-	return t, nil
-}
-
-// aligned reports whether the timestamp stores mirror the spatial
-// shards one-to-one (always true for built indexes; false only for
-// legacy files pairing a sharded spatial index with one global store).
-func (t *TemporalIndex) aligned() bool {
-	si := t.Index.sharded
-	return si != nil && len(t.stores) == len(si.shards)
-}
-
-// storeFor resolves a global trajectory ID to its store and local ID.
-func (t *TemporalIndex) storeFor(id int) (*tempo.Store, int) {
-	if t.aligned() {
-		s, local := t.Index.sharded.shardOf(id)
-		return t.stores[s], local
-	}
-	return t.stores[0], id
+	return nil
 }
 
 // FindInInterval runs a strict path query: occurrences of path whose
@@ -155,19 +126,25 @@ func (t *TemporalIndex) CountInInterval(path []uint32, from, to int64) (int, err
 	return r.Count()
 }
 
-// Timestamps returns the full timestamp column of a trajectory.
+// Timestamps returns the full timestamp column of a trajectory, or nil
+// when id is out of range.
 func (t *TemporalIndex) Timestamps(id int) []int64 {
-	ts, local := t.storeFor(id)
-	return ts.Column(local)
+	sh, local, ok := t.shardOf(id)
+	if !ok || sh.ts == nil {
+		return nil
+	}
+	return sh.ts.Column(local)
 }
 
-// TimestampBits returns the compressed size of the temporal store in
+// TimestampBits returns the compressed size of the timestamp stores in
 // bits (reported separately from the spatial index, as the paper keeps
-// the two concerns separate). Sharded stores sum.
-func (t *TemporalIndex) TimestampBits() int {
+// the two concerns separate); 0 on a spatial index.
+func (ix *Index) TimestampBits() int {
 	n := 0
-	for _, ts := range t.stores {
-		n += ts.SizeBits()
+	if ix.Temporal() {
+		for _, sh := range ix.shards {
+			n += sh.ts.SizeBits()
+		}
 	}
 	return n
 }
@@ -182,7 +159,9 @@ func (t *TemporalIndex) TimestampBits() int {
 //
 // Version 1 had no magic: it was the spatial index immediately
 // followed by one corpus-wide tempo store. LoadTemporal still accepts
-// it (the magic cannot collide with either spatial layout).
+// it (the magic cannot collide with either spatial layout), as it does
+// a container whose single store spans several spatial shards; both
+// are split into per-shard stores at load.
 const (
 	temporalMagic   = "CNCTtemp"
 	temporalVersion = 2
@@ -192,8 +171,12 @@ const (
 var ErrBadTemporalContainer = errors.New("cinct: bad temporal index container")
 
 // Save writes the versioned temporal container: the spatial index
-// followed by the length-prefixed timestamp store frames.
+// followed by the length-prefixed timestamp store frames, one per
+// shard.
 func (t *TemporalIndex) Save(w io.Writer) (int64, error) {
+	if !t.Temporal() {
+		return 0, ErrNoTimestamps
+	}
 	bw := bufio.NewWriter(w)
 	var n int64
 	var buf [binary.MaxVarintLen64]byte
@@ -210,7 +193,7 @@ func (t *TemporalIndex) Save(w io.Writer) (int64, error) {
 	if err := writeUvarint(temporalVersion); err != nil {
 		return n, err
 	}
-	if err := writeUvarint(uint64(len(t.stores))); err != nil {
+	if err := writeUvarint(uint64(len(t.shards))); err != nil {
 		return n, err
 	}
 	k, err := t.Index.Save(bw)
@@ -219,9 +202,9 @@ func (t *TemporalIndex) Save(w io.Writer) (int64, error) {
 		return n, err
 	}
 	var frame bytes.Buffer
-	for s, ts := range t.stores {
+	for s, sh := range t.shards {
 		frame.Reset()
-		if _, err := ts.Save(&frame); err != nil {
+		if _, err := sh.ts.Save(&frame); err != nil {
 			return n, fmt.Errorf("cinct: saving timestamp store %d: %w", s, err)
 		}
 		if err := writeUvarint(uint64(frame.Len())); err != nil {
@@ -236,110 +219,136 @@ func (t *TemporalIndex) Save(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// LoadTemporal reads an index written by TemporalIndex.Save — the
-// current container or the legacy unversioned layout — and validates
-// the timestamp stores against the spatial index: column counts and
-// every per-trajectory length must match, so shape corruption fails
-// the load instead of panicking inside a query.
+// LoadTemporal reads an index written by TemporalIndex.Save or SaveV3
+// — the current containers or the legacy unversioned layout — and
+// validates the timestamp stores against the spatial index: column
+// counts and every per-trajectory length must match, so shape
+// corruption fails the load instead of panicking inside a query.
 func LoadTemporal(r io.Reader) (*TemporalIndex, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(v3Magic)); err == nil && isV3Magic(magic) {
-		ix, stores, err := loadV3(br, v3FlavorTemporal)
+		ix, err := loadV3(br, v3FlavorTemporal)
 		if err != nil {
 			return nil, err
 		}
-		t := &TemporalIndex{Index: ix, stores: stores}
-		if err := t.validateStores(); err != nil {
-			return nil, err
-		}
-		return t, nil
+		return &TemporalIndex{ix}, nil
 	}
+	// The legacy layout has no header: the spatial index, then one
+	// unframed corpus-wide store.
+	k, framed := uint64(1), false
 	if magic, err := br.Peek(len(temporalMagic)); err == nil && string(magic) == temporalMagic {
-		return loadTemporalV2(br)
-	}
-	// Legacy layout: spatial index then one corpus-wide store.
-	ix, err := Load(br)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := tempo.Load(br)
-	if err != nil {
-		return nil, err
-	}
-	t := &TemporalIndex{Index: ix, stores: []*tempo.Store{ts}}
-	if err := t.validateStores(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func loadTemporalV2(br *bufio.Reader) (*TemporalIndex, error) {
-	if _, err := br.Discard(len(temporalMagic)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTemporalContainer, err)
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil || version != temporalVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTemporalContainer, version)
-	}
-	k, err := binary.ReadUvarint(br)
-	if err != nil || k == 0 || k > 1<<20 {
-		return nil, fmt.Errorf("%w: store count %d", ErrBadTemporalContainer, k)
+		if _, err := br.Discard(len(temporalMagic)); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadTemporalContainer, err)
+		}
+		version, err := binary.ReadUvarint(br)
+		if err != nil || version != temporalVersion {
+			return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTemporalContainer, version)
+		}
+		k, err = binary.ReadUvarint(br)
+		if err != nil || k == 0 || k > 1<<20 {
+			return nil, fmt.Errorf("%w: store count %d", ErrBadTemporalContainer, k)
+		}
+		framed = true
 	}
 	ix, err := Load(br)
 	if err != nil {
 		return nil, err
 	}
-	t := &TemporalIndex{Index: ix, stores: make([]*tempo.Store, k)}
-	for s := range t.stores {
-		frameLen, err := binary.ReadUvarint(br)
+	stores := make([]*tempo.Store, k)
+	for s := range stores {
+		if framed {
+			stores[s], err = loadStoreFrame(br, s)
+		} else {
+			stores[s], err = tempo.Load(br)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: store %d frame length", ErrBadTemporalContainer, s)
+			return nil, err
 		}
-		// LimitReader confines each store loader to its frame; the
-		// drain repositions br at the next frame even if the loader
-		// under-consumed.
-		lr := io.LimitReader(br, int64(frameLen))
-		ts, err := tempo.Load(bufio.NewReader(lr))
-		if err != nil {
-			return nil, fmt.Errorf("cinct: loading timestamp store %d: %w", s, err)
-		}
-		if _, err := io.Copy(io.Discard, lr); err != nil {
-			return nil, fmt.Errorf("%w: store %d frame", ErrBadTemporalContainer, s)
-		}
-		t.stores[s] = ts
 	}
-	if err := t.validateStores(); err != nil {
+	if err := ix.attachStores(stores); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &TemporalIndex{ix}, nil
 }
 
-// validateStores checks that the timestamp stores cover exactly the
-// spatial index's trajectories: the store layout must be a recognized
-// shape (per-shard or corpus-wide) and every column length must equal
-// its trajectory's edge count — the invariant that makes every At
-// probe issued by a query in-range by construction.
-func (t *TemporalIndex) validateStores() error {
-	bounds := []int{0, t.Index.NumTrajectories()}
-	switch si := t.Index.sharded; {
-	case t.aligned():
-		bounds = si.bounds
-	case len(t.stores) != 1:
-		return fmt.Errorf("%w: %d timestamp stores for %d shards",
-			ErrCorruptTimestamps, len(t.stores), t.Index.Shards())
+// loadStoreFrame reads the s-th length-prefixed timestamp store frame.
+func loadStoreFrame(br *bufio.Reader, s int) (*tempo.Store, error) {
+	frameLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("%w: store %d frame length", ErrBadTemporalContainer, s)
 	}
-	for s, ts := range t.stores {
-		n := bounds[s+1] - bounds[s]
-		if ts.NumTrajectories() != n {
+	// LimitReader confines the store loader to its frame; the drain
+	// repositions br at the next frame even if the loader
+	// under-consumed.
+	lr := io.LimitReader(br, int64(frameLen))
+	ts, err := tempo.Load(bufio.NewReader(lr))
+	if err != nil {
+		return nil, fmt.Errorf("cinct: loading timestamp store %d: %w", s, err)
+	}
+	if _, err := io.Copy(io.Discard, lr); err != nil {
+		return nil, fmt.Errorf("%w: store %d frame", ErrBadTemporalContainer, s)
+	}
+	return ts, nil
+}
+
+// attachStores gives a freshly loaded (not yet published) spatial
+// index its timestamp stores, after checking that they cover exactly
+// its trajectories: every column length must equal its trajectory's
+// edge count — the invariant that makes every At probe issued by a
+// query in-range by construction.
+//
+// One store per shard is the layout every writer since the sharded
+// temporal build produces. The legacy layout — a single corpus-wide
+// store beside several spatial shards — is normalised here, once: its
+// columns are re-encoded as per-shard stores, so search, seal and
+// compaction only ever see a store travelling with its shard.
+func (ix *Index) attachStores(stores []*tempo.Store) error {
+	covers := func(s int, ts *tempo.Store, lo, hi int) error {
+		if ts.NumTrajectories() != hi-lo {
 			return fmt.Errorf("%w: store %d holds %d columns for %d trajectories",
-				ErrCorruptTimestamps, s, ts.NumTrajectories(), n)
+				ErrCorruptTimestamps, s, ts.NumTrajectories(), hi-lo)
 		}
-		for local := 0; local < n; local++ {
-			if want := t.Index.TrajectoryLen(bounds[s] + local); ts.Len(local) != want {
+		for id := lo; id < hi; id++ {
+			if want := ix.TrajectoryLen(id); ts.Len(id-lo) != want {
 				return fmt.Errorf("%w: trajectory %d has %d edges but %d timestamps",
-					ErrCorruptTimestamps, bounds[s]+local, want, ts.Len(local))
+					ErrCorruptTimestamps, id, want, ts.Len(id-lo))
 			}
 		}
+		return nil
+	}
+	switch {
+	case len(stores) == len(ix.shards):
+		for s, ts := range stores {
+			if err := covers(s, ts, ix.bounds[s], ix.bounds[s+1]); err != nil {
+				return err
+			}
+		}
+	case len(stores) == 1:
+		global := stores[0]
+		if err := covers(0, global, 0, ix.NumTrajectories()); err != nil {
+			return err
+		}
+		stores = make([]*tempo.Store, len(ix.shards))
+		// A mapped store is validated in O(metadata) only, so decoding
+		// its columns can still trip over deep corruption.
+		if err := containCorrupt(func() error {
+			for s := range stores {
+				cols := make([][]int64, 0, ix.bounds[s+1]-ix.bounds[s])
+				for id := ix.bounds[s]; id < ix.bounds[s+1]; id++ {
+					cols = append(cols, global.Column(id))
+				}
+				stores[s] = tempo.New(cols)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("%w: %d timestamp stores for %d shards",
+			ErrCorruptTimestamps, len(stores), len(ix.shards))
+	}
+	for s, sh := range ix.shards {
+		sh.ts = stores[s]
 	}
 	return nil
 }

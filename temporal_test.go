@@ -194,8 +194,8 @@ func TestTemporalShardedMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shard.stores) != 3 {
-		t.Fatalf("sharded temporal index has %d stores, want 3", len(shard.stores))
+	if shard.Shards() != 3 || !shard.Temporal() {
+		t.Fatalf("sharded temporal index has %d shards (temporal %v), want 3 with stores", shard.Shards(), shard.Temporal())
 	}
 	paths := [][]uint32{pathIn(t, trajs, 0, 0, 2), pathIn(t, trajs, 7, 2, 5), pathIn(t, trajs, 40, 0, 1), {1 << 30}}
 	for _, path := range paths {
@@ -350,7 +350,7 @@ func TestTemporalEarlyExitAndPruning(t *testing.T) {
 	if n < 10 {
 		t.Fatalf("need a frequent path for the early-exit test; got %d hits", n)
 	}
-	store := tix.stores[0]
+	store := tix.shards[0].ts
 
 	store.ResetAtSteps()
 	if _, err := tix.FindInInterval(path, math.MinInt64, math.MaxInt64, 0); err != nil {

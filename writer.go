@@ -6,112 +6,39 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"cinct/internal/tempo"
-	"cinct/internal/trajstr"
 )
 
-// ErrNotAppendable reports an index layout that cannot accept new
-// sealed shards: the legacy temporal container pairing a sharded
-// spatial index with one corpus-wide timestamp store (rebuild it with
-// BuildTemporal to migrate), or a locate-capability mismatch between
-// the existing shards and the writer's build options.
+// ErrNotAppendable reports an index that cannot accept a shard: the
+// new shard and the existing ones disagree on locate support or on
+// carrying timestamps, or the writer's build options drop locate.
 var ErrNotAppendable = errors.New("cinct: index layout not appendable")
 
-// asSharded returns the index's sharded form, wrapping a monolithic
-// index as a single-shard ShardedIndex so a seal can always extend by
-// shard concatenation. The wrapper shares the underlying immutable
-// core, so promotion is O(1).
-func (ix *Index) asSharded() *ShardedIndex {
-	if ix.sharded != nil {
-		return ix.sharded
-	}
-	return &ShardedIndex{
-		shards: []*Index{ix},
-		bounds: []int{0, ix.corpus.NumTrajectories()},
-		edges:  ix.corpus.NumEdges(),
-		hasLoc: ix.hasLoc,
-	}
-}
-
-// withShard returns a new ShardedIndex: si's shards plus one more
-// (already built) shard owning the next contiguous global-ID range.
-// si itself is unchanged — extension goes through spliced, the one
-// audited copy-on-write shard-set primitive shared with compaction,
-// so in-flight queries against the old value stay correct.
-func (si *ShardedIndex) withShard(shard *Index) (*ShardedIndex, error) {
-	return si.spliced(len(si.shards), len(si.shards), shard)
-}
-
-// withShard extends a temporal index with one sealed shard and its
-// timestamp store, promoting a monolithic base to the sharded layout.
-// Like the spatial form it is a tail splice; the legacy layout
-// (sharded spatial index, single global store) cannot be extended
-// because its store is indexed by global IDs and cannot absorb a
-// per-shard column range.
-func (t *TemporalIndex) withShard(shard *Index, store *tempo.Store) (*TemporalIndex, error) {
-	return t.spliced(len(t.stores), len(t.stores), shard, store)
-}
-
-// sealShard compacts validated rows into one compressed monolithic
-// index — the unit a seal appends.
-func sealShard(trajs [][]uint32, opts *Options) (*Index, error) {
-	corpus, err := trajstr.New(trajs)
-	if err != nil {
-		return nil, err
-	}
-	return buildOne(corpus, opts), nil
-}
-
-// AppendSealed compacts trajs into one additional CiNCT-compressed
-// shard and returns a new ShardedIndex serving the old corpus plus
-// the new trajectories (global IDs continue past the existing range).
-// si is unchanged: indexes stay immutable, so concurrent readers of
-// the old value are unaffected — swap the returned value in wherever
-// the old one was published. Live, incrementally queryable ingestion
-// is Writer's job; AppendSealed is its compaction primitive.
-func (si *ShardedIndex) AppendSealed(trajs [][]uint32, opts *Options) (*ShardedIndex, error) {
+// AppendSealed compacts trajs — with their timestamp columns on a
+// temporal index; times must be nil on a spatial one — into one
+// additional CiNCT-compressed shard and returns a new Index serving
+// the old corpus plus the new trajectories (global IDs continue past
+// the existing range). ix is unchanged: indexes stay immutable, so
+// concurrent readers of the old value are unaffected — swap the
+// returned value in wherever the old one was published. Live,
+// incrementally queryable ingestion is Writer's job; AppendSealed is
+// its compaction primitive. opts nil means DefaultOptions.
+func (ix *Index) AppendSealed(trajs [][]uint32, times [][]int64, opts *Options) (*Index, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	shard, err := sealShard(trajs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return si.withShard(shard)
-}
-
-// AppendSealed compacts trajs with their timestamp columns into one
-// additional shard (spatial index + tempo store) and returns a new
-// TemporalIndex serving the union. Semantics mirror
-// ShardedIndex.AppendSealed.
-func (t *TemporalIndex) AppendSealed(trajs [][]uint32, times [][]int64, opts *Options) (*TemporalIndex, error) {
-	if opts == nil {
-		opts = DefaultOptions()
-	}
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	if opts.SampleRate == 0 {
-		return nil, fmt.Errorf("cinct: temporal index requires SampleRate > 0")
-	}
-	if len(times) != len(trajs) {
-		return nil, fmt.Errorf("cinct: %d timestamp columns for %d trajectories", len(times), len(trajs))
-	}
-	for k := range trajs {
-		if len(times[k]) != len(trajs[k]) {
-			return nil, fmt.Errorf("cinct: trajectory %d has %d edges but %d timestamps",
-				k, len(trajs[k]), len(times[k]))
+	if times != nil {
+		if err := checkColumns(trajs, times); err != nil {
+			return nil, err
 		}
 	}
-	shard, err := sealShard(trajs, opts)
+	sh, err := buildShard(trajs, times, opts)
 	if err != nil {
 		return nil, err
 	}
-	return t.withShard(shard, tempo.New(times))
+	return ix.spliced(len(ix.shards), len(ix.shards), sh)
 }
 
 // WriterConfig tunes a Writer. The zero value is valid: default build
@@ -162,6 +89,10 @@ type WriterConfig struct {
 // snapshot, and only the final generation swap takes the write lock
 // (the same swap pattern the serving engine uses for reloads).
 //
+// A writer is temporal — every Append carries a timestamp column, and
+// interval queries are accepted — when created by NewTemporalWriter or
+// over an index that carries timestamps; otherwise it is spatial.
+//
 // Durability: the delta lives in memory only. Sealed state can be
 // persisted with Snapshot + Save; anything still in the delta at
 // process exit is lost unless the caller seals first.
@@ -174,12 +105,12 @@ type Writer struct {
 	onError   func(op string, err error)
 	onAppend  func(firstID int, trajs [][]uint32, times [][]int64)
 
-	// mu guards the published (sealed, temp, delta, gen) binding.
-	// sealed/temp are immutable values swapped wholesale; delta is
-	// append-only with the snapshot protocol described in deltaShard.
+	// mu guards the published (sealed, delta, gen) binding. sealed is
+	// an immutable value swapped wholesale (zero shards until the first
+	// seal of a writer that started empty); delta is append-only with
+	// the snapshot protocol described in deltaShard.
 	mu     sync.RWMutex
-	sealed *Index         // nil until the first seal (when starting empty)
-	temp   *TemporalIndex // non-nil iff temporal with sealed state
+	sealed *Index
 	delta  *deltaShard
 	gen    uint64
 
@@ -199,35 +130,38 @@ type Writer struct {
 
 // NewWriter returns an empty spatial writer.
 func NewWriter(cfg WriterConfig) (*Writer, error) {
-	return newWriter(nil, nil, false, cfg)
+	return newWriter(emptyIndex(true), false, cfg)
 }
 
 // NewTemporalWriter returns an empty temporal writer: every Append
 // must carry a timestamp column, and interval queries are supported.
 func NewTemporalWriter(cfg WriterConfig) (*Writer, error) {
-	return newWriter(nil, nil, true, cfg)
+	return newWriter(emptyIndex(true), true, cfg)
 }
 
-// NewWriterAt returns a spatial writer whose sealed state starts at an
-// existing index (monolithic or sharded); appended trajectories take
-// global IDs after ix's.
+// NewWriterAt returns a writer whose sealed state starts at an
+// existing index; appended trajectories take global IDs after ix's.
+// The writer is temporal exactly when ix carries timestamps.
 func NewWriterAt(ix *Index, cfg WriterConfig) (*Writer, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("cinct: NewWriterAt requires an index (use NewWriter to start empty)")
 	}
-	return newWriter(ix, nil, false, cfg)
+	return newWriter(ix, ix.Temporal(), cfg)
 }
 
-// NewTemporalWriterAt returns a temporal writer over an existing
-// temporal index.
+// NewTemporalWriterAt is NewWriterAt for a temporal index, with the
+// temporality carried by the type.
 func NewTemporalWriterAt(t *TemporalIndex, cfg WriterConfig) (*Writer, error) {
-	if t == nil {
+	if t == nil || t.Index == nil {
 		return nil, fmt.Errorf("cinct: NewTemporalWriterAt requires an index (use NewTemporalWriter to start empty)")
 	}
-	return newWriter(t.Index, t, true, cfg)
+	if !t.Temporal() {
+		return nil, ErrNoTimestamps
+	}
+	return newWriter(t.Index, true, cfg)
 }
 
-func newWriter(ix *Index, t *TemporalIndex, temporal bool, cfg WriterConfig) (*Writer, error) {
+func newWriter(ix *Index, temporal bool, cfg WriterConfig) (*Writer, error) {
 	opts := cfg.Build
 	if opts == nil {
 		opts = DefaultOptions()
@@ -242,16 +176,9 @@ func newWriter(ix *Index, t *TemporalIndex, temporal bool, cfg WriterConfig) (*W
 		// compaction, so locate support is mandatory.
 		return nil, fmt.Errorf("%w: writer requires SampleRate > 0", ErrNotAppendable)
 	}
-	base := 0
-	if ix != nil {
-		if ix.hasLoc != (opts.SampleRate > 0) {
-			return nil, fmt.Errorf("%w: base index locate support (%v) disagrees with build options (SampleRate %d)",
-				ErrNotAppendable, ix.hasLoc, opts.SampleRate)
-		}
-		if t != nil && ix.sharded != nil && !t.aligned() {
-			return nil, fmt.Errorf("%w: legacy single-store temporal layout", ErrNotAppendable)
-		}
-		base = ix.NumTrajectories()
+	if !ix.hasLoc {
+		return nil, fmt.Errorf("%w: base index has no locate support but build options have SampleRate %d",
+			ErrNotAppendable, opts.SampleRate)
 	}
 	return &Writer{
 		opts:      opts,
@@ -262,8 +189,7 @@ func newWriter(ix *Index, t *TemporalIndex, temporal bool, cfg WriterConfig) (*W
 		onError:   cfg.OnError,
 		onAppend:  cfg.OnAppend,
 		sealed:    ix,
-		temp:      t,
-		delta:     newDeltaShard(base, temporal),
+		delta:     newDeltaShard(ix.NumTrajectories(), temporal),
 		gen:       1,
 	}, nil
 }
@@ -409,42 +335,21 @@ func (w *Writer) Seal() (int, error) {
 	if w.temporal {
 		times = d.times[:n:n]
 	}
-	sealedIx, sealedT := w.sealed, w.temp
+	sealed := w.sealed
 	w.mu.RUnlock()
 	if n == 0 {
 		return 0, nil
 	}
-	shard, err := sealShard(trajs, w.opts)
+	sh, err := buildShard(trajs, times, w.opts)
 	if err != nil {
 		return 0, err
 	}
-	var newIx *Index
-	var newT *TemporalIndex
-	if w.temporal {
-		store := tempo.New(times)
-		if sealedT == nil {
-			newT = &TemporalIndex{Index: shard, stores: []*tempo.Store{store}}
-			newIx = shard
-		} else {
-			newT, err = sealedT.withShard(shard, store)
-			if err != nil {
-				return 0, err
-			}
-			newIx = newT.Index
-		}
-	} else {
-		if sealedIx == nil {
-			newIx = shard
-		} else {
-			nsi, werr := sealedIx.asSharded().withShard(shard)
-			if werr != nil {
-				return 0, werr
-			}
-			newIx = &Index{sharded: nsi, hasLoc: nsi.hasLoc}
-		}
+	next, err := sealed.spliced(len(sealed.shards), len(sealed.shards), sh)
+	if err != nil {
+		return 0, err
 	}
 	w.mu.Lock()
-	w.sealed, w.temp = newIx, newT
+	w.sealed = next
 	w.delta = d.tail(n)
 	w.gen++
 	w.mu.Unlock()
@@ -466,36 +371,27 @@ func (w *Writer) Close() {
 	w.bg.Wait()
 }
 
-// view captures a consistent (sealed, temporal, delta) triple.
-func (w *Writer) view() (*Index, *TemporalIndex, *deltaSnap) {
+// view captures a consistent (sealed, delta) pair.
+func (w *Writer) view() (*Index, *deltaSnap) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.sealed, w.temp, w.delta.snap()
+	return w.sealed, w.delta.snap()
 }
 
 // Search executes a Query over the union of sealed shards and the
 // live delta: per-shard candidate collection runs in parallel, the
 // delta contributes one more unit (brute-force scanned, summary-pruned
-// under intervals), and hits stream through the canonical
-// (Trajectory, Offset) k-way merge. Results reflect a consistent
-// snapshot taken at call time; appends that land later are not seen
-// by an already-running iteration. Interval queries require a
+// under intervals), and hits stream in canonical (Trajectory, Offset)
+// order — the delta's IDs follow the sealed ones. Results reflect a
+// consistent snapshot taken at call time; appends that land later are
+// not seen by an already-running iteration. Interval queries require a
 // temporal writer.
 func (w *Writer) Search(ctx context.Context, q Query) (*Results, error) {
 	if q.Interval != nil && !w.temporal {
 		return nil, ErrNoTimestamps
 	}
-	ix, t, snap := w.view()
-	var units []*unitCursor
-	hasLoc := true
-	if ix != nil {
-		units = assembleUnits(ix, t)
-		hasLoc = ix.hasLoc
-	}
-	if snap.len() > 0 {
-		units = append(units, &unitCursor{d: snap, base: snap.base, n: snap.len()})
-	}
-	return runSearch(ctx, q, units, hasLoc)
+	ix, snap := w.view()
+	return runSearch(ctx, q, ix, snap)
 }
 
 // NumTrajectories returns the total trajectory count: sealed plus
@@ -522,14 +418,21 @@ func (w *Writer) DeltaTrajectories() int {
 	return len(w.delta.trajs)
 }
 
-// Snapshot returns the current sealed state: the spatial index and,
-// for temporal writers, the temporal index wrapping it. Both are nil
-// while nothing has been sealed. The returned values are immutable —
-// safe to Save concurrently with further appends and seals.
+// Snapshot returns the current sealed state: the index and, for
+// temporal writers, its temporal form (the same index, typed for the
+// temporal Save formats). Both are nil while nothing has been sealed.
+// The returned values are immutable — safe to Save concurrently with
+// further appends and seals.
 func (w *Writer) Snapshot() (*Index, *TemporalIndex) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.sealed, w.temp
+	switch {
+	case len(w.sealed.shards) == 0:
+		return nil, nil
+	case w.temporal:
+		return w.sealed, &TemporalIndex{w.sealed}
+	}
+	return w.sealed, nil
 }
 
 // Stats reports the sealed index's breakdown with Trajectories
@@ -540,55 +443,41 @@ func (w *Writer) Stats() Stats {
 	ix := w.sealed
 	deltaN := len(w.delta.trajs)
 	w.mu.RUnlock()
-	var s Stats
-	if ix != nil {
-		s = ix.Stats()
-	}
+	s := ix.Stats()
 	s.Trajectories += deltaN
 	return s
 }
 
 // Trajectory reconstructs trajectory id — decompressed from a sealed
-// shard, or copied out of the delta.
+// shard, or copied out of the delta; an out-of-range id is an error.
 func (w *Writer) Trajectory(id int) ([]uint32, error) {
-	ix, _, snap := w.view()
-	sealedN := snap.base
-	switch {
-	case id < 0 || id >= sealedN+snap.len():
-		return nil, fmt.Errorf("cinct: trajectory %d out of range [0,%d)", id, sealedN+snap.len())
-	case id < sealedN:
-		return ix.Trajectory(id)
-	}
-	row := snap.trajs[id-sealedN]
-	out := make([]uint32, len(row))
-	copy(out, row)
-	return out, nil
+	return w.SubPath(id, 0, w.TrajectoryLen(id))
 }
 
 // TrajectoryLen returns the edge count of trajectory id, or -1 when
 // id is out of range.
 func (w *Writer) TrajectoryLen(id int) int {
-	ix, _, snap := w.view()
+	ix, snap := w.view()
 	switch {
-	case id < 0 || id >= snap.base+snap.len():
-		return -1
 	case id < snap.base:
 		return ix.TrajectoryLen(id)
+	case id >= snap.base+snap.len():
+		return -1
 	}
 	return len(snap.trajs[id-snap.base])
 }
 
-// SubPath extracts edges [from, to) of trajectory id.
+// SubPath extracts edges [from, to) of trajectory id; an out-of-range
+// id or slice is an error.
 func (w *Writer) SubPath(id, from, to int) ([]uint32, error) {
-	ix, _, snap := w.view()
-	sealedN := snap.base
+	ix, snap := w.view()
 	switch {
-	case id < 0 || id >= sealedN+snap.len():
-		return nil, fmt.Errorf("cinct: trajectory %d out of range [0,%d)", id, sealedN+snap.len())
-	case id < sealedN:
+	case id < 0 || id >= snap.base+snap.len():
+		return nil, errTrajectoryRange(id, snap.base+snap.len())
+	case id < snap.base:
 		return ix.SubPath(id, from, to)
 	}
-	row := snap.trajs[id-sealedN]
+	row := snap.trajs[id-snap.base]
 	if from < 0 || to > len(row) || from > to {
 		return nil, fmt.Errorf("cinct: SubPath[%d,%d) out of range [0,%d)", from, to, len(row))
 	}
