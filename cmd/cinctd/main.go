@@ -38,15 +38,6 @@
 // keeps each live index's sealed-shard fan-out bounded by the tiered
 // policy (-compact-min-shards / -compact-max-shards / -compact-ratio).
 //
-// Cluster mode (phase 1): each -peer flag (repeatable) names another
-// node serving the same corpus, and -advertise names this node as the
-// peers reach it. POST /v1/{index}/query then scatter-gathers — each
-// node answers for the trajectory ranges the routing ring assigns it —
-// and merges the legs into the same canonical order a single node
-// would produce. -cluster-slot tunes the routing granularity (must
-// agree across nodes); -peer-timeout, -peer-retry and -hedge-after
-// tune the fan-out robustness.
-//
 // Traffic management: -rate-limit enforces a per-client request budget
 // (429 + Retry-After past it), -max-inflight sheds requests beyond the
 // concurrency gate with 503, -shed-cost rejects expensive queries when
@@ -69,7 +60,6 @@ import (
 	"time"
 
 	"cinct"
-	"cinct/internal/cluster"
 	"cinct/internal/engine"
 	"cinct/server"
 )
@@ -113,28 +103,6 @@ func main() {
 		shedCost = flag.Int64("shed-cost", 0,
 			"with all workers busy, reject queries whose estimated cost reaches this threshold with 503 instead of queueing (0 = queue everything)")
 	)
-	var (
-		advertise = flag.String("advertise", "",
-			"this node's base URL as peers reach it (e.g. http://node1:8132); required with -peer")
-		clusterSlot = flag.Int("cluster-slot", 0,
-			"trajectory IDs per routing slot; must agree across the cluster (0 = default 1024)")
-		peerTimeout = flag.Duration("peer-timeout", 0,
-			"per-attempt deadline for scatter-gather page fetches (0 = 2s)")
-		peerRetry = flag.Duration("peer-retry", 0,
-			"backoff before the single retry of a failed page fetch (0 = 100ms)")
-		hedgeAfter = flag.Duration("hedge-after", 0,
-			"issue a hedged duplicate fetch after this delay (0 = adaptive from the peer's p99, negative disables)")
-	)
-	var peerAddrs []string
-	flag.Func("peer",
-		"peer node base URL for cluster mode, e.g. http://node2:8132 (repeatable; every node lists every other)",
-		func(v string) error {
-			if strings.TrimSpace(v) == "" {
-				return fmt.Errorf("empty peer address")
-			}
-			peerAddrs = append(peerAddrs, v)
-			return nil
-		})
 	type roadnetBinding struct{ index, path string }
 	var roadnets []roadnetBinding
 	flag.Func("roadnet",
@@ -166,30 +134,8 @@ func main() {
 		}()
 	}
 
-	var cl *cluster.Cluster
-	if len(peerAddrs) > 0 {
-		if *advertise == "" {
-			logger.Fatal("-peer requires -advertise (this node's own base URL)")
-		}
-		var err error
-		cl, err = cluster.New(cluster.Config{
-			Self:             *advertise,
-			Peers:            peerAddrs,
-			SlotTrajectories: *clusterSlot,
-			Timeout:          *peerTimeout,
-			RetryBackoff:     *peerRetry,
-			HedgeAfter:       *hedgeAfter,
-		})
-		if err != nil {
-			logger.Fatalf("cluster: %v", err)
-		}
-	} else if *advertise != "" {
-		logger.Fatal("-advertise without any -peer flag; did you forget the peers?")
-	}
-
 	eng := engine.New(engine.Options{
 		Workers: *workers, CacheEntries: *cache,
-		Cluster:       cl,
 		SealThreshold: *sealAt, Logf: logger.Printf,
 		Mmap:      *mmap,
 		SlowQuery: *slowQuery,
@@ -232,13 +178,6 @@ func main() {
 		if err := eng.LoadRoadnet(b.index, b.path); err != nil {
 			logger.Fatalf("loading road network %s: %v", b.path, err)
 		}
-	}
-
-	if cl != nil {
-		cl.Start()
-		defer cl.Stop()
-		logger.Printf("cluster mode: self=%s peers=%s slot=%d ring=%016x",
-			cl.Self(), strings.Join(cl.Peers(), ","), cl.SlotTrajectories(), cl.Fingerprint())
 	}
 
 	srv := server.New(eng, server.Config{

@@ -83,6 +83,11 @@ type entry struct {
 	// matches global-ID order and replay never sees interleaved
 	// batches.
 	ingestMu sync.Mutex
+	// persistMu serializes persistEntry: a foreground Seal and the
+	// background compactor both write path+".tmp", and two concurrent
+	// writers would interleave in that file or rename it from under
+	// each other.
+	persistMu sync.Mutex
 
 	mu  sync.RWMutex
 	gen uint64

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"cinct"
-	"cinct/internal/cluster"
 	"cinct/internal/metrics"
 	"cinct/internal/wal"
 )
@@ -69,12 +68,6 @@ type Options struct {
 	// instead of queueing. 0 disables shedding — saturated queries
 	// queue, the pre-admission-control behavior.
 	ShedCost int64
-	// Cluster, when non-nil, turns the engine into one node of a
-	// phase-1 cluster: hit-producing Searches scatter-gather across the
-	// peer set (see SearchScoped) and owned-scope queries from peers are
-	// answered from the routing ring's local share. The engine wires
-	// the cluster's fetch events into its metrics registry.
-	Cluster *cluster.Cluster
 }
 
 func (o Options) workers() int {
@@ -122,7 +115,6 @@ type Engine struct {
 
 	roadnets *roadnetCatalog
 	subs     *subRegistry
-	cluster  *cluster.Cluster
 
 	walOpts    WALOptions
 	compaction CompactionOptions
@@ -151,24 +143,10 @@ func New(opts Options) *Engine {
 		shedCost:   opts.ShedCost,
 		roadnets:   newRoadnetCatalog(),
 		subs:       newSubRegistry(),
-		cluster:    opts.Cluster,
 		walOpts:    opts.WAL,
 		compaction: opts.Compaction,
 	}
 	e.metrics = newEngineMetrics(opts.Metrics, e)
-	if e.cluster != nil {
-		e.cluster.SetObserver(func(ev cluster.FetchEvent) {
-			e.metrics.peerRequests.With(ev.Peer).Inc()
-			if ev.Err != nil {
-				e.metrics.peerErrors.With(ev.Peer).Inc()
-			} else {
-				e.metrics.peerLatency.Observe(ev.Duration.Seconds())
-			}
-			if ev.Hedged {
-				e.metrics.peerHedges.With(ev.Peer).Inc()
-			}
-		})
-	}
 	if e.compaction.Interval > 0 {
 		e.done = make(chan struct{})
 		e.bg.Add(1)
@@ -581,6 +559,8 @@ func (e *Engine) afterSeal(en *entry, sealed int) {
 // outcome in entry.sealErr so Engine.Seal / Engine.Compact can
 // surface it.
 func (e *Engine) persistEntry(en *entry, what string, rows int) {
+	en.persistMu.Lock()
+	defer en.persistMu.Unlock()
 	en.mu.RLock()
 	closed, path, w, wl := en.closed, en.path, en.w, en.wal
 	en.mu.RUnlock()
@@ -746,33 +726,6 @@ type page struct {
 	cursor string
 }
 
-// hitStream is what a live Results iterates: a plain library run
-// (libStream), an ownership-filtered run serving a peer (ownedStream),
-// or the coordinator's k-way merge over the cluster (clusterStream).
-// Cursor returns the final caller-facing resume token — envelopes
-// included — positioned after the last yielded hit, or "" when the
-// stream is exhausted. close releases stream-private resources and
-// must be idempotent; the engine worker slot stays the Results' own
-// concern.
-type hitStream interface {
-	All() iter.Seq2[cinct.Hit, error]
-	Cursor() string
-	Stats() cinct.QueryStats
-	close()
-}
-
-// libStream adapts a plain library run: the cursor is the library
-// token in this node's identity envelope.
-type libStream struct {
-	lr         *cinct.Results
-	epoch, sig uint64
-}
-
-func (s libStream) All() iter.Seq2[cinct.Hit, error] { return s.lr.All() }
-func (s libStream) Cursor() string                   { return wrapCursor(s.epoch, s.sig, s.lr.Cursor()) }
-func (s libStream) Stats() cinct.QueryStats          { return s.lr.Stats() }
-func (s libStream) close()                           {}
-
 // Results is the engine's streaming query handle: either a replay of a
 // cached page or a live library run that accumulates into the cache as
 // it is consumed. A live Results holds one engine worker slot until
@@ -784,13 +737,10 @@ type Results struct {
 	q     cinct.Query
 	epoch uint64 // identity the search ran at; binds handed-out cursors
 	sig   uint64
-	// ident is the serving identity token peers read from scoped query
-	// summaries; set only on owned-scope results.
-	ident string
 	page  *page // replay source; nil while live
 	pos   int
 
-	live hitStream
+	live *cinct.Results
 	pull func() (cinct.Hit, error, bool)
 	stop func()
 	e    *Engine
@@ -896,7 +846,7 @@ func (r *Results) pullOne() (h cinct.Hit, herr error, ok bool, perr error) {
 func (r *Results) finishLive() {
 	r.closed = true
 	if !r.tooBig {
-		r.e.cache.put(r.key, &page{hits: r.acc, count: len(r.acc), cursor: r.live.Cursor()})
+		r.e.cache.put(r.key, &page{hits: r.acc, count: len(r.acc), cursor: wrapCursor(r.epoch, r.sig, r.live.Cursor())})
 	}
 	r.record(nil)
 	r.releaseSlot()
@@ -923,9 +873,6 @@ func (r *Results) releaseSlot() {
 	if r.stop != nil {
 		r.stop()
 		r.stop, r.pull = nil, nil
-	}
-	if r.live != nil {
-		r.live.close()
 	}
 	if r.held {
 		r.held = false
@@ -976,7 +923,7 @@ func (r *Results) Cursor() string {
 		return ""
 	}
 	if r.live != nil {
-		return r.live.Cursor()
+		return wrapCursor(r.epoch, r.sig, r.live.Cursor())
 	}
 	if r.page != nil {
 		if r.pos >= len(r.page.hits) {
@@ -989,11 +936,6 @@ func (r *Results) Cursor() string {
 	return ""
 }
 
-// Ident returns the serving index's identity token for owned-scope
-// results ("" otherwise); scoped query summaries carry it so a cluster
-// coordinator can mint per-node resume cursors.
-func (r *Results) Ident() string { return r.ident }
-
 // Search is the engine's single query entry point: every operation —
 // spatial or temporal, counting, locating or listing trajectories — is
 // a cinct.Query executed here, cached here, and bounded by the same
@@ -1003,26 +945,6 @@ func (r *Results) Ident() string { return r.ident }
 // ErrNotTemporal; descriptor violations (negative limit, unknown kind)
 // fail with cinct.ErrBadQuery before any index work.
 func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Results, error) {
-	return e.SearchScoped(ctx, name, q, ScopeAuto)
-}
-
-// SearchScoped is Search with explicit cluster scope. ScopeAuto is
-// what Search does: scatter-gather on a clustered engine (except
-// CountOnly, which every node answers exactly from its full local
-// copy), plain local serving otherwise. ScopeOwned answers only from
-// ring-owned trajectories and never fans out — it is the scope peers
-// request from each other, and fails on a non-clustered engine.
-func (e *Engine) SearchScoped(ctx context.Context, name string, q cinct.Query, scope Scope) (*Results, error) {
-	if scope == ScopeOwned {
-		return e.searchOwned(ctx, name, q)
-	}
-	if e.cluster != nil && q.Kind != cinct.CountOnly {
-		return e.searchCluster(ctx, name, q)
-	}
-	return e.searchLocal(ctx, name, q)
-}
-
-func (e *Engine) searchLocal(ctx context.Context, name string, q cinct.Query) (*Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1084,7 +1006,7 @@ func (e *Engine) searchLocal(ctx context.Context, name string, q cinct.Query) (*
 		return &Results{q: q, epoch: v.epoch, sig: v.sig, page: p}, nil
 	}
 	return &Results{q: q, epoch: v.epoch, sig: v.sig,
-		live: libStream{lr: lr, epoch: v.epoch, sig: v.sig}, e: e, key: key, held: true,
+		live: lr, e: e, key: key, held: true,
 		name: v.name, start: start, acc: make([]cinct.Hit, 0, 16)}, nil
 }
 

@@ -38,14 +38,6 @@ type engineMetrics struct {
 	notifSent    *metrics.Counter
 	notifDropped *metrics.Counter
 	subsExpired  *metrics.Counter
-
-	// Cluster scatter-gather.
-	clusterQueries *metrics.Counter
-	clusterPartial *metrics.Counter
-	peerRequests   *metrics.CounterVec // by peer
-	peerErrors     *metrics.CounterVec // by peer
-	peerHedges     *metrics.CounterVec // by peer
-	peerLatency    *metrics.Histogram  // seconds
 }
 
 func newEngineMetrics(reg *metrics.Registry, e *Engine) *engineMetrics {
@@ -75,13 +67,6 @@ func newEngineMetrics(reg *metrics.Registry, e *Engine) *engineMetrics {
 		notifSent:    reg.Counter("cinct_notifications_total", "Standing-query notifications delivered to subscriber buffers."),
 		notifDropped: reg.Counter("cinct_notifications_dropped_total", "Standing-query notifications dropped on full subscriber buffers."),
 		subsExpired:  reg.Counter("cinct_subscriptions_expired_total", "Subscriptions removed by TTL expiry."),
-
-		clusterQueries: reg.Counter("cinct_cluster_queries_total", "Searches that scatter-gathered across the cluster."),
-		clusterPartial: reg.Counter("cinct_cluster_partial_total", "Scatter-gathers that failed partial (peers unreachable)."),
-		peerRequests:   reg.CounterVec("cinct_peer_requests_total", "Page-fetch attempts against peers, by peer.", "peer"),
-		peerErrors:     reg.CounterVec("cinct_peer_errors_total", "Failed page-fetch attempts against peers, by peer.", "peer"),
-		peerHedges:     reg.CounterVec("cinct_peer_hedges_total", "Hedged (duplicate) page-fetch attempts, by peer.", "peer"),
-		peerLatency:    reg.Histogram("cinct_peer_seconds", "Successful peer page-fetch latency.", metrics.ExpBuckets(0.0001, 4, 10)),
 	}
 	reg.GaugeFunc("cinct_pool_inflight", "Worker slots currently held.", func() int64 {
 		inflight, _ := e.PoolStats()

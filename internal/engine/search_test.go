@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,5 +191,58 @@ func TestEngineSearchCloseReleasesSlot(t *testing.T) {
 	defer r2.Close()
 	if _, err := r2.Count(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCursorAcrossRestart pins the load-signature half of the cursor
+// identity: every process starts its epochs at 1, so across a restart
+// only sig tells an unchanged file from a rebuilt one. A cursor minted
+// by one Engine resumes on a second Engine opened over the same
+// directory with the exact continuation of the undivided stream, and
+// fails ErrStaleCursor once the files hold a different corpus.
+func TestCursorAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	trajs := testCorpus(31, 80)
+	writeIndexes(t, dir, trajs)
+	open := func() *Engine {
+		e := New(Options{})
+		t.Cleanup(e.CloseAll)
+		if _, err := e.OpenDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	first, second := open(), open()
+	q := cinct.Query{Path: trajs[0][:1], Kind: cinct.Occurrences}
+	cursors := make(map[string]string)
+	for _, name := range []string{"spatial", "temporal"} {
+		full, _ := drainSearch(t, first, name, q)
+		if len(full) < 3 {
+			t.Fatalf("%s: corpus gave only %d hits; need >= 3", name, len(full))
+		}
+		paged := q
+		paged.Limit = 2
+		page, cursor := drainSearch(t, first, name, paged)
+		if cursor == "" {
+			t.Fatalf("%s: bounded page handed out no cursor", name)
+		}
+		cursors[name] = cursor
+
+		resume := q
+		resume.Cursor = cursor
+		rest, end := drainSearch(t, second, name, resume)
+		if got := append(page, rest...); !slices.Equal(got, full) || end != "" {
+			t.Fatalf("%s: resume on a second engine = %v (cursor %q), want %v", name, got, end, full)
+		}
+	}
+
+	writeIndexes(t, dir, append(trajs[:len(trajs):len(trajs)], []uint32{1, 2, 3, 4}))
+	rebuilt := open()
+	for name, cursor := range cursors {
+		resume := q
+		resume.Cursor = cursor
+		if _, err := rebuilt.Search(context.Background(), name, resume); !errors.Is(err, ErrStaleCursor) {
+			t.Fatalf("%s: cursor over a rebuilt file: err = %v, want ErrStaleCursor", name, err)
+		}
 	}
 }

@@ -1,10 +1,8 @@
 // Package wire holds the JSON shapes of the /v1/{index}/query NDJSON
-// protocol and the page decoder both sides of it share: the server
-// package aliases Request as its public QueryRequest, the HTTP client
-// decodes pages with ReadPage, and the cluster fan-out uses the same
-// decoder to consume scoped pages from peers. Keeping one codec is
-// what makes "distributed answers byte-identical to single-node" a
-// checkable property: there is no second parser to drift.
+// protocol and the one decoder for its pages: the server package
+// aliases Request as its public QueryRequest, and both the HTTP client
+// and the benchmark's replay trace decode pages with ReadPage, so there
+// is no second parser to drift from what the daemon writes.
 package wire
 
 import (
@@ -63,26 +61,18 @@ func FromQuery(q cinct.Query) Request {
 }
 
 // Page is one decoded page of POST /v1/{index}/query: the hits in
-// canonical order, the count reported by the summary record, the
-// resume cursor ("" when the server exhausted the stream) and — for
-// scoped cluster pages — the serving node's index identity.
+// canonical order, the count reported by the summary record, and the
+// resume cursor ("" when the server exhausted the stream).
 type Page struct {
 	Hits   []cinct.Hit
 	Count  int
 	Cursor string
-	// Ident is the serving index's identity token (epoch + load
-	// signature), emitted for scoped queries so a cluster coordinator
-	// can mint per-node resume cursors. Empty on plain queries.
-	Ident string
 }
 
 // StreamError is a mid-stream failure reported by the summary record:
-// the earlier hit records form a valid prefix of the result. Partial
-// lists peers the serving node could not reach, when the failure was a
-// cluster fan-out losing a node.
+// the earlier hit records form a valid prefix of the result.
 type StreamError struct {
-	Msg     string
-	Partial []string
+	Msg string
 }
 
 func (e *StreamError) Error() string { return e.Msg }
@@ -91,15 +81,13 @@ func (e *StreamError) Error() string { return e.Msg }
 // carries done/count/cursor/error, a hit line carries
 // trajectory/offset/enteredAt. The pointer fields disambiguate.
 type line struct {
-	Trajectory *int     `json:"trajectory"`
-	Offset     *int     `json:"offset"`
-	EnteredAt  *int64   `json:"enteredAt"`
-	Done       *bool    `json:"done"`
-	Count      *int     `json:"count"`
-	Cursor     string   `json:"cursor"`
-	Ident      string   `json:"ident"`
-	Error      string   `json:"error"`
-	Partial    []string `json:"partial"`
+	Trajectory *int   `json:"trajectory"`
+	Offset     *int   `json:"offset"`
+	EnteredAt  *int64 `json:"enteredAt"`
+	Done       *bool  `json:"done"`
+	Count      *int   `json:"count"`
+	Cursor     string `json:"cursor"`
+	Error      string `json:"error"`
 }
 
 // maxLine bounds one NDJSON record; generous, since a record is one
@@ -126,13 +114,12 @@ func ReadPage(r io.Reader) (*Page, error) {
 		switch {
 		case rec.Done != nil || rec.Error != "":
 			if rec.Error != "" {
-				return nil, &StreamError{Msg: rec.Error, Partial: rec.Partial}
+				return nil, &StreamError{Msg: rec.Error}
 			}
 			if rec.Count != nil {
 				page.Count = *rec.Count
 			}
 			page.Cursor = rec.Cursor
-			page.Ident = rec.Ident
 			sawSummary = true
 		case rec.Trajectory != nil && rec.Offset != nil:
 			h := cinct.Hit{Match: cinct.Match{Trajectory: *rec.Trajectory, Offset: *rec.Offset}}

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"cinct"
-	"cinct/internal/cluster"
 	"cinct/internal/engine"
 	"cinct/internal/wire"
 )
@@ -43,22 +42,10 @@ type RuntimeInfo struct {
 	WALFsyncs    int64 `json:"walFsyncs"`
 }
 
-// ClusterInfo is the cluster block of GET /v1/indexes, present only on
-// clustered daemons: this node's advertised address, the routing
-// parameters (which must agree across the cluster — Fingerprint is the
-// quick equality check), and each peer's observed health.
-type ClusterInfo struct {
-	Self             string               `json:"self"`
-	SlotTrajectories int                  `json:"slotTrajectories"`
-	Fingerprint      string               `json:"fingerprint"`
-	Peers            []cluster.PeerHealth `json:"peers"`
-}
-
 // ListResponse is the body of GET /v1/indexes.
 type ListResponse struct {
 	Indexes []engine.Info `json:"indexes"`
 	Runtime RuntimeInfo   `json:"runtime"`
-	Cluster *ClusterInfo  `json:"cluster,omitempty"`
 }
 
 // CountResponse is the body of GET /v1/{index}/count.
@@ -112,11 +99,10 @@ type TemporalCountResponse struct {
 }
 
 // QueryRequest is the body of POST /v1/{index}/query — the wire form
-// of cinct.Query, shared with the cluster fan-out through the wire
-// package. Kind is spelled "occurrences" (the default), "trajectories"
-// or "count". From/To, when either is present, form the closed
-// interval constraint; a missing bound defaults to the widest value,
-// mirroring the legacy temporal endpoints.
+// of cinct.Query. Kind is spelled "occurrences" (the default),
+// "trajectories" or "count". From/To, when either is present, form the
+// closed interval constraint; a missing bound defaults to the widest
+// value, mirroring the legacy temporal endpoints.
 type QueryRequest = wire.Request
 
 // WireQuery converts a library descriptor to the wire form (what
@@ -137,17 +123,12 @@ type QueryHit struct {
 // occurrence count for count-kind queries), cursor — when present —
 // resumes the query past the last streamed hit, and error carries a
 // mid-stream failure (in which case done is false and the earlier
-// records form a valid prefix of the result). Ident is emitted only on
-// owner-scoped (cluster fan-out) streams: the serving index's identity
-// token, which coordinators fold into cluster resume cursors. Partial
-// accompanies a cluster fan-out error, listing the unreachable peers.
+// records form a valid prefix of the result).
 type QuerySummary struct {
-	Done    bool     `json:"done"`
-	Count   int      `json:"count"`
-	Cursor  string   `json:"cursor,omitempty"`
-	Ident   string   `json:"ident,omitempty"`
-	Error   string   `json:"error,omitempty"`
-	Partial []string `json:"partial,omitempty"`
+	Done   bool   `json:"done"`
+	Count  int    `json:"count"`
+	Cursor string `json:"cursor,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
 // ReloadResponse is the body of POST /v1/{index}/reload.

@@ -63,9 +63,6 @@ type APIError struct {
 	// distinguish it from "no hint sent".
 	RetryAfter    time.Duration
 	HasRetryAfter bool
-	// PartialPeers lists the unreachable peers of a partial cluster
-	// result (the X-CiNCT-Partial header of a 502).
-	PartialPeers []string
 }
 
 func (e *APIError) Error() string {
@@ -85,8 +82,6 @@ func (e *APIError) Is(target error) bool {
 		return e.Status == http.StatusServiceUnavailable
 	case engine.ErrNotFound:
 		return e.Status == http.StatusNotFound
-	case engine.ErrPartial:
-		return e.Status == http.StatusBadGateway
 	case engine.ErrStaleCursor:
 		return e.Status == http.StatusGone
 	}
@@ -103,13 +98,6 @@ func apiError(resp *http.Response, body []byte) *APIError {
 	}
 	if d, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
 		e.RetryAfter, e.HasRetryAfter = d, true
-	}
-	if p := resp.Header.Get("X-CiNCT-Partial"); p != "" {
-		for _, peer := range strings.Split(p, ",") {
-			if peer = strings.TrimSpace(peer); peer != "" {
-				e.PartialPeers = append(e.PartialPeers, peer)
-			}
-		}
 	}
 	return e
 }
@@ -284,10 +272,8 @@ type QueryPage struct {
 }
 
 // SearchPage executes exactly one Query page against the daemon,
-// decoding the NDJSON stream as it arrives (the shared wire codec —
-// the same decoder the cluster fan-out uses). Most callers want
-// Search, which follows cursors transparently. A mid-stream partial
-// cluster result surfaces as *engine.PartialError.
+// decoding the NDJSON stream as it arrives. Most callers want Search,
+// which follows cursors transparently.
 func (c *Client) SearchPage(ctx context.Context, index string, q cinct.Query) (*QueryPage, error) {
 	body, err := json.Marshal(WireQuery(q))
 	if err != nil {
@@ -312,9 +298,6 @@ func (c *Client) SearchPage(ctx context.Context, index string, q cinct.Query) (*
 	if err != nil {
 		var se *wire.StreamError
 		if errors.As(err, &se) {
-			if len(se.Partial) > 0 {
-				return nil, &engine.PartialError{Peers: se.Partial}
-			}
 			return nil, fmt.Errorf("server: %s", se.Msg)
 		}
 		return nil, err

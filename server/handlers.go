@@ -5,14 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
 
-	"cinct/internal/cluster"
 	"cinct/internal/engine"
 )
 
@@ -163,14 +161,6 @@ func (sr *systemRouter) listIndexes(ctx context.Context, w http.ResponseWriter, 
 		WALBytes:     walBytes,
 		WALFsyncs:    fsyncs,
 	}
-	if cl := sr.eng.Cluster(); cl != nil {
-		resp.Cluster = &ClusterInfo{
-			Self:             cl.Self(),
-			SlotTrajectories: cl.SlotTrajectories(),
-			Fingerprint:      fmt.Sprintf("%016x", cl.Fingerprint()),
-			Peers:            cl.Health(),
-		}
-	}
 	return writeJSON(w, http.StatusOK, resp)
 }
 
@@ -225,26 +215,7 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 	if err != nil {
 		return err
 	}
-	// A coordinator's fan-out request carries the owned-scope header:
-	// serve only ring-owned trajectories (never fanning out again), and
-	// refuse it when this node isn't clustered or disagrees about the
-	// routing configuration — answering with a mismatched ring would
-	// silently duplicate or lose trajectories in the merged result.
-	scope := engine.ScopeAuto
-	if sc := r.Header.Get(cluster.ScopeHeader); sc != "" {
-		if sc != cluster.ScopeOwned {
-			return fmt.Errorf("%w: unknown query scope %q", errBadRequest, sc)
-		}
-		cl := qr.eng.Cluster()
-		if cl == nil {
-			return fmt.Errorf("%w: owned scope on a non-clustered node", errBadRequest)
-		}
-		if got, want := r.Header.Get(cluster.RingHeader), strconv.FormatUint(cl.Fingerprint(), 10); got != want {
-			return fmt.Errorf("%w: ring fingerprint mismatch (coordinator %q, this node %s)", errBadRequest, got, want)
-		}
-		scope = engine.ScopeOwned
-	}
-	res, err := qr.eng.SearchScoped(ctx, name, q, scope)
+	res, err := qr.eng.Search(ctx, name, q)
 	if err != nil {
 		return err
 	}
@@ -290,17 +261,10 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 			sum.Done = true
 			sum.Count = n
 			sum.Cursor = res.Cursor()
-			if scope == engine.ScopeOwned {
-				sum.Ident = res.Ident()
-			}
 		}
 	}
 	if streamErr != nil {
 		sum.Error = streamErr.Error()
-		var pe *engine.PartialError
-		if errors.As(streamErr, &pe) {
-			sum.Partial = pe.Peers
-		}
 	}
 	writeRecord(sum) //nolint:errcheck // stream is best-effort past this point
 	return nil

@@ -207,7 +207,8 @@ func TestOverloadShedEndToEnd(t *testing.T) {
 	// Server-gate shed: with MaxInflight 1 and the slot pinned by a
 	// request queued on the engine's worker pool, the next request
 	// bounces at the gate with 503.
-	ts2 := httptest.NewServer(New(eng, Config{MaxInflight: 1}).Handler())
+	srv2 := New(eng, Config{MaxInflight: 1})
+	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	blocked := make(chan error, 1)
 	go func() {
@@ -217,16 +218,15 @@ func TestOverloadShedEndToEnd(t *testing.T) {
 		_, err := cl2.Count(ctx, "spatial1", path)
 		blocked <- err
 	}()
-	var gateErr error
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		_, gateErr = NewClient(ts2.URL, nil).Indexes(ctx)
-		if errors.Is(gateErr, engine.ErrOverloaded) {
-			break
+	// Probe only once the count is seen holding the gate (it keeps it
+	// until hold is closed). Probing earlier can take the one slot
+	// itself and bounce the count instead.
+	for deadline := time.Now().Add(5 * time.Second); len(srv2.inflight) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("queued count never took the gate slot")
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if !errors.Is(gateErr, engine.ErrOverloaded) {
+	if _, gateErr := NewClient(ts2.URL, nil).Indexes(ctx); !errors.Is(gateErr, engine.ErrOverloaded) {
 		t.Fatalf("gate shed err = %v, want engine.ErrOverloaded (503)", gateErr)
 	}
 	hold.Close()

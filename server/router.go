@@ -56,10 +56,6 @@ func httpStatus(err error) int {
 	case errors.Is(err, engine.ErrStaleCursor):
 		// The cursor was valid once; the index it pointed into is gone.
 		return http.StatusGone
-	case errors.Is(err, engine.ErrPartial):
-		// Scatter-gather could not reach every owner; the local data
-		// alone would be a silently truncated answer, so fail loudly.
-		return http.StatusBadGateway
 	case errors.Is(err, engine.ErrNotTemporal), errors.Is(err, engine.ErrNoFile),
 		errors.Is(err, cinct.ErrNoLocate), errors.Is(err, cinct.ErrNoTimestamps),
 		errors.Is(err, cinct.ErrNotAppendable), errors.Is(err, engine.ErrNoRoadnet):

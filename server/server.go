@@ -8,11 +8,9 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"cinct/internal/cluster"
 	"cinct/internal/engine"
 )
 
@@ -165,13 +163,6 @@ func (s *Server) wrap(route Route) http.Handler {
 			return
 		}
 		status := httpStatus(err)
-		var pe *engine.PartialError
-		if errors.As(err, &pe) {
-			// Name the unreachable peers in a header as well as the
-			// body, so a proxy or a thin client can tell "partial
-			// cluster" apart from any other 502 without parsing JSON.
-			w.Header().Set(cluster.PartialHeader, strings.Join(pe.Peers, ","))
-		}
 		switch status {
 		case http.StatusTooManyRequests:
 			var rl *rateLimitError
