@@ -85,7 +85,7 @@ func BenchmarkAblationSampleRate(b *testing.B) {
 			b.ReportMetric(float64(s.LocateBits)/float64(s.TextLen), "locate-bits/sym")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.Find(path, 10); err != nil {
+				if _, err := search(ix, Query{Path: path, Limit: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}

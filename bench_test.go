@@ -348,7 +348,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 	})
 	b.Run("Find10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.Find(path, 10); err != nil {
+			if _, err := search(ix, Query{Path: path, Limit: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}

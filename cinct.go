@@ -7,7 +7,8 @@
 // edge IDs — in entropy-compressed form while answering, without
 // decompressing the corpus:
 //
-//   - Count / Find: how many times (and where) does a given path occur?
+//   - Search: how many times, where, and in which trajectories does a
+//     given path occur — optionally within a time interval?
 //   - Trajectory: reconstruct any stored trajectory;
 //   - SubPath: decompress an arbitrary slice of a stored trajectory.
 //
@@ -18,20 +19,16 @@
 // wavelet tree is both smaller and faster than any general-purpose
 // FM-index over raw edge IDs.
 //
-// Basic usage:
+// Basic usage — every retrieval is one Query descriptor executed by
+// Search, which yields hits lazily in canonical order, honors context
+// cancellation, and resumes from opaque cursors:
 //
 //	ix, err := cinct.Build(trajs, nil)
-//	n := ix.Count([]uint32{e1, e2, e3})  // trajectories passing e1→e2→e3
-//	hits := ix.Find([]uint32{e1, e2, e3}, 10)
-//	full := ix.Trajectory(hits[0].Trajectory)
-//
-// Count, Find, FindTrajectories and the temporal interval queries are
-// thin wrappers over the unified streaming form — one Query descriptor
-// executed by Search, which yields hits lazily in canonical order,
-// honors context cancellation, and resumes from opaque cursors:
-//
-//	res, _ := ix.Search(ctx, cinct.Query{Path: path, Kind: cinct.Occurrences, Limit: 10})
-//	for hit, err := range res.All() { ... }
+//	n := ix.Count([]uint32{e1, e2, e3}) // occurrences of e1→e2→e3
+//	res, _ := ix.Search(ctx, cinct.Query{Path: []uint32{e1, e2, e3}, Limit: 10})
+//	for hit, err := range res.All() {
+//		full, _ := ix.Trajectory(hit.Trajectory)
+//	}
 //	token := res.Cursor() // resume the exact suffix in a later Search
 //
 // # Sharding
@@ -78,9 +75,9 @@ type Options struct {
 	RandomLabeling bool
 	// Seed drives RandomLabeling.
 	Seed int64
-	// SampleRate is the suffix-array sampling rate for Find/Trajectory/
-	// SubPath (locate support). 0 disables locate: the index only
-	// counts. Default 64.
+	// SampleRate is the suffix-array sampling rate behind locate —
+	// Occurrences/Trajectories queries, Trajectory and SubPath. 0
+	// disables locate: the index only counts. Default 64.
 	SampleRate int
 	// Shards partitions the corpus into this many independently built
 	// and queried shards (see the package-level Sharding section). 0
@@ -287,8 +284,8 @@ func (ix *Index) shardOf(id int) (sh *shard, local int, ok bool) {
 // travel order) across the corpus. A trajectory that traverses the
 // path twice contributes two. An empty path returns 0.
 //
-// Count is the legacy form of Search with Kind CountOnly; new code
-// should prefer Search, which adds context cancellation.
+// Count is shorthand for Search with Kind CountOnly over a background
+// context; use Search for cancellation or an Interval.
 func (ix *Index) Count(path []uint32) int {
 	r, err := ix.Search(context.Background(), Query{Path: path, Kind: CountOnly})
 	if err != nil {
@@ -312,35 +309,6 @@ func (sh *shard) count(path []uint32) int {
 		return 0
 	}
 	return int(sh.core.Count(pat))
-}
-
-// Find returns up to limit occurrences of the path (limit <= 0 means
-// all). The same trajectory appears once per occurrence. Matches are
-// sorted by (Trajectory, Offset), and a positive limit keeps the
-// first limit matches in that order — so answers are identical
-// whatever the shard count. Every occurrence in the suffix range is
-// still located; the limit bounds the materialized result, not the
-// locate scan. Requires locate support.
-//
-// Find is the legacy form of Search with Kind Occurrences; new code
-// should prefer Search, which streams hits lazily, honors context
-// cancellation, and supports cursor-based resumption.
-func (ix *Index) Find(path []uint32, limit int) ([]Match, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	r, err := ix.Search(context.Background(), Query{Path: path, Kind: Occurrences, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for h, herr := range r.All() {
-		if herr != nil {
-			return nil, herr
-		}
-		out = append(out, h.Match)
-	}
-	return out, nil
 }
 
 // locate enumerates every occurrence of path in one shard, calling
@@ -391,31 +359,6 @@ func (sh *shard) locate(ctx context.Context, path []uint32, st *QueryStats, visi
 // by concatenation (shards hold contiguous global ID ranges).
 func sortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool { return matchLess(ms[i], ms[j]) })
-}
-
-// FindTrajectories returns the IDs of up to limit *distinct*
-// trajectories containing the path (limit <= 0 means all), in
-// ascending order. Unlike Find, a trajectory traversing the path
-// several times appears once. Requires locate support.
-//
-// FindTrajectories is the legacy form of Search with Kind
-// Trajectories; new code should prefer Search.
-func (ix *Index) FindTrajectories(path []uint32, limit int) ([]int, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	r, err := ix.Search(context.Background(), Query{Path: path, Kind: Trajectories, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]int, 0)
-	for h, herr := range r.All() {
-		if herr != nil {
-			return nil, herr
-		}
-		ids = append(ids, h.Trajectory)
-	}
-	return ids, nil
 }
 
 // errTrajectoryRange is the one out-of-range-ID error of Index and

@@ -57,7 +57,7 @@ func TestFindReportsTrajectoryAndOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := ix.Find([]uint32{11, 12}, 0) // B→C
+	hits, err := search(ix, Query{Path: []uint32{11, 12}}) // B→C
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestFindReportsTrajectoryAndOffset(t *testing.T) {
 		delete(want, h.Trajectory)
 	}
 	// Limit.
-	hits, err = ix.Find([]uint32{11, 12}, 1)
+	hits, err = search(ix, Query{Path: []uint32{11, 12}, Limit: 1})
 	if err != nil || len(hits) != 1 {
 		t.Fatalf("limited Find returned %d hits (%v)", len(hits), err)
 	}
 	// Miss.
-	hits, err = ix.Find([]uint32{15, 10}, 0)
+	hits, err = search(ix, Query{Path: []uint32{15, 10}})
 	if err != nil || hits != nil {
 		t.Fatalf("miss should return nil hits, got %v (%v)", hits, err)
 	}
@@ -217,7 +217,7 @@ func TestCountOnlyIndex(t *testing.T) {
 	if got := ix.Count([]uint32{10, 11}); got != 2 {
 		t.Fatalf("Count = %d, want 2", got)
 	}
-	if _, err := ix.Find([]uint32{10, 11}, 0); !errors.Is(err, ErrNoLocate) {
+	if _, err := search(ix, Query{Path: []uint32{10, 11}}); !errors.Is(err, ErrNoLocate) {
 		t.Fatalf("Find should return ErrNoLocate, got %v", err)
 	}
 	if _, err := ix.Trajectory(0); !errors.Is(err, ErrNoLocate) {
@@ -336,7 +336,7 @@ func TestIntegrationFindIsCorrect(t *testing.T) {
 		start := rng.Intn(len(tr) - 4)
 		m := 2 + rng.Intn(3)
 		path := tr[start : start+m]
-		hits, err := ix.Find(path, 0)
+		hits, err := search(ix, Query{Path: path})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -233,8 +233,7 @@ func cmdSubscribe(args []string) error {
 	remote := fs.String("remote", "", "cinctd base URL (required)")
 	name := fs.String("name", "", "index name at the daemon (required)")
 	path := fs.String("path", "", "space-separated edge IDs the standing query watches")
-	from := fs.Int64("from", 0, "interval start (with -to; temporal indexes only)")
-	to := fs.Int64("to", 0, "interval end (with -from; temporal indexes only)")
+	interval := addIntervalFlags(fs)
 	ttl := fs.Duration("ttl", 0, "subscription lifetime (0 = server default, 15m)")
 	poll := fs.Bool("poll", false, "use the long-poll fallback instead of SSE")
 	fs.Parse(args)
@@ -246,9 +245,8 @@ func cmdSubscribe(args []string) error {
 		return err
 	}
 	req := server.SubscribeRequest{Path: p, TTLSeconds: int(*ttl / time.Second)}
-	if fs.Lookup("from").Value.String() != fs.Lookup("from").DefValue ||
-		fs.Lookup("to").Value.String() != fs.Lookup("to").DefValue {
-		req.From, req.To = from, to
+	if iv := interval(); iv != nil {
+		req.From, req.To = &iv.From, &iv.To
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,21 +1,18 @@
 // Command cinct builds, inspects and queries CiNCT indexes from the
 // command line. Every retrieval subcommand is a cinct.Query executed
-// through the unified Search path — locally through internal/engine,
-// or remotely through the daemon's streaming /v1/{index}/query
-// endpoint — and can target either a local index file or a running
-// daemon:
+// by Search — locally through internal/engine, or remotely through the
+// daemon's streaming /v1/{index}/query endpoint — and can target
+// either a local index file or a running daemon:
 //
 //	cinct build  -in corpus.txt -index corpus.cinct [-block 63] [-sample 64] [-shards N]
 //	cinct build-temporal -in corpus.txt -times times.txt -index corpus.tcinct
 //	cinct stats  -index corpus.cinct
-//	cinct count  -index corpus.cinct -path "17 42 99"
-//	cinct find   -index corpus.cinct -path "17 42 99" [-limit 10] [-cursor TOKEN]
+//	cinct count  -index corpus.cinct -path "17 42 99" [-from 0 -to 999]
+//	cinct find   -index corpus.cinct -path "17 42 99" [-limit 10] [-cursor TOKEN] [-from 0 -to 999]
 //	cinct find-traj -index corpus.cinct -path "17 42 99" [-limit 10]
 //	cinct show   -index corpus.cinct -traj 5
 //	cinct subpath -index corpus.cinct -traj 5 -from 2 -to 9
 //	cinct verify -in corpus.txt -index corpus.cinct
-//	cinct find-interval -index corpus.tcinct -path "17 42" -from 0 -to 999
-//	cinct count-interval -index corpus.tcinct -path "17 42" -from 0 -to 999
 //	cinct ingest -remote http://localhost:8132 -name corpus -in more.txt [-times more-times.txt] [-seal]
 //	cinct ingest -index corpus.cinct -in more.txt   (appends, seals, persists in place)
 //	cinct compact -index corpus.cinct [-full=false]   (merge sealed shards, persist in place)
@@ -34,8 +31,9 @@
 // Corpus files hold one trajectory per line as space-separated road
 // edge IDs (the format cmd/trajgen emits). Temporal index files
 // conventionally use the .tcinct extension, which cinctd and the
-// engine recognize; find-interval loads its -index as temporal
-// regardless of extension.
+// engine recognize; find and count given -from or -to restrict hits to
+// that entry-time interval (the strict path query) and load their
+// -index as temporal regardless of extension.
 package main
 
 import (
@@ -43,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -81,10 +80,6 @@ func main() {
 		err = cmdSubPath(args)
 	case "verify":
 		err = cmdVerify(args)
-	case "find-interval":
-		err = cmdFindInterval(args)
-	case "count-interval":
-		err = cmdCountInterval(args)
 	case "ingest":
 		err = cmdIngest(args)
 	case "compact":
@@ -110,7 +105,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr,
-		"usage: cinct {build|build-temporal|stats|count|find|find-traj|show|subpath|verify|find-interval|count-interval|ingest|compact|convert|roadnet-gen|gps-simulate|gps-ingest|subscribe} [flags]")
+		"usage: cinct {build|build-temporal|stats|count|find|find-traj|show|subpath|verify|ingest|compact|convert|roadnet-gen|gps-simulate|gps-ingest|subscribe} [flags]")
 	os.Exit(2)
 }
 
@@ -144,7 +139,7 @@ type target struct {
 	remote *string // daemon base URL
 	name   *string // index name at the daemon
 	// temporal forces temporal loading for local files regardless of
-	// extension (find-interval).
+	// extension (set by an interval query).
 	temporal bool
 }
 
@@ -153,6 +148,24 @@ func addTargetFlags(fs *flag.FlagSet) *target {
 		index:  fs.String("index", "", "local index file"),
 		remote: fs.String("remote", "", "cinctd base URL (e.g. http://localhost:8132)"),
 		name:   fs.String("name", "", "index name at the daemon (with -remote)"),
+	}
+}
+
+// addIntervalFlags registers -from/-to. The returned function, called
+// after Parse, yields the Interval they describe: nil when neither was
+// given, a missing bound defaulting to the widest value as in the wire
+// form.
+func addIntervalFlags(fs *flag.FlagSet) func() *cinct.Interval {
+	from := fs.Int64("from", math.MinInt64, "only entry times at or after this (temporal indexes)")
+	to := fs.Int64("to", math.MaxInt64, "only entry times at or before this (temporal indexes)")
+	return func() *cinct.Interval {
+		var iv *cinct.Interval
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "from" || f.Name == "to" {
+				iv = &cinct.Interval{From: *from, To: *to}
+			}
+		})
+		return iv
 	}
 }
 
@@ -397,8 +410,11 @@ func cmdStats(args []string) error {
 func cmdCount(args []string) error {
 	fs := flag.NewFlagSet("count", flag.ExitOnError)
 	t := addTargetFlags(fs)
+	interval := addIntervalFlags(fs)
 	path := fs.String("path", "", "space-separated edge IDs in travel order")
 	fs.Parse(args)
+	iv := interval()
+	t.temporal = iv != nil
 	q, err := t.open()
 	if err != nil {
 		return err
@@ -408,9 +424,13 @@ func cmdCount(args []string) error {
 		return err
 	}
 	t0 := time.Now()
-	res, err := q.Search(context.Background(), cinct.Query{Path: p, Kind: cinct.CountOnly})
+	res, err := q.Search(context.Background(), cinct.Query{Path: p, Interval: iv, Kind: cinct.CountOnly})
 	if err != nil {
 		return err
+	}
+	if iv != nil {
+		fmt.Printf("%d occurrences in [%d, %d] (%v)\n", res.count, iv.From, iv.To, time.Since(t0))
+		return nil
 	}
 	fmt.Printf("%d occurrences (%v)\n", res.count, time.Since(t0))
 	return nil
@@ -419,10 +439,13 @@ func cmdCount(args []string) error {
 func cmdFind(args []string) error {
 	fs := flag.NewFlagSet("find", flag.ExitOnError)
 	t := addTargetFlags(fs)
+	interval := addIntervalFlags(fs)
 	path := fs.String("path", "", "space-separated edge IDs in travel order")
 	limit := fs.Int("limit", 20, "max matches to report (0 = all)")
 	cursor := fs.String("cursor", "", "resume cursor from a previous bounded find")
 	fs.Parse(args)
+	iv := interval()
+	t.temporal = iv != nil
 	q, err := t.open()
 	if err != nil {
 		return err
@@ -432,13 +455,17 @@ func cmdFind(args []string) error {
 		return err
 	}
 	res, err := q.Search(context.Background(), cinct.Query{
-		Path: p, Kind: cinct.Occurrences, Limit: *limit, Cursor: *cursor,
+		Path: p, Interval: iv, Kind: cinct.Occurrences, Limit: *limit, Cursor: *cursor,
 	})
 	if err != nil {
 		return err
 	}
 	for _, h := range res.hits {
-		fmt.Printf("trajectory %d @ offset %d\n", h.Trajectory, h.Offset)
+		if iv != nil {
+			fmt.Printf("trajectory %d @ offset %d, entered t=%d\n", h.Trajectory, h.Offset, h.EnteredAt)
+		} else {
+			fmt.Printf("trajectory %d @ offset %d\n", h.Trajectory, h.Offset)
+		}
 	}
 	fmt.Printf("%d match(es)\n", len(res.hits))
 	if res.cursor != "" {
@@ -448,8 +475,7 @@ func cmdFind(args []string) error {
 }
 
 // cmdFindTraj lists the distinct trajectories containing a path — the
-// Trajectories query kind, which before the unified query endpoint had
-// no remote form at all.
+// Trajectories query kind.
 func cmdFindTraj(args []string) error {
 	fs := flag.NewFlagSet("find-traj", flag.ExitOnError)
 	t := addTargetFlags(fs)
@@ -510,71 +536,6 @@ func cmdSubPath(args []string) error {
 		return err
 	}
 	printEdges(sub)
-	return nil
-}
-
-// cmdFindInterval runs a strict path query against a temporal index.
-func cmdFindInterval(args []string) error {
-	fs := flag.NewFlagSet("find-interval", flag.ExitOnError)
-	t := addTargetFlags(fs)
-	t.temporal = true
-	path := fs.String("path", "", "space-separated edge IDs in travel order")
-	from := fs.Int64("from", 0, "interval start (inclusive)")
-	to := fs.Int64("to", 1<<62, "interval end (inclusive)")
-	limit := fs.Int("limit", 20, "max matches (0 = all)")
-	fs.Parse(args)
-	q, err := t.open()
-	if err != nil {
-		return err
-	}
-	p, err := parsePath(*path)
-	if err != nil {
-		return err
-	}
-	res, err := q.Search(context.Background(), cinct.Query{
-		Path:     p,
-		Interval: &cinct.Interval{From: *from, To: *to},
-		Kind:     cinct.Occurrences,
-		Limit:    *limit,
-	})
-	if err != nil {
-		return err
-	}
-	for _, h := range res.hits {
-		fmt.Printf("trajectory %d @ offset %d, entered t=%d\n",
-			h.Trajectory, h.Offset, h.EnteredAt)
-	}
-	fmt.Printf("%d match(es)\n", len(res.hits))
-	return nil
-}
-
-// cmdCountInterval counts strict-path-query matches in a time interval.
-func cmdCountInterval(args []string) error {
-	fs := flag.NewFlagSet("count-interval", flag.ExitOnError)
-	t := addTargetFlags(fs)
-	t.temporal = true
-	path := fs.String("path", "", "space-separated edge IDs in travel order")
-	from := fs.Int64("from", 0, "interval start (inclusive)")
-	to := fs.Int64("to", 1<<62, "interval end (inclusive)")
-	fs.Parse(args)
-	q, err := t.open()
-	if err != nil {
-		return err
-	}
-	p, err := parsePath(*path)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	res, err := q.Search(context.Background(), cinct.Query{
-		Path:     p,
-		Interval: &cinct.Interval{From: *from, To: *to},
-		Kind:     cinct.CountOnly,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d occurrences in [%d, %d] (%v)\n", res.count, *from, *to, time.Since(t0))
 	return nil
 }
 

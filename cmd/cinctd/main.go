@@ -9,11 +9,9 @@
 //
 //	GET  /v1/indexes                       catalog + stats + runtime gauges
 //	GET  /metrics                          Prometheus text-format metrics
-//	GET  /v1/{index}/count?path=1,2,3      occurrence count
-//	GET  /v1/{index}/find?path=1,2,3&limit=10
+//	POST /v1/{index}/query                 every retrieval: a JSON cinct.Query → NDJSON hits + summary
 //	GET  /v1/{index}/trajectory/{id}       full reconstruction
 //	GET  /v1/{index}/subpath?traj=5&from=2&to=9
-//	GET  /v1/{index}/temporal/find?path=1,2&from=0&to=999&limit=10
 //	POST /v1/{index}/ingest                NDJSON append batch (live ingestion)
 //	POST /v1/{index}/gps                   NDJSON raw GPS traces → map-match → append
 //	POST /v1/{index}/subscribe             register a standing query

@@ -74,7 +74,7 @@ func TestCompactRange(t *testing.T) {
 		}
 		for i := 0; i < 10; i++ {
 			path := genPath(rng, trajs)
-			got, err := compacted.Find(path, 0)
+			got, err := search(compacted, Query{Path: path})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestCompactRange(t *testing.T) {
 				t.Fatalf("Find(%v) = %v, want %v", path, got, want)
 			}
 			for j := range got {
-				if got[j] != want[j] {
+				if got[j].Match != want[j] {
 					t.Fatalf("Find(%v) = %v, want %v", path, got, want)
 				}
 			}

@@ -41,7 +41,7 @@ func TestConcurrentQueries(t *testing.T) {
 					errs <- "Count changed under concurrency"
 					return
 				}
-				if _, err := ix.Find(paths[i], 5); err != nil {
+				if _, err := search(ix, Query{Path: paths[i], Limit: 5}); err != nil {
 					errs <- err.Error()
 					return
 				}

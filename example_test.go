@@ -46,14 +46,22 @@ func ExampleIndex_Count() {
 	// 0
 }
 
-func ExampleIndex_FindTrajectories() {
+func ExampleIndex_Search() {
 	ix, err := cinct.Build(paperTrajectories(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids, err := ix.FindTrajectories([]uint32{1, 2}, 0) // B→C
+	// The distinct trajectories that drove B→C.
+	res, err := ix.Search(context.Background(), cinct.Query{Path: []uint32{1, 2}, Kind: cinct.Trajectories})
 	if err != nil {
 		log.Fatal(err)
+	}
+	var ids []int
+	for h, err := range res.All() {
+		if err != nil {
+			log.Fatal(err)
+		}
+		ids = append(ids, h.Trajectory)
 	}
 	fmt.Println(ids)
 	// Output: [1 2]
@@ -107,7 +115,7 @@ func Example_search() {
 	}
 	ctx := context.Background()
 
-	// Count A→B occurrences (the legacy Count).
+	// Count A→B occurrences.
 	r, err := ix.Search(ctx, cinct.Query{Path: []uint32{0, 1}, Kind: cinct.CountOnly})
 	if err != nil {
 		log.Fatal(err)
@@ -226,11 +234,17 @@ func ExampleBuildTemporal() {
 	}
 	// Who drove B→C between t=100 and t=300? Only T2 (entered B at 150);
 	// T3 entered B at 400.
-	hits, err := ix.FindInInterval([]uint32{1, 2}, 100, 300, 0)
+	res, err := ix.Search(context.Background(), cinct.Query{
+		Path:     []uint32{1, 2},
+		Interval: &cinct.Interval{From: 100, To: 300},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, h := range hits {
+	for h, err := range res.All() {
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("trajectory %d entered at t=%d\n", h.Trajectory, h.EnteredAt)
 	}
 	// Output: trajectory 1 entered at t=150

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -52,12 +53,17 @@ func main() {
 	// Full report for the length-6 corridor: which trips, and at what
 	// point of their route they entered it.
 	q := corridor[:6]
-	hits, err := ix.Find(q, 10)
+	res, err := ix.Search(context.Background(), cinct.Query{Path: q, Limit: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfirst %d trips through the 6-segment corridor:\n", len(hits))
-	for _, h := range hits {
+	var hits []cinct.Hit
+	fmt.Println("\nfirst trips through the 6-segment corridor (up to 10):")
+	for h, err := range res.All() {
+		if err != nil {
+			log.Fatal(err)
+		}
+		hits = append(hits, h)
 		total := ix.TrajectoryLen(h.Trajectory)
 		fmt.Printf("  trip %5d entered at segment %3d of its %3d-segment route\n",
 			h.Trajectory, h.Offset, total)

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,11 +35,14 @@ func main() {
 	fmt.Println("Count(B→A)   =", ix.Count([]uint32{B, A})) // 0 (direction!)
 
 	// Which ones, and where in the trajectory?
-	hits, err := ix.Find([]uint32{A, B}, 0)
+	res, err := ix.Search(context.Background(), cinct.Query{Path: []uint32{A, B}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, h := range hits {
+	for h, err := range res.All() {
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("A→B found in trajectory %d at offset %d\n", h.Trajectory, h.Offset)
 	}
 

@@ -23,7 +23,7 @@ func TestFindTrajectoriesDedupes(t *testing.T) {
 	if got := ix.Count([]uint32{1, 2}); got != 3 {
 		t.Fatalf("Count = %d, want 3 occurrences", got)
 	}
-	ids, err := ix.FindTrajectories([]uint32{1, 2}, 0)
+	ids, err := searchIDs(ix, []uint32{1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFindTrajectoriesDedupes(t *testing.T) {
 		t.Fatalf("FindTrajectories = %v, want [0 1]", ids)
 	}
 	// Limit applies after dedup.
-	ids, err = ix.FindTrajectories([]uint32{1, 2}, 1)
+	ids, err = searchIDs(ix, []uint32{1, 2}, 1)
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("limited = %v (%v)", ids, err)
 	}
@@ -68,7 +68,7 @@ func TestFindTrajectoriesAgainstBruteForce(t *testing.T) {
 			}
 		}
 		sort.Ints(want)
-		got, err := ix.FindTrajectories(path, 0)
+		got, err := searchIDs(ix, path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestFindTrajectoriesNeedsLocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.FindTrajectories([]uint32{1}, 0); !errors.Is(err, ErrNoLocate) {
+	if _, err := searchIDs(ix, []uint32{1}, 0); !errors.Is(err, ErrNoLocate) {
 		t.Fatalf("want ErrNoLocate, got %v", err)
 	}
 }

@@ -135,7 +135,7 @@ func FuzzLoadTemporal(f *testing.F) {
 		if tix.NumTrajectories() > 0 {
 			_ = tix.Timestamps(0)
 		}
-		if _, err := tix.CountInInterval([]uint32{2, 3}, 0, 1<<40); err != nil && !errors.Is(err, ErrNoLocate) {
+		if _, err := searchCount(tix, Query{Path: []uint32{2, 3}, Interval: &Interval{From: 0, To: 1 << 40}, Kind: CountOnly}); err != nil && !errors.Is(err, ErrNoLocate) {
 			t.Fatalf("CountInInterval on loaded index: %v", err)
 		}
 	})

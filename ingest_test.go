@@ -709,7 +709,7 @@ func TestAppendSealed(t *testing.T) {
 	}
 	all := append(append([][]uint32{}, trajs...), extra...)
 	path := []uint32{2, 3}
-	got, err := grown.Find(path, 0)
+	got, err := search(grown, Query{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,7 +718,7 @@ func TestAppendSealed(t *testing.T) {
 		t.Fatalf("Find = %v, want %v", got, want)
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if got[i].Match != want[i] {
 			t.Fatalf("Find = %v, want %v", got, want)
 		}
 	}

@@ -43,7 +43,7 @@ func newQueryCache(capacity int) *queryCache {
 
 // searchKey builds the cache key for a Search result: the index name,
 // the entry generation the result was computed against, and the SHA-256
-// of the query's canonical binary encoding. Every legacy operation is a
+// of the query's canonical binary encoding. Every retrieval is a
 // Query, so one key scheme covers the whole surface; hashing keeps keys
 // fixed-size however long the path, and the canonical encoding
 // guarantees two keys collide only if the queries are semantically

@@ -53,7 +53,7 @@ func TestEngineWALKillReplay(t *testing.T) {
 	e2 := walEngine(t, dir, wal)
 	defer e2.Shutdown()
 	defer e2.CloseAll()
-	n, err := e2.Count(ctx, "spatial", marker)
+	n, err := searchCount(ctx, e2, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEngineWALKillReplay(t *testing.T) {
 		t.Fatalf("replayed Trajectory(%d) = %v", len(trajs), tr)
 	}
 	// Temporal replay keeps the timestamp column.
-	hits, err := e2.FindInInterval(ctx, "temporal", marker, 10, 10, 0)
+	hits, err := search(ctx, e2, "temporal", cinct.Query{Path: marker, Interval: &cinct.Interval{From: 10, To: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestEngineWALSealRetiresAndNoDoubleReplay(t *testing.T) {
 	e2 := walEngine(t, dir, wal)
 	defer e2.Shutdown()
 	defer e2.CloseAll()
-	n, err := e2.Count(ctx, "spatial", marker)
+	n, err := searchCount(ctx, e2, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestEngineWALAppendFailurePoisonsUntilReload(t *testing.T) {
 	e2 := walEngine(t, dir, wal)
 	defer e2.Shutdown()
 	defer e2.CloseAll()
-	n, err := e2.Count(ctx, "spatial", marker)
+	n, err := searchCount(ctx, e2, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestEngineCompactPersists(t *testing.T) {
 	if info.Stats.Shards != 1 {
 		t.Fatalf("reloaded file holds %d shards, want the compacted 1", info.Stats.Shards)
 	}
-	n, err := e.Count(ctx, "temporal", marker)
+	n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestEngineBackgroundCompaction(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	n, err := e.Count(ctx, "spatial", []uint32{7, 8})
+	n, err := searchCount(ctx, e, "spatial", cinct.Query{Path: []uint32{7, 8}, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type Options struct {
 	// at once; queries beyond it wait (or fail when their context
 	// expires first). 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheEntries is the LRU capacity for Count/Find results across
+	// CacheEntries is the LRU capacity for Search result pages across
 	// all indexes. 0 means 4096; negative disables caching.
 	CacheEntries int
 	// SealThreshold starts a background seal whenever an Append leaves
@@ -165,20 +165,9 @@ func (e *Engine) OpenDir(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, en := range entries {
-		en.mmap = e.mmap
-		ix, err := en.loadFromFile()
-		if err != nil {
+		if err := e.open(en); err != nil {
 			return names, err
 		}
-		en.gen, en.epoch = 1, 1
-		en.ix, en.sig = ix, indexSig(ix)
-		// WAL before install: once the entry is reachable through the
-		// catalog an Append must find a live log handle, or its batch
-		// would be acknowledged without a record.
-		if err := e.openWAL(en); err != nil {
-			return names, err
-		}
-		e.cat.install(en)
 		names = append(names, en.name)
 	}
 	return names, nil
@@ -194,25 +183,27 @@ func (e *Engine) Load(name, path string) error {
 		// for ad-hoc CLI files.
 		temporal = false
 	}
-	return e.loadAs(name, path, temporal)
+	return e.open(&entry{name: name, path: path, temporal: temporal})
 }
 
 // LoadTemporal is Load forcing the temporal format regardless of
 // extension.
 func (e *Engine) LoadTemporal(name, path string) error {
-	return e.loadAs(name, path, true)
+	return e.open(&entry{name: name, path: path, temporal: true})
 }
 
-func (e *Engine) loadAs(name, path string, temporal bool) error {
-	en := &entry{name: name, path: path, temporal: temporal, mmap: e.mmap}
+// open loads the entry's file and publishes it in the catalog.
+func (e *Engine) open(en *entry) error {
+	en.mmap = e.mmap
 	ix, err := en.loadFromFile()
 	if err != nil {
 		return err
 	}
 	en.gen, en.epoch = 1, 1
 	en.ix, en.sig = ix, indexSig(ix)
-	// WAL before install, so no Append can reach an entry whose log is
-	// missing or mid-replay (see OpenDir).
+	// WAL before install: once the entry is reachable through the
+	// catalog an Append must find a live log handle, or its batch
+	// would be acknowledged without a record.
 	if err := e.openWAL(en); err != nil {
 		return err
 	}
@@ -731,7 +722,7 @@ type page struct {
 // it is consumed. A live Results holds one engine worker slot until
 // the stream is drained, fails, or Close is called — callers that may
 // abandon iteration early must defer Close (draining consumers, like
-// the legacy wrappers and the HTTP handler, get the release for free).
+// the HTTP handler, get the release for free).
 // Not safe for concurrent use.
 type Results struct {
 	q     cinct.Query
@@ -1010,61 +1001,6 @@ func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Resul
 		name: v.name, start: start, acc: make([]cinct.Hit, 0, 16)}, nil
 }
 
-// Count returns the number of occurrences of path in index name.
-// Count is the legacy form of Search with Kind CountOnly; results are
-// served from the shared LRU cache when the index generation matches.
-func (e *Engine) Count(ctx context.Context, name string, path []uint32) (int, error) {
-	r, err := e.Search(ctx, name, cinct.Query{Path: path, Kind: cinct.CountOnly})
-	if err != nil {
-		return 0, err
-	}
-	return r.Count()
-}
-
-// Find returns up to limit occurrences of path in index name (limit <=
-// 0 means all), in canonical (Trajectory, Offset) order. Find is the
-// legacy form of Search with Kind Occurrences.
-func (e *Engine) Find(ctx context.Context, name string, path []uint32, limit int) ([]cinct.Match, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	r, err := e.Search(ctx, name, cinct.Query{Path: path, Kind: cinct.Occurrences, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var out []cinct.Match
-	for h, herr := range r.All() {
-		if herr != nil {
-			return nil, herr
-		}
-		out = append(out, h.Match)
-	}
-	return out, nil
-}
-
-// FindTrajectories returns up to limit distinct trajectory IDs
-// containing path, ascending. FindTrajectories is the legacy form of
-// Search with Kind Trajectories.
-func (e *Engine) FindTrajectories(ctx context.Context, name string, path []uint32, limit int) ([]int, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	r, err := e.Search(ctx, name, cinct.Query{Path: path, Kind: cinct.Trajectories, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	ids := make([]int, 0)
-	for h, herr := range r.All() {
-		if herr != nil {
-			return nil, herr
-		}
-		ids = append(ids, h.Trajectory)
-	}
-	return ids, nil
-}
-
 // checkTrajectory validates a trajectory ID against the snapshot
 // (including unsealed delta rows), giving a bad ID the engine's typed
 // ErrOutOfRange — the error a server maps to a 4xx — before any worker
@@ -1126,44 +1062,4 @@ func recoverQuery(err *error) {
 	if r := recover(); r != nil {
 		*err = fmt.Errorf("%w: %v", ErrCorrupt, r)
 	}
-}
-
-// FindInInterval runs a strict path query (path traveled with entry
-// time in [from, to]) against a temporal index. FindInInterval is the
-// legacy form of Search with an Interval and Kind Occurrences.
-func (e *Engine) FindInInterval(ctx context.Context, name string, path []uint32, from, to int64, limit int) ([]cinct.TemporalMatch, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	q := cinct.Query{
-		Path:     path,
-		Interval: &cinct.Interval{From: from, To: to},
-		Kind:     cinct.Occurrences,
-		Limit:    limit,
-	}
-	r, err := e.Search(ctx, name, q)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var out []cinct.TemporalMatch
-	for h, herr := range r.All() {
-		if herr != nil {
-			return nil, herr
-		}
-		out = append(out, cinct.TemporalMatch{Match: h.Match, EnteredAt: h.EnteredAt})
-	}
-	return out, nil
-}
-
-// CountInInterval counts strict-path-query matches (path traveled with
-// entry time in [from, to]) against a temporal index. CountInInterval
-// is the legacy form of Search with an Interval and Kind CountOnly.
-func (e *Engine) CountInInterval(ctx context.Context, name string, path []uint32, from, to int64) (int, error) {
-	q := cinct.Query{Path: path, Interval: &cinct.Interval{From: from, To: to}, Kind: cinct.CountOnly}
-	r, err := e.Search(ctx, name, q)
-	if err != nil {
-		return 0, err
-	}
-	return r.Count()
 }

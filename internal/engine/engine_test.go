@@ -87,16 +87,16 @@ func TestEngineLifecycle(t *testing.T) {
 	path := trajs[0][:2]
 	want := querygen.NaiveCount(trajs, path)
 	for _, name := range []string{"spatial", "temporal"} {
-		if got, err := eng.Count(ctx, name, path); err != nil || got != want {
+		if got, err := searchCount(ctx, eng, name, cinct.Query{Path: path, Kind: cinct.CountOnly}); err != nil || got != want {
 			t.Fatalf("Count(%s) = %d, %v; want %d", name, got, err, want)
 		}
 	}
 
 	// Temporal-only query routing.
-	if _, err := eng.FindInInterval(ctx, "spatial", path, 0, 1<<60, 0); !errors.Is(err, ErrNotTemporal) {
+	if _, err := search(ctx, eng, "spatial", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: 1 << 60}}); !errors.Is(err, ErrNotTemporal) {
 		t.Fatalf("FindInInterval on spatial index: %v, want ErrNotTemporal", err)
 	}
-	hits, err := eng.FindInInterval(ctx, "temporal", path, 0, 1<<60, 0)
+	hits, err := search(ctx, eng, "temporal", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: 1 << 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +113,20 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 
 	// Unknown names and closed entries 404.
-	if _, err := eng.Count(ctx, "nope", path); !errors.Is(err, ErrNotFound) {
+	if _, err := searchCount(ctx, eng, "nope", cinct.Query{Path: path, Kind: cinct.CountOnly}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Count(unknown) err = %v, want ErrNotFound", err)
 	}
 	if err := eng.Close("spatial"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Count(ctx, "spatial", path); !errors.Is(err, ErrNotFound) {
+	if _, err := searchCount(ctx, eng, "spatial", cinct.Query{Path: path, Kind: cinct.CountOnly}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Count(closed) err = %v, want ErrNotFound", err)
 	}
 
 	// A canceled context fails deterministically.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := eng.Count(canceled, "temporal", path); !errors.Is(err, context.Canceled) {
+	if _, err := searchCount(canceled, eng, "temporal", cinct.Query{Path: path, Kind: cinct.CountOnly}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Count(canceled ctx) err = %v, want context.Canceled", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestEngineReloadInvalidatesCache(t *testing.T) {
 	wantA := querygen.NaiveCount(trajsA, path)
 	// Twice: the second call must be a cache hit.
 	for i := 0; i < 2; i++ {
-		if got, err := eng.Count(ctx, "ix", path); err != nil || got != wantA {
+		if got, err := searchCount(ctx, eng, "ix", cinct.Query{Path: path, Kind: cinct.CountOnly}); err != nil || got != wantA {
 			t.Fatalf("Count = %d, %v; want %d", got, err, wantA)
 		}
 	}
@@ -185,7 +185,7 @@ func TestEngineReloadInvalidatesCache(t *testing.T) {
 		t.Fatalf("generation after reload = %d, want 2", info.Generation)
 	}
 	wantB := querygen.NaiveCount(trajsB, path)
-	if got, err := eng.Count(ctx, "ix", path); err != nil || got != wantB {
+	if got, err := searchCount(ctx, eng, "ix", cinct.Query{Path: path, Kind: cinct.CountOnly}); err != nil || got != wantB {
 		t.Fatalf("Count after reload = %d, %v; want %d (stale pre-reload answer was %d)",
 			got, err, wantB, wantA)
 	}
@@ -203,14 +203,14 @@ func TestEngineReloadInvalidatesCache(t *testing.T) {
 	if err := eng.Load("re", fileA); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := eng.Count(ctx, "re", path); err != nil || got != wantA {
+	if got, err := searchCount(ctx, eng, "re", cinct.Query{Path: path, Kind: cinct.CountOnly}); err != nil || got != wantA {
 		t.Fatalf("Count(re) = %d, %v; want %d", got, err, wantA)
 	}
 	saveTo(t, fileA, ixB.Save)
 	if err := eng.Load("re", fileA); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := eng.Count(ctx, "re", path); err != nil || got != wantB {
+	if got, err := searchCount(ctx, eng, "re", cinct.Query{Path: path, Kind: cinct.CountOnly}); err != nil || got != wantB {
 		t.Fatalf("Count(re) after Load replacement = %d, %v; want %d (stale answer was %d)",
 			got, err, wantB, wantA)
 	}
@@ -253,7 +253,7 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 	from, to := int64(math.MinInt64), int64(math.MaxInt64)
 
 	_, misses0, _ := cacheCounters(eng)
-	first, err := eng.FindInInterval(ctx, "tix", path, from, to, 0)
+	first, err := search(ctx, eng, "tix", cinct.Query{Path: path, Interval: &cinct.Interval{From: from, To: to}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 	if misses1 != misses0+1 {
 		t.Fatalf("first FindInInterval: misses %d -> %d, want one new miss", misses0, misses1)
 	}
-	again, err := eng.FindInInterval(ctx, "tix", path, from, to, 0)
+	again, err := search(ctx, eng, "tix", cinct.Query{Path: path, Interval: &cinct.Interval{From: from, To: to}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 
 	// A different interval must be a different cache entry, not a
 	// collision with the previous key.
-	narrow, err := eng.FindInInterval(ctx, "tix", path, 0, 10, 0)
+	narrow, err := search(ctx, eng, "tix", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 	}
 
 	// CountInInterval caches too and agrees with the find.
-	n, err := eng.CountInInterval(ctx, "tix", path, from, to)
+	n, err := searchCount(ctx, eng, "tix", cinct.Query{Path: path, Interval: &cinct.Interval{From: from, To: to}, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 		t.Fatalf("CountInInterval = %d, FindInInterval returned %d", n, len(first))
 	}
 	hitsBefore, _, _ := cacheCounters(eng)
-	if _, err := eng.CountInInterval(ctx, "tix", path, from, to); err != nil {
+	if _, err := searchCount(ctx, eng, "tix", cinct.Query{Path: path, Interval: &cinct.Interval{From: from, To: to}, Kind: cinct.CountOnly}); err != nil {
 		t.Fatal(err)
 	}
 	if hitsAfter, _, _ := cacheCounters(eng); hitsAfter != hitsBefore+1 {
@@ -318,7 +318,7 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 	if _, err := eng.Reload("tix"); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := eng.FindInInterval(ctx, "tix", path, from, to, 0)
+	fresh, err := search(ctx, eng, "tix", cinct.Query{Path: path, Interval: &cinct.Interval{From: from, To: to}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 		t.Fatalf("after reload EnteredAt = %d, want %d: stale cached answer survived the reload",
 			fresh[0].EnteredAt, first[0].EnteredAt+shift)
 	}
-	if n, err := eng.CountInInterval(ctx, "tix", path, 0, shift-1); err != nil || n != 0 {
+	if n, err := searchCount(ctx, eng, "tix", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: shift - 1}, Kind: cinct.CountOnly}); err != nil || n != 0 {
 		t.Fatalf("pre-shift interval after reload: %d, %v; want 0 (stale store?)", n, err)
 	}
 }
@@ -454,12 +454,12 @@ func TestEngineConcurrentSoak(t *testing.T) {
 				path := queries[rng.Intn(len(queries))]
 				switch i % 4 {
 				case 0:
-					got, err := cached.Count(ctx, "soak", path)
+					got, err := searchCount(ctx, cached, "soak", cinct.Query{Path: path, Kind: cinct.CountOnly})
 					if err != nil {
 						errc <- err
 						return
 					}
-					want, err := uncached.Count(ctx, "soak", path)
+					want, err := searchCount(ctx, uncached, "soak", cinct.Query{Path: path, Kind: cinct.CountOnly})
 					if err != nil {
 						errc <- err
 						return
@@ -470,12 +470,12 @@ func TestEngineConcurrentSoak(t *testing.T) {
 					}
 				case 1:
 					limit := rng.Intn(5) // includes 0 = all
-					got, err := cached.Find(ctx, "soak", path, limit)
+					got, err := search(ctx, cached, "soak", cinct.Query{Path: path, Limit: limit})
 					if err != nil {
 						errc <- err
 						return
 					}
-					want, err := uncached.Find(ctx, "soak", path, limit)
+					want, err := search(ctx, uncached, "soak", cinct.Query{Path: path, Limit: limit})
 					if err != nil {
 						errc <- err
 						return

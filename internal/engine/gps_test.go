@@ -117,23 +117,23 @@ func TestIngestGPSEndToEnd(t *testing.T) {
 	}
 
 	// And it is findable through the ordinary query path.
-	ids, err := e.FindTrajectories(ctx, "roads", truth, 0)
+	ids, err := search(ctx, e, "roads", cinct.Query{Path: truth, Kind: cinct.Trajectories})
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, id := range ids {
-		if id == tres.ID {
+	for _, h := range ids {
+		if h.Trajectory == tres.ID {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("FindTrajectories(%v) = %v, missing %d", truth, ids, tres.ID)
+		t.Fatalf("Trajectories(%v) = %v, missing %d", truth, ids, tres.ID)
 	}
 
 	// Interval query: the trace's timestamps landed (entry time of the
 	// first edge is the first observation's time).
-	n, err := e.CountInInterval(ctx, "roads", truth[:2], 50_000, 50_100)
+	n, err := searchCount(ctx, e, "roads", cinct.Query{Path: truth[:2], Interval: &cinct.Interval{From: 50_000, To: 50_100}, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestEngineAppendSealPersist(t *testing.T) {
 	ctx := context.Background()
 
 	marker := []uint32{201, 202, 203}
-	before, err := e.Count(ctx, "temporal", marker)
+	before, err := searchCount(ctx, e, "temporal", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestEngineAppendSealPersist(t *testing.T) {
 	}
 
 	// The cached zero-count must be orphaned by the generation bump.
-	after, err := e.Count(ctx, "temporal", marker)
+	after, err := searchCount(ctx, e, "temporal", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEngineAppendSealPersist(t *testing.T) {
 		t.Fatalf("post-append count = %d, want 2 (stale cache?)", after)
 	}
 	// Temporal pushdown over the delta.
-	fi, err := e.FindInInterval(ctx, "temporal", marker, 100, 130, 0)
+	fi, err := search(ctx, e, "temporal", cinct.Query{Path: marker, Interval: &cinct.Interval{From: 100, To: 130}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEngineAppendSealPersist(t *testing.T) {
 	if _, err := e.Reload("temporal"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.Count(ctx, "temporal", marker)
+	n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestEngineSealSurfacesPersistFailure(t *testing.T) {
 		t.Fatal("Seal reported success although persistence failed")
 	}
 	// The rows are still queryable in memory — only durability failed.
-	if n, err := e.Count(ctx, "spatial", []uint32{1, 2}); err != nil || n == 0 {
+	if n, err := searchCount(ctx, e, "spatial", cinct.Query{Path: []uint32{1, 2}, Kind: cinct.CountOnly}); err != nil || n == 0 {
 		t.Fatalf("sealed rows lost in memory too: n=%d err=%v", n, err)
 	}
 }
@@ -379,7 +379,7 @@ func TestEngineIngestSoak(t *testing.T) {
 					return
 				default:
 				}
-				n, err := e.Count(ctx, "temporal", marker)
+				n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 				if err != nil {
 					errc <- err
 					return
@@ -449,7 +449,7 @@ func TestEngineIngestSoak(t *testing.T) {
 	if _, err := e.Seal(ctx, "temporal"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.Count(ctx, "temporal", marker)
+	n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: marker, Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,22 +65,22 @@ func TestEngineMmapServing(t *testing.T) {
 	ctx := context.Background()
 	pat := trajs[0][:2]
 	for _, name := range []string{"spatial", "temporal", "legacy"} {
-		wc, err := heap.Count(ctx, name, pat)
+		wc, err := searchCount(ctx, heap, name, cinct.Query{Path: pat, Kind: cinct.CountOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gc, err := mapped.Count(ctx, name, pat)
+		gc, err := searchCount(ctx, mapped, name, cinct.Query{Path: pat, Kind: cinct.CountOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wc != gc {
 			t.Fatalf("%s: mapped Count = %d, heap %d", name, gc, wc)
 		}
-		wm, err := heap.Find(ctx, name, pat, 0)
+		wm, err := search(ctx, heap, name, cinct.Query{Path: pat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gm, err := mapped.Find(ctx, name, pat, 0)
+		gm, err := search(ctx, mapped, name, cinct.Query{Path: pat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestEngineMmapServing(t *testing.T) {
 	if !info.Mapped {
 		t.Fatal("reloaded sealed index is not mapped")
 	}
-	n, err := mapped.Count(ctx, "temporal", extra[0][:2])
+	n, err := searchCount(ctx, mapped, "temporal", cinct.Query{Path: extra[0][:2], Kind: cinct.CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

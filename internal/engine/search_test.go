@@ -28,6 +28,33 @@ func drainSearch(t *testing.T, e *Engine, name string, q cinct.Query) ([]cinct.H
 	return hits, r.Cursor()
 }
 
+// search runs q to the end of its stream — the call behind every
+// assertion on a hit list. An empty stream is a nil slice.
+func search(ctx context.Context, e *Engine, name string, q cinct.Query) ([]cinct.Hit, error) {
+	r, err := e.Search(ctx, name, q)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var hits []cinct.Hit
+	for h, herr := range r.All() {
+		if herr != nil {
+			return nil, herr
+		}
+		hits = append(hits, h)
+	}
+	return hits, nil
+}
+
+// searchCount answers a CountOnly query.
+func searchCount(ctx context.Context, e *Engine, name string, q cinct.Query) (int, error) {
+	r, err := e.Search(ctx, name, q)
+	if err != nil {
+		return 0, err
+	}
+	return r.Count()
+}
+
 // TestEngineSearchCachesPages pins the single-entry-point cache
 // contract: an identical Query replays the cached page (hit counters
 // advance, results identical, including the resume cursor), a

@@ -19,7 +19,7 @@ import (
 // cinct.Query. Kind is spelled "occurrences" (the default),
 // "trajectories" or "count". From/To, when either is present, form the
 // closed interval constraint; a missing bound defaults to the widest
-// value, mirroring the legacy temporal endpoints.
+// value.
 type Request struct {
 	Path   []uint32 `json:"path"`
 	Kind   string   `json:"kind,omitempty"`

@@ -13,14 +13,15 @@ type Kind uint8
 
 const (
 	// Occurrences yields every occurrence of the path as a (Trajectory,
-	// Offset) hit in canonical order — the streaming form of Find.
+	// Offset) hit in canonical order; the same trajectory appears once
+	// per occurrence.
 	Occurrences Kind = iota
 	// Trajectories yields each distinct trajectory containing the path
-	// exactly once, in ascending ID order, with Offset == -1 — the
-	// streaming form of FindTrajectories.
+	// exactly once, in ascending ID order, with Offset == -1.
 	Trajectories
-	// CountOnly computes the occurrence count without yielding hits —
-	// the form of Count and CountInInterval.
+	// CountOnly computes the occurrence count without yielding hits: the
+	// O(|path|) backward search, or a locate-and-filter scan under an
+	// Interval.
 	CountOnly
 )
 
@@ -60,9 +61,8 @@ type Interval struct {
 
 // Query is the one declarative descriptor behind every retrieval
 // operation: a path constraint, an optional temporal constraint, the
-// result kind, and paging. Every legacy per-operation method (Count,
-// Find, FindTrajectories, FindInInterval, CountInInterval) is a thin
-// wrapper over a Query value executed by Search.
+// result kind, and paging — executed by Search on an Index, a Writer,
+// the engine or (as the body of POST /v1/{index}/query) the daemon.
 type Query struct {
 	// Path is the edge sequence in travel order. An empty path matches
 	// nothing.

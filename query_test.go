@@ -48,19 +48,63 @@ func drain(t *testing.T, r *Results) []Hit {
 	return out
 }
 
+// searcher is what Index, TemporalIndex and Writer have in common.
+type searcher interface {
+	Search(ctx context.Context, q Query) (*Results, error)
+}
+
+// search runs q to the end of its stream — the call behind every
+// assertion on a hit list. An empty stream is a nil slice.
+func search(s searcher, q Query) ([]Hit, error) {
+	r, err := s.Search(context.Background(), q)
+	if err != nil {
+		return nil, err
+	}
+	var out []Hit
+	for h, err := range r.All() {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, h)
+	}
+	return out, nil
+}
+
+// searchIDs is search for the distinct trajectories containing path,
+// projected onto their IDs (never nil).
+func searchIDs(s searcher, path []uint32, limit int) ([]int, error) {
+	hits, err := search(s, Query{Path: path, Kind: Trajectories, Limit: limit})
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(hits))
+	for i, h := range hits {
+		ids[i] = h.Trajectory
+	}
+	return ids, nil
+}
+
+// searchCount answers a CountOnly query.
+func searchCount(s searcher, q Query) (int, error) {
+	r, err := s.Search(context.Background(), q)
+	if err != nil {
+		return 0, err
+	}
+	return r.Count()
+}
+
 func searchHits(t *testing.T, ix *Index, q Query) []Hit {
 	t.Helper()
-	r, err := ix.Search(context.Background(), q)
+	hits, err := search(ix, q)
 	if err != nil {
 		t.Fatalf("Search(%+v): %v", q, err)
 	}
-	return drain(t, r)
+	return hits
 }
 
 // TestSearchDifferential pins every Query kind against a brute-force
 // corpus scan, over monolithic and sharded indexes and the full limit
-// matrix — the acceptance property that all legacy operations are
-// expressible as Query values.
+// matrix.
 func TestSearchDifferential(t *testing.T) {
 	trajs := shardedTestCorpus(t)
 	ctx := context.Background()
@@ -557,7 +601,7 @@ func TestSearchLimitBoundsDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := frequentEdge(trajs)
-	total, err := tix.CountInInterval(path, 0, 1<<62)
+	total, err := searchCount(tix, Query{Path: path, Interval: &Interval{From: 0, To: 1 << 62}, Kind: CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

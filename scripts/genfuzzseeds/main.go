@@ -198,6 +198,8 @@ func main() {
 		`{"path":[4294967295],"limit":-1}`,
 		`{"kind":"nosuch"}`,
 		`{`,
+		`{"path":[1,2],"limt":10}`,
+		`{"path":[1,2]}{"path":[3]}`,
 	} {
 		writeSeed(dir, fmt.Sprintf("seed%d", i), []byte(body))
 	}

@@ -56,33 +56,60 @@ check() {
   echo "ok GET $path"
 }
 
+# qpost INDEX JSON-BODY — POST to the NDJSON query endpoint, the one
+# retrieval route.
+qpost() {
+  curl -sf -X POST -H 'Content-Type: application/json' -d "$2" "$base/v1/$1/query"
+}
+# qcount INDEX PATH [FIELDS] — occurrence count of the comma-separated
+# PATH, with optional extra request fields (e.g. '"from":0').
+qcount() {
+  qpost "$1" "{\"path\":[$2],\"kind\":\"count\"${3:+,$3}}" | jq -r 'select(.done == true).count'
+}
+# qcheck INDEX JSON-BODY JQ_ASSERTION — assertion over the slurped stream.
+qcheck() {
+  local body
+  body=$(qpost "$1" "$2") || { echo "smoke: POST /v1/$1/query $2 failed" >&2; exit 1; }
+  jq -e -s "$3" <<<"$body" >/dev/null \
+    || { echo "smoke: POST /v1/$1/query $2: schema drift: $body" >&2; exit 1; }
+  echo "ok POST /v1/$1/query $2"
+}
+
 # A query path guaranteed to exist: the first two edges of trajectory 0.
 path=$("$bindir/cinct" show -remote "$base" -name smoke -traj 0 | awk '{print $1","$2}')
 
 echo "== curling endpoints"
 check "/v1/indexes" \
   '(.indexes | length) == 2 and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 400 and (.indexes[] | select(.name=="tsmoke") | .temporal) == true'
-check "/v1/smoke/count?path=$path" \
-  '.index == "smoke" and (.count | type) == "number" and .count >= 1'
-check "/v1/smoke/find?path=$path&limit=5" \
-  '.limit == 5 and (.matches | type) == "array" and (.matches | length) >= 1 and (.matches[0] | has("trajectory") and has("offset"))'
+qcheck smoke "{\"path\":[$path],\"kind\":\"count\"}" \
+  'length == 1 and .[0].done == true and (.[0].count | type) == "number" and .[0].count >= 1'
+qcheck smoke "{\"path\":[$path],\"limit\":5}" \
+  '.[-1].done == true and .[-1].count == length - 1 and length >= 2 and length <= 6 and (.[0] | has("trajectory") and has("offset") and (has("enteredAt") | not))'
 check "/v1/smoke/trajectory/0" \
   '.id == 0 and (.edges | length) >= 2'
 check "/v1/smoke/subpath?traj=0&from=0&to=2" \
   '.from == 0 and .to == 2 and (.edges | length) == 2'
-check "/v1/tsmoke/temporal/find?path=$path&limit=5" \
-  '.index == "tsmoke" and (.matches | type) == "array" and (if (.matches | length) > 0 then (.matches[0] | has("enteredAt")) else true end)'
-check "/v1/tsmoke/temporal/count?path=$path" \
-  '.index == "tsmoke" and (.count | type) == "number" and .count >= 0'
+qcheck tsmoke "{\"path\":[$path],\"from\":0,\"limit\":5}" \
+  '.[-1].done == true and length >= 2 and (.[0] | has("trajectory") and has("offset") and has("enteredAt"))'
 
-# The all-time temporal count must agree with the spatial count of the
+# The all-time interval count must agree with the spatial count of the
 # same path on the same corpus.
-tcount=$(curl -sf "$base/v1/tsmoke/temporal/count?path=$path" | jq .count)
-scount=$(curl -sf "$base/v1/tsmoke/count?path=$path" | jq .count)
+tcount=$(qcount tsmoke "$path" '"from":0')
+scount=$(qcount tsmoke "$path")
 [ "$tcount" = "$scount" ] || {
-  echo "smoke: temporal/count ($tcount) != spatial count ($scount)" >&2; exit 1
+  echo "smoke: interval count ($tcount) != spatial count ($scount)" >&2; exit 1
 }
-echo "ok temporal/count == spatial count"
+echo "ok all-time interval count == spatial count"
+
+# The per-operation routes POST /query replaced are gone, not aliased.
+for gone in count find temporal/find temporal/count; do
+  status=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/smoke/$gone?path=$path")
+  case "$status" in
+    404|405) ;;
+    *) echo "smoke: removed route GET /v1/smoke/$gone returned $status, want 404/405" >&2; exit 1 ;;
+  esac
+done
+echo "ok removed GET count/find/temporal routes answer 404/405"
 
 echo "== metrics endpoint"
 # Prometheus text format with the core series present.
@@ -102,7 +129,7 @@ metric_value() {
   echo "$scrape" | awk -v m="$1" '$1 == m {print $2}'
 }
 before=$(metric_value 'cinct_queries_total{kind="count"}')
-curl -sf "$base/v1/smoke/count?path=$path" >/dev/null
+qcount smoke "$path" >/dev/null
 scrape=$(curl -sf "$base/metrics")
 after=$(metric_value 'cinct_queries_total{kind="count"}')
 [ "${after:-0}" -gt "${before:-0}" ] || {
@@ -110,23 +137,18 @@ after=$(metric_value 'cinct_queries_total{kind="count"}')
 }
 echo "ok GET /metrics (count queries: $before -> $after)"
 
-echo "== unified streaming query endpoint"
-# qpost INDEX JSON-BODY — POST to the NDJSON query endpoint.
-qpost() {
-  curl -sf -X POST -H 'Content-Type: application/json' -d "$2" "$base/v1/$1/query"
-}
+echo "== streaming query endpoint"
 jpath="[${path//,/, }]"
 
-# Count kind must agree with the legacy count endpoint.
-qcount=$(qpost smoke "{\"path\":$jpath,\"kind\":\"count\"}" | jq -r 'select(.done == true).count')
-legacy=$(curl -sf "$base/v1/smoke/count?path=$path" | jq .count)
-[ "$qcount" = "$legacy" ] || {
-  echo "smoke: query kind=count ($qcount) != legacy count ($legacy)" >&2; exit 1
+# Count kind must agree with the number of streamed occurrences.
+nocc=$(qpost smoke "{\"path\":$jpath}" | jq -s '[.[] | select(has("done") | not)] | length')
+[ "$(qcount smoke "$path")" = "$nocc" ] || {
+  echo "smoke: query kind=count ($(qcount smoke "$path")) != streamed occurrences ($nocc)" >&2; exit 1
 }
-echo "ok query kind=count == legacy count"
+echo "ok query kind=count == streamed occurrences ($nocc)"
 
-# Trajectories kind (FindTrajectories had no endpoint before this one):
-# every record is a distinct id with offset -1, and there is at least one.
+# Trajectories kind: every record is a distinct id with offset -1, and
+# there is at least one.
 traj_stream=$(qpost smoke "{\"path\":$jpath,\"kind\":\"trajectories\"}")
 ntraj=$(echo "$traj_stream" | jq -s '[.[] | select(has("done") | not)] | length')
 [ "$ntraj" -ge 1 ] || { echo "smoke: query kind=trajectories returned no hits" >&2; exit 1; }
@@ -165,21 +187,19 @@ cmp -s "$unpaged_file" "$paged_file" || {
 [ "$pages" -ge 2 ] || { echo "smoke: pagination made only $pages page(s); cursor untested" >&2; exit 1; }
 echo "ok query cursor pagination ($pages pages == unpaged)"
 
-# Temporal query through the unified endpoint: all-time interval count
-# must equal the spatial count.
-tq=$(qpost tsmoke "{\"path\":$jpath,\"kind\":\"count\",\"from\":0}" | jq -r 'select(.done == true).count')
-[ "$tq" = "$scount" ] || {
-  echo "smoke: temporal query count ($tq) != spatial count ($scount)" >&2; exit 1
-}
-echo "ok temporal query kind=count == spatial count"
-
 # Limit rule: a negative limit is a 400 at the HTTP layer.
 status=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
   -d "{\"path\":$jpath,\"limit\":-1}" "$base/v1/smoke/query")
 [ "$status" = 400 ] || { echo "smoke: negative limit returned $status, want 400" >&2; exit 1; }
 echo "ok 400 on negative limit"
 
-status=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/nosuch/count?path=1")
+# A misspelt field is a 400, not an unbounded default.
+status=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  -d "{\"path\":$jpath,\"limt\":10}" "$base/v1/smoke/query")
+[ "$status" = 400 ] || { echo "smoke: unknown body field returned $status, want 400" >&2; exit 1; }
+echo "ok 400 on unknown body field"
+
+status=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"path":[1]}' "$base/v1/nosuch/query")
 [ "$status" = 404 ] || { echo "smoke: unknown index returned $status, want 404" >&2; exit 1; }
 echo "ok 404 on unknown index"
 
@@ -197,18 +217,20 @@ echo "== CLI -remote round-trip"
   || { echo "smoke: remote find failed" >&2; exit 1; }
 "$bindir/cinct" find-traj -remote "$base" -name smoke -path "${path//,/ }" -limit 3 | grep 'trajectorie(s)' >/dev/null \
   || { echo "smoke: remote find-traj failed" >&2; exit 1; }
-"$bindir/cinct" find-interval -remote "$base" -name tsmoke -path "${path//,/ }" -limit 3 | grep 'match(es)' >/dev/null \
-  || { echo "smoke: remote find-interval failed" >&2; exit 1; }
-"$bindir/cinct" count-interval -remote "$base" -name tsmoke -path "${path//,/ }" | grep 'occurrences in' >/dev/null \
-  || { echo "smoke: remote count-interval failed" >&2; exit 1; }
+"$bindir/cinct" find -remote "$base" -name tsmoke -path "${path//,/ }" -from 0 -limit 3 | grep 'entered t=' >/dev/null \
+  || { echo "smoke: remote find -from failed" >&2; exit 1; }
+"$bindir/cinct" count -remote "$base" -name tsmoke -path "${path//,/ }" -from 0 | grep 'occurrences in' >/dev/null \
+  || { echo "smoke: remote count -from failed" >&2; exit 1; }
+if "$bindir/cinct" find-interval -remote "$base" -name tsmoke -path "${path//,/ }" >/dev/null 2>&1; then
+  echo "smoke: removed subcommand find-interval still runs" >&2; exit 1
+fi
 "$bindir/cinct" verify -remote "$base" -name smoke -in "$workdir/corpus.txt" -samples 40 \
   || { echo "smoke: remote verify failed" >&2; exit 1; }
 
 echo "== live ingestion"
 # A marker path that cannot pre-exist (trajgen edge IDs are small).
 mpath="900001,900002"
-mjson="[${mpath//,/, }]"
-pre=$(curl -sf "$base/v1/smoke/count?path=$mpath" | jq .count)
+pre=$(qcount smoke "$mpath")
 [ "$pre" = 0 ] || { echo "smoke: marker path pre-exists ($pre)" >&2; exit 1; }
 
 # Ingest two trajectories carrying the marker into the spatial index.
@@ -218,11 +240,9 @@ echo "$ingest" | jq -e '.appended == 2 and .firstId == 400 and .deltaTrajectorie
   || { echo "smoke: ingest response drift: $ingest" >&2; exit 1; }
 echo "ok POST /v1/smoke/ingest (2 rows into the delta)"
 
-# The delta is immediately queryable — legacy and unified endpoints.
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath" | jq .count)
+# The delta is immediately queryable.
+post=$(qcount smoke "$mpath")
 [ "$post" = 2 ] || { echo "smoke: delta not queryable: count $post, want 2" >&2; exit 1; }
-qc=$(qpost smoke "{\"path\":$mjson,\"kind\":\"count\"}" | jq -r 'select(.done == true).count')
-[ "$qc" = 2 ] || { echo "smoke: unified query misses delta: $qc" >&2; exit 1; }
 curl -sf "$base/v1/smoke/trajectory/401" | jq -e '.edges == [900001, 900002]' >/dev/null \
   || { echo "smoke: delta trajectory not reconstructible" >&2; exit 1; }
 echo "ok delta queryable (count=2, reconstruction OK)"
@@ -231,13 +251,13 @@ echo "ok delta queryable (count=2, reconstruction OK)"
 sealed=$(curl -sf -X POST "$base/v1/smoke/seal")
 echo "$sealed" | jq -e '.sealed == 2 and .deltaTrajectories == 0' >/dev/null \
   || { echo "smoke: seal response drift: $sealed" >&2; exit 1; }
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath" | jq .count)
+post=$(qcount smoke "$mpath")
 [ "$post" = 2 ] || { echo "smoke: seal changed count to $post" >&2; exit 1; }
 echo "ok POST /v1/smoke/seal (counts stable across compaction)"
 
 # Reload re-reads the persisted file: the ingested rows must survive.
 curl -sf -X POST "$base/v1/smoke/reload" >/dev/null
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath" | jq .count)
+post=$(qcount smoke "$mpath")
 [ "$post" = 2 ] || { echo "smoke: sealed rows lost after reload ($post)" >&2; exit 1; }
 curl -sf "$base/v1/indexes" | jq -e '(.indexes[] | select(.name=="smoke") | .stats.trajectories) == 402' >/dev/null \
   || { echo "smoke: reloaded index lost ingested trajectories" >&2; exit 1; }
@@ -248,7 +268,7 @@ tingest=$(printf '{"edges":[900001,900002],"times":[5000000,5000010]}\n' \
   | curl -sf -X POST --data-binary @- "$base/v1/tsmoke/ingest?seal=true")
 echo "$tingest" | jq -e '.appended == 1 and .sealed == 1' >/dev/null \
   || { echo "smoke: temporal ingest drift: $tingest" >&2; exit 1; }
-tcount=$(curl -sf "$base/v1/tsmoke/temporal/count?path=$mpath&from=4999999&to=5000001" | jq .count)
+tcount=$(qcount tsmoke "$mpath" '"from":4999999,"to":5000001')
 [ "$tcount" = 1 ] || { echo "smoke: temporal interval misses ingested row ($tcount)" >&2; exit 1; }
 echo "ok temporal ingest + interval query over ingested timestamps"
 
@@ -256,7 +276,7 @@ echo "ok temporal ingest + interval query over ingested timestamps"
 printf '7 900001 900002\n' > "$workdir/more.txt"
 "$bindir/cinct" ingest -remote "$base" -name smoke -in "$workdir/more.txt" -seal | grep 'sealed' >/dev/null \
   || { echo "smoke: cinct ingest -remote failed" >&2; exit 1; }
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath" | jq .count)
+post=$(qcount smoke "$mpath")
 [ "$post" = 3 ] || { echo "smoke: CLI ingest not visible (count $post, want 3)" >&2; exit 1; }
 echo "ok cinct ingest -remote (count now 3)"
 
@@ -303,13 +323,13 @@ done
 # still present, and answers must match the heap-served run.
 check "/v1/indexes" \
   '(.indexes[] | select(.name=="smoke") | .mapped) == true and (.indexes[] | select(.name=="tsmoke") | .mapped) == true and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403'
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath" | jq .count)
+post=$(qcount smoke "$mpath")
 [ "$post" = 3 ] || { echo "smoke: mmap count of marker path is $post, want 3" >&2; exit 1; }
-scount2=$(curl -sf "$base/v1/smoke/count?path=$path" | jq .count)
+scount2=$(qcount smoke "$path")
 [ "$scount2" = "$scount" ] || {
   echo "smoke: mmap count ($scount2) != heap count ($scount)" >&2; exit 1
 }
-tcount=$(curl -sf "$base/v1/tsmoke/temporal/count?path=$mpath&from=4999999&to=5000001" | jq .count)
+tcount=$(qcount tsmoke "$mpath" '"from":4999999,"to":5000001')
 [ "$tcount" = 1 ] || { echo "smoke: mmap temporal interval count $tcount, want 1" >&2; exit 1; }
 echo "ok mmap serving answers match heap serving"
 
@@ -347,7 +367,7 @@ ingest=$(printf '{"edges":[900003,900004]}\n{"edges":[7,900003,900004]}\n' \
   | curl -sf -X POST --data-binary @- "$base/v1/smoke/ingest")
 echo "$ingest" | jq -e '.appended == 2' >/dev/null \
   || { echo "smoke: WAL-leg ingest drift: $ingest" >&2; exit 1; }
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath2" | jq .count)
+post=$(qcount smoke "$mpath2")
 [ "$post" = 2 ] || { echo "smoke: pre-kill count $post, want 2" >&2; exit 1; }
 
 echo "== SIGKILL (no shutdown, no seal)"
@@ -367,7 +387,7 @@ for i in $(seq 1 50); do
   fi
   sleep 0.2
 done
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath2" | jq .count)
+post=$(qcount smoke "$mpath2")
 [ "$post" = 2 ] || { echo "smoke: WAL replay lost acknowledged rows (count $post, want 2)" >&2; exit 1; }
 curl -sf "$base/v1/smoke/trajectory/404" | jq -e '.edges == [7, 900003, 900004]' >/dev/null \
   || { echo "smoke: replayed trajectory not reconstructible" >&2; exit 1; }
@@ -380,9 +400,9 @@ shards_before=$(curl -sf "$base/v1/indexes" | jq '.indexes[] | select(.name=="sm
 compacted=$(curl -sf -X POST "$base/v1/smoke/compact?full=true")
 echo "$compacted" | jq -e '.shardsAfter == 1 and .merged >= 2' >/dev/null \
   || { echo "smoke: compact response drift ($shards_before shards before): $compacted" >&2; exit 1; }
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath2" | jq .count)
+post=$(qcount smoke "$mpath2")
 [ "$post" = 2 ] || { echo "smoke: compaction changed marker count to $post" >&2; exit 1; }
-post=$(curl -sf "$base/v1/smoke/count?path=$mpath" | jq .count)
+post=$(qcount smoke "$mpath")
 [ "$post" = 3 ] || { echo "smoke: compaction changed older marker count to $post" >&2; exit 1; }
 # The compacted single-shard state must be what the file now holds.
 curl -sf -X POST "$base/v1/smoke/reload" >/dev/null
@@ -418,15 +438,19 @@ done
 
 # A client flooding past its 5-token bucket must see 429 with an
 # integral Retry-After; a different client id keeps its own budget.
+# count_as CLIENT-ID [CURL-FLAGS] — one count query under that identity.
+count_as() {
+  local id=$1; shift
+  curl -s -o /dev/null "$@" -H "X-Client-ID: $id" -X POST \
+    -d "{\"path\":[$path],\"kind\":\"count\"}" "$base/v1/smoke/query"
+}
 got429=0
 retry_after=""
 for i in $(seq 1 20); do
-  code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Client-ID: flood' \
-    "$base/v1/smoke/count?path=$path")
+  code=$(count_as flood -w '%{http_code}')
   if [ "$code" = 429 ]; then
     got429=1
-    retry_after=$(curl -s -o /dev/null -D - -H 'X-Client-ID: flood' \
-      "$base/v1/smoke/count?path=$path" \
+    retry_after=$(count_as flood -D - \
       | awk 'tolower($1) == "retry-after:" {gsub(/\r/, ""); print $2}')
     break
   fi
@@ -436,8 +460,7 @@ case "$retry_after" in
   ''|*[!0-9]*) echo "smoke: 429 Retry-After not an integer: '$retry_after'" >&2; exit 1 ;;
 esac
 [ "$retry_after" -ge 1 ] || { echo "smoke: 429 Retry-After $retry_after, want >= 1" >&2; exit 1; }
-code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Client-ID: calm' \
-  "$base/v1/smoke/count?path=$path")
+code=$(count_as calm -w '%{http_code}')
 [ "$code" = 200 ] || { echo "smoke: fresh client id got $code, want 200" >&2; exit 1; }
 scrape=$(curl -sf -H 'X-Client-ID: probe' "$base/metrics")
 grep -q '^cinct_http_requests_total{code="429"}' <<<"$scrape" \
@@ -509,7 +532,7 @@ done
 "$bindir/cinct" show -remote "$base" -name groads -traj 4 > "$workdir/matched.txt"
 diff <(head -1 "$workdir/truth.txt") "$workdir/matched.txt" \
   || { echo "smoke: matched trajectory differs from ground truth" >&2; exit 1; }
-gcount=$(curl -sf "$base/v1/groads/count?path=${subpath// /,}" | jq .count)
+gcount=$(qcount groads "${subpath// /,}")
 [ "$gcount" -ge 2 ] || { echo "smoke: ingested row not queryable (count $gcount)" >&2; exit 1; }
 echo "ok gps-ingest (matched path == ground truth, queryable)"
 
@@ -560,7 +583,7 @@ daemon_pid=""
 echo "== CLI compaction of a local file"
 "$bindir/cinct" compact -index "$datadir/tsmoke.tcinct" | grep 'down to 1' >/dev/null \
   || { echo "smoke: cinct compact -index failed" >&2; exit 1; }
-"$bindir/cinct" count-interval -index "$datadir/tsmoke.tcinct" -path "${mpath//,/ }" \
+"$bindir/cinct" count -index "$datadir/tsmoke.tcinct" -path "${mpath//,/ }" -from 0 \
   | grep '1 occurrences in' >/dev/null \
   || { echo "smoke: compacted local file lost the ingested row" >&2; exit 1; }
 echo "ok cinct compact -index (merged to one shard, answers intact)"

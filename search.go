@@ -375,10 +375,14 @@ func countUnits(ctx context.Context, c compiled, units []*unitCursor) (int, erro
 // collect runs the locate phase for one unit: enumerate the suffix
 // range (checking ctx periodically), skip candidates at or before the
 // resume cursor, prune against timestamp summaries when an interval is
-// present, bound the working set to the smallest `limit` candidates
-// when no interval filtering can reject them later, and sort the
-// survivors canonically. The result is the unit's lazily consumed
-// candidate stream.
+// present, and sort the survivors canonically into the unit's lazily
+// consumed candidate stream. An interval can still reject a candidate
+// on pull, so only without one is every candidate a definite hit — and
+// only then is the working set cut here to the canonically smallest
+// `limit` candidates (O(limit) memory however many occurrences the
+// suffix range holds) and, for Trajectories, to one Match{id, -1} per
+// distinct trajectory. Every kept candidate rides the one matchHeap, so
+// the bounded and unbounded sets cannot drift from the canonical order.
 func (u *unitCursor) collect(ctx context.Context, c compiled) error {
 	if c.hasAfter {
 		// Units wholly at or before the cursor position contribute
@@ -393,13 +397,55 @@ func (u *unitCursor) collect(ctx context.Context, c compiled) error {
 		}
 	}
 	u.st.ShardsProbed++
-	switch {
-	case c.kind == Trajectories && !c.hasInterval:
-		return u.collectDistinct(ctx, c)
-	case c.limit > 0 && !c.hasInterval:
-		return u.collectBounded(ctx, c)
+	bound, distinct := 0, false
+	if !c.hasInterval {
+		bound, distinct = c.limit, c.kind == Trajectories
 	}
-	return u.collectAll(ctx, c)
+	var seen map[int]struct{}
+	if distinct {
+		seen = make(map[int]struct{})
+	}
+	var h matchHeap
+	err := u.locate(ctx, c.path, func(doc, offset int) {
+		if u.skipByCursor(c, doc, offset) {
+			return
+		}
+		if c.hasInterval {
+			if lo, hi := u.tsMinMax(doc); hi < c.from || lo > c.to {
+				u.st.SummaryPruned++
+				return
+			}
+		}
+		m := Match{Trajectory: doc, Offset: offset}
+		if distinct {
+			if _, dup := seen[doc]; dup {
+				return
+			}
+			m.Offset = -1
+		}
+		switch {
+		case bound == 0 || len(h) < bound:
+			h.push(m)
+		case matchLess(m, h[0]):
+			if distinct {
+				delete(seen, h[0].Trajectory)
+			}
+			h[0] = m
+			h.siftDown(0)
+		default:
+			return
+		}
+		if distinct {
+			seen[doc] = struct{}{}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	u.cands = []Match(h)
+	u.st.CandidateRows += int64(len(u.cands))
+	sortMatches(u.cands)
+	return nil
 }
 
 // skipByCursor reports whether a shard-local candidate falls at or
@@ -413,98 +459,6 @@ func (u *unitCursor) skipByCursor(c compiled, doc, offset int) bool {
 		return g <= c.afterT
 	}
 	return g < c.afterT || (g == c.afterT && offset <= c.afterO)
-}
-
-// collectAll gathers every candidate (summary-pruned when temporal)
-// and sorts canonically — the path taken when interval filtering may
-// reject candidates later, so the working set cannot be bounded by the
-// limit up front.
-func (u *unitCursor) collectAll(ctx context.Context, c compiled) error {
-	err := u.locate(ctx, c.path, func(doc, offset int) {
-		if u.skipByCursor(c, doc, offset) {
-			return
-		}
-		if c.hasInterval {
-			if lo, hi := u.tsMinMax(doc); hi < c.from || lo > c.to {
-				u.st.SummaryPruned++
-				return
-			}
-		}
-		u.cands = append(u.cands, Match{Trajectory: doc, Offset: offset})
-	})
-	if err != nil {
-		return err
-	}
-	u.st.CandidateRows += int64(len(u.cands))
-	sortMatches(u.cands)
-	return nil
-}
-
-// collectBounded keeps only the canonically smallest `limit`
-// occurrences in a bounded max-heap — O(limit) memory regardless of
-// how many occurrences the suffix range holds. Valid only when every
-// candidate is a definite hit (no interval filter).
-func (u *unitCursor) collectBounded(ctx context.Context, c compiled) error {
-	h := matchHeap{}
-	err := u.locate(ctx, c.path, func(doc, offset int) {
-		if u.skipByCursor(c, doc, offset) {
-			return
-		}
-		m := Match{Trajectory: doc, Offset: offset}
-		if len(h) < c.limit {
-			h.push(m)
-			return
-		}
-		if matchLess(m, h[0]) {
-			h[0] = m
-			h.siftDown(0)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	u.cands = []Match(h)
-	u.st.CandidateRows += int64(len(u.cands))
-	sortMatches(u.cands)
-	return nil
-}
-
-// collectDistinct gathers distinct trajectory IDs for a Trajectories
-// query with no interval — bounded to the smallest `limit` distinct
-// IDs when a limit is set. IDs ride the shared matchHeap as
-// Match{Trajectory, -1} candidates (matchLess on distinct IDs orders
-// purely by trajectory), so the bounded-distinct path cannot drift
-// from the canonical order.
-func (u *unitCursor) collectDistinct(ctx context.Context, c compiled) error {
-	seen := make(map[int]struct{})
-	h := matchHeap{}
-	err := u.locate(ctx, c.path, func(doc, offset int) {
-		if u.skipByCursor(c, doc, offset) {
-			return
-		}
-		if _, dup := seen[doc]; dup {
-			return
-		}
-		m := Match{Trajectory: doc, Offset: -1}
-		if c.limit <= 0 || len(h) < c.limit {
-			seen[doc] = struct{}{}
-			h.push(m)
-			return
-		}
-		if doc < h[0].Trajectory {
-			delete(seen, h[0].Trajectory)
-			seen[doc] = struct{}{}
-			h[0] = m
-			h.siftDown(0)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	u.cands = []Match(h)
-	u.st.CandidateRows += int64(len(u.cands))
-	sortMatches(u.cands)
-	return nil
 }
 
 // searchShared is the per-search state every unit's advance consults.
@@ -559,7 +513,7 @@ func (u *unitCursor) advanceStep(s *searchShared) {
 }
 
 // matchLess is the one canonical (Trajectory, Offset) comparison: the
-// per-shard sort and the bounded heaps both order through it, so they
+// per-shard sort and the candidate heap both order through it, so they
 // cannot disagree.
 func matchLess(a, b Match) bool {
 	if a.Trajectory != b.Trajectory {
@@ -568,8 +522,8 @@ func matchLess(a, b Match) bool {
 	return a.Offset < b.Offset
 }
 
-// matchHeap is a max-heap of matches under canonical order, used to
-// keep the smallest `limit` candidates in O(limit) memory.
+// matchHeap is a max-heap of matches under canonical order: collect's
+// candidate set, whose root is the one to evict once `limit` are held.
 type matchHeap []Match
 
 func (h *matchHeap) push(m Match) {

@@ -15,18 +15,6 @@ import (
 	"cinct/internal/wire"
 )
 
-// Match mirrors cinct.Match on the wire.
-type Match struct {
-	Trajectory int `json:"trajectory"`
-	Offset     int `json:"offset"`
-}
-
-// TemporalMatch mirrors cinct.TemporalMatch on the wire.
-type TemporalMatch struct {
-	Match
-	EnteredAt int64 `json:"enteredAt"`
-}
-
 // RuntimeInfo is the engine-wide gauge block of GET /v1/indexes: the
 // result cache, the query worker pool and the aggregate WAL footprint
 // at the moment of the call — the same numbers GET /metrics exposes,
@@ -48,21 +36,6 @@ type ListResponse struct {
 	Runtime RuntimeInfo   `json:"runtime"`
 }
 
-// CountResponse is the body of GET /v1/{index}/count.
-type CountResponse struct {
-	Index string   `json:"index"`
-	Path  []uint32 `json:"path"`
-	Count int      `json:"count"`
-}
-
-// FindResponse is the body of GET /v1/{index}/find.
-type FindResponse struct {
-	Index   string   `json:"index"`
-	Path    []uint32 `json:"path"`
-	Limit   int      `json:"limit"`
-	Matches []Match  `json:"matches"`
-}
-
 // TrajectoryResponse is the body of GET /v1/{index}/trajectory/{id}.
 type TrajectoryResponse struct {
 	Index string   `json:"index"`
@@ -79,30 +52,11 @@ type SubPathResponse struct {
 	Edges []uint32 `json:"edges"`
 }
 
-// TemporalFindResponse is the body of GET /v1/{index}/temporal/find.
-type TemporalFindResponse struct {
-	Index   string          `json:"index"`
-	Path    []uint32        `json:"path"`
-	From    int64           `json:"from"`
-	To      int64           `json:"to"`
-	Limit   int             `json:"limit"`
-	Matches []TemporalMatch `json:"matches"`
-}
-
-// TemporalCountResponse is the body of GET /v1/{index}/temporal/count.
-type TemporalCountResponse struct {
-	Index string   `json:"index"`
-	Path  []uint32 `json:"path"`
-	From  int64    `json:"from"`
-	To    int64    `json:"to"`
-	Count int      `json:"count"`
-}
-
 // QueryRequest is the body of POST /v1/{index}/query — the wire form
 // of cinct.Query. Kind is spelled "occurrences" (the default),
 // "trajectories" or "count". From/To, when either is present, form the
 // closed interval constraint; a missing bound defaults to the widest
-// value, mirroring the legacy temporal endpoints.
+// value.
 type QueryRequest = wire.Request
 
 // WireQuery converts a library descriptor to the wire form (what
@@ -260,28 +214,6 @@ type CancelResponse struct {
 // ErrorResponse is the body of every non-2xx reply.
 type ErrorResponse struct {
 	Error string `json:"error"`
-}
-
-// WireMatches converts library matches to wire form (never null in
-// JSON).
-func WireMatches(hits []cinct.Match) []Match {
-	out := make([]Match, len(hits))
-	for i, h := range hits {
-		out[i] = Match{Trajectory: h.Trajectory, Offset: h.Offset}
-	}
-	return out
-}
-
-// WireTemporalMatches converts library temporal matches to wire form.
-func WireTemporalMatches(hits []cinct.TemporalMatch) []TemporalMatch {
-	out := make([]TemporalMatch, len(hits))
-	for i, h := range hits {
-		out[i] = TemporalMatch{
-			Match:     Match{Trajectory: h.Trajectory, Offset: h.Offset},
-			EnteredAt: h.EnteredAt,
-		}
-	}
-	return out
 }
 
 // WireEdges returns edges, de-nil-ed so it marshals as [] rather than

@@ -27,7 +27,8 @@ const DefaultPageSize = 1000
 
 // Client speaks the cinctd wire protocol; it is what cmd/cinct's
 // -remote mode uses, and its method set deliberately mirrors
-// engine.Engine so a CLI command can target either transparently.
+// engine.Engine (Search, Trajectory, SubPath, ingest, lifecycle) so a
+// CLI command can target either transparently.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -128,84 +129,65 @@ func parseRetryAfter(v string) (time.Duration, bool) {
 	return 0, false
 }
 
-// pathParam spells a query path the way the server parses it.
-func pathParam(path []uint32) string {
-	parts := make([]string, len(path))
-	for i, e := range path {
-		parts[i] = strconv.FormatUint(uint64(e), 10)
-	}
-	return strings.Join(parts, ",")
-}
-
-// call performs one request and decodes the JSON body into out,
-// translating non-2xx replies into errors carrying the server's
-// message.
-func (c *Client) call(ctx context.Context, method, path string, q url.Values, out any) error {
+// call performs one request — sending body, when non-nil, under the
+// given content type — and decodes the JSON reply into out, translating
+// non-2xx replies into errors carrying the server's message.
+func (c *Client) call(ctx context.Context, method, path string, q url.Values, contentType string, body io.Reader, out any) error {
 	u := c.base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, nil)
+	req, err := http.NewRequestWithContext(ctx, method, u, body)
 	if err != nil {
 		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		return apiError(resp, body)
+		return apiError(resp, raw)
 	}
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(body, out)
+	return json.Unmarshal(raw, out)
+}
+
+// ndjson encodes recs one JSON value per line.
+func ndjson[T any](recs []T) (*bytes.Buffer, error) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			return nil, err
+		}
+	}
+	return &body, nil
 }
 
 // Indexes lists the daemon's catalog.
 func (c *Client) Indexes(ctx context.Context) ([]engine.Info, error) {
 	var resp ListResponse
-	if err := c.call(ctx, http.MethodGet, "/v1/indexes", nil, &resp); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/v1/indexes", nil, "", nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Indexes, nil
-}
-
-// Count counts occurrences of path in the named index.
-func (c *Client) Count(ctx context.Context, index string, path []uint32) (int, error) {
-	var resp CountResponse
-	q := url.Values{"path": {pathParam(path)}}
-	if err := c.call(ctx, http.MethodGet, "/v1/"+url.PathEscape(index)+"/count", q, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
-}
-
-// Find locates up to limit occurrences of path (limit 0 = all; the
-// limit is sent explicitly so the server default never applies).
-func (c *Client) Find(ctx context.Context, index string, path []uint32, limit int) ([]cinct.Match, error) {
-	var resp FindResponse
-	q := url.Values{"path": {pathParam(path)}, "limit": {strconv.Itoa(limit)}}
-	if err := c.call(ctx, http.MethodGet, "/v1/"+url.PathEscape(index)+"/find", q, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]cinct.Match, len(resp.Matches))
-	for i, m := range resp.Matches {
-		out[i] = cinct.Match{Trajectory: m.Trajectory, Offset: m.Offset}
-	}
-	return out, nil
 }
 
 // Trajectory fetches a full trajectory by ID.
 func (c *Client) Trajectory(ctx context.Context, index string, id int) ([]uint32, error) {
 	var resp TrajectoryResponse
 	p := "/v1/" + url.PathEscape(index) + "/trajectory/" + strconv.Itoa(id)
-	if err := c.call(ctx, http.MethodGet, p, nil, &resp); err != nil {
+	if err := c.call(ctx, http.MethodGet, p, nil, "", nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Edges, nil
@@ -219,47 +201,10 @@ func (c *Client) SubPath(ctx context.Context, index string, id, from, to int) ([
 		"from": {strconv.Itoa(from)},
 		"to":   {strconv.Itoa(to)},
 	}
-	if err := c.call(ctx, http.MethodGet, "/v1/"+url.PathEscape(index)+"/subpath", q, &resp); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/v1/"+url.PathEscape(index)+"/subpath", q, "", nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Edges, nil
-}
-
-// FindInInterval runs a strict path query against a temporal index.
-func (c *Client) FindInInterval(ctx context.Context, index string, path []uint32, from, to int64, limit int) ([]cinct.TemporalMatch, error) {
-	var resp TemporalFindResponse
-	q := url.Values{
-		"path":  {pathParam(path)},
-		"from":  {strconv.FormatInt(from, 10)},
-		"to":    {strconv.FormatInt(to, 10)},
-		"limit": {strconv.Itoa(limit)},
-	}
-	if err := c.call(ctx, http.MethodGet, "/v1/"+url.PathEscape(index)+"/temporal/find", q, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]cinct.TemporalMatch, len(resp.Matches))
-	for i, m := range resp.Matches {
-		out[i] = cinct.TemporalMatch{
-			Match:     cinct.Match{Trajectory: m.Trajectory, Offset: m.Offset},
-			EnteredAt: m.EnteredAt,
-		}
-	}
-	return out, nil
-}
-
-// CountInInterval counts strict-path-query matches against a temporal
-// index.
-func (c *Client) CountInInterval(ctx context.Context, index string, path []uint32, from, to int64) (int, error) {
-	var resp TemporalCountResponse
-	q := url.Values{
-		"path": {pathParam(path)},
-		"from": {strconv.FormatInt(from, 10)},
-		"to":   {strconv.FormatInt(to, 10)},
-	}
-	if err := c.call(ctx, http.MethodGet, "/v1/"+url.PathEscape(index)+"/temporal/count", q, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
 }
 
 // QueryPage is one decoded page of POST /v1/{index}/query: the hits in
@@ -310,7 +255,7 @@ func (c *Client) SearchPage(ctx context.Context, index string, q cinct.Query) (*
 // at most PageSize hits until the stream is exhausted or Limit hits
 // have been yielded, so iterating an unbounded query never holds more
 // than one page in memory. For CountOnly queries the iterator yields
-// nothing; use SearchPage (or Count) for the number. A transport or
+// nothing; use SearchPage for the number. A transport or
 // server failure is yielded once as the final element's error.
 func (c *Client) Search(ctx context.Context, index string, q cinct.Query) iter.Seq2[cinct.Hit, error] {
 	return func(yield func(cinct.Hit, error) bool) {
@@ -351,7 +296,7 @@ func (c *Client) Search(ctx context.Context, index string, q cinct.Query) iter.S
 // the new generation number.
 func (c *Client) Reload(ctx context.Context, index string) (uint64, error) {
 	var resp ReloadResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/reload", nil, &resp); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/reload", nil, "", nil, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Generation, nil
@@ -362,36 +307,16 @@ func (c *Client) Reload(ctx context.Context, index string) (uint64, error) {
 // queryable; with seal the server compacts the delta before replying.
 // Temporal indexes require every record to carry Times.
 func (c *Client) Ingest(ctx context.Context, index string, recs []IngestRecord, seal bool) (*IngestResponse, error) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			return nil, err
-		}
+	body, err := ndjson(recs)
+	if err != nil {
+		return nil, err
 	}
-	u := c.base + "/v1/" + url.PathEscape(index) + "/ingest"
+	var q url.Values
 	if seal {
-		u += "?seal=true"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, &body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp, raw)
+		q = url.Values{"seal": {"true"}}
 	}
 	var out IngestResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/ingest", q, "application/x-ndjson", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -402,33 +327,12 @@ func (c *Client) Ingest(ctx context.Context, index string, recs []IngestRecord, 
 // independently; the response carries one typed result per trace in
 // input order.
 func (c *Client) IngestGPS(ctx context.Context, index string, traces []gps.Trace) (*GPSResponse, error) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, tr := range traces {
-		if err := enc.Encode(tr); err != nil {
-			return nil, err
-		}
-	}
-	u := c.base + "/v1/" + url.PathEscape(index) + "/gps"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, &body)
+	body, err := ndjson(traces)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp, raw)
 	}
 	var out GPSResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/gps", nil, "application/x-ndjson", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -442,26 +346,8 @@ func (c *Client) Subscribe(ctx context.Context, index string, req SubscribeReque
 	if err != nil {
 		return nil, err
 	}
-	u := c.base + "/v1/" + url.PathEscape(index) + "/subscribe"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp, raw)
-	}
 	var out SubscribeResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/subscribe", nil, "application/json", bytes.NewReader(body), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -470,7 +356,7 @@ func (c *Client) Subscribe(ctx context.Context, index string, req SubscribeReque
 // Unsubscribe cancels a standing query; its streams close.
 func (c *Client) Unsubscribe(ctx context.Context, index, id string) error {
 	p := "/v1/" + url.PathEscape(index) + "/subscriptions/" + url.PathEscape(id)
-	return c.call(ctx, http.MethodDelete, p, nil, nil)
+	return c.call(ctx, http.MethodDelete, p, nil, "", nil, nil)
 }
 
 // Poll long-polls one subscription: it blocks up to wait for the first
@@ -480,7 +366,7 @@ func (c *Client) Poll(ctx context.Context, index, id string, wait time.Duration)
 	var resp PollResponse
 	q := url.Values{"wait": {strconv.Itoa(int(wait / time.Second))}}
 	p := "/v1/" + url.PathEscape(index) + "/subscriptions/" + url.PathEscape(id) + "/poll"
-	if err := c.call(ctx, http.MethodGet, p, q, &resp); err != nil {
+	if err := c.call(ctx, http.MethodGet, p, q, "", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -552,7 +438,7 @@ func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[
 // shard (persisting it for file-backed indexes).
 func (c *Client) Seal(ctx context.Context, index string) (*SealResponse, error) {
 	var resp SealResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/seal", nil, &resp); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/seal", nil, "", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -566,7 +452,7 @@ func (c *Client) Compact(ctx context.Context, index string, full bool) (*Compact
 		q = url.Values{"full": {"true"}}
 	}
 	var resp CompactResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/compact", q, &resp); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/compact", q, "", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -116,10 +116,11 @@ func expect(t *testing.T, label string, status int, body []byte, wantStatus int,
 	}
 }
 
-// TestDifferentialHTTP is the serving-layer acceptance test: every
-// endpoint's body must be byte-identical to the canonical encoding of
-// the equivalent in-process Engine call, over spatial and temporal,
-// monolithic and sharded indexes.
+// TestDifferentialHTTP is the serving-layer acceptance test for
+// everything beside POST /query (which TestQueryEndpointDifferential
+// pins): every extraction and catalog body must be byte-identical to the
+// canonical encoding of the equivalent in-process Engine call, over
+// spatial and temporal, monolithic and sharded indexes.
 func TestDifferentialHTTP(t *testing.T) {
 	dir := t.TempDir()
 	fx := writeFixture(t, dir)
@@ -136,32 +137,8 @@ func TestDifferentialHTTP(t *testing.T) {
 
 	queries := querygen.New(fx.trajs, 1, 4, 7).Draw(12)
 	queries = append(queries, []uint32{1 << 30}) // matches nothing
-	limits := []int{0, 1, 3, 50}
 
 	for _, name := range append(append([]string{}, fx.spatial...), fx.temporal...) {
-		for qi, path := range queries {
-			pq := url.Values{"path": {pathParam(path)}}
-
-			n, err := eng.Count(ctx, name, path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			status, body := get(t, ts.URL, "/v1/"+name+"/count", pq)
-			expect(t, fmt.Sprintf("%s count q%d", name, qi), status, body, 200,
-				CountResponse{Index: name, Path: path, Count: n})
-
-			for _, limit := range limits {
-				hits, err := eng.Find(ctx, name, path, limit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fq := url.Values{"path": {pathParam(path)}, "limit": {strconv.Itoa(limit)}}
-				status, body = get(t, ts.URL, "/v1/"+name+"/find", fq)
-				expect(t, fmt.Sprintf("%s find q%d limit %d", name, qi, limit), status, body, 200,
-					FindResponse{Index: name, Path: path, Limit: limit, Matches: WireMatches(hits)})
-			}
-		}
-
 		for _, id := range []int{0, 1, len(fx.trajs) / 2, len(fx.trajs) - 1} {
 			edges, err := eng.Trajectory(ctx, name, id)
 			if err != nil {
@@ -188,10 +165,8 @@ func TestDifferentialHTTP(t *testing.T) {
 		}
 	}
 
-	// Temporal find and count: on temporal indexes they must mirror the
-	// engine over varied interval shapes and limits; on spatial indexes
-	// they must refuse. The fixture's timestamps span [0, ~20000), so
-	// the intervals cover all-time, selective slices, and empty ranges.
+	// The fixture's timestamps span [0, ~20000), so the intervals cover
+	// all-time, selective slices, and empty ranges.
 	intervals := [][2]int64{
 		{math.MinInt64, math.MaxInt64},
 		{0, 4000},
@@ -199,60 +174,21 @@ func TestDifferentialHTTP(t *testing.T) {
 		{19000, 30000},
 		{-100, -1},
 	}
-	for _, name := range fx.temporal {
-		for qi, path := range queries {
-			for ii, iv := range intervals {
-				from, to := iv[0], iv[1]
-				q := url.Values{
-					"path": {pathParam(path)},
-					"from": {strconv.FormatInt(from, 10)},
-					"to":   {strconv.FormatInt(to, 10)},
-				}
-				for _, limit := range []int{0, 1, 3} {
-					hits, err := eng.FindInInterval(ctx, name, path, from, to, limit)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fq := url.Values{}
-					for k, v := range q {
-						fq[k] = v
-					}
-					fq.Set("limit", strconv.Itoa(limit))
-					status, body := get(t, ts.URL, "/v1/"+name+"/temporal/find", fq)
-					expect(t, fmt.Sprintf("%s temporal/find q%d iv%d limit %d", name, qi, ii, limit),
-						status, body, 200,
-						TemporalFindResponse{Index: name, Path: path, From: from, To: to, Limit: limit,
-							Matches: WireTemporalMatches(hits)})
-				}
-				n, err := eng.CountInInterval(ctx, name, path, from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
-				status, body := get(t, ts.URL, "/v1/"+name+"/temporal/count", q)
-				expect(t, fmt.Sprintf("%s temporal/count q%d iv%d", name, qi, ii), status, body, 200,
-					TemporalCountResponse{Index: name, Path: path, From: from, To: to, Count: n})
-			}
-		}
-	}
 
 	// Monolithic and sharded temporal indexes over the same corpus must
 	// give byte-identical answers (modulo the index name on the wire).
 	for qi, path := range queries {
 		for ii, iv := range intervals {
+			in := &cinct.Interval{From: iv[0], To: iv[1]}
 			for _, limit := range []int{0, 2} {
-				mono, err := eng.FindInInterval(ctx, fx.temporal[0], path, iv[0], iv[1], limit)
+				q := cinct.Query{Path: path, Interval: in, Limit: limit}
+				mono, _, _ := wireFromEngine(t, eng, fx.temporal[0], q)
+				shrd, _, _ := wireFromEngine(t, eng, fx.temporal[1], q)
+				monoWire, err := EncodeJSON(mono)
 				if err != nil {
 					t.Fatal(err)
 				}
-				shrd, err := eng.FindInInterval(ctx, fx.temporal[1], path, iv[0], iv[1], limit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				monoWire, err := EncodeJSON(WireTemporalMatches(mono))
-				if err != nil {
-					t.Fatal(err)
-				}
-				shrdWire, err := EncodeJSON(WireTemporalMatches(shrd))
+				shrdWire, err := EncodeJSON(shrd)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -261,24 +197,12 @@ func TestDifferentialHTTP(t *testing.T) {
 						qi, ii, limit, monoWire, shrdWire)
 				}
 			}
-			monoN, err := eng.CountInInterval(ctx, fx.temporal[0], path, iv[0], iv[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			shrdN, err := eng.CountInInterval(ctx, fx.temporal[1], path, iv[0], iv[1])
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := cinct.Query{Path: path, Interval: in, Kind: cinct.CountOnly}
+			_, monoN, _ := wireFromEngine(t, eng, fx.temporal[0], q)
+			_, shrdN, _ := wireFromEngine(t, eng, fx.temporal[1], q)
 			if monoN != shrdN {
 				t.Fatalf("q%d iv%d: sharded temporal count %d, monolithic %d", qi, ii, shrdN, monoN)
 			}
-		}
-	}
-	for _, ep := range []string{"find", "count"} {
-		status, _ := get(t, ts.URL, "/v1/"+fx.spatial[0]+"/temporal/"+ep,
-			url.Values{"path": {"1,2"}})
-		if status != http.StatusUnprocessableEntity {
-			t.Fatalf("temporal/%s on spatial index: HTTP %d, want 422", ep, status)
 		}
 	}
 
@@ -308,65 +232,41 @@ func TestDifferentialHTTP(t *testing.T) {
 	cl := NewClient(ts.URL, nil)
 	for _, name := range fx.temporal {
 		path := queries[0]
-		wantN, err := eng.Count(ctx, name, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotN, err := cl.Count(ctx, name, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotN != wantN {
-			t.Fatalf("client Count = %d, want %d", gotN, wantN)
-		}
-		wantHits, err := eng.Find(ctx, name, path, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotHits, err := cl.Find(ctx, name, path, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotHits) != len(wantHits) {
-			t.Fatalf("client Find: %d hits, want %d", len(gotHits), len(wantHits))
-		}
-		for i := range gotHits {
-			if gotHits[i] != wantHits[i] {
-				t.Fatalf("client Find[%d] = %+v, want %+v", i, gotHits[i], wantHits[i])
+		allTime := &cinct.Interval{From: math.MinInt64, To: math.MaxInt64}
+		for _, q := range []cinct.Query{
+			{Path: path, Kind: cinct.CountOnly},
+			{Path: path, Limit: 5},
+			{Path: path, Interval: allTime, Limit: 3},
+			{Path: path, Interval: &cinct.Interval{From: 0, To: 4000}, Kind: cinct.CountOnly},
+		} {
+			wantHits, wantN, wantCursor := wireFromEngine(t, eng, name, q)
+			page, err := cl.SearchPage(ctx, name, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		wantTM, err := eng.FindInInterval(ctx, name, path, math.MinInt64, math.MaxInt64, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTM, err := cl.FindInInterval(ctx, name, path, math.MinInt64, math.MaxInt64, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotTM) != len(wantTM) {
-			t.Fatalf("client FindInInterval: %d hits, want %d", len(gotTM), len(wantTM))
-		}
-		wantTC, err := eng.CountInInterval(ctx, name, path, 0, 4000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTC, err := cl.CountInInterval(ctx, name, path, 0, 4000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotTC != wantTC {
-			t.Fatalf("client CountInInterval = %d, want %d", gotTC, wantTC)
+			if page.Count != wantN || page.Cursor != wantCursor {
+				t.Fatalf("client %+v: (count, cursor) = (%d, %q), want (%d, %q)", q, page.Count, page.Cursor, wantN, wantCursor)
+			}
+			if len(page.Hits) != len(wantHits) {
+				t.Fatalf("client %+v: %d hits, want %d", q, len(page.Hits), len(wantHits))
+			}
+			for i, h := range page.Hits {
+				w := wantHits[i]
+				if h.Trajectory != w.Trajectory || h.Offset != w.Offset || (w.EnteredAt != nil && h.EnteredAt != *w.EnteredAt) {
+					t.Fatalf("client %+v: hit %d = %+v, want %+v", q, i, h, w)
+				}
+			}
 		}
 	}
 
 	// Error mapping.
-	status, _ = get(t, ts.URL, "/v1/nosuch/count", url.Values{"path": {"1,2"}})
+	status, _ = get(t, ts.URL, "/v1/nosuch/trajectory/0", nil)
 	if status != http.StatusNotFound {
 		t.Fatalf("unknown index: HTTP %d, want 404", status)
 	}
-	status, _ = get(t, ts.URL, "/v1/"+fx.spatial[0]+"/count", url.Values{"path": {"abc"}})
+	status, _ = get(t, ts.URL, "/v1/"+fx.spatial[0]+"/trajectory/abc", nil)
 	if status != http.StatusBadRequest {
-		t.Fatalf("bad path: HTTP %d, want 400", status)
+		t.Fatalf("bad trajectory id: HTTP %d, want 400", status)
 	}
 	status, _ = get(t, ts.URL, "/v1/"+fx.spatial[0]+"/trajectory/999999", nil)
 	if status != http.StatusBadRequest {

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"testing"
 
@@ -9,9 +9,11 @@ import (
 )
 
 // FuzzQueryUnmarshal pins the wire-to-descriptor path of POST
-// /v1/{index}/query: any JSON body either produces a Query whose
-// canonical encoding round-trips, or fails with a typed error
-// (cinct.ErrBadQuery for descriptor violations) — never a panic. Seed
+// /v1/{index}/query, through the handler's own strict decoder: any body
+// either produces a Query whose canonical encoding round-trips, or
+// fails with a typed error (errBadRequest for a malformed, padded or
+// misspelt body, cinct.ErrBadQuery for descriptor violations) — never a
+// panic. Seed
 // corpus lives under testdata/fuzz/ (regenerate with
 // scripts/genfuzzseeds).
 func FuzzQueryUnmarshal(f *testing.F) {
@@ -21,13 +23,18 @@ func FuzzQueryUnmarshal(f *testing.F) {
 	f.Add([]byte(`{"path":[4294967295],"limit":-1}`))
 	f.Add([]byte(`{"kind":"nosuch"}`))
 	f.Add([]byte(`{`))
+	f.Add([]byte(`{"path":[1,2],"limt":10}`))
+	f.Add([]byte(`{"path":[1,2]}{"path":[3]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip()
 		}
-		var req QueryRequest
-		if err := json.Unmarshal(data, &req); err != nil {
-			return // not JSON: rejected before any cinct code runs
+		req, err := decodeQueryRequest(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, errBadRequest) {
+				t.Fatalf("decodeQueryRequest: untyped error %v", err)
+			}
+			return // rejected before any cinct code runs
 		}
 		q, err := req.Query()
 		if err != nil {

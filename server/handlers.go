@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -17,10 +16,6 @@ import (
 func badPathID(raw string) error {
 	return fmt.Errorf("%w: bad trajectory id %q", errBadRequest, raw)
 }
-
-// DefaultLimit caps find-style responses when the client sends no
-// limit parameter; limit=0 explicitly requests all matches.
-const DefaultLimit = 100
 
 // systemRouter serves catalog-level endpoints: listing and lifecycle.
 type systemRouter struct {
@@ -181,19 +176,34 @@ type queryRouter struct {
 func (qr *queryRouter) Routes() []Route {
 	return []Route{
 		{Method: http.MethodPost, Pattern: "/v1/{index}/query", Handler: qr.query},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/count", Handler: qr.count},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/find", Handler: qr.find},
 		{Method: http.MethodGet, Pattern: "/v1/{index}/trajectory/{id}", Handler: qr.trajectory},
 		{Method: http.MethodGet, Pattern: "/v1/{index}/subpath", Handler: qr.subPath},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/temporal/find", Handler: qr.temporalFind},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/temporal/count", Handler: qr.temporalCount},
 	}
 }
 
 // maxQueryBody bounds the POST /v1/{index}/query request body.
 const maxQueryBody = 1 << 20
 
-// query serves the unified streaming endpoint: the body is a
+// decodeQueryRequest reads the body of POST /v1/{index}/query: exactly
+// one JSON object with no unknown fields. Strictness is the point — a
+// misspelt "limit" must fail, not run as an unbounded stream.
+func decodeQueryRequest(body io.Reader) (QueryRequest, error) {
+	var req QueryRequest
+	dec := json.NewDecoder(io.LimitReader(body, maxQueryBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("%w: trailing data after the query object", errBadRequest)
+	}
+	if len(req.Path) == 0 {
+		return req, fmt.Errorf("%w: missing or empty path", errBadRequest)
+	}
+	return req, nil
+}
+
+// query serves the one retrieval endpoint: the body is a
 // QueryRequest, the response is NDJSON — one QueryHit per line in
 // canonical order, then one QuerySummary carrying the count and, for
 // bounded pages with more results, the opaque resume cursor. Hits are
@@ -204,12 +214,9 @@ const maxQueryBody = 1 << 20
 // stream with an error-carrying summary record.
 func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
-	var req QueryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxQueryBody)).Decode(&req); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	if len(req.Path) == 0 {
-		return fmt.Errorf("%w: missing or empty path", errBadRequest)
+	req, err := decodeQueryRequest(r.Body)
+	if err != nil {
+		return err
 	}
 	q, err := req.Query()
 	if err != nil {
@@ -270,53 +277,6 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 	return nil
 }
 
-// temporalParams parses the shared strict-path-query parameters; a
-// missing bound defaults to the widest interval.
-func temporalParams(r *http.Request) (path []uint32, from, to int64, err error) {
-	if path, err = parsePath(r); err != nil {
-		return nil, 0, 0, err
-	}
-	if from, err = int64Param(r, "from", math.MinInt64); err != nil {
-		return nil, 0, 0, err
-	}
-	if to, err = int64Param(r, "to", math.MaxInt64); err != nil {
-		return nil, 0, 0, err
-	}
-	return path, from, to, nil
-}
-
-func (qr *queryRouter) count(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	name := r.PathValue("index")
-	path, err := parsePath(r)
-	if err != nil {
-		return err
-	}
-	n, err := qr.eng.Count(ctx, name, path)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, http.StatusOK, CountResponse{Index: name, Path: path, Count: n})
-}
-
-func (qr *queryRouter) find(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	name := r.PathValue("index")
-	path, err := parsePath(r)
-	if err != nil {
-		return err
-	}
-	limit, err := intParam(r, "limit", DefaultLimit)
-	if err != nil {
-		return err
-	}
-	hits, err := qr.eng.Find(ctx, name, path, limit)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, http.StatusOK, FindResponse{
-		Index: name, Path: path, Limit: limit, Matches: WireMatches(hits),
-	})
-}
-
 func (qr *queryRouter) trajectory(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	id, err := strconv.Atoi(r.PathValue("id"))
@@ -352,40 +312,5 @@ func (qr *queryRouter) subPath(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	return writeJSON(w, http.StatusOK, SubPathResponse{
 		Index: name, ID: id, From: from, To: to, Edges: WireEdges(edges),
-	})
-}
-
-func (qr *queryRouter) temporalFind(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	name := r.PathValue("index")
-	path, from, to, err := temporalParams(r)
-	if err != nil {
-		return err
-	}
-	limit, err := intParam(r, "limit", DefaultLimit)
-	if err != nil {
-		return err
-	}
-	hits, err := qr.eng.FindInInterval(ctx, name, path, from, to, limit)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, http.StatusOK, TemporalFindResponse{
-		Index: name, Path: path, From: from, To: to, Limit: limit,
-		Matches: WireTemporalMatches(hits),
-	})
-}
-
-func (qr *queryRouter) temporalCount(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	name := r.PathValue("index")
-	path, from, to, err := temporalParams(r)
-	if err != nil {
-		return err
-	}
-	n, err := qr.eng.CountInInterval(ctx, name, path, from, to)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, http.StatusOK, TemporalCountResponse{
-		Index: name, Path: path, From: from, To: to, Count: n,
 	})
 }

@@ -29,7 +29,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	c := NewClient(ts.URL, nil)
 
 	marker := []uint32{401, 402}
-	n0, err := c.Count(ctx, "spatial4", marker)
+	n0, err := remoteCount(ctx, c, "spatial4", marker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	if resp.Appended != 2 || resp.FirstID != len(fx.trajs) || resp.Delta != 2 || resp.Sealed != 0 {
 		t.Fatalf("IngestResponse = %+v", resp)
 	}
-	n, err := c.Count(ctx, "spatial4", marker)
+	n, err := remoteCount(ctx, c, "spatial4", marker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,13 @@ func TestIngestEndToEnd(t *testing.T) {
 	if sres.Sealed != 2 || sres.Delta != 0 {
 		t.Fatalf("SealResponse = %+v", sres)
 	}
-	if n, err = c.Count(ctx, "spatial4", marker); err != nil || n != 2 {
+	if n, err = remoteCount(ctx, c, "spatial4", marker); err != nil || n != 2 {
 		t.Fatalf("post-seal count = %d, %v", n, err)
 	}
 	if _, err := c.Reload(ctx, "spatial4"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err = c.Count(ctx, "spatial4", marker); err != nil || n != 2 {
+	if n, err = remoteCount(ctx, c, "spatial4", marker); err != nil || n != 2 {
 		t.Fatalf("post-reload count = %d, %v (seal not persisted)", n, err)
 	}
 
@@ -93,12 +93,14 @@ func TestIngestEndToEnd(t *testing.T) {
 	if tresp.Appended != 1 || tresp.Sealed != 1 || tresp.Delta != 0 {
 		t.Fatalf("temporal IngestResponse = %+v", tresp)
 	}
-	hits, err := c.FindInInterval(ctx, "temporal4", marker, 999_999, 1_000_001, 0)
+	tpage, err := c.SearchPage(ctx, "temporal4", cinct.Query{
+		Path: marker, Interval: &cinct.Interval{From: 999_999, To: 1_000_001},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != 1 || hits[0].Trajectory != len(fx.trajs) || hits[0].EnteredAt != 1_000_000 {
-		t.Fatalf("FindInInterval over ingested row = %+v", hits)
+	if hits := tpage.Hits; len(hits) != 1 || hits[0].Trajectory != len(fx.trajs) || hits[0].EnteredAt != 1_000_000 {
+		t.Fatalf("interval search over ingested row = %+v", tpage.Hits)
 	}
 
 	// Wire-shape checks the client can't see: missing times on a
@@ -238,7 +240,7 @@ func TestCompactEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nBefore, err := c.Count(ctx, "spatial4", marker)
+	nBefore, err := remoteCount(ctx, c, "spatial4", marker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestCompactEndpoint(t *testing.T) {
 	if resp.Index != "spatial4" || resp.Merged == 0 || resp.ShardsAfter != 1 {
 		t.Fatalf("CompactResponse = %+v, want a merge down to 1 shard", resp)
 	}
-	if n, err := c.Count(ctx, "spatial4", marker); err != nil || n != nBefore {
+	if n, err := remoteCount(ctx, c, "spatial4", marker); err != nil || n != nBefore {
 		t.Fatalf("post-compaction count = %d, %v (want %d)", n, err, nBefore)
 	}
 	rest, err := c.SearchPage(ctx, "spatial4", cinct.Query{Path: marker, Kind: cinct.Occurrences, Cursor: page.Cursor})

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,6 +41,7 @@ func TestHTTPStatusTable(t *testing.T) {
 		{"rate limited typed", &rateLimitError{retryAfter: time.Second}, http.StatusTooManyRequests},
 		{"overloaded", engine.ErrOverloaded, http.StatusServiceUnavailable},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{"client gone", context.Canceled, statusClientClosedRequest},
 		{"corrupt", engine.ErrCorrupt, http.StatusInternalServerError},
 		{"unknown", errors.New("boom"), http.StatusInternalServerError},
 	}
@@ -52,28 +52,6 @@ func TestHTTPStatusTable(t *testing.T) {
 		// Wrapped the way handlers wrap engine errors.
 		if got := httpStatus(fmt.Errorf("context: %w", tc.err)); got != tc.want {
 			t.Errorf("httpStatus(wrapped %s) = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestParsePathWhitespace pins the separator contract: commas and any
-// Unicode whitespace — including the \n and \r that used to fall
-// through to ParseUint and 400 the request.
-func TestParsePathWhitespace(t *testing.T) {
-	for _, raw := range []string{"1,2,3", "1 2 3", "1\t2\t3", "1\n2\n3", "1\r\n2\r\n3", " 1, 2,\n3 "} {
-		r := httptest.NewRequest(http.MethodGet, "/v1/x/count?path="+url.QueryEscape(raw), nil)
-		got, err := parsePath(r)
-		if err != nil {
-			t.Fatalf("parsePath(%q): %v", raw, err)
-		}
-		if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-			t.Fatalf("parsePath(%q) = %v, want [1 2 3]", raw, got)
-		}
-	}
-	for _, raw := range []string{"", " \n ", "1,x,3"} {
-		r := httptest.NewRequest(http.MethodGet, "/v1/x/count?path="+url.QueryEscape(raw), nil)
-		if _, err := parsePath(r); !errors.Is(err, errBadRequest) {
-			t.Fatalf("parsePath(%q): err = %v, want errBadRequest", raw, err)
 		}
 	}
 }
@@ -215,7 +193,7 @@ func TestOverloadShedEndToEnd(t *testing.T) {
 		// Cheap count: queues on the engine pool (cost below ShedCost),
 		// holding ts2's single gate slot.
 		cl2 := NewClient(ts2.URL, nil)
-		_, err := cl2.Count(ctx, "spatial1", path)
+		_, err := remoteCount(ctx, cl2, "spatial1", path)
 		blocked <- err
 	}()
 	// Probe only once the count is seen holding the gate (it keeps it
@@ -232,6 +210,57 @@ func TestOverloadShedEndToEnd(t *testing.T) {
 	hold.Close()
 	if err := <-blocked; err != nil {
 		t.Fatalf("queued count after release: %v", err)
+	}
+}
+
+// TestClientCancelIs499 cancels a request while it is queued behind the
+// engine's only worker: the hang-up is the client's doing, so it is
+// answered (to nobody) and counted as 499 with no error body — not as a
+// 500 the server did not commit.
+func TestClientCancelIs499(t *testing.T) {
+	dir := t.TempDir()
+	fx := writeFixture(t, dir)
+	eng := engine.New(engine.Options{Workers: 1, CacheEntries: -1})
+	defer eng.CloseAll()
+	if _, err := eng.OpenDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, Config{})
+	path := fx.trajs[0][:1]
+
+	// Hold the only worker, so the request below can only ever queue.
+	hold, err := eng.Search(context.Background(), "spatial1", cinct.Query{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/spatial1/query",
+		strings.NewReader(`{"path":[`+strconv.Itoa(int(path[0]))+`],"kind":"count"}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Handler().ServeHTTP(rec, req)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.metrics.inflight.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("request never entered the middleware chain")
+		}
+	}
+	cancel()
+	<-served
+
+	if rec.Code != statusClientClosedRequest || rec.Body.Len() != 0 {
+		t.Fatalf("cancelled request: HTTP %d with body %q, want 499 and no body", rec.Code, rec.Body)
+	}
+	if n := srv.metrics.requests.With("499").Value(); n != 1 {
+		t.Fatalf(`cinct_http_requests_total{code="499"} = %d, want 1`, n)
+	}
+	if n := srv.metrics.requests.With("500").Value(); n != 0 {
+		t.Fatalf(`cinct_http_requests_total{code="500"} = %d, want 0`, n)
 	}
 }
 
@@ -296,7 +325,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	cl := NewClient(ts.URL, nil)
-	if _, err := cl.Count(ctx, "spatial1", fx.trajs[0][:2]); err != nil {
+	if _, err := remoteCount(ctx, cl, "spatial1", fx.trajs[0][:2]); err != nil {
 		t.Fatal(err)
 	}
 	after := scrape()

@@ -73,6 +73,15 @@ func parseStream(t *testing.T, raw []byte) ([]QueryHit, QuerySummary) {
 	return hits, sum
 }
 
+// remoteCount answers a CountOnly query through the Client.
+func remoteCount(ctx context.Context, c *Client, index string, path []uint32) (int, error) {
+	page, err := c.SearchPage(ctx, index, cinct.Query{Path: path, Kind: cinct.CountOnly})
+	if err != nil {
+		return 0, err
+	}
+	return page.Count, nil
+}
+
 // wireFromEngine renders an engine Search the way the handler must.
 func wireFromEngine(t *testing.T, eng *engine.Engine, name string, q cinct.Query) ([]QueryHit, int, string) {
 	t.Helper()
@@ -102,10 +111,9 @@ func wireFromEngine(t *testing.T, eng *engine.Engine, name string, q cinct.Query
 
 // TestQueryEndpointDifferential pins POST /v1/{index}/query against
 // the in-process engine for every kind over spatial and temporal,
-// monolithic and sharded indexes — including the Trajectories kind,
-// which closes the FindTrajectories HTTP parity gap: the streamed IDs
-// must be byte-identical to the canonical encoding of the in-process
-// engine's answer.
+// monolithic and sharded indexes: the streamed records must be
+// byte-identical to the canonical encoding of the in-process engine's
+// answer.
 func TestQueryEndpointDifferential(t *testing.T) {
 	dir := t.TempDir()
 	fx := writeFixture(t, dir)
@@ -117,7 +125,6 @@ func TestQueryEndpointDifferential(t *testing.T) {
 	srv := New(eng, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	ctx := context.Background()
 
 	queries := querygen.New(fx.trajs, 1, 4, 3).Draw(10)
 	queries = append(queries, []uint32{1 << 30})
@@ -157,24 +164,30 @@ func TestQueryEndpointDifferential(t *testing.T) {
 		}
 	}
 
-	// The Trajectories kind must agree with the legacy in-process
-	// FindTrajectories, pinning the parity gap closed end to end.
+	// The Trajectories kind against the corpus itself: each distinct
+	// trajectory holding the path once, ascending, offset -1.
 	for _, name := range names {
 		for qi, path := range queries {
+			want := []int{}
+			for _, m := range bruteOccurrences(fx.trajs, path) {
+				if len(want) == 0 || want[len(want)-1] != m.Trajectory {
+					want = append(want, m.Trajectory)
+				}
+			}
 			for _, limit := range limits {
-				want, err := eng.FindTrajectories(ctx, name, path, limit)
-				if err != nil {
-					t.Fatal(err)
+				want := want
+				if limit > 0 && len(want) > limit {
+					want = want[:limit]
 				}
 				_, raw := postQuery(t, ts.URL, name, QueryRequest{Path: path, Kind: "trajectories", Limit: limit})
 				hits, _ := parseStream(t, raw)
 				if len(hits) != len(want) {
-					t.Fatalf("%s q%d limit %d: %d streamed trajectories, engine %d",
+					t.Fatalf("%s q%d limit %d: %d streamed trajectories, corpus %d",
 						name, qi, limit, len(hits), len(want))
 				}
 				for i := range hits {
 					if hits[i].Trajectory != want[i] || hits[i].Offset != -1 {
-						t.Fatalf("%s q%d limit %d: streamed[%d] = %+v, engine id %d",
+						t.Fatalf("%s q%d limit %d: streamed[%d] = %+v, corpus id %d",
 							name, qi, limit, i, hits[i], want[i])
 					}
 				}
@@ -183,28 +196,30 @@ func TestQueryEndpointDifferential(t *testing.T) {
 	}
 
 	// Interval-constrained queries over the temporal indexes.
-	intervals := [][2]int64{{math.MinInt64, math.MaxInt64}, {0, 4000}, {2500, 2600}, {-100, -1}}
+	intervals := [][2]int64{{math.MinInt64, math.MaxInt64}, {0, 4000}, {2500, 2600}, {19000, 30000}, {-100, -1}}
 	for _, name := range fx.temporal {
 		for qi, path := range queries {
 			for ii, iv := range intervals {
 				from, to := iv[0], iv[1]
 				for _, kind := range kinds {
-					req := QueryRequest{Path: path, Kind: kind, From: &from, To: &to, Limit: 3}
-					q, err := req.Query()
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantHits, wantCount, wantCursor := wireFromEngine(t, eng, name, q)
-					status, raw := postQuery(t, ts.URL, name, req)
-					if status != 200 {
-						t.Fatalf("%s %s q%d iv%d: HTTP %d: %s", name, kind, qi, ii, status, raw)
-					}
-					gotHits, sum := parseStream(t, raw)
-					a, _ := json.Marshal(gotHits)
-					b, _ := json.Marshal(wantHits)
-					if !bytes.Equal(a, b) || sum.Count != wantCount || sum.Cursor != wantCursor {
-						t.Fatalf("%s %s q%d iv%d: stream differs from engine\n got: %s (%d,%q)\nwant: %s (%d,%q)",
-							name, kind, qi, ii, a, sum.Count, sum.Cursor, b, wantCount, wantCursor)
+					for _, limit := range []int{0, 1, 3} {
+						req := QueryRequest{Path: path, Kind: kind, From: &from, To: &to, Limit: limit}
+						q, err := req.Query()
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantHits, wantCount, wantCursor := wireFromEngine(t, eng, name, q)
+						status, raw := postQuery(t, ts.URL, name, req)
+						if status != 200 {
+							t.Fatalf("%s %s q%d iv%d limit %d: HTTP %d: %s", name, kind, qi, ii, limit, status, raw)
+						}
+						gotHits, sum := parseStream(t, raw)
+						a, _ := json.Marshal(gotHits)
+						b, _ := json.Marshal(wantHits)
+						if !bytes.Equal(a, b) || sum.Count != wantCount || sum.Cursor != wantCursor {
+							t.Fatalf("%s %s q%d iv%d limit %d: stream differs from engine\n got: %s (%d,%q)\nwant: %s (%d,%q)",
+								name, kind, qi, ii, limit, a, sum.Count, sum.Cursor, b, wantCount, wantCursor)
+						}
 					}
 				}
 			}
@@ -478,6 +493,16 @@ func TestQueryEndpointBadRequests(t *testing.T) {
 	}
 	if s := post(`{"path":[1,2],"cursor":"@@@"}`); s != http.StatusBadRequest {
 		t.Fatalf("bad cursor: HTTP %d, want 400", s)
+	}
+	// A misspelt field must not run as the unbounded default it hides.
+	if s := post(`{"path":[1,2],"limt":10}`); s != http.StatusBadRequest {
+		t.Fatalf("unknown field: HTTP %d, want 400", s)
+	}
+	if s := post(`{"path":[1,2]}{"path":[3]}`); s != http.StatusBadRequest {
+		t.Fatalf("trailing data: HTTP %d, want 400", s)
+	}
+	if s := post(`{"path":[1,2]}` + "\n"); s != http.StatusOK {
+		t.Fatalf("trailing newline: HTTP %d, want 200", s)
 	}
 	status, _ := postQuery(t, ts.URL, "nosuch", QueryRequest{Path: []uint32{1}})
 	if status != http.StatusNotFound {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
-	"unicode"
 
 	"cinct"
 	"cinct/internal/engine"
@@ -44,6 +42,10 @@ type Router interface {
 // can distinguish them from engine errors.
 var errBadRequest = errors.New("bad request")
 
+// statusClientClosedRequest is the de-facto (nginx) code for a request
+// whose client hung up before the reply; net/http has no name for it.
+const statusClientClosedRequest = 499
+
 // httpStatus maps an error to its response status code.
 func httpStatus(err error) int {
 	switch {
@@ -67,6 +69,11 @@ func httpStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		// Only the client going away cancels a request context (the
+		// server's own deadline reports DeadlineExceeded): accounted, but
+		// not as a fault the server committed.
+		return statusClientClosedRequest
 	default:
 		return http.StatusInternalServerError
 	}
@@ -84,27 +91,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	return err
 }
 
-// parsePath parses the ?path= parameter: edge IDs separated by commas
-// and/or whitespace, e.g. "17,42,99" or "17 42 99".
-func parsePath(r *http.Request) ([]uint32, error) {
-	raw := r.URL.Query().Get("path")
-	fields := strings.FieldsFunc(raw, func(c rune) bool {
-		return c == ',' || unicode.IsSpace(c)
-	})
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("%w: missing or empty path parameter", errBadRequest)
-	}
-	out := make([]uint32, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad edge ID %q", errBadRequest, f)
-		}
-		out[i] = uint32(v)
-	}
-	return out, nil
-}
-
 // intParam parses an optional integer query parameter.
 func intParam(r *http.Request, key string, def int) (int, error) {
 	raw := r.URL.Query().Get(key)
@@ -112,19 +98,6 @@ func intParam(r *http.Request, key string, def int) (int, error) {
 		return def, nil
 	}
 	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad %s %q", errBadRequest, key, raw)
-	}
-	return v, nil
-}
-
-// int64Param parses an optional int64 query parameter.
-func int64Param(r *http.Request, key string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("%w: bad %s %q", errBadRequest, key, raw)
 	}

@@ -179,6 +179,11 @@ func (s *Server) wrap(route Route) http.Handler {
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Printf("%s %s: %d %v", r.Method, r.URL.Path, status, err)
 		}
+		if status == statusClientClosedRequest {
+			// Nobody is left to read an error body.
+			w.WriteHeader(status)
+			return
+		}
 		if werr := writeJSON(w, status, ErrorResponse{Error: err.Error()}); werr != nil && s.cfg.Logger != nil {
 			s.cfg.Logger.Printf("%s %s: writing error response: %v", r.Method, r.URL.Path, werr)
 		}

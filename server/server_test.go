@@ -4,6 +4,9 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,12 +80,71 @@ func TestServerRequestTimeout(t *testing.T) {
 	go srv.Serve(l) //nolint:errcheck
 	defer srv.Shutdown(context.Background())
 
-	resp, err := http.Get("http://" + l.Addr().String() + "/v1/ix/count?path=1,2")
+	resp, err := http.Post("http://"+l.Addr().String()+"/v1/ix/query", "application/json",
+		strings.NewReader(`{"path":[1,2],"kind":"count"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("expired context: HTTP %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestRouteTable pins the served surface: exactly these method+pattern
+// pairs are registered — a route can neither return nor vanish silently
+// — and the per-operation routes POST /query replaced answer 404/405.
+func TestRouteTable(t *testing.T) {
+	eng := testEngine(t)
+	defer eng.CloseAll()
+	srv := New(eng, Config{})
+
+	want := []string{
+		"GET /v1/indexes",
+		"POST /v1/{index}/reload",
+		"POST /v1/{index}/ingest",
+		"POST /v1/{index}/seal",
+		"POST /v1/{index}/compact",
+		"POST /v1/{index}/query",
+		"GET /v1/{index}/trajectory/{id}",
+		"GET /v1/{index}/subpath",
+		"POST /v1/{index}/gps",
+		"POST /v1/{index}/subscribe",
+		"GET /v1/{index}/subscriptions/{id}/events",
+		"GET /v1/{index}/subscriptions/{id}/poll",
+		"DELETE /v1/{index}/subscriptions/{id}",
+	}
+	var got []string
+	for _, r := range srv.routers {
+		for _, route := range r.Routes() {
+			got = append(got, route.Method+" "+route.Pattern)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("registered routes:\n got %q\nwant %q", got, want)
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	status := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if s := status("/metrics"); s != http.StatusOK {
+		t.Fatalf("GET /metrics: HTTP %d, want 200", s)
+	}
+	for _, gone := range []string{
+		"/v1/ix/count?path=1,2",
+		"/v1/ix/find?path=1,2",
+		"/v1/ix/temporal/find?path=1,2",
+		"/v1/ix/temporal/count?path=1,2",
+	} {
+		if s := status(gone); s != http.StatusNotFound && s != http.StatusMethodNotAllowed {
+			t.Fatalf("GET %s: HTTP %d, want 404 or 405", gone, s)
+		}
 	}
 }

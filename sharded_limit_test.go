@@ -40,16 +40,16 @@ func TestShardedFindLimitMatchesMonolithic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, path := range paths {
-			all, err := mono.Find(path, 0)
+			all, err := search(mono, Query{Path: path})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, limit := range []int{0, 1, 2, 3, 5, 17, len(all), len(all) + 3} {
-				want, err := mono.Find(path, limit)
+				want, err := search(mono, Query{Path: path, Limit: limit})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sharded.Find(path, limit)
+				got, err := search(sharded, Query{Path: path, Limit: limit})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,11 +61,11 @@ func TestShardedFindLimitMatchesMonolithic(t *testing.T) {
 				if limit > 0 && len(want) > limit {
 					t.Fatalf("monolithic Find returned %d matches for limit %d", len(want), limit)
 				}
-				wantIDs, err := mono.FindTrajectories(path, limit)
+				wantIDs, err := searchIDs(mono, path, limit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotIDs, err := sharded.FindTrajectories(path, limit)
+				gotIDs, err := searchIDs(sharded, path, limit)
 				if err != nil {
 					t.Fatal(err)
 				}

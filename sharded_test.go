@@ -71,11 +71,11 @@ func assertSameAnswers(t *testing.T, mono, sharded *Index, trajs [][]uint32) {
 		if got, want := sharded.Count(path), mono.Count(path); got != want {
 			t.Fatalf("Count(%v) = %d, want %d", path, got, want)
 		}
-		got, err := sharded.Find(path, 0)
+		got, err := search(sharded, Query{Path: path})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mono.Find(path, 0)
+		want, err := search(mono, Query{Path: path})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func assertSameAnswers(t *testing.T, mono, sharded *Index, trajs [][]uint32) {
 		}
 		// A positive limit keeps the first limit matches in canonical
 		// order on both index kinds.
-		gotLim, err := sharded.Find(path, 2)
+		gotLim, err := search(sharded, Query{Path: path, Limit: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +95,11 @@ func assertSameAnswers(t *testing.T, mono, sharded *Index, trajs [][]uint32) {
 		if !reflect.DeepEqual(gotLim, wantLim) {
 			t.Fatalf("Find(%v, 2) = %v, want %v", path, gotLim, wantLim)
 		}
-		gotIDs, err := sharded.FindTrajectories(path, 0)
+		gotIDs, err := searchIDs(sharded, path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantIDs, err := mono.FindTrajectories(path, 0)
+		wantIDs, err := searchIDs(mono, path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func assertSameAnswers(t *testing.T, mono, sharded *Index, trajs [][]uint32) {
 		}
 		// Limits apply after the canonical sort, so limited
 		// FindTrajectories agrees too.
-		gotIDs, err = sharded.FindTrajectories(path, 3)
+		gotIDs, err = searchIDs(sharded, path, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,10 +299,10 @@ func TestShardedNoLocate(t *testing.T) {
 	if got := ix.Count([]uint32{2}); got != 2 {
 		t.Fatalf("Count = %d, want 2", got)
 	}
-	if _, err := ix.Find([]uint32{2}, 0); !errors.Is(err, ErrNoLocate) {
+	if _, err := search(ix, Query{Path: []uint32{2}}); !errors.Is(err, ErrNoLocate) {
 		t.Fatalf("want ErrNoLocate, got %v", err)
 	}
-	if _, err := ix.FindTrajectories([]uint32{2}, 0); !errors.Is(err, ErrNoLocate) {
+	if _, err := searchIDs(ix, []uint32{2}, 0); !errors.Is(err, ErrNoLocate) {
 		t.Fatalf("want ErrNoLocate, got %v", err)
 	}
 }
@@ -334,7 +334,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 					errs <- "sharded Count changed under concurrency"
 					return
 				}
-				if _, err := ix.Find(paths[i], 5); err != nil {
+				if _, err := search(ix, Query{Path: paths[i], Limit: 5}); err != nil {
 					errs <- err.Error()
 					return
 				}
@@ -363,7 +363,7 @@ func TestTemporalSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := ix.FindInInterval([]uint32{1, 2}, 250, 400, 0)
+	hits, err := search(ix, Query{Path: []uint32{1, 2}, Interval: &Interval{From: 250, To: 400}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestTemporalSharded(t *testing.T) {
 	if loaded.Shards() != 2 {
 		t.Fatalf("loaded temporal index has %d shards", loaded.Shards())
 	}
-	hits2, err := loaded.FindInInterval([]uint32{1, 2}, 250, 400, 0)
+	hits2, err := search(loaded, Query{Path: []uint32{1, 2}, Interval: &Interval{From: 250, To: 400}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package cinct
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,13 +29,6 @@ import (
 // the methods answer with ErrNoTimestamps.
 type TemporalIndex struct {
 	*Index
-}
-
-// TemporalMatch is one strict-path-query hit.
-type TemporalMatch struct {
-	Match
-	// EnteredAt is when the trajectory entered the path's first edge.
-	EnteredAt int64
 }
 
 // ErrCorruptTimestamps reports temporal data inconsistent with the
@@ -75,55 +67,6 @@ func checkColumns(trajs [][]uint32, times [][]int64) error {
 		}
 	}
 	return nil
-}
-
-// FindInInterval runs a strict path query: occurrences of path whose
-// first edge was entered at a time in [from, to]. limit <= 0 returns
-// all. Matches are sorted by (Trajectory, Offset) and a positive limit
-// keeps the first limit matches in that order, so answers are
-// identical whether the index is sharded or not.
-//
-// FindInInterval is the legacy form of Search with an Interval and
-// Kind Occurrences; new code should prefer Search. The pushdown
-// behavior is Search's: every located occurrence is pruned against the
-// trajectory's (min, max) time summary before any timestamp decode,
-// survivors are sorted canonically, and timestamps are then decoded
-// lazily (O(BlockSize) per probe via checkpoints) while streaming, so
-// the decode work — the dominant cost of the pre-pushdown path — is
-// bounded by the limit instead of the hit count. Like Index.Find,
-// every occurrence in the suffix range is still located once; limit
-// bounds the filtering, not the locate scan.
-func (t *TemporalIndex) FindInInterval(path []uint32, from, to int64, limit int) ([]TemporalMatch, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	q := Query{Path: path, Interval: &Interval{From: from, To: to}, Kind: Occurrences, Limit: limit}
-	r, err := t.Search(context.Background(), q)
-	if err != nil {
-		return nil, err
-	}
-	var out []TemporalMatch
-	for h, herr := range r.All() {
-		if herr != nil {
-			return nil, herr
-		}
-		out = append(out, TemporalMatch{Match: h.Match, EnteredAt: h.EnteredAt})
-	}
-	return out, nil
-}
-
-// CountInInterval counts strict-path-query matches: occurrences of
-// path whose first edge was entered at a time in [from, to].
-//
-// CountInInterval is the legacy form of Search with an Interval and
-// Kind CountOnly; new code should prefer Search.
-func (t *TemporalIndex) CountInInterval(path []uint32, from, to int64) (int, error) {
-	q := Query{Path: path, Interval: &Interval{From: from, To: to}, Kind: CountOnly}
-	r, err := t.Search(context.Background(), q)
-	if err != nil {
-		return 0, err
-	}
-	return r.Count()
 }
 
 // Timestamps returns the full timestamp column of a trajectory, or nil

@@ -40,7 +40,7 @@ func TestTemporalStrictPathQuery(t *testing.T) {
 	path := trajs[k][2:5]
 	entered := times[k][2]
 
-	all, err := ix.FindInInterval(path, entered, entered, 0)
+	all, err := search(ix, Query{Path: path, Interval: &Interval{From: entered, To: entered}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTemporalStrictPathQuery(t *testing.T) {
 	}
 
 	// The interval filter must agree with a brute-force check.
-	spatial, err := ix.Find(path, 0)
+	spatial, err := search(ix, Query{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTemporalStrictPathQuery(t *testing.T) {
 			want++
 		}
 	}
-	got, err := ix.FindInInterval(path, lo, hi, 0)
+	got, err := search(ix, Query{Path: path, Interval: &Interval{From: lo, To: hi}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTemporalStrictPathQuery(t *testing.T) {
 		t.Fatalf("interval query returned %d, brute force %d", len(got), want)
 	}
 	// Empty interval.
-	none, err := ix.FindInInterval(path, 0, 1, 0)
+	none, err := search(ix, Query{Path: path, Interval: &Interval{From: 0, To: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestTemporalSaveLoad(t *testing.T) {
 			break
 		}
 	}
-	a, err := ix.FindInInterval(path, 0, 1<<62, 0)
+	a, err := search(ix, Query{Path: path, Interval: &Interval{From: 0, To: 1 << 62}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.FindInInterval(path, 0, 1<<62, 0)
+	b, err := search(loaded, Query{Path: path, Interval: &Interval{From: 0, To: 1 << 62}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestTemporalShardedMatchesMonolithic(t *testing.T) {
 	for _, path := range paths {
 		for _, iv := range testIntervals(times) {
 			for _, limit := range []int{0, 1, 3} {
-				want, err := mono.FindInInterval(path, iv[0], iv[1], limit)
+				want, err := search(mono, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Limit: limit})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := shard.FindInInterval(path, iv[0], iv[1], limit)
+				got, err := search(shard, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Limit: limit})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,11 +214,11 @@ func TestTemporalShardedMatchesMonolithic(t *testing.T) {
 						path, iv[0], iv[1], limit, got, want)
 				}
 			}
-			wantN, err := mono.CountInInterval(path, iv[0], iv[1])
+			wantN, err := searchCount(mono, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Kind: CountOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotN, err := shard.CountInInterval(path, iv[0], iv[1])
+			gotN, err := searchCount(shard, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Kind: CountOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestTemporalShardedMatchesMonolithic(t *testing.T) {
 				t.Fatalf("CountInInterval(%v, [%d,%d]): sharded %d, monolithic %d",
 					path, iv[0], iv[1], gotN, wantN)
 			}
-			all, err := mono.FindInInterval(path, iv[0], iv[1], 0)
+			all, err := search(mono, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,11 +268,11 @@ func TestTemporalLegacyFormatLoads(t *testing.T) {
 		path := pathIn(t, trajs, 7, 2, 5)
 		for _, iv := range testIntervals(times) {
 			for _, limit := range []int{0, 2} {
-				a, err := want.FindInInterval(path, iv[0], iv[1], limit)
+				a, err := search(want, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Limit: limit})
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := got.FindInInterval(path, iv[0], iv[1], limit)
+				b, err := search(got, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Limit: limit})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -281,11 +281,11 @@ func TestTemporalLegacyFormatLoads(t *testing.T) {
 						shards, iv[0], iv[1], limit, b, a)
 				}
 			}
-			an, err := want.CountInInterval(path, iv[0], iv[1])
+			an, err := searchCount(want, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Kind: CountOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bn, err := got.CountInInterval(path, iv[0], iv[1])
+			bn, err := searchCount(got, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Kind: CountOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +343,7 @@ func TestTemporalEarlyExitAndPruning(t *testing.T) {
 	}
 	// A short path with many occurrences.
 	path := pathIn(t, trajs, 7, 2, 3)
-	n, err := tix.CountInInterval(path, math.MinInt64, math.MaxInt64)
+	n, err := searchCount(tix, Query{Path: path, Interval: &Interval{From: math.MinInt64, To: math.MaxInt64}, Kind: CountOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,13 +353,13 @@ func TestTemporalEarlyExitAndPruning(t *testing.T) {
 	store := tix.shards[0].ts
 
 	store.ResetAtSteps()
-	if _, err := tix.FindInInterval(path, math.MinInt64, math.MaxInt64, 0); err != nil {
+	if _, err := search(tix, Query{Path: path, Interval: &Interval{From: math.MinInt64, To: math.MaxInt64}}); err != nil {
 		t.Fatal(err)
 	}
 	stepsAll := store.AtSteps()
 
 	store.ResetAtSteps()
-	got, err := tix.FindInInterval(path, math.MinInt64, math.MaxInt64, 1)
+	got, err := search(tix, Query{Path: path, Interval: &Interval{From: math.MinInt64, To: math.MaxInt64}, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestTemporalEarlyExitAndPruning(t *testing.T) {
 	// Summary pruning: an interval before every timestamp touches no
 	// blob bytes.
 	store.ResetAtSteps()
-	none, err := tix.FindInInterval(path, 0, 1, 0)
+	none, err := search(tix, Query{Path: path, Interval: &Interval{From: 0, To: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

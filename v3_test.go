@@ -92,17 +92,17 @@ func checkSameAnswers(t *testing.T, trajs [][]uint32, want, got *Index, hasLoc b
 			t.Fatalf("q%d: Count = %d, want %d", qi, g, w)
 		}
 		if !hasLoc {
-			if _, err := got.Find(path, 0); !errors.Is(err, ErrNoLocate) {
+			if _, err := search(got, Query{Path: path}); !errors.Is(err, ErrNoLocate) {
 				t.Fatalf("q%d: no-locate index Find err = %v, want ErrNoLocate", qi, err)
 			}
 			continue
 		}
 		for _, limit := range []int{0, 3} {
-			wm, err := want.Find(path, limit)
+			wm, err := search(want, Query{Path: path, Limit: limit})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gm, err := got.Find(path, limit)
+			gm, err := search(got, Query{Path: path, Limit: limit})
 			if err != nil {
 				t.Fatalf("q%d limit=%d: Find: %v", qi, limit, err)
 			}
