@@ -40,8 +40,9 @@
 // parallel with results merged under global trajectory IDs. Query
 // answers do not depend on the shard count; build time on a multi-core
 // machine approaches 1/K of the one-shard build. A temporal index is
-// the same thing with a timestamp store per shard. Save/Load handle
-// every container format transparently.
+// the same thing with a timestamp store per shard. Save writes the one
+// v3 container that OpenMapped serves in place; Load reads it and every
+// legacy format older builds wrote.
 package cinct
 
 import (

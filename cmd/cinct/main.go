@@ -17,7 +17,7 @@
 //	cinct ingest -index corpus.cinct -in more.txt   (appends, seals, persists in place)
 //	cinct compact -index corpus.cinct [-full=false]   (merge sealed shards, persist in place)
 //	cinct compact -remote http://localhost:8132 -name corpus [-full]
-//	cinct convert -in corpus.cinct -out corpus3.cinct [-temporal]
+//	cinct convert -in old.cinct -out corpus.cinct [-temporal]
 //	cinct roadnet-gen -out net.road [-w 8] [-h 8] [-seed 1]
 //	cinct gps-simulate -roadnet net.road -out traces.ndjson [-truth paths.txt] [-n 10] [-noise 0.05]
 //	cinct gps-ingest -remote http://localhost:8132 -name corpus -in traces.ndjson [-v]
@@ -34,6 +34,12 @@
 // engine recognize; find and count given -from or -to restrict hits to
 // that entry-time interval (the strict path query) and load their
 // -index as temporal regardless of extension.
+//
+// Every index file this command writes — build, build-temporal,
+// convert, and the in-place persists of ingest and compact — is a v3
+// container, the file cinctd serves with or without -mmap, written
+// atomically (temp file, fsync, rename). convert is the path for files
+// older builds wrote in the legacy stream formats.
 package main
 
 import (
@@ -310,12 +316,7 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	buildTime := time.Since(t0)
-	of, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer of.Close()
-	n, err := ix.Save(of)
+	n, err := saveAtomic(*out, ix.Save)
 	if err != nil {
 		return err
 	}
@@ -362,12 +363,7 @@ func cmdBuildTemporal(args []string) error {
 	if err != nil {
 		return err
 	}
-	of, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer of.Close()
-	n, err := ix.Save(of)
+	n, err := saveAtomic(*out, ix.Save)
 	if err != nil {
 		return err
 	}
@@ -810,13 +806,14 @@ func parsePath(s string) ([]uint32, error) {
 	return out, nil
 }
 
-// cmdConvert rewrites a v1/v2 (or v3) index file into the v3
-// page-aligned container, the format cinctd -mmap and OpenMapped
-// serve zero-copy. The write goes through a temp file and an atomic
-// rename, so an interrupted convert never leaves a torn output.
+// cmdConvert rewrites an index file written by an older build (any
+// legacy stream format; a v3 file passes through) as the v3 container
+// that every build now writes and cinctd -mmap serves zero-copy.
+// Converting in place is safe: the whole input is loaded before
+// saveAtomic writes the output.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "", "input index file (v1/v2/v3)")
+	in := fs.String("in", "", "input index file (any format, including legacy pre-v3 files)")
 	out := fs.String("out", "", "output v3 container file")
 	temporal := fs.Bool("temporal", false,
 		"treat the input as a temporal index (implied by a .tcinct extension)")
@@ -836,31 +833,45 @@ func cmdConvert(args []string) error {
 		if err != nil {
 			return err
 		}
-		save, stats = tix.SaveV3, tix.Index.Stats()
+		save, stats = tix.Save, tix.Index.Stats()
 	} else {
 		ix, err := cinct.Load(f)
 		if err != nil {
 			return err
 		}
-		save, stats = ix.SaveV3, ix.Stats()
+		save, stats = ix.Save, ix.Stats()
 	}
-	tmp := *out + ".tmp"
-	of, err := os.Create(tmp)
+	n, err := saveAtomic(*out, save)
 	if err != nil {
-		return err
-	}
-	n, err := save(of)
-	if cerr := of.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return err
-	}
-	if err := os.Rename(tmp, *out); err != nil {
 		return err
 	}
 	fmt.Printf("converted %s -> %s: %d trajectories, %d shard(s), %d bytes (v3, page-aligned)\n",
 		*in, *out, stats.Trajectories, stats.Shards, n)
 	return nil
+}
+
+// saveAtomic writes an index file through a temporary file, fsync, a
+// checked Close and a rename, so a failed build or convert leaves any
+// previous file at path untouched and no temporary file behind.
+func saveAtomic(path string, save func(w io.Writer) (int64, error)) (int64, error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return 0, err
+	}
+	n, err := save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
+		return 0, err
+	}
+	return n, nil
 }

@@ -73,7 +73,7 @@ func main() {
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request timeout (negative = none)")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 		mmap    = flag.Bool("mmap", false,
-			"serve v3 container files zero-copy via mmap (v1/v2 files still heap-load; convert with `cinct convert`)")
+			"serve index files from a memory mapping instead of one aligned read into the heap (same v3 files either way; legacy pre-v3 files always heap-load — convert them with `cinct convert`)")
 		pprofAddr = flag.String("pprof", "",
 			"serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 		walDir = flag.String("wal", "",

@@ -13,7 +13,8 @@ import (
 // arbitrary bytes fed to Load / LoadTemporal / Query.Cursor must
 // never panic and never allocate unboundedly — they either produce a
 // working index or fail with a typed error. Seed corpora live under
-// testdata/fuzz/ (regenerate with scripts/genfuzzseeds).
+// testdata/fuzz/ (regenerate with scripts/genfuzzseeds; the
+// FuzzLoadSharded and FuzzLoadTemporal ones are frozen legacy files).
 
 // maxFuzzInput bounds one fuzz input; larger blobs only slow
 // exploration down without reaching new code.
@@ -68,10 +69,11 @@ func exerciseLoaded(t *testing.T, ix *Index) {
 	}
 }
 
-// FuzzLoadSharded pins Load (both the sharded container and the
-// single-index layout it falls back to): arbitrary bytes must load or
-// fail typed — never panic, never allocate past a small multiple of
-// the input.
+// FuzzLoadSharded pins Load: arbitrary bytes must load or fail typed —
+// never panic, never allocate past a small multiple of the input. The
+// in-code seeds are v3 containers as Save writes them; the committed
+// ones are legacy single-index and CNCTshrd files, written before v3
+// became the only format written.
 func FuzzLoadSharded(f *testing.F) {
 	trajs, _ := fuzzCorpus()
 	for _, shards := range []int{1, 3} {
@@ -103,8 +105,8 @@ func FuzzLoadSharded(f *testing.F) {
 	})
 }
 
-// FuzzLoadTemporal pins LoadTemporal over the CNCTtemp container and
-// the legacy unversioned layout.
+// FuzzLoadTemporal pins LoadTemporal likewise: in-code seeds are v3
+// temporal containers, committed ones legacy CNCTtemp files.
 func FuzzLoadTemporal(f *testing.F) {
 	trajs, times := fuzzCorpus()
 	for _, shards := range []int{1, 2} {
@@ -216,7 +218,7 @@ func FuzzLoadMapped(f *testing.F) {
 			f.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := ix.SaveV3(&buf); err != nil {
+		if _, err := ix.Save(&buf); err != nil {
 			f.Fatal(err)
 		}
 		full := buf.Bytes()
@@ -228,7 +230,7 @@ func FuzzLoadMapped(f *testing.F) {
 			f.Fatal(err)
 		}
 		buf.Reset()
-		if _, err := tix.SaveV3(&buf); err != nil {
+		if _, err := tix.Save(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte(nil), buf.Bytes()...))

@@ -5,14 +5,20 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// goldenHashes pins the exact bytes Save and SaveV3 write for
-// fixed-seed corpora (timedCorpus(7)), captured at commit 805741c — the
-// last one before Index became the shard list. A container format is a
-// contract with files already on disk: any change here must be a
-// deliberate format revision, never a side effect of a refactor.
+// goldenHashes pins container bytes for fixed-seed corpora
+// (timedCorpus(7)), captured at commit 805741c — the last one before
+// Index became the shard list. The /v3 entries are what Save (and its
+// alias SaveV3) write; a container format is a contract with files
+// already on disk, so any change there must be a deliberate format
+// revision, never a side effect of a refactor. The /v1 entries are the
+// legacy stream formats nothing writes any more, pinned through the
+// committed fixtures under testdata/legacy/ that Load must keep
+// reading.
 var goldenHashes = map[string]string{
 	"spatial-1/v1":  "129a9ed4ebd8c5ac715edefbdfe98dd34c52a55074e52dc87247c61ae780d2ef",
 	"spatial-1/v3":  "964bc4c8b81a6ae0d64f7796d263814ecd8a2738f842c8219fa49710500bf965",
@@ -27,20 +33,34 @@ var goldenHashes = map[string]string{
 func TestGoldenBytes(t *testing.T) {
 	trajs, times := timedCorpus(7)
 	type saver func(io.Writer) (int64, error)
-	check := func(name string, save saver) {
+	check := func(name string, data []byte) {
 		t.Helper()
-		var buf bytes.Buffer
-		n, err := save(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if int(n) != buf.Len() {
-			t.Errorf("%s: reported %d bytes, wrote %d", name, n, buf.Len())
-		}
-		sum := sha256.Sum256(buf.Bytes())
+		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != goldenHashes[name] {
 			t.Errorf("%s: sha256 %s, want %s", name, got, goldenHashes[name])
 		}
+	}
+	checkSave := func(name string, saves ...saver) {
+		t.Helper()
+		for _, save := range saves {
+			var buf bytes.Buffer
+			n, err := save(&buf)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if int(n) != buf.Len() {
+				t.Errorf("%s: reported %d bytes, wrote %d", name, n, buf.Len())
+			}
+			check(name, buf.Bytes())
+		}
+	}
+	checkFixture := func(name, file string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("testdata", "legacy", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, data)
 	}
 	for _, tc := range []struct {
 		name   string
@@ -52,13 +72,13 @@ func TestGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("spatial-"+tc.name+"/v1", ix.Save)
-		check("spatial-"+tc.name+"/v3", ix.SaveV3)
+		checkSave("spatial-"+tc.name+"/v3", ix.Save, ix.SaveV3)
+		checkFixture("spatial-"+tc.name+"/v1", "spatial-"+tc.name+".cinct")
 		tix, err := BuildTemporal(trajs, times, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("temporal-"+tc.name+"/v1", tix.Save)
-		check("temporal-"+tc.name+"/v3", tix.SaveV3)
+		checkSave("temporal-"+tc.name+"/v3", tix.Save, tix.SaveV3)
+		checkFixture("temporal-"+tc.name+"/v1", "temporal-"+tc.name+".tcinct")
 	}
 }

@@ -3,16 +3,9 @@ package cinct
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
-
-	"cinct/internal/flat"
-	"cinct/internal/tempo"
 )
 
 // genTraj draws one random trajectory over a small alphabet (so query
@@ -490,196 +483,6 @@ func TestWriterBackgroundErrorHooks(t *testing.T) {
 	}
 	defer bare.Close()
 	bare.reportError("seal", errors.New("quietly"))
-}
-
-// legacyTemporalEncodings writes tix — a K>1-shard temporal index over
-// (trajs, times) — in the three encodings of the legacy layout that
-// paired several spatial shards with one corpus-wide timestamp store:
-// the unversioned v1-temporal stream, a CNCTtemp container with store
-// count 1, and a v3 file with storeCount 1 < shardCount. Nothing has
-// written them since the sharded temporal build; files still exist.
-func legacyTemporalEncodings(t *testing.T, tix *TemporalIndex, times [][]int64) map[string][]byte {
-	t.Helper()
-	global := tempo.New(times)
-	must := func(_ int64, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	var unversioned bytes.Buffer
-	must(tix.Index.Save(&unversioned))
-	must(global.Save(&unversioned))
-
-	var store bytes.Buffer
-	must(global.Save(&store))
-	var container bytes.Buffer
-	container.WriteString(temporalMagic)
-	container.Write(binary.AppendUvarint(nil, temporalVersion))
-	container.Write(binary.AppendUvarint(nil, 1))
-	must(tix.Index.Save(&container))
-	container.Write(binary.AppendUvarint(nil, uint64(store.Len())))
-	container.Write(store.Bytes())
-
-	var secs []v3Section
-	for s, sh := range tix.shards {
-		secs = append(secs, sh.spatialSection(s))
-	}
-	fw := flat.NewWriter()
-	global.AppendFlat(fw)
-	secs = append(secs, v3Section{kind: v3KindTempo, words: fw.Words()})
-	var v3 bytes.Buffer
-	must(writeV3(&v3, v3FlavorTemporal, uint64(len(tix.shards)), 1, secs))
-
-	return map[string][]byte{
-		"unversioned": unversioned.Bytes(),
-		"CNCTtemp":    container.Bytes(),
-		"v3":          v3.Bytes(),
-	}
-}
-
-// TestLegacyTemporalLayout pins the load-time normalisation of the
-// legacy global-store layout: in each of its encodings (and through
-// the mapped path for v3) it loads as one store per shard, answers the
-// full query matrix — kinds × limits × intervals, plus a cursor walk —
-// exactly like the BuildTemporal index over the same corpus, and then
-// accepts Append, Seal and Compact with answers still equal to brute
-// force.
-func TestLegacyTemporalLayout(t *testing.T) {
-	trajs, times := timedCorpus(12)
-	opts := DefaultOptions()
-	opts.Shards = 3
-	want, err := BuildTemporal(trajs, times, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	paths := [][]uint32{pathIn(t, trajs, 0, 0, 2), pathIn(t, trajs, 7, 2, 3), pathIn(t, trajs, 90, 1, 4), {1 << 30}}
-	var intervals []*Interval
-	for _, iv := range testIntervals(times) {
-		intervals = append(intervals, &Interval{From: iv[0], To: iv[1]})
-	}
-	intervals = append(intervals, nil)
-
-	check := func(t *testing.T, got *TemporalIndex) {
-		if got.Shards() != 3 || !got.Temporal() {
-			t.Fatalf("loaded as %d shards, temporal %v; want 3 shards with stores", got.Shards(), got.Temporal())
-		}
-		for id := range trajs {
-			if !reflect.DeepEqual(got.Timestamps(id), times[id]) {
-				t.Fatalf("Timestamps(%d) = %v, want %v", id, got.Timestamps(id), times[id])
-			}
-		}
-		for _, path := range paths {
-			for _, iv := range intervals {
-				for _, kind := range []Kind{Occurrences, Trajectories, CountOnly} {
-					for _, limit := range []int{0, 1, 3} {
-						q := Query{Path: path, Interval: iv, Kind: kind, Limit: limit}
-						wr, err := want.Search(context.Background(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gr, err := got.Search(context.Background(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if kind == CountOnly {
-							wn, _ := wr.Count()
-							if gn, _ := gr.Count(); gn != wn {
-								t.Fatalf("%+v: count %d, want %d", q, gn, wn)
-							}
-							continue
-						}
-						if wh, gh := drain(t, wr), drain(t, gr); !sameHits(gh, wh) {
-							t.Fatalf("%+v: hits %v, want %v", q, gh, wh)
-						}
-					}
-					if kind == CountOnly {
-						continue
-					}
-					// Page by one hit at a time; the pages must concatenate
-					// to the unpaged stream.
-					q := Query{Path: path, Interval: iv, Kind: kind}
-					all := searchHitsT(t, want, q)
-					var walked []Hit
-					q.Limit = 1
-					for {
-						r, err := got.Search(context.Background(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						page := drain(t, r)
-						walked = append(walked, page...)
-						if q.Cursor = r.Cursor(); q.Cursor == "" || len(page) == 0 {
-							break
-						}
-					}
-					if !sameHits(walked, all) {
-						t.Fatalf("%+v: cursor walk %v, want %v", q, walked, all)
-					}
-				}
-			}
-		}
-
-		// The normalised index is an ordinary aligned one: it ingests
-		// and compacts.
-		w, err := NewTemporalWriterAt(got, WriterConfig{})
-		if err != nil {
-			t.Fatalf("NewTemporalWriterAt: %v", err)
-		}
-		defer w.Close()
-		allTrajs := append([][]uint32{}, trajs...)
-		allTimes := append([][]int64{}, times...)
-		for round := 0; round < 2; round++ {
-			for i := 0; i < 5; i++ {
-				tr := genTraj(rng)
-				col := genTimes(rng, len(tr))
-				if _, err := w.Append(tr, col); err != nil {
-					t.Fatalf("Append: %v", err)
-				}
-				allTrajs, allTimes = append(allTrajs, tr), append(allTimes, col)
-			}
-			if n, err := w.Seal(); err != nil || n != 5 {
-				t.Fatalf("Seal = %d, %v; want 5", n, err)
-			}
-		}
-		if res, err := w.Compact(FullCompaction); err != nil || res.ShardsAfter != 1 {
-			t.Fatalf("Compact = %+v, %v; want one shard", res, err)
-		}
-		for _, path := range append(paths, genPath(rng, allTrajs)) {
-			for _, iv := range intervals {
-				q := Query{Path: path, Interval: iv, Kind: Occurrences}
-				got, _ := drainWriter(t, w, q)
-				if exp, _ := oracleSearch(allTrajs, allTimes, q); !sameHits(got, exp) {
-					t.Fatalf("after compaction %+v: %v, oracle %v", q, got, exp)
-				}
-			}
-		}
-	}
-
-	for name, data := range legacyTemporalEncodings(t, want, times) {
-		t.Run(name, func(t *testing.T) {
-			got, err := LoadTemporal(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("LoadTemporal: %v", err)
-			}
-			check(t, got)
-		})
-		if name != "v3" {
-			continue
-		}
-		t.Run("v3-mapped", func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "legacy.tcinct")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			got, err := OpenMappedTemporal(path)
-			if err != nil {
-				t.Fatalf("OpenMappedTemporal: %v", err)
-			}
-			check(t, got)
-		})
-	}
 }
 
 // TestAppendSealed pins the index-layer compaction primitive: the

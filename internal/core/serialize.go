@@ -14,111 +14,19 @@ import (
 	"cinct/internal/wavelet"
 )
 
-// Serialization format: the labeled BWT is written Huffman-coded (so a
-// file is close to the in-memory entropy-compressed size) together
-// with the ET-graph, C array and locate samples; the wavelet tree is
-// rebuilt in linear time on load. All integers are little-endian;
-// variable counts use unsigned varints and signed values zig-zag.
+// Legacy stream format, read by Load and no longer written (indexes are
+// saved as flat v3 sections, see flat.go): magic, an 8-uvarint header
+// (n, σ, max label, bit-vector kind and block, strategy, seed, SA
+// sample rate), the C array as per-symbol counts, the ET-graph as
+// out-degree then (To, Z) per edge in label order, and the labeled BWT
+// Huffman-coded; the wavelet tree and locate structures are rebuilt on
+// load. All integers are little-endian; variable counts use unsigned
+// varints and signed values zig-zag.
 
 const magic = "CiNCTv1\x00"
 
 // ErrBadFormat reports a malformed or truncated index stream.
 var ErrBadFormat = errors.New("core: bad index format")
-
-type countingWriter struct {
-	w *bufio.Writer
-	n int64
-}
-
-func (cw *countingWriter) uvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(buf[:], v)
-	cw.n += int64(k)
-	_, err := cw.w.Write(buf[:k])
-	return err
-}
-
-func (cw *countingWriter) varint(v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	k := binary.PutVarint(buf[:], v)
-	cw.n += int64(k)
-	_, err := cw.w.Write(buf[:k])
-	return err
-}
-
-func (cw *countingWriter) bytes(b []byte) error {
-	cw.n += int64(len(b))
-	_, err := cw.w.Write(b)
-	return err
-}
-
-// Save writes the index to w and returns the number of bytes written.
-func (ix *Index) Save(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if err := cw.bytes([]byte(magic)); err != nil {
-		return cw.n, err
-	}
-	hdr := []uint64{
-		uint64(ix.n), uint64(ix.sigma), uint64(ix.maxLabel),
-		uint64(ix.opt.Spec.Kind), uint64(ix.opt.Spec.Block),
-		uint64(ix.opt.Strategy), uint64(ix.opt.Seed),
-		uint64(ix.sampleRate),
-	}
-	for _, v := range hdr {
-		if err := cw.uvarint(v); err != nil {
-			return cw.n, err
-		}
-	}
-	// C array (delta-coded: counts per symbol).
-	for wSym := 0; wSym < ix.sigma; wSym++ {
-		if err := cw.uvarint(ix.c.Get(wSym+1) - ix.c.Get(wSym)); err != nil {
-			return cw.n, err
-		}
-	}
-	// ET-graph: out-degree then (To, Z) per edge in label order. Label
-	// order is positional, so bigram counts need not be stored.
-	for wp := 0; wp < ix.sigma; wp++ {
-		es := ix.graph.Edges(uint32(wp))
-		if err := cw.uvarint(uint64(len(es))); err != nil {
-			return cw.n, err
-		}
-		for _, e := range es {
-			if err := cw.uvarint(uint64(e.To)); err != nil {
-				return cw.n, err
-			}
-			if err := cw.varint(e.Z); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	// Labeled BWT, Huffman-coded.
-	freqs := make([]uint64, ix.maxLabel+1)
-	for j := 0; j < ix.n; j++ {
-		freqs[ix.labeled.Access(j)]++
-	}
-	cb := huffman.Build(freqs)
-	if err := cw.bytes(cb.Lengths()); err != nil {
-		return cw.n, err
-	}
-	enc := huffman.NewEncoder(cb)
-	for j := 0; j < ix.n; j++ {
-		enc.Encode(int(ix.labeled.Access(j)))
-	}
-	words, nbits := enc.Bits()
-	if err := cw.uvarint(uint64(nbits)); err != nil {
-		return cw.n, err
-	}
-	var wb [8]byte
-	for _, word := range words {
-		binary.LittleEndian.PutUint64(wb[:], word)
-		if err := cw.bytes(wb[:]); err != nil {
-			return cw.n, err
-		}
-	}
-	// Locate structures are not stored: Load rebuilds them from one LF
-	// walk over the permutation (the index is a self-index).
-	return cw.n, cw.w.Flush()
-}
 
 // minCap bounds an initial slice capacity by a declared-but-untrusted
 // count: allocation then grows with the data actually parsed, so a
@@ -131,7 +39,7 @@ func minCap(declared, cap int) int {
 	return cap
 }
 
-// Load reads an index previously written by Save. It is hardened
+// Load reads an index in the legacy stream format. It is hardened
 // against arbitrary bytes: declared counts never translate into
 // upfront allocations (slices grow with the data actually parsed),
 // structural invariants are checked before use, and any residual

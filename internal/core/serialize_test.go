@@ -4,23 +4,33 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
+// legacyFixture returns a committed legacy-format index file. The
+// fixtures were written by the stream writer this package had before
+// v3 became the only format written: markov1.v1 is Build(markovText
+// seed 1: 30, 25, 20, 3, DefaultOptions()), markov2-nolocate.v1 is
+// Build(markovText seed 2: 10, 15, 10, 2) with SASample 0.
+func legacyFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSaveLoadRoundTrip pins Load of the legacy stream format: the
+// fixture must answer exactly like a fresh Build of the same text.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	text, sigma := markovText(rng, 30, 25, 20, 3)
 	orig := Build(text, sigma, DefaultOptions())
 
-	var buf bytes.Buffer
-	n, err := orig.Save(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("Save reported %d bytes, wrote %d", n, buf.Len())
-	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(bytes.NewReader(legacyFixture(t, "markov1.v1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +72,7 @@ func TestSaveLoadWithoutLocate(t *testing.T) {
 	opt := DefaultOptions()
 	opt.SASample = 0
 	orig := Build(text, sigma, opt)
-	var buf bytes.Buffer
-	if _, err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(bytes.NewReader(legacyFixture(t, "markov2-nolocate.v1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +91,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	text, sigma := markovText(rng, 10, 15, 10, 2)
-	orig := Build(text, sigma, DefaultOptions())
-	var buf bytes.Buffer
-	if _, err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := legacyFixture(t, "markov1.v1")
 	for _, frac := range []float64{0.1, 0.5, 0.9} {
 		cut := int(float64(len(full)) * frac)
 		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {

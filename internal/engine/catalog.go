@@ -71,8 +71,8 @@ type entry struct {
 	path     string // backing file; "" when registered from memory
 	temporal bool
 	// mmap opts the entry into zero-copy serving: v3 container files
-	// open via cinct.OpenMapped / OpenMappedTemporal instead of a heap
-	// decode. Non-v3 files fall back to the heap loaders.
+	// open via cinct.OpenMapped / OpenMappedTemporal instead of one
+	// aligned read through cinct.Load. Legacy files always heap-load.
 	mmap bool
 
 	// loadMu serializes disk loads (concurrent Reloads), keeping the
@@ -227,8 +227,8 @@ func (en *entry) bumpGen() uint64 {
 
 // loadFromFile reads the entry's backing file into a fresh index (one
 // carrying timestamps for a temporal entry). With mmap set and a v3
-// container on disk, the file is mapped zero-copy; anything else
-// decodes onto the heap.
+// container on disk, the file is mapped zero-copy; otherwise Load reads
+// it — a v3 file in one aligned read, a legacy one by decoding.
 func (en *entry) loadFromFile() (*cinct.Index, error) {
 	if en.mmap {
 		if v3, err := isV3File(en.path); err != nil {

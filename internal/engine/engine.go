@@ -35,12 +35,13 @@ type Options struct {
 	// Logf, when non-nil, receives operational log lines (background
 	// seals, persistence failures). nil discards them.
 	Logf func(format string, args ...any)
-	// Mmap serves v3 container files zero-copy via mmap instead of
-	// decoding them onto the heap: open is O(metadata), resident
-	// memory is bounded by the pages a query actually touches, and
-	// seal persistence writes the v3 format so reloads stay mapped.
-	// Files in the v1/v2 formats still heap-load (convert them with
-	// `cinct convert`).
+	// Mmap serves index files from a memory mapping instead of one
+	// aligned read into the heap: open is O(metadata) and resident
+	// memory is bounded by the pages a query actually touches. Both
+	// modes serve the same v3 container — the only format seals and
+	// compactions persist — with the same decoder; Mmap only chooses
+	// where its image lives. Legacy pre-v3 files always decode onto
+	// the heap (convert them with `cinct convert`).
 	Mmap bool
 	// WAL enables the ingestion write-ahead log: appended batches are
 	// framed, CRC'd and written to per-index segment files before the
@@ -301,7 +302,7 @@ type Info struct {
 	// indexes only).
 	TimestampBits int `json:"timestampBits,omitempty"`
 	// Mapped reports that the index is served zero-copy from an
-	// mmap'd v3 container rather than decoded onto the heap.
+	// mmap'd v3 container rather than from a heap copy.
 	Mapped bool `json:"mapped,omitempty"`
 	// WALSegments / WALBytes describe the entry's write-ahead log
 	// footprint (entries running with Options.WAL only).
@@ -566,7 +567,7 @@ func (e *Engine) persistEntry(en *entry, what string, rows int) {
 	case path == "":
 		// Memory-registered entry: nothing to persist, by design.
 	default:
-		sealedRows, perr := persistWriter(w, path, e.mmap)
+		sealedRows, perr := persistWriter(w, path)
 		if perr != nil {
 			err = fmt.Errorf("engine: persisting %q after %s: %w", en.name, what, perr)
 		} else if wl != nil {
@@ -595,41 +596,35 @@ func (e *Engine) persistEntry(en *entry, what string, rows int) {
 // the log stops covering its rows. It returns the number of
 // trajectories the persisted file holds — the WAL retirement
 // watermark.
-func persistWriter(w *cinct.Writer, path string, v3 bool) (rows int, err error) {
+func persistWriter(w *cinct.Writer, path string) (rows int, err error) {
 	ix, t := w.Snapshot()
 	if ix == nil && t == nil {
 		return 0, nil
 	}
-	rows = ix.NumTrajectories()
+	save := ix.Save
+	if t != nil {
+		save = t.Save
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
-	switch {
-	case t != nil && v3:
-		_, err = t.SaveV3(f)
-	case t != nil:
-		_, err = t.Save(f)
-	case v3:
-		_, err = ix.SaveV3(f)
-	default:
-		_, err = ix.Save(f)
-	}
+	_, err = save(f)
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
 		return 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	return rows, syncDir(filepath.Dir(path))
+	return ix.NumTrajectories(), syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power

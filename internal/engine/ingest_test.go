@@ -259,6 +259,34 @@ func TestEngineSealSurfacesPersistFailure(t *testing.T) {
 	}
 }
 
+// TestPersistWriterRenameFailureRemovesTemp pins persistWriter's
+// cleanup when the final rename fails — here because the target is a
+// non-empty directory: the error comes back and no path+".tmp" is left
+// in the data dir.
+func TestPersistWriterRenameFailureRemovesTemp(t *testing.T) {
+	w, err := cinct.NewWriter(cinct.WriterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.AppendBatch(testCorpus(4, 10), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "blocked"+ExtSpatial)
+	if err := os.MkdirAll(filepath.Join(path, "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persistWriter(w, path); err == nil {
+		t.Fatal("persistWriter reported success although the rename failed")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("%s.tmp left behind (stat err %v)", path, err)
+	}
+}
+
 // TestEngineAutoSealPersists pins the background sealer: crossing the
 // threshold compacts and persists without any explicit Seal call.
 func TestEngineAutoSealPersists(t *testing.T) {

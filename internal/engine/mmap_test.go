@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,10 +12,11 @@ import (
 
 // TestEngineMmapServing pins the zero-copy serving path: an engine
 // with Options.Mmap opens v3 containers mapped (reported via
-// Info.Mapped), answers queries identically to a heap engine over the
-// same files, heap-loads legacy v1/v2 files transparently, and — after
-// an ingest + seal cycle — persists the sealed state back in v3 so a
-// Reload maps it again.
+// Info.Mapped), answers queries identically to an engine that reads the
+// same files into the heap, heap-loads a committed legacy file
+// transparently, and — after an ingest + seal cycle — persists the
+// sealed state back in v3 so a Reload maps it again. A seal under the
+// heap engine writes v3 too: no engine writes a legacy format.
 func TestEngineMmapServing(t *testing.T) {
 	trajs := testCorpus(41, 60)
 	times := testTimes(trajs)
@@ -26,14 +28,20 @@ func TestEngineMmapServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saveTo(t, filepath.Join(dir, "spatial"+ExtSpatial), ix.SaveV3)
+	saveTo(t, filepath.Join(dir, "spatial"+ExtSpatial), ix.Save)
 	tix, err := cinct.BuildTemporal(trajs, times, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saveTo(t, filepath.Join(dir, "temporal"+ExtTemporal), tix.SaveV3)
-	// A legacy v1 file in the same dir must still heap-load.
-	saveTo(t, filepath.Join(dir, "legacy"+ExtSpatial), ix.Save)
+	saveTo(t, filepath.Join(dir, "temporal"+ExtTemporal), tix.Save)
+	// A legacy (pre-v3) file in the same dir must still heap-load.
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "spatial-4.cinct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "legacy"+ExtSpatial), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	mapped := New(Options{Mmap: true})
 	defer mapped.CloseAll()
@@ -103,18 +111,7 @@ func TestEngineMmapServing(t *testing.T) {
 	if _, err := mapped.Seal(ctx, "temporal"); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(dir, "temporal"+ExtTemporal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	magic := make([]byte, 8)
-	if _, err := f.Read(magic); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if !cinct.IsV3Container(magic) {
-		t.Fatalf("seal persisted magic %q, want a v3 container", magic)
-	}
+	assertV3File(t, filepath.Join(dir, "temporal"+ExtTemporal))
 	if _, err := mapped.Reload("temporal"); err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +128,31 @@ func TestEngineMmapServing(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("sealed trajectories not queryable after mapped reload")
+	}
+
+	// The heap engine seals the legacy index and persists it as v3.
+	if _, err := heap.Append(ctx, "legacy", extra, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := heap.Seal(ctx, "legacy"); err != nil {
+		t.Fatal(err)
+	}
+	assertV3File(t, filepath.Join(dir, "legacy"+ExtSpatial))
+}
+
+// assertV3File fails unless path starts with the v3 container magic.
+func assertV3File(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	magic := make([]byte, 8)
+	if _, err := io.ReadFull(f, magic); err != nil {
+		t.Fatal(err)
+	}
+	if !cinct.IsV3Container(magic) {
+		t.Fatalf("%s starts with %q, want a v3 container", path, magic)
 	}
 }

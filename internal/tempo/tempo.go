@@ -211,35 +211,10 @@ func (s *Store) SizeBits() int {
 		(len(s.mins)+len(s.maxs))*64
 }
 
-// Save writes the store. The on-disk layout carries only the blob and
-// column lengths — checkpoints, summaries and offsets are derived at
-// Load — so files written before the block-structured rework load
-// identically and files written now load in pre-rework readers.
-func (s *Store) Save(w io.Writer) (int64, error) {
-	var n int64
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		k := binary.PutUvarint(buf[:], v)
-		n += int64(k)
-		_, err := w.Write(buf[:k])
-		return err
-	}
-	if err := put(uint64(len(s.starts))); err != nil {
-		return n, err
-	}
-	for k := range s.starts {
-		if err := put(uint64(s.lens[k])); err != nil {
-			return n, err
-		}
-	}
-	if err := put(uint64(len(s.blob))); err != nil {
-		return n, err
-	}
-	m, err := w.Write(s.blob)
-	return n + int64(m), err
-}
-
-// Load reads a store written by Save, validating the whole blob: every
+// Load reads a store in the legacy stream layout — uvarint column
+// count, the column lengths, uvarint blob length, blob — that older
+// builds framed into temporal index files (checkpoints, summaries and
+// offsets are derived here). It validates the whole blob: every
 // column must decode to exactly its declared length with no trailing
 // bytes, so corruption surfaces here as ErrCorrupt instead of as a
 // panic inside a later At or Column on a serving goroutine.

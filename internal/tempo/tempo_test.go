@@ -4,8 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// legacyStore is the committed legacy-layout store of
+// randomColumns(seed 3, 30), written by the Save this package had
+// before v3 became the only format written.
+func legacyStore(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "columns3.v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 func randomColumns(rng *rand.Rand, n int) [][]int64 {
 	return randomColumnsMaxLen(rng, n, 40)
@@ -78,15 +92,12 @@ func TestCompressionBeatsRaw(t *testing.T) {
 	}
 }
 
+// TestSaveLoad pins Load of the legacy stream layout against the
+// columns the fixture was written from.
 func TestSaveLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	times := randomColumns(rng, 30)
-	s := New(times)
-	var buf bytes.Buffer
-	if _, err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bufio.NewReader(&buf))
+	loaded, err := Load(bufio.NewReader(bytes.NewReader(legacyStore(t))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +112,7 @@ func TestSaveLoad(t *testing.T) {
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
-	s := New([][]int64{{1, 2, 3}})
-	var buf bytes.Buffer
-	if _, err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := legacyStore(t)
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := Load(bufio.NewReader(bytes.NewReader(full[:cut]))); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
@@ -180,12 +186,7 @@ func TestMinMax(t *testing.T) {
 // relies on load-time validation to keep At/Column panic-free).
 func TestLoadRejectsCorruptBlob(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	s := New(randomColumnsMaxLen(rng, 5, 200))
-	var buf bytes.Buffer
-	if _, err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := legacyStore(t)
 	rejected := 0
 	for trial := 0; trial < 50; trial++ {
 		mut := append([]byte(nil), full...)

@@ -8,56 +8,18 @@ import (
 	"io"
 )
 
-// Corpus metadata serialization: the edge map and document tables are
-// enough to interpret a core index (the text itself is recoverable from
-// the self-index and is not stored).
+// Legacy corpus metadata stream, read by LoadMeta and no longer written
+// (v3 sections carry the metadata flat, see flat.go): the edge map and
+// document tables are enough to interpret a core index (the text itself
+// is recoverable from the self-index and is not stored). All counts are
+// uvarints; edge IDs ascend and are delta-coded.
 
 const metaMagic = "CNCTmeta"
 
 // ErrBadMeta reports a malformed corpus metadata stream.
 var ErrBadMeta = errors.New("trajstr: bad corpus metadata")
 
-// SaveMeta writes the corpus metadata (not the text) to w.
-func (c *Corpus) SaveMeta(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v uint64) error {
-		var buf [binary.MaxVarintLen64]byte
-		k := binary.PutUvarint(buf[:], v)
-		n += int64(k)
-		_, err := bw.Write(buf[:k])
-		return err
-	}
-	if _, err := bw.WriteString(metaMagic); err != nil {
-		return n, err
-	}
-	n += int64(len(metaMagic))
-	if err := write(uint64(c.Sigma)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(c.symToEdge))); err != nil {
-		return n, err
-	}
-	// Edge IDs ascend (dense mapping is built sorted): delta-code them.
-	prev := uint64(0)
-	for _, e := range c.symToEdge {
-		if err := write(uint64(e) - prev); err != nil {
-			return n, err
-		}
-		prev = uint64(e)
-	}
-	if err := write(uint64(len(c.docStarts))); err != nil {
-		return n, err
-	}
-	for _, l := range c.docLens {
-		if err := write(uint64(l)); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// LoadMeta reads corpus metadata written by SaveMeta. The returned
+// LoadMeta reads legacy corpus metadata. The returned
 // corpus has no Text; only table-based operations work. Declared
 // counts never translate into upfront allocations — the tables grow
 // with the entries actually parsed, so arbitrary bytes cannot make

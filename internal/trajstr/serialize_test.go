@@ -3,9 +3,25 @@ package trajstr
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
+// legacyMeta is the committed metadata stream of TestMetaRoundTrip's
+// corpus, written by the SaveMeta this package had before v3 became
+// the only format written.
+func legacyMeta(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "meta.v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestMetaRoundTrip pins LoadMeta of the legacy stream: the fixture
+// must describe exactly the corpus New builds from the same rows.
 func TestMetaRoundTrip(t *testing.T) {
 	trajs := [][]uint32{
 		{100, 200, 300},
@@ -16,15 +32,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := c.SaveMeta(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("SaveMeta reported %d, wrote %d", n, buf.Len())
-	}
-	loaded, err := LoadMeta(&buf)
+	loaded, err := LoadMeta(bytes.NewReader(legacyMeta(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +69,7 @@ func TestLoadMetaRejectsGarbage(t *testing.T) {
 	if _, err := LoadMeta(bytes.NewReader([]byte("bogus"))); !errors.Is(err, ErrBadMeta) {
 		t.Fatalf("want ErrBadMeta, got %v", err)
 	}
-	c, _ := New([][]uint32{{1, 2}})
-	var buf bytes.Buffer
-	if _, err := c.SaveMeta(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := legacyMeta(t)
 	for _, cut := range []int{0, 3, len(full) - 1} {
 		if _, err := LoadMeta(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)

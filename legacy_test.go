@@ -1,0 +1,300 @@
+package cinct
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"cinct/internal/flat"
+	"cinct/internal/tempo"
+)
+
+// legacyFixture describes one committed file under testdata/legacy/:
+// an index written by the stream-format writers Save had before v3
+// became the only format written, over timedCorpus(seed) built with
+// DefaultOptions and the given shard count. Nothing writes these
+// formats any more; Load, LoadTemporal and `cinct convert` must keep
+// reading them.
+type legacyFixture struct {
+	file     string
+	seed     int64
+	shards   int
+	temporal bool
+}
+
+var legacyFixtures = []legacyFixture{
+	{"spatial-1.cinct", 7, 1, false},                 // single-index (seed v1) format
+	{"spatial-4.cinct", 7, 4, false},                 // CNCTshrd container
+	{"temporal-1.tcinct", 7, 1, true},                // CNCTtemp over the single-index format
+	{"temporal-4.tcinct", 7, 4, true},                // CNCTtemp over CNCTshrd
+	{"temporal-1-unversioned.tcinct", 7, 1, true},    // the pre-container temporal layout
+	{"global-store-unversioned.tcinct", 12, 3, true}, // one corpus-wide store beside 3 shards...
+	{"global-store-cncttemp.tcinct", 12, 3, true},    // ...and the same in a CNCTtemp container, K = 1
+}
+
+func (fx legacyFixture) read(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", fx.file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// load opens the fixture through the streaming loaders.
+func (fx legacyFixture) load(t *testing.T) *Index {
+	t.Helper()
+	if !fx.temporal {
+		ix, err := Load(bytes.NewReader(fx.read(t)))
+		if err != nil {
+			t.Fatalf("Load(%s): %v", fx.file, err)
+		}
+		return ix
+	}
+	tix, err := LoadTemporal(bytes.NewReader(fx.read(t)))
+	if err != nil {
+		t.Fatalf("LoadTemporal(%s): %v", fx.file, err)
+	}
+	return tix.Index
+}
+
+// convertAndMap does what `cinct convert` does — Save the loaded index
+// — and opens the result through OpenMapped / OpenMappedTemporal.
+func convertAndMap(t *testing.T, ix *Index) *Index {
+	t.Helper()
+	var mapped *Index
+	if ix.Temporal() {
+		path := filepath.Join(t.TempDir(), "converted.tcinct")
+		if err := os.WriteFile(path, saveV3Bytes(t, nil, &TemporalIndex{ix}), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tix, err := OpenMappedTemporal(path)
+		if err != nil {
+			t.Fatalf("OpenMappedTemporal: %v", err)
+		}
+		mapped = tix.Index
+	} else {
+		mapped = mapV3(t, saveV3Bytes(t, ix, nil))
+	}
+	if !mapped.Mapped() {
+		t.Fatal("converted file does not serve mapped")
+	}
+	return mapped
+}
+
+// checkLegacyAnswers pins a legacy-sourced index to a fresh Build of
+// the fixture's corpus: shape, reconstruction and timestamps, the full
+// query matrix — kinds × limits × intervals, plus a one-hit cursor
+// walk — and then Append, Seal and Compact with answers still equal to
+// brute force.
+func checkLegacyAnswers(t *testing.T, fx legacyFixture, got *Index) {
+	t.Helper()
+	trajs, times := timedCorpus(fx.seed)
+	opts := DefaultOptions()
+	opts.Shards = fx.shards
+	var want *Index
+	var intervals []*Interval
+	if fx.temporal {
+		tix, err := BuildTemporal(trajs, times, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = tix.Index
+		for _, iv := range testIntervals(times) {
+			intervals = append(intervals, &Interval{From: iv[0], To: iv[1]})
+		}
+	} else {
+		var err error
+		if want, err = Build(trajs, opts); err != nil {
+			t.Fatal(err)
+		}
+		times = nil
+	}
+	intervals = append(intervals, nil)
+	ctx := context.Background()
+
+	if got.Shards() != fx.shards || got.Temporal() != fx.temporal {
+		t.Fatalf("loaded as %d shards (temporal %v), want %d (temporal %v)",
+			got.Shards(), got.Temporal(), fx.shards, fx.temporal)
+	}
+	for id := range trajs {
+		if tr, err := got.Trajectory(id); err != nil || !reflect.DeepEqual(tr, trajs[id]) {
+			t.Fatalf("Trajectory(%d) = %v, %v; want %v", id, tr, err, trajs[id])
+		}
+		if fx.temporal {
+			if ts := (&TemporalIndex{got}).Timestamps(id); !reflect.DeepEqual(ts, times[id]) {
+				t.Fatalf("Timestamps(%d) = %v, want %v", id, ts, times[id])
+			}
+		}
+	}
+	paths := [][]uint32{pathIn(t, trajs, 0, 0, 2), pathIn(t, trajs, 7, 2, 3), pathIn(t, trajs, 90, 1, 4), {1 << 30}}
+	for _, path := range paths {
+		for _, iv := range intervals {
+			for _, kind := range []Kind{Occurrences, Trajectories, CountOnly} {
+				for _, limit := range []int{0, 1, 3} {
+					q := Query{Path: path, Interval: iv, Kind: kind, Limit: limit}
+					wr, err := want.Search(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gr, err := got.Search(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if kind == CountOnly {
+						wn, _ := wr.Count()
+						if gn, _ := gr.Count(); gn != wn {
+							t.Fatalf("%+v: count %d, want %d", q, gn, wn)
+						}
+						continue
+					}
+					if wh, gh := drain(t, wr), drain(t, gr); !sameHits(gh, wh) {
+						t.Fatalf("%+v: hits %v, want %v", q, gh, wh)
+					}
+				}
+				if kind == CountOnly {
+					continue
+				}
+				// Page by one hit at a time; the pages must concatenate
+				// to the unpaged stream.
+				q := Query{Path: path, Interval: iv, Kind: kind}
+				all, err := search(want, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var walked []Hit
+				q.Limit = 1
+				for {
+					r, err := got.Search(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					page := drain(t, r)
+					walked = append(walked, page...)
+					if q.Cursor = r.Cursor(); q.Cursor == "" || len(page) == 0 {
+						break
+					}
+				}
+				if !sameHits(walked, all) {
+					t.Fatalf("%+v: cursor walk %v, want %v", q, walked, all)
+				}
+			}
+		}
+	}
+
+	// A legacy-sourced index is an ordinary one: it ingests and compacts.
+	w, err := NewWriterAt(got, WriterConfig{})
+	if err != nil {
+		t.Fatalf("NewWriterAt: %v", err)
+	}
+	defer w.Close()
+	rng := rand.New(rand.NewSource(fx.seed))
+	allTrajs := append([][]uint32{}, trajs...)
+	allTimes := append([][]int64{}, times...)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 5; i++ {
+			tr := genTraj(rng)
+			var col []int64
+			if fx.temporal {
+				col = genTimes(rng, len(tr))
+			}
+			if _, err := w.Append(tr, col); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			allTrajs, allTimes = append(allTrajs, tr), append(allTimes, col)
+		}
+		if n, err := w.Seal(); err != nil || n != 5 {
+			t.Fatalf("Seal = %d, %v; want 5", n, err)
+		}
+	}
+	if res, err := w.Compact(FullCompaction); err != nil || res.ShardsAfter != 1 {
+		t.Fatalf("Compact = %+v, %v; want one shard", res, err)
+	}
+	for _, path := range append(paths, genPath(rng, allTrajs)) {
+		for _, iv := range intervals {
+			q := Query{Path: path, Interval: iv, Kind: Occurrences}
+			hits, _ := drainWriter(t, w, q)
+			if exp, _ := oracleSearch(allTrajs, allTimes, q); !sameHits(hits, exp) {
+				t.Fatalf("after compaction %+v: %v, oracle %v", q, hits, exp)
+			}
+		}
+	}
+}
+
+// TestV3LegacyFormatsStillLoad pins backward compatibility: every
+// committed legacy file loads through Load / LoadTemporal, converts
+// (Save, then OpenMapped / OpenMappedTemporal), and in both forms
+// answers exactly like a fresh Build of the same corpus.
+func TestV3LegacyFormatsStillLoad(t *testing.T) {
+	for _, fx := range legacyFixtures {
+		t.Run(fx.file, func(t *testing.T) {
+			loaded := fx.load(t)
+			t.Run("load", func(t *testing.T) { checkLegacyAnswers(t, fx, loaded) })
+			t.Run("converted", func(t *testing.T) { checkLegacyAnswers(t, fx, convertAndMap(t, loaded)) })
+		})
+	}
+}
+
+// TestLegacyTemporalLayout pins the load-time normalisation of the
+// legacy global-store layout — several spatial shards beside one
+// corpus-wide timestamp store. In each of its encodings (the
+// unversioned stream and the CNCTtemp container with store count 1,
+// both committed fixtures, and a v3 file with storeCount 1 <
+// shardCount, also through the mapped path) it loads as one store per
+// shard and then behaves like the BuildTemporal index over the same
+// corpus (see checkLegacyAnswers).
+func TestLegacyTemporalLayout(t *testing.T) {
+	fixtures := map[string]legacyFixture{}
+	for _, fx := range legacyFixtures {
+		fixtures[fx.file] = fx
+	}
+	for _, enc := range []struct{ name, file string }{
+		{"unversioned", "global-store-unversioned.tcinct"},
+		{"CNCTtemp", "global-store-cncttemp.tcinct"},
+	} {
+		fx := fixtures[enc.file]
+		t.Run(enc.name, func(t *testing.T) { checkLegacyAnswers(t, fx, fx.load(t)) })
+	}
+
+	fx := fixtures["global-store-cncttemp.tcinct"]
+	trajs, times := timedCorpus(fx.seed)
+	opts := DefaultOptions()
+	opts.Shards = fx.shards
+	built, err := BuildTemporal(trajs, times, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []v3Section
+	for s, sh := range built.shards {
+		secs = append(secs, sh.spatialSection(s))
+	}
+	fw := flat.NewWriter()
+	tempo.New(times).AppendFlat(fw)
+	secs = append(secs, v3Section{kind: v3KindTempo, words: fw.Words()})
+	var v3 bytes.Buffer
+	if _, err := writeV3(&v3, v3FlavorTemporal, uint64(fx.shards), 1, secs); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("v3", func(t *testing.T) {
+		got, err := LoadTemporal(bytes.NewReader(v3.Bytes()))
+		if err != nil {
+			t.Fatalf("LoadTemporal: %v", err)
+		}
+		checkLegacyAnswers(t, fx, got.Index)
+	})
+	t.Run("v3-mapped", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "legacy.tcinct")
+		if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := OpenMappedTemporal(path)
+		if err != nil {
+			t.Fatalf("OpenMappedTemporal: %v", err)
+		}
+		checkLegacyAnswers(t, fx, got.Index)
+	})
+}

@@ -1,9 +1,10 @@
 // Command genfuzzseeds regenerates the committed fuzz seed corpora
-// under testdata/fuzz/ and server/testdata/fuzz/: valid container
-// files (monolithic, sharded, temporal), truncations, bare magics,
-// genuine cursors and representative query bodies — the structured
-// starting points that let short CI fuzz runs reach deep parser
-// states immediately. Run from the repo root:
+// under testdata/fuzz/ and server/testdata/fuzz/: valid v3 containers
+// (monolithic, sharded, temporal), truncations, bare magics, genuine
+// cursors and representative query bodies — the structured starting
+// points that let short CI fuzz runs reach deep parser states
+// immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds are
+// frozen legacy files it does not touch. Run from the repo root:
 //
 //	go run ./scripts/genfuzzseeds
 package main
@@ -56,44 +57,13 @@ func writeSeed(dir, name string, data []byte) {
 func main() {
 	trajs, times := corpus()
 
-	// FuzzLoadSharded: monolithic + sharded containers and truncations.
-	dir := filepath.Join("testdata", "fuzz", "FuzzLoadSharded")
-	for _, shards := range []int{1, 3} {
-		opts := cinct.DefaultOptions()
-		opts.Shards = shards
-		ix, err := cinct.Build(trajs, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := ix.Save(&buf); err != nil {
-			log.Fatal(err)
-		}
-		writeSeed(dir, fmt.Sprintf("valid-shards%d", shards), buf.Bytes())
-		writeSeed(dir, fmt.Sprintf("truncated-shards%d", shards), buf.Bytes()[:buf.Len()/2])
-	}
-	writeSeed(dir, "magic-only", []byte("CNCTshrd"))
-
-	// FuzzLoadTemporal: current container, legacy-shaped prefix, magic.
-	dir = filepath.Join("testdata", "fuzz", "FuzzLoadTemporal")
-	for _, shards := range []int{1, 2} {
-		opts := cinct.DefaultOptions()
-		opts.Shards = shards
-		tix, err := cinct.BuildTemporal(trajs, times, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := tix.Save(&buf); err != nil {
-			log.Fatal(err)
-		}
-		writeSeed(dir, fmt.Sprintf("valid-shards%d", shards), buf.Bytes())
-		writeSeed(dir, fmt.Sprintf("truncated-shards%d", shards), buf.Bytes()[:2*buf.Len()/3])
-	}
-	writeSeed(dir, "magic-only", []byte("CNCTtemp"))
+	// FuzzLoadSharded and FuzzLoadTemporal keep their committed seeds
+	// as frozen legacy fixtures: they are files in the stream formats
+	// nothing writes any more (Save writes v3, seeded in code and under
+	// FuzzLoadMapped).
 
 	// FuzzCursor: genuine resume tokens (selector byte + token) and junk.
-	dir = filepath.Join("testdata", "fuzz", "FuzzCursor")
+	dir := filepath.Join("testdata", "fuzz", "FuzzCursor")
 	tix, err := cinct.BuildTemporal(trajs, times, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -131,7 +101,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := ix.SaveV3(&buf); err != nil {
+		if _, err := ix.Save(&buf); err != nil {
 			log.Fatal(err)
 		}
 		writeSeed(dir, fmt.Sprintf("v3-spatial-shards%d", shards), buf.Bytes())
@@ -141,7 +111,7 @@ func main() {
 			log.Fatal(err)
 		}
 		buf.Reset()
-		if _, err := tix.SaveV3(&buf); err != nil {
+		if _, err := tix.Save(&buf); err != nil {
 			log.Fatal(err)
 		}
 		writeSeed(dir, fmt.Sprintf("v3-temporal-shards%d", shards), buf.Bytes())

@@ -2,7 +2,6 @@ package cinct
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,10 +11,12 @@ import (
 	"cinct/internal/trajstr"
 )
 
-// Stream formats. A one-shard index is written in the single-index
-// (seed v1) format: the corpus metadata (edge map, document table)
-// followed by the compressed core index. More shards are written in
-// the sharded container (versioned):
+// Legacy stream formats, read by Load and never written (Save writes
+// v3, see serialize_v3.go). Builds before v3 wrote a one-shard index in
+// the single-index (seed v1) format — the corpus metadata (edge map,
+// document table, magic "CNCTmeta") followed by the compressed core
+// index (magic "CiNCTv1"), which Load decodes and rebuilds on the
+// heap — and more shards in the sharded container (versioned):
 //
 //	magic   "CNCTshrd"                 8 bytes
 //	version uvarint                    currently 1
@@ -25,8 +26,9 @@ import (
 //
 // The routing table is redundant with the framed shards (each frame
 // embeds its document table) but lets a reader size the ID space and
-// validate frames without trusting them; the length prefixes make the
-// frames skippable for future selective/lazy shard loading.
+// validate frames without trusting them. Files in these formats are
+// inputs to Load and `cinct convert` only; testdata/legacy/ holds
+// committed examples.
 
 const (
 	shardMagic   = "CNCTshrd"
@@ -41,74 +43,18 @@ var ErrBadShardContainer = errors.New("cinct: bad sharded index container")
 // let a query walk out of bounds.
 var ErrCorruptIndex = errors.New("cinct: corpus metadata inconsistent with core index")
 
-// Save writes the spatial index to w; Load reads it back. Timestamps,
-// if any, are not written — that is TemporalIndex.Save.
-func (ix *Index) Save(w io.Writer) (int64, error) {
-	if len(ix.shards) == 1 {
-		return ix.shards[0].save(w)
-	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	writeUvarint := func(v uint64) error {
-		var buf [binary.MaxVarintLen64]byte
-		k := binary.PutUvarint(buf[:], v)
-		n += int64(k)
-		_, err := bw.Write(buf[:k])
-		return err
-	}
-	if _, err := bw.WriteString(shardMagic); err != nil {
-		return n, err
-	}
-	n += int64(len(shardMagic))
-	if err := writeUvarint(shardVersion); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(len(ix.shards))); err != nil {
-		return n, err
-	}
-	for _, sh := range ix.shards {
-		if err := writeUvarint(uint64(sh.corpus.NumTrajectories())); err != nil {
-			return n, err
-		}
-	}
-	var frame bytes.Buffer
-	for s, sh := range ix.shards {
-		frame.Reset()
-		if _, err := sh.save(&frame); err != nil {
-			return n, fmt.Errorf("cinct: saving shard %d: %w", s, err)
-		}
-		if err := writeUvarint(uint64(frame.Len())); err != nil {
-			return n, err
-		}
-		k, err := bw.Write(frame.Bytes())
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// save writes the single-index (seed v1) format.
-func (sh *shard) save(w io.Writer) (int64, error) {
-	n1, err := sh.corpus.SaveMeta(w)
-	if err != nil {
-		return n1, err
-	}
-	n2, err := sh.core.Save(w)
-	return n1 + n2, err
-}
-
-// Load reads an index written by Save or SaveV3 — any format: the
-// sharded and v3 containers are recognized by their magics, anything
-// else is parsed as the original single-index layout.
+// Load reads a spatial index from r: a v3 container as Save writes it
+// (one aligned read into the heap; OpenMapped maps the same file
+// instead), or any legacy stream format older builds wrote — the
+// sharded container is recognized by its magic, anything else is
+// parsed as the original single-index layout.
 func Load(r io.Reader) (*Index, error) {
 	// One shared buffered reader: the sub-loaders each call
 	// bufio.NewReader, which returns this same object rather than
 	// wrapping again — so no bytes are lost to read-ahead.
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(v3Magic)); err == nil && isV3Magic(magic) {
-		return loadV3(br, v3FlavorSpatial)
+		return loadV3(r, br, v3FlavorSpatial)
 	}
 	if magic, err := br.Peek(len(shardMagic)); err == nil && string(magic) == shardMagic {
 		return loadSharded(br)

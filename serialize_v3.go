@@ -2,9 +2,11 @@ package cinct
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"unsafe"
 
 	"cinct/internal/core"
@@ -14,13 +16,14 @@ import (
 	"cinct/internal/trajstr"
 )
 
-// Container format v3: a single flat file readable in place. Where v1
-// streams varints that Load must decode into heap structures, v3 lays
-// every structure out as 64-bit little-endian words so a reader wraps
-// the file's bytes directly — OpenMapped memory-maps the file and
-// serves queries from the mapping (O(1) open, kernel-managed paging,
-// pages shared across processes), and Load falls back to one aligned
-// read of the same layout.
+// Container format v3: a single flat file readable in place, and the
+// only format Save writes. Where the legacy stream formats (see
+// serialize.go) hold varints that Load must decode into heap
+// structures, v3 lays every structure out as 64-bit little-endian
+// words so a reader wraps the file's bytes directly — OpenMapped
+// memory-maps the file and serves queries from the mapping (O(1)
+// open, kernel-managed paging, pages shared across processes), and
+// Load falls back to one aligned read of the same layout.
 //
 //	header   8 words (64 bytes)
 //	  [0] magic "CNCTidx3"
@@ -75,21 +78,32 @@ func v3MagicWord() uint64 {
 	return w
 }
 
-// SaveV3 writes the spatial index in container format v3 (timestamps,
-// if any, are not written — that is TemporalIndex.SaveV3). The v3 file
-// is what OpenMapped serves in place; Load accepts it too (alongside
-// v1/v2).
-func (ix *Index) SaveV3(w io.Writer) (int64, error) {
+// Save writes the spatial index as a v3 container and returns the
+// number of bytes written; timestamps, if any, are not written — that
+// is TemporalIndex.Save. OpenMapped serves the file in place and Load
+// reads it back with one aligned read.
+func (ix *Index) Save(w io.Writer) (int64, error) {
 	return saveV3(w, ix, false)
 }
 
-// SaveV3 writes the temporal index in container format v3.
-func (t *TemporalIndex) SaveV3(w io.Writer) (int64, error) {
+// SaveV3 is Save.
+//
+// Deprecated: Save writes the v3 container.
+func (ix *Index) SaveV3(w io.Writer) (int64, error) { return ix.Save(w) }
+
+// Save writes the temporal index — spatial shards plus one timestamp
+// store per shard — as a v3 container.
+func (t *TemporalIndex) Save(w io.Writer) (int64, error) {
 	if !t.Temporal() {
 		return 0, ErrNoTimestamps
 	}
 	return saveV3(w, t.Index, true)
 }
+
+// SaveV3 is Save.
+//
+// Deprecated: Save writes the v3 container.
+func (t *TemporalIndex) SaveV3(w io.Writer) (int64, error) { return t.Save(w) }
 
 type v3Section struct {
 	kind  uint64
@@ -106,6 +120,8 @@ func (sh *shard) spatialSection(s int) v3Section {
 	return v3Section{kind: v3KindSpatial, shard: uint64(s), words: fw.Words()}
 }
 
+// saveV3 is the one writer behind every Save: the spatial sections,
+// then, for a temporal index, one timestamp store per shard.
 func saveV3(w io.Writer, ix *Index, temporal bool) (int64, error) {
 	var secs []v3Section
 	for s, sh := range ix.shards {
@@ -242,21 +258,69 @@ func (ix *Index) Mapped() bool {
 	return false
 }
 
-// loadV3 reads a whole v3 stream into an aligned heap buffer and views
-// it there — the non-mmap path used by Load/LoadTemporal.
-func loadV3(br *bufio.Reader, flavor uint64) (*Index, error) {
-	data, err := io.ReadAll(br)
-	if err != nil {
+// v3ReadChunk is the unit in which loadV3 buffers a stream whose
+// length it cannot learn up front.
+const v3ReadChunk = 64 << 10
+
+// loadV3 reads the rest of a v3 stream — r, buffered by br — into an
+// aligned heap image and views it there: the non-mmap path of Load and
+// LoadTemporal. When r knows its length (streamSize) the image is
+// allocated once at that size and read straight into; otherwise the
+// stream is read in fixed chunks and copied once. No allocation is
+// sized from the header, which is not yet verified.
+func loadV3(r io.Reader, br *bufio.Reader, flavor uint64) (*Index, error) {
+	size := streamSize(r)
+	var src io.Reader = br
+	if size >= 0 {
+		size += int64(br.Buffered())
+	} else {
+		var chunks []io.Reader
+		for size = 0; ; {
+			chunk := make([]byte, v3ReadChunk)
+			n, err := io.ReadFull(br, chunk)
+			chunks = append(chunks, bytes.NewReader(chunk[:n]))
+			size += int64(n)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+		}
+		src = io.MultiReader(chunks...)
+	}
+	if size%8 != 0 {
+		return nil, fmt.Errorf("%w: %d bytes is not a whole number of words", ErrCorrupt, size)
+	}
+	words := make([]uint64, size/8)
+	if _, err := io.ReadFull(src, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("%w: %d bytes is not a whole number of words", ErrCorrupt, len(data))
-	}
-	words := make([]uint64, len(data)/8)
-	if len(words) > 0 {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(data)), data)
-	}
 	return viewContainer(words, flavor)
+}
+
+// streamSize reports how many bytes r holds past its current position
+// when r can tell without being read — an in-memory buffer or a
+// regular file — and -1 otherwise. Unlike a header field it is a fact
+// about the input, so loadV3 may size its image from it.
+func streamSize(r io.Reader) int64 {
+	switch r := r.(type) {
+	case *bytes.Reader:
+		return int64(r.Len())
+	case *bytes.Buffer:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil || off > fi.Size() {
+			return -1
+		}
+		return fi.Size() - off
+	}
+	return -1
 }
 
 // viewContainer parses a v3 container from its word image, wrapping

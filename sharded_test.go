@@ -3,6 +3,8 @@ package cinct
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -212,50 +214,16 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	assertSameAnswers(t, ix, loaded, trajs)
 }
 
-// TestSeedFormatBackwardCompatible asserts the original single-index
-// byte format (what the seed's Save emitted) still loads: an index
-// saved without sharding must round-trip through Load and answer
-// identically.
-func TestSeedFormatBackwardCompatible(t *testing.T) {
-	trajs := shardedTestCorpus(t)
-	ix, err := Build(trajs, nil) // monolithic ⇒ seed v1 byte format
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(buf.Bytes(), []byte(shardMagic)) {
-		t.Fatal("monolithic Save must keep emitting the seed format")
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Shards() != 1 {
-		t.Fatalf("seed format loaded as %d shards", loaded.Shards())
-	}
-	assertSameAnswers(t, ix, loaded, trajs)
-}
-
 func TestLoadShardedRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("CNCTshrd junk"))); !errors.Is(err, ErrBadShardContainer) {
 		t.Fatalf("want ErrBadShardContainer, got %v", err)
 	}
 	// A truncated container must error, not hang or panic.
-	trajs := [][]uint32{{1, 2, 3}, {2, 3, 4}}
-	opts := DefaultOptions()
-	opts.Shards = 2
-	ix, err := Build(trajs, opts)
+	full, err := os.ReadFile(filepath.Join("testdata", "legacy", "spatial-4.cinct"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+	if _, err := Load(bytes.NewReader(full[:len(full)/2])); err == nil {
 		t.Fatal("truncated container must fail to load")
 	}
 }

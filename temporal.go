@@ -2,7 +2,6 @@ package cinct
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,14 +18,15 @@ import (
 // spatial engine of exactly such systems (SNT-index, CTR); this is the
 // combination, with timestamps compressed losslessly as in CTR [3].
 //
-// The type exists to carry that guarantee — and the temporal container
-// formats of Save/SaveV3 — through signatures; the query surface is the
-// embedded Index's, whose Search accepts an Interval exactly when the
-// stores are there. BuildTemporal, LoadTemporal and OpenMappedTemporal
-// produce one; an Index whose Temporal method reports true (the result
-// of AppendSealed or CompactRange on a temporal index) may be wrapped
-// as &TemporalIndex{Index: ix}. Wrapping a spatial index is a mistake
-// the methods answer with ErrNoTimestamps.
+// The type exists to carry that guarantee — and the temporal flavor of
+// the v3 container Save writes — through signatures; the query surface
+// is the embedded Index's, whose Search accepts an Interval exactly
+// when the stores are there. BuildTemporal, LoadTemporal and
+// OpenMappedTemporal produce one; an Index whose Temporal method
+// reports true (the result of AppendSealed or CompactRange on a
+// temporal index) may be wrapped as &TemporalIndex{Index: ix}.
+// Wrapping a spatial index is a mistake the methods answer with
+// ErrNoTimestamps.
 type TemporalIndex struct {
 	*Index
 }
@@ -92,12 +92,13 @@ func (ix *Index) TimestampBits() int {
 	return n
 }
 
-// Temporal container format (versioned):
+// Legacy temporal container, read by LoadTemporal and never written
+// (TemporalIndex.Save writes v3):
 //
 //	magic   "CNCTtemp"                 8 bytes
-//	version uvarint                    currently 2
+//	version uvarint                    2
 //	K       uvarint                    timestamp store count
-//	spatial index                      Index.Save (either spatial format)
+//	spatial index                      either legacy spatial format
 //	frames  K × (uvarint len, bytes)   each a tempo store
 //
 // Version 1 had no magic: it was the spatial index immediately
@@ -113,64 +114,16 @@ const (
 // ErrBadTemporalContainer reports a malformed temporal index stream.
 var ErrBadTemporalContainer = errors.New("cinct: bad temporal index container")
 
-// Save writes the versioned temporal container: the spatial index
-// followed by the length-prefixed timestamp store frames, one per
-// shard.
-func (t *TemporalIndex) Save(w io.Writer) (int64, error) {
-	if !t.Temporal() {
-		return 0, ErrNoTimestamps
-	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		k := binary.PutUvarint(buf[:], v)
-		n += int64(k)
-		_, err := bw.Write(buf[:k])
-		return err
-	}
-	if _, err := bw.WriteString(temporalMagic); err != nil {
-		return n, err
-	}
-	n += int64(len(temporalMagic))
-	if err := writeUvarint(temporalVersion); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(len(t.shards))); err != nil {
-		return n, err
-	}
-	k, err := t.Index.Save(bw)
-	n += k
-	if err != nil {
-		return n, err
-	}
-	var frame bytes.Buffer
-	for s, sh := range t.shards {
-		frame.Reset()
-		if _, err := sh.ts.Save(&frame); err != nil {
-			return n, fmt.Errorf("cinct: saving timestamp store %d: %w", s, err)
-		}
-		if err := writeUvarint(uint64(frame.Len())); err != nil {
-			return n, err
-		}
-		m, err := bw.Write(frame.Bytes())
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// LoadTemporal reads an index written by TemporalIndex.Save or SaveV3
-// — the current containers or the legacy unversioned layout — and
-// validates the timestamp stores against the spatial index: column
-// counts and every per-trajectory length must match, so shape
-// corruption fails the load instead of panicking inside a query.
+// LoadTemporal reads a temporal index from r — a v3 container as
+// TemporalIndex.Save writes it, or the legacy CNCTtemp and unversioned
+// layouts older builds wrote — and validates the timestamp stores
+// against the spatial index: column counts and every per-trajectory
+// length must match, so shape corruption fails the load instead of
+// panicking inside a query.
 func LoadTemporal(r io.Reader) (*TemporalIndex, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(v3Magic)); err == nil && isV3Magic(magic) {
-		ix, err := loadV3(br, v3FlavorTemporal)
+		ix, err := loadV3(r, br, v3FlavorTemporal)
 		if err != nil {
 			return nil, err
 		}

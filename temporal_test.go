@@ -2,11 +2,13 @@ package cinct
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"cinct/internal/flat"
 	"cinct/internal/tempo"
 	"cinct/internal/trajgen"
 )
@@ -238,67 +240,9 @@ func TestTemporalShardedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestTemporalLegacyFormatLoads writes the pre-container layout by
-// hand — spatial index immediately followed by one corpus-wide store,
-// both monolithic and sharded-spatial variants — and checks that
-// LoadTemporal still accepts it with identical answers.
-func TestTemporalLegacyFormatLoads(t *testing.T) {
-	trajs, times := timedCorpus(6)
-	for _, shards := range []int{1, 3} {
-		opts := DefaultOptions()
-		opts.Shards = shards
-		want, err := BuildTemporal(trajs, times, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var legacy bytes.Buffer
-		if _, err := want.Index.Save(&legacy); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tempo.New(times).Save(&legacy); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadTemporal(&legacy)
-		if err != nil {
-			t.Fatalf("shards=%d: legacy load: %v", shards, err)
-		}
-		if got.Index.Shards() != shards {
-			t.Fatalf("legacy load: %d shards, want %d", got.Index.Shards(), shards)
-		}
-		path := pathIn(t, trajs, 7, 2, 5)
-		for _, iv := range testIntervals(times) {
-			for _, limit := range []int{0, 2} {
-				a, err := search(want, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Limit: limit})
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := search(got, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Limit: limit})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a, b) && (len(a) != 0 || len(b) != 0) {
-					t.Fatalf("shards=%d [%d,%d] limit %d: legacy %v, built %v",
-						shards, iv[0], iv[1], limit, b, a)
-				}
-			}
-			an, err := searchCount(want, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Kind: CountOnly})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bn, err := searchCount(got, Query{Path: path, Interval: &Interval{From: iv[0], To: iv[1]}, Kind: CountOnly})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if an != bn {
-				t.Fatalf("shards=%d [%d,%d]: legacy count %d, built %d", shards, iv[0], iv[1], bn, an)
-			}
-		}
-	}
-}
-
-// TestTemporalLoadRejectsShapeMismatch builds legacy bytes whose
-// timestamp columns are shorter than the trajectories; the load must
-// fail instead of arming a panic inside a later query.
+// TestTemporalLoadRejectsShapeMismatch writes containers whose
+// timestamp columns do not fit the trajectories; the load must fail
+// instead of arming a panic inside a later query.
 func TestTemporalLoadRejectsShapeMismatch(t *testing.T) {
 	trajs, times := timedCorpus(7)
 	ix, err := Build(trajs, nil)
@@ -308,26 +252,20 @@ func TestTemporalLoadRejectsShapeMismatch(t *testing.T) {
 	short := make([][]int64, len(times))
 	copy(short, times)
 	short[3] = short[3][:1]
-	var buf bytes.Buffer
-	if _, err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tempo.New(short).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTemporal(&buf); err == nil {
-		t.Fatal("column/trajectory length mismatch not rejected at load")
-	}
-	// Column count mismatch as well.
-	buf.Reset()
-	if _, err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tempo.New(times[:len(times)-1]).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTemporal(&buf); err == nil {
-		t.Fatal("column count mismatch not rejected at load")
+	for name, cols := range map[string][][]int64{
+		"column/trajectory length": short,
+		"column count":             times[:len(times)-1],
+	} {
+		fw := flat.NewWriter()
+		tempo.New(cols).AppendFlat(fw)
+		secs := []v3Section{ix.shards[0].spatialSection(0), {kind: v3KindTempo, words: fw.Words()}}
+		var buf bytes.Buffer
+		if _, err := writeV3(&buf, v3FlavorTemporal, 0, 1, secs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTemporal(&buf); !errors.Is(err, ErrCorruptTimestamps) {
+			t.Fatalf("%s mismatch: err = %v, want ErrCorruptTimestamps", name, err)
+		}
 	}
 }
 

@@ -5,23 +5,27 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"cinct/internal/trajgen"
 )
 
-// saveV3Bytes serializes via SaveV3 into memory.
+// saveV3Bytes serializes via Save into memory.
 func saveV3Bytes(t *testing.T, ix *Index, tix *TemporalIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var err error
 	if tix != nil {
-		_, err = tix.SaveV3(&buf)
+		_, err = tix.Save(&buf)
 	} else {
-		_, err = ix.SaveV3(&buf)
+		_, err = ix.Save(&buf)
 	}
 	if err != nil {
-		t.Fatalf("SaveV3: %v", err)
+		t.Fatalf("Save: %v", err)
 	}
 	if buf.Len()%v3PageSize != 0 {
 		t.Fatalf("v3 container is %d bytes, not page-aligned", buf.Len())
@@ -43,7 +47,7 @@ func mapV3(t *testing.T, data []byte) *Index {
 	return ix
 }
 
-// TestV3RoundTrip pins SaveV3 → Load (heap view) and SaveV3 →
+// TestV3RoundTrip pins Save → Load (heap view) and Save →
 // OpenMapped (zero-copy view) against the in-memory original, over
 // monolithic and sharded spatial indexes, with and without locate
 // support. All three instances must answer the full PR-4 query matrix
@@ -138,7 +142,7 @@ func checkSameAnswers(t *testing.T, trajs [][]uint32, want, got *Index, hasLoc b
 	}
 }
 
-// TestV3TemporalRoundTrip pins the temporal container: SaveV3 →
+// TestV3TemporalRoundTrip pins the temporal container: Save →
 // LoadTemporal and → OpenMappedTemporal must answer interval queries
 // identically to the original, over aligned sharded stores.
 func TestV3TemporalRoundTrip(t *testing.T) {
@@ -210,44 +214,6 @@ func TestV3TemporalRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestV3LegacyFormatsStillLoad pins backward compatibility: the v1
-// monolithic/sharded container and the v2 temporal container must
-// still load, and must answer the query matrix identically to the v3
-// view of the same index.
-func TestV3LegacyFormatsStillLoad(t *testing.T) {
-	trajs := shardedTestCorpus(t)
-	for _, shards := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.Shards = shards
-		orig, err := Build(trajs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v1 bytes.Buffer
-		if _, err := orig.Save(&v1); err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := Load(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatalf("shards=%d: Load(v1): %v", shards, err)
-		}
-		mapped := mapV3(t, saveV3Bytes(t, orig, nil))
-		checkSameAnswers(t, trajs, legacy, mapped, true)
-	}
-	trajsT, times := timedCorpus(13)
-	origT, err := BuildTemporal(trajsT, times, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if _, err := origT.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTemporal(bytes.NewReader(v2.Bytes())); err != nil {
-		t.Fatalf("LoadTemporal(v2): %v", err)
 	}
 }
 
@@ -346,22 +312,9 @@ func TestOpenMappedErrors(t *testing.T) {
 	if _, err := OpenMapped(short); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenMapped(short) err = %v, want ErrCorrupt", err)
 	}
-	v1 := filepath.Join(dir, "v1")
-	trajs := testCorpus()
-	ix, err := Build(trajs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := OpenMapped(v1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("OpenMapped(v1 container) err = %v, want ErrCorrupt", err)
+	legacy := filepath.Join("testdata", "legacy", "spatial-1.cinct")
+	if _, err := OpenMapped(legacy); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenMapped(legacy file) err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -411,5 +364,68 @@ func TestV3HeaderCountOverflow(t *testing.T) {
 				t.Fatalf("OpenMappedTemporal err = %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestLoadV3AllocationBounded pins the heap path of a v3 file: Load
+// reads the stream once, straight into the word image the index views,
+// so its allocation stays a small multiple of the file — the image
+// itself plus the per-open structures OpenMapped builds too.
+func TestLoadV3AllocationBounded(t *testing.T) {
+	cfg := trajgen.DefaultConfig()
+	cfg.NumTrajs, cfg.Seed = 4000, 3
+	opts := DefaultOptions()
+	opts.Shards = 4
+	ix, err := Build(trajgen.Singapore2(cfg).Trajs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.cinct")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := ix.Save(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// A file or an in-memory buffer tells Load its length, so the image
+	// is the only copy; a bare stream is buffered in chunks first.
+	for _, tc := range []struct {
+		name  string
+		r     io.Reader
+		bound uint64
+	}{
+		{"file", f, 3},
+		{"bytes", bytes.NewReader(data), 3},
+		{"stream", io.MultiReader(bytes.NewReader(data)), 4},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		got, err := Load(tc.r)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: Load: %v", tc.name, err)
+		}
+		if got.NumTrajectories() != ix.NumTrajectories() {
+			t.Fatalf("%s: loaded %d trajectories, want %d", tc.name, got.NumTrajectories(), ix.NumTrajectories())
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: Load of a %d-byte file allocated %d bytes (%.2fx)", tc.name, size, alloc, float64(alloc)/float64(size))
+		if alloc > tc.bound*uint64(size) {
+			t.Errorf("%s: Load of a %d-byte file allocated %d bytes, want <= %dx", tc.name, size, alloc, tc.bound)
+		}
 	}
 }

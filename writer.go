@@ -419,8 +419,8 @@ func (w *Writer) DeltaTrajectories() int {
 }
 
 // Snapshot returns the current sealed state: the index and, for
-// temporal writers, its temporal form (the same index, typed for the
-// temporal Save formats). Both are nil while nothing has been sealed.
+// temporal writers, its temporal form (the same index, typed for
+// TemporalIndex.Save). Both are nil while nothing has been sealed.
 // The returned values are immutable — safe to Save concurrently with
 // further appends and seals.
 func (w *Writer) Snapshot() (*Index, *TemporalIndex) {
