@@ -36,13 +36,15 @@
 // An Index is a list of shards over contiguous trajectory-ID ranges,
 // each a complete CiNCT index (Options.Shards; the default is one).
 // Trajectories are split into ranges balanced by edge count, the
-// shards are built concurrently, and every query fans out over them in
-// parallel with results merged under global trajectory IDs. Query
-// answers do not depend on the shard count; build time on a multi-core
-// machine approaches 1/K of the one-shard build. A temporal index is
-// the same thing with a timestamp store per shard. Save writes the one
-// v3 container that OpenMapped serves in place; Load reads it and every
-// legacy format older builds wrote.
+// shards are built concurrently. A query prices every shard with one
+// backward search, then locates shards in ID order — in parallel within
+// a wave — only until its page is covered, with results merged under
+// global trajectory IDs. Query answers do not depend on the shard
+// count; build time on a multi-core machine approaches 1/K of the
+// one-shard build. A temporal index is the same thing with a timestamp
+// store per shard. Save writes the one v3 container that OpenMapped
+// serves in place; Load reads it and every legacy format older builds
+// wrote.
 package cinct
 
 import (
@@ -113,7 +115,7 @@ func (o *Options) coreOptions() core.Options {
 // shards over contiguous trajectory-ID ranges, each a complete CiNCT
 // self-index plus — on a temporal index — the timestamp store of the
 // same trajectories. The one-shard index is the paper's; K shards are
-// the same thing K times over, queried in parallel and merged under
+// the same thing K times over, queried in ID order and merged under
 // global IDs, so answers never depend on the shard count.
 //
 // An Index is immutable after Build/Load and safe for concurrent use
@@ -298,42 +300,27 @@ func (ix *Index) Count(path []uint32) int {
 	return n
 }
 
-// count answers a count against one shard — the O(|path|) backward
-// search of the paper, the per-shard unit of Search's CountOnly
-// fan-out.
-func (sh *shard) count(path []uint32) int {
-	if len(path) == 0 {
-		return 0
-	}
+// suffixRange is the paper's O(|path|) backward search over one shard:
+// the BWT rows [sp, ep) whose suffixes start with the reversed path, so
+// ep−sp is the shard's exact occurrence count. The range is empty when
+// the path does not occur.
+func (sh *shard) suffixRange(path []uint32) (sp, ep int64) {
 	pat, ok := sh.corpus.ReversedPattern(path)
 	if !ok {
-		return 0
+		return 0, 0
 	}
-	return int(sh.core.Count(pat))
+	sp, ep, _ = sh.core.SuffixRange(pat)
+	return sp, ep
 }
 
-// locate enumerates every occurrence of path in one shard, calling
-// visit(local trajectory, travel-order offset) in suffix-range (i.e.
-// unspecified) order, checking ctx periodically so a cancelled query
-// stops scanning. It is the one locate loop behind every Search kind,
-// so the pattern-reversal and offset arithmetic cannot drift between
-// the spatial and temporal answers. LF-walk work accumulates into st.
-// Requires locate support.
-func (sh *shard) locate(ctx context.Context, path []uint32, st *QueryStats, visit func(doc, offset int)) error {
-	if sh.core.SampleRate() == 0 {
-		return ErrNoLocate
-	}
-	if len(path) == 0 {
-		return nil
-	}
-	pat, ok := sh.corpus.ReversedPattern(path)
-	if !ok {
-		return nil
-	}
-	sp, ep, ok := sh.core.SuffixRange(pat)
-	if !ok {
-		return nil
-	}
+// locate enumerates the occurrences of an m-edge path whose planned
+// suffix range is [sp, ep), calling visit(local trajectory,
+// travel-order offset) in suffix-range (i.e. unspecified) order and
+// checking ctx periodically so a cancelled query stops scanning. It is
+// the one locate loop behind every Search kind, so the offset
+// arithmetic cannot drift between the spatial and temporal answers.
+// LF-walk work accumulates into st. Requires locate support.
+func (sh *shard) locate(ctx context.Context, sp, ep int64, m int, st *QueryStats, visit func(doc, offset int)) error {
 	for j := sp; j < ep; j++ {
 		if (j-sp)&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -350,7 +337,7 @@ func (sh *shard) locate(ctx context.Context, path []uint32, st *QueryStats, visi
 		}
 		// pos holds the path's last edge; the match starts m-1 earlier
 		// in travel order.
-		visit(doc, endOff-(len(path)-1))
+		visit(doc, endOff-(m-1))
 	}
 	return nil
 }

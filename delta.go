@@ -134,15 +134,6 @@ func (s *deltaSnap) locate(ctx context.Context, path []uint32, st *QueryStats, v
 	return nil
 }
 
-// count returns the occurrence count of path in the snapshot — the
-// delta's contribution to a CountOnly query, rows scanned accounted
-// into st.
-func (s *deltaSnap) count(path []uint32, st *QueryStats) int {
-	n := 0
-	s.locate(context.Background(), path, st, func(int, int) { n++ }) //nolint:errcheck // background ctx never cancels
-	return n
-}
-
 // minMax returns the row's timestamp summary; at probes one entry.
 // Both panic on a spatial snapshot, exactly like a nil tempo.Store —
 // Search only calls them under an interval, which Writer.Search gates

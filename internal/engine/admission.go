@@ -35,10 +35,11 @@ func estimateCost(q cinct.Query) int64 {
 		// Pure backward search: one wavelet rank per path symbol.
 		return int64(len(q.Path))
 	case q.Limit > 0 && q.Interval == nil:
-		// Bounded stream: ~one SA-sample LF walk per retained hit. The
-		// locate scan itself is range-sized, but the per-shard heaps
-		// bound the memory and the merge stops at Limit, so treat it as
-		// limit-proportional.
+		// Bounded stream: Search locates shards in ID order only until
+		// their occurrence counts cover Limit, so the walk is one
+		// SA-sample LF walk per occurrence of the shards holding the
+		// page — Limit of them at the least, more when the last shard
+		// needed is wide. Priced here at its lower bound, Limit walks.
 		return int64(q.Limit) * 64
 	}
 	return costUnbounded

@@ -39,18 +39,18 @@ type Hit struct {
 
 // Results is the handle returned by Search: a lazy, single-pass view
 // over the result stream. All yields hits in canonical (Trajectory,
-// Offset) order, decoding timestamps and deduplicating on demand —
-// breaking out of the loop stops that work immediately. Iteration may
-// be resumed by ranging over All again; Count drains whatever remains.
-// A Results is not safe for concurrent use.
+// Offset) order, locating further units, decoding timestamps and
+// deduplicating on demand — breaking out of the loop stops that work
+// immediately. Iteration may be resumed by ranging over All again;
+// Count drains whatever remains. A Results is not safe for concurrent
+// use.
 type Results struct {
 	q     Query
 	count int // CountOnly answer
-	// units are the search units in ascending ID order; stream is nil
-	// for a CountOnly result. Units own contiguous ascending ID ranges,
-	// so the canonical merge is a concatenation: cur is the first unit
-	// not yet drained.
-	units  []*unitCursor
+	// units are the search units in ascending ID order. Units own
+	// contiguous ascending ID ranges, so the canonical merge is a
+	// concatenation: cur is the first unit not yet drained.
+	units  []unitCursor
 	stream *searchShared
 	cur    int
 
@@ -65,11 +65,11 @@ type Results struct {
 // breaking out pauses it (the underlying shard iterators keep their
 // position, and a later range resumes), and iteration ends for good
 // when the stream is exhausted or Limit hits have been yielded. A
-// context cancellation or decoding error is yielded once as the final
-// element's error.
+// context cancellation, decoding error or failure to locate a later
+// wave is yielded once as the final element's error.
 func (r *Results) All() iter.Seq2[Hit, error] {
 	return func(yield func(Hit, error) bool) {
-		if r.stream == nil || r.exhausted {
+		if r.exhausted {
 			return
 		}
 		if r.err != nil {
@@ -104,7 +104,7 @@ func (r *Results) All() iter.Seq2[Hit, error] {
 // it drains any hits not yet consumed through All and returns the
 // total number of hits yielded (bounded by Limit).
 func (r *Results) Count() (int, error) {
-	if r.stream == nil {
+	if r.q.Kind == CountOnly {
 		return r.count, r.err
 	}
 	for _, err := range r.All() {
@@ -159,16 +159,18 @@ func compile(q Query) (compiled, error) {
 	return c, nil
 }
 
-// Search executes a Query against the index. CountOnly queries are
-// answered eagerly; Occurrences and Trajectories queries locate and
-// canonically order the candidate set per shard (in parallel), then
-// stream hits lazily through Results — timestamp decoding, interval
-// filtering and deduplication happen on pull, so a small Limit or an
-// abandoned iteration does proportionally less work. Interval queries
-// need timestamps (a TemporalIndex): candidates are pruned against
-// per-trajectory (min, max) summaries before any timestamp decode and
-// probed lazily during iteration; on a spatial index they fail with
-// ErrNoTimestamps.
+// Search executes a Query against the index: a plan prices every shard
+// with one O(|path|) backward search (its suffix-range width is its
+// exact occurrence count, which alone answers a CountOnly query without
+// an interval), then shards are located in ID order, in waves — each
+// the shortest run whose widths cover what the page still needs — and
+// a wave starts only when the stream is pulled past the last located
+// shard. Timestamp decoding, interval filtering and deduplication also
+// happen on pull, so a small Limit or an abandoned iteration does
+// proportionally less work. Interval queries need timestamps (a
+// TemporalIndex): candidates are pruned against per-trajectory (min,
+// max) summaries before any timestamp decode and probed lazily during
+// iteration; on a spatial index they fail with ErrNoTimestamps.
 func (ix *Index) Search(ctx context.Context, q Query) (*Results, error) {
 	if q.Interval != nil && !ix.Temporal() {
 		return nil, ErrNoTimestamps
@@ -179,8 +181,9 @@ func (ix *Index) Search(ctx context.Context, q Query) (*Results, error) {
 // runSearch is the transport between a compiled query and the result
 // stream, shared by the immutable Index and the live Writer: the units
 // are ix's shards followed by the delta snapshot (nil on an Index) —
-// each contributes candidates through the same collect / advance
-// protocol.
+// each is planned, then contributes candidates through the same
+// collect / advance protocol. The first wave runs here, so its errors
+// come back from Search rather than from the stream.
 func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Results, error) {
 	c, err := compile(q)
 	if err != nil {
@@ -189,12 +192,12 @@ func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Resu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	units := make([]*unitCursor, len(ix.shards), len(ix.shards)+1)
+	units := make([]unitCursor, len(ix.shards), len(ix.shards)+1)
 	for s, sh := range ix.shards {
-		units[s] = &unitCursor{sh: sh, base: ix.bounds[s], n: ix.bounds[s+1] - ix.bounds[s]}
+		units[s] = unitCursor{sh: sh, base: ix.bounds[s], n: ix.bounds[s+1] - ix.bounds[s]}
 	}
 	if delta != nil && delta.len() > 0 {
-		units = append(units, &unitCursor{d: delta, base: delta.base, n: delta.len()})
+		units = append(units, unitCursor{d: delta, base: delta.base, n: delta.len()})
 	}
 	// Concatenation is the merge only while every unit starts where the
 	// previous one ended; spliced and the delta's base guarantee it.
@@ -204,39 +207,96 @@ func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Resu
 				i, units[i].base, end)
 		}
 	}
-	if c.kind == CountOnly {
-		n, err := countUnits(ctx, c, units)
-		if err != nil {
-			return nil, err
-		}
-		return &Results{q: q, count: n, exhausted: true, units: units}, nil
-	}
-	if !ix.hasLoc {
+	if (c.kind != CountOnly || c.hasInterval) && !ix.hasLoc {
 		return nil, ErrNoLocate
 	}
-	runUnits(units, func(_ int, u *unitCursor) {
-		u.err = containCorrupt(func() error { return u.collect(ctx, c) })
-	})
-	for _, u := range units {
-		if u.err != nil {
-			return nil, u.err
-		}
+	if err := plan(c, units); err != nil {
+		return nil, err
 	}
-	shared := &searchShared{ctx: ctx, c: c}
-	for _, u := range units {
-		u.lastTraj = -1
-		u.advance(shared)
-		if u.err != nil {
-			return nil, u.err
+	r := &Results{q: q, units: units, stream: &searchShared{ctx: ctx, c: c}}
+	if c.kind == CountOnly {
+		if r.count, err = countUnits(ctx, c, units); err != nil {
+			return nil, err
 		}
+		r.exhausted = true
+		return r, nil
 	}
-	return &Results{q: q, units: units, stream: shared}, nil
+	if err := r.wave(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// next yields the head of the first undrained unit and advances it.
+// plan prices every unit before any locate: a sealed unit's suffix
+// range [sp, ep) is one O(|path|) backward search. A unit with nothing
+// to contribute — an empty range, or an ID range wholly at or before
+// the resume cursor — is never located; every other unit (the delta,
+// whose width stays unknown until it is scanned, included) is left
+// pending for the execution.
+func plan(c compiled, units []unitCursor) error {
+	return containCorrupt(func() error {
+		for i := range units {
+			u := &units[i]
+			u.lastTraj = -1
+			if len(c.path) == 0 || u.beforeCursor(c) {
+				continue
+			}
+			if u.sh != nil {
+				u.sp, u.ep = u.sh.suffixRange(c.path)
+			}
+			u.pending = u.d != nil || u.sp < u.ep
+		}
+		return nil
+	})
+}
+
+// wave locates the next run of pending units in ID order: the shortest
+// run whose planned widths cover the hits the page still needs — every
+// remaining unit when there is no limit. Widths are exact for
+// Occurrences without an interval and upper bounds otherwise (an
+// interval, a cursor inside the unit or deduplication can drop
+// candidates), so a short wave is followed by another when the stream
+// is pulled past it. The run's units collect in parallel, then each
+// primes its head. A cancelled ctx starts no wave.
+func (r *Results) wave() error {
+	s := r.stream
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
+	need := s.c.limit - r.n
+	var run []*unitCursor
+	for i := r.cur; i < len(r.units) && (s.c.limit == 0 || need > 0); i++ {
+		if u := &r.units[i]; u.pending {
+			u.pending = false
+			run = append(run, u)
+			need -= int(u.ep - u.sp)
+		}
+	}
+	runUnits(run, func(_ int, u *unitCursor) {
+		u.err = containCorrupt(func() error { return u.collect(s.ctx, s.c) })
+	})
+	for _, u := range run {
+		if u.err == nil {
+			u.advance(s)
+		}
+		if u.err != nil {
+			return u.err
+		}
+	}
+	return nil
+}
+
+// next yields the head of the first undrained unit and advances it,
+// starting the next wave when the stream reaches a unit not yet
+// located.
 func (r *Results) next() (Hit, bool, error) {
 	for ; r.cur < len(r.units); r.cur++ {
-		u := r.units[r.cur]
+		u := &r.units[r.cur]
+		if u.pending {
+			if err := r.wave(); err != nil {
+				return Hit{}, false, err
+			}
+		}
 		if !u.hasHead {
 			continue
 		}
@@ -251,17 +311,23 @@ func (r *Results) next() (Hit, bool, error) {
 }
 
 // unitCursor is one unit's contribution to a Search: a shard (or the
-// delta) over a contiguous global-ID range, the canonically sorted
-// candidate set produced by collect, and the lazy iteration state
-// advanced as the stream is pulled. A unit is backed either by a
-// compressed shard (sh) or by a live delta snapshot (d) — the
-// collect/advance protocol is identical, only the locate and timestamp
-// probes dispatch differently.
+// delta) over a contiguous global-ID range, its planned suffix range,
+// the canonically sorted candidate set produced by collect, and the
+// lazy iteration state advanced as the stream is pulled. A unit is
+// backed either by a compressed shard (sh) or by a live delta snapshot
+// (d) — the collect/advance protocol is identical, only the locate and
+// timestamp probes dispatch differently.
 type unitCursor struct {
 	sh   *shard     // compressed shard; nil for a delta unit
 	d    *deltaSnap // uncompressed delta snapshot; nil for sealed units
 	base int        // global ID of the unit's first trajectory
 	n    int        // trajectories in the unit
+
+	// sp, ep is the planned suffix range of a sealed unit (empty for
+	// the delta); pending marks a unit planned for locate but not yet
+	// located.
+	sp, ep  int64
+	pending bool
 
 	cands []Match // shard-local, canonically sorted
 	pos   int
@@ -272,29 +338,33 @@ type unitCursor struct {
 	err      error
 
 	// st is the unit's work account. Plain fields are sound: collect
-	// and count touch the unit from a single goroutine of the parallel
-	// fan-out, and advance runs only on the pulling goroutine after
-	// that fan-out has joined.
+	// and count touch the unit from a single goroutine of a wave's
+	// parallel fan-out, and advance runs only on the pulling goroutine
+	// after that fan-out has joined.
 	st QueryStats
 }
 
-// locate enumerates every occurrence of path in the unit — the
-// backward-search + SA-sample walk for compressed units, a plain scan
+// beforeCursor reports whether the unit's whole ID range lies at or
+// before the resume cursor, so it cannot contribute a hit.
+func (u *unitCursor) beforeCursor(c compiled) bool {
+	if !c.hasAfter {
+		return false
+	}
+	last := u.base + u.n - 1
+	if c.kind == Trajectories {
+		return last <= c.afterT
+	}
+	return last < c.afterT
+}
+
+// locate enumerates every occurrence of path in the unit — the SA-sample
+// walk over the planned suffix range for compressed units, a plain scan
 // for the delta.
 func (u *unitCursor) locate(ctx context.Context, path []uint32, visit func(doc, offset int)) error {
 	if u.d != nil {
 		return u.d.locate(ctx, path, &u.st, visit)
 	}
-	return u.sh.locate(ctx, path, &u.st, visit)
-}
-
-// countPath answers the no-interval CountOnly contribution of the
-// unit.
-func (u *unitCursor) countPath(path []uint32) int {
-	if u.d != nil {
-		return u.d.count(path, &u.st)
-	}
-	return u.sh.count(path)
+	return u.sh.locate(ctx, u.sp, u.ep, len(path), &u.st, visit)
 }
 
 // tsMinMax returns the (min, max) timestamp summary of a unit-local
@@ -318,7 +388,7 @@ func (u *unitCursor) tsAt(local, offset int) int64 {
 }
 
 // runUnits executes fn once per unit, in parallel when there is more
-// than one (mirroring the sharded fan-out).
+// than one — the one fan-out of the execution phase.
 func runUnits(units []*unitCursor, fn func(i int, u *unitCursor)) {
 	if len(units) == 1 {
 		fn(0, units[0])
@@ -335,67 +405,64 @@ func runUnits(units []*unitCursor, fn func(i int, u *unitCursor)) {
 	wg.Wait()
 }
 
-// countUnits answers a CountOnly query: a parallel per-unit count —
-// the O(|path|) backward search when there is no interval, otherwise a
-// locate-prune-probe scan per unit.
-func countUnits(ctx context.Context, c compiled, units []*unitCursor) (int, error) {
-	counts := make([]int, len(units))
-	errs := make([]error, len(units))
-	runUnits(units, func(i int, u *unitCursor) {
-		errs[i] = containCorrupt(func() error {
+// countUnits answers a CountOnly query from the plan. Without an
+// interval a sealed unit's count is its planned width, with no locate
+// and no goroutine, and only the delta is scanned; with one, every
+// pending unit runs a locate-prune-probe scan, in parallel. Either
+// scan honors ctx.
+func countUnits(ctx context.Context, c compiled, units []unitCursor) (int, error) {
+	total := 0
+	var scan []*unitCursor
+	for i := range units {
+		switch u := &units[i]; {
+		case !u.pending:
+		case c.hasInterval || u.d != nil:
+			scan = append(scan, u)
+		default:
 			u.st.ShardsProbed++
-			if !c.hasInterval {
-				counts[i] = u.countPath(c.path)
-				return nil
-			}
-			n := 0
-			err := u.locate(ctx, c.path, func(doc, offset int) {
-				if lo, hi := u.tsMinMax(doc); hi < c.from || lo > c.to {
+			total += int(u.ep - u.sp)
+		}
+	}
+	if len(scan) == 0 {
+		return total, nil
+	}
+	counts := make([]int, len(scan))
+	runUnits(scan, func(i int, u *unitCursor) {
+		u.err = containCorrupt(func() error {
+			u.st.ShardsProbed++
+			return u.locate(ctx, c.path, func(doc, offset int) {
+				if !c.hasInterval {
+					counts[i]++
+				} else if lo, hi := u.tsMinMax(doc); hi < c.from || lo > c.to {
 					u.st.SummaryPruned++
-					return
-				}
-				if at := u.tsAt(doc, offset); at >= c.from && at <= c.to {
-					n++
+				} else if at := u.tsAt(doc, offset); at >= c.from && at <= c.to {
+					counts[i]++
 				}
 			})
-			counts[i] = n
-			return err
 		})
 	})
-	total := 0
-	for i := range units {
-		if errs[i] != nil {
-			return 0, errs[i]
+	for i, u := range scan {
+		if u.err != nil {
+			return 0, u.err
 		}
 		total += counts[i]
 	}
 	return total, nil
 }
 
-// collect runs the locate phase for one unit: enumerate the suffix
-// range (checking ctx periodically), skip candidates at or before the
-// resume cursor, prune against timestamp summaries when an interval is
-// present, and sort the survivors canonically into the unit's lazily
-// consumed candidate stream. An interval can still reject a candidate
-// on pull, so only without one is every candidate a definite hit — and
-// only then is the working set cut here to the canonically smallest
-// `limit` candidates (O(limit) memory however many occurrences the
-// suffix range holds) and, for Trajectories, to one Match{id, -1} per
-// distinct trajectory. Every kept candidate rides the one matchHeap, so
-// the bounded and unbounded sets cannot drift from the canonical order.
+// collect runs the locate phase for one unit: enumerate the planned
+// suffix range (checking ctx periodically), skip candidates at or
+// before the resume cursor, prune against timestamp summaries when an
+// interval is present, and sort the survivors canonically into the
+// unit's lazily consumed candidate stream. An interval can still reject
+// a candidate on pull, so only without one is every candidate a
+// definite hit — and only then is the working set cut here to the
+// canonically smallest `limit` candidates (O(limit) memory however many
+// occurrences the suffix range holds) and, for Trajectories, to one
+// Match{id, -1} per distinct trajectory. Every kept candidate rides the
+// one matchHeap, so the bounded and unbounded sets cannot drift from
+// the canonical order.
 func (u *unitCursor) collect(ctx context.Context, c compiled) error {
-	if c.hasAfter {
-		// Units wholly at or before the cursor position contribute
-		// nothing; skip their locate scan entirely.
-		if c.kind == Trajectories && u.base+u.n-1 <= c.afterT {
-			u.st.ShardsSkipped++
-			return nil
-		}
-		if c.kind == Occurrences && u.base+u.n-1 < c.afterT {
-			u.st.ShardsSkipped++
-			return nil
-		}
-	}
 	u.st.ShardsProbed++
 	bound, distinct := 0, false
 	if !c.hasInterval {

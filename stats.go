@@ -10,9 +10,9 @@ import "fmt"
 //
 // Counters accumulate per search unit (shard or delta snapshot) on
 // plain fields: each unit is touched by exactly one goroutine during
-// the parallel collect/count phase and only by the single merge
-// goroutine afterwards, so no atomics are needed and the hot path stays
-// allocation-free. Read the aggregate with Results.Stats.
+// the parallel fan-out of the wave that locates it and only by the
+// pulling goroutine afterwards, so no atomics are needed and the hot
+// path stays allocation-free. Read the aggregate with Results.Stats.
 type QueryStats struct {
 	// LFSteps counts LF-mapping steps spent in SA-sample locate walks
 	// (at most SampleRate per occurrence).
@@ -20,9 +20,13 @@ type QueryStats struct {
 	// DecodeSteps counts timestamp varint decodes spent in interval
 	// probes (at most tempo.BlockSize per probe; delta probes count 1).
 	DecodeSteps int64 `json:"decodeSteps"`
-	// ShardsProbed counts search units whose locate or count phase ran;
-	// ShardsSkipped counts units dismissed without any index work
-	// because the resume cursor already lies past their ID range.
+	// ShardsProbed counts search units that did work for the answer:
+	// their locate ran, or — for a CountOnly query without an interval
+	// — their backward search or delta scan gave the count.
+	// ShardsSkipped counts every other unit: its suffix range was
+	// empty, the resume cursor already lies past its ID range, or the
+	// page filled before the stream reached it. The two always sum to
+	// the number of units.
 	ShardsProbed  int64 `json:"shardsProbed"`
 	ShardsSkipped int64 `json:"shardsSkipped"`
 	// SummaryPruned counts candidate occurrences rejected by the
@@ -72,9 +76,10 @@ func (s QueryStats) String() string {
 // concurrent with All or Count.
 func (r *Results) Stats() QueryStats {
 	var s QueryStats
-	for _, u := range r.units {
-		s.add(u.st)
+	for i := range r.units {
+		s.add(r.units[i].st)
 	}
+	s.ShardsSkipped = int64(len(r.units)) - s.ShardsProbed
 	s.HitsEmitted = int64(r.n)
 	return s
 }

@@ -335,7 +335,6 @@ func (w *Writer) Seal() (int, error) {
 	if w.temporal {
 		times = d.times[:n:n]
 	}
-	sealed := w.sealed
 	w.mu.RUnlock()
 	if n == 0 {
 		return 0, nil
@@ -344,11 +343,15 @@ func (w *Writer) Seal() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	next, err := sealed.spliced(len(sealed.shards), len(sealed.shards), sh)
+	// Append to the shard set current at the swap, not the one seen
+	// before the build: a compaction may have replaced shards meanwhile,
+	// and splicing onto the stale set would silently undo it.
+	w.mu.Lock()
+	next, err := w.sealed.spliced(len(w.sealed.shards), len(w.sealed.shards), sh)
 	if err != nil {
+		w.mu.Unlock()
 		return 0, err
 	}
-	w.mu.Lock()
 	w.sealed = next
 	w.delta = d.tail(n)
 	w.gen++
@@ -379,10 +382,11 @@ func (w *Writer) view() (*Index, *deltaSnap) {
 }
 
 // Search executes a Query over the union of sealed shards and the
-// live delta: per-shard candidate collection runs in parallel, the
-// delta contributes one more unit (brute-force scanned, summary-pruned
-// under intervals), and hits stream in canonical (Trajectory, Offset)
-// order — the delta's IDs follow the sealed ones. Results reflect a
+// live delta, planned and located in waves like Index.Search: the
+// delta is one more unit after the last shard (brute-force scanned,
+// summary-pruned under intervals, its width unknown until scanned),
+// and hits stream in canonical (Trajectory, Offset) order — the
+// delta's IDs follow the sealed ones. Results reflect a
 // consistent snapshot taken at call time; appends that land later are
 // not seen by an already-running iteration. Interval queries require a
 // temporal writer.
