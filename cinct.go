@@ -66,11 +66,13 @@ import (
 // Options tunes index construction. The zero value is NOT valid; use
 // DefaultOptions or pass nil to Build.
 type Options struct {
-	// Block is the RRR block size b ∈ {15, 31, 63} (§III-C2). Larger
-	// compresses better and searches slightly slower; the paper shows
-	// CiNCT is nearly insensitive to it. 0 means 63.
+	// Block is the RRR block size b ∈ {15, 31, 63} (§III-C2) of the
+	// wavelet-tree nodes kept RRR: a node keeps RRR only where it is at
+	// least 1/8 smaller than a plain vector, and is plain otherwise.
+	// Larger compresses better and searches slightly slower; the paper
+	// shows CiNCT is nearly insensitive to it. 0 means 63.
 	Block int
-	// Uncompressed stores plain bit vectors instead of RRR (mainly for
+	// Uncompressed stores every node as a plain bit vector (mainly for
 	// ablation).
 	Uncompressed bool
 	// RandomLabeling uses randomly shuffled RML labels instead of the

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cinct/internal/trajgen"
 )
 
 // The fuzz fortress pins the container-format and cursor surfaces:
@@ -31,6 +34,19 @@ func fuzzCorpus() ([][]uint32, [][]int64) {
 		{9},
 		{2, 3},
 	}
+	return trajs, fuzzTimes(trajs)
+}
+
+// mixedNodeCorpus is a small generated corpus whose wavelet tree keeps
+// one node RRR beside plain ones (1 of 19), so the mapped-container
+// seeds cover both vector kinds in one tree. fuzzCorpus's tree is all
+// plain: every node is too small for RRR to pay for its header.
+func mixedNodeCorpus() ([][]uint32, [][]int64) {
+	trajs := trajgen.Singapore2(trajgen.Config{GridW: 3, GridH: 3, NumTrajs: 100, MeanLen: 40, Seed: 7}).Trajs
+	return trajs, fuzzTimes(trajs)
+}
+
+func fuzzTimes(trajs [][]uint32) [][]int64 {
 	times := make([][]int64, len(trajs))
 	for k, tr := range trajs {
 		col := make([]int64, len(tr))
@@ -39,7 +55,25 @@ func fuzzCorpus() ([][]uint32, [][]int64) {
 		}
 		times[k] = col
 	}
-	return trajs, times
+	return times
+}
+
+// TestMixedNodeCorpusMixesKinds guards mixedNodeCorpus's purpose: its
+// default build must keep at least one RRR node, or its wavelet tree
+// would size exactly like the all-plain build's.
+func TestMixedNodeCorpusMixesKinds(t *testing.T) {
+	trajs, _ := mixedNodeCorpus()
+	mixed, err := Build(trajs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Build(trajs, &Options{Uncompressed: true, SampleRate: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mixed.Stats().WaveletBits == plain.Stats().WaveletBits {
+		t.Fatal("mixedNodeCorpus builds an all-plain wavelet tree")
+	}
 }
 
 // exerciseLoaded pokes a successfully loaded index: the metadata and
@@ -234,6 +268,23 @@ func FuzzLoadMapped(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte(nil), buf.Bytes()...))
+	}
+	// A tree mixing plain and RRR nodes, spatial and temporal.
+	trajs, times = mixedNodeCorpus()
+	ix, err := Build(trajs, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tix, err := BuildTemporal(trajs, times, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, save := range []func(io.Writer) (int64, error){ix.Save, tix.Save} {
+		var buf bytes.Buffer
+		if _, err := save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
 	f.Add([]byte(v3Magic))
 	// Header whose shard+store counts wrap uint64 (regression: the sum

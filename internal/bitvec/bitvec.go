@@ -6,6 +6,8 @@
 // levels in.
 package bitvec
 
+import "math/bits"
+
 // Vector is the read interface shared by plain and RRR bit vectors.
 //
 // All implementations answer Rank1(i) — the number of set bits in the
@@ -64,3 +66,18 @@ func (b *Builder) Plain() *Plain { return NewPlain(b.words, b.n) }
 // RRR builds an RRR-compressed vector with the given block size
 // (must be one of 15, 31, 63) from the pushed bits.
 func (b *Builder) RRR(blockSize int) *RRR { return NewRRR(b.words, b.n, blockSize) }
+
+// FlatWords returns the words Plain and RRR(blockSize) would occupy in
+// a kind-tagged flat stream (AppendVector), headers, directories and
+// guard words included. RRR is priced from the block classes alone, so
+// choosing between the two never pays for encoding an offset.
+func (b *Builder) FlatWords(blockSize int) (plain, rrr int) {
+	checkBlockSize(blockSize)
+	widths := offsetWidths[blockSize]
+	offLen := 0
+	for lo := 0; lo < b.n; lo += blockSize {
+		v := extractBits(b.words, lo, min(blockSize, b.n-lo))
+		offLen += int(widths[bits.OnesCount64(v)])
+	}
+	return plainFlatWords(b.n), rrrFlatWords(b.n, blockSize, offLen)
+}

@@ -151,6 +151,30 @@ func ViewRRR(c *flat.Cursor) (*RRR, error) {
 	}, nil
 }
 
+// plainFlatWords is the length of AppendVector's output for a Plain of
+// n bits: kind tag, n, ones, the length-prefixed words and the
+// length-prefixed uint32 rank directory.
+func plainFlatWords(n int) int {
+	need := (n + 63) / 64
+	nb := (need + plainBlockWords - 1) / plainBlockWords
+	return 3 + 1 + need + 1 + (nb+2)/2
+}
+
+// rrrFlatWords is the length of AppendVector's output for an RRR of n
+// bits whose offsets total offLen bits: kind tag, n, block size, ones,
+// the two length-prefixed packed arrays with their bit lengths and
+// guard words, and the sampled directory.
+func rrrFlatWords(n, blockSize, offLen int) int {
+	nBlocks := (n + blockSize - 1) / blockSize
+	nSuper := (nBlocks + superblockFactor - 1) / superblockFactor
+	classLen := nBlocks * bits.Len(uint(blockSize))
+	return 4 +
+		2 + (classLen+63)/64 + 1 +
+		2 + (offLen+63)/64 + 1 +
+		1 + (nSuper+2)/2 +
+		1 + nSuper + 1
+}
+
 // AppendVector writes any supported Vector behind a kind tag.
 func AppendVector(w *flat.Writer, v Vector) {
 	switch bv := v.(type) {

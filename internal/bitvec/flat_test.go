@@ -120,6 +120,31 @@ func TestFlatVectorTagged(t *testing.T) {
 	}
 }
 
+// FlatWords prices both forms without building RRR; the prices must be
+// exactly what AppendVector writes, tiny and empty vectors included.
+func TestFlatWordsMatchWrittenLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	written := func(v Vector) int {
+		w := flat.NewWriter()
+		AppendVector(w, v)
+		return w.Len()
+	}
+	for _, bs := range []int{15, 31, 63} {
+		for _, n := range []int{0, 1, 63, 64, 512, 513, 2015, 2016, 2017, 20_000} {
+			for _, p := range []float64{0, 0.02, 0.35, 0.5, 1} {
+				b := buildBits(n, p, rng)
+				plain, rrr := b.FlatWords(bs)
+				if got := written(b.Plain()); got != plain {
+					t.Fatalf("bs=%d n=%d p=%v: plain writes %d words, priced %d", bs, n, p, got, plain)
+				}
+				if got := written(b.RRR(bs)); got != rrr {
+					t.Fatalf("bs=%d n=%d p=%v: RRR writes %d words, priced %d", bs, n, p, got, rrr)
+				}
+			}
+		}
+	}
+}
+
 // Perturbing any single word of a flat vector must produce a typed
 // error or a still-in-bounds (possibly wrong) structure — never an
 // out-of-range access. This is the memory-safety contract mmap'd

@@ -38,11 +38,7 @@ const superblockFactor = 32
 // NewRRR compresses n bits taken from words (same layout as NewPlain)
 // with the given block size, which must be 15, 31 or 63.
 func NewRRR(words []uint64, n int, blockSize int) *RRR {
-	switch blockSize {
-	case 15, 31, 63:
-	default:
-		panic(fmt.Sprintf("bitvec: RRR block size must be 15, 31 or 63; got %d", blockSize))
-	}
+	checkBlockSize(blockSize)
 	classBits := uint(bits.Len(uint(blockSize))) // lg(b+1) for b = 2^k - 1
 	nBlocks := (n + blockSize - 1) / blockSize
 	r := &RRR{
@@ -81,6 +77,14 @@ func NewRRR(words []uint64, n int, blockSize int) *RRR {
 	r.sampleOff[nSuper] = uint64(r.offsets.lenBits)
 	r.ones = cumRank
 	return r
+}
+
+func checkBlockSize(blockSize int) {
+	switch blockSize {
+	case 15, 31, 63:
+	default:
+		panic(fmt.Sprintf("bitvec: RRR block size must be 15, 31 or 63; got %d", blockSize))
+	}
 }
 
 // Len returns the number of bits stored.

@@ -215,14 +215,23 @@ func (en *entry) swap(ix *cinct.Index) (uint64, error) {
 	return en.gen, nil
 }
 
-// bumpGen advances the generation after a data change (Append),
-// orphaning cached results; the epoch is untouched because appended
-// IDs extend, never renumber, the ID space.
-func (en *entry) bumpGen() uint64 {
+// appendBatch makes a batch visible in the live writer and advances
+// the generation in one critical section under mu, the lock snapshot
+// reads. A search therefore never pairs the old generation with a
+// writer state that already holds the batch: every page cached under
+// generation g was computed on a snapshot holding every row published
+// by g, so an older snapshot can never overwrite a newer page under
+// the same key. The epoch is untouched because appended IDs extend,
+// never renumber, the ID space. AppendBatch's OnAppend hook runs inside
+// the section; it takes only subscription locks, never mu.
+func (en *entry) appendBatch(w *cinct.Writer, trajs [][]uint32, times [][]int64) (first int, gen uint64, err error) {
 	en.mu.Lock()
 	defer en.mu.Unlock()
+	if first, err = w.AppendBatch(trajs, times); err != nil {
+		return 0, en.gen, err
+	}
 	en.gen++
-	return en.gen
+	return first, en.gen, nil
 }
 
 // loadFromFile reads the entry's backing file into a fresh index (one

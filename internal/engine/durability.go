@@ -93,7 +93,6 @@ func (e *Engine) openWALLocked(en *entry) error {
 	}
 	if replayed > 0 {
 		e.logf("engine: %q wal: replayed %d unsealed trajectories into the delta", en.name, replayed)
-		en.bumpGen()
 	}
 	// Segments wholly below the persisted row count survived only
 	// because the crash beat the retirement; drop them now.
@@ -153,7 +152,7 @@ func (e *Engine) replayWAL(en *entry, pending []wal.Batch) (int, error) {
 		if b.Times != nil {
 			times = b.Times[off:]
 		}
-		if _, err := w.AppendBatch(trajs, times); err != nil {
+		if _, _, err := en.appendBatch(w, trajs, times); err != nil {
 			return replayed, fmt.Errorf("engine: replaying %q write-ahead log: %w", en.name, err)
 		}
 		replayed += len(trajs)

@@ -415,7 +415,7 @@ func (e *Engine) Append(ctx context.Context, name string, trajs [][]uint32, time
 			en.ingestMu.Unlock()
 			return AppendResult{}, perr
 		}
-		first, err := w.AppendBatch(trajs, times)
+		first, gen, err := en.appendBatch(w, trajs, times)
 		if err != nil {
 			en.ingestMu.Unlock()
 			return AppendResult{}, err
@@ -429,7 +429,6 @@ func (e *Engine) Append(ctx context.Context, name string, trajs [][]uint32, time
 			}
 		}
 		en.ingestMu.Unlock()
-		gen := en.bumpGen()
 		e.metrics.appendRows.Add(int64(len(trajs)))
 		return AppendResult{FirstID: first, Appended: len(trajs), Delta: w.DeltaTrajectories(), Generation: gen}, nil
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"cinct"
 )
@@ -304,9 +305,10 @@ func TestEngineAutoSealPersists(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The background seal races this check; poll the persisted file.
-	deadline := 200
-	for ; deadline > 0; deadline-- {
+	// The background seal races this check; poll the persisted file
+	// until a wall-clock deadline, not for a number of reads: a read
+	// costs less than a seal, so a read budget says nothing about time.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		f, err := os.Open(filepath.Join(dir, "spatial"+ExtSpatial))
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +318,7 @@ func TestEngineAutoSealPersists(t *testing.T) {
 		if err == nil && ix.NumTrajectories() > len(trajs) {
 			return // sealed rows reached disk
 		}
-		if deadline == 1 {
+		if time.Now().After(deadline) {
 			t.Fatalf("auto-seal never persisted (file holds %v)", err)
 		}
 	}
@@ -483,5 +485,95 @@ func TestEngineIngestSoak(t *testing.T) {
 	}
 	if want := appenders * perAppender; n != want {
 		t.Fatalf("marker count = %d, want %d (lost or duplicated across seals)", n, want)
+	}
+}
+
+// TestAppendPublishesRowsWithGeneration is the deterministic form of
+// the race TestEngineIngestSoak samples: a search whose snapshot
+// predates an append, drained only after the append's rows became
+// visible, must not leave its page under the generation later searches
+// read. The writer's OnAppend hook parks the append just after its
+// rows became visible to Search. A search issued there must either
+// wait for the new generation or be unable to see its page replaced by
+// the stale one; if neither holds, a repeated query sees the count go
+// backwards.
+func TestAppendPublishesRowsWithGeneration(t *testing.T) {
+	ix, err := cinct.Build(testCorpus(5, 60), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 4, SealThreshold: -1})
+	defer e.CloseAll()
+	e.Register("ix", ix)
+	en, err := e.cat.get("ix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inWindow, release := make(chan struct{}), make(chan struct{})
+	w, err := cinct.NewWriterAt(ix, cinct.WriterConfig{
+		OnAppend: func(int, [][]uint32, [][]int64) {
+			close(inWindow)
+			<-release
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	en.mu.Lock()
+	en.w = w
+	en.mu.Unlock()
+
+	ctx := context.Background()
+	marker := []uint32{151, 152}
+	q := cinct.Query{Path: marker, Kind: cinct.Occurrences}
+	count := func() int {
+		n, err := searchCount(ctx, e, "ix", q)
+		if err != nil {
+			t.Error(err)
+		}
+		return n
+	}
+	stale, err := e.Search(ctx, "ix", q) // snapshot before the append
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := make(chan error, 1)
+	go func() {
+		_, err := e.Append(ctx, "ix", [][]uint32{marker}, nil)
+		appended <- err
+	}()
+	<-inWindow
+	fresh := make(chan int, 1)
+	go func() { fresh <- count() }()
+	var seen []int
+	// A search issued inside the window either completes there or waits
+	// for the append to publish; the entry lock tells which, no timer.
+	if en.mu.TryRLock() {
+		en.mu.RUnlock()
+		seen = append(seen, <-fresh)
+	}
+	before, err := stale.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) > 0 {
+		seen = append(seen, count())
+	}
+	close(release)
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) == 0 {
+		seen = append(seen, <-fresh)
+	}
+	seen = append(seen, count())
+	for i := 1; i < len(seen); i++ {
+		if seen[i] < seen[i-1] {
+			t.Fatalf("count went backwards across one append: %v", seen)
+		}
+	}
+	if got := seen[len(seen)-1]; got != before+1 {
+		t.Fatalf("count after the acknowledged append = %d, want %d", got, before+1)
 	}
 }

@@ -97,11 +97,27 @@ func (h *HWT) buildNode(seq []uint32, depth int, spec BitvecSpec) int {
 	}
 
 	idx := len(h.nodes)
-	h.nodes = append(h.nodes, hwtNode{bv: spec.build(bld), left: hwtLeaf, right: hwtLeaf})
+	h.nodes = append(h.nodes, hwtNode{bv: nodeVector(bld, spec), left: hwtLeaf, right: hwtLeaf})
 
 	h.nodes[idx].left = h.childFor(left, depth+1, spec)
 	h.nodes[idx].right = h.childFor(right, depth+1, spec)
 	return idx
+}
+
+// nodeVector builds one node's bit vector. Under an RRR spec a node
+// keeps RRR only when that form is at least 1/8 smaller than the plain
+// one, both priced by the words they occupy in the flat stream, so tiny
+// nodes pay for their headers. RML makes the top splits nearly
+// balanced: there RRR saves under a tenth of the space and costs a
+// block decode on every step of every walk. Deeper nodes where RRR
+// does compress keep it.
+func nodeVector(b *bitvec.Builder, spec BitvecSpec) bitvec.Vector {
+	if spec.Kind == RRRBits {
+		if plain, rrr := b.FlatWords(spec.Block); 8*rrr > 7*plain {
+			return b.Plain()
+		}
+	}
+	return spec.build(b)
 }
 
 // childFor returns either a leaf encoding or a recursively built child

@@ -39,6 +39,9 @@ const (
 
 // BitvecSpec configures the bit vectors of a wavelet structure. Block
 // is the RRR block size b (15, 31 or 63) and is ignored for PlainBits.
+// A WM stores every level in the spec's kind; an HWT under RRRBits
+// keeps RRR only at the nodes where it pays (see nodeVector) and
+// stores the rest plain.
 type BitvecSpec struct {
 	Kind  BitvecKind
 	Block int

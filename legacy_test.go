@@ -14,11 +14,12 @@ import (
 )
 
 // legacyFixture describes one committed file under testdata/legacy/:
-// an index written by the stream-format writers Save had before v3
-// became the only format written, over timedCorpus(seed) built with
-// DefaultOptions and the given shard count. Nothing writes these
-// formats any more; Load, LoadTemporal and `cinct convert` must keep
-// reading them.
+// an index over timedCorpus(seed) built with DefaultOptions and the
+// given shard count, written either by the stream-format writers Save
+// had before v3 became the only format written, or by an older v3
+// writer whose bytes Save no longer produces. Load, LoadTemporal and
+// `cinct convert` must keep reading all of them, and OpenMapped /
+// OpenMappedTemporal must keep serving the v3 ones in place.
 type legacyFixture struct {
 	file     string
 	seed     int64
@@ -34,6 +35,8 @@ var legacyFixtures = []legacyFixture{
 	{"temporal-1-unversioned.tcinct", 7, 1, true},    // the pre-container temporal layout
 	{"global-store-unversioned.tcinct", 12, 3, true}, // one corpus-wide store beside 3 shards...
 	{"global-store-cncttemp.tcinct", 12, 3, true},    // ...and the same in a CNCTtemp container, K = 1
+	{"v3-all-rrr-spatial-4.cinct", 7, 4, false},      // v3 with every wavelet node RRR...
+	{"v3-all-rrr-temporal-1.tcinct", 7, 1, true},     // ...as written before plain nodes
 }
 
 func (fx legacyFixture) read(t *testing.T) []byte {
@@ -43,6 +46,25 @@ func (fx legacyFixture) read(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// mapped opens a v3 fixture in place through OpenMapped /
+// OpenMappedTemporal, the path `cinctd -mmap` serves it by.
+func (fx legacyFixture) mapped(t *testing.T) *Index {
+	t.Helper()
+	path := filepath.Join("testdata", "legacy", fx.file)
+	if !fx.temporal {
+		ix, err := OpenMapped(path)
+		if err != nil {
+			t.Fatalf("OpenMapped(%s): %v", fx.file, err)
+		}
+		return ix
+	}
+	tix, err := OpenMappedTemporal(path)
+	if err != nil {
+		t.Fatalf("OpenMappedTemporal(%s): %v", fx.file, err)
+	}
+	return tix.Index
 }
 
 // load opens the fixture through the streaming loaders.
@@ -227,14 +249,18 @@ func checkLegacyAnswers(t *testing.T, fx legacyFixture, got *Index) {
 
 // TestV3LegacyFormatsStillLoad pins backward compatibility: every
 // committed legacy file loads through Load / LoadTemporal, converts
-// (Save, then OpenMapped / OpenMappedTemporal), and in both forms
-// answers exactly like a fresh Build of the same corpus.
+// (Save, then OpenMapped / OpenMappedTemporal), a v3 one also maps in
+// place, and in every form it answers exactly like a fresh Build of the
+// same corpus.
 func TestV3LegacyFormatsStillLoad(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		t.Run(fx.file, func(t *testing.T) {
 			loaded := fx.load(t)
 			t.Run("load", func(t *testing.T) { checkLegacyAnswers(t, fx, loaded) })
 			t.Run("converted", func(t *testing.T) { checkLegacyAnswers(t, fx, convertAndMap(t, loaded)) })
+			if IsV3Container(fx.read(t)) {
+				t.Run("mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, fx.mapped(t)) })
+			}
 		})
 	}
 }

@@ -1,9 +1,9 @@
 // Command genfuzzseeds regenerates the committed fuzz seed corpora
 // under testdata/fuzz/ and server/testdata/fuzz/: valid v3 containers
-// (monolithic, sharded, temporal), truncations, bare magics, genuine
-// cursors and representative query bodies — the structured starting
-// points that let short CI fuzz runs reach deep parser states
-// immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds are
+// (monolithic, sharded, temporal, and trees mixing plain and RRR
+// nodes), truncations, bare magics, genuine cursors and representative
+// query bodies — the structured starting points that let short CI fuzz
+// runs reach deep parser states immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds are
 // frozen legacy files it does not touch. Run from the repo root:
 //
 //	go run ./scripts/genfuzzseeds
@@ -19,6 +19,7 @@ import (
 
 	"cinct"
 	"cinct/internal/roadnet"
+	"cinct/internal/trajgen"
 	"cinct/internal/wal"
 )
 
@@ -32,6 +33,18 @@ func corpus() ([][]uint32, [][]int64) {
 		{9},
 		{2, 3},
 	}
+	return trajs, timesFor(trajs)
+}
+
+// mixedNodeCorpus mirrors mixedNodeCorpus in fuzz_test.go: a corpus
+// whose wavelet tree mixes plain and RRR nodes.
+func mixedNodeCorpus() ([][]uint32, [][]int64) {
+	trajs := trajgen.Singapore2(trajgen.Config{GridW: 3, GridH: 3, NumTrajs: 100, MeanLen: 40, Seed: 7}).Trajs
+	return trajs, timesFor(trajs)
+}
+
+// timesFor mirrors fuzzTimes in fuzz_test.go.
+func timesFor(trajs [][]uint32) [][]int64 {
 	times := make([][]int64, len(trajs))
 	for k, tr := range trajs {
 		col := make([]int64, len(tr))
@@ -40,7 +53,7 @@ func corpus() ([][]uint32, [][]int64) {
 		}
 		times[k] = col
 	}
-	return trajs, times
+	return times
 }
 
 func writeSeed(dir, name string, data []byte) {
@@ -116,6 +129,25 @@ func main() {
 		}
 		writeSeed(dir, fmt.Sprintf("v3-temporal-shards%d", shards), buf.Bytes())
 	}
+	mtrajs, mtimes := mixedNodeCorpus()
+	mix, err := cinct.Build(mtrajs, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := mix.Save(&buf); err != nil {
+		log.Fatal(err)
+	}
+	writeSeed(dir, "v3-mixed-nodes-spatial", buf.Bytes())
+	tmix, err := cinct.BuildTemporal(mtrajs, mtimes, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := tmix.Save(&buf); err != nil {
+		log.Fatal(err)
+	}
+	writeSeed(dir, "v3-mixed-nodes-temporal", buf.Bytes())
 	writeSeed(dir, "magic-only", []byte("CNCTidx3"))
 
 	// FuzzWALReplay: a genuine two-batch segment (spatial + temporal
