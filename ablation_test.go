@@ -7,6 +7,7 @@ package cinct
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"cinct/internal/trajgen"
@@ -67,28 +68,49 @@ func BenchmarkAblationUncompressed(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSampleRate sweeps the locate sampling rate: Find
-// walks at most rate LF steps per hit, so latency grows and space
-// shrinks with the rate.
+// BenchmarkAblationSampleRate sweeps the locate sampling rate around
+// the default (40): a located occurrence walks (rate−1)/2 LF steps on
+// average, so Find latency grows and space shrinks with the rate. Each
+// rate reports the served bits per symbol (the saved v3 file), the
+// locate section's share of them, and the mean LF steps per locate over
+// every row.
 func BenchmarkAblationSampleRate(b *testing.B) {
 	trajs := ablationCorpus(b)
-	for _, rate := range []int{16, 64, 256} {
+	// Short paths that occur often, so every find locates.
+	var paths [][]uint32
+	for _, tr := range trajs {
+		if len(tr) >= 2 && len(paths) < 64 {
+			paths = append(paths, tr[:2])
+		}
+	}
+	for _, rate := range []int{32, 36, 40, 48, 64} {
 		opts := DefaultOptions()
 		opts.SampleRate = rate
 		ix, err := Build(trajs, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		path := trajs[0][:6]
+		served, err := ix.Save(io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var steps int64
+		for _, sh := range ix.shards {
+			for j := 0; j < sh.core.Len(); j++ {
+				_, lf := sh.core.LocateSteps(int64(j))
+				steps += lf
+			}
+		}
 		b.Run(fmt.Sprintf("rate%d", rate), func(b *testing.B) {
-			s := ix.Stats()
-			b.ReportMetric(float64(s.LocateBits)/float64(s.TextLen), "locate-bits/sym")
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := search(ix, Query{Path: path, Limit: 10}); err != nil {
+				if _, err := search(ix, Query{Path: paths[i%len(paths)], Limit: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			s := ix.Stats()
+			b.ReportMetric(float64(8*served)/float64(s.TextLen), "served-bits/sym")
+			b.ReportMetric(float64(s.LocateBits)/float64(s.TextLen), "locate-bits/sym")
+			b.ReportMetric(float64(steps)/float64(s.TextLen), "lf-steps/locate")
 		})
 	}
 }

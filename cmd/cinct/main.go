@@ -4,7 +4,7 @@
 // daemon's streaming /v1/{index}/query endpoint — and can target
 // either a local index file or a running daemon:
 //
-//	cinct build  -in corpus.txt -index corpus.cinct [-block 63] [-sample 64] [-shards N]
+//	cinct build  -in corpus.txt -index corpus.cinct [-block 63] [-sample 40] [-shards N]
 //	cinct build-temporal -in corpus.txt -times times.txt -index corpus.tcinct
 //	cinct stats  -index corpus.cinct
 //	cinct count  -index corpus.cinct -path "17 42 99" [-from 0 -to 999]
@@ -39,7 +39,10 @@
 // convert, and the in-place persists of ingest and compact — is a v3
 // container, the file cinctd serves with or without -mmap, written
 // atomically (temp file, fsync, rename). convert is the path for files
-// older builds wrote in the legacy stream formats.
+// older builds wrote in the legacy stream formats. build and
+// build-temporal default -sample to cinct.DefaultOptions().SampleRate,
+// the rate every shard later sealed or compacted onto the file is
+// built with, so a file never mixes a CLI default with the library's.
 package main
 
 import (
@@ -295,7 +298,8 @@ func cmdBuild(args []string) error {
 	in := fs.String("in", "", "input corpus file")
 	out := fs.String("index", "", "output index file")
 	block := fs.Int("block", 63, "RRR block size (15, 31 or 63)")
-	sample := fs.Int("sample", 64, "SA sample rate (0 = count-only index)")
+	sample := fs.Int("sample", cinct.DefaultOptions().SampleRate,
+		"SA sample rate (0 = count-only index); defaults to the library's, which seals and compactions use too")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
 		"corpus partitions built and queried in parallel (1 = monolithic)")
 	fs.Parse(args)
@@ -335,7 +339,8 @@ func cmdBuildTemporal(args []string) error {
 	timesPath := fs.String("times", "", "timestamps file (aligned with -in)")
 	out := fs.String("index", "", "output index file (use the .tcinct extension so cinctd recognizes it)")
 	block := fs.Int("block", 63, "RRR block size (15, 31 or 63)")
-	sample := fs.Int("sample", 64, "SA sample rate (must be > 0)")
+	sample := fs.Int("sample", cinct.DefaultOptions().SampleRate,
+		"SA sample rate (must be > 0); defaults to the library's, which seals and compactions use too")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
 		"corpus partitions built and queried in parallel (1 = monolithic)")
 	fs.Parse(args)
@@ -395,7 +400,8 @@ func cmdStats(args []string) error {
 	fmt.Printf("wavelet tree:     %.2f bits/symbol\n", float64(s.WaveletBits)/float64(s.TextLen))
 	fmt.Printf("ET-graph:         %.2f bits/symbol\n", float64(s.GraphBits)/float64(s.TextLen))
 	fmt.Printf("C array:          %.2f bits/symbol\n", float64(s.CArrayBits)/float64(s.TextLen))
-	fmt.Printf("locate samples:   %.2f bits/symbol\n", float64(s.LocateBits)/float64(s.TextLen))
+	fmt.Printf("locate samples:   %.2f bits/symbol (row marks + packed SA/ISA samples)\n",
+		float64(s.LocateBits)/float64(s.TextLen))
 	fmt.Printf("total (index):    %.2f bits/symbol\n", s.BitsPerSymbol)
 	if info.Temporal {
 		fmt.Printf("timestamps:       %.2f bits/entry\n", float64(info.TimestampBits)/float64(s.TextLen))

@@ -71,6 +71,25 @@ func ViewPackedInts(c *flat.Cursor) (*PackedInts, error) {
 	return &PackedInts{words: words, width: uint(width), n: n}, nil
 }
 
+// ViewInt32s wraps a length-prefixed int32 slice (flat.Writer.I32s) in
+// place as width-32 packed ints: two values per word, low half first,
+// is exactly PackedInts' layout at that width. A negative value reads
+// back as its 32-bit two's-complement pattern.
+func ViewInt32s(c *flat.Cursor) (*PackedInts, error) {
+	n, words := c.U32Words()
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	return &PackedInts{words: words, width: 32, n: n}, nil
+}
+
+// FlatWords returns the length of the vector's AppendFlat output.
+func (p *Plain) FlatWords() int { return plainFlatWords(p.n) - 1 }
+
+// FlatWords returns the length of the array's AppendFlat output: n,
+// width, and the length-prefixed words.
+func (p *PackedInts) FlatWords() int { return 3 + len(p.words) }
+
 // canonicalWords returns the packed field array at its canonical flat
 // length: ceil(lenBits/64) data words plus one guard word, the
 // invariant the unguarded word-pair reads in RRR's class scan rely
@@ -153,7 +172,8 @@ func ViewRRR(c *flat.Cursor) (*RRR, error) {
 
 // plainFlatWords is the length of AppendVector's output for a Plain of
 // n bits: kind tag, n, ones, the length-prefixed words and the
-// length-prefixed uint32 rank directory.
+// length-prefixed uint32 rank directory. Plain.FlatWords is the same
+// without the tag.
 func plainFlatWords(n int) int {
 	need := (n + 63) / 64
 	nb := (need + plainBlockWords - 1) / plainBlockWords

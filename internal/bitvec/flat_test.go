@@ -44,6 +44,9 @@ func TestFlatPlainRoundTrip(t *testing.T) {
 		orig := buildBits(n, 0.3, rng).Plain()
 		w := flat.NewWriter()
 		orig.AppendFlat(w)
+		if orig.FlatWords() != w.Len() {
+			t.Fatalf("n=%d: FlatWords %d, AppendFlat wrote %d", n, orig.FlatWords(), w.Len())
+		}
 		c := flat.NewCursor(w.Words())
 		view, err := ViewPlain(c)
 		if err != nil {
@@ -71,6 +74,9 @@ func TestFlatPackedIntsRoundTrip(t *testing.T) {
 		orig := PackIntsWidth(vals, width)
 		w := flat.NewWriter()
 		orig.AppendFlat(w)
+		if orig.FlatWords() != w.Len() {
+			t.Fatalf("width=%d: FlatWords %d, AppendFlat wrote %d", width, orig.FlatWords(), w.Len())
+		}
 		view, err := ViewPackedInts(flat.NewCursor(w.Words()))
 		if err != nil {
 			t.Fatalf("width=%d: %v", width, err)
@@ -83,6 +89,31 @@ func TestFlatPackedIntsRoundTrip(t *testing.T) {
 				t.Fatalf("width=%d: Get(%d) = %d, want %d", width, i, view.Get(i), orig.Get(i))
 			}
 		}
+	}
+}
+
+// An int32 section (flat.Writer.I32s) views in place as width-32 packed
+// ints, odd lengths and negative values included.
+func TestViewInt32s(t *testing.T) {
+	for _, vals := range [][]int32{nil, {7}, {0, -1, 1 << 30, 5, -(1 << 31)}, {1, 2, 3, 4}} {
+		w := flat.NewWriter()
+		w.I32s(vals)
+		c := flat.NewCursor(w.Words())
+		view, err := ViewInt32s(c)
+		if err != nil {
+			t.Fatalf("%v: %v", vals, err)
+		}
+		if c.Remaining() != 0 || view.Len() != len(vals) || view.Width() != 32 {
+			t.Fatalf("%v: len %d width %d, %d words left", vals, view.Len(), view.Width(), c.Remaining())
+		}
+		for i, v := range vals {
+			if got := view.Get(i); got != uint64(uint32(v)) {
+				t.Fatalf("%v: Get(%d) = %d, want %d", vals, i, got, uint32(v))
+			}
+		}
+	}
+	if _, err := ViewInt32s(flat.NewCursor([]uint64{5, 0})); err == nil {
+		t.Fatal("overlong int32 section viewed")
 	}
 }
 

@@ -62,20 +62,19 @@ func (p *PackedInts) Len() int { return p.n }
 // Width returns the per-element width in bits.
 func (p *PackedInts) Width() uint { return p.width }
 
-// Get returns element i.
+// Get returns element i. It is cheap enough to inline into the LF
+// step and the locate walk: the range panic carries a constant message,
+// and the mask needs no width-64 case since 1<<64 is 0 for a uint64.
 func (p *PackedInts) Get(i int) uint64 {
-	if i < 0 || i >= p.n {
-		panic(fmt.Sprintf("bitvec: PackedInts.Get(%d) out of range [0,%d)", i, p.n))
+	if uint(i) >= uint(p.n) {
+		panic("bitvec: PackedInts.Get index out of range")
 	}
-	pos := i * int(p.width)
+	pos := uint(i) * p.width
 	w := pos >> 6
-	sh := uint(pos & 63)
+	sh := pos & 63
 	v := p.words[w] >> sh
 	if sh+p.width > 64 {
 		v |= p.words[w+1] << (64 - sh)
-	}
-	if p.width == 64 {
-		return v
 	}
 	return v & (1<<p.width - 1)
 }

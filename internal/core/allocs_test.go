@@ -6,8 +6,8 @@ import (
 )
 
 // TestHotPathAllocs asserts that the per-step FM-index operations —
-// LF, contextOf, Locate and the full SuffixRange backward search —
-// allocate nothing. The backward search runs one PseudoRank per
+// LF, contextOf, Locate, RowOf and the full SuffixRange backward
+// search — allocate nothing. The backward search runs one PseudoRank per
 // pattern symbol and locate walks LF until a marked row; any per-step
 // allocation would swamp the zero-copy serving path this package
 // feeds.
@@ -35,6 +35,7 @@ func TestHotPathAllocs(t *testing.T) {
 			pos, steps := ix.LocateSteps(int64(ix.Len() / 2))
 			sinkI = pos + steps
 		}},
+		{"RowOf", func() { sinkI = ix.RowOf(int64(ix.Len()/2 + 1)) }},
 		{"SuffixRange", func() {
 			sp, ep, ok := ix.SuffixRange(pat)
 			sinkI, sinkB = sp+ep, ok

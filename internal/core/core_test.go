@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"cinct/internal/etgraph"
+	"cinct/internal/flat"
 	"cinct/internal/suffix"
 	"cinct/internal/wavelet"
 )
@@ -208,21 +212,115 @@ func TestExtractWholeText(t *testing.T) {
 	}
 }
 
+// TestLocateMatchesSA pins Locate, and Extract from the located row,
+// against a brute-force suffix array in every form the locate section
+// takes (see locateCases). A walk never takes a rate's worth of steps:
+// the sampled multiple at or below a position is fewer than rate back.
 func TestLocateMatchesSA(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, rate := range []int{1, 4, 8, 64} {
-		text, sigma := markovText(rng, 20, 20, 15, 3)
-		sa := suffix.Array(text, sigma)
-		bwt := suffix.BWT(text, sa)
-		opt := DefaultOptions()
-		opt.SASample = rate
-		ix := BuildFromBWT(text, bwt, sa, sigma, opt)
-		for j := 0; j < len(text); j++ {
-			if got := ix.Locate(int64(j)); got != int64(sa[j]) {
-				t.Fatalf("rate %d: Locate(%d) = %d, want %d", rate, j, got, sa[j])
+	for _, lc := range locateCases(t) {
+		n := len(lc.text)
+		for name, ix := range lc.forms {
+			for j, p := range lc.sa {
+				got, steps := ix.LocateSteps(int64(j))
+				if got != int64(p) || steps >= int64(lc.rate) {
+					t.Fatalf("rate %d %s: LocateSteps(%d) = %d after %d steps, want %d", lc.rate, name, j, got, steps, p)
+				}
+				l := 1 + j%9
+				want := make([]uint32, l)
+				for k := range want {
+					want[k] = lc.text[((p-l+k)%n+n)%n]
+				}
+				if got := ix.Extract(int64(j), l); !slices.Equal(got, want) {
+					t.Fatalf("rate %d %s: Extract(%d,%d) = %v, want %v", lc.rate, name, j, l, got, want)
+				}
 			}
 		}
 	}
+}
+
+// locateCase is one text and sample rate with the index in each form
+// its locate section can take: built (samples packed at build), viewed
+// from the version-4 flat layout, viewed from the version-3 one (int32
+// samples at width 32, unscaled), and — for the committed legacy
+// stream fixture, at its rate — loaded with the samples rebuilt by an
+// LF walk.
+type locateCase struct {
+	rate  int
+	text  []uint32
+	sa    []int
+	forms map[string]*Index
+}
+
+// locateCases covers rates whose packed widths straddle words (1, 2, 3,
+// 7) and the current and former defaults (40, 64).
+func locateCases(t *testing.T) []locateCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(10))
+	var cases []locateCase
+	for _, rate := range []int{1, 2, 3, 7, 40, 64} {
+		text, sigma := markovText(rng, 20, 25, 15, 3)
+		opt := DefaultOptions()
+		opt.SASample = rate
+		ix := Build(text, sigma, opt)
+		v4, v3 := flatViews(t, ix)
+		cases = append(cases, locateCase{rate, text, bruteSA(text),
+			map[string]*Index{"built": ix, "v4-view": v4, "v3-view": v3}})
+	}
+	// markov1.v1 was written at SASample 64 over markovText seed 1.
+	text, _ := markovText(rand.New(rand.NewSource(1)), 30, 25, 20, 3)
+	legacy, err := Load(bytes.NewReader(legacyFixture(t, "markov1.v1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(cases, locateCase{64, text, bruteSA(text), map[string]*Index{"v1-load": legacy}})
+}
+
+// flatViews views ix back from both flat layouts (see flatLayouts).
+func flatViews(t *testing.T, ix *Index) (v4, v3 *Index) {
+	t.Helper()
+	w4, w3 := flatLayouts(ix)
+	var err error
+	if v4, err = ViewFlat(flat.NewCursor(w4), false); err != nil {
+		t.Fatal(err)
+	}
+	if v3, err = ViewFlat(flat.NewCursor(w3), true); err != nil {
+		t.Fatal(err)
+	}
+	return v4, v3
+}
+
+// flatLayouts writes ix in the flat layout, version 4 as AppendFlat
+// writes it and version 3 with the locate samples as the int32 slices
+// that container version held.
+func flatLayouts(ix *Index) (v4, v3 []uint64) {
+	w := flat.NewWriter()
+	ix.AppendFlat(w)
+	v4 = w.Words()
+	old := flat.NewWriter()
+	for _, x := range v4[:len(v4)-ix.samples.FlatWords()-ix.isaSamples.FlatWords()] {
+		old.U64(x)
+	}
+	sa := make([]int32, ix.samples.Len())
+	for i := range sa {
+		sa[i] = int32(int64(ix.samples.Get(i)) * ix.saScale)
+	}
+	isa := make([]int32, ix.isaSamples.Len())
+	for i := range isa {
+		isa[i] = int32(ix.isaSamples.Get(i))
+	}
+	old.I32s(sa)
+	old.I32s(isa)
+	return v4, old.Words()
+}
+
+// bruteSA sorts the suffixes of text by direct comparison.
+func bruteSA(text []uint32) []int {
+	sa := make([]int, len(text))
+	for i := range sa {
+		sa[i] = i
+	}
+	sort.Slice(sa, func(a, b int) bool { return slices.Compare(text[sa[a]:], text[sa[b]:]) < 0 })
+	return sa
 }
 
 func TestLocatePanicsWithoutSamples(t *testing.T) {

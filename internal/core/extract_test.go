@@ -2,28 +2,31 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
-
-	"cinct/internal/suffix"
 )
 
+// TestRowOfInvertsSA pins RowOf, and ExtractRange which walks from it,
+// against a brute-force suffix array in every form the locate section
+// takes (see locateCases).
 func TestRowOfInvertsSA(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, rate := range []int{1, 3, 8, 64} {
-		text, sigma := markovText(rng, 15, 20, 12, 3)
-		sa := suffix.Array(text, sigma)
-		bwt := suffix.BWT(text, sa)
-		opt := DefaultOptions()
-		opt.SASample = rate
-		ix := BuildFromBWT(text, bwt, sa, sigma, opt)
-		// ISA: invert sa.
-		isa := make([]int64, len(text))
-		for j, p := range sa {
+	for _, lc := range locateCases(t) {
+		isa := make([]int64, len(lc.text))
+		for j, p := range lc.sa {
 			isa[p] = int64(j)
 		}
-		for pos := 0; pos < len(text); pos++ {
-			if got := ix.RowOf(int64(pos)); got != isa[pos] {
-				t.Fatalf("rate %d: RowOf(%d) = %d, want %d", rate, pos, got, isa[pos])
+		for name, ix := range lc.forms {
+			for pos := range lc.text {
+				if got := ix.RowOf(int64(pos)); got != isa[pos] {
+					t.Fatalf("rate %d %s: RowOf(%d) = %d, want %d", lc.rate, name, pos, got, isa[pos])
+				}
+			}
+			for a := 0; a < len(lc.text); a += 5 {
+				b := min(a+1+a%23, len(lc.text))
+				got := ix.ExtractRange(int64(a), int64(b))
+				if !slices.Equal(got, lc.text[a:b]) {
+					t.Fatalf("rate %d %s: ExtractRange(%d,%d) = %v, want %v", lc.rate, name, a, b, got, lc.text[a:b])
+				}
 			}
 		}
 	}

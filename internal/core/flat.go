@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cinct/internal/bitvec"
 	"cinct/internal/etgraph"
@@ -12,15 +13,25 @@ import (
 // Flat (v3) form of the whole index. Where the v1 stream stores the
 // labeled BWT Huffman-coded and rebuilds the wavelet tree and locate
 // structures in O(n) at load, the flat form stores every resident
-// structure directly, so ViewFlat is O(σ + |E| + nodes + n/rate):
-// opening is proportional to the directories, never the text. The
-// price is that the O(n) semantic checks v1 performs (every label
-// decodable in its context, LF a single n-cycle) are skipped — deep
-// content corruption surfaces as a contained panic in the search
-// layer, which converts it to a typed error, instead of at open.
+// structure directly, so ViewFlat is O(σ + |E| + nodes): opening is
+// proportional to the directories, never the text. The price is that
+// the O(n) semantic checks v1 performs (every label decodable in its
+// context, LF a single n-cycle) are skipped — deep content corruption
+// surfaces as a contained panic in the search layer, which converts it
+// to a typed error, instead of at open.
+//
+// The locate section, present when the sample rate is > 0, is the mark
+// bit vector and then the SA and ISA samples. Container version 4
+// writes both sample arrays as packed ints — SA/rate at ⌈lg(n/rate)⌉
+// bits, rows at ⌈lg n⌉ — and version 3 wrote them as int32 slices (a
+// length word, then two values per word, low half first). That is the
+// word layout of a width-32 packed array, so a version-3 section is
+// viewed in place at width 32 with scale 1 and served by the same
+// locate path.
 
-// AppendFlat writes the index into a word stream. The graph is
-// compacted first (idempotent) — the flat form only has a CSR layout.
+// AppendFlat writes the index into a word stream in the version-4
+// layout. The graph is compacted first (idempotent) — the flat form
+// only has a CSR layout.
 func (ix *Index) AppendFlat(w *flat.Writer) {
 	ix.graph.Compact()
 	w.U64(uint64(ix.n))
@@ -38,13 +49,36 @@ func (ix *Index) AppendFlat(w *flat.Writer) {
 	ix.labeled.AppendFlat(w)
 	if ix.sampleRate > 0 {
 		ix.mark.AppendFlat(w)
-		w.I32s(ix.samples)
-		w.I32s(ix.isaSamples)
+		sa, isa := ix.packedSamples()
+		sa.AppendFlat(w)
+		isa.AppendFlat(w)
 	}
 }
 
-// ViewFlat wraps a flat index in place.
-func ViewFlat(c *flat.Cursor) (*Index, error) {
+// packedSamples returns the SA and ISA samples in the version-4 form:
+// SA/rate and rows, each at the least width its largest value needs.
+// Built and version-4 indexes hold them that way already (below width
+// 32, as n < 2³¹); a view of a version-3 file holds them at width 32,
+// unscaled, and is repacked here, so re-saving it writes version 4.
+func (ix *Index) packedSamples() (sa, isa *bitvec.PackedInts) {
+	if ix.saScale == int64(ix.sampleRate) && ix.samples.Width() < 32 {
+		return ix.samples, ix.isaSamples
+	}
+	vals := make([]uint64, ix.samples.Len())
+	for i := range vals {
+		vals[i] = ix.samples.Get(i) * uint64(ix.saScale) / uint64(ix.sampleRate)
+	}
+	sa = bitvec.PackInts(vals)
+	vals = make([]uint64, ix.isaSamples.Len())
+	for i := range vals {
+		vals[i] = ix.isaSamples.Get(i)
+	}
+	return sa, bitvec.PackInts(vals)
+}
+
+// ViewFlat wraps a flat index in place. int32Samples selects the
+// version-3 locate section (see the layout note above).
+func ViewFlat(c *flat.Cursor, int32Samples bool) (*Index, error) {
 	n := c.Int()
 	sigma := c.Int()
 	maxLabel := c.Int()
@@ -112,24 +146,44 @@ func ViewFlat(c *flat.Cursor) (*Index, error) {
 			flat.ErrCorrupt, ix.labeled.Len(), ix.labeled.Sigma(), n, maxLabel+1)
 	}
 	if sampleRate > 0 {
-		if ix.mark, err = bitvec.ViewPlain(c); err != nil {
+		if err := ix.viewSamples(c, int32Samples); err != nil {
 			return nil, err
 		}
-		ix.samples = c.I32s()
-		ix.isaSamples = c.I32s()
-		if err := c.Err(); err != nil {
-			return nil, err
-		}
-		if ix.mark.Len() != n || len(ix.samples) != ix.mark.Ones() ||
-			len(ix.isaSamples) != (n+sampleRate-1)/sampleRate {
-			return nil, fmt.Errorf("%w: locate structures (mark=%d samples=%d isa=%d)",
-				flat.ErrCorrupt, ix.mark.Len(), len(ix.samples), len(ix.isaSamples))
-		}
-		// Sample values are deliberately not swept here — that would
-		// make opening a mapped container O(n). A corrupt sample is a
-		// position fed into slice lookups that are bounds-checked (and
-		// Locate's LF walk is step-capped), so the damage is a contained
-		// panic or a wrong answer, never unbounded work or wild reads.
 	}
 	return ix, nil
+}
+
+// viewSamples wraps the locate section and checks its shape: one SA
+// sample per marked row, one ISA sample per rate positions, and widths
+// that fit the version — exactly 32 in version 3; in version 4 no wider
+// than n/rate and n need, so SA/rate × rate stays below 2n. Sample
+// values are deliberately not swept — that would make opening a mapped
+// container O(n). A corrupt value past n panics in Locate or RowOf, any
+// other is a wrong answer, and Locate's LF walk is step-capped; the
+// search layer contains all of it as a typed error.
+func (ix *Index) viewSamples(c *flat.Cursor, int32Samples bool) error {
+	var err error
+	if ix.mark, err = bitvec.ViewPlain(c); err != nil {
+		return err
+	}
+	view, saWidth, isaWidth := bitvec.ViewPackedInts, bits.Len(uint(ix.n/ix.sampleRate)), bits.Len(uint(ix.n))
+	ix.saScale = int64(ix.sampleRate)
+	if int32Samples {
+		view, saWidth, isaWidth = bitvec.ViewInt32s, 32, 32
+		ix.saScale = 1
+	}
+	if ix.samples, err = view(c); err != nil {
+		return err
+	}
+	if ix.isaSamples, err = view(c); err != nil {
+		return err
+	}
+	if ix.mark.Len() != ix.n || ix.samples.Len() != ix.mark.Ones() ||
+		ix.isaSamples.Len() != (ix.n+ix.sampleRate-1)/ix.sampleRate ||
+		int(ix.samples.Width()) > max(saWidth, 1) || int(ix.isaSamples.Width()) > max(isaWidth, 1) {
+		return fmt.Errorf("%w: locate structures (mark=%d samples=%d×%d isa=%d×%d, n=%d rate=%d)",
+			flat.ErrCorrupt, ix.mark.Len(), ix.samples.Len(), ix.samples.Width(),
+			ix.isaSamples.Len(), ix.isaSamples.Width(), ix.n, ix.sampleRate)
+	}
+	return nil
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"cinct/internal/bitvec"
 	"cinct/internal/flat"
 )
 
@@ -15,7 +18,7 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 		w := flat.NewWriter()
 		orig.AppendFlat(w)
 		c := flat.NewCursor(w.Words())
-		view, err := ViewFlat(c)
+		view, err := ViewFlat(c, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,32 +57,121 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 }
 
 // ViewFlat itself must never panic on corrupt words — it either
-// errors or hands back a structurally bounded index. (Semantic
-// corruption may still surface later as a panic inside a query, which
-// the search layer contains; the view must not fault.)
+// errors or hands back a structurally bounded index — in either locate
+// layout. Semantic corruption, a lying sample value above all, may
+// still surface as a panic inside Locate or RowOf, which the search
+// layer contains as a typed error; what must not happen is a walk past
+// the step cap, a located position outside [0, n), or — when only the
+// samples are corrupt, so LF is sound — a row outside [0, n).
 func TestFlatIndexCorruptView(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	text, sigma := markovText(rng, 15, 12, 10, 3)
 	orig := Build(text, sigma, DefaultOptions())
-	w := flat.NewWriter()
-	orig.AppendFlat(w)
-	base := w.Words()
-	step := 1
-	if len(base) > 4096 {
-		step = len(base) / 4096
-	}
-	for i := 0; i < len(base); i += step {
-		for _, delta := range []uint64{1, ^uint64(0), 1 << 50} {
-			mut := append([]uint64(nil), base...)
-			mut[i] += delta
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("word %d +%#x: panic in ViewFlat: %v", i, delta, r)
-					}
+	n := int64(orig.Len())
+	v4, v3 := flatLayouts(orig)
+	ns, ni := orig.samples.Len(), orig.isaSamples.Len()
+	for _, layout := range []struct {
+		name         string
+		words        []uint64
+		int32Samples bool
+		sampleWords  int // the trailing SA and ISA sample arrays
+	}{
+		{"v4", v4, false, orig.samples.FlatWords() + orig.isaSamples.FlatWords()},
+		{"v3", v3, true, 2 + (ns+1)/2 + (ni+1)/2},
+	} {
+		base := layout.words
+		step := 1
+		if len(base) > 4096 {
+			step = len(base) / 4096
+		}
+		for i := 0; i < len(base); i += step {
+			for _, delta := range []uint64{1, ^uint64(0), 1 << 50} {
+				mut := append([]uint64(nil), base...)
+				mut[i] += delta
+				var ix *Index
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s word %d +%#x: panic in ViewFlat: %v", layout.name, i, delta, r)
+						}
+					}()
+					ix, _ = ViewFlat(flat.NewCursor(mut), layout.int32Samples)
 				}()
-				_, _ = ViewFlat(flat.NewCursor(mut))
-			}()
+				if ix == nil || ix.SampleRate() == 0 {
+					continue
+				}
+				for j := int64(0); j < n; j++ {
+					func() {
+						defer func() { _ = recover() }()
+						if p, steps := ix.LocateSteps(j); p < 0 || p >= n || steps > n+1 {
+							t.Fatalf("%s word %d +%#x: LocateSteps(%d) = %d after %d steps", layout.name, i, delta, j, p, steps)
+						}
+					}()
+					func() {
+						defer func() { _ = recover() }()
+						if r := ix.RowOf(j); i >= len(base)-layout.sampleWords && (r < 0 || r >= n) {
+							t.Fatalf("%s word %d +%#x: RowOf(%d) = %d", layout.name, i, delta, j, r)
+						}
+					}()
+				}
+			}
+		}
+	}
+}
+
+// TestFlatIndexSampleWidths pins the version-4 width bounds: SA samples
+// (SA/rate) at most bits.Len(n/rate) wide and rows at most bits.Len(n),
+// so no header can scale a sample past 2n. A section at exactly the
+// bounds views and locates correctly; one bit wider fails the view.
+func TestFlatIndexSampleWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	text, sigma := markovText(rng, 20, 15, 10, 3)
+	orig := Build(text, sigma, DefaultOptions())
+	n, rate := orig.Len(), orig.SampleRate()
+	sa := bruteSA(text)
+	repack := func(p *bitvec.PackedInts, width int) *bitvec.PackedInts {
+		vals := make([]uint64, p.Len())
+		for i := range vals {
+			vals[i] = p.Get(i)
+		}
+		return bitvec.PackIntsWidth(vals, uint(width))
+	}
+	// AppendFlat would repack to the least widths, so the sample arrays
+	// are appended by hand behind the rest of the written index.
+	v4, _ := flatLayouts(orig)
+	head := v4[:len(v4)-orig.samples.FlatWords()-orig.isaSamples.FlatWords()]
+	for _, extra := range []int{0, 1} {
+		for _, which := range []string{"sa", "isa"} {
+			ix := *orig
+			if which == "sa" {
+				ix.samples = repack(orig.samples, bits.Len(uint(n/rate))+extra)
+			} else {
+				ix.isaSamples = repack(orig.isaSamples, bits.Len(uint(n))+extra)
+			}
+			w := flat.NewWriter()
+			for _, x := range head {
+				w.U64(x)
+			}
+			ix.samples.AppendFlat(w)
+			ix.isaSamples.AppendFlat(w)
+			view, err := ViewFlat(flat.NewCursor(w.Words()), false)
+			if extra > 0 {
+				if !errors.Is(err, flat.ErrCorrupt) {
+					t.Fatalf("%s one bit past its bound: err = %v, want ErrCorrupt", which, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s at its bound: %v", which, err)
+			}
+			for j, p := range sa {
+				if got := view.Locate(int64(j)); got != int64(p) {
+					t.Fatalf("%s at its bound: Locate(%d) = %d, want %d", which, j, got, p)
+				}
+				if got := view.RowOf(int64(p)); got != int64(j) {
+					t.Fatalf("%s at its bound: RowOf(%d) = %d, want %d", which, p, got, j)
+				}
+			}
 		}
 	}
 }

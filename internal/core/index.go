@@ -33,9 +33,10 @@ type Options struct {
 }
 
 // DefaultOptions is the paper's configuration: HWT + RRR(63),
-// bigram-sorted RML, locate sampling every 64 text positions.
+// bigram-sorted RML, plus locate sampling every 40 text positions, the
+// library default (see cinct.Options.SampleRate).
 func DefaultOptions() Options {
-	return Options{Spec: wavelet.RRRSpec(63), Strategy: etgraph.BigramSorted, SASample: 64}
+	return Options{Spec: wavelet.RRRSpec(63), Strategy: etgraph.BigramSorted, SASample: 40}
 }
 
 // BuildStats records the construction-time breakdown reported in
@@ -60,11 +61,15 @@ type Index struct {
 	labeled   *wavelet.HWT // φ(Tbwt)
 	h0Labeled float64      // H0(φ(Tbwt)), the paper's headline statistic
 
-	// Locate support (optional).
+	// Locate support (optional). Sampled SA values are multiples of the
+	// rate, so samples holds SA/rate and saScale is the rate — except on
+	// a view of a version-3 file, whose samples are the SA values
+	// themselves at width 32 (saScale 1).
 	sampleRate int
-	mark       *bitvec.Plain // BWT rows whose SA value is sampled
-	samples    []int32       // SA values at marked rows, in row order
-	isaSamples []int32       // isaSamples[k] = BWT row of the suffix at text position k*rate
+	mark       *bitvec.Plain      // BWT rows whose SA value is sampled
+	samples    *bitvec.PackedInts // SA/saScale at marked rows, in row order
+	saScale    int64
+	isaSamples *bitvec.PackedInts // isaSamples[k] = BWT row of the suffix at text position k*rate
 
 	// Stats describes how long each construction stage took.
 	Stats BuildStats
@@ -199,25 +204,27 @@ func (ix *Index) computeCorrections(bwt, labels []uint32, rawC []uint64) {
 	}
 }
 
+// buildSamples marks the rows whose suffix starts at a multiple of
+// rate and packs their SA/rate values (in row order) and the inverse
+// (row of each sampled position) at the widths their largest values
+// need: ⌈lg(n/rate)⌉ and ⌈lg n⌉ bits rather than 32.
 func (ix *Index) buildSamples(sa []int32, rate int) {
 	ix.sampleRate = rate
+	ix.saScale = int64(rate)
 	bld := bitvec.NewBuilder(ix.n)
-	for _, p := range sa {
-		bld.PushBit(int(p)%rate == 0)
+	isa := make([]uint64, (ix.n+rate-1)/rate)
+	scaled := make([]uint64, 0, len(isa))
+	for j, p := range sa {
+		sampled := int(p)%rate == 0
+		bld.PushBit(sampled)
+		if sampled {
+			scaled = append(scaled, uint64(int(p)/rate))
+			isa[int(p)/rate] = uint64(j)
+		}
 	}
 	ix.mark = bld.Plain()
-	ix.samples = make([]int32, 0, ix.n/rate+1)
-	for _, p := range sa {
-		if int(p)%rate == 0 {
-			ix.samples = append(ix.samples, p)
-		}
-	}
-	ix.isaSamples = make([]int32, (ix.n+rate-1)/rate)
-	for j, p := range sa {
-		if int(p)%rate == 0 {
-			ix.isaSamples[int(p)/rate] = int32(j)
-		}
-	}
+	ix.samples = bitvec.PackInts(scaled)
+	ix.isaSamples = bitvec.PackInts(isa)
 }
 
 // Len returns |T|.
@@ -397,9 +404,11 @@ func (ix *Index) LocateSteps(j int64) (pos, lfSteps int64) {
 		j, wPrime = ix.lfFrom(j, wPrime)
 		steps++
 	}
-	p := int64(ix.samples[ix.mark.Rank1(int(j))]) + steps
+	// Walking back from a position reaches the sampled multiple of the
+	// rate at or below it without wrapping, so a healthy p is below n.
+	p := int64(ix.samples.Get(ix.mark.Rank1(int(j))))*ix.saScale + steps
 	if p >= int64(ix.n) {
-		p -= int64(ix.n)
+		panic("core: Locate sample lies past n; corrupt index")
 	}
 	return p, steps
 }
@@ -422,8 +431,8 @@ func (ix *Index) RowOf(pos int64) int64 {
 		// SA[0] = n-1 (the terminator suffix) serves as the anchor.
 		next = int64(ix.n) - 1
 		j = 0
-	} else {
-		j = int64(ix.isaSamples[next/rate])
+	} else if j = int64(ix.isaSamples.Get(int(next / rate))); j >= int64(ix.n) {
+		panic("core: RowOf sample lies past n; corrupt index")
 	}
 	// LF maps the row of the suffix at q to the row of the suffix at
 	// q-1, so walk next-pos steps, carrying the context across steps.
@@ -469,7 +478,7 @@ type Sizes struct {
 	LabeledWT int // wavelet tree of φ(Tbwt), incl. RRR structures
 	ETGraph   int // adjacency lists with labels and Z terms
 	CArray    int // the C array (all FM variants carry this)
-	Locate    int // SA samples + mark bit vector
+	Locate    int // mark bit vector + SA and ISA samples, in the words of their flat form
 }
 
 // Total returns the full footprint in bits.
@@ -483,7 +492,7 @@ func (ix *Index) Sizes() Sizes {
 		CArray:    ix.c.SizeBits(),
 	}
 	if ix.sampleRate > 0 {
-		s.Locate = ix.mark.SizeBits() + len(ix.samples)*32 + len(ix.isaSamples)*32
+		s.Locate = 64 * (ix.mark.FlatWords() + ix.samples.FlatWords() + ix.isaSamples.FlatWords())
 	}
 	return s
 }

@@ -225,44 +225,25 @@ func Load(r io.Reader) (ix *Index, err error) {
 
 // rebuildLocate reconstructs the sampled-row bit vector, the SA samples
 // and the ISA samples from the loaded structures alone — the index is a
-// self-index, so the suffix positions are implicit in LF. It fails with
-// ErrBadFormat when the LF walk is not a single n-cycle: a corrupt
+// self-index, so the suffix array is implicit in LF: the walk from row
+// 0 (SA[0] = n−1) visits the rows of positions n−1, n−2, …, 0. It fails
+// with ErrBadFormat when the LF walk is not a single n-cycle: a corrupt
 // stream can parse into a mapping that collapses onto a short cycle,
 // leaving rows no Locate walk could ever escape from.
 func (ix *Index) rebuildLocate() error {
-	rate := ix.sampleRate
-	saOfRow := make([]int32, ix.n) // only filled at sampled rows; -1 elsewhere
-	for i := range saOfRow {
-		saOfRow[i] = -1
+	sa := make([]int32, ix.n)
+	for i := range sa {
+		sa[i] = -1
 	}
-	visited := make([]bool, ix.n)
-	ix.isaSamples = make([]int32, (ix.n+rate-1)/rate)
 	j := int64(0)
-	pos := int64(ix.n - 1) // SA[0] = n-1: the terminator suffix
 	wPrime := ix.contextOf(j)
-	for k := 0; k < ix.n; k++ {
-		if visited[j] {
-			return fmt.Errorf("%w: LF mapping revisits row %d after %d steps", ErrBadFormat, j, k)
+	for pos := ix.n - 1; pos >= 0; pos-- {
+		if sa[j] >= 0 {
+			return fmt.Errorf("%w: LF mapping revisits row %d after %d steps", ErrBadFormat, j, ix.n-1-pos)
 		}
-		visited[j] = true
-		if pos%int64(rate) == 0 {
-			saOfRow[j] = int32(pos)
-			ix.isaSamples[pos/int64(rate)] = int32(j)
-		}
+		sa[j] = int32(pos)
 		j, wPrime = ix.lfFrom(j, wPrime)
-		pos--
-		if pos < 0 {
-			pos += int64(ix.n)
-		}
 	}
-	bld := bitvec.NewBuilder(ix.n)
-	ix.samples = ix.samples[:0]
-	for _, p := range saOfRow {
-		bld.PushBit(p >= 0)
-		if p >= 0 {
-			ix.samples = append(ix.samples, p)
-		}
-	}
-	ix.mark = bld.Plain()
+	ix.buildSamples(sa, ix.sampleRate)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cinct/internal/flat"
@@ -37,6 +38,10 @@ var legacyFixtures = []legacyFixture{
 	{"global-store-cncttemp.tcinct", 12, 3, true},    // ...and the same in a CNCTtemp container, K = 1
 	{"v3-all-rrr-spatial-4.cinct", 7, 4, false},      // v3 with every wavelet node RRR...
 	{"v3-all-rrr-temporal-1.tcinct", 7, 1, true},     // ...as written before plain nodes
+	{"v3-int32-spatial-1.cinct", 7, 1, false},        // container version 3: int32 locate samples
+	{"v3-int32-spatial-4.cinct", 7, 4, false},        // at SampleRate 64, mixed node kinds...
+	{"v3-int32-temporal-1.tcinct", 7, 1, true},       // ...as written before the samples
+	{"v3-int32-temporal-4.tcinct", 7, 4, true},       // were packed
 }
 
 func (fx legacyFixture) read(t *testing.T) []byte {
@@ -323,4 +328,47 @@ func TestLegacyTemporalLayout(t *testing.T) {
 		}
 		checkLegacyAnswers(t, fx, got.Index)
 	})
+}
+
+// resave saves ix as Save or TemporalIndex.Save would.
+func resave(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	if ix.Temporal() {
+		return saveV3Bytes(t, nil, &TemporalIndex{ix})
+	}
+	return saveV3Bytes(t, ix, nil)
+}
+
+// TestV3Int32Repacks pins the one conversion a version-3 file gets: its
+// int32 locate samples, viewed in place at width 32, are repacked when
+// the index is saved, so converting a frozen version-3 fixture writes
+// exactly the bytes a fresh build at its sample rate (64) writes today.
+func TestV3Int32Repacks(t *testing.T) {
+	for _, fx := range legacyFixtures {
+		if !strings.HasPrefix(fx.file, "v3-int32-") {
+			continue
+		}
+		t.Run(fx.file, func(t *testing.T) {
+			trajs, times := timedCorpus(fx.seed)
+			opts := DefaultOptions()
+			opts.Shards, opts.SampleRate = fx.shards, 64
+			var want *Index
+			var err error
+			if fx.temporal {
+				var tix *TemporalIndex
+				tix, err = BuildTemporal(trajs, times, opts)
+				want = tix.Index
+			} else {
+				want, err = Build(trajs, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]*Index{"load": fx.load(t), "mapped": fx.mapped(t)} {
+				if !bytes.Equal(resave(t, got), resave(t, want)) {
+					t.Errorf("%s: re-saved bytes differ from a fresh SampleRate-64 build", name)
+				}
+			}
+		})
+	}
 }

@@ -1,10 +1,13 @@
 // Command genfuzzseeds regenerates the committed fuzz seed corpora
 // under testdata/fuzz/ and server/testdata/fuzz/: valid v3 containers
-// (monolithic, sharded, temporal, and trees mixing plain and RRR
-// nodes), truncations, bare magics, genuine cursors and representative
-// query bodies — the structured starting points that let short CI fuzz
-// runs reach deep parser states immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds are
-// frozen legacy files it does not touch. Run from the repo root:
+// (monolithic, sharded, temporal, trees mixing plain and RRR nodes, a
+// container-version-3 file with int32 locate samples), truncations, a
+// locate header that lies about its width, bare magics, genuine
+// cursors and representative query bodies — the structured starting
+// points that let short CI fuzz runs reach deep parser states
+// immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds are
+// frozen legacy files it does not touch. CI reruns it and fails if the
+// committed seeds differ from what it writes. Run from the repo root:
 //
 //	go run ./scripts/genfuzzseeds
 package main
@@ -12,6 +15,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -54,6 +58,24 @@ func timesFor(trajs [][]uint32) [][]int64 {
 		times[k] = col
 	}
 	return times
+}
+
+// widenSASamples returns a copy of a one-shard spatial container over
+// corpus() whose SA sample array claims 40-bit values. Its one sample
+// still fits its one word, so the array's shape is consistent and only
+// the width bound (bits.Len(n/rate) for SA/rate values) rejects it.
+func widenSASamples(file []byte) []byte {
+	out := append([]byte(nil), file...)
+	word := func(k int) uint64 { return binary.LittleEndian.Uint64(out[8*k:]) }
+	// TOC entry 0 is the spatial section; it ends with the SA and then
+	// the ISA samples, each {n, width, word count, words…}.
+	end := int(word(8+2)+word(8+3)) / 8
+	sa := end - 8
+	if word(sa) != 1 || word(sa+2) != 1 || word(end-4) != 1 || word(end-2) != 1 {
+		log.Fatal("genfuzzseeds: the locate section is not one SA and one ISA sample")
+	}
+	binary.LittleEndian.PutUint64(out[8*(sa+1):], 40)
+	return out
 }
 
 func writeSeed(dir, name string, data []byte) {
@@ -103,8 +125,9 @@ func main() {
 	writeSeed(dir, "garbage", []byte("\x01garbage-token"))
 	writeSeed(dir, "empty-token", []byte{0x02})
 
-	// FuzzLoadMapped: v3 zero-copy containers (spatial and temporal),
-	// truncations, bare magic.
+	// FuzzLoadMapped: v3 zero-copy containers (spatial and temporal,
+	// container version 4), truncations, a width-lying locate header,
+	// a version-3 file, bare magic.
 	dir = filepath.Join("testdata", "fuzz", "FuzzLoadMapped")
 	for _, shards := range []int{1, 2} {
 		opts := cinct.DefaultOptions()
@@ -119,6 +142,9 @@ func main() {
 		}
 		writeSeed(dir, fmt.Sprintf("v3-spatial-shards%d", shards), buf.Bytes())
 		writeSeed(dir, fmt.Sprintf("v3-truncated-shards%d", shards), buf.Bytes()[:buf.Len()/2])
+		if shards == 1 {
+			writeSeed(dir, "v3-wide-sa-samples", widenSASamples(buf.Bytes()))
+		}
 		tix, err := cinct.BuildTemporal(trajs, times, opts)
 		if err != nil {
 			log.Fatal(err)
@@ -148,6 +174,11 @@ func main() {
 		log.Fatal(err)
 	}
 	writeSeed(dir, "v3-mixed-nodes-temporal", buf.Bytes())
+	version3, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3-int32-spatial-1.cinct"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	writeSeed(dir, "v3-version3-int32-samples", version3)
 	writeSeed(dir, "magic-only", []byte("CNCTidx3"))
 
 	// FuzzWALReplay: a genuine two-batch segment (spatial + temporal

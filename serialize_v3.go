@@ -27,7 +27,7 @@ import (
 //
 //	header   8 words (64 bytes)
 //	  [0] magic "CNCTidx3"
-//	  [1] version (3)
+//	  [1] version (4; version 3 is read too, see below)
 //	  [2] flavor: 1 spatial, 2 temporal
 //	  [3] section count S
 //	  [4] file size in bytes
@@ -42,10 +42,15 @@ import (
 // Every section offset is page-aligned and every length a multiple of
 // 8, so any structure in the file can be viewed as a []uint64 without
 // copying. The file size is a whole number of pages.
+//
+// The version picks only the layout of each spatial frame's locate
+// samples: version 4 packs them at ⌈lg⌉ bits, version 3 (written until
+// the packing) stored them as int32. Both are viewed in place; see
+// core.ViewFlat.
 
 const (
 	v3Magic    = "CNCTidx3"
-	v3Version  = 3
+	v3Version  = 4
 	v3PageSize = 4096
 
 	v3FlavorSpatial  = 1
@@ -344,7 +349,8 @@ func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, error) {
 	if len(words) < 8 {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	if words[0] != v3MagicWord() || words[1] != v3Version {
+	version := words[1]
+	if words[0] != v3MagicWord() || (version != v3Version && version != 3) {
 		return nil, fmt.Errorf("%w: bad magic or version", ErrCorrupt)
 	}
 	flavor, nSec := words[2], words[3]
@@ -414,7 +420,7 @@ func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
 		}
-		ci, err := core.ViewFlat(cur)
+		ci, err := core.ViewFlat(cur, version == 3)
 		if err != nil {
 			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
 		}

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cinct/internal/trajgen"
@@ -83,6 +86,95 @@ func TestV3RoundTrip(t *testing.T) {
 				}
 				checkSameAnswers(t, trajs, orig, ix, sa > 0)
 			}
+		}
+	}
+}
+
+// TestSampleRatesMatchBruteForce pins locate and extraction at sample
+// rates whose packed widths straddle words (1, 2, 3, 7) and at the
+// current and former defaults (40, 64), on 1 and 4 shards, in each form
+// an index is served from: heap Load of the saved file, OpenMapped of
+// it, and — at 64, the rate they were written at — the v1 legacy
+// fixtures, whose samples Load rebuilds by an LF walk. Every
+// trajectory, a slice of each, and every occurrence list must equal
+// brute force over the corpus.
+func TestSampleRatesMatchBruteForce(t *testing.T) {
+	trajs, _ := timedCorpus(7)
+	rng := rand.New(rand.NewSource(29))
+	var paths [][]uint32
+	for len(paths) < 16 {
+		paths = append(paths, genPath(rng, trajs))
+	}
+	for _, shards := range []int{1, 4} {
+		for _, rate := range []int{1, 2, 3, 7, 40, 64} {
+			opts := DefaultOptions()
+			opts.Shards, opts.SampleRate = shards, rate
+			ix, err := Build(trajs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := saveV3Bytes(t, ix, nil)
+			heap, err := Load(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			forms := map[string]*Index{"heap": heap, "mapped": mapV3(t, data)}
+			if rate == 64 {
+				fx := legacyFixture{file: fmt.Sprintf("spatial-%d.cinct", shards), seed: 7, shards: shards}
+				forms["v1-legacy"] = fx.load(t)
+			}
+			for name, got := range forms {
+				for id, tr := range trajs {
+					if sub, err := got.Trajectory(id); err != nil || !slices.Equal(sub, tr) {
+						t.Fatalf("shards=%d rate=%d %s: Trajectory(%d) = %v, %v; want %v", shards, rate, name, id, sub, err, tr)
+					}
+					from := rng.Intn(len(tr))
+					to := from + 1 + rng.Intn(len(tr)-from)
+					if sub, err := got.SubPath(id, from, to); err != nil || !slices.Equal(sub, tr[from:to]) {
+						t.Fatalf("shards=%d rate=%d %s: SubPath(%d, %d, %d) = %v, %v; want %v",
+							shards, rate, name, id, from, to, sub, err, tr[from:to])
+					}
+				}
+				for _, path := range paths {
+					q := Query{Path: path}
+					hits, err := search(got, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, _ := oracleSearch(trajs, nil, q); !sameHits(hits, want) {
+						t.Fatalf("shards=%d rate=%d %s: %v hits %v, want %v", shards, rate, name, path, hits, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocateBitsMatchFile pins Stats().LocateBits to the file: it is
+// the words each shard's locate section adds to the v3 container Save
+// writes, the difference between the spatial sections with and
+// without locate support.
+func TestLocateBitsMatchFile(t *testing.T) {
+	trajs, _ := timedCorpus(7)
+	for _, shards := range []int{1, 4} {
+		sectionBytes := func(rate int) (ix *Index, total uint64) {
+			opts := DefaultOptions()
+			opts.Shards, opts.SampleRate = shards, rate
+			ix, err := Build(trajs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := saveV3Bytes(t, ix, nil)
+			word := func(k uint64) uint64 { return binary.LittleEndian.Uint64(data[8*k:]) }
+			for i := uint64(0); i < word(3); i++ {
+				total += word(8 + 4*i + 3) // TOC entry i: {kind, shard, offset, length}
+			}
+			return ix, total
+		}
+		ix, with := sectionBytes(DefaultOptions().SampleRate)
+		_, without := sectionBytes(0)
+		if got, want := ix.Stats().LocateBits, int(with-without)*8; got != want {
+			t.Fatalf("shards=%d: LocateBits = %d, the file's locate sections hold %d bits", shards, got, want)
 		}
 	}
 }
@@ -315,6 +407,21 @@ func TestOpenMappedErrors(t *testing.T) {
 	legacy := filepath.Join("testdata", "legacy", "spatial-1.cinct")
 	if _, err := OpenMapped(legacy); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenMapped(legacy file) err = %v, want ErrCorrupt", err)
+	}
+	// Versions 3 and 4 are read; any other version word is not.
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3-int32-spatial-1.cinct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint64{2, 5} {
+		binary.LittleEndian.PutUint64(data[8:], version)
+		path := filepath.Join(dir, fmt.Sprintf("version%d", version))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenMapped(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("OpenMapped(version %d) err = %v, want ErrCorrupt", version, err)
+		}
 	}
 }
 
