@@ -43,8 +43,10 @@
 // count; build time on a multi-core machine approaches 1/K of the
 // one-shard build. A temporal index is the same thing with a timestamp
 // store per shard. Save writes the one v3 container that OpenMapped
-// serves in place; Load reads it and every legacy format older builds
-// wrote.
+// serves in place and Load reads onto the heap; both return what the
+// file holds, timestamps included. Files older builds wrote in the
+// pre-v3 formats are refused with ErrLegacyFormat until `cinct
+// convert` rewrites them.
 package cinct
 
 import (

@@ -17,7 +17,7 @@
 //	cinct ingest -index corpus.cinct -in more.txt   (appends, seals, persists in place)
 //	cinct compact -index corpus.cinct [-full=false]   (merge sealed shards, persist in place)
 //	cinct compact -remote http://localhost:8132 -name corpus [-full]
-//	cinct convert -in old.cinct -out corpus.cinct [-temporal]
+//	cinct convert -in old.cinct -out corpus.cinct
 //	cinct roadnet-gen -out net.road [-w 8] [-h 8] [-seed 1]
 //	cinct gps-simulate -roadnet net.road -out traces.ndjson [-truth paths.txt] [-n 10] [-noise 0.05]
 //	cinct gps-ingest -remote http://localhost:8132 -name corpus -in traces.ndjson [-v]
@@ -29,17 +29,20 @@
 //	cinct count -remote http://localhost:8132 -name corpus -path "17 42 99"
 //
 // Corpus files hold one trajectory per line as space-separated road
-// edge IDs (the format cmd/trajgen emits). Temporal index files
-// conventionally use the .tcinct extension, which cinctd and the
-// engine recognize; find and count given -from or -to restrict hits to
-// that entry-time interval (the strict path query) and load their
-// -index as temporal regardless of extension.
+// edge IDs (the format cmd/trajgen emits). An index file says itself
+// whether it carries timestamps (the v3 header's flavor); .tcinct is
+// only the conventional name of a temporal one. find and count given
+// -from or -to restrict hits to that entry-time interval (the strict
+// path query), which on a spatial index fails with "index has no
+// timestamps".
 //
 // Every index file this command writes — build, build-temporal,
 // convert, and the in-place persists of ingest and compact — is a v3
 // container, the file cinctd serves with or without -mmap, written
-// atomically (temp file, fsync, rename). convert is the path for files
-// older builds wrote in the legacy stream formats. build and
+// atomically (temp file, fsync, rename). Files older builds wrote in
+// the pre-v3 stream formats are read by convert alone, which rebuilds
+// the index from the corpus such a file holds; every other subcommand,
+// like cinctd, refuses one and names convert. build and
 // build-temporal default -sample to cinct.DefaultOptions().SampleRate,
 // the rate every shard later sealed or compacted onto the file is
 // built with, so a file never mixes a CLI default with the library's.
@@ -47,6 +50,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,6 +63,7 @@ import (
 
 	"cinct"
 	"cinct/internal/engine"
+	"cinct/internal/legacy"
 	"cinct/internal/querygen"
 	"cinct/internal/trajio"
 	"cinct/server"
@@ -147,9 +152,6 @@ type target struct {
 	index  *string // local index file
 	remote *string // daemon base URL
 	name   *string // index name at the daemon
-	// temporal forces temporal loading for local files regardless of
-	// extension (set by an interval query).
-	temporal bool
 }
 
 func addTargetFlags(fs *flag.FlagSet) *target {
@@ -190,13 +192,7 @@ func (t *target) open() (querier, error) {
 	case *t.index != "":
 		eng := engine.New(engine.Options{})
 		const name = "local"
-		var err error
-		if t.temporal {
-			err = eng.LoadTemporal(name, *t.index)
-		} else {
-			err = eng.Load(name, *t.index)
-		}
-		if err != nil {
+		if err := eng.Load(name, *t.index); err != nil {
 			return nil, err
 		}
 		return &localQuerier{eng: eng, name: name}, nil
@@ -416,7 +412,6 @@ func cmdCount(args []string) error {
 	path := fs.String("path", "", "space-separated edge IDs in travel order")
 	fs.Parse(args)
 	iv := interval()
-	t.temporal = iv != nil
 	q, err := t.open()
 	if err != nil {
 		return err
@@ -447,7 +442,6 @@ func cmdFind(args []string) error {
 	cursor := fs.String("cursor", "", "resume cursor from a previous bounded find")
 	fs.Parse(args)
 	iv := interval()
-	t.temporal = iv != nil
 	q, err := t.open()
 	if err != nil {
 		return err
@@ -623,15 +617,8 @@ func cmdIngest(args []string) error {
 	case *t.index != "":
 		eng := engine.New(engine.Options{SealThreshold: -1})
 		const name = "local"
-		temporal := *timesPath != "" || strings.HasSuffix(*t.index, ".tcinct")
-		var lerr error
-		if temporal {
-			lerr = eng.LoadTemporal(name, *t.index)
-		} else {
-			lerr = eng.Load(name, *t.index)
-		}
-		if lerr != nil {
-			return lerr
+		if err := eng.Load(name, *t.index); err != nil {
+			return err
 		}
 		appended := 0
 		for lo := 0; lo < len(trajs); lo += *batch {
@@ -669,7 +656,6 @@ func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	t := addTargetFlags(fs)
 	full := fs.Bool("full", true, "merge down to a single shard (false = default tiered policy)")
-	temporal := fs.Bool("temporal", false, "force temporal loading regardless of file extension (with -index)")
 	fs.Parse(args)
 	ctx := context.Background()
 	t0 := time.Now()
@@ -701,14 +687,8 @@ func cmdCompact(args []string) error {
 	case *t.index != "":
 		eng := engine.New(engine.Options{SealThreshold: -1})
 		const name = "local"
-		var lerr error
-		if *temporal || strings.HasSuffix(*t.index, ".tcinct") {
-			lerr = eng.LoadTemporal(name, *t.index)
-		} else {
-			lerr = eng.Load(name, *t.index)
-		}
-		if lerr != nil {
-			return lerr
+		if err := eng.Load(name, *t.index); err != nil {
+			return err
 		}
 		res, err := eng.Compact(ctx, name, *full)
 		if err != nil {
@@ -812,17 +792,17 @@ func parsePath(s string) ([]uint32, error) {
 	return out, nil
 }
 
-// cmdConvert rewrites an index file written by an older build (any
-// legacy stream format; a v3 file passes through) as the v3 container
-// that every build now writes and cinctd -mmap serves zero-copy.
-// Converting in place is safe: the whole input is loaded before
+// cmdConvert rewrites an index file as the v3 container every build
+// now writes and cinctd -mmap serves zero-copy. A pre-v3 file — the
+// only reader of those is here — is decoded to the corpus it holds and
+// rebuilt with the options it recorded, spatial or temporal as its
+// bytes say; a v3 file is re-saved at the current container version.
+// Converting in place is safe: the whole input is read before
 // saveAtomic writes the output.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "", "input index file (any format, including legacy pre-v3 files)")
+	in := fs.String("in", "", "input index file (v3, or a pre-v3 file an older build wrote)")
 	out := fs.String("out", "", "output v3 container file")
-	temporal := fs.Bool("temporal", false,
-		"treat the input as a temporal index (implied by a .tcinct extension)")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
@@ -832,28 +812,45 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	defer f.Close()
-	var save func(w io.Writer) (int64, error)
-	var stats cinct.Stats
-	if *temporal || strings.HasSuffix(*in, engine.ExtTemporal) {
-		tix, err := cinct.LoadTemporal(f)
-		if err != nil {
-			return err
+	ix, err := cinct.Load(f)
+	if errors.Is(err, cinct.ErrLegacyFormat) {
+		if _, err = f.Seek(0, io.SeekStart); err == nil {
+			ix, err = rebuildLegacy(f)
 		}
-		save, stats = tix.Save, tix.Index.Stats()
-	} else {
-		ix, err := cinct.Load(f)
-		if err != nil {
-			return err
-		}
-		save, stats = ix.Save, ix.Stats()
+	}
+	if err != nil {
+		return err
+	}
+	save := ix.Save
+	if ix.Temporal() {
+		save = (&cinct.TemporalIndex{Index: ix}).Save
 	}
 	n, err := saveAtomic(*out, save)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("converted %s -> %s: %d trajectories, %d shard(s), %d bytes (v3, page-aligned)\n",
-		*in, *out, stats.Trajectories, stats.Shards, n)
+	s := ix.Stats()
+	fmt.Printf("converted %s -> %s: %d trajectories, %d shard(s), temporal %v, %d bytes (v3, page-aligned)\n",
+		*in, *out, s.Trajectories, s.Shards, ix.Temporal(), n)
 	return nil
+}
+
+// rebuildLegacy builds the index a pre-v3 file describes from the
+// corpus it holds, with the options it recorded.
+func rebuildLegacy(r io.Reader) (*cinct.Index, error) {
+	c, err := legacy.Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	opts := cinct.Options(c.Options)
+	if c.Times == nil {
+		return cinct.Build(c.Trajs, &opts)
+	}
+	tix, err := cinct.BuildTemporal(c.Trajs, c.Times, &opts)
+	if err != nil {
+		return nil, err
+	}
+	return tix.Index, nil
 }
 
 // saveAtomic writes an index file through a temporary file, fsync, a

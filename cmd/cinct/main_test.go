@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cinct"
+	"cinct/internal/engine"
+	"cinct/internal/trajgen"
 	"cinct/internal/trajio"
 )
 
@@ -68,7 +72,7 @@ func TestBuildWritesV3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cinct.IsV3Container(data) {
+		if !bytes.HasPrefix(data, []byte("CNCTidx3")) {
 			t.Fatalf("%s starts with %q, want a v3 container", path, data[:min(8, len(data))])
 		}
 	}
@@ -150,5 +154,143 @@ func TestBuildSampleDefaultsToLibrary(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, wantTemporal.Bytes()) {
 		t.Fatalf("cinct build-temporal without -sample differs from a DefaultOptions build (%v)", err)
+	}
+}
+
+// legacyCorpus regenerates the corpus of the files under
+// testdata/legacy (timedCorpus in the cinct package's tests).
+func legacyCorpus(seed int64) ([][]uint32, [][]int64) {
+	trajs := trajgen.MOGen(trajgen.Config{GridW: 8, GridH: 8, NumTrajs: 120, MeanLen: 20, Seed: seed}).Trajs
+	rng := rand.New(rand.NewSource(seed))
+	times := make([][]int64, len(trajs))
+	for k, tr := range trajs {
+		col := make([]int64, len(tr))
+		t := int64(1_700_000_000) + rng.Int63n(86400)
+		for i := range col {
+			col[i] = t
+			t += 20 + rng.Int63n(60)
+		}
+		times[k] = col
+	}
+	return trajs, times
+}
+
+// TestConvertLegacyFixtures converts every pre-v3 fixture under a
+// neutral file name, so nothing but the bytes can tell its flavor. The
+// output must hold what the input held — temporal or not, every
+// trajectory and every timestamp — and be byte-equal to Save of a fresh
+// build of that corpus with the options the file recorded: the
+// fixture's shard count at SampleRate 64, the default when they were
+// written.
+func TestConvertLegacyFixtures(t *testing.T) {
+	for _, fx := range []struct {
+		file     string
+		seed     int64
+		shards   int
+		temporal bool
+	}{
+		{"spatial-1.cinct", 7, 1, false},
+		{"spatial-4.cinct", 7, 4, false},
+		{"temporal-1.tcinct", 7, 1, true},
+		{"temporal-4.tcinct", 7, 4, true},
+		{"temporal-1-unversioned.tcinct", 7, 1, true},
+		{"global-store-unversioned.tcinct", 12, 3, true},
+		{"global-store-cncttemp.tcinct", 12, 3, true},
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		in, out := filepath.Join(dir, "old.bin"), filepath.Join(dir, "out.bin")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdConvert([]string{"-in", in, "-out", out}); err != nil {
+			t.Fatalf("%s: convert: %v", fx.file, err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := cinct.Load(bytes.NewReader(got))
+		if err != nil {
+			t.Fatalf("%s: Load(converted): %v", fx.file, err)
+		}
+		if ix.Temporal() != fx.temporal {
+			t.Fatalf("%s: converted to temporal %v, want %v", fx.file, ix.Temporal(), fx.temporal)
+		}
+		trajs, times := legacyCorpus(fx.seed)
+		for id := range trajs {
+			if tr, err := ix.Trajectory(id); err != nil || !slices.Equal(tr, trajs[id]) {
+				t.Fatalf("%s: Trajectory(%d) = %v, %v; want %v", fx.file, id, tr, err, trajs[id])
+			}
+			if fx.temporal {
+				if ts := (&cinct.TemporalIndex{Index: ix}).Timestamps(id); !slices.Equal(ts, times[id]) {
+					t.Fatalf("%s: Timestamps(%d) = %v, want %v", fx.file, id, ts, times[id])
+				}
+			}
+		}
+		opts := cinct.DefaultOptions()
+		opts.Shards, opts.SampleRate = fx.shards, 64
+		var want bytes.Buffer
+		if fx.temporal {
+			tix, err := cinct.BuildTemporal(trajs, times, opts)
+			if err == nil {
+				_, err = tix.Save(&want)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			ix, err := cinct.Build(trajs, opts)
+			if err == nil {
+				_, err = ix.Save(&want)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: converted bytes differ from Save of a fresh build at SampleRate 64", fx.file)
+		}
+	}
+}
+
+// TestLocalFlavorFromFile pins that a local -index loads as what its
+// header says: a pre-v3 file is refused with the converter named, an
+// interval query on a spatial index fails as not temporal rather than
+// as corruption, and a spatial index named .tcinct simply serves as
+// spatial.
+func TestLocalFlavorFromFile(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.cinct")
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "spatial-4.cinct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCount([]string{"-index", old, "-path", "1 2"}); !errors.Is(err, cinct.ErrLegacyFormat) ||
+		!bytes.Contains([]byte(err.Error()), []byte("cinct convert")) {
+		t.Fatalf("count on a pre-v3 file: %v, want ErrLegacyFormat naming cinct convert", err)
+	}
+
+	corpus := filepath.Join(dir, "corpus.txt")
+	if err := os.WriteFile(corpus, []byte("1 2 3\n2 3 4\n3 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"spatial.cinct", "spatial.tcinct"} {
+		path := filepath.Join(dir, name)
+		if err := cmdBuild([]string{"-in", corpus, "-index", path, "-shards", "1"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdCount([]string{"-index", path, "-path", "2 3"}); err != nil {
+			t.Fatalf("%s: count: %v", name, err)
+		}
+		if err := cmdCount([]string{"-index", path, "-path", "2 3", "-from", "0"}); !errors.Is(err, engine.ErrNotTemporal) {
+			t.Fatalf("%s: interval count: %v, want engine.ErrNotTemporal", name, err)
+		}
 	}
 }

@@ -4,8 +4,11 @@
 //
 //	cinctd -data ./indexes -addr :8132
 //
-// The data directory holds *.cinct (spatial) and *.tcinct (temporal)
-// files; each is served under its base filename:
+// The data directory holds *.cinct and *.tcinct files, v3 containers
+// whose header says whether they carry timestamps (.tcinct is the
+// conventional name of a temporal one); each is served under its base
+// filename (a pre-v3 file stops start-up with an error naming it:
+// rewrite it once with `cinct convert`). The routes:
 //
 //	GET  /v1/indexes                       catalog + stats + runtime gauges
 //	GET  /metrics                          Prometheus text-format metrics
@@ -73,7 +76,7 @@ func main() {
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request timeout (negative = none)")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 		mmap    = flag.Bool("mmap", false,
-			"serve index files from a memory mapping instead of one aligned read into the heap (same v3 files either way; legacy pre-v3 files always heap-load — convert them with `cinct convert`)")
+			"serve index files from a memory mapping instead of one aligned read into the heap (the same v3 files either way)")
 		pprofAddr = flag.String("pprof", "",
 			"serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 		walDir = flag.String("wal", "",

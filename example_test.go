@@ -293,7 +293,7 @@ func Example_gpsIngest() {
 	eng := engine.New(engine.Options{SealThreshold: -1})
 	defer eng.CloseAll()
 	defer eng.Shutdown()
-	eng.RegisterTemporal("roads", tix)
+	eng.Register("roads", tix.Index)
 	eng.AttachRoadnet("roads", g, mapmatch.Config{})
 
 	// A standing query on the path, registered before anything lands.

@@ -13,11 +13,13 @@ import (
 )
 
 // The fuzz fortress pins the container-format and cursor surfaces:
-// arbitrary bytes fed to Load / LoadTemporal / Query.Cursor must
-// never panic and never allocate unboundedly — they either produce a
-// working index or fail with a typed error. Seed corpora live under
-// testdata/fuzz/ (regenerate with scripts/genfuzzseeds; the
-// FuzzLoadSharded and FuzzLoadTemporal ones are frozen legacy files).
+// arbitrary bytes fed to Load / LoadTemporal / OpenMapped /
+// Query.Cursor must never panic and never allocate unboundedly — they
+// either produce a working index or fail with a typed error. Seed
+// corpora live under testdata/fuzz/ (regenerate with
+// scripts/genfuzzseeds; the committed FuzzLoadSharded and
+// FuzzLoadTemporal ones are frozen pre-v3 files, which the readers must
+// refuse, and internal/legacy's FuzzDecode decodes).
 
 // maxFuzzInput bounds one fuzz input; larger blobs only slow
 // exploration down without reaching new code.
@@ -103,11 +105,26 @@ func exerciseLoaded(t *testing.T, ix *Index) {
 	}
 }
 
+// checkLoadErr requires a reader's error to be typed, and to be
+// ErrLegacyFormat exactly when the input starts with a pre-v3 magic.
+func checkLoadErr(t *testing.T, data []byte, err error) {
+	t.Helper()
+	if legacy := checkLegacy(data) != nil; legacy != errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("pre-v3 magic %v, error %v", legacy, err)
+	}
+	for _, typed := range []error{ErrLegacyFormat, ErrCorrupt, ErrNoTimestamps} {
+		if errors.Is(err, typed) {
+			return
+		}
+	}
+	t.Fatalf("untyped error %v", err)
+}
+
 // FuzzLoadSharded pins Load: arbitrary bytes must load or fail typed —
-// never panic, never allocate past a small multiple of the input. The
-// in-code seeds are v3 containers as Save writes them; the committed
-// ones are legacy single-index and CNCTshrd files, written before v3
-// became the only format written.
+// never panic, never allocate past a small multiple of the input — and
+// a pre-v3 file is refused whatever follows its magic. The in-code
+// seeds are v3 containers of one and three shards as Save writes them;
+// the committed ones are pre-v3 single-index and CNCTshrd files.
 func FuzzLoadSharded(f *testing.F) {
 	trajs, _ := fuzzCorpus()
 	for _, shards := range []int{1, 3} {
@@ -125,7 +142,7 @@ func FuzzLoadSharded(f *testing.F) {
 		f.Add(append([]byte(nil), full...))
 		f.Add(append([]byte(nil), full[:len(full)/2]...)) // truncation
 	}
-	f.Add([]byte(shardMagic))
+	f.Add([]byte("CNCTshrd"))
 	f.Add([]byte("CNCTshrd\x01\x03"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > maxFuzzInput {
@@ -133,6 +150,7 @@ func FuzzLoadSharded(f *testing.F) {
 		}
 		ix, err := Load(bytes.NewReader(data))
 		if err != nil {
+			checkLoadErr(t, data, err)
 			return
 		}
 		exerciseLoaded(t, ix)
@@ -140,7 +158,7 @@ func FuzzLoadSharded(f *testing.F) {
 }
 
 // FuzzLoadTemporal pins LoadTemporal likewise: in-code seeds are v3
-// temporal containers, committed ones legacy CNCTtemp files.
+// temporal containers, committed ones pre-v3 CNCTtemp files.
 func FuzzLoadTemporal(f *testing.F) {
 	trajs, times := fuzzCorpus()
 	for _, shards := range []int{1, 2} {
@@ -158,13 +176,14 @@ func FuzzLoadTemporal(f *testing.F) {
 		f.Add(append([]byte(nil), full...))
 		f.Add(append([]byte(nil), full[:2*len(full)/3]...))
 	}
-	f.Add([]byte(temporalMagic))
+	f.Add([]byte("CNCTtemp"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > maxFuzzInput {
 			t.Skip()
 		}
 		tix, err := LoadTemporal(bytes.NewReader(data))
 		if err != nil {
+			checkLoadErr(t, data, err)
 			return
 		}
 		exerciseLoaded(t, tix.Index)
@@ -237,8 +256,8 @@ func FuzzCursor(f *testing.F) {
 }
 
 // FuzzLoadMapped pins the v3 zero-copy open path: arbitrary bytes
-// mapped as a container must open or fail with ErrCorrupt — never
-// panic, never fault past the mapping. A successfully opened index is
+// mapped as a container must open or fail typed — never panic, never
+// fault past the mapping. A successfully opened index is
 // queried; with the structural invariants validated at open, residual
 // semantic corruption must surface as a typed error from the search
 // layer, not a crash.
@@ -301,14 +320,13 @@ func FuzzLoadMapped(f *testing.F) {
 		}
 		if ix, err := OpenMapped(path); err == nil {
 			exerciseMapped(t, ix, nil)
-		} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrCorruptIndex) {
-			t.Fatalf("OpenMapped: untyped error %v", err)
+		} else {
+			checkLoadErr(t, data, err)
 		}
 		if tix, err := OpenMappedTemporal(path); err == nil {
 			exerciseMapped(t, tix.Index, tix)
-		} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrCorruptIndex) &&
-			!errors.Is(err, ErrCorruptTimestamps) {
-			t.Fatalf("OpenMappedTemporal: untyped error %v", err)
+		} else {
+			checkLoadErr(t, data, err)
 		}
 	})
 }

@@ -16,9 +16,9 @@ import (
 // alias SaveV3) write; a container format is a contract with files
 // already on disk, so any change there must be a deliberate format
 // revision, never a side effect of a refactor. The /v1 entries are the
-// legacy stream formats nothing writes any more, pinned through the
-// committed fixtures under testdata/legacy/ that Load must keep
-// reading; the /v3-all-rrr entries are the v3 bytes Save wrote before
+// pre-v3 stream formats nothing writes any more, pinned through the
+// committed fixtures under testdata/legacy/ that `cinct convert` must
+// keep decoding; the /v3-all-rrr entries are the v3 bytes Save wrote before
 // wavelet-tree nodes could be plain, and the /v3-int32 entries the
 // bytes it wrote before the locate samples were packed, also frozen
 // there.

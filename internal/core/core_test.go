@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"sort"
@@ -240,10 +239,8 @@ func TestLocateMatchesSA(t *testing.T) {
 
 // locateCase is one text and sample rate with the index in each form
 // its locate section can take: built (samples packed at build), viewed
-// from the version-4 flat layout, viewed from the version-3 one (int32
-// samples at width 32, unscaled), and — for the committed legacy
-// stream fixture, at its rate — loaded with the samples rebuilt by an
-// LF walk.
+// from the version-4 flat layout, and viewed from the version-3 one
+// (int32 samples at width 32, unscaled).
 type locateCase struct {
 	rate  int
 	text  []uint32
@@ -266,13 +263,7 @@ func locateCases(t *testing.T) []locateCase {
 		cases = append(cases, locateCase{rate, text, bruteSA(text),
 			map[string]*Index{"built": ix, "v4-view": v4, "v3-view": v3}})
 	}
-	// markov1.v1 was written at SASample 64 over markovText seed 1.
-	text, _ := markovText(rand.New(rand.NewSource(1)), 30, 25, 20, 3)
-	legacy, err := Load(bytes.NewReader(legacyFixture(t, "markov1.v1")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(cases, locateCase{64, text, bruteSA(text), map[string]*Index{"v1-load": legacy}})
+	return cases
 }
 
 // flatViews views ix back from both flat layouts (see flatLayouts).

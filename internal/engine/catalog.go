@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,10 +24,9 @@ import (
 	"cinct/internal/wal"
 )
 
-// File extensions recognized by OpenDir. A ".cinct" file holds a
-// spatial index (monolithic or sharded container — cinct.Load accepts
-// both); a ".tcinct" file holds a temporal index (spatial index
-// followed by the timestamp store).
+// File extensions recognized by OpenDir. Both name a v3 container,
+// spatial or temporal as its header says; ".tcinct" is only the
+// conventional name of a temporal one.
 const (
 	ExtSpatial  = ".cinct"
 	ExtTemporal = ".tcinct"
@@ -67,12 +65,10 @@ var (
 // never blocks a Reload and a Reload never blocks in-flight queries —
 // they simply finish against the generation they started on.
 type entry struct {
-	name     string
-	path     string // backing file; "" when registered from memory
-	temporal bool
-	// mmap opts the entry into zero-copy serving: v3 container files
-	// open via cinct.OpenMapped / OpenMappedTemporal instead of one
-	// aligned read through cinct.Load. Legacy files always heap-load.
+	name string
+	path string // backing file; "" when registered from memory
+	// mmap opts the entry into zero-copy serving: the file opens via
+	// cinct.OpenMapped instead of one aligned read through cinct.Load.
 	mmap bool
 
 	// loadMu serializes disk loads (concurrent Reloads), keeping the
@@ -108,7 +104,7 @@ type entry struct {
 	// paging through renumbered data, while a resume across a seal
 	// keeps working.
 	epoch uint64
-	// ix is the loaded index; it carries timestamps iff temporal.
+	// ix is the loaded index, temporal or not as its file says.
 	ix *cinct.Index
 	// w is the live ingestion writer, created lazily on the first
 	// Append. Once present it supersedes ix (which remains the writer's
@@ -150,11 +146,10 @@ type target interface {
 
 // view is an immutable snapshot of an entry's current binding.
 type view struct {
-	name     string
-	gen      uint64
-	epoch    uint64
-	sig      uint64
-	temporal bool
+	name  string
+	gen   uint64
+	epoch uint64
+	sig   uint64
 	// q is where queries go, chosen once by snapshot; ix and w are the
 	// parts it was chosen from, for the callers that manage them.
 	q  target
@@ -188,7 +183,7 @@ func (en *entry) snapshot() (view, error) {
 		return view{}, fmt.Errorf("%w: %q", ErrNotFound, en.name)
 	}
 	v := view{name: en.name, gen: en.gen, epoch: en.epoch, sig: en.sig,
-		temporal: en.temporal, q: en.ix, ix: en.ix, w: en.w}
+		q: en.ix, ix: en.ix, w: en.w}
 	if en.w != nil {
 		v.q = en.w
 	}
@@ -234,67 +229,28 @@ func (en *entry) appendBatch(w *cinct.Writer, trajs [][]uint32, times [][]int64)
 	return first, en.gen, nil
 }
 
-// loadFromFile reads the entry's backing file into a fresh index (one
-// carrying timestamps for a temporal entry). With mmap set and a v3
-// container on disk, the file is mapped zero-copy; otherwise Load reads
-// it — a v3 file in one aligned read, a legacy one by decoding.
+// loadFromFile reads the entry's backing file into a fresh index,
+// spatial or temporal as the file says: mapped zero-copy with mmap
+// set, otherwise in one aligned read. A pre-v3 file fails with
+// cinct.ErrLegacyFormat.
 func (en *entry) loadFromFile() (*cinct.Index, error) {
 	if en.mmap {
-		if v3, err := isV3File(en.path); err != nil {
-			return nil, err
-		} else if v3 {
-			var ix *cinct.Index
-			if en.temporal {
-				ix, err = unwrap(cinct.OpenMappedTemporal(en.path))
-			} else {
-				ix, err = cinct.OpenMapped(en.path)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("engine: mapping %q from %s: %w", en.name, en.path, err)
-			}
-			return ix, nil
+		ix, err := cinct.OpenMapped(en.path)
+		if err != nil {
+			return nil, fmt.Errorf("engine: mapping %q from %s: %w", en.name, en.path, err)
 		}
+		return ix, nil
 	}
 	f, err := os.Open(en.path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var ix *cinct.Index
-	if en.temporal {
-		ix, err = unwrap(cinct.LoadTemporal(f))
-	} else {
-		ix, err = cinct.Load(f)
-	}
+	ix, err := cinct.Load(f)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %q from %s: %w", en.name, en.path, err)
 	}
 	return ix, nil
-}
-
-// unwrap reduces a temporal load to the Index that carries its stores —
-// the one shape the catalog holds.
-func unwrap(t *cinct.TemporalIndex, err error) (*cinct.Index, error) {
-	if err != nil {
-		return nil, err
-	}
-	return t.Index, nil
-}
-
-// isV3File sniffs the file's magic without reading the body.
-func isV3File(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		// Too short to be any container; let the heap loader produce
-		// its usual typed error.
-		return false, nil
-	}
-	return cinct.IsV3Container(magic[:]), nil
 }
 
 // Catalog maps names to independently loaded indexes. All methods are
@@ -384,16 +340,15 @@ func (c *Catalog) names() []string {
 	return out
 }
 
-// nameForFile maps a data-dir filename to (index name, temporal),
-// returning ok=false for files the catalog does not manage.
-func nameForFile(filename string) (name string, temporal, ok bool) {
-	switch {
-	case strings.HasSuffix(filename, ExtTemporal):
-		return strings.TrimSuffix(filename, ExtTemporal), true, true
-	case strings.HasSuffix(filename, ExtSpatial):
-		return strings.TrimSuffix(filename, ExtSpatial), false, true
+// nameForFile maps a data-dir filename to its index name, returning
+// ok=false for files the catalog does not manage.
+func nameForFile(filename string) (name string, ok bool) {
+	for _, ext := range []string{ExtTemporal, ExtSpatial} {
+		if strings.HasSuffix(filename, ext) {
+			return strings.TrimSuffix(filename, ext), true
+		}
 	}
-	return "", false, false
+	return "", false
 }
 
 // scanDir lists the loadable index files under dir.
@@ -408,7 +363,7 @@ func scanDir(dir string) ([]*entry, error) {
 		if f.IsDir() {
 			continue
 		}
-		name, temporal, ok := nameForFile(f.Name())
+		name, ok := nameForFile(f.Name())
 		if !ok || name == "" {
 			continue
 		}
@@ -416,7 +371,7 @@ func scanDir(dir string) ([]*entry, error) {
 			return nil, fmt.Errorf("engine: index name %q claimed by both %s and %s", name, prev, f.Name())
 		}
 		seen[name] = f.Name()
-		out = append(out, &entry{name: name, path: filepath.Join(dir, f.Name()), temporal: temporal})
+		out = append(out, &entry{name: name, path: filepath.Join(dir, f.Name())})
 	}
 	return out, nil
 }

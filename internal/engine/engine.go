@@ -38,10 +38,9 @@ type Options struct {
 	// Mmap serves index files from a memory mapping instead of one
 	// aligned read into the heap: open is O(metadata) and resident
 	// memory is bounded by the pages a query actually touches. Both
-	// modes serve the same v3 container — the only format seals and
-	// compactions persist — with the same decoder; Mmap only chooses
-	// where its image lives. Legacy pre-v3 files always decode onto
-	// the heap (convert them with `cinct convert`).
+	// modes read only the v3 container — the one format builds, seals
+	// and compactions write — with the same code; Mmap chooses only
+	// where its image lives.
 	Mmap bool
 	// WAL enables the ingestion write-ahead log: appended batches are
 	// framed, CRC'd and written to per-index segment files before the
@@ -156,9 +155,10 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// OpenDir loads every index file under dir: *.cinct as spatial
-// indexes, *.tcinct as temporal ones, each registered under its base
-// filename. Returns the loaded names.
+// OpenDir loads every index file under dir (*.cinct and *.tcinct,
+// each spatial or temporal as its header says), registered under its
+// base filename. Returns the loaded names; on the first file that
+// fails to load, the error names it.
 func (e *Engine) OpenDir(dir string) ([]string, error) {
 	entries, err := scanDir(dir)
 	if err != nil {
@@ -175,22 +175,11 @@ func (e *Engine) OpenDir(dir string) ([]string, error) {
 }
 
 // Load reads one index file and registers it under name, replacing any
-// previous index of that name. Temporal indexes are recognized by the
-// .tcinct extension.
+// previous index of that name. The file's v3 header decides whether
+// the index is temporal; its name does not matter. A pre-v3 file fails
+// with cinct.ErrLegacyFormat.
 func (e *Engine) Load(name, path string) error {
-	_, temporal, ok := nameForFile(path)
-	if !ok {
-		// Unrecognized extension: treat as spatial, the common case
-		// for ad-hoc CLI files.
-		temporal = false
-	}
-	return e.open(&entry{name: name, path: path, temporal: temporal})
-}
-
-// LoadTemporal is Load forcing the temporal format regardless of
-// extension.
-func (e *Engine) LoadTemporal(name, path string) error {
-	return e.open(&entry{name: name, path: path, temporal: true})
+	return e.open(&entry{name: name, path: path})
 }
 
 // open loads the entry's file and publishes it in the catalog.
@@ -212,15 +201,10 @@ func (e *Engine) open(en *entry) error {
 	return nil
 }
 
-// Register publishes an in-memory spatial index under name (no backing
-// file; Reload will fail with ErrNoFile).
+// Register publishes an in-memory index, spatial or temporal, under
+// name (no backing file; Reload will fail with ErrNoFile).
 func (e *Engine) Register(name string, ix *cinct.Index) {
 	e.cat.install(&entry{name: name, gen: 1, epoch: 1, sig: indexSig(ix), ix: ix})
-}
-
-// RegisterTemporal publishes an in-memory temporal index under name.
-func (e *Engine) RegisterTemporal(name string, t *cinct.TemporalIndex) {
-	e.cat.install(&entry{name: name, gen: 1, epoch: 1, sig: indexSig(t.Index), ix: t.Index, temporal: true})
 }
 
 // Reload re-reads name's backing file, atomically swaps the new index
@@ -325,7 +309,7 @@ func (e *Engine) Info(name string) (Info, error) {
 	}
 	info := Info{
 		Name:       v.name,
-		Temporal:   v.temporal,
+		Temporal:   v.ix.Temporal(),
 		Path:       en.path,
 		Generation: v.gen,
 		Epoch:      v.epoch,
@@ -954,7 +938,7 @@ func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	if q.Interval != nil && !v.temporal {
+	if q.Interval != nil && !v.ix.Temporal() {
 		return nil, fmt.Errorf("%w: %q", ErrNotTemporal, v.name)
 	}
 	key := searchKey(v.name, v.gen, enc)

@@ -132,7 +132,7 @@ func (e *Engine) IngestGPS(ctx context.Context, name string, traces []gps.Trace)
 	if matcher == nil {
 		return GPSResult{}, fmt.Errorf("%w: index %q", ErrNoRoadnet, name)
 	}
-	temporal := v.temporal
+	temporal := v.ix.Temporal()
 
 	res := GPSResult{Results: make([]GPSTraceResult, len(traces))}
 	var rows [][]uint32

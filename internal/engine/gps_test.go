@@ -71,7 +71,7 @@ func gpsEngine(t *testing.T, opts Options) (*Engine, *roadnet.Graph, *rand.Rand)
 	e := New(opts)
 	t.Cleanup(e.Shutdown)
 	t.Cleanup(e.CloseAll)
-	e.RegisterTemporal("roads", tix)
+	e.Register("roads", tix.Index)
 	e.AttachRoadnet("roads", g, mapmatch.Config{})
 	return e, g, rng
 }

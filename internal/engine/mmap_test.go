@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cinct"
@@ -13,10 +16,9 @@ import (
 // TestEngineMmapServing pins the zero-copy serving path: an engine
 // with Options.Mmap opens v3 containers mapped (reported via
 // Info.Mapped), answers queries identically to an engine that reads the
-// same files into the heap, heap-loads a committed legacy file
-// transparently, and — after an ingest + seal cycle — persists the
-// sealed state back in v3 so a Reload maps it again. A seal under the
-// heap engine writes v3 too: no engine writes a legacy format.
+// same files into the heap, and — after an ingest + seal cycle —
+// persists the sealed state back in v3 so a Reload maps it again. A
+// seal under the heap engine writes v3 too.
 func TestEngineMmapServing(t *testing.T) {
 	trajs := testCorpus(41, 60)
 	times := testTimes(trajs)
@@ -34,14 +36,6 @@ func TestEngineMmapServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	saveTo(t, filepath.Join(dir, "temporal"+ExtTemporal), tix.Save)
-	// A legacy (pre-v3) file in the same dir must still heap-load.
-	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "spatial-4.cinct"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "legacy"+ExtSpatial), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	mapped := New(Options{Mmap: true})
 	defer mapped.CloseAll()
@@ -49,8 +43,8 @@ func TestEngineMmapServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 3 {
-		t.Fatalf("OpenDir loaded %v, want 3 names", names)
+	if len(names) != 2 {
+		t.Fatalf("OpenDir loaded %v, want 2 names", names)
 	}
 	heap := New(Options{})
 	defer heap.CloseAll()
@@ -58,21 +52,19 @@ func TestEngineMmapServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, wantMapped := range map[string]bool{
-		"spatial": true, "temporal": true, "legacy": false,
-	} {
+	for _, name := range []string{"spatial", "temporal"} {
 		info, err := mapped.Info(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Mapped != wantMapped {
-			t.Fatalf("Info(%q).Mapped = %v, want %v", name, info.Mapped, wantMapped)
+		if !info.Mapped {
+			t.Fatalf("Info(%q).Mapped = false, want true", name)
 		}
 	}
 
 	ctx := context.Background()
 	pat := trajs[0][:2]
-	for _, name := range []string{"spatial", "temporal", "legacy"} {
+	for _, name := range []string{"spatial", "temporal"} {
 		wc, err := searchCount(ctx, heap, name, cinct.Query{Path: pat, Kind: cinct.CountOnly})
 		if err != nil {
 			t.Fatal(err)
@@ -130,14 +122,14 @@ func TestEngineMmapServing(t *testing.T) {
 		t.Fatal("sealed trajectories not queryable after mapped reload")
 	}
 
-	// The heap engine seals the legacy index and persists it as v3.
-	if _, err := heap.Append(ctx, "legacy", extra, nil); err != nil {
+	// The heap engine seals and persists v3 too.
+	if _, err := heap.Append(ctx, "spatial", extra, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := heap.Seal(ctx, "legacy"); err != nil {
+	if _, err := heap.Seal(ctx, "spatial"); err != nil {
 		t.Fatal(err)
 	}
-	assertV3File(t, filepath.Join(dir, "legacy"+ExtSpatial))
+	assertV3File(t, filepath.Join(dir, "spatial"+ExtSpatial))
 }
 
 // assertV3File fails unless path starts with the v3 container magic.
@@ -152,7 +144,115 @@ func assertV3File(t *testing.T, path string) {
 	if _, err := io.ReadFull(f, magic); err != nil {
 		t.Fatal(err)
 	}
-	if !cinct.IsV3Container(magic) {
+	if string(magic) != "CNCTidx3" {
 		t.Fatalf("%s starts with %q, want a v3 container", path, magic)
+	}
+}
+
+// TestEngineFlavorFromFile pins that the engine serves what a file
+// holds, whatever its name: a spatial index saved as .tcinct loads
+// spatial, so an interval query on it is ErrNotTemporal, and a temporal
+// one saved as .cinct loads temporal — mapped or not.
+func TestEngineFlavorFromFile(t *testing.T) {
+	trajs := testCorpus(41, 30)
+	ix, err := cinct.Build(trajs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tix, err := cinct.BuildTemporal(trajs, testTimes(trajs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saveTo(t, filepath.Join(dir, "spatial"+ExtTemporal), ix.Save)
+	saveTo(t, filepath.Join(dir, "temporal"+ExtSpatial), tix.Save)
+	ctx := context.Background()
+	path := trajs[0][:2]
+	all := &cinct.Interval{From: math.MinInt64, To: math.MaxInt64}
+	for _, mmap := range []bool{false, true} {
+		e := New(Options{Mmap: mmap})
+		defer e.CloseAll()
+		if _, err := e.OpenDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]bool{"spatial": false, "temporal": true} {
+			if info, err := e.Info(name); err != nil || info.Temporal != want {
+				t.Fatalf("mmap=%v: Info(%q).Temporal = %v (%v), want %v", mmap, name, info.Temporal, err, want)
+			}
+		}
+		if _, err := searchCount(ctx, e, "spatial", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly}); !errors.Is(err, ErrNotTemporal) {
+			t.Fatalf("mmap=%v: interval count on the spatial .tcinct: %v, want ErrNotTemporal", mmap, err)
+		}
+		n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly})
+		if err != nil || n != ix.Count(path) {
+			t.Fatalf("mmap=%v: interval count on the temporal .cinct = %d, %v; want %d", mmap, n, err, ix.Count(path))
+		}
+	}
+}
+
+// TestEngineRefusesLegacyFiles pins the typed refusal of every pre-v3
+// fixture at each engine entry point — Load, heap and mapped, and
+// Reload of a file replaced by one, which keeps serving the index it
+// had — and that OpenDir's error names the file.
+func TestEngineRefusesLegacyFiles(t *testing.T) {
+	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "legacy", "*cinct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trajs := testCorpus(41, 30)
+	ix, err := cinct.Build(trajs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	refused := 0
+	for _, fixture := range fixtures {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data[:8]) == "CNCTidx3" {
+			continue
+		}
+		refused++
+		name := filepath.Base(fixture)
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mmap := range []bool{false, true} {
+			e := New(Options{Mmap: mmap})
+			if err := e.Load("old", path); !errors.Is(err, cinct.ErrLegacyFormat) {
+				t.Fatalf("%s mmap=%v: Load err = %v, want ErrLegacyFormat", name, mmap, err)
+			}
+			if _, err := e.OpenDir(dir); !errors.Is(err, cinct.ErrLegacyFormat) || !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s mmap=%v: OpenDir err = %v, want ErrLegacyFormat naming the file", name, mmap, err)
+			}
+
+			live := filepath.Join(t.TempDir(), "live"+ExtSpatial)
+			saveTo(t, live, ix.Save)
+			if err := e.Load("live", live); err != nil {
+				t.Fatal(err)
+			}
+			// Replaced the way files are, by rename: a mapped index keeps
+			// reading the file it opened.
+			if err := os.WriteFile(live+".tmp", data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(live+".tmp", live); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Reload("live"); !errors.Is(err, cinct.ErrLegacyFormat) {
+				t.Fatalf("%s mmap=%v: Reload err = %v, want ErrLegacyFormat", name, mmap, err)
+			}
+			if n, err := searchCount(ctx, e, "live", cinct.Query{Path: trajs[0][:2], Kind: cinct.CountOnly}); err != nil || n != ix.Count(trajs[0][:2]) {
+				t.Fatalf("%s mmap=%v: after the refused Reload count = %d, %v; want the old index's %d", name, mmap, n, err, ix.Count(trajs[0][:2]))
+			}
+			e.CloseAll()
+		}
+	}
+	if refused != 7 {
+		t.Fatalf("%d pre-v3 fixtures refused, want 7", refused)
 	}
 }

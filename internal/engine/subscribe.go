@@ -332,7 +332,7 @@ func (e *Engine) Subscribe(name string, pred Predicate, opts SubscribeOptions) (
 	if len(pred.Path) == 0 {
 		return nil, fmt.Errorf("%w: empty path", ErrBadSubscription)
 	}
-	if pred.Interval != nil && !v.temporal {
+	if pred.Interval != nil && !v.ix.Temporal() {
 		return nil, fmt.Errorf("%w: %q", ErrNotTemporal, name)
 	}
 	ttl := opts.TTL

@@ -29,7 +29,7 @@ func subEngine(t *testing.T) *Engine {
 	e := New(Options{SealThreshold: -1})
 	t.Cleanup(e.Shutdown)
 	t.Cleanup(e.CloseAll)
-	e.RegisterTemporal("t", tix)
+	e.Register("t", tix.Index)
 	e.Register("s", ix)
 	return e
 }

@@ -115,19 +115,6 @@ func Build(text []uint32, sigma int, strat Strategy, seed int64) *Graph {
 	return g
 }
 
-// FromAdjacency reconstructs a graph from label-ordered adjacency
-// lists (used by index deserialization). The slices are retained.
-func FromAdjacency(out [][]Edge) *Graph {
-	g := &Graph{sigma: len(out), out: out}
-	for _, es := range out {
-		g.edges += len(es)
-		if len(es) > g.maxDeg {
-			g.maxDeg = len(es)
-		}
-	}
-	return g
-}
-
 // Sigma returns the vertex count (alphabet size).
 func (g *Graph) Sigma() int { return g.sigma }
 
@@ -248,7 +235,7 @@ func (g *Graph) OutEdges(wPrime uint32) []Edge {
 }
 
 // Edges reconstructs the (To, Z) pairs of w′ in label order, working
-// in either representation (used by serialization).
+// in either representation.
 func (g *Graph) Edges(wPrime uint32) []Edge {
 	if g.starts == nil {
 		return g.out[wPrime]

@@ -13,7 +13,7 @@ import (
 // arithmetic on a corrupt file stays inside the arrays.
 
 // AppendFlat writes the compacted graph. It panics on a building-form
-// graph; callers compact before saving, as the v1 serializer does.
+// graph; callers compact before saving, as core.Build does.
 func (g *Graph) AppendFlat(w *flat.Writer) {
 	if g.starts == nil {
 		panic("etgraph: AppendFlat on a non-compacted graph")

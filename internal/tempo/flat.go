@@ -6,10 +6,9 @@ import (
 	"cinct/internal/flat"
 )
 
-// Flat (v3) form. Unlike Save — which carries only blob+lens and
-// re-derives everything with an O(entries) decode at Load — the flat
-// form carries the derived structures (starts, checkpoints, summaries)
-// so a view opens without touching the blob. ViewFlat validates the
+// Flat (v3) form, the only serialized one. It carries the derived
+// structures (starts, checkpoints, summaries) beside the blob, so a
+// view opens without touching the blob. ViewFlat validates the
 // shape relations At indexes by in O(columns + checkpoints): every
 // checkpoint and column start must land inside the blob, and the
 // checkpoint table must be exactly contiguous. A blob whose *contents*

@@ -11,11 +11,9 @@
 package tempo
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 )
@@ -53,8 +51,7 @@ type Store struct {
 	atSteps atomic.Int64
 }
 
-// ErrCorrupt reports a blob that does not decode to the declared
-// column shape.
+// ErrCorrupt reports a flat store whose tables do not fit its blob.
 var ErrCorrupt = errors.New("tempo: corrupt timestamp store")
 
 // New builds a store. times[k][i] is the entry time (any int64 clock)
@@ -62,75 +59,33 @@ var ErrCorrupt = errors.New("tempo: corrupt timestamp store")
 // length. Timestamps need not be monotone (zig-zag coding), though
 // they almost always are, which is what makes deltas small.
 func New(times [][]int64) *Store {
-	var blob []byte
-	lens := make([]int32, len(times))
+	s := &Store{
+		lens:    make([]int32, len(times)),
+		starts:  make([]int64, len(times)),
+		ckStart: make([]int64, len(times)+1),
+		mins:    make([]int64, len(times)),
+		maxs:    make([]int64, len(times)),
+	}
 	var buf [binary.MaxVarintLen64]byte
 	for k, col := range times {
-		lens[k] = int32(len(col))
-		prev := int64(0)
-		for _, t := range col {
-			n := binary.PutVarint(buf[:], t-prev)
-			blob = append(blob, buf[:n]...)
-			prev = t
-		}
-	}
-	s, err := derive(blob, lens)
-	if err != nil {
-		// derive can only fail on a blob it did not just encode.
-		panic(fmt.Sprintf("tempo: %v", err))
-	}
-	return s
-}
-
-// derive walks the blob once, validating that it decodes to exactly
-// the declared column lengths while building the random-access
-// structures (starts, checkpoints, min/max summaries). It is the
-// single decoder both New and Load funnel through, so a Store that
-// exists is a Store whose blob is known well-formed — Column and At
-// cannot hit a corrupt varint afterwards.
-func derive(blob []byte, lens []int32) (*Store, error) {
-	s := &Store{
-		blob:    blob,
-		lens:    lens,
-		starts:  make([]int64, len(lens)),
-		ckStart: make([]int64, len(lens)+1),
-		mins:    make([]int64, len(lens)),
-		maxs:    make([]int64, len(lens)),
-	}
-	pos := 0
-	for k, l := range lens {
-		if l < 0 {
-			return nil, fmt.Errorf("%w: negative length for column %d", ErrCorrupt, k)
-		}
-		s.starts[k] = int64(pos)
+		s.lens[k] = int32(len(col))
+		s.starts[k] = int64(len(s.blob))
 		s.ckStart[k] = int64(len(s.ckTime))
 		prev := int64(0)
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for i := int32(0); i < l; i++ {
-			d, n := binary.Varint(blob[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: column %d truncated at entry %d", ErrCorrupt, k, i)
-			}
-			pos += n
-			prev += d
-			if prev < lo {
-				lo = prev
-			}
-			if prev > hi {
-				hi = prev
-			}
+		for i, t := range col {
+			s.blob = append(s.blob, buf[:binary.PutVarint(buf[:], t-prev)]...)
+			prev = t
+			lo, hi = min(lo, t), max(hi, t)
 			if i > 0 && i%BlockSize == 0 {
-				s.ckTime = append(s.ckTime, prev)
-				s.ckOff = append(s.ckOff, int64(pos)-s.starts[k])
+				s.ckTime = append(s.ckTime, t)
+				s.ckOff = append(s.ckOff, int64(len(s.blob))-s.starts[k])
 			}
 		}
 		s.mins[k], s.maxs[k] = lo, hi
 	}
-	s.ckStart[len(lens)] = int64(len(s.ckTime))
-	if pos != len(blob) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(blob)-pos)
-	}
-	return s, nil
+	s.ckStart[len(times)] = int64(len(s.ckTime))
+	return s
 }
 
 // NumTrajectories returns the number of columns.
@@ -209,55 +164,4 @@ func (s *Store) SizeBits() int {
 		len(s.starts)*64 + len(s.lens)*32 +
 		len(s.ckTime)*64 + len(s.ckOff)*64 + len(s.ckStart)*64 +
 		(len(s.mins)+len(s.maxs))*64
-}
-
-// Load reads a store in the legacy stream layout — uvarint column
-// count, the column lengths, uvarint blob length, blob — that older
-// builds framed into temporal index files (checkpoints, summaries and
-// offsets are derived here). It validates the whole blob: every
-// column must decode to exactly its declared length with no trailing
-// bytes, so corruption surfaces here as ErrCorrupt instead of as a
-// panic inside a later At or Column on a serving goroutine.
-func Load(r *bufio.Reader) (*Store, error) {
-	nTraj, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("tempo: %w", err)
-	}
-	if nTraj > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: column count %d", ErrCorrupt, nTraj)
-	}
-	// Grow lens as lengths actually arrive rather than trusting nTraj
-	// with one huge up-front allocation: a corrupt count then fails at
-	// the read, not in make.
-	lens := make([]int32, 0, min(int(nTraj), 1<<20))
-	var entries int64
-	for k := 0; k < int(nTraj); k++ {
-		l, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("tempo: %w", err)
-		}
-		if l > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: column %d length %d", ErrCorrupt, k, l)
-		}
-		lens = append(lens, int32(l))
-		entries += int64(l)
-		if entries > math.MaxInt64/binary.MaxVarintLen64 {
-			return nil, fmt.Errorf("%w: %d total entries", ErrCorrupt, entries)
-		}
-	}
-	blobLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("tempo: %w", err)
-	}
-	// Every entry takes 1..MaxVarintLen64 blob bytes, so a declared
-	// length outside that envelope is corruption — reject it before
-	// allocating, not by panicking in make or OOMing on a lie.
-	if int64(blobLen) < entries || int64(blobLen) > entries*binary.MaxVarintLen64 {
-		return nil, fmt.Errorf("%w: blob length %d for %d entries", ErrCorrupt, blobLen, entries)
-	}
-	blob := make([]byte, blobLen)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("tempo: %w", err)
-	}
-	return derive(blob, lens)
 }

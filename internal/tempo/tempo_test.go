@@ -1,25 +1,9 @@
 package tempo
 
 import (
-	"bufio"
-	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-// legacyStore is the committed legacy-layout store of
-// randomColumns(seed 3, 30), written by the Save this package had
-// before v3 became the only format written.
-func legacyStore(t *testing.T) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "columns3.v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
 
 func randomColumns(rng *rand.Rand, n int) [][]int64 {
 	return randomColumnsMaxLen(rng, n, 40)
@@ -92,34 +76,6 @@ func TestCompressionBeatsRaw(t *testing.T) {
 	}
 }
 
-// TestSaveLoad pins Load of the legacy stream layout against the
-// columns the fixture was written from.
-func TestSaveLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	times := randomColumns(rng, 30)
-	loaded, err := Load(bufio.NewReader(bytes.NewReader(legacyStore(t))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range times {
-		got := loaded.Column(k)
-		for i := range times[k] {
-			if got[i] != times[k][i] {
-				t.Fatalf("reloaded column %d differs at %d", k, i)
-			}
-		}
-	}
-}
-
-func TestLoadRejectsTruncated(t *testing.T) {
-	full := legacyStore(t)
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := Load(bufio.NewReader(bytes.NewReader(full[:cut]))); err == nil {
-			t.Fatalf("truncation at %d not detected", cut)
-		}
-	}
-}
-
 // TestAtMatchesColumnProperty is the checkpoint correctness property:
 // for random columns spanning many blocks (and non-monotone deltas),
 // every At(k, i) must equal the full Column decode at i.
@@ -178,27 +134,6 @@ func TestMinMax(t *testing.T) {
 	// Empty columns must intersect no interval.
 	if lo, hi := New([][]int64{{}}).MinMax(0); lo <= hi {
 		t.Fatalf("empty column MinMax = (%d, %d), want min > max", lo, hi)
-	}
-}
-
-// TestLoadRejectsCorruptBlob flips blob bytes so columns no longer
-// decode to their declared lengths; Load must fail (the serving path
-// relies on load-time validation to keep At/Column panic-free).
-func TestLoadRejectsCorruptBlob(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	full := legacyStore(t)
-	rejected := 0
-	for trial := 0; trial < 50; trial++ {
-		mut := append([]byte(nil), full...)
-		// Mutate within the blob region (skip the tiny header) to a
-		// continuation byte, stretching varints past the declared shape.
-		mut[len(mut)-1-rng.Intn(len(mut)/2)] = 0x80
-		if _, err := Load(bufio.NewReader(bytes.NewReader(mut))); err != nil {
-			rejected++
-		}
-	}
-	if rejected == 0 {
-		t.Fatal("no corrupted blob was rejected")
 	}
 }
 

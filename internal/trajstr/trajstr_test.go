@@ -137,6 +137,22 @@ func TestEdgeSymbolMapping(t *testing.T) {
 	}
 }
 
+func TestDocAtByTablesMatchesDocAt(t *testing.T) {
+	trajs := [][]uint32{{5, 6, 7}, {8}, {9, 10}}
+	c, err := New(trajs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := 0; pos < c.Len(); pos++ {
+		d1, o1, ok1 := c.DocAt(pos)
+		d2, o2, ok2 := c.DocAtByTables(pos)
+		if d1 != d2 || o1 != o2 || ok1 != ok2 {
+			t.Fatalf("position %d: DocAt=(%d,%d,%v) tables=(%d,%d,%v)",
+				pos, d1, o1, ok1, d2, o2, ok2)
+		}
+	}
+}
+
 func TestEdgeForPanicsOnSentinel(t *testing.T) {
 	c := paperCorpus(t)
 	defer func() {

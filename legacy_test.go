@@ -3,6 +3,7 @@ package cinct
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"cinct/internal/flat"
+	"cinct/internal/legacy"
 	"cinct/internal/tempo"
 )
 
@@ -18,9 +20,9 @@ import (
 // an index over timedCorpus(seed) built with DefaultOptions and the
 // given shard count, written either by the stream-format writers Save
 // had before v3 became the only format written, or by an older v3
-// writer whose bytes Save no longer produces. Load, LoadTemporal and
-// `cinct convert` must keep reading all of them, and OpenMapped /
-// OpenMappedTemporal must keep serving the v3 ones in place.
+// writer whose bytes Save no longer produces. The readers refuse the
+// pre-v3 ones with ErrLegacyFormat and `cinct convert` rewrites them;
+// the v3 ones Load reads and OpenMapped serves in place.
 type legacyFixture struct {
 	file     string
 	seed     int64
@@ -53,60 +55,52 @@ func (fx legacyFixture) read(t *testing.T) []byte {
 	return data
 }
 
-// mapped opens a v3 fixture in place through OpenMapped /
-// OpenMappedTemporal, the path `cinctd -mmap` serves it by.
+// v3 reports whether the fixture is a v3 container.
+func (fx legacyFixture) v3() bool { return strings.HasPrefix(fx.file, "v3-") }
+
+// mapped opens a v3 fixture in place through OpenMapped, the path
+// `cinctd -mmap` serves it by.
 func (fx legacyFixture) mapped(t *testing.T) *Index {
 	t.Helper()
-	path := filepath.Join("testdata", "legacy", fx.file)
-	if !fx.temporal {
-		ix, err := OpenMapped(path)
-		if err != nil {
-			t.Fatalf("OpenMapped(%s): %v", fx.file, err)
-		}
-		return ix
-	}
-	tix, err := OpenMappedTemporal(path)
+	ix, err := OpenMapped(filepath.Join("testdata", "legacy", fx.file))
 	if err != nil {
-		t.Fatalf("OpenMappedTemporal(%s): %v", fx.file, err)
+		t.Fatalf("OpenMapped(%s): %v", fx.file, err)
 	}
-	return tix.Index
+	return ix
 }
 
-// load opens the fixture through the streaming loaders.
+// load reads a v3 fixture through Load.
 func (fx legacyFixture) load(t *testing.T) *Index {
 	t.Helper()
-	if !fx.temporal {
-		ix, err := Load(bytes.NewReader(fx.read(t)))
-		if err != nil {
-			t.Fatalf("Load(%s): %v", fx.file, err)
-		}
-		return ix
-	}
-	tix, err := LoadTemporal(bytes.NewReader(fx.read(t)))
+	ix, err := Load(bytes.NewReader(fx.read(t)))
 	if err != nil {
-		t.Fatalf("LoadTemporal(%s): %v", fx.file, err)
+		t.Fatalf("Load(%s): %v", fx.file, err)
 	}
-	return tix.Index
+	return ix
 }
 
-// convertAndMap does what `cinct convert` does — Save the loaded index
-// — and opens the result through OpenMapped / OpenMappedTemporal.
+// convert does what `cinct convert` does with a pre-v3 fixture: decode
+// the corpus it holds and rebuild it with the options it recorded. It
+// returns the v3 file that writes.
+func (fx legacyFixture) convert(t *testing.T) []byte {
+	t.Helper()
+	c, err := legacy.Decode(bytes.NewReader(fx.read(t)))
+	if err != nil {
+		t.Fatalf("legacy.Decode(%s): %v", fx.file, err)
+	}
+	opts := Options(c.Options)
+	ix, err := build(c.Trajs, c.Times, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resave(t, ix)
+}
+
+// convertAndMap does what `cinct convert` does with a v3 file — Save
+// the loaded index — and opens the result through OpenMapped.
 func convertAndMap(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	var mapped *Index
-	if ix.Temporal() {
-		path := filepath.Join(t.TempDir(), "converted.tcinct")
-		if err := os.WriteFile(path, saveV3Bytes(t, nil, &TemporalIndex{ix}), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		tix, err := OpenMappedTemporal(path)
-		if err != nil {
-			t.Fatalf("OpenMappedTemporal: %v", err)
-		}
-		mapped = tix.Index
-	} else {
-		mapped = mapV3(t, saveV3Bytes(t, ix, nil))
-	}
+	mapped := mapV3(t, resave(t, ix))
 	if !mapped.Mapped() {
 		t.Fatal("converted file does not serve mapped")
 	}
@@ -253,31 +247,61 @@ func checkLegacyAnswers(t *testing.T, fx legacyFixture, got *Index) {
 }
 
 // TestV3LegacyFormatsStillLoad pins backward compatibility: every
-// committed legacy file loads through Load / LoadTemporal, converts
-// (Save, then OpenMapped / OpenMappedTemporal), a v3 one also maps in
-// place, and in every form it answers exactly like a fresh Build of the
-// same corpus.
+// committed older file is readable — a v3 one through Load directly
+// and mapped in place, a pre-v3 one through the bytes `cinct convert`
+// writes for it — converts (Save, then OpenMapped), and in every form
+// answers exactly like a fresh Build of the same corpus.
 func TestV3LegacyFormatsStillLoad(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		t.Run(fx.file, func(t *testing.T) {
-			loaded := fx.load(t)
+			file := fx.read(t)
+			if !fx.v3() {
+				file = fx.convert(t)
+			}
+			loaded, err := Load(bytes.NewReader(file))
+			if err != nil {
+				t.Fatalf("Load(%s): %v", fx.file, err)
+			}
 			t.Run("load", func(t *testing.T) { checkLegacyAnswers(t, fx, loaded) })
 			t.Run("converted", func(t *testing.T) { checkLegacyAnswers(t, fx, convertAndMap(t, loaded)) })
-			if IsV3Container(fx.read(t)) {
+			if fx.v3() {
 				t.Run("mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, fx.mapped(t)) })
 			}
 		})
 	}
 }
 
-// TestLegacyTemporalLayout pins the load-time normalisation of the
-// legacy global-store layout — several spatial shards beside one
-// corpus-wide timestamp store. In each of its encodings (the
-// unversioned stream and the CNCTtemp container with store count 1,
-// both committed fixtures, and a v3 file with storeCount 1 <
-// shardCount, also through the mapped path) it loads as one store per
-// shard and then behaves like the BuildTemporal index over the same
-// corpus (see checkLegacyAnswers).
+// TestLegacyFormatRefused pins the typed refusal of every pre-v3
+// fixture by every reader: the error is ErrLegacyFormat and names the
+// converter.
+func TestLegacyFormatRefused(t *testing.T) {
+	for _, fx := range legacyFixtures {
+		if fx.v3() {
+			continue
+		}
+		path := filepath.Join("testdata", "legacy", fx.file)
+		_, errLoad := Load(bytes.NewReader(fx.read(t)))
+		_, errLoadT := LoadTemporal(bytes.NewReader(fx.read(t)))
+		_, errMap := OpenMapped(path)
+		_, errMapT := OpenMappedTemporal(path)
+		for name, err := range map[string]error{
+			"Load": errLoad, "LoadTemporal": errLoadT, "OpenMapped": errMap, "OpenMappedTemporal": errMapT,
+		} {
+			if !errors.Is(err, ErrLegacyFormat) || !strings.Contains(err.Error(), "cinct convert") {
+				t.Errorf("%s(%s) err = %v, want ErrLegacyFormat naming cinct convert", name, fx.file, err)
+			}
+		}
+	}
+}
+
+// TestLegacyTemporalLayout pins the global-store layout — several
+// spatial shards beside one corpus-wide timestamp store. Its pre-v3
+// encodings (the unversioned stream and the CNCTtemp container with
+// store count 1, both committed fixtures) convert to one store per
+// shard; a v3 file with storeCount 1 < shardCount, also through the
+// mapped path, is normalised to one store per shard at load. Either
+// way it then behaves like the BuildTemporal index over the same corpus
+// (see checkLegacyAnswers).
 func TestLegacyTemporalLayout(t *testing.T) {
 	fixtures := map[string]legacyFixture{}
 	for _, fx := range legacyFixtures {
@@ -288,7 +312,7 @@ func TestLegacyTemporalLayout(t *testing.T) {
 		{"CNCTtemp", "global-store-cncttemp.tcinct"},
 	} {
 		fx := fixtures[enc.file]
-		t.Run(enc.name, func(t *testing.T) { checkLegacyAnswers(t, fx, fx.load(t)) })
+		t.Run(enc.name, func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, fx.convert(t))) })
 	}
 
 	fx := fixtures["global-store-cncttemp.tcinct"]
@@ -317,17 +341,7 @@ func TestLegacyTemporalLayout(t *testing.T) {
 		}
 		checkLegacyAnswers(t, fx, got.Index)
 	})
-	t.Run("v3-mapped", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "legacy.tcinct")
-		if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := OpenMappedTemporal(path)
-		if err != nil {
-			t.Fatalf("OpenMappedTemporal: %v", err)
-		}
-		checkLegacyAnswers(t, fx, got.Index)
-	})
+	t.Run("v3-mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, v3.Bytes())) })
 }
 
 // resave saves ix as Save or TemporalIndex.Save would.

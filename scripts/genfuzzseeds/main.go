@@ -5,8 +5,9 @@
 // locate header that lies about its width, bare magics, genuine
 // cursors and representative query bodies — the structured starting
 // points that let short CI fuzz runs reach deep parser states
-// immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds are
-// frozen legacy files it does not touch. CI reruns it and fails if the
+// immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds, and
+// their copies under internal/legacy/testdata/fuzz/FuzzDecode, are
+// frozen pre-v3 files it does not touch. CI reruns it and fails if the
 // committed seeds differ from what it writes. Run from the repo root:
 //
 //	go run ./scripts/genfuzzseeds
@@ -92,10 +93,10 @@ func writeSeed(dir, name string, data []byte) {
 func main() {
 	trajs, times := corpus()
 
-	// FuzzLoadSharded and FuzzLoadTemporal keep their committed seeds
-	// as frozen legacy fixtures: they are files in the stream formats
-	// nothing writes any more (Save writes v3, seeded in code and under
-	// FuzzLoadMapped).
+	// FuzzLoadSharded, FuzzLoadTemporal and FuzzDecode keep their
+	// committed seeds as frozen fixtures: they are files in the pre-v3
+	// stream formats nothing writes any more (Save writes v3, seeded in
+	// code and under FuzzLoadMapped).
 
 	// FuzzCursor: genuine resume tokens (selector byte + token) and junk.
 	dir := filepath.Join("testdata", "fuzz", "FuzzCursor")

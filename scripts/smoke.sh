@@ -37,10 +37,15 @@ for f in "$datadir/smoke.cinct" "$datadir/tsmoke.tcinct"; do
   [ "$(head -c 8 "$f")" = CNCTidx3 ] || { echo "smoke: $f is not a v3 container" >&2; exit 1; }
 done
 echo "ok cinct build / build-temporal write v3 containers"
-# Files older builds wrote (legacy stream formats, committed fixtures)
-# are served beside them, read through the legacy decoders.
-cp testdata/legacy/spatial-4.cinct "$datadir/legacy.cinct"
-cp testdata/legacy/temporal-4.tcinct "$datadir/tlegacy.tcinct"
+# Files older builds wrote (pre-v3 stream formats, committed fixtures)
+# are not served: every reader refuses one and names the converter.
+cp testdata/legacy/spatial-4.cinct "$workdir/legacy.cinct"
+cp testdata/legacy/temporal-4.tcinct "$workdir/tlegacy.tcinct"
+if out=$("$bindir/cinct" count -index "$workdir/legacy.cinct" -path "1 2" 2>&1); then
+  echo "smoke: cinct count served a pre-v3 file: $out" >&2; exit 1
+fi
+grep -q 'cinct convert' <<<"$out" || { echo "smoke: pre-v3 refusal does not name cinct convert: $out" >&2; exit 1; }
+echo "ok pre-v3 file refused, naming cinct convert"
 
 addr="127.0.0.1:18132"
 base="http://$addr"
@@ -89,7 +94,7 @@ path=$("$bindir/cinct" show -remote "$base" -name smoke -traj 0 | awk '{print $1
 
 echo "== curling endpoints"
 check "/v1/indexes" \
-  '(.indexes | length) == 4 and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 400 and (.indexes[] | select(.name=="tsmoke") | .temporal) == true and (.indexes[] | select(.name=="legacy") | .stats.trajectories) == 120 and (.indexes[] | select(.name=="tlegacy") | .temporal) == true'
+  '(.indexes | length) == 2 and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 400 and (.indexes[] | select(.name=="tsmoke") | .temporal) == true'
 qcheck smoke "{\"path\":[$path],\"kind\":\"count\"}" \
   'length == 1 and .[0].done == true and (.[0].count | type) == "number" and .[0].count >= 1'
 qcheck smoke "{\"path\":[$path],\"limit\":5}" \
@@ -109,15 +114,6 @@ scount=$(qcount tsmoke "$path")
   echo "smoke: interval count ($tcount) != spatial count ($scount)" >&2; exit 1
 }
 echo "ok all-time interval count == spatial count"
-
-# Answers from the legacy files, to compare after they are converted.
-lpath=$("$bindir/cinct" show -remote "$base" -name legacy -traj 0 | awk '{print $1","$2}')
-lhits=$(qpost legacy "{\"path\":[$lpath]}" | jq -c 'select(has("done") | not)')
-tlcount=$(qcount tlegacy "$lpath" '"from":0')
-[ -n "$lhits" ] && [ "$tlcount" -ge 1 ] || {
-  echo "smoke: legacy files answer nothing for their own path $lpath" >&2; exit 1
-}
-echo "ok legacy-format files served (tlegacy interval count $tlcount)"
 
 # The per-operation routes POST /query replaced are gone, not aliased.
 for gone in count find temporal/find temporal/count; do
@@ -318,13 +314,13 @@ wait "$daemon_pid" 2>/dev/null && rc=0 || rc=$?
 [ "$rc" = 0 ] || { echo "smoke: cinctd exited with $rc" >&2; exit 1; }
 daemon_pid=""
 
-echo "== converting the legacy files to v3 (page-aligned, mmap-ready)"
-# In-place conversion is safe: convert loads the whole index before
+echo "== converting the pre-v3 files to v3 (page-aligned, mmap-ready)"
+# In-place conversion is safe: convert reads the whole file before
 # writing, and writes via a temp file + rename.
-"$bindir/cinct" convert -in "$datadir/legacy.cinct" -out "$datadir/legacy.cinct"
-"$bindir/cinct" convert -in "$datadir/tlegacy.tcinct" -out "$datadir/tlegacy.tcinct"
-for f in "$datadir/legacy.cinct" "$datadir/tlegacy.tcinct"; do
+for f in "$workdir/legacy.cinct" "$workdir/tlegacy.tcinct"; do
+  "$bindir/cinct" convert -in "$f" -out "$f"
   [ "$(head -c 8 "$f")" = CNCTidx3 ] || { echo "smoke: convert left $f not a v3 container" >&2; exit 1; }
+  mv "$f" "$datadir/"
 done
 
 addr="127.0.0.1:18133"
@@ -341,10 +337,10 @@ for i in $(seq 1 50); do
 done
 
 # Every index must serve mapped — the built and sealed ones as written,
-# the legacy ones as converted — with every ingested row still present,
+# the pre-v3 ones as converted — with every ingested row still present,
 # and answers must match the run that read them into the heap.
 check "/v1/indexes" \
-  '[.indexes[] | .mapped] == [true, true, true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403'
+  '[.indexes[] | .mapped] == [true, true, true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403 and (.indexes[] | select(.name=="legacy") | .stats.trajectories) == 120 and (.indexes[] | select(.name=="tlegacy") | .stats.trajectories) == 120 and (.indexes[] | select(.name=="tlegacy") | .temporal) == true'
 post=$(qcount smoke "$mpath")
 [ "$post" = 3 ] || { echo "smoke: mmap count of marker path is $post, want 3" >&2; exit 1; }
 scount2=$(qcount smoke "$path")
@@ -354,15 +350,17 @@ scount2=$(qcount smoke "$path")
 tcount=$(qcount tsmoke "$mpath" '"from":4999999,"to":5000001')
 [ "$tcount" = 1 ] || { echo "smoke: mmap temporal interval count $tcount, want 1" >&2; exit 1; }
 echo "ok mmap serving answers match heap serving"
-lhits2=$(qpost legacy "{\"path\":[$lpath]}" | jq -c 'select(has("done") | not)')
-[ "$lhits2" = "$lhits" ] || {
-  echo "smoke: converted legacy index answers differ from the legacy file's" >&2; exit 1
+# The converted files answer for their own data: the path of
+# trajectory 0 finds trajectory 0 at offset 0, and the same corpus's
+# timestamps (all after 0) keep every occurrence in the interval.
+lpath=$("$bindir/cinct" show -remote "$base" -name legacy -traj 0 | awk '{print $1","$2}')
+qcheck legacy "{\"path\":[$lpath]}" 'any(.[]; .trajectory == 0 and .offset == 0)'
+lcount=$(qcount legacy "$lpath")
+tlcount=$(qcount tlegacy "$lpath" '"from":0')
+[ "$tlcount" = "$lcount" ] && [ "$lcount" -ge 1 ] || {
+  echo "smoke: converted tlegacy interval count $tlcount, legacy count $lcount" >&2; exit 1
 }
-tlcount2=$(qcount tlegacy "$lpath" '"from":0')
-[ "$tlcount2" = "$tlcount" ] || {
-  echo "smoke: converted tlegacy interval count $tlcount2, legacy file $tlcount" >&2; exit 1
-}
-echo "ok converted legacy files serve mapped with identical answers"
+echo "ok converted pre-v3 files serve mapped (interval count $tlcount == spatial count)"
 
 echo "== graceful shutdown (mmap daemon)"
 kill -TERM "$daemon_pid"

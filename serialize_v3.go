@@ -17,13 +17,13 @@ import (
 )
 
 // Container format v3: a single flat file readable in place, and the
-// only format Save writes. Where the legacy stream formats (see
-// serialize.go) hold varints that Load must decode into heap
-// structures, v3 lays every structure out as 64-bit little-endian
-// words so a reader wraps the file's bytes directly — OpenMapped
-// memory-maps the file and serves queries from the mapping (O(1)
-// open, kernel-managed paging, pages shared across processes), and
-// Load falls back to one aligned read of the same layout.
+// only format Save writes and Load / OpenMapped read. It lays every
+// structure out as 64-bit little-endian words so a reader wraps the
+// file's bytes directly — OpenMapped memory-maps the file and serves
+// queries from the mapping (O(1) open, kernel-managed paging, pages
+// shared across processes), and Load falls back to one aligned read of
+// the same layout. The header's flavor says whether the file carries
+// timestamp stores; both readers return what it holds.
 //
 //	header   8 words (64 bytes)
 //	  [0] magic "CNCTidx3"
@@ -60,20 +60,10 @@ const (
 	v3KindTempo   = 2
 )
 
-// ErrCorrupt reports a malformed v3 container. Errors from OpenMapped,
-// Load and LoadTemporal on v3 files wrap it (possibly alongside the
-// more specific flat/section error).
+// ErrCorrupt reports a malformed v3 container. Errors from OpenMapped
+// and Load wrap it (possibly alongside the more specific flat/section
+// error).
 var ErrCorrupt = errors.New("cinct: corrupt v3 container")
-
-// isV3Magic reports whether b begins with the v3 container magic.
-func isV3Magic(b []byte) bool {
-	return len(b) >= len(v3Magic) && string(b[:len(v3Magic)]) == v3Magic
-}
-
-// IsV3Container reports whether b (the first bytes of a file, at
-// least 8) begins with the v3 container magic — the sniff callers use
-// to decide between OpenMapped and the streaming loaders.
-func IsV3Container(b []byte) bool { return isV3Magic(b) }
 
 func v3MagicWord() uint64 {
 	var w uint64
@@ -222,25 +212,18 @@ func writeV3(w io.Writer, flavor, shardCount, storeCount uint64, secs []v3Sectio
 // Index — or any index or running query sharing its shards — is
 // reachable; it is released by the garbage collector, so no Close is
 // needed (or offered — queries may outlive any safe close point).
+// Like Load it returns what the file holds, timestamps included, and
+// fails with ErrLegacyFormat on a pre-v3 file.
 func OpenMapped(path string) (*Index, error) {
-	return openMapped(path, v3FlavorSpatial)
-}
-
-// OpenMappedTemporal is OpenMapped for temporal (flavor 2) containers.
-func OpenMappedTemporal(path string) (*TemporalIndex, error) {
-	ix, err := openMapped(path, v3FlavorTemporal)
-	if err != nil {
-		return nil, err
-	}
-	return &TemporalIndex{ix}, nil
-}
-
-func openMapped(path string, flavor uint64) (*Index, error) {
 	f, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := viewContainer(f.Words(), flavor)
+	if err := checkLegacy(f.Bytes()); err != nil {
+		f.Close()
+		return nil, err
+	}
+	ix, err := viewContainer(f.Words())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -268,12 +251,12 @@ func (ix *Index) Mapped() bool {
 const v3ReadChunk = 64 << 10
 
 // loadV3 reads the rest of a v3 stream — r, buffered by br — into an
-// aligned heap image and views it there: the non-mmap path of Load and
-// LoadTemporal. When r knows its length (streamSize) the image is
-// allocated once at that size and read straight into; otherwise the
-// stream is read in fixed chunks and copied once. No allocation is
-// sized from the header, which is not yet verified.
-func loadV3(r io.Reader, br *bufio.Reader, flavor uint64) (*Index, error) {
+// aligned heap image and views it there: the non-mmap path of Load.
+// When r knows its length (streamSize) the image is allocated once at
+// that size and read straight into; otherwise the stream is read in
+// fixed chunks and copied once. No allocation is sized from the header,
+// which is not yet verified.
+func loadV3(r io.Reader, br *bufio.Reader) (*Index, error) {
 	size := streamSize(r)
 	var src io.Reader = br
 	if size >= 0 {
@@ -301,7 +284,7 @@ func loadV3(r io.Reader, br *bufio.Reader, flavor uint64) (*Index, error) {
 	if _, err := io.ReadFull(src, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return viewContainer(words, flavor)
+	return viewContainer(words)
 }
 
 // streamSize reports how many bytes r holds past its current position
@@ -329,20 +312,19 @@ func streamSize(r io.Reader) int64 {
 }
 
 // viewContainer parses a v3 container from its word image, wrapping
-// (not copying) every structure. wantFlavor distinguishes the spatial
-// and temporal entry points; a temporal container's stores come back
-// attached to their shards. Every error wraps ErrCorrupt (section
+// (not copying) every structure. A temporal container's stores come
+// back attached to their shards. Every error wraps ErrCorrupt (section
 // errors additionally carry their specific flat/package error).
-func viewContainer(words []uint64, wantFlavor uint64) (ix *Index, err error) {
+func viewContainer(words []uint64) (ix *Index, err error) {
 	defer func() {
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 	}()
-	return viewContainerInner(words, wantFlavor)
+	return viewContainerInner(words)
 }
 
-func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, error) {
+func viewContainerInner(words []uint64) (*Index, error) {
 	if !flat.CanView() {
 		return nil, fmt.Errorf("%w: v3 containers require a little-endian host", ErrCorrupt)
 	}
@@ -355,10 +337,8 @@ func viewContainerInner(words []uint64, wantFlavor uint64) (*Index, error) {
 	}
 	flavor, nSec := words[2], words[3]
 	fileSize, shardCount, storeCount := words[4], words[5], words[6]
-	if flavor != wantFlavor {
-		kinds := map[uint64]string{v3FlavorSpatial: "spatial", v3FlavorTemporal: "temporal"}
-		return nil, fmt.Errorf("%w: %s container opened as %s",
-			ErrCorrupt, kinds[flavor], kinds[wantFlavor])
+	if flavor != v3FlavorSpatial && flavor != v3FlavorTemporal {
+		return nil, fmt.Errorf("%w: unknown flavor %d", ErrCorrupt, flavor)
 	}
 	if fileSize != uint64(len(words))*8 || fileSize%v3PageSize != 0 {
 		return nil, fmt.Errorf("%w: header claims %d bytes, have %d",

@@ -46,7 +46,7 @@ func newGPSFixture(t *testing.T) *gpsFixture {
 	e := engine.New(engine.Options{SealThreshold: -1})
 	t.Cleanup(e.Shutdown)
 	t.Cleanup(e.CloseAll)
-	e.RegisterTemporal("roads", tix)
+	e.Register("roads", tix.Index)
 	e.AttachRoadnet("roads", g, mapmatch.Config{})
 
 	srv := New(e, Config{})

@@ -37,6 +37,7 @@ func TestHTTPStatusTable(t *testing.T) {
 		{"no locate", cinct.ErrNoLocate, http.StatusUnprocessableEntity},
 		{"no timestamps", cinct.ErrNoTimestamps, http.StatusUnprocessableEntity},
 		{"not appendable", cinct.ErrNotAppendable, http.StatusUnprocessableEntity},
+		{"legacy format", cinct.ErrLegacyFormat, http.StatusUnprocessableEntity},
 		{"rate limited", ErrRateLimited, http.StatusTooManyRequests},
 		{"rate limited typed", &rateLimitError{retryAfter: time.Second}, http.StatusTooManyRequests},
 		{"overloaded", engine.ErrOverloaded, http.StatusServiceUnavailable},

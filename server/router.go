@@ -60,7 +60,10 @@ func httpStatus(err error) int {
 		return http.StatusGone
 	case errors.Is(err, engine.ErrNotTemporal), errors.Is(err, engine.ErrNoFile),
 		errors.Is(err, cinct.ErrNoLocate), errors.Is(err, cinct.ErrNoTimestamps),
-		errors.Is(err, cinct.ErrNotAppendable), errors.Is(err, engine.ErrNoRoadnet):
+		errors.Is(err, cinct.ErrNotAppendable), errors.Is(err, engine.ErrNoRoadnet),
+		errors.Is(err, cinct.ErrLegacyFormat):
+		// A reload onto a pre-v3 file: the file is well-formed, only
+		// unservable until `cinct convert` rewrites it.
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrRateLimited):
 		return http.StatusTooManyRequests

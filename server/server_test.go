@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -146,5 +149,49 @@ func TestRouteTable(t *testing.T) {
 		if s := status(gone); s != http.StatusNotFound && s != http.StatusMethodNotAllowed {
 			t.Fatalf("GET %s: HTTP %d, want 404 or 405", gone, s)
 		}
+	}
+}
+
+// TestReloadOntoLegacyFileIs422 replaces an index's file with a pre-v3
+// one and reloads it over HTTP: the answer is 422 naming the converter,
+// and the index keeps serving what it had.
+func TestReloadOntoLegacyFileIs422(t *testing.T) {
+	dir := t.TempDir()
+	trajs := trajgen.Singapore2(trajgen.Config{GridW: 6, GridH: 6, NumTrajs: 40, MeanLen: 10, Seed: 5}).Trajs
+	ix, err := cinct.Build(trajs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ix"+engine.ExtSpatial)
+	writeIndexFile(t, path, ix.Save)
+	eng := engine.New(engine.Options{})
+	defer eng.CloseAll()
+	if _, err := eng.OpenDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, Config{}).Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	c := NewClient(ts.URL, nil)
+
+	old, err := os.ReadFile(filepath.Join("..", "testdata", "legacy", "temporal-4.tcinct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".tmp", old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Reload(ctx, "ix")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity ||
+		!strings.Contains(apiErr.Message, "cinct convert") {
+		t.Fatalf("reload onto a pre-v3 file: %v, want HTTP 422 naming cinct convert", err)
+	}
+	path2 := trajs[0][:2]
+	if n, err := remoteCount(ctx, c, "ix", path2); err != nil || n != ix.Count(path2) {
+		t.Fatalf("after the refused reload count = %d, %v; want %d", n, err, ix.Count(path2))
 	}
 }

@@ -214,17 +214,30 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	assertSameAnswers(t, ix, loaded, trajs)
 }
 
+// TestLoadShardedRejectsGarbage pins Load on a sharded input it cannot
+// serve: the pre-v3 CNCTshrd container, whole or as junk after its
+// magic, is refused as ErrLegacyFormat; a truncated v3 one is
+// ErrCorrupt, not a hang or a panic.
 func TestLoadShardedRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("CNCTshrd junk"))); !errors.Is(err, ErrBadShardContainer) {
-		t.Fatalf("want ErrBadShardContainer, got %v", err)
+	if _, err := Load(bytes.NewReader([]byte("CNCTshrd junk"))); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("want ErrLegacyFormat, got %v", err)
 	}
-	// A truncated container must error, not hang or panic.
-	full, err := os.ReadFile(filepath.Join("testdata", "legacy", "spatial-4.cinct"))
+	old, err := os.ReadFile(filepath.Join("testdata", "legacy", "spatial-4.cinct"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(full[:len(full)/2])); err == nil {
-		t.Fatal("truncated container must fail to load")
+	if _, err := Load(bytes.NewReader(old)); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("want ErrLegacyFormat, got %v", err)
+	}
+	opts := DefaultOptions()
+	opts.Shards = 4
+	ix, err := Build(shardedTestCorpus(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := saveV3Bytes(t, ix, nil)
+	if _, err := Load(bytes.NewReader(full[:len(full)/2])); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated container: want ErrCorrupt, got %v", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package cinct
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -23,8 +21,9 @@ import (
 // is the embedded Index's, whose Search accepts an Interval exactly
 // when the stores are there. BuildTemporal, LoadTemporal and
 // OpenMappedTemporal produce one; an Index whose Temporal method
-// reports true (the result of AppendSealed or CompactRange on a
-// temporal index) may be wrapped as &TemporalIndex{Index: ix}.
+// reports true (Load or OpenMapped of a temporal file, or AppendSealed
+// or CompactRange on a temporal index) may be wrapped as
+// &TemporalIndex{Index: ix}.
 // Wrapping a spatial index is a mistake the methods answer with
 // ErrNoTimestamps.
 type TemporalIndex struct {
@@ -92,112 +91,40 @@ func (ix *Index) TimestampBits() int {
 	return n
 }
 
-// Legacy temporal container, read by LoadTemporal and never written
-// (TemporalIndex.Save writes v3):
-//
-//	magic   "CNCTtemp"                 8 bytes
-//	version uvarint                    2
-//	K       uvarint                    timestamp store count
-//	spatial index                      either legacy spatial format
-//	frames  K × (uvarint len, bytes)   each a tempo store
-//
-// Version 1 had no magic: it was the spatial index immediately
-// followed by one corpus-wide tempo store. LoadTemporal still accepts
-// it (the magic cannot collide with either spatial layout), as it does
-// a container whose single store spans several spatial shards; both
-// are split into per-shard stores at load.
-const (
-	temporalMagic   = "CNCTtemp"
-	temporalVersion = 2
-)
-
-// ErrBadTemporalContainer reports a malformed temporal index stream.
-var ErrBadTemporalContainer = errors.New("cinct: bad temporal index container")
-
-// LoadTemporal reads a temporal index from r — a v3 container as
-// TemporalIndex.Save writes it, or the legacy CNCTtemp and unversioned
-// layouts older builds wrote — and validates the timestamp stores
-// against the spatial index: column counts and every per-trajectory
-// length must match, so shape corruption fails the load instead of
-// panicking inside a query.
+// LoadTemporal is Load for a file that must carry timestamps: a v3
+// file of the spatial flavor fails with ErrNoTimestamps.
 func LoadTemporal(r io.Reader) (*TemporalIndex, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(v3Magic)); err == nil && isV3Magic(magic) {
-		ix, err := loadV3(r, br, v3FlavorTemporal)
-		if err != nil {
-			return nil, err
-		}
-		return &TemporalIndex{ix}, nil
-	}
-	// The legacy layout has no header: the spatial index, then one
-	// unframed corpus-wide store.
-	k, framed := uint64(1), false
-	if magic, err := br.Peek(len(temporalMagic)); err == nil && string(magic) == temporalMagic {
-		if _, err := br.Discard(len(temporalMagic)); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTemporalContainer, err)
-		}
-		version, err := binary.ReadUvarint(br)
-		if err != nil || version != temporalVersion {
-			return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTemporalContainer, version)
-		}
-		k, err = binary.ReadUvarint(br)
-		if err != nil || k == 0 || k > 1<<20 {
-			return nil, fmt.Errorf("%w: store count %d", ErrBadTemporalContainer, k)
-		}
-		framed = true
-	}
-	ix, err := Load(br)
+	return withTimestamps(Load(r))
+}
+
+// OpenMappedTemporal is OpenMapped for a file that must carry
+// timestamps, failing like LoadTemporal.
+func OpenMappedTemporal(path string) (*TemporalIndex, error) {
+	return withTimestamps(OpenMapped(path))
+}
+
+func withTimestamps(ix *Index, err error) (*TemporalIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	stores := make([]*tempo.Store, k)
-	for s := range stores {
-		if framed {
-			stores[s], err = loadStoreFrame(br, s)
-		} else {
-			stores[s], err = tempo.Load(br)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ix.attachStores(stores); err != nil {
-		return nil, err
+	if !ix.Temporal() {
+		return nil, fmt.Errorf("%w: the file holds a spatial index", ErrNoTimestamps)
 	}
 	return &TemporalIndex{ix}, nil
 }
 
-// loadStoreFrame reads the s-th length-prefixed timestamp store frame.
-func loadStoreFrame(br *bufio.Reader, s int) (*tempo.Store, error) {
-	frameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: store %d frame length", ErrBadTemporalContainer, s)
-	}
-	// LimitReader confines the store loader to its frame; the drain
-	// repositions br at the next frame even if the loader
-	// under-consumed.
-	lr := io.LimitReader(br, int64(frameLen))
-	ts, err := tempo.Load(bufio.NewReader(lr))
-	if err != nil {
-		return nil, fmt.Errorf("cinct: loading timestamp store %d: %w", s, err)
-	}
-	if _, err := io.Copy(io.Discard, lr); err != nil {
-		return nil, fmt.Errorf("%w: store %d frame", ErrBadTemporalContainer, s)
-	}
-	return ts, nil
-}
-
-// attachStores gives a freshly loaded (not yet published) spatial
+// attachStores gives a freshly viewed (not yet published) spatial
 // index its timestamp stores, after checking that they cover exactly
 // its trajectories: every column length must equal its trajectory's
 // edge count — the invariant that makes every At probe issued by a
 // query in-range by construction.
 //
 // One store per shard is the layout every writer since the sharded
-// temporal build produces. The legacy layout — a single corpus-wide
-// store beside several spatial shards — is normalised here, once: its
-// columns are re-encoded as per-shard stores, so search, seal and
-// compaction only ever see a store travelling with its shard.
+// temporal build produces. Older v3 files may hold a single
+// corpus-wide store beside several spatial shards; it is normalised
+// here, once: its columns are re-encoded as per-shard stores, so
+// search, seal and compaction only ever see a store travelling with its
+// shard.
 func (ix *Index) attachStores(stores []*tempo.Store) error {
 	covers := func(s int, ts *tempo.Store, lo, hi int) error {
 		if ts.NumTrajectories() != hi-lo {

@@ -93,11 +93,9 @@ func TestV3RoundTrip(t *testing.T) {
 // TestSampleRatesMatchBruteForce pins locate and extraction at sample
 // rates whose packed widths straddle words (1, 2, 3, 7) and at the
 // current and former defaults (40, 64), on 1 and 4 shards, in each form
-// an index is served from: heap Load of the saved file, OpenMapped of
-// it, and — at 64, the rate they were written at — the v1 legacy
-// fixtures, whose samples Load rebuilds by an LF walk. Every
-// trajectory, a slice of each, and every occurrence list must equal
-// brute force over the corpus.
+// an index is served from: heap Load of the saved file and OpenMapped
+// of it. Every trajectory, a slice of each, and every occurrence list
+// must equal brute force over the corpus.
 func TestSampleRatesMatchBruteForce(t *testing.T) {
 	trajs, _ := timedCorpus(7)
 	rng := rand.New(rand.NewSource(29))
@@ -119,10 +117,6 @@ func TestSampleRatesMatchBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			forms := map[string]*Index{"heap": heap, "mapped": mapV3(t, data)}
-			if rate == 64 {
-				fx := legacyFixture{file: fmt.Sprintf("spatial-%d.cinct", shards), seed: 7, shards: shards}
-				forms["v1-legacy"] = fx.load(t)
-			}
 			for name, got := range forms {
 				for id, tr := range trajs {
 					if sub, err := got.Trajectory(id); err != nil || !slices.Equal(sub, tr) {
@@ -309,8 +303,10 @@ func TestV3TemporalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV3FlavorMismatch pins the flavor gate: a spatial container must
-// not open as temporal and vice versa.
+// TestV3FlavorMismatch pins that the header's flavor, not the caller,
+// decides what a file is: Load returns a temporal container temporal
+// and a spatial one spatial, and only the entry points that promise
+// timestamps refuse a spatial file, with ErrNoTimestamps.
 func TestV3FlavorMismatch(t *testing.T) {
 	trajs, times := timedCorpus(17)
 	ix, err := Build(trajs, DefaultOptions())
@@ -323,15 +319,40 @@ func TestV3FlavorMismatch(t *testing.T) {
 	}
 	spatial := saveV3Bytes(t, ix, nil)
 	temporal := saveV3Bytes(t, nil, tix)
-	if _, err := LoadTemporal(bytes.NewReader(spatial)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("LoadTemporal(spatial v3) err = %v, want ErrCorrupt", err)
+	if _, err := LoadTemporal(bytes.NewReader(spatial)); !errors.Is(err, ErrNoTimestamps) {
+		t.Fatalf("LoadTemporal(spatial v3) err = %v, want ErrNoTimestamps", err)
 	}
-	// A temporal container opened spatially still carries a valid
-	// spatial index, but the flavor gate rejects it outright: the
-	// caller asked for the wrong thing.
-	if _, err := Load(bytes.NewReader(temporal)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load(temporal v3) err = %v, want ErrCorrupt", err)
+	if _, err := OpenMappedTemporal(writeTemp(t, spatial)); !errors.Is(err, ErrNoTimestamps) {
+		t.Fatalf("OpenMappedTemporal(spatial v3) err = %v, want ErrNoTimestamps", err)
 	}
+	for name, data := range map[string][]byte{"spatial": spatial, "temporal": temporal} {
+		heap, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("Load(%s v3): %v", name, err)
+		}
+		mapped := mapV3(t, data)
+		for _, got := range []*Index{heap, mapped} {
+			if got.Temporal() != (name == "temporal") {
+				t.Fatalf("%s v3 loaded with Temporal() = %v", name, got.Temporal())
+			}
+		}
+	}
+	// A flavor word that is neither is corruption.
+	bad := append([]byte(nil), spatial...)
+	binary.LittleEndian.PutUint64(bad[16:], 3)
+	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load(flavor 3) err = %v, want ErrCorrupt", err)
+	}
+}
+
+// writeTemp writes data to a fresh file and returns its path.
+func writeTemp(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "index.cinct3")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestV3CorruptContainer flips words across the container: every
@@ -363,12 +384,8 @@ func TestV3CorruptContainer(t *testing.T) {
 				}()
 				got, err := LoadTemporal(bytes.NewReader(mut))
 				if err != nil {
-					// A flip inside the magic diverts to the legacy
-					// loaders, whose own typed errors are fine; with
-					// the v3 magic intact the error must be typed.
-					if isV3Magic(mut[:8]) &&
-						!errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrCorruptIndex) &&
-						!errors.Is(err, ErrCorruptTimestamps) {
+					// A flip in the flavor word makes the file spatial.
+					if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNoTimestamps) {
 						t.Fatalf("offset %d bit %d: untyped error %v", off, bit, err)
 					}
 					return
@@ -405,8 +422,8 @@ func TestOpenMappedErrors(t *testing.T) {
 		t.Fatalf("OpenMapped(short) err = %v, want ErrCorrupt", err)
 	}
 	legacy := filepath.Join("testdata", "legacy", "spatial-1.cinct")
-	if _, err := OpenMapped(legacy); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("OpenMapped(legacy file) err = %v, want ErrCorrupt", err)
+	if _, err := OpenMapped(legacy); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("OpenMapped(pre-v3 file) err = %v, want ErrLegacyFormat", err)
 	}
 	// Versions 3 and 4 are read; any other version word is not.
 	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3-int32-spatial-1.cinct"))
