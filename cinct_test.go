@@ -159,7 +159,7 @@ func TestOutOfRangeTrajectoryID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shapes[fmt.Sprintf("TemporalIndex/%d", k)] = tix
+		shapes[fmt.Sprintf("Index/%d/temporal", k)] = tix.Index
 		// A writer whose ID space ends in the sealed range, and one
 		// whose last IDs live in the delta.
 		sealed, err := NewWriterAt(ix, WriterConfig{})
@@ -193,8 +193,8 @@ func TestOutOfRangeTrajectoryID(t *testing.T) {
 			if got := ix.TrajectoryLen(id); got != -1 {
 				t.Errorf("%s: TrajectoryLen(%d) = %d, want -1", name, id, got)
 			}
-			if tix, ok := ix.(*TemporalIndex); ok {
-				if col := tix.Timestamps(id); col != nil {
+			if ix, ok := ix.(*Index); ok {
+				if col := ix.Timestamps(id); col != nil {
 					t.Errorf("%s: Timestamps(%d) = %v, want nil", name, id, col)
 				}
 			}

@@ -225,9 +225,9 @@ func cmdGPSIngest(args []string) error {
 }
 
 // cmdSubscribe registers a standing query on a daemon and streams its
-// notifications to stdout as JSON lines — over SSE by default, or the
-// long-poll fallback with -poll. It runs until the subscription ends
-// (TTL expiry, daemon shutdown) or the process is interrupted.
+// notifications to stdout as JSON lines over SSE. It runs until the
+// subscription ends (TTL expiry, cancel) or the process is interrupted,
+// and fails if the stream drops without the daemon ending it.
 func cmdSubscribe(args []string) error {
 	fs := flag.NewFlagSet("subscribe", flag.ExitOnError)
 	remote := fs.String("remote", "", "cinctd base URL (required)")
@@ -235,7 +235,6 @@ func cmdSubscribe(args []string) error {
 	path := fs.String("path", "", "space-separated edge IDs the standing query watches")
 	interval := addIntervalFlags(fs)
 	ttl := fs.Duration("ttl", 0, "subscription lifetime (0 = server default, 15m)")
-	poll := fs.Bool("poll", false, "use the long-poll fallback instead of SSE")
 	fs.Parse(args)
 	if *remote == "" || *name == "" {
 		return fmt.Errorf("-remote and -name are required")
@@ -265,30 +264,8 @@ func cmdSubscribe(args []string) error {
 		c.Unsubscribe(cctx, *name, sub.Subscription) //nolint:errcheck // the TTL reaps it anyway
 	}()
 	enc := json.NewEncoder(os.Stdout)
-	if *poll {
-		for {
-			resp, err := c.Poll(ctx, *name, sub.Subscription, 30*time.Second)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil
-				}
-				return err
-			}
-			for _, n := range resp.Notifications {
-				if err := enc.Encode(n); err != nil {
-					return err
-				}
-			}
-			if resp.Closed {
-				return nil
-			}
-		}
-	}
 	for n, err := range c.Notifications(ctx, *name, sub.Subscription) {
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
 			return err
 		}
 		if err := enc.Encode(n); err != nil {

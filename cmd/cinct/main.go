@@ -4,8 +4,7 @@
 // daemon's streaming /v1/{index}/query endpoint — and can target
 // either a local index file or a running daemon:
 //
-//	cinct build  -in corpus.txt -index corpus.cinct [-block 63] [-sample 40] [-shards N]
-//	cinct build-temporal -in corpus.txt -times times.txt -index corpus.tcinct
+//	cinct build  -in corpus.txt -index corpus.cinct [-times times.txt] [-block 63] [-sample 40] [-shards N]
 //	cinct stats  -index corpus.cinct
 //	cinct count  -index corpus.cinct -path "17 42 99" [-from 0 -to 999]
 //	cinct find   -index corpus.cinct -path "17 42 99" [-limit 10] [-cursor TOKEN] [-from 0 -to 999]
@@ -21,7 +20,7 @@
 //	cinct roadnet-gen -out net.road [-w 8] [-h 8] [-seed 1]
 //	cinct gps-simulate -roadnet net.road -out traces.ndjson [-truth paths.txt] [-n 10] [-noise 0.05]
 //	cinct gps-ingest -remote http://localhost:8132 -name corpus -in traces.ndjson [-v]
-//	cinct subscribe -remote http://localhost:8132 -name corpus -path "17 42" [-from 0 -to 999] [-poll]
+//	cinct subscribe -remote http://localhost:8132 -name corpus -path "17 42" [-from 0 -to 999]
 //
 // Any query subcommand accepts -remote URL -name INDEX instead of
 // -index FILE to run against a cinctd daemon:
@@ -36,16 +35,19 @@
 // path query), which on a spatial index fails with "index has no
 // timestamps".
 //
-// Every index file this command writes — build, build-temporal,
-// convert, and the in-place persists of ingest and compact — is a v3
-// container, the file cinctd serves with or without -mmap, written
-// atomically (temp file, fsync, rename). Files older builds wrote in
-// the pre-v3 stream formats are read by convert alone, which rebuilds
-// the index from the corpus such a file holds; every other subcommand,
-// like cinctd, refuses one and names convert. build and
-// build-temporal default -sample to cinct.DefaultOptions().SampleRate,
-// the rate every shard later sealed or compacted onto the file is
-// built with, so a file never mixes a CLI default with the library's.
+// build with -times indexes the corpus with its timestamp columns (one
+// line per trajectory, aligned with -in) and writes a temporal file.
+// Every index file this command writes — build, convert, and the
+// in-place persists of ingest and compact — is a v3 container holding
+// what the index holds, the file cinctd serves, written atomically
+// (temp file, fsync, rename): a served file is mapped, so it must be
+// replaced by rename, never truncated in place. Files older builds
+// wrote in the pre-v3 stream formats are read by convert alone, which
+// rebuilds the index from the corpus such a file holds; every other
+// subcommand, like cinctd, refuses one and names convert. build
+// defaults -sample to cinct.DefaultOptions().SampleRate, the rate
+// every shard later sealed or compacted onto the file is built with,
+// so a file never mixes a CLI default with the library's.
 package main
 
 import (
@@ -78,8 +80,6 @@ func main() {
 	switch cmd {
 	case "build":
 		err = cmdBuild(args)
-	case "build-temporal":
-		err = cmdBuildTemporal(args)
 	case "stats":
 		err = cmdStats(args)
 	case "count":
@@ -119,7 +119,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr,
-		"usage: cinct {build|build-temporal|stats|count|find|find-traj|show|subpath|verify|ingest|compact|convert|roadnet-gen|gps-simulate|gps-ingest|subscribe} [flags]")
+		"usage: cinct {build|stats|count|find|find-traj|show|subpath|verify|ingest|compact|convert|roadnet-gen|gps-simulate|gps-ingest|subscribe} [flags]")
 	os.Exit(2)
 }
 
@@ -289,13 +289,17 @@ func readCorpus(path string) ([][]uint32, error) {
 	return trajio.Read(f)
 }
 
+// cmdBuild indexes a corpus — with -times, together with its
+// timestamp columns (same line-per-trajectory layout; times[k][i] =
+// entry time of edge i), into a temporal index.
 func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	in := fs.String("in", "", "input corpus file")
+	timesPath := fs.String("times", "", "timestamps file aligned with -in: build a temporal index")
 	out := fs.String("index", "", "output index file")
 	block := fs.Int("block", 63, "RRR block size (15, 31 or 63)")
 	sample := fs.Int("sample", cinct.DefaultOptions().SampleRate,
-		"SA sample rate (0 = count-only index); defaults to the library's, which seals and compactions use too")
+		"SA sample rate (0 = count-only index, spatial only); defaults to the library's, which seals and compactions use too")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
 		"corpus partitions built and queried in parallel (1 = monolithic)")
 	fs.Parse(args)
@@ -311,7 +315,12 @@ func cmdBuild(args []string) error {
 	opts.SampleRate = *sample
 	opts.Shards = *shards
 	t0 := time.Now()
-	ix, err := cinct.Build(trajs, opts)
+	var ix *cinct.Index
+	if *timesPath == "" {
+		ix, err = cinct.Build(trajs, opts)
+	} else {
+		ix, err = buildTemporal(trajs, *timesPath, opts)
+	}
 	if err != nil {
 		return err
 	}
@@ -324,53 +333,29 @@ func cmdBuild(args []string) error {
 	fmt.Printf("indexed %d trajectories (%d symbols, %d shard(s)) in %v\n",
 		s.Trajectories, s.TextLen, s.Shards, buildTime.Round(time.Millisecond))
 	fmt.Printf("index: %d bytes on disk, %.2f bits/symbol in memory\n", n, s.BitsPerSymbol)
+	if ix.Temporal() {
+		fmt.Printf("timestamps: %.2f bits/entry\n", float64(ix.TimestampBits())/float64(ix.Len()))
+	}
 	return nil
 }
 
-// cmdBuildTemporal indexes a corpus together with a timestamps file
-// (same line-per-trajectory layout; times[k][i] = entry time of edge i).
-func cmdBuildTemporal(args []string) error {
-	fs := flag.NewFlagSet("build-temporal", flag.ExitOnError)
-	in := fs.String("in", "", "input corpus file")
-	timesPath := fs.String("times", "", "timestamps file (aligned with -in)")
-	out := fs.String("index", "", "output index file (use the .tcinct extension so cinctd recognizes it)")
-	block := fs.Int("block", 63, "RRR block size (15, 31 or 63)")
-	sample := fs.Int("sample", cinct.DefaultOptions().SampleRate,
-		"SA sample rate (must be > 0); defaults to the library's, which seals and compactions use too")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
-		"corpus partitions built and queried in parallel (1 = monolithic)")
-	fs.Parse(args)
-	if *in == "" || *timesPath == "" || *out == "" {
-		return fmt.Errorf("-in, -times and -index are required")
-	}
-	trajs, err := readCorpus(*in)
+// buildTemporal reads the timestamps file and builds the temporal
+// index of trajs.
+func buildTemporal(trajs [][]uint32, timesPath string, opts *cinct.Options) (*cinct.Index, error) {
+	tf, err := os.Open(timesPath)
 	if err != nil {
-		return err
-	}
-	tf, err := os.Open(*timesPath)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	times, err := trajio.ReadTimes(tf)
 	tf.Close()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	opts := cinct.DefaultOptions()
-	opts.Block = *block
-	opts.SampleRate = *sample
-	opts.Shards = *shards
-	ix, err := cinct.BuildTemporal(trajs, times, opts)
+	tix, err := cinct.BuildTemporal(trajs, times, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	n, err := saveAtomic(*out, ix.Save)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("temporal index: %d trajectories, %d bytes on disk (timestamps %.2f bits/entry)\n",
-		ix.NumTrajectories(), n, float64(ix.TimestampBits())/float64(ix.Len()))
-	return nil
+	return tix.Index, nil
 }
 
 func cmdStats(args []string) error {
@@ -793,7 +778,7 @@ func parsePath(s string) ([]uint32, error) {
 }
 
 // cmdConvert rewrites an index file as the v3 container every build
-// now writes and cinctd -mmap serves zero-copy. A pre-v3 file — the
+// now writes and cinctd serves zero-copy. A pre-v3 file — the
 // only reader of those is here — is decoded to the corpus it holds and
 // rebuilt with the options it recorded, spatial or temporal as its
 // bytes say; a v3 file is re-saved at the current container version.
@@ -821,11 +806,7 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	save := ix.Save
-	if ix.Temporal() {
-		save = (&cinct.TemporalIndex{Index: ix}).Save
-	}
-	n, err := saveAtomic(*out, save)
+	n, err := saveAtomic(*out, ix.Save)
 	if err != nil {
 		return err
 	}

@@ -17,8 +17,8 @@ import (
 	"cinct/internal/trajio"
 )
 
-// TestSaveAtomicKeepsOldFileOnFailure pins the write discipline build,
-// build-temporal and convert share: a save that fails midway leaves the
+// TestSaveAtomicKeepsOldFileOnFailure pins the write discipline build
+// and convert share: a save that fails midway leaves the
 // previous index byte-identical and no temporary file behind.
 func TestSaveAtomicKeepsOldFileOnFailure(t *testing.T) {
 	dir := t.TempDir()
@@ -47,8 +47,9 @@ func TestSaveAtomicKeepsOldFileOnFailure(t *testing.T) {
 	}
 }
 
-// TestBuildWritesV3 pins that cinct build and build-temporal write the
-// v3 container cinctd -mmap serves.
+// TestBuildWritesV3 pins that cinct build, with and without -times,
+// writes the v3 container cinctd serves, of the flavor the corpus
+// calls for.
 func TestBuildWritesV3(t *testing.T) {
 	dir := t.TempDir()
 	corpus := filepath.Join(dir, "corpus.txt")
@@ -64,10 +65,10 @@ func TestBuildWritesV3(t *testing.T) {
 	if err := cmdBuild([]string{"-in", corpus, "-index", spatial, "-shards", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdBuildTemporal([]string{"-in", corpus, "-times", times, "-index", temporal}); err != nil {
+	if err := cmdBuild([]string{"-in", corpus, "-times", times, "-index", temporal}); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{spatial, temporal} {
+	for path, want := range map[string]bool{spatial: false, temporal: true} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -75,11 +76,15 @@ func TestBuildWritesV3(t *testing.T) {
 		if !bytes.HasPrefix(data, []byte("CNCTidx3")) {
 			t.Fatalf("%s starts with %q, want a v3 container", path, data[:min(8, len(data))])
 		}
+		ix, err := cinct.Load(bytes.NewReader(data))
+		if err != nil || ix.Temporal() != want {
+			t.Fatalf("%s: Load = %v; want Temporal() %v", path, err, want)
+		}
 	}
 }
 
-// TestBuildSampleDefaultsToLibrary pins that build and build-temporal
-// without -sample write exactly what the library's DefaultOptions
+// TestBuildSampleDefaultsToLibrary pins that build, with and without
+// -times, but without -sample, write exactly what the library's DefaultOptions
 // build, so shards sealed or compacted onto a CLI-built file share its
 // sample rate. A build with another -sample must differ, or the
 // comparison would not see the rate at all.
@@ -149,11 +154,11 @@ func TestBuildSampleDefaultsToLibrary(t *testing.T) {
 		t.Fatal("cinct build -sample 64 equals the default build; the rate is not in the bytes")
 	}
 	path := filepath.Join(dir, "ix.tcinct")
-	if err := cmdBuildTemporal([]string{"-in", corpus, "-times", times, "-index", path, "-shards", "2"}); err != nil {
+	if err := cmdBuild([]string{"-in", corpus, "-times", times, "-index", path, "-shards", "2"}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, wantTemporal.Bytes()) {
-		t.Fatalf("cinct build-temporal without -sample differs from a DefaultOptions build (%v)", err)
+		t.Fatalf("cinct build -times without -sample differs from a DefaultOptions build (%v)", err)
 	}
 }
 
@@ -226,7 +231,7 @@ func TestConvertLegacyFixtures(t *testing.T) {
 				t.Fatalf("%s: Trajectory(%d) = %v, %v; want %v", fx.file, id, tr, err, trajs[id])
 			}
 			if fx.temporal {
-				if ts := (&cinct.TemporalIndex{Index: ix}).Timestamps(id); !slices.Equal(ts, times[id]) {
+				if ts := ix.Timestamps(id); !slices.Equal(ts, times[id]) {
 					t.Fatalf("%s: Timestamps(%d) = %v, want %v", fx.file, id, ts, times[id])
 				}
 			}

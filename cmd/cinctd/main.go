@@ -8,7 +8,10 @@
 // whose header says whether they carry timestamps (.tcinct is the
 // conventional name of a temporal one); each is served under its base
 // filename (a pre-v3 file stops start-up with an error naming it:
-// rewrite it once with `cinct convert`). The routes:
+// rewrite it once with `cinct convert`). Every file is served from a
+// memory mapping (one aligned read where the host cannot map), so
+// replace a served file by rename, as `cinct build` and `cinct convert`
+// do: truncating a mapped file in place faults the daemon. The routes:
 //
 //	GET  /v1/indexes                       catalog + stats + runtime gauges
 //	GET  /metrics                          Prometheus text-format metrics
@@ -19,7 +22,6 @@
 //	POST /v1/{index}/gps                   NDJSON raw GPS traces → map-match → append
 //	POST /v1/{index}/subscribe             register a standing query
 //	GET  /v1/{index}/subscriptions/{id}/events   SSE notification stream
-//	GET  /v1/{index}/subscriptions/{id}/poll     long-poll fallback
 //	DELETE /v1/{index}/subscriptions/{id}  cancel a standing query
 //	POST /v1/{index}/seal                  compact the delta, persist to the data dir
 //	POST /v1/{index}/compact               merge sealed shards (?full=true → one shard)
@@ -75,8 +77,8 @@ func main() {
 			"auto-seal an index's ingest delta at this many trajectories (0 = default 4096, negative = manual sealing only)")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request timeout (negative = none)")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
-		mmap    = flag.Bool("mmap", false,
-			"serve index files from a memory mapping instead of one aligned read into the heap (the same v3 files either way)")
+		// Accepted so existing command lines keep working.
+		_         = flag.Bool("mmap", false, "no effect: index files are always served from a memory mapping")
 		pprofAddr = flag.String("pprof", "",
 			"serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 		walDir = flag.String("wal", "",
@@ -138,7 +140,6 @@ func main() {
 	eng := engine.New(engine.Options{
 		Workers: *workers, CacheEntries: *cache,
 		SealThreshold: *sealAt, Logf: logger.Printf,
-		Mmap:      *mmap,
 		SlowQuery: *slowQuery,
 		ShedCost:  *shedCost,
 		WAL: engine.WALOptions{

@@ -92,7 +92,7 @@ func main() {
 // synthTimes fabricates a timestamp column per trajectory (entry time
 // of each edge, seconds): departures spread over a day, per-edge
 // travel times of 5–64s. It exists so one trajgen run can feed both
-// cinct build and cinct build-temporal.
+// cinct build with and without -times.
 func synthTimes(trajs [][]uint32, seed int64) [][]int64 {
 	rng := rand.New(rand.NewSource(seed ^ 0x7467656e)) // independent of the corpus stream
 	times := make([][]int64, len(trajs))

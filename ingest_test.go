@@ -274,53 +274,32 @@ func TestIngestDifferentialProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("post-final-seal")
-				ix, tix := w.Snapshot()
 				if len(trajs) == 0 {
 					return
 				}
 				var buf bytes.Buffer
+				if _, err := w.Snapshot().Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				re, lerr := Load(&buf)
+				if lerr != nil {
+					t.Fatal(lerr)
+				}
+				if re.Temporal() != sh.temporal {
+					t.Fatalf("reloaded Temporal() = %v, want %v", re.Temporal(), sh.temporal)
+				}
+				q := Query{Path: genPath(rng, trajs), Kind: Occurrences}
 				if sh.temporal {
-					if _, err := tix.Save(&buf); err != nil {
-						t.Fatal(err)
-					}
-					re, lerr := LoadTemporal(&buf)
-					if lerr != nil {
-						t.Fatal(lerr)
-					}
-					q := Query{Path: genPath(rng, trajs), Kind: Occurrences,
-						Interval: &Interval{From: -1 << 60, To: 1 << 60}}
-					got := searchHitsT(t, re, q)
-					want, _ := oracleSearch(trajs, times, q)
-					if !sameHits(got, want) {
-						t.Fatalf("reloaded temporal: %v, oracle %v", got, want)
-					}
-				} else {
-					if _, err := ix.Save(&buf); err != nil {
-						t.Fatal(err)
-					}
-					re, lerr := Load(&buf)
-					if lerr != nil {
-						t.Fatal(lerr)
-					}
-					q := Query{Path: genPath(rng, trajs), Kind: Occurrences}
-					got := searchHits(t, re, q)
-					want, _ := oracleSearch(trajs, times, q)
-					if !sameHits(got, want) {
-						t.Fatalf("reloaded spatial: %v, oracle %v", got, want)
-					}
+					q.Interval = &Interval{From: -1 << 60, To: 1 << 60}
+				}
+				got := searchHits(t, re, q)
+				want, _ := oracleSearch(trajs, times, q)
+				if !sameHits(got, want) {
+					t.Fatalf("reloaded: %v, oracle %v", got, want)
 				}
 			})
 		}
 	}
-}
-
-func searchHitsT(t *testing.T, ix *TemporalIndex, q Query) []Hit {
-	t.Helper()
-	r, err := ix.Search(context.Background(), q)
-	if err != nil {
-		t.Fatalf("Search(%+v): %v", q, err)
-	}
-	return drain(t, r)
 }
 
 // TestWriterCursorSurvivesSeal pins the seal-boundary paging

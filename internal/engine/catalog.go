@@ -67,9 +67,6 @@ var (
 type entry struct {
 	name string
 	path string // backing file; "" when registered from memory
-	// mmap opts the entry into zero-copy serving: the file opens via
-	// cinct.OpenMapped instead of one aligned read through cinct.Load.
-	mmap bool
 
 	// loadMu serializes disk loads (concurrent Reloads), keeping the
 	// read path's mu free during the expensive file read.
@@ -229,26 +226,15 @@ func (en *entry) appendBatch(w *cinct.Writer, trajs [][]uint32, times [][]int64)
 	return first, en.gen, nil
 }
 
-// loadFromFile reads the entry's backing file into a fresh index,
-// spatial or temporal as the file says: mapped zero-copy with mmap
-// set, otherwise in one aligned read. A pre-v3 file fails with
-// cinct.ErrLegacyFormat.
+// loadFromFile opens the entry's backing file as a fresh index,
+// spatial or temporal as the file says, mapped zero-copy (one aligned
+// read where the host cannot map). A pre-v3 file fails with
+// cinct.ErrLegacyFormat. A mapped file must be replaced by rename, as
+// every writer here does: truncating it in place faults its readers.
 func (en *entry) loadFromFile() (*cinct.Index, error) {
-	if en.mmap {
-		ix, err := cinct.OpenMapped(en.path)
-		if err != nil {
-			return nil, fmt.Errorf("engine: mapping %q from %s: %w", en.name, en.path, err)
-		}
-		return ix, nil
-	}
-	f, err := os.Open(en.path)
+	ix, err := cinct.OpenMapped(en.path)
 	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ix, err := cinct.Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("engine: loading %q from %s: %w", en.name, en.path, err)
+		return nil, fmt.Errorf("engine: opening %q from %s: %w", en.name, en.path, err)
 	}
 	return ix, nil
 }

@@ -35,12 +35,12 @@ type Options struct {
 	// Logf, when non-nil, receives operational log lines (background
 	// seals, persistence failures). nil discards them.
 	Logf func(format string, args ...any)
-	// Mmap serves index files from a memory mapping instead of one
-	// aligned read into the heap: open is O(metadata) and resident
-	// memory is bounded by the pages a query actually touches. Both
-	// modes read only the v3 container — the one format builds, seals
-	// and compactions write — with the same code; Mmap chooses only
-	// where its image lives.
+	// Mmap has no effect: the engine always opens index files with
+	// cinct.OpenMapped, which serves them from a memory mapping (open
+	// is O(metadata), resident memory is the pages queries touch) and
+	// falls back to one aligned read where mapping fails.
+	//
+	// Deprecated: every engine maps.
 	Mmap bool
 	// WAL enables the ingestion write-ahead log: appended batches are
 	// framed, CRC'd and written to per-index segment files before the
@@ -107,7 +107,6 @@ type Engine struct {
 	cache     *queryCache
 	sem       chan struct{}
 	sealAt    int
-	mmap      bool
 	logf      func(format string, args ...any)
 	metrics   *engineMetrics
 	slowQuery time.Duration
@@ -137,7 +136,6 @@ func New(opts Options) *Engine {
 		cache:      newQueryCache(opts.cacheEntries()),
 		sem:        make(chan struct{}, opts.workers()),
 		sealAt:     opts.sealThreshold(),
-		mmap:       opts.Mmap,
 		logf:       logf,
 		slowQuery:  opts.SlowQuery,
 		shedCost:   opts.ShedCost,
@@ -184,7 +182,6 @@ func (e *Engine) Load(name, path string) error {
 
 // open loads the entry's file and publishes it in the catalog.
 func (e *Engine) open(en *entry) error {
-	en.mmap = e.mmap
 	ix, err := en.loadFromFile()
 	if err != nil {
 		return err
@@ -286,7 +283,8 @@ type Info struct {
 	// indexes only).
 	TimestampBits int `json:"timestampBits,omitempty"`
 	// Mapped reports that the index is served zero-copy from an
-	// mmap'd v3 container rather than from a heap copy.
+	// mmap'd v3 container rather than from a heap copy (an index
+	// registered from memory, or a host that cannot map).
 	Mapped bool `json:"mapped,omitempty"`
 	// WALSegments / WALBytes describe the entry's write-ahead log
 	// footprint (entries running with Options.WAL only).
@@ -324,7 +322,7 @@ func (e *Engine) Info(name string) (Info, error) {
 	sealed := v.ix
 	if v.w != nil {
 		info.Delta = v.w.DeltaTrajectories()
-		if ix, _ := v.w.Snapshot(); ix != nil {
+		if ix := v.w.Snapshot(); ix != nil {
 			sealed = ix
 		}
 	}
@@ -580,20 +578,16 @@ func (e *Engine) persistEntry(en *entry, what string, rows int) {
 // trajectories the persisted file holds — the WAL retirement
 // watermark.
 func persistWriter(w *cinct.Writer, path string) (rows int, err error) {
-	ix, t := w.Snapshot()
-	if ix == nil && t == nil {
+	ix := w.Snapshot()
+	if ix == nil {
 		return 0, nil
-	}
-	save := ix.Save
-	if t != nil {
-		save = t.Save
 	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
-	_, err = save(f)
+	_, err = ix.Save(f)
 	if err == nil {
 		err = f.Sync()
 	}

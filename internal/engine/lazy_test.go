@@ -68,7 +68,7 @@ func TestEngineSearchLazySurvivesSealCompactReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	saveTo(t, filepath.Join(dir, "t"+ExtTemporal), tix.Save)
-	e := New(Options{Mmap: true, CacheEntries: -1, Workers: 4})
+	e := New(Options{CacheEntries: -1, Workers: 4})
 	defer e.CloseAll()
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)

@@ -13,12 +13,11 @@ import (
 	"cinct"
 )
 
-// TestEngineMmapServing pins the zero-copy serving path: an engine
-// with Options.Mmap opens v3 containers mapped (reported via
-// Info.Mapped), answers queries identically to an engine that reads the
-// same files into the heap, and — after an ingest + seal cycle —
-// persists the sealed state back in v3 so a Reload maps it again. A
-// seal under the heap engine writes v3 too.
+// TestEngineMmapServing pins the one open path: an engine opens v3
+// containers mapped (reported via Info.Mapped), answers queries
+// identically to an engine serving the same indexes from the heap, and
+// — after an ingest + seal cycle — persists the sealed state back in v3
+// so a Reload maps it again.
 func TestEngineMmapServing(t *testing.T) {
 	trajs := testCorpus(41, 60)
 	times := testTimes(trajs)
@@ -37,7 +36,7 @@ func TestEngineMmapServing(t *testing.T) {
 	}
 	saveTo(t, filepath.Join(dir, "temporal"+ExtTemporal), tix.Save)
 
-	mapped := New(Options{Mmap: true})
+	mapped := New(Options{})
 	defer mapped.CloseAll()
 	names, err := mapped.OpenDir(dir)
 	if err != nil {
@@ -48,9 +47,8 @@ func TestEngineMmapServing(t *testing.T) {
 	}
 	heap := New(Options{})
 	defer heap.CloseAll()
-	if _, err := heap.OpenDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	heap.Register("spatial", ix)
+	heap.Register("temporal", tix.Index)
 
 	for _, name := range []string{"spatial", "temporal"} {
 		info, err := mapped.Info(name)
@@ -59,6 +57,9 @@ func TestEngineMmapServing(t *testing.T) {
 		}
 		if !info.Mapped {
 			t.Fatalf("Info(%q).Mapped = false, want true", name)
+		}
+		if info, err := heap.Info(name); err != nil || info.Mapped {
+			t.Fatalf("heap Info(%q).Mapped = %v (%v), want false", name, info.Mapped, err)
 		}
 	}
 
@@ -122,11 +123,11 @@ func TestEngineMmapServing(t *testing.T) {
 		t.Fatal("sealed trajectories not queryable after mapped reload")
 	}
 
-	// The heap engine seals and persists v3 too.
-	if _, err := heap.Append(ctx, "spatial", extra, nil); err != nil {
+	// A spatial seal persists v3 the same way.
+	if _, err := mapped.Append(ctx, "spatial", extra, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := heap.Seal(ctx, "spatial"); err != nil {
+	if _, err := mapped.Seal(ctx, "spatial"); err != nil {
 		t.Fatal(err)
 	}
 	assertV3File(t, filepath.Join(dir, "spatial"+ExtSpatial))
@@ -152,7 +153,7 @@ func assertV3File(t *testing.T, path string) {
 // TestEngineFlavorFromFile pins that the engine serves what a file
 // holds, whatever its name: a spatial index saved as .tcinct loads
 // spatial, so an interval query on it is ErrNotTemporal, and a temporal
-// one saved as .cinct loads temporal — mapped or not.
+// one saved as .cinct loads temporal.
 func TestEngineFlavorFromFile(t *testing.T) {
 	trajs := testCorpus(41, 30)
 	ix, err := cinct.Build(trajs, nil)
@@ -169,31 +170,29 @@ func TestEngineFlavorFromFile(t *testing.T) {
 	ctx := context.Background()
 	path := trajs[0][:2]
 	all := &cinct.Interval{From: math.MinInt64, To: math.MaxInt64}
-	for _, mmap := range []bool{false, true} {
-		e := New(Options{Mmap: mmap})
-		defer e.CloseAll()
-		if _, err := e.OpenDir(dir); err != nil {
-			t.Fatal(err)
+	e := New(Options{})
+	defer e.CloseAll()
+	if _, err := e.OpenDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]bool{"spatial": false, "temporal": true} {
+		if info, err := e.Info(name); err != nil || info.Temporal != want {
+			t.Fatalf("Info(%q).Temporal = %v (%v), want %v", name, info.Temporal, err, want)
 		}
-		for name, want := range map[string]bool{"spatial": false, "temporal": true} {
-			if info, err := e.Info(name); err != nil || info.Temporal != want {
-				t.Fatalf("mmap=%v: Info(%q).Temporal = %v (%v), want %v", mmap, name, info.Temporal, err, want)
-			}
-		}
-		if _, err := searchCount(ctx, e, "spatial", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly}); !errors.Is(err, ErrNotTemporal) {
-			t.Fatalf("mmap=%v: interval count on the spatial .tcinct: %v, want ErrNotTemporal", mmap, err)
-		}
-		n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly})
-		if err != nil || n != ix.Count(path) {
-			t.Fatalf("mmap=%v: interval count on the temporal .cinct = %d, %v; want %d", mmap, n, err, ix.Count(path))
-		}
+	}
+	if _, err := searchCount(ctx, e, "spatial", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly}); !errors.Is(err, ErrNotTemporal) {
+		t.Fatalf("interval count on the spatial .tcinct: %v, want ErrNotTemporal", err)
+	}
+	n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly})
+	if err != nil || n != ix.Count(path) {
+		t.Fatalf("interval count on the temporal .cinct = %d, %v; want %d", n, err, ix.Count(path))
 	}
 }
 
 // TestEngineRefusesLegacyFiles pins the typed refusal of every pre-v3
-// fixture at each engine entry point — Load, heap and mapped, and
-// Reload of a file replaced by one, which keeps serving the index it
-// had — and that OpenDir's error names the file.
+// fixture at each engine entry point — Load, and Reload of a file
+// replaced by one, which keeps serving the index it had — and that
+// OpenDir's error names the file.
 func TestEngineRefusesLegacyFiles(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "legacy", "*cinct"))
 	if err != nil {
@@ -221,36 +220,34 @@ func TestEngineRefusesLegacyFiles(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, mmap := range []bool{false, true} {
-			e := New(Options{Mmap: mmap})
-			if err := e.Load("old", path); !errors.Is(err, cinct.ErrLegacyFormat) {
-				t.Fatalf("%s mmap=%v: Load err = %v, want ErrLegacyFormat", name, mmap, err)
-			}
-			if _, err := e.OpenDir(dir); !errors.Is(err, cinct.ErrLegacyFormat) || !strings.Contains(err.Error(), name) {
-				t.Fatalf("%s mmap=%v: OpenDir err = %v, want ErrLegacyFormat naming the file", name, mmap, err)
-			}
-
-			live := filepath.Join(t.TempDir(), "live"+ExtSpatial)
-			saveTo(t, live, ix.Save)
-			if err := e.Load("live", live); err != nil {
-				t.Fatal(err)
-			}
-			// Replaced the way files are, by rename: a mapped index keeps
-			// reading the file it opened.
-			if err := os.WriteFile(live+".tmp", data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Rename(live+".tmp", live); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Reload("live"); !errors.Is(err, cinct.ErrLegacyFormat) {
-				t.Fatalf("%s mmap=%v: Reload err = %v, want ErrLegacyFormat", name, mmap, err)
-			}
-			if n, err := searchCount(ctx, e, "live", cinct.Query{Path: trajs[0][:2], Kind: cinct.CountOnly}); err != nil || n != ix.Count(trajs[0][:2]) {
-				t.Fatalf("%s mmap=%v: after the refused Reload count = %d, %v; want the old index's %d", name, mmap, n, err, ix.Count(trajs[0][:2]))
-			}
-			e.CloseAll()
+		e := New(Options{})
+		if err := e.Load("old", path); !errors.Is(err, cinct.ErrLegacyFormat) {
+			t.Fatalf("%s: Load err = %v, want ErrLegacyFormat", name, err)
 		}
+		if _, err := e.OpenDir(dir); !errors.Is(err, cinct.ErrLegacyFormat) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: OpenDir err = %v, want ErrLegacyFormat naming the file", name, err)
+		}
+
+		live := filepath.Join(t.TempDir(), "live"+ExtSpatial)
+		saveTo(t, live, ix.Save)
+		if err := e.Load("live", live); err != nil {
+			t.Fatal(err)
+		}
+		// Replaced the way files are, by rename: a mapped index keeps
+		// reading the file it opened.
+		if err := os.WriteFile(live+".tmp", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(live+".tmp", live); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Reload("live"); !errors.Is(err, cinct.ErrLegacyFormat) {
+			t.Fatalf("%s: Reload err = %v, want ErrLegacyFormat", name, err)
+		}
+		if n, err := searchCount(ctx, e, "live", cinct.Query{Path: trajs[0][:2], Kind: cinct.CountOnly}); err != nil || n != ix.Count(trajs[0][:2]) {
+			t.Fatalf("%s: after the refused Reload count = %d, %v; want the old index's %d", name, n, err, ix.Count(trajs[0][:2]))
+		}
+		e.CloseAll()
 	}
 	if refused != 7 {
 		t.Fatalf("%d pre-v3 fixtures refused, want 7", refused)

@@ -59,7 +59,7 @@ func (fx legacyFixture) read(t *testing.T) []byte {
 func (fx legacyFixture) v3() bool { return strings.HasPrefix(fx.file, "v3-") }
 
 // mapped opens a v3 fixture in place through OpenMapped, the path
-// `cinctd -mmap` serves it by.
+// cinctd serves it by.
 func (fx legacyFixture) mapped(t *testing.T) *Index {
 	t.Helper()
 	ix, err := OpenMapped(filepath.Join("testdata", "legacy", fx.file))
@@ -93,14 +93,14 @@ func (fx legacyFixture) convert(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resave(t, ix)
+	return saveV3Bytes(t, ix)
 }
 
 // convertAndMap does what `cinct convert` does with a v3 file — Save
 // the loaded index — and opens the result through OpenMapped.
 func convertAndMap(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	mapped := mapV3(t, resave(t, ix))
+	mapped := mapV3(t, saveV3Bytes(t, ix))
 	if !mapped.Mapped() {
 		t.Fatal("converted file does not serve mapped")
 	}
@@ -147,7 +147,7 @@ func checkLegacyAnswers(t *testing.T, fx legacyFixture, got *Index) {
 			t.Fatalf("Trajectory(%d) = %v, %v; want %v", id, tr, err, trajs[id])
 		}
 		if fx.temporal {
-			if ts := (&TemporalIndex{got}).Timestamps(id); !reflect.DeepEqual(ts, times[id]) {
+			if ts := got.Timestamps(id); !reflect.DeepEqual(ts, times[id]) {
 				t.Fatalf("Timestamps(%d) = %v, want %v", id, ts, times[id])
 			}
 		}
@@ -344,15 +344,6 @@ func TestLegacyTemporalLayout(t *testing.T) {
 	t.Run("v3-mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, v3.Bytes())) })
 }
 
-// resave saves ix as Save or TemporalIndex.Save would.
-func resave(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	if ix.Temporal() {
-		return saveV3Bytes(t, nil, &TemporalIndex{ix})
-	}
-	return saveV3Bytes(t, ix, nil)
-}
-
 // TestV3Int32Repacks pins the one conversion a version-3 file gets: its
 // int32 locate samples, viewed in place at width 32, are repacked when
 // the index is saved, so converting a frozen version-3 fixture writes
@@ -379,7 +370,7 @@ func TestV3Int32Repacks(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, got := range map[string]*Index{"load": fx.load(t), "mapped": fx.mapped(t)} {
-				if !bytes.Equal(resave(t, got), resave(t, want)) {
+				if !bytes.Equal(saveV3Bytes(t, got), saveV3Bytes(t, want)) {
 					t.Errorf("%s: re-saved bytes differ from a fresh SampleRate-64 build", name)
 				}
 			}

@@ -30,13 +30,13 @@ echo "== generating corpus + timestamps"
 
 echo "== building indexes"
 "$bindir/cinct" build -in "$workdir/corpus.txt" -index "$datadir/smoke.cinct" -shards 4
-"$bindir/cinct" build-temporal -in "$workdir/corpus.txt" -times "$workdir/times.txt" \
+"$bindir/cinct" build -in "$workdir/corpus.txt" -times "$workdir/times.txt" \
   -index "$datadir/tsmoke.tcinct" -shards 2
-# v3 is the only format any build writes: the file cinctd -mmap serves.
+# v3 is the only format any build writes: the file cinctd maps.
 for f in "$datadir/smoke.cinct" "$datadir/tsmoke.tcinct"; do
   [ "$(head -c 8 "$f")" = CNCTidx3 ] || { echo "smoke: $f is not a v3 container" >&2; exit 1; }
 done
-echo "ok cinct build / build-temporal write v3 containers"
+echo "ok cinct build / build -times write v3 containers"
 # Files older builds wrote (pre-v3 stream formats, committed fixtures)
 # are not served: every reader refuses one and names the converter.
 cp testdata/legacy/spatial-4.cinct "$workdir/legacy.cinct"
@@ -49,7 +49,7 @@ echo "ok pre-v3 file refused, naming cinct convert"
 
 addr="127.0.0.1:18132"
 base="http://$addr"
-echo "== starting cinctd on $addr"
+echo "== starting cinctd on $addr (no -mmap: every engine maps)"
 "$bindir/cinctd" -data "$datadir" -addr "$addr" &
 daemon_pid=$!
 
@@ -94,7 +94,7 @@ path=$("$bindir/cinct" show -remote "$base" -name smoke -traj 0 | awk '{print $1
 
 echo "== curling endpoints"
 check "/v1/indexes" \
-  '(.indexes | length) == 2 and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 400 and (.indexes[] | select(.name=="tsmoke") | .temporal) == true'
+  '(.indexes | length) == 2 and [.indexes[] | .mapped] == [true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 400 and (.indexes[] | select(.name=="tsmoke") | .temporal) == true'
 qcheck smoke "{\"path\":[$path],\"kind\":\"count\"}" \
   'length == 1 and .[0].done == true and (.[0].count | type) == "number" and .[0].count >= 1'
 qcheck smoke "{\"path\":[$path],\"limit\":5}" \
@@ -325,7 +325,7 @@ done
 
 addr="127.0.0.1:18133"
 base="http://$addr"
-echo "== restarting cinctd -mmap on $addr (zero-copy serving)"
+echo "== restarting cinctd -mmap on $addr (the flag is accepted and has no effect)"
 "$bindir/cinctd" -data "$datadir" -addr "$addr" -mmap &
 daemon_pid=$!
 for i in $(seq 1 50); do
@@ -338,18 +338,18 @@ done
 
 # Every index must serve mapped — the built and sealed ones as written,
 # the pre-v3 ones as converted — with every ingested row still present,
-# and answers must match the run that read them into the heap.
+# and answers must match the previous run's.
 check "/v1/indexes" \
   '[.indexes[] | .mapped] == [true, true, true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403 and (.indexes[] | select(.name=="legacy") | .stats.trajectories) == 120 and (.indexes[] | select(.name=="tlegacy") | .stats.trajectories) == 120 and (.indexes[] | select(.name=="tlegacy") | .temporal) == true'
 post=$(qcount smoke "$mpath")
 [ "$post" = 3 ] || { echo "smoke: mmap count of marker path is $post, want 3" >&2; exit 1; }
 scount2=$(qcount smoke "$path")
 [ "$scount2" = "$scount" ] || {
-  echo "smoke: mmap count ($scount2) != heap count ($scount)" >&2; exit 1
+  echo "smoke: count after restart ($scount2) != before ($scount)" >&2; exit 1
 }
 tcount=$(qcount tsmoke "$mpath" '"from":4999999,"to":5000001')
-[ "$tcount" = 1 ] || { echo "smoke: mmap temporal interval count $tcount, want 1" >&2; exit 1; }
-echo "ok mmap serving answers match heap serving"
+[ "$tcount" = 1 ] || { echo "smoke: temporal interval count after restart $tcount, want 1" >&2; exit 1; }
+echo "ok answers unchanged across restart"
 # The converted files answer for their own data: the path of
 # trajectory 0 finds trajectory 0 at offset 0, and the same corpus's
 # timestamps (all after 0) keep every occurrence in the interval.
@@ -521,7 +521,7 @@ mkdir -p "$gpsdir"
 # non-decreasing timestamps), so ingested IDs start at 4.
 awk '{ line=""; for (i=1;i<=NF;i++) line = line (i>1?" ":"") (NR*1000 + i*10); print line }' \
   "$workdir/truth.txt" > "$workdir/truth-times.txt"
-"$bindir/cinct" build-temporal -in "$workdir/truth.txt" -times "$workdir/truth-times.txt" \
+"$bindir/cinct" build -in "$workdir/truth.txt" -times "$workdir/truth-times.txt" \
   -index "$gpsdir/groads.tcinct"
 
 addr="127.0.0.1:18137"
@@ -579,22 +579,37 @@ kill -INT "$sub_pid" 2>/dev/null || true
 wait "$sub_pid" 2>/dev/null || true
 echo "ok standing query received SSE push: $(head -1 "$workdir/notify.ndjson")"
 
-# The long-poll fallback drains nothing new on a fresh subscription but
-# answers cleanly, and cancel removes it.
+# The SSE stream is the one way to listen: cancelling a subscription
+# while a stream is attached ends that stream with an "end" event, and
+# the stream is gone afterwards.
 subjson=$(curl -sf -X POST -H 'Content-Type: application/json' \
   -d "{\"path\":[${subpath// /, }]}" "$base/v1/groads/subscribe")
-echo "$subjson" | jq -e '.index == "groads" and (.subscription | length) > 0' >/dev/null \
+echo "$subjson" | jq -e '.index == "groads" and (.subscription | length) > 0 and (has("poll") | not)' >/dev/null \
   || { echo "smoke: subscribe response drift: $subjson" >&2; exit 1; }
 subid=$(echo "$subjson" | jq -r .subscription)
-curl -sf "$base/v1/groads/subscriptions/$subid/poll?wait=0" \
-  | jq -e '.notifications == [] and .closed == false' >/dev/null \
-  || { echo "smoke: fresh-subscription poll drift" >&2; exit 1; }
+curl -sN -D "$workdir/events.hdr" "$base/v1/groads/subscriptions/$subid/events" > "$workdir/events.txt" &
+curl_pid=$!
+for i in $(seq 1 50); do
+  if grep -q '^HTTP/1.1 200' "$workdir/events.hdr" 2>/dev/null; then break; fi
+  sleep 0.1
+done
+grep -q '^HTTP/1.1 200' "$workdir/events.hdr" || { echo "smoke: SSE stream did not attach" >&2; exit 1; }
 curl -sf -X DELETE "$base/v1/groads/subscriptions/$subid" \
   | jq -e '.cancelled == true' >/dev/null \
   || { echo "smoke: cancel drift" >&2; exit 1; }
-status=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/groads/subscriptions/$subid/poll?wait=0")
-[ "$status" = 404 ] || { echo "smoke: poll after cancel returned $status, want 404" >&2; exit 1; }
-echo "ok subscribe/poll/cancel lifecycle over HTTP"
+for i in $(seq 1 50); do
+  if ! kill -0 "$curl_pid" 2>/dev/null; then break; fi
+  sleep 0.1
+done
+if kill -0 "$curl_pid" 2>/dev/null; then
+  kill "$curl_pid"; echo "smoke: SSE stream still open after cancel" >&2; exit 1
+fi
+wait "$curl_pid" 2>/dev/null || true
+grep -q '^event: end' "$workdir/events.txt" \
+  || { echo "smoke: SSE stream ended without an end event: $(cat "$workdir/events.txt")" >&2; exit 1; }
+status=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/groads/subscriptions/$subid/events")
+[ "$status" = 404 ] || { echo "smoke: events after cancel returned $status, want 404" >&2; exit 1; }
+echo "ok subscribe/events/cancel lifecycle over HTTP (end event, then 404)"
 
 echo "== graceful shutdown (gps daemon)"
 kill -TERM "$daemon_pid"

@@ -73,32 +73,20 @@ func v3MagicWord() uint64 {
 	return w
 }
 
-// Save writes the spatial index as a v3 container and returns the
-// number of bytes written; timestamps, if any, are not written — that
-// is TemporalIndex.Save. OpenMapped serves the file in place and Load
-// reads it back with one aligned read.
+// Save writes what the index holds as a v3 container and returns the
+// number of bytes written: the temporal flavor, with one timestamp
+// store per shard, exactly when ix.Temporal(), else the spatial one —
+// the mirror of Load and OpenMapped, which return what the header's
+// flavor says. OpenMapped serves the file in place and Load reads it
+// back with one aligned read.
 func (ix *Index) Save(w io.Writer) (int64, error) {
-	return saveV3(w, ix, false)
+	return saveV3(w, ix)
 }
 
 // SaveV3 is Save.
 //
 // Deprecated: Save writes the v3 container.
 func (ix *Index) SaveV3(w io.Writer) (int64, error) { return ix.Save(w) }
-
-// Save writes the temporal index — spatial shards plus one timestamp
-// store per shard — as a v3 container.
-func (t *TemporalIndex) Save(w io.Writer) (int64, error) {
-	if !t.Temporal() {
-		return 0, ErrNoTimestamps
-	}
-	return saveV3(w, t.Index, true)
-}
-
-// SaveV3 is Save.
-//
-// Deprecated: Save writes the v3 container.
-func (t *TemporalIndex) SaveV3(w io.Writer) (int64, error) { return t.Save(w) }
 
 type v3Section struct {
 	kind  uint64
@@ -115,9 +103,9 @@ func (sh *shard) spatialSection(s int) v3Section {
 	return v3Section{kind: v3KindSpatial, shard: uint64(s), words: fw.Words()}
 }
 
-// saveV3 is the one writer behind every Save: the spatial sections,
-// then, for a temporal index, one timestamp store per shard.
-func saveV3(w io.Writer, ix *Index, temporal bool) (int64, error) {
+// saveV3 is the writer behind Save: the spatial sections, then, for a
+// temporal index, one timestamp store per shard.
+func saveV3(w io.Writer, ix *Index) (int64, error) {
 	var secs []v3Section
 	for s, sh := range ix.shards {
 		secs = append(secs, sh.spatialSection(s))
@@ -127,7 +115,7 @@ func saveV3(w io.Writer, ix *Index, temporal bool) (int64, error) {
 	if shardCount == 1 {
 		shardCount = 0
 	}
-	if !temporal {
+	if !ix.Temporal() {
 		return writeV3(w, v3FlavorSpatial, shardCount, 0, secs)
 	}
 	for s, sh := range ix.shards {

@@ -181,27 +181,14 @@ func (sr SubscribeRequest) Predicate() engine.Predicate {
 
 // SubscribeResponse is the body of POST /v1/{index}/subscribe: the
 // subscription ID plus the paths to consume it — Events streams SSE,
-// Poll is the long-poll fallback, and DELETE on Cancel ends it.
+// and DELETE on Cancel ends it.
 type SubscribeResponse struct {
 	Index        string `json:"index"`
 	Subscription string `json:"subscription"`
 	// ExpiresAt is the TTL deadline in Unix seconds.
 	ExpiresAt int64  `json:"expiresAt"`
 	Events    string `json:"events"`
-	Poll      string `json:"poll"`
 	Cancel    string `json:"cancel"`
-}
-
-// PollResponse is the body of GET
-// /v1/{index}/subscriptions/{id}/poll: the notifications that arrived
-// within the wait window (possibly none), and whether the subscription
-// has ended — a closed subscription never produces more, so the client
-// should stop polling.
-type PollResponse struct {
-	Index         string                `json:"index"`
-	Subscription  string                `json:"subscription"`
-	Notifications []engine.Notification `json:"notifications"`
-	Closed        bool                  `json:"closed"`
 }
 
 // CancelResponse is the body of DELETE /v1/{index}/subscriptions/{id}.

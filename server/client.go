@@ -340,7 +340,7 @@ func (c *Client) IngestGPS(ctx context.Context, index string, traces []gps.Trace
 
 // Subscribe registers a standing query on the daemon and returns the
 // subscription handle (ID, expiry, consume endpoints). Follow up with
-// Notifications (SSE) or Poll, and Unsubscribe when done.
+// Notifications, and Unsubscribe when done.
 func (c *Client) Subscribe(ctx context.Context, index string, req SubscribeRequest) (*SubscribeResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -359,24 +359,13 @@ func (c *Client) Unsubscribe(ctx context.Context, index, id string) error {
 	return c.call(ctx, http.MethodDelete, p, nil, "", nil, nil)
 }
 
-// Poll long-polls one subscription: it blocks up to wait for the first
-// notification, then returns whatever batch is buffered. A response
-// with Closed set means the subscription ended and polling should stop.
-func (c *Client) Poll(ctx context.Context, index, id string, wait time.Duration) (*PollResponse, error) {
-	var resp PollResponse
-	q := url.Values{"wait": {strconv.Itoa(int(wait / time.Second))}}
-	p := "/v1/" + url.PathEscape(index) + "/subscriptions/" + url.PathEscape(id) + "/poll"
-	if err := c.call(ctx, http.MethodGet, p, q, "", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Notifications attaches to a subscription's SSE stream and yields
 // notifications as the daemon pushes them. The iterator ends cleanly
-// when the subscription closes (cancel, expiry, shutdown) and yields
-// one final error for transport failures. Cancel ctx to detach without
-// ending the subscription.
+// when the daemon sends the stream's "end" event (cancel, expiry,
+// shutdown), and when ctx is cancelled — which detaches without ending
+// the subscription. Any other end yields one final error: a transport
+// failure as itself, and a stream that stops without "end" (a daemon
+// that died) as io.ErrUnexpectedEOF.
 func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[engine.Notification, error] {
 	return func(yield func(engine.Notification, error) bool) {
 		u := c.base + "/v1/" + url.PathEscape(index) + "/subscriptions/" + url.PathEscape(id) + "/events"
@@ -388,7 +377,9 @@ func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[
 		req.Header.Set("Accept", "text/event-stream")
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			yield(engine.Notification{}, err)
+			if ctx.Err() == nil {
+				yield(engine.Notification{}, err)
+			}
 			return
 		}
 		defer resp.Body.Close()
@@ -428,9 +419,13 @@ func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[
 				data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
 			}
 		}
-		if err := sc.Err(); err != nil && ctx.Err() == nil {
-			yield(engine.Notification{}, err)
+		if ctx.Err() != nil {
+			return
 		}
+		if err = sc.Err(); err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		yield(engine.Notification{}, err)
 	}
 }
 

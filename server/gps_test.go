@@ -3,8 +3,11 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +23,12 @@ import (
 type gpsFixture struct {
 	eng    *engine.Engine
 	client *Client
-	graph  *roadnet.Graph
-	rng    *rand.Rand
+	url    string
+	// streamDone receives when an events handler returns (dropped
+	// while an earlier signal is unread).
+	streamDone <-chan struct{}
+	graph      *roadnet.Graph
+	rng        *rand.Rand
 }
 
 func newGPSFixture(t *testing.T) *gpsFixture {
@@ -49,10 +56,20 @@ func newGPSFixture(t *testing.T) *gpsFixture {
 	e.Register("roads", tix.Index)
 	e.AttachRoadnet("roads", g, mapmatch.Config{})
 
-	srv := New(e, Config{})
-	ts := httptest.NewServer(srv.Handler())
+	h := New(e, Config{}).Handler()
+	streamDone := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			select {
+			case streamDone <- struct{}{}:
+			default:
+			}
+		}
+	}))
 	t.Cleanup(ts.Close)
-	return &gpsFixture{eng: e, client: NewClient(ts.URL, nil), graph: g, rng: rng}
+	return &gpsFixture{eng: e, client: NewClient(ts.URL, nil), url: ts.URL,
+		streamDone: streamDone, graph: g, rng: rng}
 }
 
 // wireWalk is a U-turn-free random walk returning wire-shaped edges.
@@ -235,49 +252,120 @@ func TestGPSIngestRejectsOverWire(t *testing.T) {
 	}
 }
 
-// TestSubscribePollFallback exercises the long-poll path: subscribe,
-// ingest a matching trace, poll the batch out, cancel, poll again and
-// see closed.
-func TestSubscribePollFallback(t *testing.T) {
+// TestSubscribeSSELifecycle walks one subscription through the SSE
+// stream, the only way to listen: a notification arrives while
+// attached; detaching by ctx ends the iterator without an error and
+// leaves the subscription alive, so a row appended while nobody is
+// attached is delivered on re-attach; cancelling while attached ends
+// the iterator cleanly through the stream's "end" event; and attaching
+// after the cancel is ErrNotFound.
+func TestSubscribeSSELifecycle(t *testing.T) {
 	fx := newGPSFixture(t)
 	ctx := context.Background()
 
-	truth := wireWalk(fx.graph, fx.rng, 10)
-	sub, err := fx.client.Subscribe(ctx, "roads", SubscribeRequest{Path: truth[:3], Buffer: 8})
+	path := wireWalk(fx.graph, fx.rng, 3)
+	sub, err := fx.client.Subscribe(ctx, "roads", SubscribeRequest{Path: path, Buffer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := gps.Simulate(fx.graph, edgePath(truth), 0.02, 5000, 10, fx.rng)
-	if _, err := fx.client.IngestGPS(ctx, "roads", []gps.Trace{tr}); err != nil {
-		t.Fatal(err)
+	// appendRow appends path as one new trajectory — exactly one match —
+	// and returns its ID.
+	appendRow := func() int {
+		t.Helper()
+		res, err := fx.eng.Append(ctx, "roads", [][]uint32{path}, [][]int64{{1, 2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.FirstID
 	}
-	poll, err := fx.client.Poll(ctx, "roads", sub.Subscription, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	// attach consumes the stream on a goroutine until it ends. The
+	// buffer holds more than one attach ever yields, so the goroutine
+	// never blocks on a test that stopped reading.
+	type event struct {
+		n   engine.Notification
+		err error
 	}
-	if len(poll.Notifications) != 1 || poll.Closed {
-		t.Fatalf("poll %+v, want one notification", poll)
+	attach := func(ctx context.Context) <-chan event {
+		out := make(chan event, 8)
+		go func() {
+			defer close(out)
+			for n, err := range fx.client.Notifications(ctx, "roads", sub.Subscription) {
+				out <- event{n, err}
+			}
+		}()
+		return out
 	}
-	if poll.Notifications[0].Subscription != sub.Subscription {
-		t.Fatalf("notification %+v", poll.Notifications[0])
+	next := func(events <-chan event, what string) (event, bool) {
+		t.Helper()
+		select {
+		case ev, ok := <-events:
+			return ev, ok
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: timed out", what)
+		}
+		return event{}, false
+	}
+	// Appending before the stream is attached is fine: the row waits
+	// in the subscription's buffer.
+	first := appendRow()
+	detach, cancel := context.WithCancel(ctx)
+	events := attach(detach)
+	if ev, ok := next(events, "first notification"); !ok || ev.err != nil || ev.n.Trajectory != first {
+		t.Fatalf("first notification %+v (open %v), want trajectory %d", ev, ok, first)
+	}
+	cancel()
+	if ev, ok := next(events, "detach"); ok {
+		t.Fatalf("after detaching by ctx: %+v, want the iterator to end without an error", ev)
+	}
+	// The server notices the detach and leaves the buffer alone before
+	// the next row lands, so that row can only reach the next consumer.
+	select {
+	case <-fx.streamDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the events handler did not return after the client detached")
 	}
 
-	// An empty window returns an empty batch, not an error.
-	empty, err := fx.client.Poll(ctx, "roads", sub.Subscription, 0)
-	if err != nil {
-		t.Fatal(err)
+	buffered := appendRow()
+	events = attach(ctx)
+	if ev, ok := next(events, "buffered notification"); !ok || ev.err != nil || ev.n.Trajectory != buffered {
+		t.Fatalf("after re-attaching: %+v (open %v), want trajectory %d buffered while detached", ev, ok, buffered)
 	}
-	if len(empty.Notifications) != 0 || empty.Closed {
-		t.Fatalf("empty poll %+v", empty)
-	}
-
 	if err := fx.client.Unsubscribe(ctx, "roads", sub.Subscription); err != nil {
 		t.Fatal(err)
 	}
-	// The subscription is gone from the registry, so polling reports
-	// not-found.
-	if _, err := fx.client.Poll(ctx, "roads", sub.Subscription, 0); !errors.Is(err, engine.ErrNotFound) {
-		t.Fatalf("poll after cancel: %v", err)
+	if ev, ok := next(events, "end"); ok {
+		t.Fatalf("after cancel: %+v, want the iterator to end at the stream's end event", ev)
+	}
+	for _, err := range fx.client.Notifications(ctx, "roads", sub.Subscription) {
+		if !errors.Is(err, engine.ErrNotFound) {
+			t.Fatalf("events after cancel: %v, want ErrNotFound", err)
+		}
+	}
+}
+
+// TestNotificationsStreamDropIsAnError pins that a stream that stops
+// without the daemon's "end" event — a daemon that died — yields
+// io.ErrUnexpectedEOF after what it delivered, not a clean end.
+func TestNotificationsStreamDropIsAnError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, "event: notification\ndata: {\"index\":\"roads\",\"trajectory\":7}\n\n") //nolint:errcheck
+	}))
+	defer ts.Close()
+	var got []engine.Notification
+	var errs []error
+	for n, err := range NewClient(ts.URL, nil).Notifications(context.Background(), "roads", "s1") {
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		got = append(got, n)
+	}
+	if len(got) != 1 || got[0].Trajectory != 7 {
+		t.Fatalf("notifications %+v, want the one the stream carried", got)
+	}
+	if len(errs) != 1 || !errors.Is(errs[0], io.ErrUnexpectedEOF) {
+		t.Fatalf("errors %v, want one io.ErrUnexpectedEOF", errs)
 	}
 }
 
@@ -303,5 +391,21 @@ func TestSubscribeValidationOverWire(t *testing.T) {
 	}
 	if _, err := fx.client.Subscribe(ctx, "nosuch", SubscribeRequest{Path: []uint32{1}}); !errors.Is(err, engine.ErrNotFound) {
 		t.Fatalf("unknown index: %v", err)
+	}
+	// The body is decoded like a query's: a misspelt field or trailing
+	// data is a 400, not a subscription with a default.
+	for _, body := range []string{
+		`{"path":[1,2],"ttlSecond":5}`,
+		`{"path":[1,2]}{"path":[3]}`,
+		`{"path":[1,2]} x`,
+	} {
+		resp, err := http.Post(fx.url+"/v1/roads/subscribe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("subscribe %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
 	}
 }

@@ -181,21 +181,31 @@ func (qr *queryRouter) Routes() []Route {
 	}
 }
 
-// maxQueryBody bounds the POST /v1/{index}/query request body.
-const maxQueryBody = 1 << 20
+// maxRequestBody bounds a JSON request body (a query or a
+// subscription).
+const maxRequestBody = 1 << 20
 
-// decodeQueryRequest reads the body of POST /v1/{index}/query: exactly
-// one JSON object with no unknown fields. Strictness is the point — a
-// misspelt "limit" must fail, not run as an unbounded stream.
-func decodeQueryRequest(body io.Reader) (QueryRequest, error) {
-	var req QueryRequest
-	dec := json.NewDecoder(io.LimitReader(body, maxQueryBody))
+// decodeStrict reads a JSON request body into v: exactly one object
+// with no unknown fields, else errBadRequest. Strictness is the point —
+// a misspelt "limit" must fail, not run as an unbounded stream.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("%w: %v", errBadRequest, err)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return req, fmt.Errorf("%w: trailing data after the query object", errBadRequest)
+		return fmt.Errorf("%w: trailing data after the request object", errBadRequest)
+	}
+	return nil
+}
+
+// decodeQueryRequest reads the body of POST /v1/{index}/query with
+// decodeStrict and requires a path.
+func decodeQueryRequest(body io.Reader) (QueryRequest, error) {
+	var req QueryRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return req, err
 	}
 	if len(req.Path) == 0 {
 		return req, fmt.Errorf("%w: missing or empty path", errBadRequest)

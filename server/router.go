@@ -24,7 +24,7 @@ type Route struct {
 	Method  string
 	Pattern string
 	Handler APIFunc
-	// Streaming marks a long-lived response (SSE, long-poll): the
+	// Streaming marks a long-lived response (the SSE events stream): the
 	// request bypasses the per-request timeout (it would sever the
 	// stream mid-life) and the concurrency gate (a handful of standing
 	// streams must not starve the short-request budget). Rate limiting
@@ -92,19 +92,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.WriteHeader(status)
 	_, err = w.Write(body)
 	return err
-}
-
-// intParam parses an optional integer query parameter.
-func intParam(r *http.Request, key string, def int) (int, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad %s %q", errBadRequest, key, raw)
-	}
-	return v, nil
 }
 
 // requiredIntParam parses a mandatory integer query parameter.

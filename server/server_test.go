@@ -96,7 +96,8 @@ func TestServerRequestTimeout(t *testing.T) {
 
 // TestRouteTable pins the served surface: exactly these method+pattern
 // pairs are registered — a route can neither return nor vanish silently
-// — and the per-operation routes POST /query replaced answer 404/405.
+// — and the per-operation routes POST /query replaced, and the long-poll
+// twin of the SSE events stream, answer 404/405.
 func TestRouteTable(t *testing.T) {
 	eng := testEngine(t)
 	defer eng.CloseAll()
@@ -114,7 +115,6 @@ func TestRouteTable(t *testing.T) {
 		"POST /v1/{index}/gps",
 		"POST /v1/{index}/subscribe",
 		"GET /v1/{index}/subscriptions/{id}/events",
-		"GET /v1/{index}/subscriptions/{id}/poll",
 		"DELETE /v1/{index}/subscriptions/{id}",
 	}
 	var got []string
@@ -149,6 +149,10 @@ func TestRouteTable(t *testing.T) {
 		if s := status(gone); s != http.StatusNotFound && s != http.StatusMethodNotAllowed {
 			t.Fatalf("GET %s: HTTP %d, want 404 or 405", gone, s)
 		}
+	}
+	// The long-poll twin of the events stream is gone.
+	if s := status("/v1/ix/subscriptions/s1/" + "poll"); s != http.StatusNotFound {
+		t.Fatalf("GET the removed long-poll route: HTTP %d, want 404", s)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 
 // gpsRouter serves the raw-ingestion front door and standing queries:
 // device traces go in as NDJSON point batches, matched trajectories
-// come back out as push notifications over SSE (or its long-poll
-// fallback).
+// come back out as push notifications over SSE.
 type gpsRouter struct {
 	eng *engine.Engine
 }
@@ -28,7 +27,6 @@ func (gr *gpsRouter) Routes() []Route {
 		{Method: http.MethodPost, Pattern: "/v1/{index}/gps", Handler: gr.ingestGPS},
 		{Method: http.MethodPost, Pattern: "/v1/{index}/subscribe", Handler: gr.subscribe},
 		{Method: http.MethodGet, Pattern: "/v1/{index}/subscriptions/{id}/events", Handler: gr.events, Streaming: true},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/subscriptions/{id}/poll", Handler: gr.poll, Streaming: true},
 		{Method: http.MethodDelete, Pattern: "/v1/{index}/subscriptions/{id}", Handler: gr.cancel},
 	}
 }
@@ -72,19 +70,18 @@ func (gr *gpsRouter) ingestGPS(ctx context.Context, w http.ResponseWriter, r *ht
 	return writeJSON(w, http.StatusOK, GPSResponse{Index: name, GPSResult: res})
 }
 
-// maxSubscribeBody bounds the POST /v1/{index}/subscribe request body.
-const maxSubscribeBody = 1 << 20
-
 // subscribe serves POST /v1/{index}/subscribe: it registers a standing
 // query and returns the subscription ID plus the endpoints to consume
-// it. Notifications accumulate in the subscription's buffer from the
-// moment this call returns, so nothing appended between subscribing
-// and attaching to the events stream is lost (up to the buffer bound).
+// it. The body is decoded as strictly as a query's: a misspelt field
+// ("ttlSecond") is a 400, not a silent default. Notifications
+// accumulate in the subscription's buffer from the moment this call
+// returns, so nothing appended between subscribing and attaching to the
+// events stream is lost (up to the buffer bound).
 func (gr *gpsRouter) subscribe(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	var req SubscribeRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSubscribeBody)).Decode(&req); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
+	if err := decodeStrict(r.Body, &req); err != nil {
+		return err
 	}
 	s, err := gr.eng.Subscribe(name, req.Predicate(), engine.SubscribeOptions{
 		TTL:    time.Duration(req.TTLSeconds) * time.Second,
@@ -99,7 +96,6 @@ func (gr *gpsRouter) subscribe(ctx context.Context, w http.ResponseWriter, r *ht
 		Subscription: s.ID(),
 		ExpiresAt:    s.ExpiresAt().Unix(),
 		Events:       base + "/events",
-		Poll:         base + "/poll",
 		Cancel:       base,
 	})
 }
@@ -113,7 +109,8 @@ const sseKeepalive = 15 * time.Second
 // query match (data: the JSON Notification), comment keepalives while
 // idle, and a final "end" event when the subscription closes (cancel,
 // expiry, index close or shutdown). A subscription has one buffer, so
-// attach exactly one consumer — SSE or poll, not both.
+// attach one consumer at a time; what arrives while none is attached
+// waits in the buffer.
 func (gr *gpsRouter) events(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	s, err := gr.eng.GetSubscription(name, r.PathValue("id"))
@@ -157,68 +154,6 @@ func (gr *gpsRouter) events(ctx context.Context, w http.ResponseWriter, r *http.
 			flusher.Flush()
 		}
 	}
-}
-
-// pollWait bounds the ?wait window of the long-poll fallback.
-const (
-	defaultPollWait = 30 * time.Second
-	maxPollWait     = 120 * time.Second
-	maxPollBatch    = 256
-)
-
-// poll serves GET /v1/{index}/subscriptions/{id}/poll — the long-poll
-// fallback for clients that cannot hold an SSE stream: it blocks up to
-// ?wait seconds for the first notification, then drains whatever else
-// is already buffered (bounded) and returns the batch. An empty batch
-// with closed=false just means nothing arrived; poll again.
-func (gr *gpsRouter) poll(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	name := r.PathValue("index")
-	id := r.PathValue("id")
-	s, err := gr.eng.GetSubscription(name, id)
-	if err != nil {
-		return err
-	}
-	waitSecs, err := intParam(r, "wait", int(defaultPollWait/time.Second))
-	if err != nil {
-		return err
-	}
-	wait := time.Duration(waitSecs) * time.Second
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxPollWait {
-		wait = maxPollWait
-	}
-	resp := PollResponse{Index: name, Subscription: id, Notifications: []engine.Notification{}}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-	case n, open := <-s.C():
-		if !open {
-			resp.Closed = true
-			break
-		}
-		resp.Notifications = append(resp.Notifications, n)
-		// First one in hand: sweep the rest of the buffer without
-		// waiting any further.
-	drain:
-		for len(resp.Notifications) < maxPollBatch {
-			select {
-			case n, open := <-s.C():
-				if !open {
-					resp.Closed = true
-					break drain
-				}
-				resp.Notifications = append(resp.Notifications, n)
-			default:
-				break drain
-			}
-		}
-	}
-	return writeJSON(w, http.StatusOK, resp)
 }
 
 // cancel serves DELETE /v1/{index}/subscriptions/{id}: the standing

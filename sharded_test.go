@@ -235,7 +235,7 @@ func TestLoadShardedRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := saveV3Bytes(t, ix, nil)
+	full := saveV3Bytes(t, ix)
 	if _, err := Load(bytes.NewReader(full[:len(full)/2])); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated container: want ErrCorrupt, got %v", err)
 	}

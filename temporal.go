@@ -8,24 +8,20 @@ import (
 	"cinct/internal/tempo"
 )
 
-// TemporalIndex is an Index that carries timestamps: every shard pairs
-// its spatial CiNCT index with a delta-compressed store of the same
-// trajectories' entry times. It answers the *strict path query* of
-// Krogh et al. (GIS 2014): find trajectories that traveled along path
-// P within a time interval. The paper (§VII) positions CiNCT as the
-// spatial engine of exactly such systems (SNT-index, CTR); this is the
-// combination, with timestamps compressed losslessly as in CTR [3].
+// TemporalIndex is an Index known to carry timestamps: every shard
+// pairs its spatial CiNCT index with a delta-compressed store of the
+// same trajectories' entry times. Such an index answers the *strict
+// path query* of Krogh et al. (GIS 2014): find trajectories that
+// traveled along path P within a time interval. The paper (§VII)
+// positions CiNCT as the spatial engine of exactly such systems
+// (SNT-index, CTR); this is the combination, with timestamps
+// compressed losslessly as in CTR [3].
 //
-// The type exists to carry that guarantee — and the temporal flavor of
-// the v3 container Save writes — through signatures; the query surface
-// is the embedded Index's, whose Search accepts an Interval exactly
-// when the stores are there. BuildTemporal, LoadTemporal and
-// OpenMappedTemporal produce one; an Index whose Temporal method
-// reports true (Load or OpenMapped of a temporal file, or AppendSealed
-// or CompactRange on a temporal index) may be wrapped as
-// &TemporalIndex{Index: ix}.
-// Wrapping a spatial index is a mistake the methods answer with
-// ErrNoTimestamps.
+// Timestamps are a property of Index — Temporal, Timestamps, Search
+// with an Interval, and Save writing the temporal flavor all live
+// there — so this type adds no methods. It remains only as the return
+// or argument type of BuildTemporal, LoadTemporal, OpenMappedTemporal
+// and NewTemporalWriterAt.
 type TemporalIndex struct {
 	*Index
 }
@@ -69,9 +65,9 @@ func checkColumns(trajs [][]uint32, times [][]int64) error {
 }
 
 // Timestamps returns the full timestamp column of a trajectory, or nil
-// when id is out of range.
-func (t *TemporalIndex) Timestamps(id int) []int64 {
-	sh, local, ok := t.shardOf(id)
+// when id is out of range or the index carries no timestamps.
+func (ix *Index) Timestamps(id int) []int64 {
+	sh, local, ok := ix.shardOf(id)
 	if !ok || sh.ts == nil {
 		return nil
 	}
@@ -93,12 +89,16 @@ func (ix *Index) TimestampBits() int {
 
 // LoadTemporal is Load for a file that must carry timestamps: a v3
 // file of the spatial flavor fails with ErrNoTimestamps.
+//
+// Deprecated: Load returns what the file holds; check Temporal.
 func LoadTemporal(r io.Reader) (*TemporalIndex, error) {
 	return withTimestamps(Load(r))
 }
 
 // OpenMappedTemporal is OpenMapped for a file that must carry
 // timestamps, failing like LoadTemporal.
+//
+// Deprecated: OpenMapped returns what the file holds; check Temporal.
 func OpenMappedTemporal(path string) (*TemporalIndex, error) {
 	return withTimestamps(OpenMapped(path))
 }

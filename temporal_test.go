@@ -2,7 +2,10 @@ package cinct
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -105,6 +108,72 @@ func TestTemporalTimestampsRoundTrip(t *testing.T) {
 	}
 	if ix.TimestampBits() <= 0 {
 		t.Fatal("TimestampBits must be positive")
+	}
+}
+
+// TestSaveWritesWhatItHolds pins that Save takes the flavor from the
+// index, as Load and OpenMapped do from the file: a temporal index —
+// built, loaded, mapped, or a temporal writer's Snapshot, the Writer
+// doc's persistence recipe — saves as the golden temporal container
+// and reloads with every timestamp.
+func TestSaveWritesWhatItHolds(t *testing.T) {
+	trajs, times := timedCorpus(7)
+	for _, shards := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Shards = shards
+		tix, err := BuildTemporal(trajs, times, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := tix.Index
+		data := saveV3Bytes(t, built)
+		loaded, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		over, err := NewWriterAt(built, WriterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources := map[string]*Index{
+			"Build":           built,
+			"Load":            loaded,
+			"OpenMapped":      mapV3(t, data),
+			"Writer.Snapshot": over.Snapshot(),
+		}
+		if shards == 1 {
+			// Sealing the appended corpus makes the same one shard.
+			sealed, err := NewTemporalWriter(WriterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sealed.AppendBatch(trajs, times); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sealed.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			sources["sealed Writer.Snapshot"] = sealed.Snapshot()
+		}
+		golden := fmt.Sprintf("temporal-%d/v3", shards)
+		for name, ix := range sources {
+			got := saveV3Bytes(t, ix)
+			if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != goldenHashes[golden] {
+				t.Errorf("%d shard(s), %s: Save is not the %s bytes", shards, name, golden)
+			}
+			re, err := Load(bytes.NewReader(got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !re.Temporal() {
+				t.Fatalf("%d shard(s), %s: reloaded index is not temporal", shards, name)
+			}
+			for id := range trajs {
+				if !reflect.DeepEqual(re.Timestamps(id), times[id]) {
+					t.Fatalf("%d shard(s), %s: Timestamps(%d) = %v, want %v", shards, name, id, re.Timestamps(id), times[id])
+				}
+			}
+		}
 	}
 }
 

@@ -18,16 +18,10 @@ import (
 )
 
 // saveV3Bytes serializes via Save into memory.
-func saveV3Bytes(t *testing.T, ix *Index, tix *TemporalIndex) []byte {
+func saveV3Bytes(t *testing.T, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if tix != nil {
-		_, err = tix.Save(&buf)
-	} else {
-		_, err = ix.Save(&buf)
-	}
-	if err != nil {
+	if _, err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	if buf.Len()%v3PageSize != 0 {
@@ -66,7 +60,7 @@ func TestV3RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := saveV3Bytes(t, orig, nil)
+			data := saveV3Bytes(t, orig)
 			heap, err := Load(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("shards=%d sa=%d: Load(v3): %v", shards, sa, err)
@@ -111,7 +105,7 @@ func TestSampleRatesMatchBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := saveV3Bytes(t, ix, nil)
+			data := saveV3Bytes(t, ix)
 			heap, err := Load(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +152,7 @@ func TestLocateBitsMatchFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := saveV3Bytes(t, ix, nil)
+			data := saveV3Bytes(t, ix)
 			word := func(k uint64) uint64 { return binary.LittleEndian.Uint64(data[8*k:]) }
 			for i := uint64(0); i < word(3); i++ {
 				total += word(8 + 4*i + 3) // TOC entry i: {kind, shard, offset, length}
@@ -241,7 +235,7 @@ func TestV3TemporalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := saveV3Bytes(t, nil, orig)
+		data := saveV3Bytes(t, orig.Index)
 		heap, err := LoadTemporal(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("shards=%d: LoadTemporal(v3): %v", shards, err)
@@ -317,8 +311,8 @@ func TestV3FlavorMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spatial := saveV3Bytes(t, ix, nil)
-	temporal := saveV3Bytes(t, nil, tix)
+	spatial := saveV3Bytes(t, ix)
+	temporal := saveV3Bytes(t, tix.Index)
 	if _, err := LoadTemporal(bytes.NewReader(spatial)); !errors.Is(err, ErrNoTimestamps) {
 		t.Fatalf("LoadTemporal(spatial v3) err = %v, want ErrNoTimestamps", err)
 	}
@@ -364,7 +358,7 @@ func TestV3CorruptContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := saveV3Bytes(t, nil, tix)
+	base := saveV3Bytes(t, tix.Index)
 	// Sample ~200 word offsets; every mutation runs a full load plus a
 	// query, so an exhaustive sweep belongs to the fuzzer, not CI.
 	step := len(base) / 200 / 8 * 8

@@ -94,8 +94,9 @@ type WriterConfig struct {
 // over an index that carries timestamps; otherwise it is spatial.
 //
 // Durability: the delta lives in memory only. Sealed state can be
-// persisted with Snapshot + Save; anything still in the delta at
-// process exit is lost unless the caller seals first.
+// persisted with Snapshot + Save, which keeps the timestamps of a
+// temporal writer; anything still in the delta at process exit is
+// lost unless the caller seals first.
 type Writer struct {
 	opts      *Options
 	temporal  bool
@@ -151,6 +152,8 @@ func NewWriterAt(ix *Index, cfg WriterConfig) (*Writer, error) {
 
 // NewTemporalWriterAt is NewWriterAt for a temporal index, with the
 // temporality carried by the type.
+//
+// Deprecated: NewWriterAt takes the temporality from the index.
 func NewTemporalWriterAt(t *TemporalIndex, cfg WriterConfig) (*Writer, error) {
 	if t == nil || t.Index == nil {
 		return nil, fmt.Errorf("cinct: NewTemporalWriterAt requires an index (use NewTemporalWriter to start empty)")
@@ -422,21 +425,17 @@ func (w *Writer) DeltaTrajectories() int {
 	return len(w.delta.trajs)
 }
 
-// Snapshot returns the current sealed state: the index and, for
-// temporal writers, its temporal form (the same index, typed for
-// TemporalIndex.Save). Both are nil while nothing has been sealed.
-// The returned values are immutable — safe to Save concurrently with
-// further appends and seals.
-func (w *Writer) Snapshot() (*Index, *TemporalIndex) {
+// Snapshot returns the current sealed index — temporal exactly when
+// the writer is, so Save writes its timestamps — or nil while nothing
+// has been sealed. The returned index is immutable: safe to Save
+// concurrently with further appends and seals.
+func (w *Writer) Snapshot() *Index {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	switch {
-	case len(w.sealed.shards) == 0:
-		return nil, nil
-	case w.temporal:
-		return w.sealed, &TemporalIndex{w.sealed}
+	if len(w.sealed.shards) == 0 {
+		return nil
 	}
-	return w.sealed, nil
+	return w.sealed
 }
 
 // Stats reports the sealed index's breakdown with Trajectories
