@@ -91,7 +91,9 @@ type line struct {
 }
 
 // maxLine bounds one NDJSON record; generous, since a record is one
-// hit or one summary.
+// hit or one summary. The scanner starts at its default size and grows
+// toward it only for a record that needs it, so a page of short
+// records never allocates a large line buffer.
 const maxLine = 1 << 20
 
 // ReadPage decodes one NDJSON query stream into a Page. A summary
@@ -100,7 +102,7 @@ const maxLine = 1 << 20
 func ReadPage(r io.Reader) (*Page, error) {
 	page := &Page{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	sc.Buffer(nil, maxLine)
 	sawSummary := false
 	for sc.Scan() {
 		raw := sc.Bytes()

@@ -71,6 +71,17 @@ func TestReadPage(t *testing.T) {
 			errText: "unrecognized stream record",
 		},
 		{
+			name: "a record past the default line buffer",
+			stream: `{"trajectory":2,"offset":1}` + "\n" +
+				`{"done":true,"count":1,"cursor":"` + strings.Repeat("c", 200<<10) + `"}` + "\n",
+			want: &Page{Hits: []cinct.Hit{hit(2, 1, 0)}, Count: 1, Cursor: strings.Repeat("c", 200<<10)},
+		},
+		{
+			name:    "a record past maxLine",
+			stream:  `{"done":true,"count":1,"cursor":"` + strings.Repeat("c", maxLine) + `"}` + "\n",
+			errText: "token too long",
+		},
+		{
 			name:    "malformed JSON",
 			stream:  `{"trajectory":` + "\n",
 			errText: "bad stream record",
