@@ -9,6 +9,7 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 
 	"cinct"
 	"cinct/internal/engine"
@@ -222,4 +223,19 @@ func EncodeJSON(v any) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// appendHit appends EncodeJSON(rec) to b without reflection: the hit
+// records of a query stream are its bulk, and every field is an
+// integer, so no escaping is ever needed.
+func appendHit(b []byte, rec QueryHit) []byte {
+	b = append(b, `{"trajectory":`...)
+	b = strconv.AppendInt(b, int64(rec.Trajectory), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(rec.Offset), 10)
+	if rec.EnteredAt != nil {
+		b = append(b, `,"enteredAt":`...)
+		b = strconv.AppendInt(b, *rec.EnteredAt, 10)
+	}
+	return append(b, "}\n"...)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"cinct"
@@ -66,5 +67,20 @@ func FuzzQueryUnmarshal(f *testing.F) {
 		if string(enc) != string(enc2) {
 			t.Fatalf("round trip changed the query: %x vs %x", enc, enc2)
 		}
+	})
+}
+
+// FuzzAppendHit pins the stream's append encoder to EncodeJSON over
+// arbitrary hit records, with and without an entry time.
+func FuzzAppendHit(f *testing.F) {
+	f.Add(int64(0), int64(0), int64(0), false)
+	f.Add(int64(3), int64(-1), int64(-5), true)
+	f.Add(int64(math.MinInt64), int64(math.MaxInt64), int64(math.MinInt64), true)
+	f.Fuzz(func(t *testing.T, traj, off, at int64, timed bool) {
+		rec := QueryHit{Trajectory: int(traj), Offset: int(off)}
+		if timed {
+			rec.EnteredAt = &at
+		}
+		checkAppendHit(t, rec)
 	})
 }

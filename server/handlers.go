@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"time"
 
 	"cinct/internal/engine"
 )
@@ -213,15 +215,33 @@ func decodeQueryRequest(body io.Reader) (QueryRequest, error) {
 	return req, nil
 }
 
+// A query stream's records collect in one buffer that goes out
+// mid-stream only once it holds flushBytes, or once flushEvery has
+// passed since the last write, checked at each record boundary. A
+// page that never reaches either leaves as one write, at the end, with
+// a Content-Length; a large or slow stream still arrives as it is
+// produced.
+const (
+	flushBytes = 4 << 10
+	flushEvery = 5 * time.Millisecond
+)
+
+// pageBufs recycles query stream buffers.
+var pageBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2*flushBytes)
+	return &b
+}}
+
 // query serves the one retrieval endpoint: the body is a
 // QueryRequest, the response is NDJSON — one QueryHit per line in
 // canonical order, then one QuerySummary carrying the count and, for
 // bounded pages with more results, the opaque resume cursor. Hits are
-// written (and flushed) as the engine's iterator produces them, so a
-// large result set streams without the server materializing it beyond
-// what the cache layer retains. Errors before the first byte map to
-// normal JSON error responses; a mid-stream failure terminates the
-// stream with an error-carrying summary record.
+// encoded as the engine's iterator produces them and written by the
+// flushBytes/flushEvery rule, so a large result set streams without
+// the server materializing it beyond what the cache layer retains.
+// Errors before the first byte map to normal JSON error responses; a
+// mid-stream failure terminates the stream with an error-carrying
+// summary record.
 func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	req, err := decodeQueryRequest(r.Body)
@@ -237,22 +257,16 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 		return err
 	}
 	defer res.Close()
+	bp := pageBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf[:0]
+		pageBufs.Put(bp)
+	}()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	writeRecord := func(v any) error {
-		body, err := EncodeJSON(v)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
+	streamed := false // some of the body has already been written
+	last := time.Now()
 	var streamErr error
 	for h, herr := range res.All() {
 		if herr != nil {
@@ -261,13 +275,20 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		rec := QueryHit{Trajectory: h.Trajectory, Offset: h.Offset}
 		if q.Interval != nil {
-			at := h.EnteredAt
-			rec.EnteredAt = &at
+			rec.EnteredAt = &h.EnteredAt
 		}
-		if err := writeRecord(rec); err != nil {
+		buf = appendHit(buf, rec)
+		if len(buf) < flushBytes && time.Since(last) < flushEvery {
+			continue
+		}
+		if _, err := w.Write(buf); err != nil {
 			// The client went away mid-stream; nothing left to tell it.
 			return nil
 		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		buf, streamed, last = buf[:0], true, time.Now()
 	}
 	sum := QuerySummary{}
 	if streamErr == nil {
@@ -283,7 +304,12 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 	if streamErr != nil {
 		sum.Error = streamErr.Error()
 	}
-	writeRecord(sum) //nolint:errcheck // stream is best-effort past this point
+	body, _ := EncodeJSON(sum) // a QuerySummary always marshals
+	buf = append(buf, body...)
+	if !streamed {
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	}
+	w.Write(buf) //nolint:errcheck // stream is best-effort past this point
 	return nil
 }
 
