@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"cinct"
+	"cinct/internal/atomicfile"
 	"cinct/internal/engine"
 	"cinct/internal/legacy"
 	"cinct/internal/querygen"
@@ -325,7 +326,7 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	buildTime := time.Since(t0)
-	n, err := saveAtomic(*out, ix.Save)
+	n, err := atomicfile.Write(*out, ix.Save)
 	if err != nil {
 		return err
 	}
@@ -783,7 +784,7 @@ func parsePath(s string) ([]uint32, error) {
 // rebuilt with the options it recorded, spatial or temporal as its
 // bytes say; a v3 file is re-saved at the current container version.
 // Converting in place is safe: the whole input is read before
-// saveAtomic writes the output.
+// atomicfile.Write replaces the output.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "input index file (v3, or a pre-v3 file an older build wrote)")
@@ -806,7 +807,7 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	n, err := saveAtomic(*out, ix.Save)
+	n, err := atomicfile.Write(*out, ix.Save)
 	if err != nil {
 		return err
 	}
@@ -832,30 +833,4 @@ func rebuildLegacy(r io.Reader) (*cinct.Index, error) {
 		return nil, err
 	}
 	return tix.Index, nil
-}
-
-// saveAtomic writes an index file through a temporary file, fsync, a
-// checked Close and a rename, so a failed build or convert leaves any
-// previous file at path untouched and no temporary file behind.
-func saveAtomic(path string, save func(w io.Writer) (int64, error)) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	n, err := save(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return 0, err
-	}
-	return n, nil
 }

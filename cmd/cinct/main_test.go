@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,36 +15,6 @@ import (
 	"cinct/internal/trajgen"
 	"cinct/internal/trajio"
 )
-
-// TestSaveAtomicKeepsOldFileOnFailure pins the write discipline build
-// and convert share: a save that fails midway leaves the
-// previous index byte-identical and no temporary file behind.
-func TestSaveAtomicKeepsOldFileOnFailure(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "corpus.cinct")
-	old := []byte("the previous index, intact")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("disk full")
-	_, err := saveAtomic(path, func(w io.Writer) (int64, error) {
-		n, _ := w.Write([]byte("half an ind"))
-		return int64(n), boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("saveAtomic err = %v, want %v", err, boom)
-	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
-		t.Fatalf("previous file now %q (%v), want %q", got, err, old)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("data dir holds %d entries after a failed save, want only the old file", len(entries))
-	}
-}
 
 // TestBuildWritesV3 pins that cinct build, with and without -times,
 // writes the v3 container cinctd serves, of the flavor the corpus

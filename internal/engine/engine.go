@@ -7,13 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
 	"cinct"
+	"cinct/internal/atomicfile"
 	"cinct/internal/metrics"
 	"cinct/internal/wal"
 )
@@ -540,11 +539,10 @@ func (e *Engine) persistEntry(en *entry, w *cinct.Writer, what string, rows int)
 	return err
 }
 
-// persistWriter saves the writer's sealed snapshot to path via a
-// temporary file, fsync, and an atomic rename (with the parent
-// directory fsynced after it), so readers of the data dir never
-// observe a torn index file and a power failure cannot undo a
-// persistence the caller already acted on. The full fsync discipline
+// persistWriter saves the writer's sealed snapshot to path with
+// atomicfile.Write, so readers of the data dir never observe a torn
+// index file and a power failure cannot undo a persistence the caller
+// already acted on. The full fsync discipline
 // matters because persistEntry retires WAL segments the moment this
 // function returns success: the renamed file must be durable before
 // the log stops covering its rows. It returns the number of
@@ -555,41 +553,10 @@ func persistWriter(w *cinct.Writer, path string) (rows int, err error) {
 	if ix == nil {
 		return 0, nil
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if _, err := atomicfile.Write(path, ix.Save); err != nil {
 		return 0, err
 	}
-	_, err = ix.Save(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return 0, err
-	}
-	return ix.NumTrajectories(), syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power
-// loss — without it the rename itself may not be on disk when the WAL
-// segments covering the file's rows are already gone.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return ix.NumTrajectories(), nil
 }
 
 // CacheStats reports the shared result cache's lifetime counters.
@@ -677,8 +644,6 @@ type Results struct {
 	pos   int
 
 	live *cinct.Results
-	pull func() (cinct.Hit, error, bool)
-	stop func()
 	e    *Engine
 	key  string
 	held bool
@@ -733,20 +698,9 @@ func (r *Results) All() iter.Seq2[cinct.Hit, error] {
 		if r.live == nil || r.closed {
 			return
 		}
-		if r.pull == nil {
-			r.pull, r.stop = iter.Pull2(r.live.All())
-		}
-		for {
-			h, herr, ok, perr := r.pullOne()
-			if perr != nil {
-				r.fail(perr)
-				yield(cinct.Hit{}, perr)
-				return
-			}
-			if !ok {
-				r.finishLive()
-				return
-			}
+		// The library stream resumes where a break left it, and turns a
+		// panic over corrupt index state into ErrCorruptIndex itself.
+		for h, herr := range r.live.All() {
 			if herr != nil {
 				r.fail(herr)
 				yield(cinct.Hit{}, herr)
@@ -763,16 +717,8 @@ func (r *Results) All() iter.Seq2[cinct.Hit, error] {
 				return
 			}
 		}
+		r.finishLive()
 	}
-}
-
-// pullOne advances the live library iterator one step, converting a
-// panic over corrupt index state into ErrCorrupt (the same boundary
-// contract recoverQuery gives every query).
-func (r *Results) pullOne() (h cinct.Hit, herr error, ok bool, perr error) {
-	defer recoverQuery(&perr)
-	h, herr, ok = r.pull()
-	return h, herr, ok, nil
 }
 
 // finishLive runs when the live stream ends naturally (exhausted, or
@@ -806,10 +752,6 @@ func (r *Results) record(err error) {
 }
 
 func (r *Results) releaseSlot() {
-	if r.stop != nil {
-		r.stop()
-		r.stop, r.pull = nil, nil
-	}
 	if r.held {
 		r.held = false
 		r.e.release()

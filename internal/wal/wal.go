@@ -36,6 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cinct/internal/atomicfile"
 )
 
 var (
@@ -253,27 +255,13 @@ func (l *Log) openSegment(seq uint64) error {
 		f.Close()
 		return err
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := atomicfile.SyncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
 	l.f = f
 	l.active = segment{seq: seq, path: path, size: int64(len(segMagic)), lastID: -1}
 	return nil
-}
-
-// syncDir fsyncs a directory, making renames and newly created files
-// under it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Pending returns the batches replayed during Open, oldest first, and

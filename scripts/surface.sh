@@ -26,7 +26,7 @@ done
 for pkg in . ./internal/engine ./server; do
   printf 'deprecated exported %-20s %s\n' "$pkg:" "$(deprecated "$pkg")"
 done
-# Route tables of the three routers (GET /metrics is mounted beside them).
+# The server's one route table (GET /metrics is mounted beside it).
 echo "registered API routes:                   $(grep -ho 'Pattern: *"[^"]*"' $(gofiles -v | grep '^server/') | wc -l)"
 echo "cinctd flags:                            $(go run ./cmd/cinctd -h 2>&1 | grep -c '^  -')"
 echo "cinct subcommands:                       $(grep -c '^	case "' cmd/cinct/main.go)"

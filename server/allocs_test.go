@@ -14,10 +14,10 @@ import (
 
 // queryAllocs is the allocs/op the server adds to a cache-hit limit-10
 // POST /query, beyond building the request and the recorder: the
-// middleware chain, the strict body decode, the engine's cache replay
+// request wrapper, the strict body decode, the engine's cache replay
 // and the stream encoding. Lower it when a change saves allocations;
 // a change that needs more must say why.
-const queryAllocs = 34
+const queryAllocs = 33
 
 // TestHotPathAllocs guards the allocation count of the request path a
 // repeated query takes: a limit-10 page the engine answers from its

@@ -1,7 +1,7 @@
-// Package server exposes a cinct engine over HTTP: a moby-style
-// router/handler split (each endpoint is a Route owned by a Router,
-// assembled onto one mux by Server), canonical JSON wire types shared
-// by the daemon and the Client, request-scoped timeouts, and graceful
+// Package server exposes a cinct engine over HTTP: one route table of
+// handlers on Server, each mounted behind one request wrapper (access
+// log, metrics, rate limit, gate, timeout, error mapping), canonical
+// JSON wire types shared by the daemon and the Client, and graceful
 // shutdown. The daemon binary lives in cmd/cinctd; the same handlers
 // serve httptest instances in the differential tests.
 package server

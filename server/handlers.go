@@ -19,21 +19,6 @@ func badPathID(raw string) error {
 	return fmt.Errorf("%w: bad trajectory id %q", errBadRequest, raw)
 }
 
-// systemRouter serves catalog-level endpoints: listing and lifecycle.
-type systemRouter struct {
-	eng *engine.Engine
-}
-
-func (sr *systemRouter) Routes() []Route {
-	return []Route{
-		{Method: http.MethodGet, Pattern: "/v1/indexes", Handler: sr.listIndexes},
-		{Method: http.MethodPost, Pattern: "/v1/{index}/reload", Handler: sr.reloadIndex},
-		{Method: http.MethodPost, Pattern: "/v1/{index}/ingest", Handler: sr.ingest},
-		{Method: http.MethodPost, Pattern: "/v1/{index}/seal", Handler: sr.seal},
-		{Method: http.MethodPost, Pattern: "/v1/{index}/compact", Handler: sr.compact},
-	}
-}
-
 // maxIngestBody bounds one NDJSON ingest batch; maxIngestLine bounds
 // one record.
 const (
@@ -48,7 +33,7 @@ const (
 // replying (useful for scripted loads that want durability per
 // batch); otherwise sealing is left to the background sealer or an
 // explicit POST /v1/{index}/seal.
-func (sr *systemRouter) ingest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) ingest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	var trajs [][]uint32
 	var times [][]int64
@@ -82,7 +67,7 @@ func (sr *systemRouter) ingest(ctx context.Context, w http.ResponseWriter, r *ht
 	if !sawTimes {
 		times = nil // spatial batch: the engine expects no column slice at all
 	}
-	res, err := sr.eng.Append(ctx, name, trajs, times)
+	res, err := s.eng.Append(ctx, name, trajs, times)
 	if err != nil {
 		return err
 	}
@@ -94,7 +79,7 @@ func (sr *systemRouter) ingest(ctx context.Context, w http.ResponseWriter, r *ht
 		Generation: res.Generation,
 	}
 	if seal := r.URL.Query().Get("seal"); seal == "true" || seal == "1" {
-		sres, err := sr.eng.Seal(ctx, name)
+		sres, err := s.eng.Seal(ctx, name)
 		if err != nil {
 			return err
 		}
@@ -105,9 +90,9 @@ func (sr *systemRouter) ingest(ctx context.Context, w http.ResponseWriter, r *ht
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-func (sr *systemRouter) seal(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) seal(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
-	res, err := sr.eng.Seal(ctx, name)
+	res, err := s.eng.Seal(ctx, name)
 	if err != nil {
 		return err
 	}
@@ -120,10 +105,10 @@ func (sr *systemRouter) seal(ctx context.Context, w http.ResponseWriter, r *http
 // tiered policy — or, with ?full=true, all the way to a single shard —
 // and persists the compacted state. Queries and ingestion proceed
 // throughout; the call returns once the shard set reaches its fixpoint.
-func (sr *systemRouter) compact(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) compact(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	full := r.URL.Query().Get("full")
-	res, err := sr.eng.Compact(ctx, name, full == "true" || full == "1")
+	res, err := s.eng.Compact(ctx, name, full == "true" || full == "1")
 	if err != nil {
 		return err
 	}
@@ -134,10 +119,10 @@ func (sr *systemRouter) compact(ctx context.Context, w http.ResponseWriter, r *h
 	})
 }
 
-func (sr *systemRouter) listIndexes(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) listIndexes(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	resp := ListResponse{Indexes: make([]engine.Info, 0)}
-	for _, name := range sr.eng.Names() {
-		info, err := sr.eng.Info(name)
+	for _, name := range s.eng.Names() {
+		info, err := s.eng.Info(name)
 		if err != nil {
 			// Closed between Names and Info: skip rather than fail the
 			// whole listing.
@@ -145,9 +130,9 @@ func (sr *systemRouter) listIndexes(ctx context.Context, w http.ResponseWriter, 
 		}
 		resp.Indexes = append(resp.Indexes, info)
 	}
-	hits, misses, entries := sr.eng.CacheStats()
-	inflight, capacity := sr.eng.PoolStats()
-	segs, walBytes, fsyncs := sr.eng.WALStats()
+	hits, misses, entries := s.eng.CacheStats()
+	inflight, capacity := s.eng.PoolStats()
+	segs, walBytes, fsyncs := s.eng.WALStats()
 	resp.Runtime = RuntimeInfo{
 		CacheHits:    int64(hits),
 		CacheMisses:  int64(misses),
@@ -161,26 +146,13 @@ func (sr *systemRouter) listIndexes(ctx context.Context, w http.ResponseWriter, 
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-func (sr *systemRouter) reloadIndex(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) reloadIndex(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
-	gen, err := sr.eng.Reload(name)
+	gen, err := s.eng.Reload(name)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, http.StatusOK, ReloadResponse{Index: name, Generation: gen})
-}
-
-// queryRouter serves per-index query endpoints.
-type queryRouter struct {
-	eng *engine.Engine
-}
-
-func (qr *queryRouter) Routes() []Route {
-	return []Route{
-		{Method: http.MethodPost, Pattern: "/v1/{index}/query", Handler: qr.query},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/trajectory/{id}", Handler: qr.trajectory},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/subpath", Handler: qr.subPath},
-	}
 }
 
 // maxRequestBody bounds a JSON request body (a query or a
@@ -242,7 +214,7 @@ var pageBufs = sync.Pool{New: func() any {
 // Errors before the first byte map to normal JSON error responses; a
 // mid-stream failure terminates the stream with an error-carrying
 // summary record.
-func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) query(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	req, err := decodeQueryRequest(r.Body)
 	if err != nil {
@@ -252,7 +224,7 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 	if err != nil {
 		return err
 	}
-	res, err := qr.eng.Search(ctx, name, q)
+	res, err := s.eng.Search(ctx, name, q)
 	if err != nil {
 		return err
 	}
@@ -313,13 +285,13 @@ func (qr *queryRouter) query(ctx context.Context, w http.ResponseWriter, r *http
 	return nil
 }
 
-func (qr *queryRouter) trajectory(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) trajectory(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		return badPathID(r.PathValue("id"))
 	}
-	edges, err := qr.eng.Trajectory(ctx, name, id)
+	edges, err := s.eng.Trajectory(ctx, name, id)
 	if err != nil {
 		return err
 	}
@@ -328,7 +300,7 @@ func (qr *queryRouter) trajectory(ctx context.Context, w http.ResponseWriter, r 
 	})
 }
 
-func (qr *queryRouter) subPath(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) subPath(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	id, err := requiredIntParam(r, "traj")
 	if err != nil {
@@ -342,7 +314,7 @@ func (qr *queryRouter) subPath(ctx context.Context, w http.ResponseWriter, r *ht
 	if err != nil {
 		return err
 	}
-	edges, err := qr.eng.SubPath(ctx, name, id, from, to)
+	edges, err := s.eng.SubPath(ctx, name, id, from, to)
 	if err != nil {
 		return err
 	}

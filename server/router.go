@@ -11,19 +11,17 @@ import (
 	"cinct/internal/engine"
 )
 
-// APIFunc is the signature every endpoint handler implements: pure
-// request → response-or-error, with transport concerns (status
-// mapping, JSON envelope, timeouts) handled once by the server's
-// middleware. This is moby's HttpApiFunc shape minus the bits cinct
-// does not need.
-type APIFunc func(ctx context.Context, w http.ResponseWriter, r *http.Request) error
+// apiFunc is the signature every endpoint handler implements: request
+// → response-or-error, with the transport concerns (status mapping,
+// JSON error body, rate limit, gate, deadline) handled once by serve.
+type apiFunc func(ctx context.Context, w http.ResponseWriter, r *http.Request) error
 
-// Route binds one method+pattern (net/http ServeMux syntax, with
+// route binds one method+pattern (net/http ServeMux syntax, with
 // {wildcards}) to a handler.
-type Route struct {
+type route struct {
 	Method  string
 	Pattern string
-	Handler APIFunc
+	Handler apiFunc
 	// Streaming marks a long-lived response (the SSE events stream): the
 	// request bypasses the per-request timeout (it would sever the
 	// stream mid-life) and the concurrency gate (a handful of standing
@@ -32,10 +30,22 @@ type Route struct {
 	Streaming bool
 }
 
-// Router is a group of related routes; the Server assembles all
-// routers onto one mux.
-type Router interface {
-	Routes() []Route
+// routes is the served API: every method+pattern Handler mounts.
+func (s *Server) routes() []route {
+	return []route{
+		{Method: http.MethodGet, Pattern: "/v1/indexes", Handler: s.listIndexes},
+		{Method: http.MethodPost, Pattern: "/v1/{index}/reload", Handler: s.reloadIndex},
+		{Method: http.MethodPost, Pattern: "/v1/{index}/ingest", Handler: s.ingest},
+		{Method: http.MethodPost, Pattern: "/v1/{index}/seal", Handler: s.seal},
+		{Method: http.MethodPost, Pattern: "/v1/{index}/compact", Handler: s.compact},
+		{Method: http.MethodPost, Pattern: "/v1/{index}/query", Handler: s.query},
+		{Method: http.MethodGet, Pattern: "/v1/{index}/trajectory/{id}", Handler: s.trajectory},
+		{Method: http.MethodGet, Pattern: "/v1/{index}/subpath", Handler: s.subPath},
+		{Method: http.MethodPost, Pattern: "/v1/{index}/gps", Handler: s.ingestGPS},
+		{Method: http.MethodPost, Pattern: "/v1/{index}/subscribe", Handler: s.subscribe},
+		{Method: http.MethodGet, Pattern: "/v1/{index}/subscriptions/{id}/events", Handler: s.events, Streaming: true},
+		{Method: http.MethodDelete, Pattern: "/v1/{index}/subscriptions/{id}", Handler: s.cancel},
+	}
 }
 
 // errBadRequest wraps parameter parse failures so the status mapper

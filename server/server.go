@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cinct/internal/engine"
+	"cinct/internal/metrics"
 )
 
 // Config tunes a Server. The zero value serves on :8132 with a 30s
@@ -66,13 +67,12 @@ func (c Config) burst() int {
 	return 1
 }
 
-// Server assembles the routers over one engine into an http.Server
+// Server serves the route table over one engine as an http.Server
 // with graceful shutdown. Construct with New, then ListenAndServe (or
 // mount Handler() on a test server).
 type Server struct {
 	eng     *engine.Engine
 	cfg     Config
-	routers []Router
 	httpSrv *http.Server
 
 	metrics  *serverMetrics
@@ -84,13 +84,8 @@ type Server struct {
 // New builds a server over eng.
 func New(eng *engine.Engine, cfg Config) *Server {
 	s := &Server{
-		eng: eng,
-		cfg: cfg,
-		routers: []Router{
-			&systemRouter{eng: eng},
-			&queryRouter{eng: eng},
-			&gpsRouter{eng: eng},
-		},
+		eng:     eng,
+		cfg:     cfg,
 		metrics: newServerMetrics(eng.Metrics()),
 	}
 	if cfg.RateLimit > 0 {
@@ -108,15 +103,13 @@ func New(eng *engine.Engine, cfg Config) *Server {
 }
 
 // Handler returns the fully assembled mux (usable directly under
-// httptest): every API route behind the middleware chain, plus the
-// Prometheus scrape endpoint, which bypasses the chain so overload
-// never blinds the monitoring that would diagnose it.
+// httptest): every API route behind serve, plus the Prometheus scrape
+// endpoint, which bypasses serve so overload never blinds the
+// monitoring that would diagnose it.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, r := range s.routers {
-		for _, route := range r.Routes() {
-			mux.Handle(route.Method+" "+route.Pattern, s.wrap(route))
-		}
+	for _, rt := range s.routes() {
+		mux.Handle(rt.Method+" "+rt.Pattern, s.serve(rt))
 	}
 	mux.HandleFunc("GET /metrics", s.serveMetrics)
 	return mux
@@ -131,38 +124,96 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// wrap composes the middleware chain around one endpoint and
-// terminates it with the error → (status, JSON envelope) mapping.
-// Outermost first: request ID + access log, metrics recorder, rate
-// limiter, concurrency gate, timeout — so a rejected request is still
-// logged and counted, and never consumes a gate slot or a deadline
-// timer. Streaming routes keep the observability layers but skip the
-// gate and the timeout: a standing stream lives for minutes by design
-// and must neither be severed by the request deadline nor pin a
-// short-request concurrency slot.
-func (s *Server) wrap(route Route) http.Handler {
-	h := route.Handler
-	if route.Streaming {
-		h = chain(h,
-			s.requestID(),
-			s.metricsRecorder(),
-			s.rateLimit(),
-		)
-	} else {
-		h = chain(h,
-			s.requestID(),
-			s.metricsRecorder(),
-			s.rateLimit(),
-			s.gate(),
-			s.timeout(),
-		)
+// serverMetrics is the HTTP layer's instrument set, registered into
+// the engine's registry so one /metrics scrape covers both layers.
+type serverMetrics struct {
+	requests    *metrics.CounterVec // by status code
+	ok          *metrics.Counter    // requests' code="200" child, resolved once
+	seconds     *metrics.Histogram
+	inflight    *metrics.Gauge
+	rateLimited *metrics.Counter
+	shed        *metrics.Counter
+}
+
+func newServerMetrics(reg *metrics.Registry) *serverMetrics {
+	requests := reg.CounterVec("cinct_http_requests_total", "HTTP requests served, by status code.", "code")
+	return &serverMetrics{
+		requests:    requests,
+		ok:          requests.With(strconv.Itoa(http.StatusOK)),
+		seconds:     reg.Histogram("cinct_http_request_seconds", "HTTP request wall time.", metrics.ExpBuckets(0.0001, 4, 10)),
+		inflight:    reg.Gauge("cinct_http_inflight", "HTTP requests currently being served."),
+		rateLimited: reg.Counter("cinct_http_rate_limited_total", "Requests rejected by the per-client rate limiter."),
+		shed:        reg.Counter("cinct_http_shed_total", "Requests rejected by the concurrency gate."),
 	}
+}
+
+// serve is the one request path every API route takes, in this order:
+//
+//  1. a request id, and one access-log line carrying it, the status
+//     and the wall time once the request is done;
+//  2. the metrics: in-flight gauge, latency and a count by status;
+//  3. the per-client rate limit (429 + Retry-After);
+//  4. the concurrency gate (503, fail fast rather than queue) and the
+//     request deadline (504 once engine work outlives it);
+//  5. the handler;
+//  6. a returned error becomes its status, a Retry-After hint where
+//     one applies, and a JSON error body.
+//
+// A rejected request is still logged and counted, and never takes a
+// gate slot or a deadline timer. Streaming routes skip step 4: a
+// standing stream lives for minutes by design and must neither be cut
+// by the deadline nor pin a short-request slot.
+func (s *Server) serve(rt route) http.Handler {
+	timeout := s.cfg.timeout()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		err := h(r.Context(), w, r)
+		id := s.reqSeq.Add(1)
+		start := time.Now()
+		s.metrics.inflight.Inc()
+		// Steps 3–5 run in a closure so its defers free the gate slot
+		// and the deadline timer, even on a panic, before the request
+		// is counted, logged and answered.
+		err := func() error {
+			if s.limiter != nil {
+				if ok, retry := s.limiter.allow(clientKey(r), time.Now()); !ok {
+					s.metrics.rateLimited.Inc()
+					return &rateLimitError{retryAfter: retry}
+				}
+			}
+			ctx := r.Context()
+			if !rt.Streaming {
+				if s.inflight != nil {
+					select {
+					case s.inflight <- struct{}{}:
+					default:
+						s.metrics.shed.Inc()
+						return fmt.Errorf("%w: %d requests in flight", engine.ErrOverloaded, cap(s.inflight))
+					}
+					defer func() { <-s.inflight }()
+				}
+				if timeout > 0 {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithTimeout(ctx, timeout)
+					defer cancel()
+				}
+			}
+			return rt.Handler(ctx, w, r)
+		}()
+		s.metrics.inflight.Dec()
+		elapsed := time.Since(start)
+		s.metrics.seconds.Observe(elapsed.Seconds())
+		status := http.StatusOK
+		if err == nil {
+			s.metrics.ok.Inc()
+		} else {
+			status = httpStatus(err)
+			s.metrics.requests.With(strconv.Itoa(status)).Inc()
+		}
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Printf("req#%d %s %s %d %s", id, r.Method, r.URL.Path, status, elapsed.Round(time.Microsecond))
+		}
 		if err == nil {
 			return
 		}
-		status := httpStatus(err)
 		switch status {
 		case http.StatusTooManyRequests:
 			var rl *rateLimitError

@@ -118,10 +118,8 @@ func TestRouteTable(t *testing.T) {
 		"DELETE /v1/{index}/subscriptions/{id}",
 	}
 	var got []string
-	for _, r := range srv.routers {
-		for _, route := range r.Routes() {
-			got = append(got, route.Method+" "+route.Pattern)
-		}
+	for _, rt := range srv.routes() {
+		got = append(got, rt.Method+" "+rt.Pattern)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("registered routes:\n got %q\nwant %q", got, want)

@@ -15,22 +15,6 @@ import (
 	"cinct/internal/gps"
 )
 
-// gpsRouter serves the raw-ingestion front door and standing queries:
-// device traces go in as NDJSON point batches, matched trajectories
-// come back out as push notifications over SSE.
-type gpsRouter struct {
-	eng *engine.Engine
-}
-
-func (gr *gpsRouter) Routes() []Route {
-	return []Route{
-		{Method: http.MethodPost, Pattern: "/v1/{index}/gps", Handler: gr.ingestGPS},
-		{Method: http.MethodPost, Pattern: "/v1/{index}/subscribe", Handler: gr.subscribe},
-		{Method: http.MethodGet, Pattern: "/v1/{index}/subscriptions/{id}/events", Handler: gr.events, Streaming: true},
-		{Method: http.MethodDelete, Pattern: "/v1/{index}/subscriptions/{id}", Handler: gr.cancel},
-	}
-}
-
 // ingestGPS serves POST /v1/{index}/gps: the body is an NDJSON batch
 // of gps.Trace lines — raw (lat, lon, t) observations, optionally with
 // per-trace matcher overrides. Each trace is map-matched against the
@@ -38,7 +22,7 @@ func (gr *gpsRouter) Routes() []Route {
 // ordinary write path (WAL, delta, standing-query notifications).
 // Traces succeed or fail independently; the response carries one typed
 // result per line, in order.
-func (gr *gpsRouter) ingestGPS(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) ingestGPS(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	var traces []gps.Trace
 	sc := bufio.NewScanner(io.LimitReader(r.Body, maxIngestBody))
@@ -63,7 +47,7 @@ func (gr *gpsRouter) ingestGPS(ctx context.Context, w http.ResponseWriter, r *ht
 	if len(traces) == 0 {
 		return fmt.Errorf("%w: empty gps batch", errBadRequest)
 	}
-	res, err := gr.eng.IngestGPS(ctx, name, traces)
+	res, err := s.eng.IngestGPS(ctx, name, traces)
 	if err != nil {
 		return err
 	}
@@ -77,24 +61,24 @@ func (gr *gpsRouter) ingestGPS(ctx context.Context, w http.ResponseWriter, r *ht
 // accumulate in the subscription's buffer from the moment this call
 // returns, so nothing appended between subscribing and attaching to the
 // events stream is lost (up to the buffer bound).
-func (gr *gpsRouter) subscribe(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	var req SubscribeRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		return err
 	}
-	s, err := gr.eng.Subscribe(name, req.Predicate(), engine.SubscribeOptions{
+	sub, err := s.eng.Subscribe(name, req.Predicate(), engine.SubscribeOptions{
 		TTL:    time.Duration(req.TTLSeconds) * time.Second,
 		Buffer: req.Buffer,
 	})
 	if err != nil {
 		return err
 	}
-	base := "/v1/" + url.PathEscape(name) + "/subscriptions/" + url.PathEscape(s.ID())
+	base := "/v1/" + url.PathEscape(name) + "/subscriptions/" + url.PathEscape(sub.ID())
 	return writeJSON(w, http.StatusOK, SubscribeResponse{
 		Index:        name,
-		Subscription: s.ID(),
-		ExpiresAt:    s.ExpiresAt().Unix(),
+		Subscription: sub.ID(),
+		ExpiresAt:    sub.ExpiresAt().Unix(),
 		Events:       base + "/events",
 		Cancel:       base,
 	})
@@ -111,9 +95,9 @@ const sseKeepalive = 15 * time.Second
 // expiry, index close or shutdown). A subscription has one buffer, so
 // attach one consumer at a time; what arrives while none is attached
 // waits in the buffer.
-func (gr *gpsRouter) events(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) events(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
-	s, err := gr.eng.GetSubscription(name, r.PathValue("id"))
+	sub, err := s.eng.GetSubscription(name, r.PathValue("id"))
 	if err != nil {
 		return err
 	}
@@ -138,7 +122,7 @@ func (gr *gpsRouter) events(ctx context.Context, w http.ResponseWriter, r *http.
 				return nil
 			}
 			flusher.Flush()
-		case n, open := <-s.C():
+		case n, open := <-sub.C():
 			if !open {
 				io.WriteString(w, "event: end\ndata: {}\n\n") //nolint:errcheck // stream is ending either way
 				flusher.Flush()
@@ -158,10 +142,10 @@ func (gr *gpsRouter) events(ctx context.Context, w http.ResponseWriter, r *http.
 
 // cancel serves DELETE /v1/{index}/subscriptions/{id}: the standing
 // query is unregistered and its stream closes.
-func (gr *gpsRouter) cancel(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+func (s *Server) cancel(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	id := r.PathValue("id")
-	if err := gr.eng.Unsubscribe(name, id); err != nil {
+	if err := s.eng.Unsubscribe(name, id); err != nil {
 		return err
 	}
 	return writeJSON(w, http.StatusOK, CancelResponse{Index: name, Subscription: id, Cancelled: true})
