@@ -44,9 +44,9 @@
 // one-shard build. A temporal index is the same thing with a timestamp
 // store per shard. Save writes the one v3 container that OpenMapped
 // serves in place and Load reads onto the heap; both return what the
-// file holds, timestamps included. Files older builds wrote in the
-// pre-v3 formats are refused with ErrLegacyFormat until `cinct
-// convert` rewrites them.
+// file holds, timestamps included. Files older builds wrote — the
+// pre-v3 formats and version-3 containers — are refused with
+// ErrLegacyFormat until `cinct convert` rewrites them.
 package cinct
 
 import (

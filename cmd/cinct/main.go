@@ -41,8 +41,8 @@
 // in-place persists of ingest and compact — is a v3 container holding
 // what the index holds, the file cinctd serves, written atomically
 // (temp file, fsync, rename): a served file is mapped, so it must be
-// replaced by rename, never truncated in place. Files older builds
-// wrote in the pre-v3 stream formats are read by convert alone, which
+// replaced by rename, never truncated in place. Older files (pre-v3
+// streams, container version 3) are read by convert alone, which
 // rebuilds the index from the corpus such a file holds; every other
 // subcommand, like cinctd, refuses one and names convert. build
 // defaults -sample to cinct.DefaultOptions().SampleRate, the rate
@@ -779,15 +779,15 @@ func parsePath(s string) ([]uint32, error) {
 }
 
 // cmdConvert rewrites an index file as the v3 container every build
-// now writes and cinctd serves zero-copy. A pre-v3 file — the
-// only reader of those is here — is decoded to the corpus it holds and
+// now writes and cinctd serves zero-copy. An older file — the only
+// reader of those is here — is decoded to the corpus it holds and
 // rebuilt with the options it recorded, spatial or temporal as its
-// bytes say; a v3 file is re-saved at the current container version.
+// bytes say; a current file is re-saved.
 // Converting in place is safe: the whole input is read before
 // atomicfile.Write replaces the output.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "", "input index file (v3, or a pre-v3 file an older build wrote)")
+	in := fs.String("in", "", "input index file (current, or one an older build wrote)")
 	out := fs.String("out", "", "output v3 container file")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -817,7 +817,7 @@ func cmdConvert(args []string) error {
 	return nil
 }
 
-// rebuildLegacy builds the index a pre-v3 file describes from the
+// rebuildLegacy builds the index an old file describes from the
 // corpus it holds, with the options it recorded.
 func rebuildLegacy(r io.Reader) (*cinct.Index, error) {
 	c, err := legacy.Decode(r)

@@ -149,8 +149,8 @@ func legacyCorpus(seed int64) ([][]uint32, [][]int64) {
 	return trajs, times
 }
 
-// TestConvertLegacyFixtures converts every pre-v3 fixture under a
-// neutral file name, so nothing but the bytes can tell its flavor. The
+// TestConvertLegacyFixtures converts every old fixture, version-3
+// containers included, under a neutral file name, so nothing but the bytes can tell its flavor. The
 // output must hold what the input held — temporal or not, every
 // trajectory and every timestamp — and be byte-equal to Save of a fresh
 // build of that corpus with the options the file recorded: the
@@ -170,6 +170,12 @@ func TestConvertLegacyFixtures(t *testing.T) {
 		{"temporal-1-unversioned.tcinct", 7, 1, true},
 		{"global-store-unversioned.tcinct", 12, 3, true},
 		{"global-store-cncttemp.tcinct", 12, 3, true},
+		{"v3-all-rrr-spatial-4.cinct", 7, 4, false},
+		{"v3-all-rrr-temporal-1.tcinct", 7, 1, true},
+		{"v3-int32-spatial-1.cinct", 7, 1, false},
+		{"v3-int32-spatial-4.cinct", 7, 4, false},
+		{"v3-int32-temporal-1.tcinct", 7, 1, true},
+		{"v3-int32-temporal-4.tcinct", 7, 4, true},
 	} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
 		if err != nil {

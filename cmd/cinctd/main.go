@@ -7,7 +7,7 @@
 // The data directory holds *.cinct and *.tcinct files, v3 containers
 // whose header says whether they carry timestamps (.tcinct is the
 // conventional name of a temporal one); each is served under its base
-// filename (a pre-v3 file stops start-up with an error naming it:
+// filename (an older file stops start-up with an error naming it:
 // rewrite it once with `cinct convert`). Every file is served from a
 // memory mapping (one aligned read where the host cannot map), so
 // replace a served file by rename, as `cinct build` and `cinct convert`

@@ -15,13 +15,12 @@ import (
 // Index became the shard list. The /v3 entries are what Save (and its
 // alias SaveV3) write; a container format is a contract with files
 // already on disk, so any change there must be a deliberate format
-// revision, never a side effect of a refactor. The /v1 entries are the
-// pre-v3 stream formats nothing writes any more, pinned through the
-// committed fixtures under testdata/legacy/ that `cinct convert` must
-// keep decoding; the /v3-all-rrr entries are the v3 bytes Save wrote before
-// wavelet-tree nodes could be plain, and the /v3-int32 entries the
-// bytes it wrote before the locate samples were packed, also frozen
-// there.
+// revision, never a side effect of a refactor. The other entries pin
+// the committed fixtures under testdata/legacy/ — files nothing writes
+// any more, which the readers refuse and `cinct convert` must keep
+// decoding: /v1 the pre-v3 stream formats, /v3-all-rrr the version-3
+// bytes Save wrote before wavelet-tree nodes could be plain, and
+// /v3-int32 the ones it wrote before the locate samples were packed.
 //
 // Re-pinned /v3 when each wavelet-tree node began keeping RRR only
 // where it is at least 1/8 smaller than plain: node kinds changed, the

@@ -71,18 +71,6 @@ func ViewPackedInts(c *flat.Cursor) (*PackedInts, error) {
 	return &PackedInts{words: words, width: uint(width), n: n}, nil
 }
 
-// ViewInt32s wraps a length-prefixed int32 slice (flat.Writer.I32s) in
-// place as width-32 packed ints: two values per word, low half first,
-// is exactly PackedInts' layout at that width. A negative value reads
-// back as its 32-bit two's-complement pattern.
-func ViewInt32s(c *flat.Cursor) (*PackedInts, error) {
-	n, words := c.U32Words()
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return &PackedInts{words: words, width: 32, n: n}, nil
-}
-
 // FlatWords returns the length of the vector's AppendFlat output.
 func (p *Plain) FlatWords() int { return plainFlatWords(p.n) - 1 }
 

@@ -92,31 +92,6 @@ func TestFlatPackedIntsRoundTrip(t *testing.T) {
 	}
 }
 
-// An int32 section (flat.Writer.I32s) views in place as width-32 packed
-// ints, odd lengths and negative values included.
-func TestViewInt32s(t *testing.T) {
-	for _, vals := range [][]int32{nil, {7}, {0, -1, 1 << 30, 5, -(1 << 31)}, {1, 2, 3, 4}} {
-		w := flat.NewWriter()
-		w.I32s(vals)
-		c := flat.NewCursor(w.Words())
-		view, err := ViewInt32s(c)
-		if err != nil {
-			t.Fatalf("%v: %v", vals, err)
-		}
-		if c.Remaining() != 0 || view.Len() != len(vals) || view.Width() != 32 {
-			t.Fatalf("%v: len %d width %d, %d words left", vals, view.Len(), view.Width(), c.Remaining())
-		}
-		for i, v := range vals {
-			if got := view.Get(i); got != uint64(uint32(v)) {
-				t.Fatalf("%v: Get(%d) = %d, want %d", vals, i, got, uint32(v))
-			}
-		}
-	}
-	if _, err := ViewInt32s(flat.NewCursor([]uint64{5, 0})); err == nil {
-		t.Fatal("overlong int32 section viewed")
-	}
-}
-
 func TestFlatRRRRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, bs := range []int{15, 31, 63} {

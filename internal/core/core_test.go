@@ -238,9 +238,8 @@ func TestLocateMatchesSA(t *testing.T) {
 }
 
 // locateCase is one text and sample rate with the index in each form
-// its locate section can take: built (samples packed at build), viewed
-// from the version-4 flat layout, and viewed from the version-3 one
-// (int32 samples at width 32, unscaled).
+// it is served in: built (samples packed at build) and viewed from the
+// flat layout.
 type locateCase struct {
 	rate  int
 	text  []uint32
@@ -259,49 +258,21 @@ func locateCases(t *testing.T) []locateCase {
 		opt := DefaultOptions()
 		opt.SASample = rate
 		ix := Build(text, sigma, opt)
-		v4, v3 := flatViews(t, ix)
+		view, err := ViewFlat(flat.NewCursor(flatWords(ix)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		cases = append(cases, locateCase{rate, text, bruteSA(text),
-			map[string]*Index{"built": ix, "v4-view": v4, "v3-view": v3}})
+			map[string]*Index{"built": ix, "view": view}})
 	}
 	return cases
 }
 
-// flatViews views ix back from both flat layouts (see flatLayouts).
-func flatViews(t *testing.T, ix *Index) (v4, v3 *Index) {
-	t.Helper()
-	w4, w3 := flatLayouts(ix)
-	var err error
-	if v4, err = ViewFlat(flat.NewCursor(w4), false); err != nil {
-		t.Fatal(err)
-	}
-	if v3, err = ViewFlat(flat.NewCursor(w3), true); err != nil {
-		t.Fatal(err)
-	}
-	return v4, v3
-}
-
-// flatLayouts writes ix in the flat layout, version 4 as AppendFlat
-// writes it and version 3 with the locate samples as the int32 slices
-// that container version held.
-func flatLayouts(ix *Index) (v4, v3 []uint64) {
+// flatWords writes ix in the flat layout.
+func flatWords(ix *Index) []uint64 {
 	w := flat.NewWriter()
 	ix.AppendFlat(w)
-	v4 = w.Words()
-	old := flat.NewWriter()
-	for _, x := range v4[:len(v4)-ix.samples.FlatWords()-ix.isaSamples.FlatWords()] {
-		old.U64(x)
-	}
-	sa := make([]int32, ix.samples.Len())
-	for i := range sa {
-		sa[i] = int32(int64(ix.samples.Get(i)) * ix.saScale)
-	}
-	isa := make([]int32, ix.isaSamples.Len())
-	for i := range isa {
-		isa[i] = int32(ix.isaSamples.Get(i))
-	}
-	old.I32s(sa)
-	old.I32s(isa)
-	return v4, old.Words()
+	return w.Words()
 }
 
 // bruteSA sorts the suffixes of text by direct comparison.

@@ -21,17 +21,12 @@ import (
 // to a typed error, instead of at open.
 //
 // The locate section, present when the sample rate is > 0, is the mark
-// bit vector and then the SA and ISA samples. Container version 4
-// writes both sample arrays as packed ints — SA/rate at ⌈lg(n/rate)⌉
-// bits, rows at ⌈lg n⌉ — and version 3 wrote them as int32 slices (a
-// length word, then two values per word, low half first). That is the
-// word layout of a width-32 packed array, so a version-3 section is
-// viewed in place at width 32 with scale 1 and served by the same
-// locate path.
+// bit vector and then the SA and ISA samples as packed ints: SA/rate at
+// ⌈lg(n/rate)⌉ bits, rows at ⌈lg n⌉ (container version 4; version 3's
+// int32 samples are converted, not viewed).
 
-// AppendFlat writes the index into a word stream in the version-4
-// layout. The graph is compacted first (idempotent) — the flat form
-// only has a CSR layout.
+// AppendFlat writes the index into a word stream. The graph is
+// compacted first (idempotent) — the flat form only has a CSR layout.
 func (ix *Index) AppendFlat(w *flat.Writer) {
 	ix.graph.Compact()
 	w.U64(uint64(ix.n))
@@ -49,36 +44,13 @@ func (ix *Index) AppendFlat(w *flat.Writer) {
 	ix.labeled.AppendFlat(w)
 	if ix.sampleRate > 0 {
 		ix.mark.AppendFlat(w)
-		sa, isa := ix.packedSamples()
-		sa.AppendFlat(w)
-		isa.AppendFlat(w)
+		ix.samples.AppendFlat(w)
+		ix.isaSamples.AppendFlat(w)
 	}
 }
 
-// packedSamples returns the SA and ISA samples in the version-4 form:
-// SA/rate and rows, each at the least width its largest value needs.
-// Built and version-4 indexes hold them that way already (below width
-// 32, as n < 2³¹); a view of a version-3 file holds them at width 32,
-// unscaled, and is repacked here, so re-saving it writes version 4.
-func (ix *Index) packedSamples() (sa, isa *bitvec.PackedInts) {
-	if ix.saScale == int64(ix.sampleRate) && ix.samples.Width() < 32 {
-		return ix.samples, ix.isaSamples
-	}
-	vals := make([]uint64, ix.samples.Len())
-	for i := range vals {
-		vals[i] = ix.samples.Get(i) * uint64(ix.saScale) / uint64(ix.sampleRate)
-	}
-	sa = bitvec.PackInts(vals)
-	vals = make([]uint64, ix.isaSamples.Len())
-	for i := range vals {
-		vals[i] = ix.isaSamples.Get(i)
-	}
-	return sa, bitvec.PackInts(vals)
-}
-
-// ViewFlat wraps a flat index in place. int32Samples selects the
-// version-3 locate section (see the layout note above).
-func ViewFlat(c *flat.Cursor, int32Samples bool) (*Index, error) {
+// ViewFlat wraps a flat index in place.
+func ViewFlat(c *flat.Cursor) (*Index, error) {
 	n := c.Int()
 	sigma := c.Int()
 	maxLabel := c.Int()
@@ -146,7 +118,7 @@ func ViewFlat(c *flat.Cursor, int32Samples bool) (*Index, error) {
 			flat.ErrCorrupt, ix.labeled.Len(), ix.labeled.Sigma(), n, maxLabel+1)
 	}
 	if sampleRate > 0 {
-		if err := ix.viewSamples(c, int32Samples); err != nil {
+		if err := ix.viewSamples(c); err != nil {
 			return nil, err
 		}
 	}
@@ -155,29 +127,23 @@ func ViewFlat(c *flat.Cursor, int32Samples bool) (*Index, error) {
 
 // viewSamples wraps the locate section and checks its shape: one SA
 // sample per marked row, one ISA sample per rate positions, and widths
-// that fit the version — exactly 32 in version 3; in version 4 no wider
-// than n/rate and n need, so SA/rate × rate stays below 2n. Sample
-// values are deliberately not swept — that would make opening a mapped
-// container O(n). A corrupt value past n panics in Locate or RowOf, any
-// other is a wrong answer, and Locate's LF walk is step-capped; the
-// search layer contains all of it as a typed error.
-func (ix *Index) viewSamples(c *flat.Cursor, int32Samples bool) error {
+// no wider than n/rate and n need, so SA/rate × rate stays below 2n.
+// Sample values are deliberately not swept — that would make opening a
+// mapped container O(n). A corrupt value past n panics in Locate or
+// RowOf, any other is a wrong answer, and Locate's LF walk is
+// step-capped; the search layer contains all of it as a typed error.
+func (ix *Index) viewSamples(c *flat.Cursor) error {
 	var err error
 	if ix.mark, err = bitvec.ViewPlain(c); err != nil {
 		return err
 	}
-	view, saWidth, isaWidth := bitvec.ViewPackedInts, bits.Len(uint(ix.n/ix.sampleRate)), bits.Len(uint(ix.n))
-	ix.saScale = int64(ix.sampleRate)
-	if int32Samples {
-		view, saWidth, isaWidth = bitvec.ViewInt32s, 32, 32
-		ix.saScale = 1
-	}
-	if ix.samples, err = view(c); err != nil {
+	if ix.samples, err = bitvec.ViewPackedInts(c); err != nil {
 		return err
 	}
-	if ix.isaSamples, err = view(c); err != nil {
+	if ix.isaSamples, err = bitvec.ViewPackedInts(c); err != nil {
 		return err
 	}
+	saWidth, isaWidth := bits.Len(uint(ix.n/ix.sampleRate)), bits.Len(uint(ix.n))
 	if ix.mark.Len() != ix.n || ix.samples.Len() != ix.mark.Ones() ||
 		ix.isaSamples.Len() != (ix.n+ix.sampleRate-1)/ix.sampleRate ||
 		int(ix.samples.Width()) > max(saWidth, 1) || int(ix.isaSamples.Width()) > max(isaWidth, 1) {

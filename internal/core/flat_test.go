@@ -18,7 +18,7 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 		w := flat.NewWriter()
 		orig.AppendFlat(w)
 		c := flat.NewCursor(w.Words())
-		view, err := ViewFlat(c, false)
+		view, err := ViewFlat(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +57,10 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 }
 
 // ViewFlat itself must never panic on corrupt words — it either
-// errors or hands back a structurally bounded index — in either locate
-// layout. Semantic corruption, a lying sample value above all, may
-// still surface as a panic inside Locate or RowOf, which the search
-// layer contains as a typed error; what must not happen is a walk past
+// errors or hands back a structurally bounded index. Semantic
+// corruption, a lying sample value above all, may still surface as a
+// panic inside Locate or RowOf, which the search layer contains as a
+// typed error; what must not happen is a walk past
 // the step cap, a located position outside [0, n), or — when only the
 // samples are corrupt, so LF is sound — a row outside [0, n).
 func TestFlatIndexCorruptView(t *testing.T) {
@@ -68,58 +68,47 @@ func TestFlatIndexCorruptView(t *testing.T) {
 	text, sigma := markovText(rng, 15, 12, 10, 3)
 	orig := Build(text, sigma, DefaultOptions())
 	n := int64(orig.Len())
-	v4, v3 := flatLayouts(orig)
-	ns, ni := orig.samples.Len(), orig.isaSamples.Len()
-	for _, layout := range []struct {
-		name         string
-		words        []uint64
-		int32Samples bool
-		sampleWords  int // the trailing SA and ISA sample arrays
-	}{
-		{"v4", v4, false, orig.samples.FlatWords() + orig.isaSamples.FlatWords()},
-		{"v3", v3, true, 2 + (ns+1)/2 + (ni+1)/2},
-	} {
-		base := layout.words
-		step := 1
-		if len(base) > 4096 {
-			step = len(base) / 4096
-		}
-		for i := 0; i < len(base); i += step {
-			for _, delta := range []uint64{1, ^uint64(0), 1 << 50} {
-				mut := append([]uint64(nil), base...)
-				mut[i] += delta
-				var ix *Index
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("%s word %d +%#x: panic in ViewFlat: %v", layout.name, i, delta, r)
-						}
-					}()
-					ix, _ = ViewFlat(flat.NewCursor(mut), layout.int32Samples)
+	base := flatWords(orig)
+	sampleWords := orig.samples.FlatWords() + orig.isaSamples.FlatWords() // the trailing SA and ISA sample arrays
+	step := 1
+	if len(base) > 4096 {
+		step = len(base) / 4096
+	}
+	for i := 0; i < len(base); i += step {
+		for _, delta := range []uint64{1, ^uint64(0), 1 << 50} {
+			mut := append([]uint64(nil), base...)
+			mut[i] += delta
+			var ix *Index
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("word %d +%#x: panic in ViewFlat: %v", i, delta, r)
+					}
 				}()
-				if ix == nil || ix.SampleRate() == 0 {
-					continue
-				}
-				for j := int64(0); j < n; j++ {
-					func() {
-						defer func() { _ = recover() }()
-						if p, steps := ix.LocateSteps(j); p < 0 || p >= n || steps > n+1 {
-							t.Fatalf("%s word %d +%#x: LocateSteps(%d) = %d after %d steps", layout.name, i, delta, j, p, steps)
-						}
-					}()
-					func() {
-						defer func() { _ = recover() }()
-						if r := ix.RowOf(j); i >= len(base)-layout.sampleWords && (r < 0 || r >= n) {
-							t.Fatalf("%s word %d +%#x: RowOf(%d) = %d", layout.name, i, delta, j, r)
-						}
-					}()
-				}
+				ix, _ = ViewFlat(flat.NewCursor(mut))
+			}()
+			if ix == nil || ix.SampleRate() == 0 {
+				continue
+			}
+			for j := int64(0); j < n; j++ {
+				func() {
+					defer func() { _ = recover() }()
+					if p, steps := ix.LocateSteps(j); p < 0 || p >= n || steps > n+1 {
+						t.Fatalf("word %d +%#x: LocateSteps(%d) = %d after %d steps", i, delta, j, p, steps)
+					}
+				}()
+				func() {
+					defer func() { _ = recover() }()
+					if r := ix.RowOf(j); i >= len(base)-sampleWords && (r < 0 || r >= n) {
+						t.Fatalf("word %d +%#x: RowOf(%d) = %d", i, delta, j, r)
+					}
+				}()
 			}
 		}
 	}
 }
 
-// TestFlatIndexSampleWidths pins the version-4 width bounds: SA samples
+// TestFlatIndexSampleWidths pins the width bounds: SA samples
 // (SA/rate) at most bits.Len(n/rate) wide and rows at most bits.Len(n),
 // so no header can scale a sample past 2n. A section at exactly the
 // bounds views and locates correctly; one bit wider fails the view.
@@ -138,8 +127,8 @@ func TestFlatIndexSampleWidths(t *testing.T) {
 	}
 	// AppendFlat would repack to the least widths, so the sample arrays
 	// are appended by hand behind the rest of the written index.
-	v4, _ := flatLayouts(orig)
-	head := v4[:len(v4)-orig.samples.FlatWords()-orig.isaSamples.FlatWords()]
+	all := flatWords(orig)
+	head := all[:len(all)-orig.samples.FlatWords()-orig.isaSamples.FlatWords()]
 	for _, extra := range []int{0, 1} {
 		for _, which := range []string{"sa", "isa"} {
 			ix := *orig
@@ -154,7 +143,7 @@ func TestFlatIndexSampleWidths(t *testing.T) {
 			}
 			ix.samples.AppendFlat(w)
 			ix.isaSamples.AppendFlat(w)
-			view, err := ViewFlat(flat.NewCursor(w.Words()), false)
+			view, err := ViewFlat(flat.NewCursor(w.Words()))
 			if extra > 0 {
 				if !errors.Is(err, flat.ErrCorrupt) {
 					t.Fatalf("%s one bit past its bound: err = %v, want ErrCorrupt", which, err)

@@ -62,13 +62,10 @@ type Index struct {
 	h0Labeled float64      // H0(φ(Tbwt)), the paper's headline statistic
 
 	// Locate support (optional). Sampled SA values are multiples of the
-	// rate, so samples holds SA/rate and saScale is the rate — except on
-	// a view of a version-3 file, whose samples are the SA values
-	// themselves at width 32 (saScale 1).
+	// rate, so samples holds SA/rate.
 	sampleRate int
 	mark       *bitvec.Plain      // BWT rows whose SA value is sampled
-	samples    *bitvec.PackedInts // SA/saScale at marked rows, in row order
-	saScale    int64
+	samples    *bitvec.PackedInts // SA/rate at marked rows, in row order
 	isaSamples *bitvec.PackedInts // isaSamples[k] = BWT row of the suffix at text position k*rate
 
 	// Stats describes how long each construction stage took.
@@ -210,7 +207,6 @@ func (ix *Index) computeCorrections(bwt, labels []uint32, rawC []uint64) {
 // need: ⌈lg(n/rate)⌉ and ⌈lg n⌉ bits rather than 32.
 func (ix *Index) buildSamples(sa []int32, rate int) {
 	ix.sampleRate = rate
-	ix.saScale = int64(rate)
 	bld := bitvec.NewBuilder(ix.n)
 	isa := make([]uint64, (ix.n+rate-1)/rate)
 	scaled := make([]uint64, 0, len(isa))
@@ -406,7 +402,7 @@ func (ix *Index) LocateSteps(j int64) (pos, lfSteps int64) {
 	}
 	// Walking back from a position reaches the sampled multiple of the
 	// rate at or below it without wrapping, so a healthy p is below n.
-	p := int64(ix.samples.Get(ix.mark.Rank1(int(j))))*ix.saScale + steps
+	p := int64(ix.samples.Get(ix.mark.Rank1(int(j))))*int64(ix.sampleRate) + steps
 	if p >= int64(ix.n) {
 		panic("core: Locate sample lies past n; corrupt index")
 	}

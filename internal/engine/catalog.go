@@ -79,7 +79,8 @@ type entry struct {
 	// persistMu serializes persistEntry: a foreground Seal and the
 	// background compactor both write path+".tmp", and two concurrent
 	// writers would interleave in that file or rename it from under
-	// each other.
+	// each other. markClosed and Reload take it too, so a persist never
+	// overlaps them. Lock order: loadMu, persistMu, ingestMu, mu.
 	persistMu sync.Mutex
 
 	mu  sync.RWMutex
@@ -235,8 +236,8 @@ func (e *Engine) appendBatch(en *entry, w *cinct.Writer, trajs [][]uint32, times
 
 // loadFromFile opens the entry's backing file as a fresh index,
 // spatial or temporal as the file says, mapped zero-copy (one aligned
-// read where the host cannot map). A pre-v3 file fails with
-// cinct.ErrLegacyFormat. A mapped file must be replaced by rename, as
+// read where the host cannot map). A file in an older format fails
+// with cinct.ErrLegacyFormat. A mapped file must be replaced by rename, as
 // every writer here does: truncating it in place faults its readers.
 func (en *entry) loadFromFile() (*cinct.Index, error) {
 	ix, err := cinct.OpenMapped(en.path)
@@ -291,10 +292,12 @@ func (c *Catalog) install(en *entry) {
 	c.entries[en.name] = en
 }
 
-// markClosed closes the entry and returns its final generation and
-// epoch. The WAL is synced and closed — its segments stay on disk, so
-// unsealed rows replay when the entry is opened again.
+// markClosed closes the entry once a persist in flight has finished and
+// returns its final generation and epoch. The WAL is synced and closed —
+// its segments stay on disk, so unsealed rows replay on the next open.
 func (en *entry) markClosed() (gen, epoch uint64) {
+	en.persistMu.Lock()
+	defer en.persistMu.Unlock()
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	en.closed = true

@@ -96,12 +96,8 @@ func (e *Engine) openWALLocked(en *entry) error {
 	}
 	// Segments wholly below the persisted row count survived only
 	// because the crash beat the retirement; drop them now.
+	// Not closed: unpublished (open), or Reload holds persistMu (Close waits).
 	en.mu.Lock()
-	if en.closed {
-		en.mu.Unlock()
-		l.Close() //nolint:errcheck // entry raced away; nothing to attach to
-		return nil
-	}
 	w := en.w
 	en.wal = l
 	en.mu.Unlock()

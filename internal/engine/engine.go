@@ -192,8 +192,8 @@ func (e *Engine) OpenDir(dir string) ([]string, error) {
 
 // Load reads one index file and registers it under name, replacing any
 // previous index of that name. The file's v3 header decides whether
-// the index is temporal; its name does not matter. A pre-v3 file fails
-// with cinct.ErrLegacyFormat.
+// the index is temporal; its name does not matter. A file in an older
+// format fails with cinct.ErrLegacyFormat.
 func (e *Engine) Load(name, path string) error {
 	return e.open(&entry{name: name, path: path})
 }
@@ -238,6 +238,9 @@ func (e *Engine) Reload(name string) (uint64, error) {
 	}
 	en.loadMu.Lock()
 	defer en.loadMu.Unlock()
+	// No persist runs until the WAL reopens: the read holds every retired row.
+	en.persistMu.Lock()
+	defer en.persistMu.Unlock()
 	ix, err := en.loadFromFile()
 	if err != nil {
 		return 0, err
@@ -268,7 +271,8 @@ func (e *Engine) Reload(name string) (uint64, error) {
 }
 
 // Close unregisters name, ends its standing queries, and releases its
-// index for collection once in-flight queries drain.
+// index for collection once in-flight queries drain. A persist in
+// flight finishes first, and a later one is refused.
 func (e *Engine) Close(name string) error {
 	e.subs.closeIndex(name)
 	return e.cat.remove(name)

@@ -1,0 +1,154 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"cinct"
+)
+
+// TestCloseWaitsForPersist pins that closing an entry — Close, CloseAll,
+// or a Load over its name — does not return while a persist of it is
+// writing the file, and that a persist starting afterwards is refused,
+// so the file does not change once the close returned. Holding the
+// entry's persistMu stands in for a threshold seal mid-persist.
+func TestCloseWaitsForPersist(t *testing.T) {
+	for name, closeIt := range map[string]func(e *Engine, path string) error{
+		"Close":    func(e *Engine, _ string) error { return e.Close("spatial") },
+		"CloseAll": func(e *Engine, _ string) error { e.CloseAll(); return nil },
+		"Load":     func(e *Engine, path string) error { return e.Load("spatial", path) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeIndexes(t, dir, testCorpus(23, 40))
+			e := New(Options{SealThreshold: -1})
+			defer e.CloseAll()
+			if _, err := e.OpenDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Append(context.Background(), "spatial", [][]uint32{{1, 2, 3}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			en, err := e.cat.get("spatial")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := en.writer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := w.Seal(); err != nil || n != 1 {
+				t.Fatalf("Seal = %d, %v; want 1", n, err)
+			}
+			before, err := os.ReadFile(en.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			en.persistMu.Lock() // a persist in flight
+			done := make(chan error, 1)
+			go func() { done <- closeIt(e, en.path) }()
+			select {
+			case err := <-done:
+				en.persistMu.Unlock()
+				t.Fatalf("%s returned (%v) while a persist held the file", name, err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			en.persistMu.Unlock()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+
+			if err := e.persistEntry(en, w, "seal", 1); err == nil {
+				t.Fatalf("a persist after %s was not refused", name)
+			}
+			after, err := os.ReadFile(en.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("the file changed after %s returned", name)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Fatalf("temp files left after %s: %v", name, tmps)
+			}
+		})
+	}
+}
+
+// TestReloadRacingSealsLosesNoRow appends under threshold seals while
+// another goroutine reloads the same index, then restarts the engine
+// over the same files and log: every acknowledged row must be served,
+// before the restart and after it.
+func TestReloadRacingSealsLosesNoRow(t *testing.T) {
+	dir, wal := t.TempDir(), t.TempDir()
+	trajs := testCorpus(29, 40)
+	writeIndexes(t, dir, trajs)
+	ctx := context.Background()
+	marker := []uint32{301, 302}
+	e := New(Options{SealThreshold: 8, WAL: WALOptions{Dir: wal, SyncBytes: -1}})
+	if _, err := e.OpenDir(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	const appenders, perAppender = 3, 200
+	var appendWg, reloadWg sync.WaitGroup
+	errc := make(chan error, appenders+1)
+	for g := 0; g < appenders; g++ {
+		appendWg.Add(1)
+		go func(g int) {
+			defer appendWg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perAppender; i++ {
+				tr := append([]uint32{uint32(rng.Intn(50))}, marker...)
+				if _, err := e.Append(ctx, "spatial", [][]uint32{tr}, nil); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	reloadWg.Add(1)
+	go func() {
+		defer reloadWg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := e.Reload("spatial"); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	appendWg.Wait()
+	close(stop)
+	reloadWg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	want := appenders * perAppender
+	if n, err := searchCount(ctx, e, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly}); err != nil || n != want {
+		t.Fatalf("before the restart: marker count = %d, %v; want %d", n, err, want)
+	}
+	e.CloseAll()
+	e.Shutdown()
+
+	e2 := walEngine(t, dir, wal)
+	defer e2.Shutdown()
+	defer e2.CloseAll()
+	if n, err := searchCount(ctx, e2, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly}); err != nil || n != want {
+		t.Fatalf("after the restart: marker count = %d, %v; want %d", n, err, want)
+	}
+}

@@ -189,8 +189,8 @@ func TestEngineFlavorFromFile(t *testing.T) {
 	}
 }
 
-// TestEngineRefusesLegacyFiles pins the typed refusal of every pre-v3
-// fixture at each engine entry point — Load, and Reload of a file
+// TestEngineRefusesLegacyFiles pins the typed refusal of every old
+// fixture, version-3 containers included, at each engine entry point — Load, and Reload of a file
 // replaced by one, which keeps serving the index it had — and that
 // OpenDir's error names the file.
 func TestEngineRefusesLegacyFiles(t *testing.T) {
@@ -209,9 +209,6 @@ func TestEngineRefusesLegacyFiles(t *testing.T) {
 		data, err := os.ReadFile(fixture)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if string(data[:8]) == "CNCTidx3" {
-			continue
 		}
 		refused++
 		name := filepath.Base(fixture)
@@ -249,7 +246,7 @@ func TestEngineRefusesLegacyFiles(t *testing.T) {
 		}
 		e.CloseAll()
 	}
-	if refused != 7 {
-		t.Fatalf("%d pre-v3 fixtures refused, want 7", refused)
+	if refused != 13 {
+		t.Fatalf("%d old fixtures refused, want 13", refused)
 	}
 }

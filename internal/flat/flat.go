@@ -206,28 +206,17 @@ func (c *Cursor) I64s() []int64 {
 	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
 }
 
-// U32Words reads a length-prefixed uint32 (or int32) slice as its
-// element count and its raw words, two values per word, low half
-// first — a zero-copy view that needs no little-endian host.
-func (c *Cursor) U32Words() (int, []uint64) {
+// U32s reads a length-prefixed uint32 slice as a zero-copy view
+// (little-endian host only).
+func (c *Cursor) U32s() []uint32 {
 	n, ok := c.length(func(n int) int { return (n + 1) / 2 })
-	if !ok {
-		return 0, nil
+	if !ok || n == 0 {
+		return nil
 	}
 	nw := (n + 1) / 2
 	w := c.words[c.pos : c.pos+nw]
 	c.pos += nw
-	return n, w
-}
-
-// U32s reads a length-prefixed uint32 slice as a zero-copy view
-// (little-endian host only).
-func (c *Cursor) U32s() []uint32 {
-	n, w := c.U32Words()
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(w))), 2*len(w))[:n:n]
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(w))), 2*nw)[:n:n]
 }
 
 // I32s reads a length-prefixed int32 slice as a zero-copy view

@@ -1,17 +1,16 @@
-// Package legacy decodes the index files builds wrote before the v3
-// container became the only format. No serving path reads them —
-// cinct.Load and cinct.OpenMapped refuse them with
-// cinct.ErrLegacyFormat — and `cinct convert`, this package's only
-// importer, turns one into v3 by rebuilding the index from the corpus
-// Decode recovers.
+// Package legacy decodes the index files builds wrote in older
+// formats: the stream formats from before the v3 container, and v3
+// containers of version 3. No serving path reads them — cinct.Load and
+// cinct.OpenMapped refuse them with cinct.ErrLegacyFormat — and `cinct
+// convert`, this package's only importer, turns one into the current
+// format by rebuilding the index from the corpus Decode recovers.
 //
-// Those formats were recipes, not indexes: the core stream holds the
-// labeled BWT Huffman-coded beside the ET-graph, and loading it meant
-// rebuilding the wavelet tree and the locate samples. Decode needs
-// neither. It inverts the labeled BWT with plain slices — BWT[j] is the
-// out-edge row j's label names in row j's context, LF comes from one
-// counting pass — and walks LF once from the terminator's row to read
-// the text back. The layouts, integers unsigned varints unless noted:
+// Decode needs neither the wavelet tree nor the locate samples those
+// files hold. It inverts the labeled BWT with plain slices — BWT[j] is
+// the out-edge row j's label names in row j's context, LF comes from
+// one counting pass — and walks LF once from the terminator's row to
+// read the text back. The stream layouts, integers unsigned varints
+// unless noted (the version-3 container is described at container):
 //
 //	single index  corpus metadata, then core index
 //	metadata      "CNCTmeta", σ, edge count σ−2, ascending edge IDs
@@ -55,9 +54,9 @@ const (
 	maxFrames = 1 << 20
 )
 
-// ErrCorrupt reports input that is not a well-formed pre-v3 index file.
-// Every error Decode returns wraps it.
-var ErrCorrupt = errors.New("legacy: corrupt pre-v3 index file")
+// ErrCorrupt reports input that is not a well-formed index file in an
+// older format. Every error Decode returns wraps it.
+var ErrCorrupt = errors.New("legacy: corrupt legacy index file")
 
 // Options mirrors cinct.Options field for field, so a caller rebuilds
 // with cinct.Options(c.Options) and the compiler keeps the two in step.
@@ -70,7 +69,7 @@ type Options struct {
 	Shards         int
 }
 
-// Corpus is what a pre-v3 file holds: its trajectories in ID order and,
+// Corpus is what an old file holds: its trajectories in ID order and,
 // for a temporal file, their timestamp columns, with its shard count and
 // the build options its first shard's core header recorded.
 type Corpus struct {
@@ -79,13 +78,13 @@ type Corpus struct {
 	Options Options
 }
 
-// Decode reads a pre-v3 index file of any of the layouts above. The
-// flavor comes from the input alone: a "CNCTtemp" magic, or bytes left
-// after the spatial stream, make it temporal. Declared counts never size
-// an allocation before the data behind them has been read, and any
-// inconsistency fails with ErrCorrupt: arbitrary bytes decode to a
-// corpus that cinct.Build accepts with the decoded options, or fail
-// typed.
+// Decode reads an index file in any of the older layouts. The flavor
+// comes from the input alone: a "CNCTtemp" magic, bytes left after the
+// spatial stream, or a version-3 container's temporal flavor make it
+// temporal. Declared counts never size an allocation before the data
+// behind them has been read, and any inconsistency fails with
+// ErrCorrupt: arbitrary bytes decode to a corpus that cinct.Build
+// accepts with the decoded options, or fail typed.
 func Decode(r io.Reader) (*Corpus, error) {
 	var c *Corpus
 	if err := catch(func() { c = stream{bufio.NewReader(r)}.file() }); err != nil {
@@ -161,35 +160,38 @@ func (s stream) frames(n int, what string, decode func(i int, frame stream)) {
 
 // file decodes a whole file.
 func (s stream) file() *Corpus {
-	head, _ := s.Peek(len(metaMagic))
-	stores := 0 // framed stores; 0 means one unframed store or none
-	switch string(head) {
+	var shards []shard
+	var stored [][][]int64
+	switch head, _ := s.Peek(len(metaMagic)); string(head) {
+	case containerMagic:
+		shards, stored = s.container()
 	case temporalMagic:
 		s.magic(temporalMagic)
 		v := s.uvarint("temporal container version")
 		check(v == 2, "temporal container version %d", v)
-		stores = int(s.count("store count", maxFrames))
+		stores := int(s.count("store count", maxFrames))
 		check(stores > 0, "temporal container without stores")
+		shards = s.spatial()
+		s.frames(stores, "store", func(_ int, f stream) { stored = append(stored, f.store()) })
 	case metaMagic, shardMagic:
+		// The unversioned temporal layout is a spatial stream, then one
+		// store.
+		shards = s.spatial()
+		if _, err := s.Peek(1); err != io.EOF {
+			stored = append(stored, s.store())
+		}
 	default:
-		fail("magic %q is no pre-v3 index format", head)
+		fail("magic %q is no legacy index format", head)
 	}
-	shards := s.spatial()
 	c := &Corpus{Options: shards[0].opts}
 	c.Options.Shards = len(shards)
 	for _, sh := range shards {
 		check((sh.opts.SampleRate > 0) == (c.Options.SampleRate > 0), "shards disagree on locate support")
 		c.Trajs = append(c.Trajs, sh.trajs...)
 	}
-	var stored [][][]int64
-	if stores == 0 {
-		if _, err := s.Peek(1); err == io.EOF {
-			return c
-		}
-		stored = append(stored, s.store())
+	if stored != nil {
+		c.attach(stored, shards)
 	}
-	s.frames(stores, "store", func(_ int, f stream) { stored = append(stored, f.store()) })
-	c.attach(stored, shards)
 	return c
 }
 
@@ -276,7 +278,6 @@ func (s stream) meta() *meta {
 	m.n = 1 // the final '#'
 	for k := uint64(0); k < nDocs; k++ {
 		l := s.count("document length", math.MaxInt32)
-		check(l > 0, "empty document %d", k)
 		m.lens = append(m.lens, int(l))
 		m.n += int(l) + 1 // its edges and '$'
 		check(m.n <= math.MaxInt32, "text length overflows int32")
@@ -291,6 +292,7 @@ func (m *meta) split(text []uint32) [][]uint32 {
 	trajs := make([][]uint32, len(m.lens))
 	pos := 0
 	for k, l := range m.lens {
+		check(l > 0, "empty document %d", k)
 		tr := make([]uint32, l)
 		for i := range tr {
 			sym := text[pos+l-1-i]
@@ -310,14 +312,43 @@ func (m *meta) split(text []uint32) [][]uint32 {
 // alphabet size, and the build options its header records.
 func (s stream) core() (text []uint32, sigma int, opts Options) {
 	s.magic(coreMagic)
+	n, sigma, maxLabel, opts := header(func() uint64 { return s.uvarint("core header") })
+
+	// Rows of context w, the suffixes starting with symbol w, occupy
+	// [c[w], c[w+1]).
+	c := make([]uint64, 1, min(sigma+1, 1<<16))
+	for w := 0; w < sigma; w++ {
+		c = append(c, c[w]+s.count("C array count", uint64(n)))
+	}
+	// Label l in context w names the edge adj[w][l-1]; the Z terms serve
+	// only rank and are skipped.
+	adj := make([][]etgraph.Edge, 0, min(sigma, 1<<16))
+	maxDeg := 0
+	for w := 0; w < sigma; w++ {
+		deg := s.count("out-degree", uint64(sigma))
+		to := make([]etgraph.Edge, 0, min(deg, 1<<12))
+		for range deg {
+			to = append(to, etgraph.Edge{To: uint32(s.count("edge target", uint64(sigma-1)))})
+			_, err := binary.ReadVarint(s)
+			check(err == nil, "edge Z: %v", err)
+		}
+		adj = append(adj, to)
+		maxDeg = max(maxDeg, len(to))
+	}
+	check(maxDeg == maxLabel, "max out-degree %d != header maxLabel %d", maxDeg, maxLabel)
+	return invert(s.labels(n, maxLabel), adj, c), sigma, opts
+}
+
+// header reads and checks the fields both core layouts open with — n,
+// σ, max label, bit-vector kind, RRR block, labeling strategy, seed, SA
+// sample rate — and returns the build options they record.
+func header(next func() uint64) (n, sigma, maxLabel int, opts Options) {
 	var hdr [8]uint64
 	for i := range hdr {
-		hdr[i] = s.uvarint("core header")
+		hdr[i] = next()
 	}
-	n, maxLabel := hdr[0], hdr[2]
-	check(n >= 1 && n <= math.MaxInt32 && hdr[1] >= 2 && hdr[1] <= 1<<32 && maxLabel <= hdr[1],
-		"implausible core header (n=%d sigma=%d maxLabel=%d)", n, hdr[1], maxLabel)
-	sigma = int(hdr[1])
+	check(hdr[0] >= 1 && hdr[0] <= math.MaxInt32 && hdr[1] >= 2 && hdr[1] <= 1<<32 && hdr[2] <= hdr[1],
+		"implausible core header (n=%d sigma=%d maxLabel=%d)", hdr[0], hdr[1], hdr[2])
 	switch kind, block := wavelet.BitvecKind(hdr[3]), hdr[4]; {
 	case kind == wavelet.PlainBits:
 		opts.Uncompressed = true
@@ -335,37 +366,21 @@ func (s stream) core() (text []uint32, sigma int, opts Options) {
 	}
 	check(hdr[7] <= math.MaxInt32, "SA sample rate %d", hdr[7])
 	opts.Seed, opts.SampleRate = int64(hdr[6]), int(hdr[7])
+	return int(hdr[0]), int(hdr[1]), int(hdr[2]), opts
+}
 
-	// Rows of context w, the suffixes starting with symbol w, occupy
-	// [c[w], c[w+1]).
-	c := make([]uint64, 1, min(sigma+1, 1<<16))
+// invert recovers the text from the labels of a labeled BWT, the
+// out-edges adj[w] of each context w in label order, and C (c[w] the
+// first row of context w), as the package comment describes.
+func invert(bwt []uint32, adj [][]etgraph.Edge, c []uint64) []uint32 {
+	n, sigma := len(bwt), len(adj)
+	check(c[sigma] == uint64(n), "C array ends at %d, want %d", c[sigma], n)
 	for w := 0; w < sigma; w++ {
-		c = append(c, c[w]+s.count("C array count", n))
-	}
-	check(c[sigma] == n, "C array sums to %d, want %d", c[sigma], n)
-	// Label l in context w names the edge to adj[w][l-1]; the Z terms
-	// serve only rank and are skipped.
-	adj := make([][]uint32, 0, min(sigma, 1<<16))
-	maxDeg := 0
-	for w := 0; w < sigma; w++ {
-		deg := s.count("out-degree", uint64(sigma))
-		to := make([]uint32, 0, min(deg, 1<<12))
-		for range deg {
-			to = append(to, uint32(s.count("edge target", uint64(sigma-1))))
-			_, err := binary.ReadVarint(s)
-			check(err == nil, "edge Z: %v", err)
-		}
-		adj = append(adj, to)
-		maxDeg = max(maxDeg, len(to))
-	}
-	check(uint64(maxDeg) == maxLabel, "max out-degree %d != header maxLabel %d", maxDeg, maxLabel)
-
-	bwt := s.labels(int(n), int(maxLabel))
-	for w := 0; w < sigma; w++ {
+		check(c[w] <= c[w+1], "C array not monotone at %d", w)
 		for j := c[w]; j < c[w+1]; j++ {
 			l := bwt[j]
 			check(l >= 1 && int(l) <= len(adj[w]), "label %d at row %d outside [1,%d] for context %d", l, j, len(adj[w]), w)
-			bwt[j] = adj[w][l-1]
+			bwt[j] = adj[w][l-1].To
 		}
 	}
 	// LF[j], the row of the suffix one position left of row j's, is
@@ -383,15 +398,15 @@ func (s stream) core() (text []uint32, sigma int, opts Options) {
 	// j's suffix in the text. The walk must be one n-cycle: a row
 	// revisited early would leave text positions unread. A visited row's
 	// LF becomes −1.
-	text = make([]uint32, n)
+	text := make([]uint32, n)
 	j := 0
-	for pos := int(n) - 1; pos >= 0; pos-- {
+	for pos := n - 1; pos >= 0; pos-- {
 		next := lf[j]
-		check(next >= 0, "LF mapping revisits row %d after %d steps", j, int(n)-1-pos)
-		text[(pos+int(n)-1)%int(n)] = bwt[j]
+		check(next >= 0, "LF mapping revisits row %d after %d steps", j, n-1-pos)
+		text[(pos+n-1)%n] = bwt[j]
 		lf[j], j = -1, next
 	}
-	return text, sigma, opts
+	return text
 }
 
 // labels decodes the Huffman code lengths and the n labels they code.

@@ -3,6 +3,7 @@ package legacy
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -221,10 +222,11 @@ func TestDecodeStoreRejectsCorruptBlob(t *testing.T) {
 	}
 }
 
-// preV3 lists the whole pre-v3 files under ../../testdata/legacy with
+// files lists the whole old files under ../../testdata/legacy with
 // their shard count and flavor (their corpora are pinned by the cinct
-// package's tests).
-var preV3 = []struct {
+// package's tests): the pre-v3 stream formats, then the version-3
+// containers.
+var files = []struct {
 	file     string
 	shards   int
 	temporal bool
@@ -236,14 +238,20 @@ var preV3 = []struct {
 	{"temporal-1-unversioned.tcinct", 1, true},
 	{"global-store-unversioned.tcinct", 3, true},
 	{"global-store-cncttemp.tcinct", 3, true},
+	{"v3-all-rrr-spatial-4.cinct", 4, false},
+	{"v3-all-rrr-temporal-1.tcinct", 1, true},
+	{"v3-int32-spatial-1.cinct", 1, false},
+	{"v3-int32-spatial-4.cinct", 4, false},
+	{"v3-int32-temporal-1.tcinct", 1, true},
+	{"v3-int32-temporal-4.tcinct", 4, true},
 }
 
-// TestDecodeFixtures pins Decode on every whole pre-v3 file: the shard
+// TestDecodeFixtures pins Decode on every whole old file: the shard
 // count and the options recorded, 120 trajectories, and the flavor
-// taken from the bytes alone — a CNCTtemp magic or a store after the
-// spatial stream.
+// taken from the bytes alone — a CNCTtemp magic, a store after the
+// spatial stream, or a container's temporal flavor.
 func TestDecodeFixtures(t *testing.T) {
-	for _, fx := range preV3 {
+	for _, fx := range files {
 		c, err := Decode(bytes.NewReader(fixture(t, "..", "..", "testdata", "legacy", fx.file)))
 		if err != nil {
 			t.Fatalf("%s: %v", fx.file, err)
@@ -257,22 +265,49 @@ func TestDecodeFixtures(t *testing.T) {
 	}
 }
 
+// TestDecodeContainerRejects pins the version-3 container's checks on
+// a real file: truncated, another version word, a store count that is
+// neither one nor one per shard, and a TOC entry past the file each
+// fail with ErrCorrupt.
+func TestDecodeContainerRejects(t *testing.T) {
+	full := fixture(t, "..", "..", "testdata", "legacy", "v3-int32-temporal-4.tcinct")
+	word := func(data []byte, k int, v uint64) []byte {
+		out := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(out[8*k:], v)
+		return out
+	}
+	for name, data := range map[string][]byte{
+		"truncated":       full[:len(full)/2],
+		"ragged":          full[:len(full)-3],
+		"version 4":       word(full, 1, 4),
+		"version 2":       word(full, 1, 2),
+		"two stores":      word(word(full, 6, 2), 3, 6),
+		"spatial flavor":  word(full, 2, 1),
+		"section too far": word(full, 8+4*4+2, uint64(len(full))),
+	} {
+		if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzDecode pins Decode: arbitrary bytes decode to a corpus that
 // cinct.Build accepts with the decoded options, or fail with
 // ErrCorrupt — never a panic, never an allocation past a small multiple
-// of the input. The in-code seeds are the whole pre-v3 fixtures; the
+// of the input. The in-code seeds are the whole old fixtures; the
 // committed ones are the frozen pre-v3 seeds of the cinct package's
 // FuzzLoadSharded (spatial-*, and the crash regression
-// 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*).
+// 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*), and two
+// version-3 containers scripts/genfuzzseeds copies (v3-*).
 func FuzzDecode(f *testing.F) {
-	for _, fx := range preV3 {
+	for _, fx := range files {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
-	for _, magic := range []string{metaMagic, shardMagic, temporalMagic} {
+	for _, magic := range []string{metaMagic, shardMagic, temporalMagic, containerMagic} {
 		f.Add([]byte(magic))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

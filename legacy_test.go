@@ -3,6 +3,7 @@ package cinct
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -18,11 +19,10 @@ import (
 
 // legacyFixture describes one committed file under testdata/legacy/:
 // an index over timedCorpus(seed) built with DefaultOptions and the
-// given shard count, written either by the stream-format writers Save
-// had before v3 became the only format written, or by an older v3
-// writer whose bytes Save no longer produces. The readers refuse the
-// pre-v3 ones with ErrLegacyFormat and `cinct convert` rewrites them;
-// the v3 ones Load reads and OpenMapped serves in place.
+// given shard count, written by a writer Save no longer is — the
+// stream formats from before v3, or a v3 container of version 3. The
+// readers refuse each with ErrLegacyFormat, and `cinct convert`
+// rewrites it.
 type legacyFixture struct {
 	file     string
 	seed     int64
@@ -55,38 +55,20 @@ func (fx legacyFixture) read(t *testing.T) []byte {
 	return data
 }
 
-// v3 reports whether the fixture is a v3 container.
-func (fx legacyFixture) v3() bool { return strings.HasPrefix(fx.file, "v3-") }
-
-// mapped opens a v3 fixture in place through OpenMapped, the path
-// cinctd serves it by.
-func (fx legacyFixture) mapped(t *testing.T) *Index {
-	t.Helper()
-	ix, err := OpenMapped(filepath.Join("testdata", "legacy", fx.file))
-	if err != nil {
-		t.Fatalf("OpenMapped(%s): %v", fx.file, err)
-	}
-	return ix
-}
-
-// load reads a v3 fixture through Load.
-func (fx legacyFixture) load(t *testing.T) *Index {
-	t.Helper()
-	ix, err := Load(bytes.NewReader(fx.read(t)))
-	if err != nil {
-		t.Fatalf("Load(%s): %v", fx.file, err)
-	}
-	return ix
-}
-
-// convert does what `cinct convert` does with a pre-v3 fixture: decode
-// the corpus it holds and rebuild it with the options it recorded. It
+// convert does what `cinct convert` does with the fixture: decode the
+// corpus it holds and rebuild it with the options it recorded. It
 // returns the v3 file that writes.
 func (fx legacyFixture) convert(t *testing.T) []byte {
 	t.Helper()
-	c, err := legacy.Decode(bytes.NewReader(fx.read(t)))
+	return convertLegacy(t, fx.file, fx.read(t))
+}
+
+// convertLegacy converts the old file data, named name.
+func convertLegacy(t *testing.T, name string, data []byte) []byte {
+	t.Helper()
+	c, err := legacy.Decode(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("legacy.Decode(%s): %v", fx.file, err)
+		t.Fatalf("legacy.Decode(%s): %v", name, err)
 	}
 	opts := Options(c.Options)
 	ix, err := build(c.Trajs, c.Times, &opts)
@@ -96,8 +78,8 @@ func (fx legacyFixture) convert(t *testing.T) []byte {
 	return saveV3Bytes(t, ix)
 }
 
-// convertAndMap does what `cinct convert` does with a v3 file — Save
-// the loaded index — and opens the result through OpenMapped.
+// convertAndMap re-saves a loaded index, as `cinct convert` does with a
+// current file, and opens the result through OpenMapped.
 func convertAndMap(t *testing.T, ix *Index) *Index {
 	t.Helper()
 	mapped := mapV3(t, saveV3Bytes(t, ix))
@@ -246,38 +228,29 @@ func checkLegacyAnswers(t *testing.T, fx legacyFixture, got *Index) {
 }
 
 // TestV3LegacyFormatsStillLoad pins backward compatibility: every
-// committed older file is readable — a v3 one through Load directly
-// and mapped in place, a pre-v3 one through the bytes `cinct convert`
-// writes for it — converts (Save, then OpenMapped), and in every form
+// committed older file converts — through the bytes `cinct convert`
+// writes for it — and the result, loaded, re-saved or mapped in place,
 // answers exactly like a fresh Build of the same corpus.
 func TestV3LegacyFormatsStillLoad(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		t.Run(fx.file, func(t *testing.T) {
-			file := fx.read(t)
-			if !fx.v3() {
-				file = fx.convert(t)
-			}
+			file := fx.convert(t)
 			loaded, err := Load(bytes.NewReader(file))
 			if err != nil {
-				t.Fatalf("Load(%s): %v", fx.file, err)
+				t.Fatalf("Load(converted %s): %v", fx.file, err)
 			}
 			t.Run("load", func(t *testing.T) { checkLegacyAnswers(t, fx, loaded) })
 			t.Run("converted", func(t *testing.T) { checkLegacyAnswers(t, fx, convertAndMap(t, loaded)) })
-			if fx.v3() {
-				t.Run("mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, fx.mapped(t)) })
-			}
+			t.Run("mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, file)) })
 		})
 	}
 }
 
-// TestLegacyFormatRefused pins the typed refusal of every pre-v3
-// fixture by every reader: the error is ErrLegacyFormat and names the
-// converter.
+// TestLegacyFormatRefused pins the typed refusal of every old fixture,
+// version-3 containers included, by every reader: the error is
+// ErrLegacyFormat and names the converter.
 func TestLegacyFormatRefused(t *testing.T) {
 	for _, fx := range legacyFixtures {
-		if fx.v3() {
-			continue
-		}
 		path := filepath.Join("testdata", "legacy", fx.file)
 		_, errLoad := Load(bytes.NewReader(fx.read(t)))
 		_, errLoadT := LoadTemporal(bytes.NewReader(fx.read(t)))
@@ -296,11 +269,12 @@ func TestLegacyFormatRefused(t *testing.T) {
 // TestLegacyTemporalLayout pins the global-store layout — several
 // spatial shards beside one corpus-wide timestamp store. Its pre-v3
 // encodings (the unversioned stream and the CNCTtemp container with
-// store count 1, both committed fixtures) convert to one store per
-// shard; a v3 file with storeCount 1 < shardCount, also through the
-// mapped path, is normalised to one store per shard at load. Either
-// way it then behaves like the BuildTemporal index over the same corpus
-// (see checkLegacyAnswers).
+// store count 1, both committed fixtures) and a version-3 container
+// with storeCount 1 < shardCount convert to one store per shard, and
+// then behave like the BuildTemporal index over the same corpus (see
+// checkLegacyAnswers). The readers refuse that version-3 file as
+// legacy, and the same header with version 4 as corrupt: a version-4
+// container holds one store per shard.
 func TestLegacyTemporalLayout(t *testing.T) {
 	fixtures := map[string]legacyFixture{}
 	for _, fx := range legacyFixtures {
@@ -329,24 +303,39 @@ func TestLegacyTemporalLayout(t *testing.T) {
 	fw := flat.NewWriter()
 	tempo.New(times).AppendFlat(fw)
 	secs = append(secs, v3Section{kind: v3KindTempo, words: fw.Words()})
-	var v3 bytes.Buffer
-	if _, err := writeV3(&v3, v3FlavorTemporal, uint64(fx.shards), 1, secs); err != nil {
+	var buf bytes.Buffer
+	if _, err := writeV3(&buf, v3FlavorTemporal, uint64(fx.shards), 1, secs); err != nil {
 		t.Fatal(err)
 	}
+	v4 := buf.Bytes()
+	v3 := append([]byte(nil), v4...)
+	binary.LittleEndian.PutUint64(v3[8:], 3)
+	for version, want := range map[string]struct {
+		data []byte
+		err  error
+	}{"3": {v3, ErrLegacyFormat}, "4": {v4, ErrCorrupt}} {
+		_, errLoad := Load(bytes.NewReader(want.data))
+		_, errMap := OpenMapped(writeTemp(t, want.data))
+		if !errors.Is(errLoad, want.err) || !errors.Is(errMap, want.err) {
+			t.Errorf("version %s, 1 store for %d shards: Load err = %v, OpenMapped err = %v; want %v",
+				version, fx.shards, errLoad, errMap, want.err)
+		}
+	}
+	converted := convertLegacy(t, "version-3 global store", v3)
 	t.Run("v3", func(t *testing.T) {
-		got, err := LoadTemporal(bytes.NewReader(v3.Bytes()))
+		got, err := LoadTemporal(bytes.NewReader(converted))
 		if err != nil {
 			t.Fatalf("LoadTemporal: %v", err)
 		}
 		checkLegacyAnswers(t, fx, got.Index)
 	})
-	t.Run("v3-mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, v3.Bytes())) })
+	t.Run("v3-mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, converted)) })
 }
 
-// TestV3Int32Repacks pins the one conversion a version-3 file gets: its
-// int32 locate samples, viewed in place at width 32, are repacked when
-// the index is saved, so converting a frozen version-3 fixture writes
-// exactly the bytes a fresh build at its sample rate (64) writes today.
+// TestV3Int32Repacks pins the conversion of a version-3 file: its
+// int32 locate samples are not read, and the index rebuilt from the
+// corpus it holds writes exactly the bytes a fresh build at its sample
+// rate (64) writes today.
 func TestV3Int32Repacks(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		if !strings.HasPrefix(fx.file, "v3-int32-") {
@@ -368,10 +357,8 @@ func TestV3Int32Repacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, got := range map[string]*Index{"load": fx.load(t), "mapped": fx.mapped(t)} {
-				if !bytes.Equal(saveV3Bytes(t, got), saveV3Bytes(t, want)) {
-					t.Errorf("%s: re-saved bytes differ from a fresh SampleRate-64 build", name)
-				}
+			if !bytes.Equal(fx.convert(t), saveV3Bytes(t, want)) {
+				t.Error("converted bytes differ from a fresh SampleRate-64 build")
 			}
 		})
 	}

@@ -1,14 +1,14 @@
 // Command genfuzzseeds regenerates the committed fuzz seed corpora
 // under testdata/fuzz/ and server/testdata/fuzz/: valid v3 containers
-// (monolithic, sharded, temporal, trees mixing plain and RRR nodes, a
-// container-version-3 file with int32 locate samples), truncations, a
-// locate header that lies about its width, bare magics, genuine
-// cursors and representative query bodies — the structured starting
-// points that let short CI fuzz runs reach deep parser states
-// immediately. The FuzzLoadSharded and FuzzLoadTemporal seeds, and
-// their copies under internal/legacy/testdata/fuzz/FuzzDecode, are
-// frozen pre-v3 files it does not touch. CI reruns it and fails if the
-// committed seeds differ from what it writes. Run from the repo root:
+// (monolithic, sharded, temporal, trees mixing plain and RRR nodes),
+// version-3 containers, truncations, a locate header that lies about
+// its width, bare magics, genuine cursors and representative query
+// bodies — the structured starting points that let short CI fuzz runs
+// reach deep parser states immediately. The FuzzLoadSharded and
+// FuzzLoadTemporal seeds, and their copies under internal/legacy's
+// FuzzDecode corpus, are frozen pre-v3 files it does not touch. CI
+// reruns it and fails if the committed seeds differ from what it
+// writes. Run from the repo root:
 //
 //	go run ./scripts/genfuzzseeds
 package main
@@ -175,12 +175,20 @@ func main() {
 		log.Fatal(err)
 	}
 	writeSeed(dir, "v3-mixed-nodes-temporal", buf.Bytes())
-	version3, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3-int32-spatial-1.cinct"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeSeed(dir, "v3-version3-int32-samples", version3)
 	writeSeed(dir, "magic-only", []byte("CNCTidx3"))
+
+	// Version-3 containers, which the readers refuse and convert decodes.
+	version3 := func(file string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", "legacy", file))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return data
+	}
+	decodeDir := filepath.Join("internal", "legacy", "testdata", "fuzz", "FuzzDecode")
+	writeSeed(dir, "v3-version3-int32-samples", version3("v3-int32-spatial-1.cinct"))
+	writeSeed(decodeDir, "v3-version3-int32-samples", version3("v3-int32-spatial-1.cinct"))
+	writeSeed(decodeDir, "v3-int32-temporal-4.tcinct", version3("v3-int32-temporal-4.tcinct"))
 
 	// FuzzWALReplay: a genuine two-batch segment (spatial + temporal
 	// rows), its torn-tail truncation, a bit-flipped-CRC variant, and

@@ -37,15 +37,19 @@ for f in "$datadir/smoke.cinct" "$datadir/tsmoke.tcinct"; do
   [ "$(head -c 8 "$f")" = CNCTidx3 ] || { echo "smoke: $f is not a v3 container" >&2; exit 1; }
 done
 echo "ok cinct build / build -times write v3 containers"
-# Files older builds wrote (pre-v3 stream formats, committed fixtures)
-# are not served: every reader refuses one and names the converter.
+# Files older builds wrote (pre-v3 stream formats and version-3
+# containers, committed fixtures) are not served: every reader refuses
+# one and names the converter.
 cp testdata/legacy/spatial-4.cinct "$workdir/legacy.cinct"
 cp testdata/legacy/temporal-4.tcinct "$workdir/tlegacy.tcinct"
-if out=$("$bindir/cinct" count -index "$workdir/legacy.cinct" -path "1 2" 2>&1); then
-  echo "smoke: cinct count served a pre-v3 file: $out" >&2; exit 1
-fi
-grep -q 'cinct convert' <<<"$out" || { echo "smoke: pre-v3 refusal does not name cinct convert: $out" >&2; exit 1; }
-echo "ok pre-v3 file refused, naming cinct convert"
+cp testdata/legacy/v3-int32-temporal-4.tcinct "$workdir/v3legacy.tcinct"
+for f in "$workdir/legacy.cinct" "$workdir/v3legacy.tcinct"; do
+  if out=$("$bindir/cinct" count -index "$f" -path "1 2" 2>&1); then
+    echo "smoke: cinct count served the old file $f: $out" >&2; exit 1
+  fi
+  grep -q 'cinct convert' <<<"$out" || { echo "smoke: refusal of $f does not name cinct convert: $out" >&2; exit 1; }
+done
+echo "ok pre-v3 and version-3 files refused, naming cinct convert"
 
 addr="127.0.0.1:18132"
 base="http://$addr"
@@ -314,10 +318,10 @@ wait "$daemon_pid" 2>/dev/null && rc=0 || rc=$?
 [ "$rc" = 0 ] || { echo "smoke: cinctd exited with $rc" >&2; exit 1; }
 daemon_pid=""
 
-echo "== converting the pre-v3 files to v3 (page-aligned, mmap-ready)"
+echo "== converting the old files to the current v3 container (page-aligned, mmap-ready)"
 # In-place conversion is safe: convert reads the whole file before
 # writing, and writes via a temp file + rename.
-for f in "$workdir/legacy.cinct" "$workdir/tlegacy.tcinct"; do
+for f in "$workdir/legacy.cinct" "$workdir/tlegacy.tcinct" "$workdir/v3legacy.tcinct"; do
   "$bindir/cinct" convert -in "$f" -out "$f"
   [ "$(head -c 8 "$f")" = CNCTidx3 ] || { echo "smoke: convert left $f not a v3 container" >&2; exit 1; }
   mv "$f" "$datadir/"
@@ -337,10 +341,10 @@ for i in $(seq 1 50); do
 done
 
 # Every index must serve mapped — the built and sealed ones as written,
-# the pre-v3 ones as converted — with every ingested row still present,
+# the old ones as converted — with every ingested row still present,
 # and answers must match the previous run's.
 check "/v1/indexes" \
-  '[.indexes[] | .mapped] == [true, true, true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403 and (.indexes[] | select(.name=="legacy") | .stats.trajectories) == 120 and (.indexes[] | select(.name=="tlegacy") | .stats.trajectories) == 120 and (.indexes[] | select(.name=="tlegacy") | .temporal) == true'
+  '[.indexes[] | .mapped] == [true, true, true, true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403 and (.indexes[] | select(.name=="legacy") | .stats.trajectories) == 120 and ([.indexes[] | select(.name=="tlegacy" or .name=="v3legacy") | .stats.trajectories, .temporal] == [120, true, 120, true])'
 post=$(qcount smoke "$mpath")
 [ "$post" = 3 ] || { echo "smoke: mmap count of marker path is $post, want 3" >&2; exit 1; }
 scount2=$(qcount smoke "$path")
@@ -357,10 +361,11 @@ lpath=$("$bindir/cinct" show -remote "$base" -name legacy -traj 0 | awk '{print 
 qcheck legacy "{\"path\":[$lpath]}" 'any(.[]; .trajectory == 0 and .offset == 0)'
 lcount=$(qcount legacy "$lpath")
 tlcount=$(qcount tlegacy "$lpath" '"from":0')
-[ "$tlcount" = "$lcount" ] && [ "$lcount" -ge 1 ] || {
-  echo "smoke: converted tlegacy interval count $tlcount, legacy count $lcount" >&2; exit 1
+v3lcount=$(qcount v3legacy "$lpath" '"from":0')
+[ "$tlcount" = "$lcount" ] && [ "$v3lcount" = "$lcount" ] && [ "$lcount" -ge 1 ] || {
+  echo "smoke: converted interval counts tlegacy $tlcount, v3legacy $v3lcount; legacy count $lcount" >&2; exit 1
 }
-echo "ok converted pre-v3 files serve mapped (interval count $tlcount == spatial count)"
+echo "ok converted old files serve mapped (interval counts $tlcount, $v3lcount == spatial count)"
 
 echo "== graceful shutdown (mmap daemon)"
 kill -TERM "$daemon_pid"

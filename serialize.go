@@ -3,28 +3,29 @@ package cinct
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// ErrLegacyFormat reports an index file in one of the stream formats
-// builds wrote before the v3 container: the single-index stream, the
-// sharded container or the temporal container (magics "CNCTmeta",
-// "CNCTshrd", "CNCTtemp"; the unversioned temporal layout starts with
-// one of the first two). Load and OpenMapped refuse them; `cinct
-// convert` rewrites one as v3, which both serve.
-var ErrLegacyFormat = errors.New("cinct: pre-v3 index file; rewrite it as v3 with `cinct convert`")
+// ErrLegacyFormat reports an index file in an older format: a pre-v3
+// stream (magics "CNCTmeta", "CNCTshrd", "CNCTtemp"; the unversioned
+// temporal layout starts with one of the first two) or a v3 container
+// of version 3. Load and OpenMapped refuse them; `cinct convert`
+// rewrites one in the current format.
+var ErrLegacyFormat = errors.New("cinct: index file in an older format; rewrite it with `cinct convert`")
 
-// legacyMagics are the leading bytes of the pre-v3 formats.
-var legacyMagics = []string{"CNCTmeta", "CNCTshrd", "CNCTtemp"}
-
-// checkLegacy refuses a file whose first bytes are a pre-v3 magic.
+// checkLegacy refuses a file whose first 16 bytes are a pre-v3 magic,
+// or the v3 magic and version word of container version 3.
 func checkLegacy(head []byte) error {
-	for _, m := range legacyMagics {
+	for _, m := range []string{"CNCTmeta", "CNCTshrd", "CNCTtemp"} {
 		if bytes.HasPrefix(head, []byte(m)) {
 			return fmt.Errorf("%w (magic %q)", ErrLegacyFormat, m)
 		}
+	}
+	if len(head) >= 16 && string(head[:8]) == v3Magic && binary.LittleEndian.Uint64(head[8:]) == 3 {
+		return fmt.Errorf("%w (container version 3)", ErrLegacyFormat)
 	}
 	return nil
 }
@@ -37,11 +38,11 @@ var ErrCorruptIndex = errors.New("cinct: corpus metadata inconsistent with core 
 // Load reads an index from r: the v3 container Save writes, in one
 // aligned read into the heap (OpenMapped maps the same file instead).
 // It returns what the file holds — an index with timestamps when the
-// header's flavor is temporal, so Temporal reports it. A pre-v3 file
+// header's flavor is temporal, so Temporal reports it. An older file
 // fails with ErrLegacyFormat, a malformed one with ErrCorrupt.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	head, _ := br.Peek(len(v3Magic))
+	head, _ := br.Peek(16)
 	if err := checkLegacy(head); err != nil {
 		return nil, err
 	}

@@ -27,12 +27,12 @@ import (
 //
 //	header   8 words (64 bytes)
 //	  [0] magic "CNCTidx3"
-//	  [1] version (4; version 3 is read too, see below)
+//	  [1] version (4)
 //	  [2] flavor: 1 spatial, 2 temporal
 //	  [3] section count S
 //	  [4] file size in bytes
 //	  [5] K: spatial shard count (0 = one shard, the single-index form)
-//	  [6] T: timestamp store count (0 for spatial files)
+//	  [6] T: timestamp store count (0 for spatial files, else one per shard)
 //	  [7] reserved (0)
 //	TOC      S × 4 words: {kind, shard, byte offset, byte length}
 //	  kind 1: spatial frame (flat corpus metadata ++ flat core index)
@@ -43,10 +43,9 @@ import (
 // 8, so any structure in the file can be viewed as a []uint64 without
 // copying. The file size is a whole number of pages.
 //
-// The version picks only the layout of each spatial frame's locate
-// samples: version 4 packs them at ⌈lg⌉ bits, version 3 (written until
-// the packing) stored them as int32. Both are viewed in place; see
-// core.ViewFlat.
+// Version 4 is the only one read. Version 3 (int32 locate samples, maybe
+// one store beside several shards) is refused with ErrLegacyFormat, and
+// `cinct convert` rebuilds it through internal/legacy.
 
 const (
 	v3Magic    = "CNCTidx3"
@@ -201,7 +200,7 @@ func writeV3(w io.Writer, flavor, shardCount, storeCount uint64, secs []v3Sectio
 // reachable; it is released by the garbage collector, so no Close is
 // needed (or offered — queries may outlive any safe close point).
 // Like Load it returns what the file holds, timestamps included, and
-// fails with ErrLegacyFormat on a pre-v3 file.
+// fails with ErrLegacyFormat on a file in an older format.
 func OpenMapped(path string) (*Index, error) {
 	f, err := mmapfile.Open(path)
 	if err != nil {
@@ -309,53 +308,40 @@ func viewContainer(words []uint64) (ix *Index, err error) {
 			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 	}()
-	return viewContainerInner(words)
-}
-
-func viewContainerInner(words []uint64) (*Index, error) {
 	if !flat.CanView() {
 		return nil, fmt.Errorf("%w: v3 containers require a little-endian host", ErrCorrupt)
 	}
 	if len(words) < 8 {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	version := words[1]
-	if words[0] != v3MagicWord() || (version != v3Version && version != 3) {
+	if words[0] != v3MagicWord() || words[1] != v3Version {
 		return nil, fmt.Errorf("%w: bad magic or version", ErrCorrupt)
 	}
 	flavor, nSec := words[2], words[3]
 	fileSize, shardCount, storeCount := words[4], words[5], words[6]
-	if flavor != v3FlavorSpatial && flavor != v3FlavorTemporal {
-		return nil, fmt.Errorf("%w: unknown flavor %d", ErrCorrupt, flavor)
-	}
 	if fileSize != uint64(len(words))*8 || fileSize%v3PageSize != 0 {
 		return nil, fmt.Errorf("%w: header claims %d bytes, have %d",
 			ErrCorrupt, fileSize, len(words)*8)
 	}
-	wantSpatial := shardCount
-	if wantSpatial == 0 {
-		wantSpatial = 1
-	}
-	wantStores := storeCount
-	if flavor == v3FlavorSpatial && wantStores != 0 {
-		return nil, fmt.Errorf("%w: spatial container with %d timestamp stores",
-			ErrCorrupt, wantStores)
-	}
-	if flavor == v3FlavorTemporal && wantStores == 0 {
-		return nil, fmt.Errorf("%w: temporal container without timestamp stores", ErrCorrupt)
+	// A spatial container holds no timestamp store, a temporal one one
+	// per shard.
+	wantSpatial := max(shardCount, 1)
+	if !(flavor == v3FlavorSpatial && storeCount == 0) && !(flavor == v3FlavorTemporal && storeCount == wantSpatial) {
+		return nil, fmt.Errorf("%w: flavor %d with %d timestamp stores for %d shards",
+			ErrCorrupt, flavor, storeCount, wantSpatial)
 	}
 	// Bound every header count before any arithmetic on them: a section
 	// needs at least one TOC word, so nSec (and hence shardCount and
 	// storeCount) can never exceed the file's word count. Checking the
-	// fields individually first keeps wantSpatial+wantStores from
+	// fields individually first keeps wantSpatial+storeCount from
 	// wrapping uint64 on attacker-controlled headers.
 	if nSec > uint64(len(words)) || shardCount > nSec || storeCount > nSec {
 		return nil, fmt.Errorf("%w: header counts (%d sections, %d shards, %d stores) exceed %d words",
 			ErrCorrupt, nSec, shardCount, storeCount, len(words))
 	}
-	if nSec != wantSpatial+wantStores {
+	if nSec != wantSpatial+storeCount {
 		return nil, fmt.Errorf("%w: %d sections for %d shards + %d stores",
-			ErrCorrupt, nSec, wantSpatial, wantStores)
+			ErrCorrupt, nSec, wantSpatial, storeCount)
 	}
 	tocEnd := 8 + 4*nSec
 	if tocEnd > uint64(len(words)) {
@@ -388,7 +374,7 @@ func viewContainerInner(words []uint64) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
 		}
-		ci, err := core.ViewFlat(cur, version == 3)
+		ci, err := core.ViewFlat(cur)
 		if err != nil {
 			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
 		}
@@ -401,15 +387,16 @@ func viewContainerInner(words []uint64) (*Index, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
-	ix, err := newIndex(shards...)
-	if err != nil {
+	if ix, err = newIndex(shards...); err != nil {
 		return nil, err
 	}
-	if wantStores == 0 {
+	if storeCount == 0 {
 		return ix, nil
 	}
-	stores := make([]*tempo.Store, wantStores)
-	for s := range stores {
+	// Each shard's store must cover exactly its trajectories, every
+	// column as long as its trajectory — the invariant that makes every
+	// At probe a query issues in range by construction.
+	for s, sh := range ix.shards {
 		sw, err := sectionWords(wantSpatial+uint64(s), v3KindTempo, uint64(s))
 		if err != nil {
 			return nil, err
@@ -423,7 +410,18 @@ func viewContainerInner(words []uint64) (*Index, error) {
 			return nil, fmt.Errorf("%w: store %d has %d trailing words",
 				ErrCorrupt, s, cur.Remaining())
 		}
-		stores[s] = ts
+		lo, hi := ix.bounds[s], ix.bounds[s+1]
+		if ts.NumTrajectories() != hi-lo {
+			return nil, fmt.Errorf("%w: store %d holds %d columns for %d trajectories",
+				ErrCorruptTimestamps, s, ts.NumTrajectories(), hi-lo)
+		}
+		for id := lo; id < hi; id++ {
+			if want := ix.TrajectoryLen(id); ts.Len(id-lo) != want {
+				return nil, fmt.Errorf("%w: trajectory %d has %d edges but %d timestamps",
+					ErrCorruptTimestamps, id, want, ts.Len(id-lo))
+			}
+		}
+		sh.ts = ts
 	}
-	return ix, ix.attachStores(stores)
+	return ix, nil
 }

@@ -72,7 +72,7 @@ func httpStatus(err error) int {
 		errors.Is(err, cinct.ErrNoLocate), errors.Is(err, cinct.ErrNoTimestamps),
 		errors.Is(err, cinct.ErrNotAppendable), errors.Is(err, engine.ErrNoRoadnet),
 		errors.Is(err, cinct.ErrLegacyFormat):
-		// A reload onto a pre-v3 file: the file is well-formed, only
+		// A reload onto a file in an older format: well-formed, only
 		// unservable until `cinct convert` rewrites it.
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrRateLimited):

@@ -154,9 +154,10 @@ func TestRouteTable(t *testing.T) {
 	}
 }
 
-// TestReloadOntoLegacyFileIs422 replaces an index's file with a pre-v3
-// one and reloads it over HTTP: the answer is 422 naming the converter,
-// and the index keeps serving what it had.
+// TestReloadOntoLegacyFileIs422 replaces an index's file with an old
+// one — a pre-v3 stream, then a version-3 container — and reloads it
+// over HTTP: the answer is 422 naming the converter, and the index
+// keeps serving what it had.
 func TestReloadOntoLegacyFileIs422(t *testing.T) {
 	dir := t.TempDir()
 	trajs := trajgen.Singapore2(trajgen.Config{GridW: 6, GridH: 6, NumTrajs: 40, MeanLen: 10, Seed: 5}).Trajs
@@ -176,24 +177,26 @@ func TestReloadOntoLegacyFileIs422(t *testing.T) {
 	ctx := context.Background()
 	c := NewClient(ts.URL, nil)
 
-	old, err := os.ReadFile(filepath.Join("..", "testdata", "legacy", "temporal-4.tcinct"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".tmp", old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Reload(ctx, "ix")
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity ||
-		!strings.Contains(apiErr.Message, "cinct convert") {
-		t.Fatalf("reload onto a pre-v3 file: %v, want HTTP 422 naming cinct convert", err)
-	}
-	path2 := trajs[0][:2]
-	if n, err := remoteCount(ctx, c, "ix", path2); err != nil || n != ix.Count(path2) {
-		t.Fatalf("after the refused reload count = %d, %v; want %d", n, err, ix.Count(path2))
+	for _, file := range []string{"temporal-4.tcinct", "v3-int32-temporal-4.tcinct"} {
+		old, err := os.ReadFile(filepath.Join("..", "testdata", "legacy", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+".tmp", old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(path+".tmp", path); err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Reload(ctx, "ix")
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity ||
+			!strings.Contains(apiErr.Message, "cinct convert") {
+			t.Fatalf("reload onto %s: %v, want HTTP 422 naming cinct convert", file, err)
+		}
+		path2 := trajs[0][:2]
+		if n, err := remoteCount(ctx, c, "ix", path2); err != nil || n != ix.Count(path2) {
+			t.Fatalf("after the refused reload onto %s count = %d, %v; want %d", file, n, err, ix.Count(path2))
+		}
 	}
 }

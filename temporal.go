@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"cinct/internal/tempo"
 )
 
 // TemporalIndex is an Index known to carry timestamps: every shard
@@ -111,67 +109,4 @@ func withTimestamps(ix *Index, err error) (*TemporalIndex, error) {
 		return nil, fmt.Errorf("%w: the file holds a spatial index", ErrNoTimestamps)
 	}
 	return &TemporalIndex{ix}, nil
-}
-
-// attachStores gives a freshly viewed (not yet published) spatial
-// index its timestamp stores, after checking that they cover exactly
-// its trajectories: every column length must equal its trajectory's
-// edge count — the invariant that makes every At probe issued by a
-// query in-range by construction.
-//
-// One store per shard is the layout every writer since the sharded
-// temporal build produces. Older v3 files may hold a single
-// corpus-wide store beside several spatial shards; it is normalised
-// here, once: its columns are re-encoded as per-shard stores, so
-// search, seal and compaction only ever see a store travelling with its
-// shard.
-func (ix *Index) attachStores(stores []*tempo.Store) error {
-	covers := func(s int, ts *tempo.Store, lo, hi int) error {
-		if ts.NumTrajectories() != hi-lo {
-			return fmt.Errorf("%w: store %d holds %d columns for %d trajectories",
-				ErrCorruptTimestamps, s, ts.NumTrajectories(), hi-lo)
-		}
-		for id := lo; id < hi; id++ {
-			if want := ix.TrajectoryLen(id); ts.Len(id-lo) != want {
-				return fmt.Errorf("%w: trajectory %d has %d edges but %d timestamps",
-					ErrCorruptTimestamps, id, want, ts.Len(id-lo))
-			}
-		}
-		return nil
-	}
-	switch {
-	case len(stores) == len(ix.shards):
-		for s, ts := range stores {
-			if err := covers(s, ts, ix.bounds[s], ix.bounds[s+1]); err != nil {
-				return err
-			}
-		}
-	case len(stores) == 1:
-		global := stores[0]
-		if err := covers(0, global, 0, ix.NumTrajectories()); err != nil {
-			return err
-		}
-		stores = make([]*tempo.Store, len(ix.shards))
-		// A mapped store is validated in O(metadata) only, so decoding
-		// its columns can still trip over deep corruption.
-		if err := containCorrupt(func() error {
-			for s := range stores {
-				cols := make([][]int64, 0, ix.bounds[s+1]-ix.bounds[s])
-				for id := ix.bounds[s]; id < ix.bounds[s+1]; id++ {
-					cols = append(cols, global.Column(id))
-				}
-				stores[s] = tempo.New(cols)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("%w: %d timestamp stores for %d shards",
-			ErrCorruptTimestamps, len(stores), len(ix.shards))
-	}
-	for s, sh := range ix.shards {
-		sh.ts = stores[s]
-	}
-	return nil
 }

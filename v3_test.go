@@ -419,7 +419,8 @@ func TestOpenMappedErrors(t *testing.T) {
 	if _, err := OpenMapped(legacy); !errors.Is(err, ErrLegacyFormat) {
 		t.Fatalf("OpenMapped(pre-v3 file) err = %v, want ErrLegacyFormat", err)
 	}
-	// Versions 3 and 4 are read; any other version word is not.
+	// Version 4 is read and version 3 refused as legacy (see
+	// TestLegacyFormatRefused); any other version word is corruption.
 	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3-int32-spatial-1.cinct"))
 	if err != nil {
 		t.Fatal(err)
