@@ -60,9 +60,9 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 // errors or hands back a structurally bounded index. Semantic
 // corruption, a lying sample value above all, may still surface as a
 // panic inside Locate or RowOf, which the search layer contains as a
-// typed error; what must not happen is a walk past
-// the step cap, a located position outside [0, n), or — when only the
-// samples are corrupt, so LF is sound — a row outside [0, n).
+// typed error; what must not happen is a walk past the step cap, a
+// located position outside [0, n), or — when only the samples are
+// corrupt, so LF is sound — a row outside [0, n).
 func TestFlatIndexCorruptView(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	text, sigma := markovText(rng, 15, 12, 10, 3)

@@ -14,8 +14,8 @@ import (
 
 const (
 	containerMagic = "CNCTidx3"
-	// symbolsPerWord bounds a frame's text by the file's size: even
-	// RRR(63) stores a 6-bit class per 63 symbols of its densest node.
+	// symbolsPerWord bounds a frame's text by the file's size: a root
+	// wavelet-tree node costs at least a 6-bit RRR(63) class per 63 symbols.
 	symbolsPerWord = 11 * 64
 )
 
