@@ -23,7 +23,7 @@
 //	POST /v1/{index}/subscribe             register a standing query
 //	GET  /v1/{index}/subscriptions/{id}/events   SSE notification stream
 //	DELETE /v1/{index}/subscriptions/{id}  cancel a standing query
-//	POST /v1/{index}/seal                  compact the delta, persist to the data dir
+//	POST /v1/{index}/seal                  seal the delta, compact, persist to the data dir
 //	POST /v1/{index}/compact               merge sealed shards (?full=true → one shard)
 //	POST /v1/{index}/reload                re-read from disk, bump generation
 //
@@ -33,14 +33,13 @@
 //
 // Appended trajectories live in an in-memory delta (immediately
 // queryable); once the delta reaches -seal-threshold trajectories the
-// engine seals it in the background into a compressed shard and
-// persists the sealed index back to its file in the data dir. With
-// -wal set, every acknowledged append is also written to a per-index
-// write-ahead log and replayed on restart, so appends survive a crash
-// between seals; with -compact-interval set, a background compactor
-// keeps the sealed-shard fan-out of every index that has taken appends
-// bounded by the tiered policy (-compact-min-shards /
-// -compact-max-shards / -compact-ratio).
+// engine seals it in the background into a compressed shard, merges
+// the sealed shards back to the library's default tiered compaction
+// policy (so query fan-out stays bounded), and persists the sealed
+// index back to its file in the data dir. An index nobody appends to
+// keeps the shard layout it was built with. With -wal set, every
+// acknowledged append is also written to a per-index write-ahead log
+// and replayed on restart, so appends survive a crash between seals.
 //
 // Traffic management: -rate-limit enforces a per-client request budget
 // (429 + Retry-After past it), -max-inflight sheds requests beyond the
@@ -63,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"cinct"
 	"cinct/internal/engine"
 	"cinct/server"
 )
@@ -88,14 +86,6 @@ func main() {
 			"WAL group-commit fsync interval (0 = 50ms default, negative = no timer)")
 		walSyncBytes = flag.Int("wal-sync-bytes", 0,
 			"fsync the WAL once this many unsynced bytes accumulate (0 = 1MiB default, negative = every append)")
-		compactEvery = flag.Duration("compact-interval", 0,
-			"background compaction sweep cadence (0 disables; POST /v1/{index}/compact always works)")
-		compactMin = flag.Int("compact-min-shards", 0,
-			"merge a tier once it holds this many coherent-sized shards (0 = default 4)")
-		compactMax = flag.Int("compact-max-shards", 0,
-			"merge at most this many shards per round (0 = default 16)")
-		compactRatio = flag.Int("compact-ratio", 0,
-			"shards within this size ratio form one tier (0 = default 8)")
 		rateLimit = flag.Float64("rate-limit", 0,
 			"per-client request budget in requests/second, keyed by X-Client-ID or remote IP (0 disables; over-budget requests get 429 + Retry-After)")
 		rateBurst = flag.Int("rate-burst", 0,
@@ -145,12 +135,6 @@ func main() {
 		ShedCost:  *shedCost,
 		WAL: engine.WALOptions{
 			Dir: *walDir, SyncInterval: *walSync, SyncBytes: *walSyncBytes,
-		},
-		Compaction: engine.CompactionOptions{
-			Interval: *compactEvery,
-			Policy: cinct.CompactionPolicy{
-				MinShards: *compactMin, MaxShards: *compactMax, TierRatio: *compactRatio,
-			},
 		},
 	})
 	defer eng.CloseAll()
@@ -211,8 +195,8 @@ func main() {
 		eng.Shutdown() // still sync the WALs before dying
 		os.Exit(1)
 	}
-	// The listener has drained: stop the background compactor and
-	// sync + close every write-ahead log before the process exits.
+	// The listener has drained: wait out any threshold seal and sync +
+	// close every write-ahead log before the process exits.
 	eng.Shutdown()
 	if err := <-errc; err != nil {
 		logger.Fatalf("serve: %v", err)

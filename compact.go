@@ -14,9 +14,10 @@ import (
 // shards), so surfacing it loudly beats silently dropping data.
 var errCompactRaced = errors.New("cinct: compaction raced a shard-set change")
 
-// CompactionPolicy tunes tiered compaction: when Writer.Compact (or
-// the serving engine's background compactor) decides a run of sealed
-// shards should be merged back into one CiNCT-compressed shard.
+// CompactionPolicy tunes tiered compaction: when Writer.Compact (which
+// the serving engine runs after every seal that adds a shard) decides
+// a run of sealed shards should be merged back into one
+// CiNCT-compressed shard.
 //
 // Shards form tiers by size: each seal emits one roughly
 // threshold-sized L0 shard, MinShards of those merge into one L1

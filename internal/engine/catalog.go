@@ -76,8 +76,8 @@ type entry struct {
 	// matches global-ID order and replay never sees interleaved
 	// batches.
 	ingestMu sync.Mutex
-	// persistMu serializes persistEntry: a foreground Seal and the
-	// background compactor both write path+".tmp", and two concurrent
+	// persistMu serializes persistEntry: an explicit Seal, a threshold
+	// seal and Compact all write path+".tmp", and two concurrent
 	// writers would interleave in that file or rename it from under
 	// each other. markClosed and Reload take it too, so a persist never
 	// overlaps them. Lock order: loadMu, persistMu, ingestMu, mu.
@@ -107,11 +107,6 @@ type entry struct {
 	// registered) index is its sealed base, so an entry nobody writes
 	// to is simply a writer whose delta stays empty.
 	w *cinct.Writer
-	// appended records that rows reached w since it was installed (an
-	// Append or a WAL replay). The background compactor reshapes only
-	// such entries: a served file nobody ingests into keeps the shard
-	// layout it was built with.
-	appended bool
 	// sealing admits one threshold-triggered background seal at a time.
 	sealing atomic.Bool
 	// sealErr records the outcome of the most recent persistence
@@ -208,7 +203,7 @@ func (en *entry) swap(ix *cinct.Index) (uint64, error) {
 	}
 	en.gen++
 	en.epoch++
-	en.w, en.appended = newWriter(ix), false
+	en.w = newWriter(ix)
 	en.sig = indexSig(ix)
 	return en.gen, nil
 }
@@ -229,7 +224,6 @@ func (e *Engine) appendBatch(en *entry, w *cinct.Writer, trajs [][]uint32, times
 		return 0, en.gen, err
 	}
 	en.gen++
-	en.appended = true
 	e.publishAppend(en.name, first, trajs, times)
 	return first, en.gen, nil
 }

@@ -25,18 +25,6 @@ type WALOptions struct {
 	SyncBytes int
 }
 
-// CompactionOptions configures background tiered compaction.
-type CompactionOptions struct {
-	// Interval is the cadence at which the compactor sweeps every
-	// live-ingestion entry for merge candidates. 0 disables the
-	// background loop (Engine.Compact still compacts on demand).
-	Interval time.Duration
-	// Policy tunes the tiered victim selection; the zero value uses
-	// the library defaults (tiers of 4, ratio 8, at most 16 shards
-	// per round).
-	Policy cinct.CompactionPolicy
-}
-
 // walDir returns the per-index WAL directory: one subdirectory per
 // index name, so segment sequences never collide across indexes.
 func (e *Engine) walDir(name string) string {
@@ -169,12 +157,14 @@ type CompactResult struct {
 	Generation uint64 `json:"generation"`
 }
 
-// Compact merges index name's sealed shards per the engine's
-// compaction policy (or down to a single shard when full is set),
-// looping until the shard set reaches the policy's fixpoint, then
-// persists the compacted state for file-backed entries. Queries,
-// appends and seals proceed throughout; global trajectory IDs — and
-// therefore outstanding cursors — are untouched.
+// Compact merges index name's sealed shards per the library's default
+// tiered policy (or down to a single shard when full is set), looping
+// until the shard set reaches the policy's fixpoint, then persists the
+// compacted state for file-backed entries — or retries a persist an
+// earlier seal or compaction left failed, so success means the file
+// holds every sealed row. Queries, appends and seals proceed
+// throughout; global trajectory IDs — and therefore outstanding
+// cursors — are untouched.
 func (e *Engine) Compact(ctx context.Context, name string, full bool) (CompactResult, error) {
 	if err := ctx.Err(); err != nil {
 		return CompactResult{}, err
@@ -187,110 +177,63 @@ func (e *Engine) Compact(ctx context.Context, name string, full bool) (CompactRe
 	if err != nil {
 		return CompactResult{}, err
 	}
-	policy := e.compaction.Policy
+	policy := cinct.CompactionPolicy{}
 	if full {
 		policy = cinct.FullCompaction
 	}
-	res := CompactResult{ShardsBefore: w.SealedShards(), ShardsAfter: w.SealedShards()}
-	t0 := time.Now()
-	defer func() { e.metrics.compactSec.Observe(time.Since(t0).Seconds()) }()
-	for {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		r, cerr := w.Compact(policy)
-		if cerr != nil {
-			return res, cerr
-		}
-		if r.Merged == 0 {
-			break
-		}
-		res.Merged += r.Merged
-		res.Rows += r.Rows
-		res.Rounds++
-		res.ShardsAfter = r.ShardsAfter
+	res, err := e.compactRounds(en, w, policy, func() bool { return ctx.Err() != nil })
+	if err == nil {
+		err = ctx.Err()
 	}
-	if res.Merged > 0 {
-		e.logf("engine: %q compacted %d shards down to %d (%d trajectories re-compressed, %d rounds)",
-			name, res.ShardsBefore, res.ShardsAfter, res.Rows, res.Rounds)
-		if perr := e.persistEntry(en, w, "compaction", res.Rows); perr != nil {
-			return res, perr
-		}
+	if perr := e.finish(en, w, "compaction", res.Merged > 0, res.Rows); err == nil {
+		err = perr
 	}
 	en.mu.RLock()
 	res.Generation = en.gen
 	en.mu.RUnlock()
-	return res, nil
+	return res, err
 }
 
-// compactLoop is the background compactor: every Interval it sweeps
-// the catalog and runs one merge round per ingesting entry whose shard
-// set is out of policy. One round per sweep keeps any single index
-// from monopolizing the CPU; a backlog converges over successive
-// sweeps.
-func (e *Engine) compactLoop() {
-	t := time.NewTicker(e.compaction.Interval)
-	defer t.Stop()
+// compactRounds runs w.Compact rounds under policy until one merges
+// nothing, timing each merge round into compactSec. It stops early,
+// between rounds, once stop reports true; the rounds already run
+// stand, since a merge never changes an answer.
+func (e *Engine) compactRounds(en *entry, w *cinct.Writer, policy cinct.CompactionPolicy, stop func() bool) (CompactResult, error) {
+	res := CompactResult{ShardsBefore: w.SealedShards(), ShardsAfter: w.SealedShards()}
+	var err error
 	for {
-		select {
-		case <-e.done:
-			return
-		case <-t.C:
+		t0 := time.Now()
+		var r cinct.CompactionResult
+		if r, err = w.Compact(policy); err != nil || r.Merged == 0 {
+			break
 		}
-		for _, name := range e.cat.names() {
-			select {
-			case <-e.done:
-				return
-			default:
-			}
-			e.compactOnce(name)
+		e.metrics.compactSec.Observe(time.Since(t0).Seconds())
+		res.Merged += r.Merged
+		res.Rows += r.Rows
+		res.Rounds++
+		res.ShardsAfter = r.ShardsAfter
+		if stop() {
+			break
 		}
 	}
+	if res.Merged > 0 {
+		e.logf("engine: %q compacted %d shards down to %d (%d trajectories re-compressed, %d rounds)",
+			en.name, res.ShardsBefore, res.ShardsAfter, res.Rows, res.Rounds)
+	}
+	return res, err
 }
 
-// compactOnce runs one policy round against name if rows were
-// appended to it since it was opened (an index nobody appends to keeps
-// whatever shape its file has — compaction exists to bound
-// ingestion-driven fan-out).
-func (e *Engine) compactOnce(name string) {
-	en, err := e.cat.get(name)
-	if err != nil {
-		return
-	}
-	en.mu.RLock()
-	w, appended := en.w, en.appended && !en.closed
-	en.mu.RUnlock()
-	if !appended {
-		return
-	}
-	t0 := time.Now()
-	r, err := w.Compact(e.compaction.Policy)
-	e.metrics.compactSec.Observe(time.Since(t0).Seconds())
-	if err != nil {
-		e.logf("engine: background compaction of %q: %v", name, err)
-		return
-	}
-	if r.Merged == 0 {
-		return
-	}
-	e.logf("engine: %q compacted shards [%d,%d) — %d trajectories, %d shards left",
-		name, r.Lo, r.Hi, r.Rows, r.ShardsAfter)
-	e.persistEntry(en, w, "compaction", r.Rows) //nolint:errcheck // logged, and kept in sealErr for the next Seal
-}
-
-// Shutdown stops the engine's background work — the compactor, and
-// threshold seals, each in-flight one finishing its persistence first
-// — then ends every standing-query subscription (their streams close,
-// expiry timers stop), and syncs and closes every write-ahead log.
+// Shutdown stops the engine's background work — threshold seals, each
+// in-flight one cutting its compaction short between rounds and
+// finishing its persistence first — then ends every standing-query
+// subscription (their streams close, expiry timers stop), and syncs
+// and closes every write-ahead log.
 // Call it after the serving layer has drained; queries still work
 // afterwards, appends no longer trigger seals, and appends to
 // WAL-backed entries fail.
 func (e *Engine) Shutdown() {
 	e.bgMu.Lock()
-	if !e.stopped {
-		e.stopped = true
-		close(e.done)
-	}
+	e.stopped = true
 	e.bgMu.Unlock()
 	e.bg.Wait()
 	e.subs.closeAll()

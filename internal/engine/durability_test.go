@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cinct"
+	"cinct/internal/querygen"
 )
 
 // walEngine opens an engine over dir with write-ahead logging rooted
@@ -237,9 +238,10 @@ func TestEngineWALAppendFailurePoisonsUntilReload(t *testing.T) {
 }
 
 // TestEngineCompactPersists drives Engine.Compact end to end: a burst
-// of tiny seals fans the shard set out, a full compaction brings it
-// back to one shard without changing any answer, and the compacted
-// state lands in the backing file so a Reload serves it.
+// of tiny seals fans the shard set out as far as the default policy
+// lets it, a full compaction brings it back to one shard without
+// changing any answer, and the compacted state lands in the backing
+// file so a Reload serves it.
 func TestEngineCompactPersists(t *testing.T) {
 	dir := t.TempDir()
 	trajs := testCorpus(29, 40)
@@ -267,7 +269,9 @@ func TestEngineCompactPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Stats.Shards < 5 {
+	// Each seal merges back to the default policy, which still leaves
+	// the tiny newest shards beside the built one.
+	if info.Stats.Shards < 2 {
 		t.Fatalf("per-seal fan-out missing: %d shards after 5 seals", info.Stats.Shards)
 	}
 	before, _ := drainEngine(t, e, "temporal", cinct.Query{Path: marker, Kind: cinct.Occurrences})
@@ -321,67 +325,97 @@ func TestEngineCompactPersists(t *testing.T) {
 	}
 }
 
-// TestEngineBackgroundCompaction pins the compactor goroutine: with a
-// short sweep interval, a fanned-out live index converges to the
-// tiered policy bound without any explicit Compact call, while a
-// served index nobody appended to keeps the shard layout it was built
-// with.
-func TestEngineBackgroundCompaction(t *testing.T) {
+// TestEngineSealsKeepPolicy pins that compaction follows the seal:
+// threshold seals alone, with no Compact call, leave the shard set at
+// the default policy's fixpoint and persist it, answers stay equal to
+// a naive scan, and an index nobody appends to keeps the shard layout
+// it was built with.
+func TestEngineSealsKeepPolicy(t *testing.T) {
 	dir := t.TempDir()
 	trajs := testCorpus(31, 30)
 	writeIndexes(t, dir, trajs)
-	e := New(Options{
-		SealThreshold: -1,
-		Compaction: CompactionOptions{
-			Interval: 5 * time.Millisecond,
-			Policy:   cinct.CompactionPolicy{MinShards: 2, MaxShards: 16, TierRatio: 1 << 20},
-		},
-	})
+	const threshold = 3
+	e := New(Options{SealThreshold: threshold})
 	defer e.CloseAll()
-	defer e.Shutdown()
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	en, err := e.cat.get("temporal")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	for i := 0; i < 6; i++ {
-		if _, err := e.Append(ctx, "temporal", [][]uint32{{uint32(i), 7, 8}}, [][]int64{{1, 2, 3}}); err != nil {
-			t.Fatal(err)
+	extra := testCorpus(32, 60)
+	for _, tr := range extra {
+		// One seal at a time runs per entry; waiting it out makes every
+		// third append start one, so the seals fan the shards out.
+		for en.sealing.Load() {
+			time.Sleep(time.Millisecond)
 		}
-		if _, err := e.Seal(ctx, "temporal"); err != nil {
+		if _, err := e.Append(ctx, "temporal", [][]uint32{tr}, testTimes([][]uint32{tr})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		info, err := e.Info("temporal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// MinShards 2 with an unbounded ratio converges to a single
-		// sealed shard (reported alongside any delta-free writer state).
-		if info.Stats.Shards <= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background compactor never converged: still %d shards", info.Stats.Shards)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Shutdown waits for the last seal but cuts its compaction short
+	// after a round, so let it reach the fixpoint first.
+	for en.sealing.Load() {
+		time.Sleep(time.Millisecond)
 	}
-	n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: []uint32{7, 8}, Kind: cinct.CountOnly})
+	e.Shutdown()
+	if got, want := e.metrics.sealSec.Count(), uint64(len(extra)/threshold); got != want {
+		t.Fatalf("%d threshold seals ran, want %d", got, want)
+	}
+	res, err := e.Compact(ctx, "temporal", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 6 {
-		t.Fatalf("post-compaction count = %d, want 6", n)
+	if res.Merged != 0 {
+		t.Fatalf("Compact after the seals merged %+v: the seals left the shard set out of policy", res)
 	}
-	// Every sweep visits "spatial" before "temporal", so the sweep that
-	// compacted "temporal" passed over the 3-shard "spatial" too.
-	info, err := e.Info("spatial")
+	all := append(append([][]uint32{}, trajs...), extra...)
+	check := func(when string) {
+		t.Helper()
+		for _, tr := range all[:20] {
+			path := tr[:min(2, len(tr))]
+			n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: path, Kind: cinct.CountOnly})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := querygen.NaiveCount(all, path); n != want {
+				t.Fatalf("%s: count %v = %d, want %d", when, path, n, want)
+			}
+		}
+	}
+	check("after the threshold seals")
+
+	// The last threshold seal persisted the shard set Compact finds in
+	// policy.
+	info, err := e.Info("temporal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Stats.Shards != 3 {
-		t.Fatalf("background compactor reshaped an index nobody appended to: %d shards, want 3", info.Stats.Shards)
+	if _, err := e.Reload("temporal"); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := e.Info("temporal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reloaded.Stats.Shards != info.Stats.Shards || reloaded.Stats.Trajectories != len(all) {
+		t.Fatalf("reloaded file holds %d shards and %d rows, want %d and %d",
+			reloaded.Stats.Shards, reloaded.Stats.Trajectories, info.Stats.Shards, len(all))
+	}
+	if res, err := e.Compact(ctx, "temporal", false); err != nil || res.Merged != 0 {
+		t.Fatalf("Compact of the reloaded file = %+v, %v; want nothing to merge", res, err)
+	}
+	check("after reload")
+
+	// Sealing an empty delta leaves the built 3-shard "spatial" alone.
+	if _, err := e.Seal(ctx, "spatial"); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := e.Info("spatial"); err != nil || info.Stats.Shards != 3 {
+		t.Fatalf("a seal reshaped an index nobody appended to: %+v, %v; want 3 shards", info.Stats, err)
 	}
 }
 

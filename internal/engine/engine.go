@@ -26,10 +26,12 @@ type Options struct {
 	// CacheEntries is the LRU capacity for Search result pages across
 	// all indexes. 0 means 4096; negative disables caching.
 	CacheEntries int
-	// SealThreshold makes the engine start a background seal (and
-	// persist its result) whenever an Append leaves an index's delta
-	// holding at least this many trajectories. 0 means 4096; negative
-	// disables threshold sealing (Seal must be called explicitly).
+	// SealThreshold makes the engine start a background seal whenever
+	// an Append leaves an index's delta holding at least this many
+	// trajectories. Like Seal, it merges the sealed shards back to the
+	// library's default compaction policy and persists the result. 0
+	// means 4096; negative disables threshold sealing (Seal must be
+	// called explicitly).
 	SealThreshold int
 	// Logf, when non-nil, receives operational log lines (background
 	// seals, persistence failures). nil discards them.
@@ -47,11 +49,6 @@ type Options struct {
 	// index is opened — so unsealed rows survive a crash. Zero value
 	// disables it.
 	WAL WALOptions
-	// Compaction configures tiered background compaction of sealed
-	// shards, bounding query fan-out under long-lived ingestion. Zero
-	// value disables the background compactor; Engine.Compact still
-	// works on demand.
-	Compaction CompactionOptions
 	// Metrics is the registry the engine records its operational series
 	// into (query latency and cost, cache hit/miss, pool occupancy and
 	// wait, seal/compaction durations, WAL footprint). nil creates a
@@ -114,14 +111,13 @@ type Engine struct {
 	roadnets *roadnetCatalog
 	subs     *subRegistry
 
-	walOpts    WALOptions
-	compaction CompactionOptions
-	// Background work — threshold seals and the compaction loop — is
-	// the engine's, started only through goBackground: Shutdown sets
-	// stopped (so nothing new starts), closes done and waits bg out.
+	walOpts WALOptions
+	// Background work — threshold seals — is the engine's, started
+	// only through goBackground: Shutdown sets stopped (so nothing new
+	// starts, and a running seal's compaction stops between rounds) and
+	// waits bg out.
 	bgMu    sync.Mutex
 	stopped bool
-	done    chan struct{}
 	bg      sync.WaitGroup
 }
 
@@ -133,23 +129,18 @@ func New(opts Options) *Engine {
 		logf = func(string, ...any) {}
 	}
 	e := &Engine{
-		cat:        newCatalog(),
-		cache:      newQueryCache(opts.cacheEntries()),
-		sem:        make(chan struct{}, opts.workers()),
-		sealAt:     opts.sealThreshold(),
-		logf:       logf,
-		slowQuery:  opts.SlowQuery,
-		shedCost:   opts.ShedCost,
-		roadnets:   newRoadnetCatalog(),
-		subs:       newSubRegistry(),
-		walOpts:    opts.WAL,
-		compaction: opts.Compaction,
-		done:       make(chan struct{}),
+		cat:       newCatalog(),
+		cache:     newQueryCache(opts.cacheEntries()),
+		sem:       make(chan struct{}, opts.workers()),
+		sealAt:    opts.sealThreshold(),
+		logf:      logf,
+		slowQuery: opts.SlowQuery,
+		shedCost:  opts.ShedCost,
+		roadnets:  newRoadnetCatalog(),
+		subs:      newSubRegistry(),
+		walOpts:   opts.WAL,
 	}
 	e.metrics = newEngineMetrics(opts.Metrics, e)
-	if e.compaction.Interval > 0 {
-		e.goBackground(e.compactLoop)
-	}
 	return e
 }
 
@@ -169,6 +160,13 @@ func (e *Engine) goBackground(fn func()) bool {
 		fn()
 	}()
 	return true
+}
+
+// stopping reports whether Shutdown has begun.
+func (e *Engine) stopping() bool {
+	e.bgMu.Lock()
+	defer e.bgMu.Unlock()
+	return e.stopped
 }
 
 // OpenDir loads every index file under dir (*.cinct and *.tcinct,
@@ -441,26 +439,30 @@ func (e *Engine) sealWhenFull(en *entry, delta int) {
 	}
 }
 
-// SealResult summarizes one compaction.
+// SealResult summarizes one seal: the delta cut into a shard, and the
+// shard set merged back to the default compaction policy.
 type SealResult struct {
-	// Sealed is the number of delta trajectories compacted (0 when the
+	// Sealed is the number of delta trajectories sealed (0 when the
 	// delta was already empty).
 	Sealed int `json:"sealed"`
 	// Delta is the number of trajectories still unsealed afterwards
 	// (rows appended while the seal ran).
 	Delta int `json:"deltaTrajectories"`
 	// Generation is the entry generation after the seal. Sealing does
-	// not bump it: query answers are unchanged by compaction, so
-	// cached results stay valid.
+	// not bump it: query answers are unchanged by sealing and
+	// compaction, so cached results stay valid.
 	Generation uint64 `json:"generation"`
 }
 
-// Seal compacts index name's delta into a compressed shard and, for
-// file-backed entries, persists the new sealed state to the backing
-// file (atomic tmp+rename). Queries and appends proceed throughout.
-// An empty delta seals trivially. A compaction whose persistence
-// failed — disk error, or a concurrent Reload that replaced the writer
-// mid-seal — returns that error rather than reporting durable success.
+// Seal compresses index name's delta into a new shard, merges the
+// sealed shards back to the library's default compaction policy and,
+// for file-backed entries, persists the new sealed state to the
+// backing file (atomic tmp+rename). Queries and appends proceed
+// throughout. An empty delta seals trivially and leaves the shard set
+// alone, so an index nobody appends to keeps its built layout. A seal
+// whose persistence failed — disk error, or a concurrent Reload that
+// replaced the writer mid-seal — returns that error rather than
+// reporting durable success.
 func (e *Engine) Seal(ctx context.Context, name string) (SealResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SealResult{}, err
@@ -473,7 +475,8 @@ func (e *Engine) Seal(ctx context.Context, name string) (SealResult, error) {
 }
 
 // seal is the one seal path, run by Seal and by the threshold trigger
-// alike: it seals the entry's writer and persists the result. It
+// alike: it seals the entry's writer, restores the default compaction
+// policy when the seal added a shard, and persists the result once. It
 // deliberately leaves the generation alone — a seal changes the
 // representation, not the answers, so cached pages and outstanding
 // cursors both stay valid.
@@ -488,24 +491,38 @@ func (e *Engine) seal(en *entry) (SealResult, error) {
 	if err != nil {
 		return SealResult{}, err
 	}
-	en.mu.RLock()
-	gen, perr := en.gen, en.sealErr
-	en.mu.RUnlock()
 	if n > 0 {
 		e.logf("engine: %q sealed %d trajectories", en.name, n)
+		_, err = e.compactRounds(en, w, cinct.CompactionPolicy{}, e.stopping)
 	}
-	// Persist what this seal produced, or retry a persistence an
-	// earlier seal or compaction left failed, so success means durable.
-	if n > 0 || perr != nil {
-		perr = e.persistEntry(en, w, "seal", n)
+	if perr := e.finish(en, w, "seal", n > 0, n); err == nil {
+		err = perr
 	}
-	return SealResult{Sealed: n, Delta: w.DeltaTrajectories(), Generation: gen}, perr
+	en.mu.RLock()
+	gen := en.gen
+	en.mu.RUnlock()
+	return SealResult{Sealed: n, Delta: w.DeltaTrajectories(), Generation: gen}, err
+}
+
+// finish is the one step after a seal or compaction: it persists w
+// when the operation changed its sealed shards, or retries a persist an
+// earlier seal or compaction left failed (entry.sealErr), so success
+// always means the backing file holds every sealed row.
+func (e *Engine) finish(en *entry, w *cinct.Writer, what string, changed bool, rows int) error {
+	en.mu.RLock()
+	failed := en.sealErr != nil
+	en.mu.RUnlock()
+	if !changed && !failed {
+		return nil
+	}
+	return e.persistEntry(en, w, what, rows)
 }
 
 // persistEntry writes w's sealed state to en's backing file
 // (tmp+rename) after a seal or compaction changed it, retires WAL
 // segments wholly covered by the persisted rows, and records the
-// outcome in entry.sealErr so a later Seal retries a failure.
+// outcome in entry.sealErr so a later Seal or Compact retries a
+// failure.
 func (e *Engine) persistEntry(en *entry, w *cinct.Writer, what string, rows int) error {
 	en.persistMu.Lock()
 	defer en.persistMu.Unlock()

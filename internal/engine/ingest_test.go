@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -258,6 +259,51 @@ func TestEngineSealSurfacesPersistFailure(t *testing.T) {
 	// The rows are still queryable in memory — only durability failed.
 	if n, err := searchCount(ctx, e, "spatial", cinct.Query{Path: []uint32{1, 2}, Kind: cinct.CountOnly}); err != nil || n == 0 {
 		t.Fatalf("sealed rows lost in memory too: n=%d err=%v", n, err)
+	}
+}
+
+// TestEngineCompactRetriesFailedPersist pins that Compact, like Seal,
+// retries a persist an earlier seal left failed even when it has
+// nothing to merge: success must mean the file holds every sealed row.
+func TestEngineCompactRetriesFailedPersist(t *testing.T) {
+	dir := t.TempDir()
+	trajs := testCorpus(5, 30)
+	writeIndexes(t, dir, trajs)
+	e := New(Options{SealThreshold: -1})
+	defer e.CloseAll()
+	if _, err := e.OpenDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	row := []uint32{3, 1, 4, 1, 5}
+	if _, err := e.Append(ctx, "spatial", [][]uint32{row}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Seal(ctx, "spatial"); err == nil {
+		t.Fatal("Seal reported success although persistence failed")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Compact(ctx, "spatial", false)
+	if err != nil {
+		t.Fatalf("Compact after the failed seal: %v", err)
+	}
+	if res.Merged != 0 {
+		t.Fatalf("CompactResult = %+v, want nothing to merge", res)
+	}
+	ix, err := cinct.OpenMapped(filepath.Join(dir, "spatial"+ExtSpatial))
+	if err != nil {
+		t.Fatalf("Compact reported success but left no loadable file: %v", err)
+	}
+	if got, want := ix.NumTrajectories(), len(trajs)+1; got != want {
+		t.Fatalf("persisted file holds %d rows, want %d", got, want)
+	}
+	if got, err := ix.Trajectory(len(trajs)); err != nil || !slices.Equal(got, row) {
+		t.Fatalf("persisted sealed row = %v, %v; want %v", got, err, row)
 	}
 }
 

@@ -57,7 +57,7 @@ func newEngineMetrics(reg *metrics.Registry, e *Engine) *engineMetrics {
 		poolWait:    reg.Histogram("cinct_pool_wait_seconds", "Time admitted queries spent waiting for a worker slot.", metrics.ExpBuckets(0.0001, 4, 8)),
 		appendRows:  reg.Counter("cinct_append_rows_total", "Trajectories accepted by Append."),
 		sealSec:     reg.Histogram("cinct_seal_seconds", "Seal durations, explicit and threshold-triggered.", metrics.ExpBuckets(0.001, 4, 8)),
-		compactSec:  reg.Histogram("cinct_compaction_seconds", "Compact call durations.", metrics.ExpBuckets(0.001, 4, 8)),
+		compactSec:  reg.Histogram("cinct_compaction_seconds", "Durations of compaction rounds that merged, in a seal or a Compact call.", metrics.ExpBuckets(0.001, 4, 8)),
 
 		gpsPoints:   reg.Counter("cinct_gps_points_total", "Raw GPS observations received for map matching."),
 		gpsMatched:  reg.Counter("cinct_gps_traces_matched_total", "GPS traces map-matched and appended."),

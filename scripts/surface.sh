@@ -26,6 +26,27 @@ done
 for pkg in . ./internal/engine ./server; do
   printf 'deprecated exported %-20s %s\n' "$pkg:" "$(deprecated "$pkg")"
 done
+# Settable option fields of a struct type: its exported fields, where a
+# field whose type is itself a struct counts as that struct's fields
+# (engine.Options.WAL is three options, not one).
+optfields() {
+  local pkg=$1 typ=$2 n=0 name ftype fpkg
+  while read -r name ftype; do
+    case "$ftype" in
+      [A-Z]*) fpkg=$pkg ;;                                     # same package
+      [a-z]*.[A-Z]*) fpkg=${ftype%%.*} ftype=${ftype#*.} ;;    # pkg.Type
+      *) fpkg= ;;                                              # builtin, pointer, func
+    esac
+    if [ -n "$fpkg" ] && go doc "$fpkg" "$ftype" 2>/dev/null | grep -q "^type $ftype struct {"; then
+      n=$((n + $(optfields "$fpkg" "$ftype")))
+    else
+      n=$((n + 1))
+    fi
+  done < <(go doc "$pkg" "$typ" | sed -n "/^type $typ struct {/,/^}/p" | grep $'^\t[A-Z]')
+  echo "$n"
+}
+echo "option fields engine.Options:            $(optfields ./internal/engine Options)"
+echo "option fields server.Config:             $(optfields ./server Config)"
 # The server's one route table (GET /metrics is mounted beside it).
 echo "registered API routes:                   $(grep -ho 'Pattern: *"[^"]*"' $(gofiles -v | grep '^server/') | wc -l)"
 echo "cinctd flags:                            $(go run ./cmd/cinctd -h 2>&1 | grep -c '^  -')"

@@ -29,12 +29,18 @@ const (
 // ingest serves the write path: the body is an NDJSON batch of
 // IngestRecord lines, appended atomically to the named index's live
 // delta and queryable as soon as the response is written. With
-// ?seal=true the delta is compacted into a compressed shard before
+// ?seal=true the delta is sealed into a compressed shard before
 // replying (useful for scripted loads that want durability per
-// batch); otherwise sealing is left to the background sealer or an
-// explicit POST /v1/{index}/seal.
+// batch); otherwise sealing is left to the threshold seal or an
+// explicit POST /v1/{index}/seal. Any ?seal value strconv.ParseBool
+// refuses is a 400, and the batch is not appended.
 func (s *Server) ingest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
+	// Parsed before the append: a bad value must not land the batch.
+	seal, err := boolParam(r, "seal")
+	if err != nil {
+		return err
+	}
 	var trajs [][]uint32
 	var times [][]int64
 	sawTimes := false
@@ -78,7 +84,7 @@ func (s *Server) ingest(ctx context.Context, w http.ResponseWriter, r *http.Requ
 		Delta:      res.Delta,
 		Generation: res.Generation,
 	}
-	if seal := r.URL.Query().Get("seal"); seal == "true" || seal == "1" {
+	if seal {
 		sres, err := s.eng.Seal(ctx, name)
 		if err != nil {
 			return err
@@ -101,14 +107,17 @@ func (s *Server) seal(ctx context.Context, w http.ResponseWriter, r *http.Reques
 	})
 }
 
-// compact merges the named index's sealed shards down to the engine's
+// compact merges the named index's sealed shards down to the default
 // tiered policy — or, with ?full=true, all the way to a single shard —
 // and persists the compacted state. Queries and ingestion proceed
 // throughout; the call returns once the shard set reaches its fixpoint.
 func (s *Server) compact(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
-	full := r.URL.Query().Get("full")
-	res, err := s.eng.Compact(ctx, name, full == "true" || full == "1")
+	full, err := boolParam(r, "full")
+	if err != nil {
+		return err
+	}
+	res, err := s.eng.Compact(ctx, name, full)
 	if err != nil {
 		return err
 	}

@@ -104,9 +104,10 @@ func TestIngestEndToEnd(t *testing.T) {
 	}
 
 	// Wire-shape checks the client can't see: missing times on a
-	// temporal index and malformed NDJSON are 400s.
-	post := func(index, body, params string) int {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/"+index+"/ingest"+params, strings.NewReader(body))
+	// temporal index, malformed NDJSON and a ?seal or ?full value
+	// strconv.ParseBool refuses are 400s; an empty value means false.
+	post := func(route, body string) int {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/"+route, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,20 +118,33 @@ func TestIngestEndToEnd(t *testing.T) {
 		res.Body.Close()
 		return res.StatusCode
 	}
-	if got := post("temporal4", `{"edges":[1,2]}`, ""); got != http.StatusBadRequest {
-		t.Fatalf("missing times on temporal: HTTP %d, want 400", got)
+	marker2 := `{"edges":[421,422]}`
+	for _, tc := range []struct {
+		name, route, body string
+		want              int
+	}{
+		{"missing times on temporal", "temporal4/ingest", `{"edges":[1,2]}`, http.StatusBadRequest},
+		{"times on spatial", "spatial4/ingest", `{"edges":[1],"times":[5]}`, http.StatusBadRequest},
+		{"malformed NDJSON", "spatial4/ingest", `{not json`, http.StatusBadRequest},
+		{"empty batch", "spatial4/ingest", "", http.StatusBadRequest},
+		{"unknown index", "nosuch/ingest", `{"edges":[1]}`, http.StatusNotFound},
+		{"seal=yes", "spatial4/ingest?seal=yes", marker2, http.StatusBadRequest},
+		{"seal=on", "spatial4/ingest?seal=on", marker2, http.StatusBadRequest},
+		{"seal=2", "spatial4/ingest?seal=2", marker2, http.StatusBadRequest},
+		{"full=yes", "spatial4/compact?full=yes", "", http.StatusBadRequest},
+		{"full=on", "spatial4/compact?full=on", "", http.StatusBadRequest},
+		{"full=2", "spatial4/compact?full=2", "", http.StatusBadRequest},
+		{"empty seal", "spatial4/ingest?seal=", marker2, http.StatusOK},
+		{"empty full", "spatial4/compact?full=", "", http.StatusOK},
+	} {
+		if got := post(tc.route, tc.body); got != tc.want {
+			t.Errorf("%s: POST %s: HTTP %d, want %d", tc.name, tc.route, got, tc.want)
+		}
 	}
-	if got := post("spatial4", `{"edges":[1],"times":[5]}`, ""); got != http.StatusBadRequest {
-		t.Fatalf("times on spatial: HTTP %d, want 400", got)
-	}
-	if got := post("spatial4", `{not json`, ""); got != http.StatusBadRequest {
-		t.Fatalf("malformed NDJSON: HTTP %d, want 400", got)
-	}
-	if got := post("spatial4", "", ""); got != http.StatusBadRequest {
-		t.Fatalf("empty batch: HTTP %d, want 400", got)
-	}
-	if got := post("nosuch", `{"edges":[1]}`, ""); got != http.StatusNotFound {
-		t.Fatalf("unknown index: HTTP %d, want 404", got)
+	// A refused ?seal value appended nothing; only the empty-seal row
+	// landed.
+	if n, err := remoteCount(ctx, c, "spatial4", []uint32{421, 422}); err != nil || n != 1 {
+		t.Fatalf("marker count after the ?seal rows = %d, %v; want 1", n, err)
 	}
 }
 

@@ -104,6 +104,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	return err
 }
 
+// boolParam parses an optional boolean query parameter: absent or
+// empty is false, and anything strconv.ParseBool refuses is a bad
+// request rather than a quiet false.
+func boolParam(r *http.Request, key string) (bool, error) {
+	raw := r.URL.Query().Get(key)
+	if raw == "" {
+		return false, nil
+	}
+	v, err := strconv.ParseBool(raw)
+	if err != nil {
+		return false, fmt.Errorf("%w: bad %s %q", errBadRequest, key, raw)
+	}
+	return v, nil
+}
+
 // requiredIntParam parses a mandatory integer query parameter.
 func requiredIntParam(r *http.Request, key string) (int, error) {
 	raw := r.URL.Query().Get(key)
