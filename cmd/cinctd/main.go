@@ -137,7 +137,6 @@ func main() {
 			Dir: *walDir, SyncInterval: *walSync, SyncBytes: *walSyncBytes,
 		},
 	})
-	defer eng.CloseAll()
 	names, err := eng.OpenDir(*data)
 	if err != nil {
 		logger.Fatalf("loading %s: %v", *data, err)
@@ -180,6 +179,9 @@ func main() {
 
 	select {
 	case err := <-errc:
+		// The listener failed: end every index (WALs synced and closed)
+		// before exiting.
+		eng.Shutdown()
 		if err != nil {
 			logger.Fatalf("serve: %v", err)
 		}
@@ -192,11 +194,12 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		logger.Printf("shutdown: %v", err)
-		eng.Shutdown() // still sync the WALs before dying
+		eng.Shutdown() // still end every index, syncing its WAL, before dying
 		os.Exit(1)
 	}
-	// The listener has drained: wait out any threshold seal and sync +
-	// close every write-ahead log before the process exits.
+	// The listener has drained: wait out any threshold seal, then end
+	// every index the way Close does (its WAL synced and closed) before
+	// the process exits.
 	eng.Shutdown()
 	if err := <-errc; err != nil {
 		logger.Fatalf("serve: %v", err)

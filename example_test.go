@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"cinct"
+	"cinct/internal/atomicfile"
 	"cinct/internal/engine"
 	"cinct/internal/gps"
 	"cinct/internal/mapmatch"
@@ -290,10 +293,21 @@ func Example_gpsIngest() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The engine serves index files: save the index to one and load it.
+	dir, err := os.MkdirTemp("", "roads")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	file := filepath.Join(dir, "roads.tcinct")
+	if _, err := atomicfile.Write(file, tix.Save); err != nil {
+		log.Fatal(err)
+	}
 	eng := engine.New(engine.Options{SealThreshold: -1})
-	defer eng.CloseAll()
 	defer eng.Shutdown()
-	eng.Register("roads", tix.Index)
+	if err := eng.Load("roads", file); err != nil {
+		log.Fatal(err)
+	}
 	eng.AttachRoadnet("roads", g, mapmatch.Config{})
 
 	// A standing query on the path, registered before anything lands.

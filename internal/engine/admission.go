@@ -24,11 +24,16 @@ var ErrOverloaded = errors.New("engine: overloaded")
 // first.
 const costUnbounded = int64(1) << 62
 
-// estimateCost prices a query before execution, in the same currency
-// QueryStats.Cost reports after it: decode-side steps. The estimate is
-// deliberately coarse — its only consumer is admission control, which
+// estimateCost prices a query before execution, from its descriptor
+// alone: a count at len(path), a bounded find at Limit×64, anything
+// else at costUnbounded. ShedCost is compared against this price only.
+// It is not QueryStats.Cost — the LF steps, decodes and delta rows a
+// query actually spent, which the cost histogram and the slow-query
+// log report — and the two are not comparable. The estimate is
+// deliberately coarse: its only consumer is admission control, which
 // needs to separate O(|path|) counts and limit-bounded streams from
-// full-range scans, not to predict latency.
+// full-range scans, not to predict latency. ROADMAP's "Priced plans"
+// item replaces it with a price read off the query plan.
 func estimateCost(q cinct.Query) int64 {
 	switch {
 	case q.Kind == cinct.CountOnly && q.Interval == nil:
@@ -39,7 +44,8 @@ func estimateCost(q cinct.Query) int64 {
 		// their occurrence counts cover Limit, so the walk is one
 		// SA-sample LF walk per occurrence of the shards holding the
 		// page — Limit of them at the least, more when the last shard
-		// needed is wide. Priced here at its lower bound, Limit walks.
+		// needed is wide. Priced at a flat 64 steps per hit (the old
+		// SampleRate), not at any walk length the plan knows.
 		return int64(q.Limit) * 64
 	}
 	return costUnbounded

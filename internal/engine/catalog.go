@@ -1,8 +1,9 @@
 // Package engine is the serving layer between the cinct library and
 // any front end (the cinctd HTTP daemon, the cinct CLI, tests): a
-// Catalog of named, independently loaded indexes behind one Engine
-// type with context-aware query methods, a bounded LRU result cache,
-// and a worker pool that bounds concurrent wavelet-tree traversals.
+// catalog of named, independently loaded index files behind one
+// Engine type with context-aware query methods, a bounded LRU result
+// cache, and a worker pool that bounds concurrent wavelet-tree
+// traversals.
 //
 // The split mirrors the daemon → router → handler layering of large Go
 // servers: the engine owns index lifecycle and concurrency; transports
@@ -42,9 +43,6 @@ var (
 	// ErrOutOfRange reports a trajectory ID or sub-path slice outside
 	// the index's bounds.
 	ErrOutOfRange = errors.New("engine: out of range")
-	// ErrNoFile reports a Reload of an index registered directly from
-	// memory, with no backing file to re-read.
-	ErrNoFile = errors.New("engine: index has no backing file")
 	// ErrCorrupt reports a query that panicked over corrupt index
 	// state; the panic is contained at the engine boundary so one bad
 	// index degrades its own requests instead of the whole process.
@@ -57,20 +55,19 @@ var (
 	ErrStaleCursor = errors.New("engine: stale cursor (index reloaded since it was issued)")
 )
 
-// entry is one named index in the catalog. The entry's RWMutex guards
-// the *binding* from name to writer (which load generation is current,
-// whether the entry is closed). Queries snapshot the binding under
+// entry is one named index file in the catalog. Every entry has one
+// lifecycle: open (Load or OpenDir) binds it, Reload rebinds it, and
+// markClosed ends it — for Close, CloseAll, a Load over its name and
+// Shutdown alike. The entry's RWMutex guards the *binding* from name
+// to writer (which load generation is current, whether the entry is
+// closed). Queries snapshot the binding under
 // RLock, and the writer hands each one an immutable (sealed shards,
 // delta prefix) pair to run lock-free against, so a slow traversal
 // never blocks a Reload and a Reload never blocks in-flight queries —
 // they simply finish against the generation they started on.
 type entry struct {
 	name string
-	path string // backing file; "" when registered from memory
-
-	// loadMu serializes disk loads (concurrent Reloads), keeping the
-	// read path's mu free during the expensive file read.
-	loadMu sync.Mutex
+	path string // the index file: opened, reloaded and persisted to
 	// ingestMu orders Append's two effects — the writer's ID
 	// assignment and the WAL record — so the log's record order always
 	// matches global-ID order and replay never sees interleaved
@@ -80,7 +77,8 @@ type entry struct {
 	// seal and Compact all write path+".tmp", and two concurrent
 	// writers would interleave in that file or rename it from under
 	// each other. markClosed and Reload take it too, so a persist never
-	// overlaps them. Lock order: loadMu, persistMu, ingestMu, mu.
+	// overlaps them, and Reloads of one entry run one at a time. Lock
+	// order: persistMu, ingestMu, mu.
 	persistMu sync.Mutex
 
 	mu  sync.RWMutex
@@ -90,8 +88,8 @@ type entry struct {
 	// the sig is derived from the data, so a cursor carrying (epoch,
 	// sig) stays resumable across a restart of an unchanged index but
 	// fails typed when the file changed while the process was down.
-	// It is computed at load/register/swap time only, never on Append
-	// or Seal: cursors survive in-process ingestion by design.
+	// It is computed by bind only, never on Append or Seal: cursors
+	// survive in-process ingestion by design.
 	sig uint64
 	// epoch tracks the identity of the trajectory-ID space: it bumps
 	// only when the binding is replaced wholesale (Reload, or a Load
@@ -103,9 +101,9 @@ type entry struct {
 	// keeps working.
 	epoch uint64
 	// w is what the entry serves: every query reads it and every
-	// append, seal and compaction goes through it. The loaded (or
-	// registered) index is its sealed base, so an entry nobody writes
-	// to is simply a writer whose delta stays empty.
+	// append, seal and compaction goes through it. The loaded index is
+	// its sealed base, so an entry nobody writes to is simply a writer
+	// whose delta stays empty.
 	w *cinct.Writer
 	// sealing admits one threshold-triggered background seal at a time.
 	sealing atomic.Bool
@@ -115,9 +113,9 @@ type entry struct {
 	// failed disk write is never reported as a durable seal.
 	sealErr error
 	// wal is the entry's write-ahead log, non-nil only when the engine
-	// runs with Options.WAL.Dir on a file-backed entry. Appends are
-	// logged before being acknowledged; replayed into the delta on
-	// open; retired once sealed rows persist.
+	// runs with Options.WAL.Dir. Appends are logged before being
+	// acknowledged; replayed into the delta on open; retired once
+	// sealed rows persist.
 	wal    *wal.Log
 	closed bool
 
@@ -140,9 +138,9 @@ type view struct {
 	w     *cinct.Writer
 }
 
-// newWriter wraps a loaded or registered index as the writer an entry
-// serves from. NewWriterAt fails only on a nil index or invalid build
-// options, and the engine passes neither.
+// newWriter wraps a loaded index as the writer an entry serves from.
+// NewWriterAt fails only on a nil index or invalid build options, and
+// the engine passes neither.
 func newWriter(ix *cinct.Index) *cinct.Writer {
 	w, err := cinct.NewWriterAt(ix, cinct.WriterConfig{})
 	if err != nil {
@@ -189,11 +187,25 @@ func (en *entry) writer() (*cinct.Writer, error) {
 	return en.w, nil
 }
 
-// swap installs a freshly loaded index behind a fresh writer, bumps
-// the generation (orphaning every cached result computed against the
-// old one) and the epoch (invalidating outstanding cursors — the
-// reloaded file may hold arbitrarily different data); the old writer's
-// unsealed delta does not survive a reload. It returns the new
+// bind serves ix from a fresh writer and continues the entry's
+// sequences past (gen, epoch). The next generation orphans every
+// cached result of the old binding; the next epoch invalidates its
+// outstanding cursors, since a reloaded or replacing file may hold
+// arbitrarily different data. The caller holds mu, or the entry is not
+// yet published.
+func (en *entry) bind(ix *cinct.Index, gen, epoch uint64) {
+	en.w, en.sig = newWriter(ix), indexSig(ix)
+	en.continueFrom(gen, epoch)
+}
+
+// continueFrom sets the entry's generation and epoch to the ones after
+// (gen, epoch).
+func (en *entry) continueFrom(gen, epoch uint64) {
+	en.gen, en.epoch = gen+1, epoch+1
+}
+
+// swap rebinds a published entry to a freshly loaded index; the old
+// writer's unsealed delta does not survive a reload. It returns the new
 // generation.
 func (en *entry) swap(ix *cinct.Index) (uint64, error) {
 	en.mu.Lock()
@@ -201,10 +213,7 @@ func (en *entry) swap(ix *cinct.Index) (uint64, error) {
 	if en.closed {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, en.name)
 	}
-	en.gen++
-	en.epoch++
-	en.w = newWriter(ix)
-	en.sig = indexSig(ix)
+	en.bind(ix, en.gen, en.epoch)
 	return en.gen, nil
 }
 
@@ -241,18 +250,18 @@ func (en *entry) loadFromFile() (*cinct.Index, error) {
 	return ix, nil
 }
 
-// Catalog maps names to independently loaded indexes. All methods are
+// catalog maps names to independently loaded indexes. All methods are
 // safe for concurrent use.
-type Catalog struct {
+type catalog struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
 }
 
-func newCatalog() *Catalog {
-	return &Catalog{entries: make(map[string]*entry)}
+func newCatalog() *catalog {
+	return &catalog{entries: make(map[string]*entry)}
 }
 
-func (c *Catalog) get(name string) (*entry, error) {
+func (c *catalog) get(name string) (*entry, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	en, ok := c.entries[name]
@@ -263,7 +272,7 @@ func (c *Catalog) get(name string) (*entry, error) {
 }
 
 // view resolves name to a consistent snapshot of its current index.
-func (c *Catalog) view(name string) (view, error) {
+func (c *catalog) view(name string) (view, error) {
 	en, err := c.get(name)
 	if err != nil {
 		return view{}, err
@@ -271,25 +280,31 @@ func (c *Catalog) view(name string) (view, error) {
 	return en.snapshot()
 }
 
-// install publishes a new or replacement entry under name. A
-// replacement continues the old entry's generation and epoch
-// sequences — the cache keys embed (name, generation) and cursors
-// embed the epoch, so a Load over an existing name must orphan old
-// results and cursors exactly like Reload does.
-func (c *Catalog) install(en *entry) {
+// install publishes a new or replacement entry under name and returns
+// the error of ending the entry it replaced. A replacement continues
+// the old entry's generation and epoch sequences — the cache keys
+// embed (name, generation) and cursors embed the epoch, so a Load over
+// an existing name must orphan old results and cursors exactly like
+// Reload does.
+func (c *catalog) install(en *entry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var err error
 	if old, ok := c.entries[en.name]; ok {
-		gen, epoch := old.markClosed()
-		en.gen, en.epoch = gen+1, epoch+1
+		var gen, epoch uint64
+		gen, epoch, err = old.markClosed()
+		en.continueFrom(gen, epoch)
 	}
 	c.entries[en.name] = en
+	return err
 }
 
-// markClosed closes the entry once a persist in flight has finished and
-// returns its final generation and epoch. The WAL is synced and closed —
-// its segments stay on disk, so unsealed rows replay on the next open.
-func (en *entry) markClosed() (gen, epoch uint64) {
+// markClosed ends the entry once a persist in flight has finished and
+// returns its final generation and epoch. Every call on the entry fails
+// with ErrNotFound afterwards. The WAL is synced and closed — its
+// segments stay on disk, so unsealed rows replay on the next open; err
+// reports a failed final sync.
+func (en *entry) markClosed() (gen, epoch uint64, err error) {
 	en.persistMu.Lock()
 	defer en.persistMu.Unlock()
 	en.mu.Lock()
@@ -297,29 +312,29 @@ func (en *entry) markClosed() (gen, epoch uint64) {
 	en.closed = true
 	en.w = nil
 	if en.wal != nil {
-		en.wal.Close() //nolint:errcheck // best-effort final sync; segments replay regardless
+		if err = en.wal.Close(); err != nil {
+			err = fmt.Errorf("engine: closing %q write-ahead log: %w", en.name, err)
+		}
 		en.wal = nil
 	}
-	return en.gen, en.epoch
+	return en.gen, en.epoch, err
 }
 
-// remove closes and unregisters name.
-func (c *Catalog) remove(name string) error {
+// remove unregisters name and ends its entry.
+func (c *catalog) remove(name string) error {
 	c.mu.Lock()
 	en, ok := c.entries[name]
-	if ok {
-		delete(c.entries, name)
-	}
+	delete(c.entries, name)
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	en.markClosed()
-	return nil
+	_, _, err := en.markClosed()
+	return err
 }
 
 // names returns the registered index names, sorted.
-func (c *Catalog) names() []string {
+func (c *catalog) names() []string {
 	c.mu.RLock()
 	out := make([]string, 0, len(c.entries))
 	for name := range c.entries {

@@ -31,29 +31,21 @@ func (e *Engine) walDir(name string) string {
 	return filepath.Join(e.walOpts.Dir, name)
 }
 
-// openWAL attaches a write-ahead log to a file-backed entry not yet
-// published in the catalog (fresh loads attach the log before install,
-// so no Append can ever reach an entry whose log is missing or
-// mid-replay). Published entries must use openWALLocked under the
-// entry's ingestMu instead.
-func (e *Engine) openWAL(en *entry) error {
-	en.ingestMu.Lock()
-	defer en.ingestMu.Unlock()
-	return e.openWALLocked(en)
-}
-
-// openWALLocked opens (recovering and truncating a torn tail),
-// replays every batch the persisted index file does not already hold
-// into the entry's delta, retires fully covered segments, and
-// publishes the log handle for Append. A no-op when the engine runs
-// without Options.WAL or the entry has no backing file.
+// openWAL opens the entry's write-ahead log (recovering and
+// truncating a torn tail), replays every batch the persisted index
+// file does not already hold into the entry's delta, retires fully
+// covered segments, and publishes the log handle for Append. A no-op
+// when the engine runs without Options.WAL. open attaches the log
+// before it publishes the entry, and Reload reattaches it after its
+// swap, so no Append can reach an entry whose log is missing or
+// mid-replay.
 //
 // Caller holds en.ingestMu: Append reads the (writer, wal) pair under
 // that lock, so holding it from dropping the old handle to publishing
 // the new one leaves no window where an append is acknowledged
 // without a log record or logged against a stale handle.
-func (e *Engine) openWALLocked(en *entry) error {
-	if e.walOpts.Dir == "" || en.path == "" {
+func (e *Engine) openWAL(en *entry) error {
+	if e.walOpts.Dir == "" {
 		return nil
 	}
 	// Reload path: drop the previous log handle first; its segments
@@ -160,7 +152,7 @@ type CompactResult struct {
 // Compact merges index name's sealed shards per the library's default
 // tiered policy (or down to a single shard when full is set), looping
 // until the shard set reaches the policy's fixpoint, then persists the
-// compacted state for file-backed entries — or retries a persist an
+// compacted state to the index file — or retries a persist an
 // earlier seal or compaction left failed, so success means the file
 // holds every sealed row. Queries, appends and seals proceed
 // throughout; global trajectory IDs — and therefore outstanding
@@ -185,7 +177,7 @@ func (e *Engine) Compact(ctx context.Context, name string, full bool) (CompactRe
 	if err == nil {
 		err = ctx.Err()
 	}
-	if perr := e.finish(en, w, "compaction", res.Merged > 0, res.Rows); err == nil {
+	if perr := e.persistEntry(en, w, "compaction", res.Merged > 0, res.Rows); err == nil {
 		err = perr
 	}
 	en.mu.RLock()
@@ -226,30 +218,17 @@ func (e *Engine) compactRounds(en *entry, w *cinct.Writer, policy cinct.Compacti
 // Shutdown stops the engine's background work — threshold seals, each
 // in-flight one cutting its compaction short between rounds and
 // finishing its persistence first — then ends every standing-query
-// subscription (their streams close, expiry timers stop), and syncs
-// and closes every write-ahead log.
-// Call it after the serving layer has drained; queries still work
-// afterwards, appends no longer trigger seals, and appends to
-// WAL-backed entries fail.
+// subscription (their streams close, expiry timers stop) and closes
+// every index through CloseAll, the way Close ends one: each WAL is
+// synced and closed, its unsealed rows left to replay on the next open.
+// Call it once, after the serving layer has drained. Afterwards every
+// call on an index fails with ErrNotFound, exactly as after CloseAll,
+// so no append is acknowledged that the log does not hold.
 func (e *Engine) Shutdown() {
 	e.bgMu.Lock()
 	e.stopped = true
 	e.bgMu.Unlock()
 	e.bg.Wait()
 	e.subs.closeAll()
-	for _, name := range e.cat.names() {
-		en, err := e.cat.get(name)
-		if err != nil {
-			continue
-		}
-		en.mu.Lock()
-		wl := en.wal
-		en.wal = nil
-		en.mu.Unlock()
-		if wl != nil {
-			if err := wl.Close(); err != nil {
-				e.logf("engine: closing %q wal: %v", name, err)
-			}
-		}
-	}
+	e.CloseAll()
 }

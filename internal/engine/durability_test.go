@@ -336,7 +336,7 @@ func TestEngineSealsKeepPolicy(t *testing.T) {
 	writeIndexes(t, dir, trajs)
 	const threshold = 3
 	e := New(Options{SealThreshold: threshold})
-	defer e.CloseAll()
+	defer e.Shutdown()
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +356,10 @@ func TestEngineSealsKeepPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Shutdown waits for the last seal but cuts its compaction short
-	// after a round, so let it reach the fixpoint first.
+	// Let the last seal reach the fixpoint before counting.
 	for en.sealing.Load() {
 		time.Sleep(time.Millisecond)
 	}
-	e.Shutdown()
 	if got, want := e.metrics.sealSec.Count(), uint64(len(extra)/threshold); got != want {
 		t.Fatalf("%d threshold seals ran, want %d", got, want)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"cinct"
 	"cinct/internal/atomicfile"
-	"cinct/internal/metrics"
 	"cinct/internal/wal"
 )
 
@@ -49,11 +48,6 @@ type Options struct {
 	// index is opened — so unsealed rows survive a crash. Zero value
 	// disables it.
 	WAL WALOptions
-	// Metrics is the registry the engine records its operational series
-	// into (query latency and cost, cache hit/miss, pool occupancy and
-	// wait, seal/compaction durations, WAL footprint). nil creates a
-	// private registry, reachable through Engine.Metrics.
-	Metrics *metrics.Registry
 	// SlowQuery logs every query whose wall time reaches this duration
 	// through Logf, with its full cinct.QueryStats cost account. 0
 	// disables the slow-query log.
@@ -93,13 +87,13 @@ func (o Options) sealThreshold() int {
 	return 4096
 }
 
-// Engine serves queries over a Catalog of named indexes. It is the
+// Engine serves queries over a catalog of named index files. It is the
 // single concurrency point of the system: every transport (HTTP
 // daemon, CLI, tests) funnels through the same bounded worker pool and
 // shares the same result cache, so answers and load behavior cannot
 // diverge between in-process and remote callers.
 type Engine struct {
-	cat       *Catalog
+	cat       *catalog
 	cache     *queryCache
 	sem       chan struct{}
 	sealAt    int
@@ -121,8 +115,7 @@ type Engine struct {
 	bg      sync.WaitGroup
 }
 
-// New creates an empty engine; load indexes with OpenDir, Load or
-// Register.
+// New creates an empty engine; load indexes with OpenDir or Load.
 func New(opts Options) *Engine {
 	logf := opts.Logf
 	if logf == nil {
@@ -140,7 +133,7 @@ func New(opts Options) *Engine {
 		subs:      newSubRegistry(),
 		walOpts:   opts.WAL,
 	}
-	e.metrics = newEngineMetrics(opts.Metrics, e)
+	e.metrics = newEngineMetrics(e)
 	return e
 }
 
@@ -202,40 +195,34 @@ func (e *Engine) open(en *entry) error {
 	if err != nil {
 		return err
 	}
-	en.gen, en.epoch = 1, 1
-	en.w, en.sig = newWriter(ix), indexSig(ix)
+	en.bind(ix, 0, 0)
 	// WAL before install: once the entry is reachable through the
 	// catalog an Append must find a live log handle, or its batch
 	// would be acknowledged without a record.
-	if err := e.openWAL(en); err != nil {
+	en.ingestMu.Lock()
+	err = e.openWAL(en)
+	en.ingestMu.Unlock()
+	if err != nil {
 		return err
 	}
-	e.cat.install(en)
+	if err := e.cat.install(en); err != nil {
+		e.logf("%v", err)
+	}
 	return nil
 }
 
-// Register publishes an in-memory index, spatial or temporal, under
-// name (no backing file; Reload will fail with ErrNoFile).
-func (e *Engine) Register(name string, ix *cinct.Index) {
-	e.cat.install(&entry{name: name, gen: 1, epoch: 1, sig: indexSig(ix), w: newWriter(ix)})
-}
-
-// Reload re-reads name's backing file, atomically swaps the new index
-// in, and returns the new generation (so concurrent reloaders can each
-// pair their call with the swap it produced). In-flight queries finish
+// Reload re-reads name's file, atomically swaps the new index in, and
+// returns the new generation (so concurrent reloaders can each pair
+// their call with the swap it produced). In-flight queries finish
 // against the old generation; cached results of the old generation
 // become unreachable at once (see queryCache). The old index stays
-// valid until its last query returns.
+// valid until its last query returns. Reloads of one entry run one at
+// a time, and never between a persist's rename and its WAL retire.
 func (e *Engine) Reload(name string) (uint64, error) {
 	en, err := e.cat.get(name)
 	if err != nil {
 		return 0, err
 	}
-	if en.path == "" {
-		return 0, fmt.Errorf("%w: %q", ErrNoFile, name)
-	}
-	en.loadMu.Lock()
-	defer en.loadMu.Unlock()
 	// No persist runs until the WAL reopens: the read holds every retired row.
 	en.persistMu.Lock()
 	defer en.persistMu.Unlock()
@@ -260,27 +247,28 @@ func (e *Engine) Reload(name string) (uint64, error) {
 	// but the WAL still holds those rows: reopen and replay it against
 	// the freshly loaded file so a reload loses nothing that was
 	// acknowledged.
-	werr := e.openWALLocked(en)
+	err = e.openWAL(en)
 	en.ingestMu.Unlock()
-	if werr != nil {
-		return gen, werr
-	}
-	return gen, nil
+	return gen, err
 }
 
 // Close unregisters name, ends its standing queries, and releases its
 // index for collection once in-flight queries drain. A persist in
-// flight finishes first, and a later one is refused.
+// flight finishes first, and a later one is refused; the WAL is synced
+// and closed, its unsealed rows left to replay on the next open. Every
+// later call on name fails with ErrNotFound until it is loaded again.
+// The error is ErrNotFound, or a failed final WAL sync.
 func (e *Engine) Close(name string) error {
 	e.subs.closeIndex(name)
 	return e.cat.remove(name)
 }
 
-// CloseAll closes every index.
+// CloseAll closes every index, logging a failed final WAL sync.
 func (e *Engine) CloseAll() {
 	for _, name := range e.cat.names() {
-		e.subs.closeIndex(name)
-		e.cat.remove(name) //nolint:errcheck // raced removals are fine
+		if err := e.Close(name); err != nil && !errors.Is(err, ErrNotFound) {
+			e.logf("%v", err) // a raced removal is fine
+		}
 	}
 }
 
@@ -302,9 +290,10 @@ type Info struct {
 	// TimestampBits is the compressed temporal store size (temporal
 	// indexes only).
 	TimestampBits int `json:"timestampBits,omitempty"`
-	// Mapped reports that the index is served zero-copy from an
-	// mmap'd v3 container rather than from a heap copy (an index
-	// registered from memory, or a host that cannot map).
+	// Mapped reports that the index is served zero-copy from its
+	// file's memory mapping. It is false where the host cannot map, and
+	// once compaction has rewritten every mapped shard in memory (until
+	// the next Reload).
 	Mapped bool `json:"mapped,omitempty"`
 	// WALSegments / WALBytes describe the entry's write-ahead log
 	// footprint (entries running with Options.WAL only).
@@ -368,8 +357,8 @@ type AppendResult struct {
 // orphans every cached result computed before it. times must be nil
 // for a spatial index and row-aligned for a temporal one. When the
 // delta crosses the engine's seal threshold the engine seals it in the
-// background (and persists the sealed state for file-backed entries)
-// without blocking queries or appends.
+// background (and persists the sealed state to the index file) without
+// blocking queries or appends.
 func (e *Engine) Append(ctx context.Context, name string, trajs [][]uint32, times [][]int64) (AppendResult, error) {
 	if err := ctx.Err(); err != nil {
 		return AppendResult{}, err
@@ -455,9 +444,8 @@ type SealResult struct {
 }
 
 // Seal compresses index name's delta into a new shard, merges the
-// sealed shards back to the library's default compaction policy and,
-// for file-backed entries, persists the new sealed state to the
-// backing file (atomic tmp+rename). Queries and appends proceed
+// sealed shards back to the library's default compaction policy and
+// persists the new sealed state to the index file (atomic tmp+rename). Queries and appends proceed
 // throughout. An empty delta seals trivially and leaves the shard set
 // alone, so an index nobody appends to keeps its built layout. A seal
 // whose persistence failed — disk error, or a concurrent Reload that
@@ -495,7 +483,7 @@ func (e *Engine) seal(en *entry) (SealResult, error) {
 		e.logf("engine: %q sealed %d trajectories", en.name, n)
 		_, err = e.compactRounds(en, w, cinct.CompactionPolicy{}, e.stopping)
 	}
-	if perr := e.finish(en, w, "seal", n > 0, n); err == nil {
+	if perr := e.persistEntry(en, w, "seal", n > 0, n); err == nil {
 		err = perr
 	}
 	en.mu.RLock()
@@ -504,49 +492,44 @@ func (e *Engine) seal(en *entry) (SealResult, error) {
 	return SealResult{Sealed: n, Delta: w.DeltaTrajectories(), Generation: gen}, err
 }
 
-// finish is the one step after a seal or compaction: it persists w
-// when the operation changed its sealed shards, or retries a persist an
-// earlier seal or compaction left failed (entry.sealErr), so success
-// always means the backing file holds every sealed row.
-func (e *Engine) finish(en *entry, w *cinct.Writer, what string, changed bool, rows int) error {
+// persistEntry is the one step after a seal or compaction, and the one
+// place an entry's file is written. It saves w's sealed snapshot when
+// the operation changed w's sealed shards, or when an earlier persist
+// failed (entry.sealErr), so success always means the file holds every
+// sealed row. The write goes through atomicfile.Write, so readers of
+// the data dir never observe a torn index file and a power failure
+// cannot undo a persistence the caller already acted on. That full
+// fsync matters because the WAL segments wholly covered by the
+// persisted rows are retired right after it: the renamed file must be
+// durable before the log stops covering its rows. The outcome is
+// recorded in entry.sealErr, so a later Seal or Compact retries a
+// failure.
+func (e *Engine) persistEntry(en *entry, w *cinct.Writer, what string, changed bool, rows int) error {
 	en.mu.RLock()
 	failed := en.sealErr != nil
 	en.mu.RUnlock()
 	if !changed && !failed {
 		return nil
 	}
-	return e.persistEntry(en, w, what, rows)
-}
-
-// persistEntry writes w's sealed state to en's backing file
-// (tmp+rename) after a seal or compaction changed it, retires WAL
-// segments wholly covered by the persisted rows, and records the
-// outcome in entry.sealErr so a later Seal or Compact retries a
-// failure.
-func (e *Engine) persistEntry(en *entry, w *cinct.Writer, what string, rows int) error {
 	en.persistMu.Lock()
 	defer en.persistMu.Unlock()
 	en.mu.RLock()
-	closed, path, cur, wl := en.closed, en.path, en.w, en.wal
+	closed, cur, wl := en.closed, en.w, en.wal
 	en.mu.RUnlock()
 	var err error
-	switch {
-	case closed || cur != w:
+	if closed || cur != w {
 		// A Reload or Close raced the operation and replaced the
 		// writer: the compacted rows exist only in the orphaned writer
 		// and will not reach disk.
 		err = fmt.Errorf("engine: %q was reloaded or closed during the %s; %d trajectories were discarded",
 			en.name, what, rows)
-	case path == "":
-		// Memory-registered entry: nothing to persist, by design.
-	default:
-		sealedRows, perr := persistWriter(w, path)
-		if perr != nil {
-			err = fmt.Errorf("engine: persisting %q after %s: %w", en.name, what, perr)
+	} else if ix := w.Snapshot(); ix != nil {
+		if _, werr := atomicfile.Write(en.path, ix.Save); werr != nil {
+			err = fmt.Errorf("engine: persisting %q after %s: %w", en.name, what, werr)
 		} else if wl != nil {
-			// Every row below sealedRows is durable in the index file;
-			// segments holding only such rows are dead weight.
-			if rerr := wl.Retire(sealedRows); rerr != nil {
+			// Every row the file holds is durable there; segments
+			// holding only such rows are dead weight.
+			if rerr := wl.Retire(ix.NumTrajectories()); rerr != nil {
 				e.logf("engine: retiring %q wal segments: %v", en.name, rerr)
 			}
 		}
@@ -558,26 +541,6 @@ func (e *Engine) persistEntry(en *entry, w *cinct.Writer, what string, rows int)
 	en.sealErr = err
 	en.mu.Unlock()
 	return err
-}
-
-// persistWriter saves the writer's sealed snapshot to path with
-// atomicfile.Write, so readers of the data dir never observe a torn
-// index file and a power failure cannot undo a persistence the caller
-// already acted on. The full fsync discipline
-// matters because persistEntry retires WAL segments the moment this
-// function returns success: the renamed file must be durable before
-// the log stops covering its rows. It returns the number of
-// trajectories the persisted file holds — the WAL retirement
-// watermark.
-func persistWriter(w *cinct.Writer, path string) (rows int, err error) {
-	ix := w.Snapshot()
-	if ix == nil {
-		return 0, nil
-	}
-	if _, err := atomicfile.Write(path, ix.Save); err != nil {
-		return 0, err
-	}
-	return ix.NumTrajectories(), nil
 }
 
 // CacheStats reports the shared result cache's lifetime counters.

@@ -69,9 +69,8 @@ func gpsEngine(t *testing.T, opts Options) (*Engine, *roadnet.Graph, *rand.Rand)
 		t.Fatal(err)
 	}
 	e := New(opts)
+	serveIndex(t, e, "roads", tix.Index)
 	t.Cleanup(e.Shutdown)
-	t.Cleanup(e.CloseAll)
-	e.Register("roads", tix.Index)
 	e.AttachRoadnet("roads", g, mapmatch.Config{})
 	return e, g, rng
 }
@@ -196,7 +195,7 @@ func TestIngestGPSErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Register("bare", ix)
+	serveIndex(t, e, "bare", ix)
 	if _, err := e.IngestGPS(ctx, "bare", []gps.Trace{tr}); !errors.Is(err, ErrNoRoadnet) {
 		t.Fatalf("no roadnet: %v, want ErrNoRoadnet", err)
 	}

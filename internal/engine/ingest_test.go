@@ -144,7 +144,7 @@ func TestEngineAppendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Register("mem", ix)
+	serveIndex(t, e, "mem", ix)
 	ctx := context.Background()
 
 	if _, err := e.Append(ctx, "nosuch", [][]uint32{{1}}, nil); !errors.Is(err, ErrNotFound) {
@@ -163,7 +163,7 @@ func TestEngineAppendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Register("countonly", countOnly)
+	serveIndex(t, e, "countonly", countOnly)
 	if _, err := e.Append(ctx, "countonly", [][]uint32{{1}}, nil); !errors.Is(err, cinct.ErrNotAppendable) {
 		t.Fatalf("count-only base: err = %v, want ErrNotAppendable", err)
 	}
@@ -307,27 +307,32 @@ func TestEngineCompactRetriesFailedPersist(t *testing.T) {
 	}
 }
 
-// TestPersistWriterRenameFailureRemovesTemp pins persistWriter's
-// cleanup when the final rename fails — here because the target is a
-// non-empty directory: the error comes back and no path+".tmp" is left
-// in the data dir.
-func TestPersistWriterRenameFailureRemovesTemp(t *testing.T) {
-	w, err := cinct.NewWriter(cinct.WriterConfig{})
-	if err != nil {
+// TestPersistRenameFailureRemovesTemp pins persistEntry's cleanup
+// when the final rename fails — here because a non-empty directory has
+// taken the index file's name: the seal reports the error and no
+// path+".tmp" is left in the data dir.
+func TestPersistRenameFailureRemovesTemp(t *testing.T) {
+	dir := t.TempDir()
+	writeIndexes(t, dir, testCorpus(4, 10))
+	e := New(Options{SealThreshold: -1})
+	defer e.CloseAll()
+	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendBatch(testCorpus(4, 10), nil); err != nil {
+	ctx := context.Background()
+	if _, err := e.Append(ctx, "spatial", testCorpus(4, 10), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Seal(); err != nil {
+	// The served file stays mapped after its name is taken.
+	path := filepath.Join(dir, "spatial"+ExtSpatial)
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "blocked"+ExtSpatial)
 	if err := os.MkdirAll(filepath.Join(path, "occupant"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persistWriter(w, path); err == nil {
-		t.Fatal("persistWriter reported success although the rename failed")
+	if _, err := e.Seal(ctx, "spatial"); err == nil {
+		t.Fatal("Seal reported success although the rename failed")
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("%s.tmp left behind (stat err %v)", path, err)
@@ -583,7 +588,7 @@ func TestAppendPublishesRowsWithGeneration(t *testing.T) {
 	}
 	e := New(Options{Workers: 4, SealThreshold: -1})
 	defer e.CloseAll()
-	e.Register("ix", ix)
+	serveIndex(t, e, "ix", ix)
 	en, err := e.cat.get("ix")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -65,7 +66,7 @@ func TestCloseWaitsForPersist(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if err := e.persistEntry(en, w, "seal", 1); err == nil {
+			if err := e.persistEntry(en, w, "seal", true, 1); err == nil {
 				t.Fatalf("a persist after %s was not refused", name)
 			}
 			after, err := os.ReadFile(en.path)
@@ -150,5 +151,38 @@ func TestReloadRacingSealsLosesNoRow(t *testing.T) {
 	defer e2.CloseAll()
 	if n, err := searchCount(ctx, e2, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly}); err != nil || n != want {
 		t.Fatalf("after the restart: marker count = %d, %v; want %d", n, err, want)
+	}
+}
+
+// TestShutdownEndsEntries pins that Shutdown ends every entry the way
+// CloseAll does: an Append after it fails with ErrNotFound instead of
+// being acknowledged without a log record, and an engine reopened on
+// the same files and log serves every row that was acknowledged.
+func TestShutdownEndsEntries(t *testing.T) {
+	dir, wal := t.TempDir(), t.TempDir()
+	writeIndexes(t, dir, testCorpus(37, 40))
+	ctx := context.Background()
+	marker := []uint32{301, 302}
+	e := walEngine(t, dir, wal)
+	acked := 0
+	if _, err := e.Append(ctx, "spatial", [][]uint32{marker}, nil); err != nil {
+		t.Fatal(err)
+	}
+	acked++
+	e.Shutdown()
+	if _, err := e.Append(ctx, "spatial", [][]uint32{marker}, nil); err == nil {
+		acked++
+		t.Error("Append after Shutdown was acknowledged")
+	} else if !errors.Is(err, ErrNotFound) {
+		t.Errorf("Append after Shutdown: err = %v, want ErrNotFound", err)
+	}
+	if _, err := searchCount(ctx, e, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Search after Shutdown: err = %v, want ErrNotFound", err)
+	}
+
+	e2 := walEngine(t, dir, wal)
+	defer e2.Shutdown()
+	if n, err := searchCount(ctx, e2, "spatial", cinct.Query{Path: marker, Kind: cinct.CountOnly}); err != nil || n != acked {
+		t.Fatalf("after the restart: marker count = %d, %v; want the %d acknowledged", n, err, acked)
 	}
 }

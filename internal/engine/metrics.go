@@ -40,10 +40,8 @@ type engineMetrics struct {
 	subsExpired  *metrics.Counter
 }
 
-func newEngineMetrics(reg *metrics.Registry, e *Engine) *engineMetrics {
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+func newEngineMetrics(e *Engine) *engineMetrics {
+	reg := metrics.NewRegistry()
 	m := &engineMetrics{
 		reg:         reg,
 		queries:     reg.CounterVec("cinct_queries_total", "Queries accepted by Engine.Search, by kind.", "kind"),

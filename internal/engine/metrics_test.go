@@ -25,8 +25,8 @@ func TestEngineMetricsExactness(t *testing.T) {
 	trajs := testCorpus(31, 150)
 	writeIndexes(t, dir, trajs)
 
-	reg := metrics.NewRegistry()
-	e := New(Options{Metrics: reg})
+	e := New(Options{})
+	reg := e.Metrics()
 	defer e.CloseAll()
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)
@@ -165,9 +165,9 @@ func TestAdmissionControl(t *testing.T) {
 	trajs := testCorpus(37, 100)
 	writeIndexes(t, dir, trajs)
 
-	reg := metrics.NewRegistry()
 	// One worker, cache off so every Search needs a slot.
-	e := New(Options{Workers: 1, CacheEntries: -1, ShedCost: 1000, Metrics: reg})
+	e := New(Options{Workers: 1, CacheEntries: -1, ShedCost: 1000})
+	reg := e.Metrics()
 	defer e.CloseAll()
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)
@@ -237,9 +237,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	var mu sync.Mutex
 	var log bytes.Buffer
-	reg := metrics.NewRegistry()
 	e := New(Options{
-		Metrics:   reg,
 		SlowQuery: time.Nanosecond, // everything is slow
 		Logf: func(format string, args ...any) {
 			mu.Lock()
@@ -247,6 +245,7 @@ func TestSlowQueryLog(t *testing.T) {
 			mu.Unlock()
 		},
 	})
+	reg := e.Metrics()
 	defer e.CloseAll()
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)

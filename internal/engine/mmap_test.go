@@ -15,7 +15,7 @@ import (
 
 // TestEngineMmapServing pins the one open path: an engine opens v3
 // containers mapped (reported via Info.Mapped), answers queries
-// identically to an engine serving the same indexes from the heap, and
+// identically to the library's heap-built indexes they were saved from, and
 // — after an ingest + seal cycle — persists the sealed state back in v3
 // so a Reload maps it again.
 func TestEngineMmapServing(t *testing.T) {
@@ -45,41 +45,35 @@ func TestEngineMmapServing(t *testing.T) {
 	if len(names) != 2 {
 		t.Fatalf("OpenDir loaded %v, want 2 names", names)
 	}
-	heap := New(Options{})
-	defer heap.CloseAll()
-	heap.Register("spatial", ix)
-	heap.Register("temporal", tix.Index)
+	heap := map[string]*cinct.Index{"spatial": ix, "temporal": tix.Index}
 
-	for _, name := range []string{"spatial", "temporal"} {
+	ctx := context.Background()
+	pat := trajs[0][:2]
+	for name, ref := range heap {
 		info, err := mapped.Info(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info.Mapped {
-			t.Fatalf("Info(%q).Mapped = false, want true", name)
-		}
-		if info, err := heap.Info(name); err != nil || info.Mapped {
-			t.Fatalf("heap Info(%q).Mapped = %v (%v), want false", name, info.Mapped, err)
-		}
-	}
-
-	ctx := context.Background()
-	pat := trajs[0][:2]
-	for _, name := range []string{"spatial", "temporal"} {
-		wc, err := searchCount(ctx, heap, name, cinct.Query{Path: pat, Kind: cinct.CountOnly})
-		if err != nil {
-			t.Fatal(err)
+		if !info.Mapped || ref.Mapped() {
+			t.Fatalf("%s: Mapped = %v served, %v built; want true, false", name, info.Mapped, ref.Mapped())
 		}
 		gc, err := searchCount(ctx, mapped, name, cinct.Query{Path: pat, Kind: cinct.CountOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wc != gc {
+		if wc := ref.Count(pat); wc != gc {
 			t.Fatalf("%s: mapped Count = %d, heap %d", name, gc, wc)
 		}
-		wm, err := search(ctx, heap, name, cinct.Query{Path: pat})
+		lr, err := ref.Search(ctx, cinct.Query{Path: pat})
 		if err != nil {
 			t.Fatal(err)
+		}
+		var wm []cinct.Hit
+		for h, err := range lr.All() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			wm = append(wm, h)
 		}
 		gm, err := search(ctx, mapped, name, cinct.Query{Path: pat})
 		if err != nil {

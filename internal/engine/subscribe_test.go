@@ -13,7 +13,7 @@ import (
 )
 
 // subEngine serves one temporal index "t" and one spatial index "s",
-// both registered in-memory, ready for Append.
+// ready for Append.
 func subEngine(t *testing.T) *Engine {
 	t.Helper()
 	trajs := [][]uint32{{1, 2, 3}, {4, 5, 6}}
@@ -27,10 +27,9 @@ func subEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	e := New(Options{SealThreshold: -1})
+	serveIndex(t, e, "t", tix.Index)
+	serveIndex(t, e, "s", ix)
 	t.Cleanup(e.Shutdown)
-	t.Cleanup(e.CloseAll)
-	e.Register("t", tix.Index)
-	e.Register("s", ix)
 	return e
 }
 

@@ -45,7 +45,7 @@ func sharedEdgeEngine(t *testing.T, n int) *engine.Engine {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Options{})
-	eng.Register("ix", ix)
+	serveIndex(t, eng, "ix", ix)
 	return eng
 }
 

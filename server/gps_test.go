@@ -51,9 +51,8 @@ func newGPSFixture(t *testing.T) *gpsFixture {
 		t.Fatal(err)
 	}
 	e := engine.New(engine.Options{SealThreshold: -1})
+	serveIndex(t, e, "roads", tix.Index)
 	t.Cleanup(e.Shutdown)
-	t.Cleanup(e.CloseAll)
-	e.Register("roads", tix.Index)
 	e.AttachRoadnet("roads", g, mapmatch.Config{})
 
 	h := New(e, Config{}).Handler()
@@ -244,7 +243,7 @@ func TestGPSIngestRejectsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.eng.Register("bare", ix)
+	serveIndex(t, fx.eng, "bare", ix)
 	_, err = fx.client.IngestGPS(ctx, "bare", []gps.Trace{good})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 422 {
@@ -383,7 +382,7 @@ func TestSubscribeValidationOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.eng.Register("plain", ix)
+	serveIndex(t, fx.eng, "plain", ix)
 	from := int64(1)
 	_, err = fx.client.Subscribe(ctx, "plain", SubscribeRequest{Path: []uint32{1}, From: &from})
 	if !errors.As(err, &apiErr) || apiErr.Status != 422 {

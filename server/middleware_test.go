@@ -33,7 +33,6 @@ func TestHTTPStatusTable(t *testing.T) {
 		{"bad append", cinct.ErrBadAppend, http.StatusBadRequest},
 		{"stale cursor", engine.ErrStaleCursor, http.StatusGone},
 		{"not temporal", engine.ErrNotTemporal, http.StatusUnprocessableEntity},
-		{"no file", engine.ErrNoFile, http.StatusUnprocessableEntity},
 		{"no locate", cinct.ErrNoLocate, http.StatusUnprocessableEntity},
 		{"no timestamps", cinct.ErrNoTimestamps, http.StatusUnprocessableEntity},
 		{"not appendable", cinct.ErrNotAppendable, http.StatusUnprocessableEntity},

@@ -68,7 +68,7 @@ func httpStatus(err error) int {
 	case errors.Is(err, engine.ErrStaleCursor):
 		// The cursor was valid once; the index it pointed into is gone.
 		return http.StatusGone
-	case errors.Is(err, engine.ErrNotTemporal), errors.Is(err, engine.ErrNoFile),
+	case errors.Is(err, engine.ErrNotTemporal),
 		errors.Is(err, cinct.ErrNoLocate), errors.Is(err, cinct.ErrNoTimestamps),
 		errors.Is(err, cinct.ErrNotAppendable), errors.Is(err, engine.ErrNoRoadnet),
 		errors.Is(err, cinct.ErrLegacyFormat):

@@ -14,9 +14,23 @@ import (
 	"time"
 
 	"cinct"
+	"cinct/internal/atomicfile"
 	"cinct/internal/engine"
 	"cinct/internal/trajgen"
 )
+
+// serveIndex saves ix to a file under t.TempDir() and loads it into eng
+// as name: every index an engine serves is a file.
+func serveIndex(t *testing.T, eng *engine.Engine, name string, ix *cinct.Index) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+engine.ExtSpatial)
+	if _, err := atomicfile.Write(path, ix.Save); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Load(name, path); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func testEngine(t *testing.T) *engine.Engine {
 	t.Helper()
@@ -26,7 +40,7 @@ func testEngine(t *testing.T) *engine.Engine {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Options{})
-	eng.Register("ix", ix)
+	serveIndex(t, eng, "ix", ix)
 	return eng
 }
 
