@@ -214,21 +214,3 @@ func (e *Engine) compactRounds(en *entry, w *cinct.Writer, policy cinct.Compacti
 	}
 	return res, err
 }
-
-// Shutdown stops the engine's background work — threshold seals, each
-// in-flight one cutting its compaction short between rounds and
-// finishing its persistence first — then ends every standing-query
-// subscription (their streams close, expiry timers stop) and closes
-// every index through CloseAll, the way Close ends one: each WAL is
-// synced and closed, its unsealed rows left to replay on the next open.
-// Call it once, after the serving layer has drained. Afterwards every
-// call on an index fails with ErrNotFound, exactly as after CloseAll,
-// so no append is acknowledged that the log does not hold.
-func (e *Engine) Shutdown() {
-	e.bgMu.Lock()
-	e.stopped = true
-	e.bgMu.Unlock()
-	e.bg.Wait()
-	e.subs.closeAll()
-	e.CloseAll()
-}
