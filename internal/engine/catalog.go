@@ -77,8 +77,9 @@ type entry struct {
 	// seal and Compact all write path+".tmp", and two concurrent
 	// writers would interleave in that file or rename it from under
 	// each other. markClosed and Reload take it too, so a persist never
-	// overlaps them, and Reloads of one entry run one at a time. Lock
-	// order: persistMu, ingestMu, mu.
+	// overlaps them, and Reloads of one entry run one at a time. The
+	// entry has three locks, taken in this order: persistMu, ingestMu,
+	// mu.
 	persistMu sync.Mutex
 
 	mu  sync.RWMutex

@@ -110,8 +110,9 @@ func (e *Engine) Close(name string) error {
 // CloseAll closes every index, logging a failed final WAL sync.
 func (e *Engine) CloseAll() {
 	for _, name := range e.cat.names() {
+		// ErrNotFound is a raced removal, which is fine.
 		if err := e.Close(name); err != nil && !errors.Is(err, ErrNotFound) {
-			e.logf("%v", err) // a raced removal is fine
+			e.logf("%v", err)
 		}
 	}
 }
@@ -122,7 +123,7 @@ func (e *Engine) CloseAll() {
 // subscription (their streams close, expiry timers stop) and closes
 // every index through CloseAll, the way Close ends one: each WAL is
 // synced and closed, its unsealed rows left to replay on the next open.
-// Call it once, after the serving layer has drained. Afterwards every
+// Call it after the serving layer has drained. Afterwards every
 // call on an index fails with ErrNotFound, exactly as after CloseAll,
 // so no append is acknowledged that the log does not hold.
 func (e *Engine) Shutdown() {

@@ -430,7 +430,7 @@ func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[
 }
 
 // Seal asks the daemon to compact one index's delta into a compressed
-// shard (persisting it for file-backed indexes).
+// shard and persist it to the index file.
 func (c *Client) Seal(ctx context.Context, index string) (*SealResponse, error) {
 	var resp SealResponse
 	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/seal", nil, "", nil, &resp); err != nil {
