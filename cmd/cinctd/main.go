@@ -43,8 +43,8 @@
 //
 // Traffic management: -rate-limit enforces a per-client request budget
 // (429 + Retry-After past it), -max-inflight sheds requests beyond the
-// concurrency gate with 503, -shed-cost rejects expensive queries when
-// the worker pool is saturated instead of queueing them, and
+// concurrency gate with 503 (the one place load is shed; queries past
+// the -workers pool queue until the request deadline, 504), and
 // -slow-query logs every query over the threshold with its full cost
 // account. GET /metrics exposes the whole operational surface.
 package main
@@ -94,8 +94,6 @@ func main() {
 			"shed API requests beyond this many in flight with 503 instead of queueing (0 disables the gate)")
 		slowQuery = flag.Duration("slow-query", 0,
 			"log every query at least this slow with its full cost account (0 disables)")
-		shedCost = flag.Int64("shed-cost", 0,
-			"with all workers busy, reject queries whose estimated cost reaches this threshold with 503 instead of queueing (0 = queue everything)")
 	)
 	type roadnetBinding struct{ index, path string }
 	var roadnets []roadnetBinding
@@ -132,7 +130,6 @@ func main() {
 		Workers: *workers, CacheEntries: *cache,
 		SealThreshold: *sealAt, Logf: logger.Printf,
 		SlowQuery: *slowQuery,
-		ShedCost:  *shedCost,
 		WAL: engine.WALOptions{
 			Dir: *walDir, SyncInterval: *walSync, SyncBytes: *walSyncBytes,
 		},

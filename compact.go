@@ -14,82 +14,63 @@ import (
 // shards), so surfacing it loudly beats silently dropping data.
 var errCompactRaced = errors.New("cinct: compaction raced a shard-set change")
 
-// CompactionPolicy tunes tiered compaction: when Writer.Compact (which
+// compactionPolicy tunes tiered compaction: when Writer.Compact (which
 // the serving engine runs after every seal that adds a shard) decides
 // a run of sealed shards should be merged back into one
 // CiNCT-compressed shard.
 //
 // Shards form tiers by size: each seal emits one roughly
-// threshold-sized L0 shard, MinShards of those merge into one L1
-// shard, MinShards L1 shards merge into one L2 shard, and so on —
+// threshold-sized L0 shard, minShards of those merge into one L1
+// shard, minShards L1 shards merge into one L2 shard, and so on —
 // the classic tiered-LSM shape that bounds live shard count at
-// O(MinShards · log(rows)) while every trajectory is rewritten only
-// O(log(rows)) times. The zero value selects the defaults.
-type CompactionPolicy struct {
-	// MinShards is the tier fan-out: a contiguous run of at least this
-	// many similar-sized shards is merged into one. 0 means 4; values
-	// below 2 are treated as 2.
-	MinShards int
-	// MaxShards caps how many shards one compaction round rewrites,
-	// bounding the memory and CPU of a single merge. 0 means 16.
-	MaxShards int
-	// TierRatio is the size coherence bound: shards belong to the same
-	// tier while the largest is at most TierRatio times the smallest,
-	// and a shard dwarfed by more than TierRatio by its newer neighbor
-	// is absorbed into it. 0 means 8.
-	TierRatio int
+// O(minShards · log(rows)) while every trajectory is rewritten only
+// O(log(rows)) times.
+type compactionPolicy struct {
+	// minShards is the tier fan-out: a contiguous run of at least this
+	// many similar-sized shards is merged into one. At least 2.
+	minShards int
+	// maxShards caps how many shards one compaction round rewrites,
+	// bounding the memory and CPU of a single merge. At least
+	// minShards.
+	maxShards int
+	// tierRatio is the size coherence bound: shards belong to the same
+	// tier while the largest is at most tierRatio times the smallest,
+	// and a shard dwarfed by more than tierRatio by its newer neighbor
+	// is absorbed into it. At most maxTierRatio.
+	tierRatio int
 }
 
-// maxTierRatio bounds TierRatio so size×ratio arithmetic cannot
+// tieredCompaction is the policy Writer.Compact(false) runs: tiers of
+// 4, at most 16 shards a round, tier ratio 8.
+var tieredCompaction = compactionPolicy{minShards: 4, maxShards: 16, tierRatio: 8}
+
+// maxTierRatio bounds tierRatio so size×ratio arithmetic cannot
 // overflow (shard sizes are text lengths, well under 2^40).
 const maxTierRatio = 1 << 20
 
-// FullCompaction is the policy that merges every sealed shard into a
-// single one in one round — the best-compression end state for an
-// index that has stopped ingesting (one shared wavelet/ET-graph model
-// instead of N), used by `cinct compact` and the engine's full mode.
-var FullCompaction = CompactionPolicy{MinShards: 2, MaxShards: 1 << 20, TierRatio: maxTierRatio}
-
-func (p CompactionPolicy) withDefaults() CompactionPolicy {
-	if p.MinShards == 0 {
-		p.MinShards = 4
-	}
-	if p.MinShards < 2 {
-		p.MinShards = 2
-	}
-	if p.MaxShards <= 0 {
-		p.MaxShards = 16
-	}
-	if p.MaxShards < p.MinShards {
-		p.MaxShards = p.MinShards
-	}
-	if p.TierRatio <= 0 {
-		p.TierRatio = 8
-	}
-	if p.TierRatio > maxTierRatio {
-		p.TierRatio = maxTierRatio
-	}
-	return p
-}
+// fullCompaction merges every sealed shard into a single one in one
+// round — the best-compression end state for an index that has stopped
+// ingesting (one shared wavelet/ET-graph model instead of N), run by
+// Writer.Compact(true).
+var fullCompaction = compactionPolicy{minShards: 2, maxShards: 1 << 20, tierRatio: maxTierRatio}
 
 // pickCompaction selects the victim range [lo, hi) over the per-shard
 // sizes (oldest first), or an empty range when the shard set is
 // already within policy. Two triggers, newest-first because fresh
 // seals are where fan-out accumulates:
 //
-//  1. Tier: the rightmost run of >= MinShards shards whose sizes stay
-//     within TierRatio of each other, truncated to its newest
-//     MaxShards members.
-//  2. Dwarf absorption: the rightmost shard dwarfed (by > TierRatio)
+//  1. Tier: the rightmost run of >= minShards shards whose sizes stay
+//     within tierRatio of each other, truncated to its newest
+//     maxShards members.
+//  2. Dwarf absorption: the rightmost shard dwarfed (by > tierRatio)
 //     by its *newer* neighbor is merged into it. The inverse case — a
 //     fresh tiny shard after a big merged one — deliberately does not
 //     trigger: absorbing every new seal into the big neighbor would
 //     rewrite it per seal (unbounded write amplification), while the
 //     tier rule batches those seals and merges them geometrically.
-func pickCompaction(sizes []int, p CompactionPolicy) (lo, hi int) {
-	p = p.withDefaults()
+func pickCompaction(sizes []int, p compactionPolicy) (lo, hi int) {
 	n := len(sizes)
-	for end := n; end >= p.MinShards; {
+	for end := n; end >= p.minShards; {
 		start := end - 1
 		mn, mx := sizes[start], sizes[start]
 		for start > 0 {
@@ -104,15 +85,15 @@ func pickCompaction(sizes []int, p CompactionPolicy) (lo, hi int) {
 			if nm < 1 {
 				nm = 1
 			}
-			if nx > nm*p.TierRatio {
+			if nx > nm*p.tierRatio {
 				break
 			}
 			mn, mx = nm, nx
 			start--
 		}
-		if end-start >= p.MinShards {
-			if end-start > p.MaxShards {
-				start = end - p.MaxShards
+		if end-start >= p.minShards {
+			if end-start > p.maxShards {
+				start = end - p.maxShards
 			}
 			return start, end
 		}
@@ -123,7 +104,7 @@ func pickCompaction(sizes []int, p CompactionPolicy) (lo, hi int) {
 		if lo < 1 {
 			lo = 1
 		}
-		if lo*p.TierRatio < sizes[i+1] {
+		if lo*p.tierRatio < sizes[i+1] {
 			return i, i + 2
 		}
 	}
@@ -267,11 +248,12 @@ type CompactionResult struct {
 	ShardsBefore, ShardsAfter int
 }
 
-// Compact runs one round of tiered compaction over the sealed shards:
-// pick victims per policy, decode their trajectories (and timestamp
-// columns), rebuild them as one CiNCT-compressed shard, and swap the
-// spliced shard set in under the writer's lock. Returns a zero-Merged
-// result when the shard set is already within policy. A writer over a
+// Compact runs one round of compaction over the sealed shards: pick
+// victims — by the tiered policy (tieredCompaction), or every sealed
+// shard when full — decode their trajectories (and timestamp columns),
+// rebuild them as one CiNCT-compressed shard, and swap the spliced
+// shard set in under the writer's lock. Returns a zero-Merged result
+// when the shard set is already within policy. A writer over a
 // count-only base fails with ErrNotAppendable.
 //
 // Appends, seals and searches proceed during the rebuild: like Seal,
@@ -285,7 +267,15 @@ type CompactionResult struct {
 // Merged == 0) to reach the policy's fixpoint, e.g. after a bulk load;
 // a writer over a built index (NewWriterAt) compacts its shards the
 // same way, leaving that index untouched.
-func (w *Writer) Compact(p CompactionPolicy) (CompactionResult, error) {
+func (w *Writer) Compact(full bool) (CompactionResult, error) {
+	if full {
+		return w.compact(fullCompaction)
+	}
+	return w.compact(tieredCompaction)
+}
+
+// compact is Compact under an explicit policy.
+func (w *Writer) compact(p compactionPolicy) (CompactionResult, error) {
 	if err := w.appendable(); err != nil {
 		return CompactionResult{}, err
 	}

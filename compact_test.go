@@ -9,11 +9,11 @@ import (
 // TestPickCompaction pins the tiered victim-selection policy on
 // hand-written shard-size profiles.
 func TestPickCompaction(t *testing.T) {
-	p := CompactionPolicy{MinShards: 4, MaxShards: 16, TierRatio: 8}
+	p := tieredCompaction
 	cases := []struct {
 		name   string
 		sizes  []int
-		policy CompactionPolicy
+		policy compactionPolicy
 		lo, hi int
 	}{
 		{"empty", nil, p, 0, 0},
@@ -23,11 +23,11 @@ func TestPickCompaction(t *testing.T) {
 		{"newest run wins", []int{100000, 90, 100, 110, 95}, p, 1, 5},
 		{"big base not dragged in", []int{5000, 100, 100, 100, 100}, p, 1, 5},
 		{"max shards truncates to newest",
-			[]int{1, 1, 1, 1, 1, 1}, CompactionPolicy{MinShards: 2, MaxShards: 4, TierRatio: 8}, 2, 6},
+			[]int{1, 1, 1, 1, 1, 1}, compactionPolicy{minShards: 2, maxShards: 4, tierRatio: 8}, 2, 6},
 		{"dwarf absorbed by newer neighbor", []int{10, 10000, 9000}, p, 0, 2},
 		{"tiny newest not absorbed backwards", []int{10000, 10}, p, 0, 0},
 		{"geometric tiers stay put", []int{64000, 8000, 1000, 100}, p, 0, 0},
-		{"full compaction", []int{64000, 8000, 1000, 100}, FullCompaction, 0, 4},
+		{"full compaction", []int{64000, 8000, 1000, 100}, fullCompaction, 0, 4},
 	}
 	for _, tc := range cases {
 		lo, hi := pickCompaction(tc.sizes, tc.policy)
@@ -64,7 +64,7 @@ func TestWriterCompactBuiltIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := w.Compact(FullCompaction)
+		res, err := w.Compact(true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestWriterCompactBuiltIndex(t *testing.T) {
 				t.Fatalf("Trajectory(%d) len %d, want %d", id, len(got), len(trajs[id]))
 			}
 		}
-		if res, err := w.Compact(FullCompaction); err != nil || res.Merged != 0 {
+		if res, err := w.Compact(true); err != nil || res.Merged != 0 {
 			t.Fatalf("one-shard Compact = %+v, %v; want nothing merged", res, err)
 		}
 	})
@@ -117,7 +117,7 @@ func TestWriterCompactBuiltIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Compact(FullCompaction); err != nil {
+		if _, err := w.Compact(true); err != nil {
 			t.Fatal(err)
 		}
 		compacted := w.Snapshot()
@@ -216,10 +216,9 @@ func TestWriterCompactConvergence(t *testing.T) {
 		}
 	}
 
-	policy := CompactionPolicy{MinShards: 4, MaxShards: 16, TierRatio: 8}
 	rounds := 0
 	for {
-		res, err := w.Compact(policy)
+		res, err := w.Compact(false)
 		if err != nil {
 			t.Fatalf("Compact round %d: %v", rounds, err)
 		}
@@ -240,7 +239,7 @@ func TestWriterCompactConvergence(t *testing.T) {
 	}
 	check("tiered-fixpoint")
 
-	res, err := w.Compact(FullCompaction)
+	res, err := w.Compact(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestWriterCursorSurvivesCompaction(t *testing.T) {
 
 	// The boundary under test: merge everything while the cursor is
 	// outstanding.
-	if _, err := w.Compact(FullCompaction); err != nil {
+	if _, err := w.Compact(true); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.SealedShards(); got != 1 {

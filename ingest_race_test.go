@@ -72,7 +72,7 @@ func TestConcurrentIngest(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := w.Compact(CompactionPolicy{MinShards: 2, MaxShards: 4}); err != nil {
+			if _, err := w.compact(compactionPolicy{minShards: 2, maxShards: 4, tierRatio: 8}); err != nil {
 				errc <- err
 				return
 			}

@@ -236,12 +236,12 @@ func TestIngestDifferentialProperty(t *testing.T) {
 							t.Fatalf("Seal compacted %d rows, delta held %d", n, before)
 						}
 					case op < 8: // compact one round
-						policy := CompactionPolicy{MinShards: 2, MaxShards: 4, TierRatio: 8}
+						policy := compactionPolicy{minShards: 2, maxShards: 4, tierRatio: 8}
 						if rng.Intn(3) == 0 {
-							policy = FullCompaction
+							policy = fullCompaction
 						}
 						before := w.SealedShards()
-						res, cerr := w.Compact(policy)
+						res, cerr := w.compact(policy)
 						if cerr != nil {
 							t.Fatalf("Compact: %v", cerr)
 						}
@@ -474,7 +474,7 @@ func TestWriterOverCountOnlyIndex(t *testing.T) {
 	if _, err := w.AppendBatch([][]uint32{{1, 2}}, nil); !errors.Is(err, ErrNotAppendable) {
 		t.Fatalf("AppendBatch err = %v, want ErrNotAppendable", err)
 	}
-	if _, err := w.Compact(FullCompaction); !errors.Is(err, ErrNotAppendable) {
+	if _, err := w.Compact(true); !errors.Is(err, ErrNotAppendable) {
 		t.Fatalf("Compact err = %v, want ErrNotAppendable", err)
 	}
 	if w.NumTrajectories() != len(trajs) || base.Shards() != 2 {

@@ -71,7 +71,8 @@ type entry struct {
 	// ingestMu orders Append's two effects — the writer's ID
 	// assignment and the WAL record — so the log's record order always
 	// matches global-ID order and replay never sees interleaved
-	// batches.
+	// batches. markClosed takes it too, so an Append either completes,
+	// logged, before its entry ends or fails with ErrNotFound.
 	ingestMu sync.Mutex
 	// persistMu serializes persistEntry: an explicit Seal, a threshold
 	// seal and Compact all write path+".tmp", and two concurrent
@@ -300,14 +301,17 @@ func (c *catalog) install(en *entry) error {
 	return err
 }
 
-// markClosed ends the entry once a persist in flight has finished and
-// returns its final generation and epoch. Every call on the entry fails
-// with ErrNotFound afterwards. The WAL is synced and closed — its
-// segments stay on disk, so unsealed rows replay on the next open; err
-// reports a failed final sync.
+// markClosed ends the entry once a persist and an Append in flight
+// have finished, and returns its final generation and epoch. Every call
+// on the entry fails with ErrNotFound afterwards. The WAL is synced and
+// closed — its segments stay on disk, so unsealed rows replay on the
+// next open; err reports a failed final sync. Ending an ended entry
+// does nothing.
 func (en *entry) markClosed() (gen, epoch uint64, err error) {
 	en.persistMu.Lock()
 	defer en.persistMu.Unlock()
+	en.ingestMu.Lock()
+	defer en.ingestMu.Unlock()
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	en.closed = true

@@ -169,11 +169,7 @@ func (e *Engine) Compact(ctx context.Context, name string, full bool) (CompactRe
 	if err != nil {
 		return CompactResult{}, err
 	}
-	policy := cinct.CompactionPolicy{}
-	if full {
-		policy = cinct.FullCompaction
-	}
-	res, err := e.compactRounds(en, w, policy, func() bool { return ctx.Err() != nil })
+	res, err := e.compactRounds(en, w, full, func() bool { return ctx.Err() != nil })
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -186,17 +182,17 @@ func (e *Engine) Compact(ctx context.Context, name string, full bool) (CompactRe
 	return res, err
 }
 
-// compactRounds runs w.Compact rounds under policy until one merges
+// compactRounds runs w.Compact(full) rounds until one merges
 // nothing, timing each merge round into compactSec. It stops early,
 // between rounds, once stop reports true; the rounds already run
 // stand, since a merge never changes an answer.
-func (e *Engine) compactRounds(en *entry, w *cinct.Writer, policy cinct.CompactionPolicy, stop func() bool) (CompactResult, error) {
+func (e *Engine) compactRounds(en *entry, w *cinct.Writer, full bool, stop func() bool) (CompactResult, error) {
 	res := CompactResult{ShardsBefore: w.SealedShards(), ShardsAfter: w.SealedShards()}
 	var err error
 	for {
 		t0 := time.Now()
 		var r cinct.CompactionResult
-		if r, err = w.Compact(policy); err != nil || r.Merged == 0 {
+		if r, err = w.Compact(full); err != nil || r.Merged == 0 {
 			break
 		}
 		e.metrics.compactSec.Observe(time.Since(t0).Seconds())

@@ -42,12 +42,6 @@ type Options struct {
 	// through Logf, with its full cinct.QueryStats cost account. 0
 	// disables the slow-query log.
 	SlowQuery time.Duration
-	// ShedCost enables cost-aware admission control: when every worker
-	// slot is busy, a query whose estimated cost (see estimateCost)
-	// reaches this threshold fails immediately with ErrOverloaded
-	// instead of queueing. 0 disables shedding — saturated queries
-	// queue, the pre-admission-control behavior.
-	ShedCost int64
 }
 
 func (o Options) workers() int {
@@ -90,12 +84,13 @@ type Engine struct {
 	logf      func(format string, args ...any)
 	metrics   *engineMetrics
 	slowQuery time.Duration
-	shedCost  int64
 
 	roadnets *roadnetCatalog
 	subs     *subRegistry
 
 	walOpts WALOptions
+	// openMu serializes open (Load, OpenDir): see open.
+	openMu sync.Mutex
 	// Background work — threshold seals — is the engine's, started
 	// only through goBackground: Shutdown sets stopped (so nothing new
 	// starts, and a running seal's compaction stops between rounds) and
@@ -118,7 +113,6 @@ func New(opts Options) *Engine {
 		sealAt:    opts.sealThreshold(),
 		logf:      logf,
 		slowQuery: opts.SlowQuery,
-		shedCost:  opts.ShedCost,
 		roadnets:  newRoadnetCatalog(),
 		subs:      newSubRegistry(),
 		walOpts:   opts.WAL,

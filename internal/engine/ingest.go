@@ -155,7 +155,7 @@ func (e *Engine) seal(en *entry) (SealResult, error) {
 	}
 	if n > 0 {
 		e.logf("engine: %q sealed %d trajectories", en.name, n)
-		_, err = e.compactRounds(en, w, cinct.CompactionPolicy{}, e.stopping)
+		_, err = e.compactRounds(en, w, false, e.stopping)
 	}
 	if perr := e.persistEntry(en, w, "seal", n > 0, n); err == nil {
 		err = perr

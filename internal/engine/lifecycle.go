@@ -26,15 +26,30 @@ func (e *Engine) OpenDir(dir string) ([]string, error) {
 }
 
 // Load reads one index file and registers it under name, replacing any
-// previous index of that name. The file's v3 header decides whether
-// the index is temporal; its name does not matter. A file in an older
-// format fails with cinct.ErrLegacyFormat.
+// previous index of that name (ended first, so the name answers
+// ErrNotFound until the new file serves). The file's v3 header decides
+// whether the index is temporal; its name does not matter. A file in an
+// older format fails with cinct.ErrLegacyFormat.
 func (e *Engine) Load(name, path string) error {
 	return e.open(&entry{name: name, path: path})
 }
 
-// open loads the entry's file and publishes it in the catalog.
+// open loads the entry's file and publishes it in the catalog. An
+// entry already serving the name is ended first, before the file and
+// the log are read: its persist could otherwise rewrite the file after
+// the read, and its appends would write the log's active segment beside
+// the new handle, under the same IDs. Until the install the name
+// answers ErrNotFound; if the open fails it stays so until a Load
+// succeeds. Opens run one at a time, so two Loads of one name never
+// hold its log at once.
 func (e *Engine) open(en *entry) error {
+	e.openMu.Lock()
+	defer e.openMu.Unlock()
+	if old, err := e.cat.get(en.name); err == nil {
+		if _, _, err := old.markClosed(); err != nil {
+			e.logf("%v", err)
+		}
+	}
 	ix, err := en.loadFromFile()
 	if err != nil {
 		return err

@@ -186,3 +186,68 @@ func TestShutdownEndsEntries(t *testing.T) {
 		t.Fatalf("after the restart: marker count = %d, %v; want the %d acknowledged", n, err, acked)
 	}
 }
+
+// TestLoadOverWALEntryLosesNoRow appends one-row batches while two
+// other goroutines Load the same name from the same file over and
+// over, then restarts the engine over the same files and log. Each row
+// carries an edge ID no other row uses, so after the restart every
+// acknowledged row must be counted exactly once: a replacing Load must
+// end the entry it replaces before it opens the log, and two Loads must
+// not hold the log at once, or two handles write one segment under the
+// same IDs.
+func TestLoadOverWALEntryLosesNoRow(t *testing.T) {
+	dir, wal := t.TempDir(), t.TempDir()
+	writeIndexes(t, dir, testCorpus(43, 40))
+	path := filepath.Join(dir, "spatial"+ExtSpatial)
+	ctx := context.Background()
+	e := walEngine(t, dir, wal)
+
+	const appenders, perAppender, loaders, loads = 4, 150, 2, 10
+	var wg sync.WaitGroup
+	acked := make([][]uint32, appenders)
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each appender owns edge IDs [base, base+stride): a bounded
+			// spin, should the name never be served again.
+			const stride = 100_000
+			base := uint32(1000 + g*stride)
+			for edge := base; len(acked[g]) < perAppender && edge < base+stride; edge++ {
+				// Appends between a Load's end of the old entry and its
+				// install fail with ErrNotFound: not acknowledged.
+				if _, err := e.Append(ctx, "spatial", [][]uint32{{edge}}, nil); err == nil {
+					acked[g] = append(acked[g], edge)
+				} else if !errors.Is(err, ErrNotFound) {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	for l := 0; l < loaders; l++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < loads; i++ {
+				if err := e.Load("spatial", path); err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	e.Shutdown()
+
+	e2 := walEngine(t, dir, wal)
+	defer e2.Shutdown()
+	for _, edges := range acked {
+		for _, edge := range edges {
+			if n, err := searchCount(ctx, e2, "spatial", cinct.Query{Path: []uint32{edge}, Kind: cinct.CountOnly}); err != nil || n != 1 {
+				t.Errorf("after the restart: acknowledged row %d counted %d times (%v), want once", edge, n, err)
+			}
+		}
+	}
+}

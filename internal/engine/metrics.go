@@ -18,7 +18,6 @@ type engineMetrics struct {
 	queries     *metrics.CounterVec // by query kind
 	queryErrors *metrics.Counter
 	slow        *metrics.Counter
-	shed        *metrics.Counter
 	latency     *metrics.Histogram // seconds
 	cost        *metrics.Histogram // QueryStats.Cost steps
 	cacheHits   *metrics.Counter
@@ -47,7 +46,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		queries:     reg.CounterVec("cinct_queries_total", "Queries accepted by Engine.Search, by kind.", "kind"),
 		queryErrors: reg.Counter("cinct_query_errors_total", "Queries that ended in an error."),
 		slow:        reg.Counter("cinct_slow_queries_total", "Queries that crossed the slow-query threshold."),
-		shed:        reg.Counter("cinct_queries_shed_total", "Queries rejected by cost-aware admission control."),
 		latency:     reg.Histogram("cinct_query_seconds", "Query wall time from Search to stream completion.", metrics.ExpBuckets(0.0001, 4, 10)),
 		cost:        reg.Histogram("cinct_query_cost_steps", "Per-query decode cost (LF steps + timestamp decodes + delta rows).", metrics.ExpBuckets(1, 8, 10)),
 		cacheHits:   reg.Counter("cinct_cache_hits_total", "Result-cache hits."),

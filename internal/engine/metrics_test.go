@@ -156,18 +156,18 @@ func TestEngineMetricsExactness(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl pins the shedding contract: with the pool
-// saturated, queries whose cost estimate reaches ShedCost fail fast
-// with ErrOverloaded while cheap queries still queue; with shedding
-// disabled (ShedCost 0) even unbounded queries queue.
-func TestAdmissionControl(t *testing.T) {
+// TestSaturatedPoolQueues pins the worker pool's overload contract:
+// with every slot held, a query of any kind (a count, an occurrences
+// find, an interval find on a temporal index) queues for a slot until
+// its context expires. The pool never sheds; failing fast is the
+// server gate's job.
+func TestSaturatedPoolQueues(t *testing.T) {
 	dir := t.TempDir()
 	trajs := testCorpus(37, 100)
 	writeIndexes(t, dir, trajs)
 
 	// One worker, cache off so every Search needs a slot.
-	e := New(Options{Workers: 1, CacheEntries: -1, ShedCost: 1000})
-	reg := e.Metrics()
+	e := New(Options{Workers: 1, CacheEntries: -1})
 	defer e.CloseAll()
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)
@@ -182,50 +182,29 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	defer hold.Close()
 
-	// Unbounded scan: estimate is costUnbounded >= ShedCost → shed.
-	if _, err := e.Search(ctx, "spatial", cinct.Query{Path: path, Kind: cinct.Occurrences}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("unbounded Search on saturated pool: err = %v, want ErrOverloaded", err)
-	}
-	// Large bounded stream crosses the threshold too (Limit*64).
-	if _, err := e.Search(ctx, "spatial", cinct.Query{Path: path, Kind: cinct.Occurrences, Limit: 64}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("expensive bounded Search: err = %v, want ErrOverloaded", err)
-	}
-	if shed := reg.Counter("cinct_queries_shed_total", "").Value(); shed != 2 {
-		t.Fatalf("cinct_queries_shed_total = %d, want 2", shed)
-	}
-
-	// A cheap count (cost = len(path) = 1) queues instead of shedding:
-	// with the slot held it times out rather than erroring Overloaded.
-	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	defer cancel()
-	if _, err := e.Search(short, "spatial", cinct.Query{Path: path, Kind: cinct.CountOnly}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cheap Search on saturated pool: err = %v, want DeadlineExceeded (queued, not shed)", err)
+	for _, c := range []struct {
+		name, index string
+		q           cinct.Query
+	}{
+		{"count", "spatial", cinct.Query{Path: path, Kind: cinct.CountOnly}},
+		{"occurrences", "spatial", cinct.Query{Path: path, Kind: cinct.Occurrences}},
+		{"interval", "temporal", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: 1 << 60}}},
+	} {
+		short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		_, err := e.Search(short, c.index, c.q)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s Search on saturated pool: err = %v, want DeadlineExceeded (queued, not shed)", c.name, err)
+		}
 	}
 
-	// Releasing the slot lets the same expensive query through.
+	// Releasing the slot lets the same query through.
 	hold.Close()
 	r, err := e.Search(ctx, "spatial", cinct.Query{Path: path, Kind: cinct.Occurrences})
 	if err != nil {
 		t.Fatalf("Search after release: %v", err)
 	}
 	r.Close()
-
-	// Shedding disabled: unbounded queries queue like before PR 8.
-	e2 := New(Options{Workers: 1, CacheEntries: -1})
-	defer e2.CloseAll()
-	if _, err := e2.OpenDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	hold2, err := e2.Search(ctx, "spatial", cinct.Query{Path: path, Kind: cinct.Occurrences})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hold2.Close()
-	short2, cancel2 := context.WithTimeout(ctx, 50*time.Millisecond)
-	defer cancel2()
-	if _, err := e2.Search(short2, "spatial", cinct.Query{Path: path, Kind: cinct.Occurrences}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ShedCost=0 unbounded Search: err = %v, want DeadlineExceeded", err)
-	}
 }
 
 // TestSlowQueryLog checks that queries crossing the SlowQuery

@@ -312,7 +312,7 @@ func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Resul
 		return &Results{q: q, epoch: v.epoch, sig: v.sig, page: val.(*page)}, nil
 	}
 	e.metrics.cacheMisses.Inc()
-	if err := e.acquire(ctx, estimateCost(q)); err != nil {
+	if err := e.acquire(ctx); err != nil {
 		e.recordQuery(v.name, q, start, cinct.QueryStats{}, err)
 		return nil, err
 	}
@@ -361,8 +361,7 @@ func (e *Engine) Trajectory(ctx context.Context, name string, id int) ([]uint32,
 	if err := checkTrajectory(v, id); err != nil {
 		return nil, err
 	}
-	// Extraction cost is one trajectory's length — never sheddable.
-	if err := e.acquire(ctx, 1); err != nil {
+	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer e.release()
@@ -378,7 +377,7 @@ func (e *Engine) SubPath(ctx context.Context, name string, id, from, to int) ([]
 	if err := checkTrajectory(v, id); err != nil {
 		return nil, err
 	}
-	if err := e.acquire(ctx, 1); err != nil {
+	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer e.release()

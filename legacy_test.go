@@ -213,7 +213,7 @@ func checkLegacyAnswers(t *testing.T, fx legacyFixture, got *Index) {
 			t.Fatalf("Seal = %d, %v; want 5", n, err)
 		}
 	}
-	if res, err := w.Compact(FullCompaction); err != nil || res.ShardsAfter != 1 {
+	if res, err := w.Compact(true); err != nil || res.ShardsAfter != 1 {
 		t.Fatalf("Compact = %+v, %v; want one shard", res, err)
 	}
 	for _, path := range append(paths, genPath(rng, allTrajs)) {

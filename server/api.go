@@ -118,10 +118,8 @@ type IngestResponse struct {
 
 // SealResponse is the body of POST /v1/{index}/seal.
 type SealResponse struct {
-	Index      string `json:"index"`
-	Sealed     int    `json:"sealed"`
-	Delta      int    `json:"deltaTrajectories"`
-	Generation uint64 `json:"generation"`
+	Index string `json:"index"`
+	engine.SealResult
 }
 
 // CompactResponse is the body of POST /v1/{index}/compact: the sealed
@@ -129,13 +127,8 @@ type SealResponse struct {
 // shard set was already within policy. Compaction never renumbers
 // trajectories, so cursors issued before the call stay valid.
 type CompactResponse struct {
-	Index        string `json:"index"`
-	Merged       int    `json:"merged"`
-	Rows         int    `json:"rows"`
-	Rounds       int    `json:"rounds"`
-	ShardsBefore int    `json:"shardsBefore"`
-	ShardsAfter  int    `json:"shardsAfter"`
-	Generation   uint64 `json:"generation"`
+	Index string `json:"index"`
+	engine.CompactResult
 }
 
 // GPSResponse is the body of POST /v1/{index}/gps: one typed result

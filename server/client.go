@@ -54,7 +54,7 @@ func orDefault(hc *http.Client) *http.Client {
 // status, the server's error message, and — for 429/503 — the parsed
 // Retry-After hint. errors.Is maps it back onto the sentinel the
 // server mapped from, so `errors.Is(err, server.ErrRateLimited)` and
-// `errors.Is(err, engine.ErrOverloaded)` work end-to-end across the
+// `errors.Is(err, server.ErrOverloaded)` work end-to-end across the
 // wire.
 type APIError struct {
 	Status  int
@@ -79,7 +79,7 @@ func (e *APIError) Is(target error) bool {
 	switch target {
 	case ErrRateLimited:
 		return e.Status == http.StatusTooManyRequests
-	case engine.ErrOverloaded:
+	case ErrOverloaded:
 		return e.Status == http.StatusServiceUnavailable
 	case engine.ErrNotFound:
 		return e.Status == http.StatusNotFound

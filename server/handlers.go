@@ -102,9 +102,7 @@ func (s *Server) seal(ctx context.Context, w http.ResponseWriter, r *http.Reques
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, SealResponse{
-		Index: name, Sealed: res.Sealed, Delta: res.Delta, Generation: res.Generation,
-	})
+	return writeJSON(w, http.StatusOK, SealResponse{Index: name, SealResult: res})
 }
 
 // compact merges the named index's sealed shards down to the default
@@ -121,11 +119,7 @@ func (s *Server) compact(ctx context.Context, w http.ResponseWriter, r *http.Req
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, CompactResponse{
-		Index: name, Merged: res.Merged, Rows: res.Rows, Rounds: res.Rounds,
-		ShardsBefore: res.ShardsBefore, ShardsAfter: res.ShardsAfter,
-		Generation: res.Generation,
-	})
+	return writeJSON(w, http.StatusOK, CompactResponse{Index: name, CompactResult: res})
 }
 
 func (s *Server) listIndexes(ctx context.Context, w http.ResponseWriter, r *http.Request) error {

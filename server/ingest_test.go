@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -71,6 +73,12 @@ func TestIngestEndToEnd(t *testing.T) {
 	}
 	if sres.Sealed != 2 || sres.Delta != 0 {
 		t.Fatalf("SealResponse = %+v", sres)
+	}
+	// Embedding engine.SealResult keeps the flat wire shape: a seal of
+	// the now empty delta answers these exact bytes.
+	want := fmt.Sprintf(`{"index":"spatial4","sealed":0,"deltaTrajectories":0,"generation":%d}`+"\n", sres.Generation)
+	if got := postBody(t, ts.URL+"/v1/spatial4/seal"); got != want {
+		t.Fatalf("empty seal body = %q, want %q", got, want)
 	}
 	if n, err = remoteCount(ctx, c, "spatial4", marker); err != nil || n != 2 {
 		t.Fatalf("post-seal count = %d, %v", n, err)
@@ -298,21 +306,33 @@ func TestCompactEndpoint(t *testing.T) {
 	}
 
 	// The tiered default (full=false) on an in-policy index is a no-op
-	// at the wire level too.
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/spatial4/compact", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("tiered compact: HTTP %d, want 200", res.StatusCode)
+	// at the wire level too, and embedding engine.CompactResult keeps
+	// the flat wire shape: these exact bytes.
+	want := fmt.Sprintf(`{"index":"spatial4","merged":0,"rows":0,"rounds":0,"shardsBefore":1,"shardsAfter":1,"generation":%d}`+"\n", resp.Generation)
+	if got := postBody(t, ts.URL+"/v1/spatial4/compact"); got != want {
+		t.Fatalf("tiered compact body = %q, want %q", got, want)
 	}
 
 	if _, err := c.Compact(ctx, "nosuch", true); err == nil {
 		t.Fatal("compacting an unknown index succeeded")
 	}
+}
+
+// postBody POSTs an empty body to url and returns the 200 response's
+// body.
+func postBody(t *testing.T, url string) string {
+	t.Helper()
+	res, err := http.Post(url, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: HTTP %d: %s", url, res.StatusCode, body)
+	}
+	return string(body)
 }

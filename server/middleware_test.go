@@ -39,7 +39,7 @@ func TestHTTPStatusTable(t *testing.T) {
 		{"legacy format", cinct.ErrLegacyFormat, http.StatusUnprocessableEntity},
 		{"rate limited", ErrRateLimited, http.StatusTooManyRequests},
 		{"rate limited typed", &rateLimitError{retryAfter: time.Second}, http.StatusTooManyRequests},
-		{"overloaded", engine.ErrOverloaded, http.StatusServiceUnavailable},
+		{"overloaded", ErrOverloaded, http.StatusServiceUnavailable},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{"client gone", context.Canceled, statusClientClosedRequest},
 		{"corrupt", engine.ErrCorrupt, http.StatusInternalServerError},
@@ -147,19 +147,22 @@ func TestRateLimitEndToEnd(t *testing.T) {
 	}
 }
 
-// TestOverloadShedEndToEnd saturates a one-worker engine with an
-// undrained stream, then checks both shed paths map to 503 with
-// Retry-After and come back typed through the Client: the engine's
-// cost-aware admission control and the server's concurrency gate.
+// TestOverloadShedEndToEnd pins the one shed point: with the server's
+// concurrency gate (MaxInflight 1) held by a count queued on a
+// saturated one-worker engine, further requests (an index listing and
+// an interval query alike) bounce at the gate with 503 and Retry-After
+// and come back typed through the Client, while the queued count
+// completes once the engine slot frees.
 func TestOverloadShedEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	fx := writeFixture(t, dir)
-	eng := engine.New(engine.Options{Workers: 1, CacheEntries: -1, ShedCost: 1000})
+	eng := engine.New(engine.Options{Workers: 1, CacheEntries: -1})
 	defer eng.CloseAll()
 	if _, err := eng.OpenDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(eng, Config{MaxInflight: 8}).Handler())
+	srv := New(eng, Config{MaxInflight: 1})
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	ctx := context.Background()
 	path := fx.trajs[0][:1]
@@ -171,41 +174,31 @@ func TestOverloadShedEndToEnd(t *testing.T) {
 	}
 	defer hold.Close()
 
-	// Engine-level shed: an unbounded scan over HTTP → 503, typed.
-	cl := NewClient(ts.URL, nil)
-	_, err = cl.SearchPage(ctx, "spatial1", cinct.Query{Path: path, Kind: cinct.Occurrences})
-	if !errors.Is(err, engine.ErrOverloaded) {
-		t.Fatalf("unbounded search on saturated engine: err = %v, want engine.ErrOverloaded", err)
-	}
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.RetryAfter < time.Second {
-		t.Fatalf("shed err = %#v, want APIError{503, RetryAfter >= 1s}", err)
-	}
-
-	// Server-gate shed: with MaxInflight 1 and the slot pinned by a
-	// request queued on the engine's worker pool, the next request
-	// bounces at the gate with 503.
-	srv2 := New(eng, Config{MaxInflight: 1})
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
 	blocked := make(chan error, 1)
 	go func() {
-		// Cheap count: queues on the engine pool (cost below ShedCost),
-		// holding ts2's single gate slot.
-		cl2 := NewClient(ts2.URL, nil)
-		_, err := remoteCount(ctx, cl2, "spatial1", path)
+		// Queues on the engine pool, holding the single gate slot.
+		_, err := remoteCount(ctx, NewClient(ts.URL, nil), "spatial1", path)
 		blocked <- err
 	}()
 	// Probe only once the count is seen holding the gate (it keeps it
 	// until hold is closed). Probing earlier can take the one slot
 	// itself and bounce the count instead.
-	for deadline := time.Now().Add(5 * time.Second); len(srv2.inflight) == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); len(srv.inflight) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("queued count never took the gate slot")
 		}
 	}
-	if _, gateErr := NewClient(ts2.URL, nil).Indexes(ctx); !errors.Is(gateErr, engine.ErrOverloaded) {
-		t.Fatalf("gate shed err = %v, want engine.ErrOverloaded (503)", gateErr)
+	cl := NewClient(ts.URL, nil)
+	if _, err := cl.Indexes(ctx); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("gate shed err = %v, want ErrOverloaded (503)", err)
+	}
+	_, err = cl.SearchPage(ctx, "temporal1", cinct.Query{Path: path, Kind: cinct.CountOnly, Interval: &cinct.Interval{From: 0, To: 1 << 60}})
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("interval query at a full gate: err = %v, want ErrOverloaded", err)
+	}
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.RetryAfter < time.Second {
+		t.Fatalf("shed err = %#v, want APIError{503, RetryAfter >= 1s}", err)
 	}
 	hold.Close()
 	if err := <-blocked; err != nil {

@@ -14,6 +14,12 @@ import (
 // and the Client surfaces it as a typed error so callers can back off.
 var ErrRateLimited = errors.New("server: rate limited")
 
+// ErrOverloaded reports a request shed by the concurrency gate
+// (Config.MaxInflight): every slot was busy, so the request was
+// rejected at once instead of queueing. The status mapper turns it into
+// 503 with a Retry-After hint, and the Client maps a 503 back onto it.
+var ErrOverloaded = errors.New("server: overloaded")
+
 // rateLimitError carries the time until the client's bucket refills
 // enough for one request, so the 429 response can say when to retry.
 type rateLimitError struct {

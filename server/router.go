@@ -77,8 +77,8 @@ func httpStatus(err error) int {
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrRateLimited):
 		return http.StatusTooManyRequests
-	case errors.Is(err, engine.ErrOverloaded):
-		// Shed by admission control (engine worker pool or server gate).
+	case errors.Is(err, ErrOverloaded):
+		// Shed by the concurrency gate.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

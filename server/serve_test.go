@@ -36,8 +36,8 @@ func TestEventsStreamSkipsGateAndTimeout(t *testing.T) {
 	}
 	// Saturate the gate: every other route is now shed.
 	srv.inflight <- struct{}{}
-	if _, err := cl.Indexes(ctx); !errors.Is(err, engine.ErrOverloaded) {
-		t.Fatalf("GET /v1/indexes with the gate full: %v, want engine.ErrOverloaded", err)
+	if _, err := cl.Indexes(ctx); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("GET /v1/indexes with the gate full: %v, want ErrOverloaded", err)
 	}
 
 	type event struct {

@@ -35,8 +35,8 @@ type Config struct {
 	// max(2×RateLimit, 1).
 	RateBurst int
 	// MaxInflight caps concurrently served API requests; requests
-	// beyond it are shed with 503 rather than queued. 0 disables the
-	// gate.
+	// beyond it are shed with 503 (ErrOverloaded) rather than queued.
+	// It is the one place load is shed. 0 disables the gate.
 	MaxInflight int
 }
 
@@ -186,7 +186,7 @@ func (s *Server) serve(rt route) http.Handler {
 					case s.inflight <- struct{}{}:
 					default:
 						s.metrics.shed.Inc()
-						return fmt.Errorf("%w: %d requests in flight", engine.ErrOverloaded, cap(s.inflight))
+						return fmt.Errorf("%w: %d requests in flight", ErrOverloaded, cap(s.inflight))
 					}
 					defer func() { <-s.inflight }()
 				}
