@@ -45,7 +45,7 @@
 // store per shard. Save writes the one v3 container that OpenMapped
 // serves in place and Load reads onto the heap; both return what the
 // file holds, timestamps included. Files older builds wrote — the
-// pre-v3 formats and version-3 containers — are refused with
+// pre-v3 formats and containers of versions 3 and 4 — are refused with
 // ErrLegacyFormat until `cinct convert` rewrites them.
 package cinct
 
@@ -153,7 +153,11 @@ type shard struct {
 	// ts holds the range's timestamp columns; nil on a spatial index.
 	// Either every shard of an Index carries a store or none does.
 	ts *tempo.Store
-	// backing pins the memory-mapped v3 container the shard reads from
+	// frame is the shard's section image and secs its TOC entries: every
+	// structure above is a view over frame, built or read alike.
+	frame []uint64
+	secs  []section
+	// backing pins the memory-mapped container the shard reads from
 	// (nil for heap shards). It lives on the shard, not the Index, so a
 	// running query — which holds shards, not the Index — keeps the
 	// mapping alive, and the mapping is released by the garbage
@@ -208,6 +212,7 @@ func build(trajs [][]uint32, times [][]int64, opts *Options) (*Index, error) {
 		return nil, err
 	}
 	shards := make([]*shard, len(corpora))
+	errs := make([]error, len(corpora))
 	// Bounded worker pool: up to min(K, GOMAXPROCS) shard builds in
 	// flight (a build is CPU-bound; more workers than cores only adds
 	// peak memory).
@@ -218,10 +223,11 @@ func build(trajs [][]uint32, times [][]int64, opts *Options) (*Index, error) {
 		go func() {
 			defer wg.Done()
 			for s := range jobs {
-				shards[s] = newShard(corpora[s], opts)
+				var cols [][]int64
 				if times != nil {
-					shards[s].ts = tempo.New(times[bounds[s]:bounds[s+1]])
+					cols = times[bounds[s]:bounds[s+1]]
 				}
+				shards[s], errs[s] = newShard(corpora[s], cols, opts)
 			}
 		}()
 	}
@@ -230,6 +236,9 @@ func build(trajs [][]uint32, times [][]int64, opts *Options) (*Index, error) {
 	}
 	close(jobs)
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	return newIndex(shards...)
 }
 
@@ -248,17 +257,17 @@ func validateOptions(opts *Options) error {
 	return nil
 }
 
-// newShard compresses one (already encoded) corpus — the unit of work
-// of a build, a seal and a compaction alike.
-func newShard(corpus *trajstr.Corpus, opts *Options) *shard {
-	co := opts.coreOptions()
-	sh := &shard{corpus: corpus, core: core.Build(corpus.Text, corpus.Sigma, co)}
-	// The corpus text is recoverable from the self-index; drop it so
-	// the resident footprint is the compressed structures only.
-	if co.SASample > 0 {
-		sh.corpus.Text = nil
+// newShard compresses one (already encoded) corpus and, when times is
+// non-nil, its timestamp columns — the unit of work of a build, a seal
+// and a compaction alike — and serves the shard from its frame, as a
+// loaded one is: the corpus text and build-time structures are dropped.
+func newShard(corpus *trajstr.Corpus, times [][]int64, opts *Options) (*shard, error) {
+	ci := core.Build(corpus.Text, corpus.Sigma, opts.coreOptions())
+	var ts *tempo.Store
+	if times != nil {
+		ts = tempo.New(times)
 	}
-	return sh
+	return viewShard(layoutShard(corpus, ci, ts))
 }
 
 // Shards returns the number of corpus partitions.
@@ -448,20 +457,22 @@ type Stats struct {
 	// LabelEntropy is H0 of the RML-labeled BWT in bits per symbol —
 	// the paper's headline statistic (Table III's H0(φ) column).
 	LabelEntropy float64 `json:"labelEntropy"`
-	// SizeBits breaks down the footprint. LocateBits is the sampled-row
-	// marks plus the packed SA and ISA samples, exactly the words they
-	// occupy in the file Save writes.
+	// The size fields are the bits of the file's sections: the labeled
+	// wavelet tree, the ET-graph, C, the row marks with the SA and ISA
+	// samples, and the corpus tables (symbol map, trajectory tables,
+	// core parameters). With Index.TimestampBits, the header, TOC and
+	// page padding they sum to the bits of the file Save writes.
 	WaveletBits int `json:"waveletBits"`
 	GraphBits   int `json:"graphBits"`
 	CArrayBits  int `json:"cArrayBits"`
 	LocateBits  int `json:"locateBits"`
-	// BitsPerSymbol is the paper's headline size metric (with
-	// ET-graph, without locate structures).
+	TableBits   int `json:"tableBits"`
+	// BitsPerSymbol is the paper's headline size metric: the wavelet
+	// tree, ET-graph and C as the paper accounts them (core.Sizes).
 	BitsPerSymbol float64 `json:"bitsPerSymbol"`
 }
 
 func (sh *shard) stats() Stats {
-	s := sh.core.Sizes()
 	g := sh.core.Graph()
 	return Stats{
 		Shards:        1,
@@ -472,10 +483,11 @@ func (sh *shard) stats() Stats {
 		ETGraphEdges:  g.NumEdges(),
 		AvgOutDegree:  g.AvgOutDegree(),
 		LabelEntropy:  sh.core.LabelEntropy(),
-		WaveletBits:   s.LabeledWT,
-		GraphBits:     s.ETGraph,
-		CArrayBits:    s.CArray,
-		LocateBits:    s.Locate,
+		WaveletBits:   sh.sectionBits(kindWT),
+		GraphBits:     sh.sectionBits(kindGraph),
+		CArrayBits:    sh.sectionBits(kindC),
+		LocateBits:    sh.sectionBits(kindMark, kindSA, kindISA),
+		TableBits:     sh.sectionBits(kindParams, kindSymbols, kindTables),
 		BitsPerSymbol: sh.core.BitsPerSymbol(true),
 	}
 }
@@ -501,6 +513,7 @@ func (ix *Index) Stats() Stats {
 		agg.GraphBits += s.GraphBits
 		agg.CArrayBits += s.CArrayBits
 		agg.LocateBits += s.LocateBits
+		agg.TableBits += s.TableBits
 		if s.MaxLabel > agg.MaxLabel {
 			agg.MaxLabel = s.MaxLabel
 		}
@@ -508,8 +521,9 @@ func (ix *Index) Stats() Stats {
 			nodes += float64(s.ETGraphEdges) / s.AvgOutDegree
 		}
 		entropyBits += s.LabelEntropy * float64(s.TextLen)
-		// BitsPerSymbol excludes locate structures (paper accounting).
-		indexBits += float64(s.WaveletBits + s.GraphBits + s.CArrayBits)
+		// The paper's accounting, as for one shard.
+		sz := sh.core.Sizes()
+		indexBits += float64(sz.LabeledWT + sz.ETGraph + sz.CArray)
 	}
 	if nodes > 0 {
 		agg.AvgOutDegree = float64(agg.ETGraphEdges) / nodes

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"cinct"
@@ -149,13 +150,14 @@ func legacyCorpus(seed int64) ([][]uint32, [][]int64) {
 	return trajs, times
 }
 
-// TestConvertLegacyFixtures converts every old fixture, version-3
-// containers included, under a neutral file name, so nothing but the bytes can tell its flavor. The
-// output must hold what the input held — temporal or not, every
-// trajectory and every timestamp — and be byte-equal to Save of a fresh
-// build of that corpus with the options the file recorded: the
-// fixture's shard count at SampleRate 64, the default when they were
-// written.
+// TestConvertLegacyFixtures converts every old fixture, version-3 and
+// -4 containers included, under a neutral file name, so nothing but the
+// bytes can tell whether it is temporal. The output must hold what the
+// input held — temporal or not, every trajectory and every timestamp —
+// and be byte-equal to Save of a fresh build of that corpus with the
+// options the file recorded: the fixture's shard count at the sample
+// rate that was the default when it was written (64, or 40 for the
+// version-4 files).
 func TestConvertLegacyFixtures(t *testing.T) {
 	for _, fx := range []struct {
 		file     string
@@ -176,6 +178,10 @@ func TestConvertLegacyFixtures(t *testing.T) {
 		{"v3-int32-spatial-4.cinct", 7, 4, false},
 		{"v3-int32-temporal-1.tcinct", 7, 1, true},
 		{"v3-int32-temporal-4.tcinct", 7, 4, true},
+		{"v4-spatial-1.cinct", 7, 1, false},
+		{"v4-spatial-4.cinct", 7, 4, false},
+		{"v4-temporal-1.tcinct", 7, 1, true},
+		{"v4-temporal-4.tcinct", 7, 4, true},
 	} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
 		if err != nil {
@@ -211,8 +217,13 @@ func TestConvertLegacyFixtures(t *testing.T) {
 				}
 			}
 		}
+		// The version-4 files were written at the default rate, the
+		// others at 64; each header records its rate.
 		opts := cinct.DefaultOptions()
-		opts.Shards, opts.SampleRate = fx.shards, 64
+		opts.Shards = fx.shards
+		if !strings.HasPrefix(fx.file, "v4-") {
+			opts.SampleRate = 64
+		}
 		var want bytes.Buffer
 		if fx.temporal {
 			tix, err := cinct.BuildTemporal(trajs, times, opts)
@@ -232,7 +243,7 @@ func TestConvertLegacyFixtures(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("%s: converted bytes differ from Save of a fresh build at SampleRate 64", fx.file)
+			t.Fatalf("%s: converted bytes differ from Save of a fresh build at SampleRate %d", fx.file, opts.SampleRate)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cinct/internal/tempo"
 	"cinct/internal/trajstr"
 )
 
@@ -206,11 +205,7 @@ func buildShard(trajs [][]uint32, times [][]int64, opts *Options) (*shard, error
 	if err != nil {
 		return nil, err
 	}
-	sh := newShard(corpus, opts)
-	if times != nil {
-		sh.ts = tempo.New(times)
-	}
-	return sh, nil
+	return newShard(corpus, times, opts)
 }
 
 // mergeShards decodes every trajectory (and timestamp column) owned by

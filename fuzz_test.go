@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cinct/internal/trajgen"
@@ -106,11 +107,13 @@ func exerciseLoaded(t *testing.T, ix *Index) {
 }
 
 // checkLoadErr requires a reader's error to be typed, and to be
-// ErrLegacyFormat exactly when the input starts with a pre-v3 magic.
+// ErrLegacyFormat exactly when the input starts with an older magic or
+// container version, or names a section this build does not know.
 func checkLoadErr(t *testing.T, data []byte, err error) {
 	t.Helper()
-	if legacy := checkLegacy(data) != nil; legacy != errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("pre-v3 magic %v, error %v", legacy, err)
+	legacy := checkLegacy(data) != nil
+	if errors.Is(err, ErrLegacyFormat) != (legacy || strings.Contains(err.Error(), "section kind")) {
+		t.Fatalf("older magic or version %v, error %v", legacy, err)
 	}
 	for _, typed := range []error{ErrLegacyFormat, ErrCorrupt, ErrNoTimestamps} {
 		if errors.Is(err, typed) {
@@ -306,10 +309,24 @@ func FuzzLoadMapped(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte(v3Magic))
-	// Header whose shard+store counts wrap uint64 (regression: the sum
-	// used to be computed before the counts were bounded, panicking in
+	// Header whose shard count would size a huge slice (regression:
+	// counts used to be summed before they were bounded, panicking in
 	// makeslice instead of returning ErrCorrupt).
-	f.Add(craftedV3Header(v3FlavorTemporal, 0, ^uint64(0), 1))
+	f.Add(craftedV3Header(^uint64(0), 1))
+	// Sections the TOC rules refuse: an unknown (kind, encoding), a
+	// shard without a required section, timestamps on only some shards.
+	ix, err = Build(trajs, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sh := ix.shards[0]
+	for _, data := range [][]byte{
+		retagged(containerOf(f, sh), 7, 2<<32|kindSA),
+		containerOf(f, relaid(sh, func(s section) bool { return s.kind != kindGraph })),
+		mixedTimestamps(f, trajs, times),
+	} {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > maxFuzzInput {
 			t.Skip()

@@ -20,7 +20,8 @@ import (
 // any more, which the readers refuse and `cinct convert` must keep
 // decoding: /v1 the pre-v3 stream formats, /v3-all-rrr the version-3
 // bytes Save wrote before wavelet-tree nodes could be plain, and
-// /v3-int32 the ones it wrote before the locate samples were packed.
+// /v3-int32 the ones it wrote before the locate samples were packed,
+// and /v4 the version-4 ones.
 //
 // Re-pinned /v3 when each wavelet-tree node began keeping RRR only
 // where it is at least 1/8 smaller than plain: node kinds changed, the
@@ -29,15 +30,20 @@ import (
 // Re-pinned /v3 when the locate samples were packed at ⌈lg⌉ bits and
 // the default SampleRate moved from 64 to 40: the locate section
 // changed, so the container version word is 4.
+//
+// Re-pinned /v3 when every structure got its own TOC entry (container
+// version 5): the section words are the version-4 ones, regrouped into
+// one page-aligned frame per shard. /v4 pins the version-4 bytes Save
+// wrote until then, frozen under testdata/legacy/.
 var goldenHashes = map[string]string{
 	"spatial-1/v1":  "129a9ed4ebd8c5ac715edefbdfe98dd34c52a55074e52dc87247c61ae780d2ef",
-	"spatial-1/v3":  "627cb1644915dbf26ec8a90cd47d3101fa714ae90ce404f60ee9c5a14321b735",
+	"spatial-1/v3":  "cd481ba83ce9af8b5784dc673f026257d9a333b67633a0166117b689f326ff18",
 	"spatial-4/v1":  "0955a30de2985af0a05e2c2d130f12b5c186dc3da8326635d6835713e1056d4c",
-	"spatial-4/v3":  "07c5d91de84ad840c9f91fcf00612874727a2cf50b23c0546a54dedfe224b363",
+	"spatial-4/v3":  "b2efb59de9849a95cb8cac500cfc0988a6440138e55062b26486396486017fca",
 	"temporal-1/v1": "dd598cce416697f78ec632d9bbf5f355b3996f9121010302ab9551d5630c197f",
-	"temporal-1/v3": "48f3160e8d46f234368e82ea1392965505f07c9a1d42fa88fd8e89df20707355",
+	"temporal-1/v3": "fe5cd297ca3453688232bfbcc77e33ff43d17a5c7d2e6dcc7fa74a9e96518dfe",
 	"temporal-4/v1": "b670a187401fb7f7be67fa1ca09804a7e3c4b546991b75ad50acca13997949a1",
-	"temporal-4/v3": "4366c549eef5b43e8b97e28fe37d936531bcd385268713731848f96ed54fb7b7",
+	"temporal-4/v3": "f28c4a9b49937c130d9ab5141746a536523f89950cb35f34c17044f3272aa0f7",
 
 	"spatial-4/v3-all-rrr":  "9e456dd051aa3b102b9b0e09adac701e999f185602f46d836b8ed8c34f2c5a3b",
 	"temporal-1/v3-all-rrr": "eacbb31f4785f728b0b52874921232887d8e148f053550a24c5e4a39058dd4e2",
@@ -46,6 +52,11 @@ var goldenHashes = map[string]string{
 	"spatial-4/v3-int32":  "9798ce583570932ca2642b0d41703fd733d44bc7a9b18dc1fa732e34bc6609da",
 	"temporal-1/v3-int32": "0b4d28d199ce767931061db25997a2251d56f39cf62f7a842fda78aee3e135e2",
 	"temporal-4/v3-int32": "a221214d0e31aaedb068a26ae36d7398e82a99f4c8daf821b019ab5b18e28949",
+
+	"spatial-1/v4":  "627cb1644915dbf26ec8a90cd47d3101fa714ae90ce404f60ee9c5a14321b735",
+	"spatial-4/v4":  "07c5d91de84ad840c9f91fcf00612874727a2cf50b23c0546a54dedfe224b363",
+	"temporal-1/v4": "48f3160e8d46f234368e82ea1392965505f07c9a1d42fa88fd8e89df20707355",
+	"temporal-4/v4": "4366c549eef5b43e8b97e28fe37d936531bcd385268713731848f96ed54fb7b7",
 }
 
 func TestGoldenBytes(t *testing.T) {
@@ -100,6 +111,8 @@ func TestGoldenBytes(t *testing.T) {
 		checkFixture("temporal-"+tc.name+"/v1", "temporal-"+tc.name+".tcinct")
 		checkFixture("spatial-"+tc.name+"/v3-int32", "v3-int32-spatial-"+tc.name+".cinct")
 		checkFixture("temporal-"+tc.name+"/v3-int32", "v3-int32-temporal-"+tc.name+".tcinct")
+		checkFixture("spatial-"+tc.name+"/v4", "v4-spatial-"+tc.name+".cinct")
+		checkFixture("temporal-"+tc.name+"/v4", "v4-temporal-"+tc.name+".tcinct")
 	}
 	checkFixture("spatial-4/v3-all-rrr", "v3-all-rrr-spatial-4.cinct")
 	checkFixture("temporal-1/v3-all-rrr", "v3-all-rrr-temporal-1.tcinct")

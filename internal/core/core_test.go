@@ -258,7 +258,7 @@ func locateCases(t *testing.T) []locateCase {
 		opt := DefaultOptions()
 		opt.SASample = rate
 		ix := Build(text, sigma, opt)
-		view, err := ViewFlat(flat.NewCursor(flatWords(ix)))
+		view, err := viewFlat(flatSections(ix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,11 +268,30 @@ func locateCases(t *testing.T) []locateCase {
 	return cases
 }
 
-// flatWords writes ix in the flat layout.
-func flatWords(ix *Index) []uint64 {
+// flatSections writes ix's sections back to back: section s spans
+// words[bounds[s]:bounds[s+1]], empty where ix has none.
+func flatSections(ix *Index) (words []uint64, bounds [NumSections + 1]int) {
 	w := flat.NewWriter()
-	ix.AppendFlat(w)
-	return w.Words()
+	for s := Params; s < NumSections; s++ {
+		bounds[s] = w.Len()
+		if s < Mark || ix.SampleRate() > 0 {
+			ix.AppendSection(w, s)
+		}
+	}
+	bounds[NumSections] = w.Len()
+	return w.Words(), bounds
+}
+
+// viewFlat views sections laid out as flatSections lays them: every
+// section holds at least one word, so an empty span is an absent one.
+func viewFlat(words []uint64, bounds [NumSections + 1]int) (*Index, error) {
+	var secs [NumSections]*flat.Cursor
+	for s := range secs {
+		if bounds[s+1] > bounds[s] {
+			secs[s] = flat.NewCursor(words[bounds[s]:bounds[s+1]])
+		}
+	}
+	return ViewSections(secs)
 }
 
 // bruteSA sorts the suffixes of text by direct comparison.

@@ -15,15 +15,9 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 	text, sigma := markovText(rng, 30, 25, 20, 3)
 	for _, opt := range []Options{DefaultOptions(), {Spec: DefaultOptions().Spec}} {
 		orig := Build(text, sigma, opt)
-		w := flat.NewWriter()
-		orig.AppendFlat(w)
-		c := flat.NewCursor(w.Words())
-		view, err := ViewFlat(c)
+		view, err := viewFlat(flatSections(orig))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.Remaining() != 0 {
-			t.Fatalf("%d words left over", c.Remaining())
 		}
 		if view.Len() != orig.Len() || view.Sigma() != orig.Sigma() ||
 			view.MaxLabel() != orig.MaxLabel() || view.SampleRate() != orig.SampleRate() {
@@ -56,7 +50,7 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// ViewFlat itself must never panic on corrupt words — it either
+// ViewSections itself must never panic on corrupt words — it either
 // errors or hands back a structurally bounded index. Semantic
 // corruption, a lying sample value above all, may still surface as a
 // panic inside Locate or RowOf, which the search layer contains as a
@@ -68,7 +62,7 @@ func TestFlatIndexCorruptView(t *testing.T) {
 	text, sigma := markovText(rng, 15, 12, 10, 3)
 	orig := Build(text, sigma, DefaultOptions())
 	n := int64(orig.Len())
-	base := flatWords(orig)
+	base, bounds := flatSections(orig)
 	sampleWords := orig.samples.FlatWords() + orig.isaSamples.FlatWords() // the trailing SA and ISA sample arrays
 	step := 1
 	if len(base) > 4096 {
@@ -82,10 +76,10 @@ func TestFlatIndexCorruptView(t *testing.T) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("word %d +%#x: panic in ViewFlat: %v", i, delta, r)
+						t.Fatalf("word %d +%#x: panic in ViewSections: %v", i, delta, r)
 					}
 				}()
-				ix, _ = ViewFlat(flat.NewCursor(mut))
+				ix, _ = viewFlat(mut, bounds)
 			}()
 			if ix == nil || ix.SampleRate() == 0 {
 				continue
@@ -125,10 +119,10 @@ func TestFlatIndexSampleWidths(t *testing.T) {
 		}
 		return bitvec.PackIntsWidth(vals, uint(width))
 	}
-	// AppendFlat would repack to the least widths, so the sample arrays
-	// are appended by hand behind the rest of the written index.
-	all := flatWords(orig)
-	head := all[:len(all)-orig.samples.FlatWords()-orig.isaSamples.FlatWords()]
+	// AppendSection would repack to the least widths, so the sample
+	// arrays are appended by hand behind the rest of the written index.
+	all, bounds := flatSections(orig)
+	head := all[:bounds[SASamples]]
 	for _, extra := range []int{0, 1} {
 		for _, which := range []string{"sa", "isa"} {
 			ix := *orig
@@ -142,8 +136,10 @@ func TestFlatIndexSampleWidths(t *testing.T) {
 				w.U64(x)
 			}
 			ix.samples.AppendFlat(w)
+			bounds[ISASamples] = w.Len()
 			ix.isaSamples.AppendFlat(w)
-			view, err := ViewFlat(flat.NewCursor(w.Words()))
+			bounds[NumSections] = w.Len()
+			view, err := viewFlat(w.Words(), bounds)
 			if extra > 0 {
 				if !errors.Is(err, flat.ErrCorrupt) {
 					t.Fatalf("%s one bit past its bound: err = %v, want ErrCorrupt", which, err)

@@ -117,9 +117,6 @@ func BuildFromBWT(text, bwt []uint32, sa []int32, sigma int, opt Options) *Index
 	ix := &Index{n: n, sigma: sigma, opt: opt}
 
 	tGraph := time.Now()
-	ix.graph = etgraph.Build(text, sigma, opt.Strategy, opt.Seed)
-	ix.maxLabel = ix.graph.MaxOutDegree()
-
 	// C array from symbol counts; kept as a plain slice through
 	// construction, packed for residency afterwards.
 	rawC := make([]uint64, sigma+1)
@@ -129,10 +126,12 @@ func BuildFromBWT(text, bwt []uint32, sa []int32, sigma int, opt Options) *Index
 	for w := 1; w <= sigma; w++ {
 		rawC[w] += rawC[w-1]
 	}
-
-	labels := ix.labelBWT(bwt, rawC)
-	ix.computeCorrections(bwt, labels, rawC)
-	ix.graph.Compact()
+	var labels []uint32
+	ix.graph = etgraph.Build(text, sigma, opt.Strategy, opt.Seed, func(out [][]uint32) []int64 {
+		labels = labelBWT(bwt, rawC, out)
+		return corrections(bwt, labels, rawC, out)
+	})
+	ix.maxLabel = ix.graph.MaxOutDegree()
 	ix.c = bitvec.PackInts(rawC)
 	ix.Stats.ETGraph = time.Since(tGraph)
 
@@ -155,18 +154,18 @@ func BuildFromBWT(text, bwt []uint32, sa []int32, sigma int, opt Options) *Index
 }
 
 // labelBWT converts Tbwt into φ(Tbwt) (§III-C1): position j in the
-// context block [C[w′], C[w′+1]) gets the label φ(Tbwt[j] | w′).
-func (ix *Index) labelBWT(bwt []uint32, rawC []uint64) []uint32 {
-	labels := make([]uint32, ix.n)
-	scratch := make([]uint32, ix.sigma) // symbol -> label within current context
-	for wp := 0; wp < ix.sigma; wp++ {
+// context block [C[w′], C[w′+1]) gets the label φ(Tbwt[j] | w′), the
+// 1-based position of Tbwt[j] in out[w′].
+func labelBWT(bwt []uint32, rawC []uint64, out [][]uint32) []uint32 {
+	labels := make([]uint32, len(bwt))
+	scratch := make([]uint32, len(out)) // symbol -> label within current context
+	for wp, es := range out {
 		lo, hi := rawC[wp], rawC[wp+1]
 		if lo == hi {
 			continue
 		}
-		es := ix.graph.OutEdges(uint32(wp))
-		for i, e := range es {
-			scratch[e.To] = uint32(i) + 1
+		for i, to := range es {
+			scratch[to] = uint32(i) + 1
 		}
 		for j := lo; j < hi; j++ {
 			l := scratch[bwt[j]]
@@ -175,30 +174,35 @@ func (ix *Index) labelBWT(bwt []uint32, rawC []uint64) []uint32 {
 			}
 			labels[j] = l
 		}
-		for _, e := range es {
-			scratch[e.To] = 0
+		for _, to := range es {
+			scratch[to] = 0
 		}
 	}
 	return labels
 }
 
-// computeCorrections fills the correction terms Z_{w′w} (Eq. 7) in one
-// sweep: at each context boundary j = C[w′], the running symbol and
-// label counters are exactly rank_w(Tbwt, C[w′]) and
-// rank_η(φ(Tbwt), C[w′]).
-func (ix *Index) computeCorrections(bwt, labels []uint32, rawC []uint64) {
-	cntSym := make([]int64, ix.sigma)
-	cntLab := make([]int64, ix.maxLabel+1)
-	for wp := 0; wp < ix.sigma; wp++ {
-		es := ix.graph.OutEdges(uint32(wp))
-		for i, e := range es {
-			ix.graph.SetZ(uint32(wp), uint32(i)+1, cntLab[i+1]-cntSym[e.To])
+// corrections computes the correction terms Z_{w′w} (Eq. 7) in one
+// sweep, in out's order: at each context boundary j = C[w′], the
+// running symbol and label counters are exactly rank_w(Tbwt, C[w′])
+// and rank_η(φ(Tbwt), C[w′]).
+func corrections(bwt, labels []uint32, rawC []uint64, out [][]uint32) []int64 {
+	maxDeg := 0
+	for _, es := range out {
+		maxDeg = max(maxDeg, len(es))
+	}
+	cntSym := make([]int64, len(out))
+	cntLab := make([]int64, maxDeg+1)
+	var z []int64
+	for wp, es := range out {
+		for i, to := range es {
+			z = append(z, cntLab[i+1]-cntSym[to])
 		}
 		for j := rawC[wp]; j < rawC[wp+1]; j++ {
 			cntSym[bwt[j]]++
 			cntLab[labels[j]]++
 		}
 	}
+	return z
 }
 
 // buildSamples marks the rows whose suffix starts at a multiple of

@@ -2,18 +2,17 @@ package engine
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"fmt"
-	"strings"
 	"sync"
 )
 
 // queryCache is a bounded LRU for query results, shared by every index
-// in a Catalog. Keys embed the owning entry's generation number, so a
-// Reload — which bumps the generation — instantly orphans every cached
-// result of the old index state: stale keys can never be looked up
-// again and age out of the LRU like any other cold entry. That makes
-// invalidation O(1) and lock-free with respect to the cache itself.
+// in a Catalog. Keys embed the binding and generation they were
+// computed against, so a Reload, a replacing Load or a Close followed
+// by a Load — each a new binding — and an Append — a new generation —
+// instantly orphan every cached result of the old index state: stale
+// keys can never be looked up again and age out of the LRU like any
+// other cold entry. That makes invalidation O(1) and lock-free with
+// respect to the cache itself.
 //
 // Values are stored and returned by reference; callers must treat
 // cached slices as immutable (Engine's query methods already promise
@@ -22,12 +21,21 @@ type queryCache struct {
 	mu           sync.Mutex
 	cap          int
 	ll           *list.List // front = most recently used
-	byK          map[string]*list.Element
+	byK          map[cacheKey]*list.Element
 	hits, misses uint64
 }
 
+// cacheKey identifies a Search result: the entry binding (see
+// entry.bind) and generation it was computed against, and the query's
+// canonical binary encoding, whose self-delimiting fields make two
+// keys equal only for semantically identical queries.
+type cacheKey struct {
+	binding, gen uint64
+	query        string
+}
+
 type cacheItem struct {
-	key string
+	key cacheKey
 	val any
 }
 
@@ -37,25 +45,11 @@ func newQueryCache(capacity int) *queryCache {
 	return &queryCache{
 		cap: capacity,
 		ll:  list.New(),
-		byK: make(map[string]*list.Element),
+		byK: make(map[cacheKey]*list.Element),
 	}
 }
 
-// searchKey builds the cache key for a Search result: the index name,
-// the entry generation the result was computed against, and the SHA-256
-// of the query's canonical binary encoding. Every retrieval is a
-// Query, so one key scheme covers the whole surface; hashing keeps keys
-// fixed-size however long the path, and the canonical encoding
-// guarantees two keys collide only if the queries are semantically
-// identical (modulo a SHA-256 collision).
-func searchKey(name string, gen uint64, encodedQuery []byte) string {
-	sum := sha256.Sum256(encodedQuery)
-	var b strings.Builder
-	fmt.Fprintf(&b, "q|%s|%d|%x", name, gen, sum)
-	return b.String()
-}
-
-func (c *queryCache) get(key string) (any, bool) {
+func (c *queryCache) get(key cacheKey) (any, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
@@ -71,7 +65,7 @@ func (c *queryCache) get(key string) (any, bool) {
 	return el.Value.(*cacheItem).val, true
 }
 
-func (c *queryCache) put(key string, val any) {
+func (c *queryCache) put(key cacheKey, val any) {
 	if c.cap <= 0 {
 		return
 	}

@@ -83,8 +83,11 @@ type entry struct {
 	// mu.
 	persistMu sync.Mutex
 
-	mu  sync.RWMutex
-	gen uint64
+	mu sync.RWMutex
+	// binding identifies the index the entry serves (see bind); cached
+	// results are keyed by it and gen.
+	binding uint64
+	gen     uint64
 	// sig fingerprints the index as loaded (a hash of its structural
 	// Stats). Unlike the epoch — which restarts at 1 in every process —
 	// the sig is derived from the data, so a cursor carrying (epoch,
@@ -133,11 +136,12 @@ type entry struct {
 
 // view is an immutable snapshot of an entry's current binding.
 type view struct {
-	name  string
-	gen   uint64
-	epoch uint64
-	sig   uint64
-	w     *cinct.Writer
+	name    string
+	binding uint64
+	gen     uint64
+	epoch   uint64
+	sig     uint64
+	w       *cinct.Writer
 }
 
 // newWriter wraps a loaded index as the writer an entry serves from.
@@ -176,7 +180,7 @@ func (en *entry) snapshot() (view, error) {
 	if en.closed {
 		return view{}, fmt.Errorf("%w: %q", ErrNotFound, en.name)
 	}
-	return view{name: en.name, gen: en.gen, epoch: en.epoch, sig: en.sig, w: en.w}, nil
+	return view{name: en.name, binding: en.binding, gen: en.gen, epoch: en.epoch, sig: en.sig, w: en.w}, nil
 }
 
 // writer returns the entry's current writer, failing if closed.
@@ -189,14 +193,16 @@ func (en *entry) writer() (*cinct.Writer, error) {
 	return en.w, nil
 }
 
-// bind serves ix from a fresh writer and continues the entry's
-// sequences past (gen, epoch). The next generation orphans every
-// cached result of the old binding; the next epoch invalidates its
-// outstanding cursors, since a reloaded or replacing file may hold
-// arbitrarily different data. The caller holds mu, or the entry is not
-// yet published.
-func (en *entry) bind(ix *cinct.Index, gen, epoch uint64) {
-	en.w, en.sig = newWriter(ix), indexSig(ix)
+// bind serves ix from a fresh writer under binding id, drawn from the
+// catalog's one counter for every entry, so no cached result of a
+// closed or replaced index answers for its successor, even one under
+// the same name whose generations restart. It continues the entry's
+// sequences past (gen, epoch); the next epoch invalidates outstanding
+// cursors, since a reloaded or replacing file may hold arbitrarily
+// different data. The caller holds mu, or the entry is not yet
+// published.
+func (en *entry) bind(id uint64, ix *cinct.Index, gen, epoch uint64) {
+	en.w, en.sig, en.binding = newWriter(ix), indexSig(ix), id
 	en.continueFrom(gen, epoch)
 }
 
@@ -209,13 +215,13 @@ func (en *entry) continueFrom(gen, epoch uint64) {
 // swap rebinds a published entry to a freshly loaded index; the old
 // writer's unsealed delta does not survive a reload. It returns the new
 // generation.
-func (en *entry) swap(ix *cinct.Index) (uint64, error) {
+func (en *entry) swap(id uint64, ix *cinct.Index) (uint64, error) {
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	if en.closed {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, en.name)
 	}
-	en.bind(ix, en.gen, en.epoch)
+	en.bind(id, ix, en.gen, en.epoch)
 	return en.gen, nil
 }
 
@@ -257,6 +263,8 @@ func (en *entry) loadFromFile() (*cinct.Index, error) {
 type catalog struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
+	// bindings numbers the bindings of every entry (see entry.bind).
+	bindings atomic.Uint64
 }
 
 func newCatalog() *catalog {
@@ -284,10 +292,9 @@ func (c *catalog) view(name string) (view, error) {
 
 // install publishes a new or replacement entry under name and returns
 // the error of ending the entry it replaced. A replacement continues
-// the old entry's generation and epoch sequences — the cache keys
-// embed (name, generation) and cursors embed the epoch, so a Load over
-// an existing name must orphan old results and cursors exactly like
-// Reload does.
+// the old entry's generation and epoch sequences — cursors embed the
+// epoch, so a Load over an existing name must invalidate old cursors
+// exactly like Reload does.
 func (c *catalog) install(en *entry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

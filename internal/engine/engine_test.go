@@ -341,18 +341,18 @@ func TestEngineTemporalCacheAndReload(t *testing.T) {
 
 func cacheCounters(e *Engine) (hits, misses uint64, entries int) { return e.CacheStats() }
 
-// TestSearchKeyNoCollision pins the cache-key contract: keys hash the
+// TestSearchKeyNoCollision pins the cache-key contract: keys hold the
 // query's canonical binary encoding, in which every field occupies a
 // self-delimiting slot — so neighboring numeric fields can never merge
 // into the same key, and any semantic difference (interval bounds,
 // sign, limit, kind, cursor) yields a distinct key.
 func TestSearchKeyNoCollision(t *testing.T) {
-	mk := func(q cinct.Query) string {
+	mk := func(q cinct.Query) cacheKey {
 		enc, err := q.MarshalBinary()
 		if err != nil {
 			t.Fatalf("MarshalBinary(%+v): %v", q, err)
 		}
-		return searchKey("ix", 1, enc)
+		return cacheKey{binding: 1, gen: 1, query: string(enc)}
 	}
 	path := []uint32{1, 2}
 	pairs := [][2]cinct.Query{
@@ -379,7 +379,7 @@ func TestSearchKeyNoCollision(t *testing.T) {
 	}
 	for i, p := range pairs {
 		if a, b := mk(p[0]), mk(p[1]); a == b {
-			t.Errorf("pair %d: colliding cache keys %q", i, a)
+			t.Errorf("pair %d: colliding cache keys %+v", i, a)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (e *Engine) open(en *entry) error {
 	if err != nil {
 		return err
 	}
-	en.bind(ix, 0, 0)
+	en.bind(e.cat.bindings.Add(1), ix, 0, 0)
 	// WAL before install: once the entry is reachable through the
 	// catalog an Append must find a live log handle, or its batch
 	// would be acknowledged without a record.
@@ -97,7 +97,7 @@ func (e *Engine) Reload(name string) (uint64, error) {
 	// rows silently dropped) or be acknowledged while en.wal is nil
 	// (acked rows never logged).
 	en.ingestMu.Lock()
-	gen, err := en.swap(ix)
+	gen, err := en.swap(e.cat.bindings.Add(1), ix)
 	if err != nil {
 		en.ingestMu.Unlock()
 		return 0, err

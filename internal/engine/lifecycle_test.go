@@ -251,3 +251,34 @@ func TestLoadOverWALEntryLosesNoRow(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseThenLoadServesNoStaleCache pins that a name closed and then
+// loaded again answers from the new file: its generations restart, so
+// a cache keyed by name and generation would hand the closed index's
+// count to the new one.
+func TestCloseThenLoadServesNoStaleCache(t *testing.T) {
+	ctx := context.Background()
+	e := New(Options{})
+	defer e.Shutdown()
+	build := func(rows int) *cinct.Index {
+		trajs := [][]uint32{{1, 3}}
+		for range rows {
+			trajs = append(trajs, []uint32{2, 4})
+		}
+		ix, err := cinct.Build(trajs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	q := cinct.Query{Path: []uint32{2}, Kind: cinct.CountOnly}
+	for _, rows := range []int{2, 7} {
+		serveIndex(t, e, "ix", build(rows))
+		if n, err := searchCount(ctx, e, "ix", q); err != nil || n != rows {
+			t.Fatalf("count = %d, %v; want %d", n, err, rows)
+		}
+		if err := e.Close("ix"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -184,9 +185,10 @@ func TestEngineFlavorFromFile(t *testing.T) {
 }
 
 // TestEngineRefusesLegacyFiles pins the typed refusal of every old
-// fixture, version-3 containers included, at each engine entry point — Load, and Reload of a file
-// replaced by one, which keeps serving the index it had — and that
-// OpenDir's error names the file.
+// fixture, version-3 and -4 containers included, and of a container
+// with a section encoding this build does not know, at each engine
+// entry point — Load, and Reload of a file replaced by one, which keeps
+// serving the index it had — and that OpenDir's error names the file.
 func TestEngineRefusesLegacyFiles(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "legacy", "*cinct"))
 	if err != nil {
@@ -197,15 +199,21 @@ func TestEngineRefusesLegacyFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	refused := 0
+	var unknown bytes.Buffer
+	if _, err := ix.Save(&unknown); err != nil {
+		t.Fatal(err)
+	}
+	unknown.Bytes()[44] = 2 // TOC entry 0, behind the 5-word header: encoding 2
+	inputs := map[string][]byte{"unknown-encoding.cinct": unknown.Bytes()}
 	for _, fixture := range fixtures {
-		data, err := os.ReadFile(fixture)
-		if err != nil {
+		if inputs[filepath.Base(fixture)], err = os.ReadFile(fixture); err != nil {
 			t.Fatal(err)
 		}
+	}
+	ctx := context.Background()
+	refused := 0
+	for name, data := range inputs {
 		refused++
-		name := filepath.Base(fixture)
 		dir := t.TempDir()
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -240,7 +248,7 @@ func TestEngineRefusesLegacyFiles(t *testing.T) {
 		}
 		e.CloseAll()
 	}
-	if refused != 13 {
-		t.Fatalf("%d old fixtures refused, want 13", refused)
+	if refused != 18 {
+		t.Fatalf("%d files refused, want the 17 old fixtures and the unknown encoding", refused)
 	}
 }

@@ -98,7 +98,7 @@ type Results struct {
 
 	live *cinct.Results
 	e    *Engine
-	key  string
+	key  cacheKey
 	held bool
 	// name/start/recorded close the metrics account exactly once when
 	// the live stream finishes, fails, or is abandoned via Close.
@@ -270,9 +270,9 @@ func (r *Results) Cursor() string {
 // Search is the engine's single query entry point: every operation —
 // spatial or temporal, counting, locating or listing trajectories — is
 // a cinct.Query executed here, cached here, and bounded by the same
-// worker pool. Results are keyed by (index, generation, SHA-256 of the
-// canonical query encoding), so a Reload instantly orphans stale
-// pages. Interval queries against a spatial-only index fail with
+// worker pool. Results are keyed by (binding, generation, canonical
+// query encoding), so a Reload, an Append or a Close then Load of the
+// same name instantly orphans stale pages. Interval queries against a spatial-only index fail with
 // ErrNotTemporal; descriptor violations (negative limit, unknown kind)
 // fail with cinct.ErrBadQuery before any index work.
 func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Results, error) {
@@ -303,7 +303,7 @@ func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Resul
 	if q.Interval != nil && !v.w.Temporal() {
 		return nil, fmt.Errorf("%w: %q", ErrNotTemporal, v.name)
 	}
-	key := searchKey(v.name, v.gen, enc)
+	key := cacheKey{binding: v.binding, gen: v.gen, query: string(enc)}
 	start := time.Now()
 	e.metrics.queries.With(kindLabel(q.Kind)).Inc()
 	if val, ok := e.cache.get(key); ok {

@@ -29,89 +29,101 @@ const (
 	RandomShuffle
 )
 
-// Edge is one ET-graph edge (w′ → To) with its bigram count and, once
-// the index is built, the PseudoRank correction term Z_{w′,To} (Eq. 7).
+// Edge is one ET-graph edge (w′ → To) with its PseudoRank correction
+// term Z_{w′,To} (Eq. 7).
 type Edge struct {
-	To    uint32
-	Count int64
-	Z     int64
+	To uint32
+	Z  int64
 }
 
-// Graph is the ET-graph with an RML labeling: out[w′] is sorted in
-// label order, so φ(out[w′][i].To | w′) = i+1 and decoding a label is a
-// single slice access.
-//
-// The graph has two representations. Build produces the *building*
-// form (adjacency slices with bigram counts), which the index
-// construction mutates (SetZ). Compact converts to a CSR layout of
-// packed integer arrays — the resident form whose size the paper's
-// experiments account for — after which the graph is immutable.
+// Graph is the ET-graph with an RML labeling, in a CSR layout of packed
+// integer arrays — the resident form whose size the paper's experiments
+// account for. Row w′ lists its out-edges in label order, so
+// φ(tos[starts[w′]+i] | w′) = i+1 and decoding a label is a single
+// array access. A graph is immutable once built or viewed.
 type Graph struct {
 	sigma  int
-	out    [][]Edge
 	edges  int
 	maxDeg int
 
-	// Compact (CSR) representation; non-nil after Compact.
 	starts *bitvec.PackedInts // len sigma+1, cumulative out-degrees
 	tos    *bitvec.PackedInts // len edges, target symbols in label order
 	zs     *bitvec.PackedInts // len edges, zig-zag correction terms
 }
 
 // Build scans the trajectory string (including the cyclic wraparound
-// bigram, so the BWT row of the full-string rotation is labelable) and
-// constructs the labeled ET-graph.
-func Build(text []uint32, sigma int, strat Strategy, seed int64) *Graph {
-	g := &Graph{sigma: sigma, out: make([][]Edge, sigma)}
-	n := len(text)
-	if n == 0 {
-		return g
-	}
-	// counts[w'] maps w -> bigram count of "w w'" in T.
-	counts := make([]map[uint32]int64, sigma)
-	bump := func(w, wPrime uint32) {
-		m := counts[wPrime]
-		if m == nil {
-			m = make(map[uint32]int64, 4)
-			counts[wPrime] = m
-		}
-		m[w]++
-	}
-	for i := 0; i+1 < n; i++ {
-		bump(text[i], text[i+1])
-	}
-	if n > 1 {
-		bump(text[n-1], text[0]) // wraparound rotation bigram
-	}
-
-	var rng *rand.Rand
-	if strat == RandomShuffle {
-		rng = rand.New(rand.NewSource(seed))
-	}
-	for wp := 0; wp < sigma; wp++ {
-		m := counts[wp]
-		if len(m) == 0 {
-			continue
-		}
-		es := make([]Edge, 0, len(m))
-		for w, c := range m {
-			es = append(es, Edge{To: w, Count: c})
-		}
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].Count != es[j].Count {
-				return es[i].Count > es[j].Count
+// bigram, so the BWT row of the full-string rotation is labelable),
+// labels its ET-graph and packs it. corrections, when non-nil, is
+// handed every context's out-neighbours in label order — out[w′][i] is
+// labeled i+1 — and returns their correction terms in the same order,
+// context after context; nil leaves every Z at 0, for callers that
+// only need the graph's shape.
+func Build(text []uint32, sigma int, strat Strategy, seed int64, corrections func(out [][]uint32) []int64) *Graph {
+	out := make([][]uint32, sigma)
+	if n := len(text); n > 0 {
+		// counts[w'] maps w -> bigram count of "w w'" in T.
+		counts := make([]map[uint32]int64, sigma)
+		bump := func(w, wPrime uint32) {
+			m := counts[wPrime]
+			if m == nil {
+				m = make(map[uint32]int64, 4)
+				counts[wPrime] = m
 			}
-			return es[i].To < es[j].To
-		})
-		if strat == RandomShuffle {
-			rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+			m[w]++
 		}
-		g.out[wp] = es
-		g.edges += len(es)
-		if len(es) > g.maxDeg {
-			g.maxDeg = len(es)
+		for i := 0; i+1 < n; i++ {
+			bump(text[i], text[i+1])
+		}
+		if n > 1 {
+			bump(text[n-1], text[0]) // wraparound rotation bigram
+		}
+		var rng *rand.Rand
+		if strat == RandomShuffle {
+			rng = rand.New(rand.NewSource(seed))
+		}
+		for wp, m := range counts {
+			if len(m) == 0 {
+				continue
+			}
+			es := make([]uint32, 0, len(m))
+			for w := range m {
+				es = append(es, w)
+			}
+			sort.Slice(es, func(i, j int) bool {
+				if ci, cj := m[es[i]], m[es[j]]; ci != cj {
+					return ci > cj
+				}
+				return es[i] < es[j]
+			})
+			if strat == RandomShuffle {
+				rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+			}
+			out[wp] = es
 		}
 	}
+	g := &Graph{sigma: sigma}
+	starts := make([]uint64, sigma+1)
+	var tos []uint64
+	for wp, es := range out {
+		starts[wp] = uint64(len(tos))
+		for _, w := range es {
+			tos = append(tos, uint64(w))
+		}
+		g.maxDeg = max(g.maxDeg, len(es))
+	}
+	starts[sigma] = uint64(len(tos))
+	g.edges = len(tos)
+	zs := make([]uint64, g.edges)
+	if corrections != nil {
+		z := corrections(out)
+		if len(z) != g.edges {
+			panic(fmt.Sprintf("etgraph: %d correction terms for %d edges", len(z), g.edges))
+		}
+		for i, v := range z {
+			zs[i] = bitvec.ZigZag(v)
+		}
+	}
+	g.starts, g.tos, g.zs = bitvec.PackInts(starts), bitvec.PackInts(tos), bitvec.PackInts(zs)
 	return g
 }
 
@@ -129,18 +141,9 @@ func (g *Graph) MaxOutDegree() int { return g.maxDeg }
 // at least one out-edge (Table III's sparsity statistic).
 func (g *Graph) AvgOutDegree() float64 {
 	nz := 0
-	if g.starts != nil {
-		// Compact dropped the adjacency slices; count non-empty CSR rows.
-		for wp := 0; wp < g.sigma; wp++ {
-			if g.starts.Get(wp+1) > g.starts.Get(wp) {
-				nz++
-			}
-		}
-	} else {
-		for _, es := range g.out {
-			if len(es) > 0 {
-				nz++
-			}
+	for wp := 0; wp < g.sigma; wp++ {
+		if g.starts.Get(wp+1) > g.starts.Get(wp) {
+			nz++
 		}
 	}
 	if nz == 0 {
@@ -148,34 +151,6 @@ func (g *Graph) AvgOutDegree() float64 {
 	}
 	return float64(g.edges) / float64(nz)
 }
-
-// Compact converts the graph to its resident CSR form: cumulative
-// out-degrees, target symbols and zig-zag Z terms, each in a packed
-// integer array at minimal width. Bigram counts (construction-only)
-// are dropped. Idempotent.
-func (g *Graph) Compact() {
-	if g.starts != nil {
-		return
-	}
-	starts := make([]uint64, g.sigma+1)
-	tos := make([]uint64, 0, g.edges)
-	zs := make([]uint64, 0, g.edges)
-	for wp := 0; wp < g.sigma; wp++ {
-		starts[wp] = uint64(len(tos))
-		for _, e := range g.out[wp] {
-			tos = append(tos, uint64(e.To))
-			zs = append(zs, bitvec.ZigZag(e.Z))
-		}
-	}
-	starts[g.sigma] = uint64(len(tos))
-	g.starts = bitvec.PackInts(starts)
-	g.tos = bitvec.PackInts(tos)
-	g.zs = bitvec.PackInts(zs)
-	g.out = nil
-}
-
-// IsCompact reports whether Compact has run.
-func (g *Graph) IsCompact() bool { return g.starts != nil }
 
 // Label returns φ(w|w′), the 1-based label of the transition w′→w, or
 // ok=false if (w′, w) is not an ET-graph edge — in which case no
@@ -185,18 +160,10 @@ func (g *Graph) Label(w, wPrime uint32) (label uint32, ok bool) {
 	if int(wPrime) >= g.sigma {
 		return 0, false
 	}
-	if g.starts != nil {
-		lo, hi := int(g.starts.Get(int(wPrime))), int(g.starts.Get(int(wPrime)+1))
-		for i := lo; i < hi; i++ {
-			if uint32(g.tos.Get(i)) == w {
-				return uint32(i-lo) + 1, true
-			}
-		}
-		return 0, false
-	}
-	for i, e := range g.out[wPrime] {
-		if e.To == w {
-			return uint32(i) + 1, true
+	lo, hi := int(g.starts.Get(int(wPrime))), int(g.starts.Get(int(wPrime)+1))
+	for i := lo; i < hi; i++ {
+		if uint32(g.tos.Get(i)) == w {
+			return uint32(i-lo) + 1, true
 		}
 	}
 	return 0, false
@@ -210,36 +177,16 @@ func (g *Graph) Decode(label, wPrime uint32) uint32 {
 		panic(fmt.Sprintf("etgraph: label %d invalid for context %d (out-degree %d)",
 			label, wPrime, deg))
 	}
-	if g.starts != nil {
-		return uint32(g.tos.Get(int(g.starts.Get(int(wPrime))) + int(label) - 1))
-	}
-	return g.out[wPrime][label-1].To
+	return uint32(g.tos.Get(int(g.starts.Get(int(wPrime))) + int(label) - 1))
 }
 
 // OutDegree returns |Nout(w′)|.
 func (g *Graph) OutDegree(wPrime uint32) int {
-	if g.starts != nil {
-		return int(g.starts.Get(int(wPrime)+1) - g.starts.Get(int(wPrime)))
-	}
-	return len(g.out[wPrime])
+	return int(g.starts.Get(int(wPrime)+1) - g.starts.Get(int(wPrime)))
 }
 
-// OutEdges exposes the out-edge slice of w′ in label order (building
-// form only). The slice is owned by the graph; callers may update Z in
-// place (the index builder does) but must not reorder it.
-func (g *Graph) OutEdges(wPrime uint32) []Edge {
-	if g.starts != nil {
-		panic("etgraph: OutEdges on a compacted graph")
-	}
-	return g.out[wPrime]
-}
-
-// Edges reconstructs the (To, Z) pairs of w′ in label order, working
-// in either representation.
+// Edges returns the (To, Z) pairs of w′ in label order.
 func (g *Graph) Edges(wPrime uint32) []Edge {
-	if g.starts == nil {
-		return g.out[wPrime]
-	}
 	lo, hi := int(g.starts.Get(int(wPrime))), int(g.starts.Get(int(wPrime)+1))
 	es := make([]Edge, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -248,51 +195,15 @@ func (g *Graph) Edges(wPrime uint32) []Edge {
 	return es
 }
 
-// SetZ stores the correction term for the edge with the given label
-// (building form only).
-func (g *Graph) SetZ(wPrime, label uint32, z int64) {
-	g.out[wPrime][label-1].Z = z
-}
-
 // Z returns the correction term Z_{w′w} for the edge with the given
 // label out of w′.
 func (g *Graph) Z(wPrime, label uint32) int64 {
-	if g.starts != nil {
-		return bitvec.UnZigZag(g.zs.Get(int(g.starts.Get(int(wPrime))) + int(label) - 1))
-	}
-	return g.out[wPrime][label-1].Z
+	return bitvec.UnZigZag(g.zs.Get(int(g.starts.Get(int(wPrime))) + int(label) - 1))
 }
 
-// SizeBits returns the storage footprint of the adjacency structure.
-// After Compact it is the exact packed size; before, an estimate of
-// the same layout. Bigram counts are construction-only and never
-// counted, matching the paper's "CiNCT (with ET-graph)" accounting.
+// SizeBits returns the packed size of the adjacency structure. Bigram
+// counts are construction-only and never stored, matching the paper's
+// "CiNCT (with ET-graph)" accounting.
 func (g *Graph) SizeBits() int {
-	if g.starts != nil {
-		return g.starts.SizeBits() + g.tos.SizeBits() + g.zs.SizeBits()
-	}
-	// Estimate with the widths Compact would choose.
-	widthOf := func(maxV uint64) int {
-		w := 0
-		for v := maxV; v > 0; v >>= 1 {
-			w++
-		}
-		if w == 0 {
-			w = 1
-		}
-		return w
-	}
-	var maxTo, maxZ uint64
-	for wp := range g.out {
-		for _, e := range g.out[wp] {
-			if uint64(e.To) > maxTo {
-				maxTo = uint64(e.To)
-			}
-			if z := bitvec.ZigZag(e.Z); z > maxZ {
-				maxZ = z
-			}
-		}
-	}
-	return (g.sigma+1)*widthOf(uint64(g.edges)) +
-		g.edges*(widthOf(maxTo)+widthOf(maxZ)) + 3*64
+	return g.starts.SizeBits() + g.tos.SizeBits() + g.zs.SizeBits()
 }

@@ -14,7 +14,7 @@ func paperText() ([]uint32, int) {
 
 func TestPaperETGraph(t *testing.T) {
 	text, sigma := paperText()
-	g := Build(text, sigma, BigramSorted, 0)
+	g := Build(text, sigma, BigramSorted, 0, nil)
 
 	const (
 		symHash = 0
@@ -66,9 +66,9 @@ func TestPaperETGraph(t *testing.T) {
 
 func TestDecodeInvertsLabel(t *testing.T) {
 	text, sigma := paperText()
-	g := Build(text, sigma, BigramSorted, 0)
+	g := Build(text, sigma, BigramSorted, 0, nil)
 	for wp := uint32(0); int(wp) < sigma; wp++ {
-		for _, e := range g.OutEdges(wp) {
+		for _, e := range g.Edges(wp) {
 			l, ok := g.Label(e.To, wp)
 			if !ok {
 				t.Fatalf("edge (%d,%d) lost", wp, e.To)
@@ -87,10 +87,10 @@ func TestLabelsAreDistinctPerContext(t *testing.T) {
 		text[i] = uint32(rng.Intn(50))
 	}
 	for _, strat := range []Strategy{BigramSorted, RandomShuffle} {
-		g := Build(text, 50, strat, 7)
+		g := Build(text, 50, strat, 7, nil)
 		for wp := uint32(0); wp < 50; wp++ {
 			seen := map[uint32]bool{}
-			for i, e := range g.OutEdges(wp) {
+			for i, e := range g.Edges(wp) {
 				if seen[e.To] {
 					t.Fatalf("duplicate out-edge %d from %d", e.To, wp)
 				}
@@ -110,11 +110,12 @@ func TestBigramSortedIsMonotone(t *testing.T) {
 	for i := range text {
 		text[i] = uint32(rng.Intn(30))
 	}
-	g := Build(text, 30, BigramSorted, 0)
+	g := Build(text, 30, BigramSorted, 0, nil)
+	counts := bigramCounts(text)
 	for wp := uint32(0); wp < 30; wp++ {
-		es := g.OutEdges(wp)
+		es := g.Edges(wp)
 		for i := 1; i < len(es); i++ {
-			if es[i].Count > es[i-1].Count {
+			if counts[[2]uint32{es[i].To, wp}] > counts[[2]uint32{es[i-1].To, wp}] {
 				t.Fatalf("counts not descending out of %d", wp)
 			}
 		}
@@ -150,8 +151,8 @@ func TestBigramLabelingLowersEntropy(t *testing.T) {
 		}
 		text[i] = cur
 	}
-	gOpt := Build(text, sigma, BigramSorted, 0)
-	gRnd := Build(text, sigma, RandomShuffle, 99)
+	gOpt := Build(text, sigma, BigramSorted, 0, nil)
+	gRnd := Build(text, sigma, RandomShuffle, 99, nil)
 	label := func(g *Graph) []uint32 {
 		out := make([]uint32, 0, len(text)-1)
 		for i := 0; i+1 < len(text); i++ {
@@ -183,7 +184,7 @@ func TestBigramLabelingLowersEntropy(t *testing.T) {
 
 func TestGraphStats(t *testing.T) {
 	text, sigma := paperText()
-	g := Build(text, sigma, BigramSorted, 0)
+	g := Build(text, sigma, BigramSorted, 0, nil)
 	if g.MaxOutDegree() < 2 {
 		t.Fatalf("MaxOutDegree = %d", g.MaxOutDegree())
 	}
@@ -199,107 +200,94 @@ func TestGraphStats(t *testing.T) {
 }
 
 func TestEmptyText(t *testing.T) {
-	g := Build(nil, 4, BigramSorted, 0)
+	g := Build(nil, 4, BigramSorted, 0, nil)
 	if g.NumEdges() != 0 || g.MaxOutDegree() != 0 || g.AvgOutDegree() != 0 {
 		t.Fatal("empty text should give empty graph")
 	}
 }
 
+// bigramCounts counts each bigram (w, w′) of text, wraparound
+// included: the transition counts Build orders labels by.
+func bigramCounts(text []uint32) map[[2]uint32]int64 {
+	counts := map[[2]uint32]int64{}
+	for i := range text {
+		counts[[2]uint32{text[i], text[(i+1)%len(text)]}]++
+	}
+	return counts
+}
+
 func TestZStorage(t *testing.T) {
 	text, sigma := paperText()
-	g := Build(text, sigma, BigramSorted, 0)
-	g.SetZ(2, 1, 42)
+	g := Build(text, sigma, BigramSorted, 0, func(out [][]uint32) []int64 {
+		var z []int64
+		for wp, es := range out {
+			for i := range es {
+				if wp == 2 && i == 0 {
+					z = append(z, 42)
+				} else {
+					z = append(z, 0)
+				}
+			}
+		}
+		return z
+	})
 	if g.Z(2, 1) != 42 {
 		t.Fatal("Z round trip failed")
 	}
 }
 
-func TestCompactPreservesEverything(t *testing.T) {
+// TestBuildPacksCorrections pins what Build hands its corrections
+// callback and what it packs: the callback sees every context's
+// out-neighbours in label order, and Z, Edges, Label and Decode read
+// back exactly that order and the terms it returned.
+func TestBuildPacksCorrections(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	text := make([]uint32, 8000)
 	for i := range text {
 		text[i] = uint32(rng.Intn(40))
 	}
-	g := Build(text, 40, BigramSorted, 0)
-	// Set some negative and positive Z terms before compacting.
+	var order [][]uint32
+	g := Build(text, 40, BigramSorted, 0, func(out [][]uint32) []int64 {
+		order = out
+		var z []int64
+		for _, es := range out {
+			for i := range es {
+				z = append(z, int64(i*7)-13)
+			}
+		}
+		return z
+	})
 	for wp := uint32(0); wp < 40; wp++ {
-		for i := range g.OutEdges(wp) {
-			g.SetZ(wp, uint32(i)+1, int64(i*7)-13)
+		es := order[wp]
+		if g.OutDegree(wp) != len(es) {
+			t.Fatalf("context %d: degree %d, want %d", wp, g.OutDegree(wp), len(es))
 		}
-	}
-	// Snapshot the building-form answers.
-	type snap struct {
-		deg    int
-		labels map[uint32]uint32
-		zs     []int64
-	}
-	snaps := make([]snap, 40)
-	for wp := uint32(0); wp < 40; wp++ {
-		s := snap{deg: g.OutDegree(wp), labels: map[uint32]uint32{}}
-		for _, e := range g.OutEdges(wp) {
-			l, _ := g.Label(e.To, wp)
-			s.labels[e.To] = l
-		}
-		for i := 1; i <= s.deg; i++ {
-			s.zs = append(s.zs, g.Z(wp, uint32(i)))
-		}
-		snaps[wp] = s
-	}
-	estimate := g.SizeBits()
-
-	g.Compact()
-	if !g.IsCompact() {
-		t.Fatal("IsCompact should be true")
-	}
-	for wp := uint32(0); wp < 40; wp++ {
-		s := snaps[wp]
-		if g.OutDegree(wp) != s.deg {
-			t.Fatalf("context %d: degree changed", wp)
-		}
-		for to, l := range s.labels {
-			got, ok := g.Label(to, wp)
-			if !ok || got != l {
-				t.Fatalf("context %d: Label(%d) = %d,%v want %d", wp, to, got, ok, l)
+		for i, to := range es {
+			l, ok := g.Label(to, wp)
+			if !ok || int(l) != i+1 {
+				t.Fatalf("context %d: Label(%d) = %d,%v want %d", wp, to, l, ok, i+1)
 			}
 			if g.Decode(l, wp) != to {
 				t.Fatalf("context %d: Decode(%d) broken", wp, l)
 			}
-		}
-		for i := 1; i <= s.deg; i++ {
-			if g.Z(wp, uint32(i)) != s.zs[i-1] {
-				t.Fatalf("context %d: Z(%d) changed", wp, i)
+			if z := g.Z(wp, l); z != int64(i*7)-13 {
+				t.Fatalf("context %d: Z(%d) = %d, want %d", wp, l, z, int64(i*7)-13)
 			}
 		}
-		// Edges() must reproduce (To, Z) in label order.
 		for i, e := range g.Edges(wp) {
-			if e.Z != s.zs[i] {
-				t.Fatalf("context %d: Edges()[%d].Z mismatch", wp, i)
+			if e.To != es[i] || e.Z != int64(i*7)-13 {
+				t.Fatalf("context %d: Edges()[%d] = %+v", wp, i, e)
 			}
 		}
 	}
-	// The building-form estimate should approximate the packed truth.
-	real := g.SizeBits()
-	if real <= 0 {
-		t.Fatal("compact size must be positive")
+	if g.SizeBits() <= 0 {
+		t.Fatal("packed size must be positive")
 	}
-	if float64(estimate) < 0.5*float64(real) || float64(estimate) > 2*float64(real) {
-		t.Fatalf("estimate %d far from packed %d", estimate, real)
-	}
-	// Compact is idempotent.
-	g.Compact()
-	// OutEdges must refuse on compact graphs.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("OutEdges on compact graph should panic")
-		}
-	}()
-	g.OutEdges(0)
 }
 
-func TestCompactUnknownLabelPanics(t *testing.T) {
+func TestDecodeUnknownLabelPanics(t *testing.T) {
 	text, sigma := paperText()
-	g := Build(text, sigma, BigramSorted, 0)
-	g.Compact()
+	g := Build(text, sigma, BigramSorted, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Decode of invalid label should panic")

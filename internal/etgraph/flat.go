@@ -12,12 +12,8 @@ import (
 // (monotone cumulative degrees, in-alphabet targets) so label
 // arithmetic on a corrupt file stays inside the arrays.
 
-// AppendFlat writes the compacted graph. It panics on a building-form
-// graph; callers compact before saving, as core.Build does.
+// AppendFlat writes the graph.
 func (g *Graph) AppendFlat(w *flat.Writer) {
-	if g.starts == nil {
-		panic("etgraph: AppendFlat on a non-compacted graph")
-	}
 	w.U64(uint64(g.sigma))
 	w.U64(uint64(g.edges))
 	w.U64(uint64(g.maxDeg))

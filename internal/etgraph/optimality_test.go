@@ -24,18 +24,19 @@ func TestTheorem3Exhaustive(t *testing.T) {
 		for i := range text {
 			text[i] = uint32(rng.Intn(sigma))
 		}
-		g := Build(text, sigma, BigramSorted, 0)
+		g := Build(text, sigma, BigramSorted, 0, nil)
+		bigrams := bigramCounts(text)
 
 		// Collect per-context bigram count vectors.
 		var contexts [][]int64
 		for wp := uint32(0); int(wp) < sigma; wp++ {
-			es := g.OutEdges(wp)
+			es := g.Edges(wp)
 			if len(es) == 0 {
 				continue
 			}
 			counts := make([]int64, len(es))
 			for i, e := range es {
-				counts[i] = e.Count
+				counts[i] = bigrams[[2]uint32{e.To, wp}]
 			}
 			contexts = append(contexts, counts)
 		}

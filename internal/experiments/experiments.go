@@ -39,7 +39,7 @@ func (r Table3Row) String() string {
 
 // Table3 computes the statistics of Table III for one dataset.
 func Table3(p *Prepared) Table3Row {
-	g := etgraph.Build(p.Corpus.Text, p.Corpus.Sigma, etgraph.BigramSorted, 0)
+	g := etgraph.Build(p.Corpus.Text, p.Corpus.Sigma, etgraph.BigramSorted, 0, nil)
 	// Label the BWT exactly as the index does, to get H0(φ(Tbwt)).
 	ix, _ := BuildCiNCT(p, 63, etgraph.BigramSorted, 0)
 	return Table3Row{

@@ -19,10 +19,13 @@ const (
 	symbolsPerWord = 11 * 64
 )
 
-// container decodes a v3 container of version 3. Its layout is the one
-// the cinct package's serialize_v3.go describes, but for each frame's
-// locate section, never read here, and the stores: one per shard or
-// one corpus-wide.
+// container decodes a v3 container of version 3 or 4: a header {magic,
+// version, flavor (1 spatial, 2 temporal), section count, file size,
+// shard count K (0 for one shard), store count T, 0}, TOC entries
+// {kind, shard, offset, length}, then K page-aligned spatial frames
+// (kind 1) — corpus metadata, then the core index, whose locate samples
+// are never read — and T timestamp stores (kind 2): one per shard, or
+// in version 3 one corpus-wide.
 func (s stream) container() ([]shard, [][][]int64) {
 	raw, err := io.ReadAll(s)
 	check(err == nil && len(raw) >= 64 && len(raw)%8 == 0 && flat.CanView(),
@@ -32,7 +35,7 @@ func (s stream) container() ([]shard, [][][]int64) {
 		words[i] = binary.LittleEndian.Uint64(raw[8*i:])
 	}
 	flavor, nSec, shards, stores := words[2], words[3], max(words[5], 1), words[6]
-	check(words[1] == 3, "container version %d is not a legacy one", words[1])
+	check(words[1] == 3 || words[1] == 4, "container version %d is not a legacy one", words[1])
 	check(nSec <= uint64(len(words)-8)/4 && shards <= nSec && nSec == shards+stores,
 		"%d sections for %d shards and %d stores", nSec, shards, stores)
 	check(flavor == 1 && stores == 0 || flavor == 2 && stores > 0, "flavor %d with %d stores", flavor, stores)
@@ -65,7 +68,7 @@ func (s stream) container() ([]shard, [][][]int64) {
 // metadata, then a core header (the v1 one, the rate again, the labels'
 // entropy), C, the ET-graph and the labeled wavelet tree.
 func frame(cur *flat.Cursor, fileWords int) shard {
-	corpus, err := trajstr.ViewFlatMeta(cur)
+	corpus, err := trajstr.ViewFlat(cur, cur)
 	check(err == nil, "corpus metadata: %v", err)
 	n, sigma, maxLabel, opts := header(cur.U64)
 	_, _ = cur.U64(), cur.F64()

@@ -1,6 +1,6 @@
 // Package legacy decodes the index files builds wrote in older
 // formats: the stream formats from before the v3 container, and v3
-// containers of version 3. No serving path reads them — cinct.Load and
+// containers of versions 3 and 4. No serving path reads them — cinct.Load and
 // cinct.OpenMapped refuse them with cinct.ErrLegacyFormat — and `cinct
 // convert`, this package's only importer, turns one into the current
 // format by rebuilding the index from the corpus Decode recovers.
@@ -10,7 +10,8 @@
 // the out-edge row j's label names in row j's context, LF comes from
 // one counting pass — and walks LF once from the terminator's row to
 // read the text back. The stream layouts, integers unsigned varints
-// unless noted (the version-3 container is described at container):
+// unless noted (the version-3 and -4 containers are described at
+// container):
 //
 //	single index  corpus metadata, then core index
 //	metadata      "CNCTmeta", σ, edge count σ−2, ascending edge IDs
@@ -80,7 +81,7 @@ type Corpus struct {
 
 // Decode reads an index file in any of the older layouts. The flavor
 // comes from the input alone: a "CNCTtemp" magic, bytes left after the
-// spatial stream, or a version-3 container's temporal flavor make it
+// spatial stream, or a version-3 or -4 container's temporal flavor make it
 // temporal. Declared counts never size an allocation before the data
 // behind them has been read, and any inconsistency fails with
 // ErrCorrupt: arbitrary bytes decode to a corpus that cinct.Build

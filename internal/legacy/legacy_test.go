@@ -266,9 +266,9 @@ func TestDecodeFixtures(t *testing.T) {
 }
 
 // TestDecodeContainerRejects pins the version-3 container's checks on
-// a real file: truncated, another version word, a store count that is
-// neither one nor one per shard, and a TOC entry past the file each
-// fail with ErrCorrupt.
+// a real file: truncated, a version word other than 3 or 4, a store
+// count that is neither one nor one per shard, and a TOC entry past the
+// file each fail with ErrCorrupt.
 func TestDecodeContainerRejects(t *testing.T) {
 	full := fixture(t, "..", "..", "testdata", "legacy", "v3-int32-temporal-4.tcinct")
 	word := func(data []byte, k int, v uint64) []byte {
@@ -279,7 +279,7 @@ func TestDecodeContainerRejects(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"truncated":       full[:len(full)/2],
 		"ragged":          full[:len(full)-3],
-		"version 4":       word(full, 1, 4),
+		"version 5":       word(full, 1, 5),
 		"version 2":       word(full, 1, 2),
 		"two stores":      word(word(full, 6, 2), 3, 6),
 		"spatial flavor":  word(full, 2, 1),

@@ -41,7 +41,7 @@ func avgDegreeOf(trajs [][]uint32) float64 {
 	if err != nil {
 		panic(err)
 	}
-	g := etgraph.Build(c.Text, c.Sigma, etgraph.BigramSorted, 0)
+	g := etgraph.Build(c.Text, c.Sigma, etgraph.BigramSorted, 0, nil)
 	return g.AvgOutDegree()
 }
 
@@ -188,7 +188,7 @@ func TestLabeledEntropyIsMuchSmaller(t *testing.T) {
 		h0 := entropy.H0(c.Text)
 		// Label the forward text as a cheap proxy for H0(φ(Tbwt)) — the
 		// full check runs in the integration tests.
-		g := etgraph.Build(c.Text, c.Sigma, etgraph.BigramSorted, 0)
+		g := etgraph.Build(c.Text, c.Sigma, etgraph.BigramSorted, 0, nil)
 		labels := make([]uint32, 0, len(c.Text)-1)
 		for i := 0; i+1 < len(c.Text); i++ {
 			l, ok := g.Label(c.Text[i], c.Text[i+1])

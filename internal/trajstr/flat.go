@@ -6,29 +6,39 @@ import (
 	"cinct/internal/flat"
 )
 
-// Flat (v3) form of the corpus metadata: the edge mapping and document
-// tables, without the text (the index is a self-index; Build drops
-// Text once the succinct structures exist). The symbol map is the only
-// piece rebuilt at view time — O(edges) — since Go maps cannot be
-// memory-mapped; everything else is wrapped in place.
+// Flat form of the corpus metadata, in two sections: the symbol map
+// (alphabet size and edge IDs) and the trajectory tables (document
+// starts and lengths), without the text (the index is a self-index;
+// the text is dropped once the succinct structures exist). The symbol
+// map's reverse direction is the only piece rebuilt at view time —
+// O(edges) — since Go maps cannot be memory-mapped; everything else is
+// wrapped in place.
 
-// AppendFlatMeta writes the corpus metadata (not the text).
-func (c *Corpus) AppendFlatMeta(w *flat.Writer) {
+// AppendSymbols writes the symbol map section.
+func (c *Corpus) AppendSymbols(w *flat.Writer) {
 	w.U64(uint64(c.Sigma))
 	w.U32s(c.symToEdge)
+}
+
+// AppendTables writes the trajectory tables section.
+func (c *Corpus) AppendTables(w *flat.Writer) {
 	w.I32s(c.docStarts)
 	w.I32s(c.docLens)
 }
 
-// ViewFlatMeta wraps flat corpus metadata. The document tables must
+// ViewFlat wraps the symbol map and trajectory tables sections (one
+// cursor may read both, in that order). The document tables must
 // describe a contiguous text layout — the invariant DocAtByTables'
 // binary search and SubPath's offset arithmetic rely on.
-func ViewFlatMeta(c *flat.Cursor) (*Corpus, error) {
-	sigma := c.Int()
-	symToEdge := c.U32s()
-	docStarts := c.I32s()
-	docLens := c.I32s()
-	if err := c.Err(); err != nil {
+func ViewFlat(symbols, tables *flat.Cursor) (*Corpus, error) {
+	sigma := symbols.Int()
+	symToEdge := symbols.U32s()
+	if err := symbols.Err(); err != nil {
+		return nil, err
+	}
+	docStarts := tables.I32s()
+	docLens := tables.I32s()
+	if err := tables.Err(); err != nil {
 		return nil, err
 	}
 	if sigma != len(symToEdge)+int(FirstEdgeSym) || len(docStarts) != len(docLens) ||

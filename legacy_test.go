@@ -3,7 +3,6 @@ package cinct
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -20,7 +19,7 @@ import (
 // legacyFixture describes one committed file under testdata/legacy/:
 // an index over timedCorpus(seed) built with DefaultOptions and the
 // given shard count, written by a writer Save no longer is — the
-// stream formats from before v3, or a v3 container of version 3. The
+// stream formats from before v3, or a v3 container of version 3 or 4. The
 // readers refuse each with ErrLegacyFormat, and `cinct convert`
 // rewrites it.
 type legacyFixture struct {
@@ -44,6 +43,10 @@ var legacyFixtures = []legacyFixture{
 	{"v3-int32-spatial-4.cinct", 7, 4, false},        // at SampleRate 64, mixed node kinds...
 	{"v3-int32-temporal-1.tcinct", 7, 1, true},       // ...as written before the samples
 	{"v3-int32-temporal-4.tcinct", 7, 4, true},       // were packed
+	{"v4-spatial-1.cinct", 7, 1, false},              // container version 4: one
+	{"v4-spatial-4.cinct", 7, 4, false},              // section per shard frame and
+	{"v4-temporal-1.tcinct", 7, 1, true},             // per timestamp store, at
+	{"v4-temporal-4.tcinct", 7, 4, true},             // SampleRate 40
 }
 
 func (fx legacyFixture) read(t *testing.T) []byte {
@@ -273,8 +276,7 @@ func TestLegacyFormatRefused(t *testing.T) {
 // with storeCount 1 < shardCount convert to one store per shard, and
 // then behave like the BuildTemporal index over the same corpus (see
 // checkLegacyAnswers). The readers refuse that version-3 file as
-// legacy, and the same header with version 4 as corrupt: a version-4
-// container holds one store per shard.
+// legacy.
 func TestLegacyTemporalLayout(t *testing.T) {
 	fixtures := map[string]legacyFixture{}
 	for _, fx := range legacyFixtures {
@@ -296,30 +298,18 @@ func TestLegacyTemporalLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var secs []v3Section
-	for s, sh := range built.shards {
-		secs = append(secs, sh.spatialSection(s))
+	var frames [][]uint64
+	for _, sh := range built.shards {
+		frames = append(frames, v4Frame(sh))
 	}
 	fw := flat.NewWriter()
 	tempo.New(times).AppendFlat(fw)
-	secs = append(secs, v3Section{kind: v3KindTempo, words: fw.Words()})
-	var buf bytes.Buffer
-	if _, err := writeV3(&buf, v3FlavorTemporal, uint64(fx.shards), 1, secs); err != nil {
-		t.Fatal(err)
-	}
-	v4 := buf.Bytes()
-	v3 := append([]byte(nil), v4...)
-	binary.LittleEndian.PutUint64(v3[8:], 3)
-	for version, want := range map[string]struct {
-		data []byte
-		err  error
-	}{"3": {v3, ErrLegacyFormat}, "4": {v4, ErrCorrupt}} {
-		_, errLoad := Load(bytes.NewReader(want.data))
-		_, errMap := OpenMapped(writeTemp(t, want.data))
-		if !errors.Is(errLoad, want.err) || !errors.Is(errMap, want.err) {
-			t.Errorf("version %s, 1 store for %d shards: Load err = %v, OpenMapped err = %v; want %v",
-				version, fx.shards, errLoad, errMap, want.err)
-		}
+	v3 := v4Container(3, frames, [][]uint64{fw.Words()})
+	_, errLoad := Load(bytes.NewReader(v3))
+	_, errMap := OpenMapped(writeTemp(t, v3))
+	if !errors.Is(errLoad, ErrLegacyFormat) || !errors.Is(errMap, ErrLegacyFormat) {
+		t.Errorf("version 3, 1 store for %d shards: Load err = %v, OpenMapped err = %v; want ErrLegacyFormat",
+			fx.shards, errLoad, errMap)
 	}
 	converted := convertLegacy(t, "version-3 global store", v3)
 	t.Run("v3", func(t *testing.T) {
@@ -330,6 +320,52 @@ func TestLegacyTemporalLayout(t *testing.T) {
 		checkLegacyAnswers(t, fx, got.Index)
 	})
 	t.Run("v3-mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, converted)) })
+}
+
+// v4Frame lays a shard out as a version-3 or -4 container's spatial
+// frame: the corpus metadata (symbol map, then trajectory tables), then
+// the core index — the sections a version-5 frame holds, but for the
+// timestamps, with the parameters moved behind the tables.
+func v4Frame(sh *shard) []uint64 {
+	var words []uint64
+	for _, kind := range []uint64{kindSymbols, kindTables, kindParams, kindC, kindGraph, kindWT, kindMark, kindSA, kindISA} {
+		for _, sec := range sh.secs {
+			if sec.kind == kind {
+				words = append(words, sh.frame[sec.off:sec.off+sec.len]...)
+			}
+		}
+	}
+	return words
+}
+
+// v4Container writes spatial frames and timestamp stores as a v3
+// container of the given version — header {magic, version, flavor,
+// section count, file size, shard count, store count, 0}, TOC entries
+// {kind 1 frame or 2 store, shard, offset, length}, each section
+// page-aligned — the layout internal/legacy decodes.
+func v4Container(version uint64, frames, stores [][]uint64) []byte {
+	secs := append(append([][]uint64{}, frames...), stores...)
+	flavor := uint64(1)
+	if len(stores) > 0 {
+		flavor = 2
+	}
+	words := []uint64{v3MagicWord, version, flavor, uint64(len(secs)), 0, uint64(len(frames)), uint64(len(stores)), 0}
+	off := pageAlign(int64(8 * (8 + 4*len(secs))))
+	var body []uint64
+	for i, sec := range secs {
+		kind, shard := uint64(1), uint64(i)
+		if i >= len(frames) {
+			kind, shard = 2, uint64(i-len(frames))
+		}
+		words = append(words, kind, shard, uint64(off), uint64(8*len(sec)))
+		body = append(body, make([]uint64, off/8-int64(len(body))-int64(8+4*len(secs)))...)
+		body = append(body, sec...)
+		off = pageAlign(off + int64(8*len(sec)))
+	}
+	words[4] = uint64(off)
+	words = append(words, body...)
+	words = append(words, make([]uint64, off/8-int64(len(words)))...)
+	return wordBytes(words)
 }
 
 // TestV3Int32Repacks pins the conversion of a version-3 file: its

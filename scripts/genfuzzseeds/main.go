@@ -1,8 +1,8 @@
 // Command genfuzzseeds regenerates the committed fuzz seed corpora
-// under testdata/fuzz/ and server/testdata/fuzz/: valid v3 containers
+// under testdata/fuzz/ and server/testdata/fuzz/: valid containers
 // (monolithic, sharded, temporal, trees mixing plain and RRR nodes),
-// version-3 containers, truncations, a locate header that lies about
-// its width, bare magics, genuine cursors and representative query
+// version-3 and -4 containers, truncations, a locate header that lies
+// about its width, bare magics, genuine cursors and representative query
 // bodies — the structured starting points that let short CI fuzz runs
 // reach deep parser states immediately. The FuzzLoadSharded and
 // FuzzLoadTemporal seeds, and their copies under internal/legacy's
@@ -68,12 +68,13 @@ func timesFor(trajs [][]uint32) [][]int64 {
 func widenSASamples(file []byte) []byte {
 	out := append([]byte(nil), file...)
 	word := func(k int) uint64 { return binary.LittleEndian.Uint64(out[8*k:]) }
-	// TOC entry 0 is the spatial section; it ends with the SA and then
-	// the ISA samples, each {n, width, word count, words…}.
-	end := int(word(8+2)+word(8+3)) / 8
-	sa := end - 8
-	if word(sa) != 1 || word(sa+2) != 1 || word(end-4) != 1 || word(end-2) != 1 {
-		log.Fatal("genfuzzseeds: the locate section is not one SA and one ISA sample")
+	// The header is 5 words, then TOC entries {kind | encoding<<32,
+	// shard, offset, length}; entry 7 is the SA samples (kind 8), laid
+	// out {n, width, word count, words…}.
+	e := 5 + 4*7
+	sa := int(word(e+2)) / 8
+	if word(e) != 1<<32|8 || word(e+3) != 4*8 || word(sa) != 1 || word(sa+2) != 1 {
+		log.Fatal("genfuzzseeds: TOC entry 7 is not an SA samples section of one sample")
 	}
 	binary.LittleEndian.PutUint64(out[8*(sa+1):], 40)
 	return out
@@ -126,9 +127,9 @@ func main() {
 	writeSeed(dir, "garbage", []byte("\x01garbage-token"))
 	writeSeed(dir, "empty-token", []byte{0x02})
 
-	// FuzzLoadMapped: v3 zero-copy containers (spatial and temporal,
-	// container version 4), truncations, a width-lying locate header,
-	// a version-3 file, bare magic.
+	// FuzzLoadMapped: zero-copy containers (spatial and temporal,
+	// container version 5), truncations, a width-lying locate header,
+	// version-3 and version-4 files, bare magic.
 	dir = filepath.Join("testdata", "fuzz", "FuzzLoadMapped")
 	for _, shards := range []int{1, 2} {
 		opts := cinct.DefaultOptions()
@@ -177,7 +178,8 @@ func main() {
 	writeSeed(dir, "v3-mixed-nodes-temporal", buf.Bytes())
 	writeSeed(dir, "magic-only", []byte("CNCTidx3"))
 
-	// Version-3 containers, which the readers refuse and convert decodes.
+	// Version-3 and -4 containers, which the readers refuse and convert
+	// decodes.
 	version3 := func(file string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", "legacy", file))
 		if err != nil {
@@ -189,6 +191,8 @@ func main() {
 	writeSeed(dir, "v3-version3-int32-samples", version3("v3-int32-spatial-1.cinct"))
 	writeSeed(decodeDir, "v3-version3-int32-samples", version3("v3-int32-spatial-1.cinct"))
 	writeSeed(decodeDir, "v3-int32-temporal-4.tcinct", version3("v3-int32-temporal-4.tcinct"))
+	writeSeed(dir, "v4-spatial-4", version3("v4-spatial-4.cinct"))
+	writeSeed(decodeDir, "v4-temporal-4.tcinct", version3("v4-temporal-4.tcinct"))
 
 	// FuzzWALReplay: a genuine two-batch segment (spatial + temporal
 	// rows), its torn-tail truncation, a bit-flipped-CRC variant, and

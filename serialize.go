@@ -9,23 +9,26 @@ import (
 	"io"
 )
 
-// ErrLegacyFormat reports an index file in an older format: a pre-v3
-// stream (magics "CNCTmeta", "CNCTshrd", "CNCTtemp"; the unversioned
-// temporal layout starts with one of the first two) or a v3 container
-// of version 3. Load and OpenMapped refuse them; `cinct convert`
-// rewrites one in the current format.
+// ErrLegacyFormat reports an index file in a format this build does not
+// read: a pre-v3 stream (magics "CNCTmeta", "CNCTshrd", "CNCTtemp"; the
+// unversioned temporal layout starts with one of the first two), a v3
+// container of version 4 or older, or a container with a section of a
+// (kind, encoding) this build does not know. Load and OpenMapped refuse
+// them; `cinct convert` rewrites an older file in the current format.
 var ErrLegacyFormat = errors.New("cinct: index file in an older format; rewrite it with `cinct convert`")
 
 // checkLegacy refuses a file whose first 16 bytes are a pre-v3 magic,
-// or the v3 magic and version word of container version 3.
+// or the v3 magic and a container version of 4 or less.
 func checkLegacy(head []byte) error {
 	for _, m := range []string{"CNCTmeta", "CNCTshrd", "CNCTtemp"} {
 		if bytes.HasPrefix(head, []byte(m)) {
 			return fmt.Errorf("%w (magic %q)", ErrLegacyFormat, m)
 		}
 	}
-	if len(head) >= 16 && string(head[:8]) == v3Magic && binary.LittleEndian.Uint64(head[8:]) == 3 {
-		return fmt.Errorf("%w (container version 3)", ErrLegacyFormat)
+	if len(head) >= 16 && string(head[:8]) == v3Magic {
+		if v := binary.LittleEndian.Uint64(head[8:]); v < v3Version {
+			return fmt.Errorf("%w (container version %d)", ErrLegacyFormat, v)
+		}
 	}
 	return nil
 }
@@ -35,10 +38,10 @@ func checkLegacy(head []byte) error {
 // let a query walk out of bounds.
 var ErrCorruptIndex = errors.New("cinct: corpus metadata inconsistent with core index")
 
-// Load reads an index from r: the v3 container Save writes, in one
+// Load reads an index from r: the container Save writes, in one
 // aligned read into the heap (OpenMapped maps the same file instead).
-// It returns what the file holds — an index with timestamps when the
-// header's flavor is temporal, so Temporal reports it. An older file
+// It returns what the file holds — an index with timestamps when its
+// shards have timestamp sections, so Temporal reports it. An older file
 // fails with ErrLegacyFormat, a malformed one with ErrCorrupt.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)

@@ -3,10 +3,12 @@ package cinct
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"unsafe"
 
 	"cinct/internal/core"
@@ -16,180 +18,232 @@ import (
 	"cinct/internal/trajstr"
 )
 
-// Container format v3: a single flat file readable in place, and the
-// only format Save writes and Load / OpenMapped read. It lays every
-// structure out as 64-bit little-endian words so a reader wraps the
-// file's bytes directly — OpenMapped memory-maps the file and serves
-// queries from the mapping (O(1) open, kernel-managed paging, pages
-// shared across processes), and Load falls back to one aligned read of
-// the same layout. The header's flavor says whether the file carries
-// timestamp stores; both readers return what it holds.
+// The container: a single flat file readable in place, and the only
+// format Save writes and Load / OpenMapped read. Every structure is a
+// section of 64-bit little-endian words with its own TOC entry, which a
+// reader wraps in place: OpenMapped serves from a memory mapping, Load
+// from one aligned read, and a built shard from the image of its
+// sections, so Save only writes the header and TOC and copies words.
 //
-//	header   8 words (64 bytes)
+//	header   5 words (40 bytes)
 //	  [0] magic "CNCTidx3"
-//	  [1] version (4)
-//	  [2] flavor: 1 spatial, 2 temporal
+//	  [1] version (5)
+//	  [2] shard count K (at least 1)
 //	  [3] section count S
 //	  [4] file size in bytes
-//	  [5] K: spatial shard count (0 = one shard, the single-index form)
-//	  [6] T: timestamp store count (0 for spatial files, else one per shard)
-//	  [7] reserved (0)
-//	TOC      S × 4 words: {kind, shard, byte offset, byte length}
-//	  kind 1: spatial frame (flat corpus metadata ++ flat core index)
-//	  kind 2: timestamp store (flat tempo store)
-//	sections zero-padded to 4096-byte boundaries, in TOC order
+//	TOC      S × 4 words: {kind | encoding<<32, shard, byte offset, byte length}
+//	frames   one per shard, in shard order, each starting on a 4096-byte
+//	         page: the shard's sections back to back, in kind order
 //
-// Every section offset is page-aligned and every length a multiple of
-// 8, so any structure in the file can be viewed as a []uint64 without
-// copying. The file size is a whole number of pages.
+// Section kinds: 1 symbol map, 2 trajectory tables, 3 core parameters,
+// 4 C, 5 ET-graph, 6 labeled wavelet tree, 7 row marks, 8 SA samples,
+// 9 ISA samples, 10 timestamps. Kinds 1–6 are in every shard; 7–9
+// exactly when the shard's parameters record a sample rate > 0; 10 in
+// every shard of a temporal index and in none of a spatial one. The
+// layout is canonical: padding sits only between the TOC and the first
+// frame, between frames and after the last, each time less than a page,
+// so header, TOC, sections and padding sum to the file size.
 //
-// Version 4 is the only one read. Version 3 (int32 locate samples, maybe
-// one store beside several shards) is refused with ErrLegacyFormat, and
-// `cinct convert` rebuilds it through internal/legacy.
+// A TOC entry's encoding names its section's layout; every kind has
+// encoding 1. A structure whose layout changes gets a new encoding id,
+// not a new container version: a reader refuses a (kind, encoding) it
+// does not know with ErrLegacyFormat naming both. Versions 3 and 4 are
+// refused alike, and `cinct convert` rebuilds them.
 
 const (
 	v3Magic    = "CNCTidx3"
-	v3Version  = 4
+	v3Version  = 5
 	v3PageSize = 4096
 
-	v3FlavorSpatial  = 1
-	v3FlavorTemporal = 2
-
-	v3KindSpatial = 1
-	v3KindTempo   = 2
+	headerWords   = 5
+	tocEntryWords = 4
 )
 
-// ErrCorrupt reports a malformed v3 container. Errors from OpenMapped
-// and Load wrap it (possibly alongside the more specific flat/section
+// Section kinds, in the order a shard frame lays them out; core section
+// s is of kind kindParams + s.
+const (
+	kindSymbols = 1 + iota
+	kindTables
+	kindParams
+	kindC
+	kindGraph
+	kindWT
+	kindMark
+	kindSA
+	kindISA
+	kindTimes
+	numKinds
+)
+
+// kindEncoding is the one encoding of every kind this build reads and
+// writes.
+const kindEncoding = 1
+
+// ErrCorrupt reports a malformed container. Errors from OpenMapped and
+// Load wrap it (possibly alongside the more specific flat/section
 // error).
 var ErrCorrupt = errors.New("cinct: corrupt v3 container")
 
-func v3MagicWord() uint64 {
-	var w uint64
-	for i := len(v3Magic) - 1; i >= 0; i-- {
-		w = w<<8 | uint64(v3Magic[i])
-	}
-	return w
+var v3MagicWord = binary.LittleEndian.Uint64([]byte(v3Magic))
+
+// section is one TOC entry of a shard: its kind, and the words it spans
+// in the shard's frame. Its encoding is kindEncoding.
+type section struct {
+	kind     uint64
+	off, len int
 }
 
-// Save writes what the index holds as a v3 container and returns the
-// number of bytes written: the temporal flavor, with one timestamp
-// store per shard, exactly when ix.Temporal(), else the spatial one —
-// the mirror of Load and OpenMapped, which return what the header's
-// flavor says. OpenMapped serves the file in place and Load reads it
-// back with one aligned read.
+// layoutShard lays a shard's structures out once, as the frame a
+// container stores: its sections in kind order, back to back.
+func layoutShard(corpus *trajstr.Corpus, ci *core.Index, ts *tempo.Store) ([]uint64, []section) {
+	fw := flat.NewWriter()
+	var secs []section
+	put := func(kind uint64, write func(*flat.Writer)) {
+		off := fw.Len()
+		write(fw)
+		secs = append(secs, section{kind: kind, off: off, len: fw.Len() - off})
+	}
+	put(kindSymbols, corpus.AppendSymbols)
+	put(kindTables, corpus.AppendTables)
+	for s := core.Params; s < core.NumSections && (s < core.Mark || ci.SampleRate() > 0); s++ {
+		put(kindParams+uint64(s), func(w *flat.Writer) { ci.AppendSection(w, s) })
+	}
+	if ts != nil {
+		put(kindTimes, ts.AppendFlat)
+	}
+	// Copied once at its final length: the frame stays resident.
+	return append([]uint64(nil), fw.Words()...), secs
+}
+
+// viewShard serves a shard from its frame, wrapping every structure in
+// place — the one way a shard comes to be, whether built or read from a
+// container. Each section must be read to its end, and a timestamp
+// store must cover exactly the shard's trajectories, every column as
+// long as its trajectory: the invariant that makes every At probe a
+// query issues in range by construction.
+func viewShard(frame []uint64, secs []section) (*shard, error) {
+	if !flat.CanView() {
+		return nil, fmt.Errorf("%w: containers require a little-endian host", ErrCorrupt)
+	}
+	var cur [numKinds]*flat.Cursor
+	for _, s := range secs {
+		cur[s.kind] = flat.NewCursor(frame[s.off : s.off+s.len])
+	}
+	if cur[kindSymbols] == nil || cur[kindTables] == nil {
+		return nil, fmt.Errorf("%w: a shard without its symbol map or trajectory tables", ErrCorrupt)
+	}
+	corpus, err := trajstr.ViewFlat(cur[kindSymbols], cur[kindTables])
+	if err != nil {
+		return nil, err
+	}
+	ci, err := core.ViewSections([core.NumSections]*flat.Cursor(cur[kindParams : kindParams+core.NumSections]))
+	if err != nil {
+		return nil, err
+	}
+	sh := &shard{corpus: corpus, core: ci, frame: frame, secs: secs}
+	if err := sh.validate(); err != nil {
+		return nil, err
+	}
+	if c := cur[kindTimes]; c != nil {
+		if sh.ts, err = tempo.ViewFlat(c); err != nil {
+			return nil, err
+		}
+		if n := corpus.NumTrajectories(); sh.ts.NumTrajectories() != n {
+			return nil, fmt.Errorf("%w: %d timestamp columns for %d trajectories",
+				ErrCorruptTimestamps, sh.ts.NumTrajectories(), n)
+		}
+		for k := range corpus.NumTrajectories() {
+			if want := corpus.TrajectoryLen(k); sh.ts.Len(k) != want {
+				return nil, fmt.Errorf("%w: trajectory %d has %d edges but %d timestamps",
+					ErrCorruptTimestamps, k, want, sh.ts.Len(k))
+			}
+		}
+	}
+	for _, kind := range []uint64{kindSymbols, kindTables, kindTimes} {
+		if c := cur[kind]; c != nil && c.Remaining() != 0 {
+			return nil, fmt.Errorf("%w: the kind %d section has %d trailing words", ErrCorrupt, kind, c.Remaining())
+		}
+	}
+	return sh, nil
+}
+
+// sectionBits sums the bits of the shard's sections of the given kinds.
+func (sh *shard) sectionBits(kinds ...uint64) int {
+	n := 0
+	for _, s := range sh.secs {
+		if slices.Contains(kinds, s.kind) {
+			n += 64 * s.len
+		}
+	}
+	return n
+}
+
+// Save writes the index as a container and returns the number of bytes
+// written: the header, the TOC, and each shard's frame as it is held —
+// with its timestamps exactly when ix.Temporal(). Load and OpenMapped
+// return what the file holds; OpenMapped serves it in place and Load
+// reads it back with one aligned read.
 func (ix *Index) Save(w io.Writer) (int64, error) {
-	return saveV3(w, ix)
+	nSec := 0
+	for _, sh := range ix.shards {
+		nSec += len(sh.secs)
+	}
+	head := make([]uint64, 0, headerWords+tocEntryWords*nSec)
+	head = append(head, v3MagicWord, v3Version, uint64(len(ix.shards)), uint64(nSec), 0)
+	off := pageAlign(int64(8 * cap(head)))
+	for s, sh := range ix.shards {
+		for _, sec := range sh.secs {
+			head = append(head, sec.kind|kindEncoding<<32, uint64(s), uint64(off+8*int64(sec.off)), uint64(8*sec.len))
+		}
+		off = pageAlign(off + 8*int64(len(sh.frame)))
+	}
+	head[4] = uint64(off)
+
+	// Page-sized writes: a file written in large ones lands in large
+	// page-cache folios, which a mapping faults in whole, so an open
+	// would make most of the file resident.
+	var written int64
+	write := func(b []byte) error {
+		for len(b) > 0 {
+			n, err := w.Write(b[:min(len(b), v3PageSize)])
+			written, b = written+int64(n), b[n:]
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// pad fills to the next page boundary, where each frame starts and
+	// the file ends.
+	pad := func() error { return write(zeroPage[:pageAlign(written)-written]) }
+	if err := write(wordBytes(head)); err != nil {
+		return written, err
+	}
+	for _, sh := range ix.shards {
+		if err := pad(); err != nil {
+			return written, err
+		}
+		if err := write(wordBytes(sh.frame)); err != nil {
+			return written, err
+		}
+	}
+	return written, pad()
+}
+
+var zeroPage [v3PageSize]byte
+
+func pageAlign(n int64) int64 { return (n + v3PageSize - 1) &^ (v3PageSize - 1) }
+
+// wordBytes views words as their little-endian bytes (the host is
+// little-endian wherever a shard exists: viewShard requires it).
+func wordBytes(words []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))
 }
 
 // SaveV3 is Save.
 //
 // Deprecated: Save writes the v3 container.
 func (ix *Index) SaveV3(w io.Writer) (int64, error) { return ix.Save(w) }
-
-type v3Section struct {
-	kind  uint64
-	shard uint64
-	words []uint64
-}
-
-// spatialSection lays shard s's corpus metadata and core index out as
-// one flat section.
-func (sh *shard) spatialSection(s int) v3Section {
-	fw := flat.NewWriter()
-	sh.corpus.AppendFlatMeta(fw)
-	sh.core.AppendFlat(fw)
-	return v3Section{kind: v3KindSpatial, shard: uint64(s), words: fw.Words()}
-}
-
-// saveV3 is the writer behind Save: the spatial sections, then, for a
-// temporal index, one timestamp store per shard.
-func saveV3(w io.Writer, ix *Index) (int64, error) {
-	var secs []v3Section
-	for s, sh := range ix.shards {
-		secs = append(secs, sh.spatialSection(s))
-	}
-	// A one-shard index is written in the single-index form, K = 0.
-	shardCount := uint64(len(ix.shards))
-	if shardCount == 1 {
-		shardCount = 0
-	}
-	if !ix.Temporal() {
-		return writeV3(w, v3FlavorSpatial, shardCount, 0, secs)
-	}
-	for s, sh := range ix.shards {
-		fw := flat.NewWriter()
-		sh.ts.AppendFlat(fw)
-		secs = append(secs, v3Section{kind: v3KindTempo, shard: uint64(s), words: fw.Words()})
-	}
-	return writeV3(w, v3FlavorTemporal, shardCount, uint64(len(ix.shards)), secs)
-}
-
-// writeV3 lays the sections out behind the header and TOC.
-func writeV3(w io.Writer, flavor, shardCount, storeCount uint64, secs []v3Section) (int64, error) {
-	alignUp := func(n int64) int64 { return (n + v3PageSize - 1) &^ (v3PageSize - 1) }
-	tocBytes := int64(8*8) + int64(len(secs))*4*8
-	offset := alignUp(tocBytes)
-	toc := make([]uint64, 0, len(secs)*4)
-	for _, s := range secs {
-		length := int64(len(s.words)) * 8
-		toc = append(toc, s.kind, s.shard, uint64(offset), uint64(length))
-		offset = alignUp(offset + length)
-	}
-	fileSize := offset
-
-	header := [8]uint64{
-		v3MagicWord(), v3Version, flavor,
-		uint64(len(secs)), uint64(fileSize), shardCount, storeCount, 0,
-	}
-
-	bw := bufio.NewWriter(w)
-	var written int64
-	var pad [v3PageSize]byte
-	writeWords := func(words []uint64) error {
-		var buf [8]byte
-		for _, v := range words {
-			buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			buf[4], buf[5], buf[6], buf[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
-			written += 8
-		}
-		return nil
-	}
-	padTo := func(target int64) error {
-		for written < target {
-			chunk := target - written
-			if chunk > v3PageSize {
-				chunk = v3PageSize
-			}
-			if _, err := bw.Write(pad[:chunk]); err != nil {
-				return err
-			}
-			written += chunk
-		}
-		return nil
-	}
-	if err := writeWords(header[:]); err != nil {
-		return written, err
-	}
-	if err := writeWords(toc); err != nil {
-		return written, err
-	}
-	for i, s := range secs {
-		if err := padTo(int64(toc[4*i+2])); err != nil {
-			return written, err
-		}
-		if err := writeWords(s.words); err != nil {
-			return written, err
-		}
-	}
-	if err := padTo(fileSize); err != nil {
-		return written, err
-	}
-	return written, bw.Flush()
-}
 
 // OpenMapped memory-maps a v3 container and returns an index whose
 // structures read directly from the mapping: open cost is independent
@@ -221,7 +275,7 @@ func OpenMapped(path string) (*Index, error) {
 	return ix, nil
 }
 
-// Mapped reports whether the index serves from a memory-mapped v3
+// Mapped reports whether the index serves from a memory-mapped
 // container (false for heap-loaded indexes, including v3 files read
 // through Load on hosts without mmap).
 func (ix *Index) Mapped() bool {
@@ -268,7 +322,7 @@ func loadV3(r io.Reader, br *bufio.Reader) (*Index, error) {
 		return nil, fmt.Errorf("%w: %d bytes is not a whole number of words", ErrCorrupt, size)
 	}
 	words := make([]uint64, size/8)
-	if _, err := io.ReadFull(src, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size)); err != nil {
+	if _, err := io.ReadFull(src, wordBytes(words)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return viewContainer(words)
@@ -298,130 +352,68 @@ func streamSize(r io.Reader) int64 {
 	return -1
 }
 
-// viewContainer parses a v3 container from its word image, wrapping
-// (not copying) every structure. A temporal container's stores come
-// back attached to their shards. Every error wraps ErrCorrupt (section
-// errors additionally carry their specific flat/package error).
+// viewContainer parses a container from its word image, serving every
+// shard from its frame in place. Every error wraps ErrCorrupt (section
+// errors additionally carry their specific flat/package error) but the
+// refusal of an unknown (kind, encoding), which is ErrLegacyFormat.
 func viewContainer(words []uint64) (ix *Index, err error) {
 	defer func() {
-		if err != nil && !errors.Is(err, ErrCorrupt) {
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrLegacyFormat) {
 			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 	}()
-	if !flat.CanView() {
-		return nil, fmt.Errorf("%w: v3 containers require a little-endian host", ErrCorrupt)
-	}
-	if len(words) < 8 {
+	if len(words) < headerWords {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	if words[0] != v3MagicWord() || words[1] != v3Version {
+	if words[0] != v3MagicWord || words[1] != v3Version {
 		return nil, fmt.Errorf("%w: bad magic or version", ErrCorrupt)
 	}
-	flavor, nSec := words[2], words[3]
-	fileSize, shardCount, storeCount := words[4], words[5], words[6]
+	shardCount, nSec, fileSize := words[2], words[3], words[4]
 	if fileSize != uint64(len(words))*8 || fileSize%v3PageSize != 0 {
 		return nil, fmt.Errorf("%w: header claims %d bytes, have %d",
 			ErrCorrupt, fileSize, len(words)*8)
 	}
-	// A spatial container holds no timestamp store, a temporal one one
-	// per shard.
-	wantSpatial := max(shardCount, 1)
-	if !(flavor == v3FlavorSpatial && storeCount == 0) && !(flavor == v3FlavorTemporal && storeCount == wantSpatial) {
-		return nil, fmt.Errorf("%w: flavor %d with %d timestamp stores for %d shards",
-			ErrCorrupt, flavor, storeCount, wantSpatial)
+	// Bound the counts before any arithmetic on them: a section needs a
+	// TOC entry and a shard at least one section.
+	if shardCount == 0 || nSec > uint64(len(words)-headerWords)/tocEntryWords || shardCount > nSec {
+		return nil, fmt.Errorf("%w: header counts (%d shards, %d sections) for %d words",
+			ErrCorrupt, shardCount, nSec, len(words))
 	}
-	// Bound every header count before any arithmetic on them: a section
-	// needs at least one TOC word, so nSec (and hence shardCount and
-	// storeCount) can never exceed the file's word count. Checking the
-	// fields individually first keeps wantSpatial+storeCount from
-	// wrapping uint64 on attacker-controlled headers.
-	if nSec > uint64(len(words)) || shardCount > nSec || storeCount > nSec {
-		return nil, fmt.Errorf("%w: header counts (%d sections, %d shards, %d stores) exceed %d words",
-			ErrCorrupt, nSec, shardCount, storeCount, len(words))
-	}
-	if nSec != wantSpatial+storeCount {
-		return nil, fmt.Errorf("%w: %d sections for %d shards + %d stores",
-			ErrCorrupt, nSec, wantSpatial, storeCount)
-	}
-	tocEnd := 8 + 4*nSec
-	if tocEnd > uint64(len(words)) {
-		return nil, fmt.Errorf("%w: truncated TOC", ErrCorrupt)
-	}
-
-	sectionWords := func(i uint64, wantKind, wantShard uint64) ([]uint64, error) {
-		kind, shard := words[8+4*i], words[8+4*i+1]
-		off, length := words[8+4*i+2], words[8+4*i+3]
-		if kind != wantKind || shard != wantShard {
-			return nil, fmt.Errorf("%w: TOC entry %d is (kind=%d shard=%d), want (%d, %d)",
-				ErrCorrupt, i, kind, shard, wantKind, wantShard)
-		}
-		if off%v3PageSize != 0 || length%8 != 0 || off < tocEnd*8 ||
-			off > fileSize || length > fileSize-off {
-			return nil, fmt.Errorf("%w: TOC entry %d spans [%d,%d+%d) of %d bytes",
-				ErrCorrupt, i, off, off, length, fileSize)
-		}
-		return words[off/8 : off/8+length/8], nil
-	}
-
-	shards := make([]*shard, wantSpatial)
-	for s := range shards {
-		sw, err := sectionWords(uint64(s), v3KindSpatial, uint64(s))
-		if err != nil {
-			return nil, err
-		}
-		cur := flat.NewCursor(sw)
-		corpus, err := trajstr.ViewFlatMeta(cur)
-		if err != nil {
-			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
-		}
-		ci, err := core.ViewFlat(cur)
-		if err != nil {
-			return nil, fmt.Errorf("cinct: shard %d: %w", s, err)
-		}
-		if cur.Remaining() != 0 {
-			return nil, fmt.Errorf("%w: shard %d has %d trailing words",
-				ErrCorrupt, s, cur.Remaining())
-		}
-		shards[s] = &shard{corpus: corpus, core: ci}
-		if err := shards[s].validate(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	if ix, err = newIndex(shards...); err != nil {
-		return nil, err
-	}
-	if storeCount == 0 {
-		return ix, nil
-	}
-	// Each shard's store must cover exactly its trajectories, every
-	// column as long as its trajectory — the invariant that makes every
-	// At probe a query issues in range by construction.
-	for s, sh := range ix.shards {
-		sw, err := sectionWords(wantSpatial+uint64(s), v3KindTempo, uint64(s))
-		if err != nil {
-			return nil, err
-		}
-		cur := flat.NewCursor(sw)
-		ts, err := tempo.ViewFlat(cur)
-		if err != nil {
-			return nil, fmt.Errorf("cinct: timestamp store %d: %w", s, err)
-		}
-		if cur.Remaining() != 0 {
-			return nil, fmt.Errorf("%w: store %d has %d trailing words",
-				ErrCorrupt, s, cur.Remaining())
-		}
-		lo, hi := ix.bounds[s], ix.bounds[s+1]
-		if ts.NumTrajectories() != hi-lo {
-			return nil, fmt.Errorf("%w: store %d holds %d columns for %d trajectories",
-				ErrCorruptTimestamps, s, ts.NumTrajectories(), hi-lo)
-		}
-		for id := lo; id < hi; id++ {
-			if want := ix.TrajectoryLen(id); ts.Len(id-lo) != want {
-				return nil, fmt.Errorf("%w: trajectory %d has %d edges but %d timestamps",
-					ErrCorruptTimestamps, id, want, ts.Len(id-lo))
+	toc := words[headerWords : headerWords+tocEntryWords*nSec]
+	shards := make([]*shard, 0, shardCount)
+	next := uint64(pageAlign(int64(8 * (headerWords + len(toc))))) // where the next frame starts
+	for i := uint64(0); i < nSec; {
+		start, end := next, next
+		var secs []section
+		for ; i < nSec && toc[4*i+1] == uint64(len(shards)); i++ {
+			e := toc[4*i : 4*i+4]
+			kind, enc, off, length := e[0]&(1<<32-1), e[0]>>32, e[2], e[3]
+			if kind == 0 || kind >= numKinds || enc != kindEncoding {
+				return nil, fmt.Errorf("%w (section kind %d, encoding %d)", ErrLegacyFormat, kind, enc)
 			}
+			if len(secs) > 0 && kind <= secs[len(secs)-1].kind {
+				return nil, fmt.Errorf("%w: TOC entry %d repeats or reorders kind %d", ErrCorrupt, i, kind)
+			}
+			if off != end || length%8 != 0 || off > fileSize || length > fileSize-off {
+				return nil, fmt.Errorf("%w: TOC entry %d spans [%d,%d+%d) where the frame continues at %d of %d bytes",
+					ErrCorrupt, i, off, off, length, end, fileSize)
+			}
+			secs = append(secs, section{kind: kind, off: int((off - start) / 8), len: int(length / 8)})
+			end = off + length
 		}
-		sh.ts = ts
+		if len(secs) == 0 {
+			return nil, fmt.Errorf("%w: TOC entry %d names shard %d, want %d", ErrCorrupt, i, toc[4*i+1], len(shards))
+		}
+		sh, err := viewShard(words[start/8:end/8], secs)
+		if err != nil {
+			return nil, fmt.Errorf("cinct: shard %d: %w", len(shards), err)
+		}
+		shards = append(shards, sh)
+		next = uint64(pageAlign(int64(end)))
 	}
-	return ix, nil
+	if uint64(len(shards)) != shardCount || next != fileSize {
+		return nil, fmt.Errorf("%w: %d shards ending at byte %d; header says %d shards in %d bytes",
+			ErrCorrupt, len(shards), next, shardCount, fileSize)
+	}
+	return newIndex(shards...)
 }

@@ -181,7 +181,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 	if s.BitsPerSymbol <= 0 || s.LabelEntropy <= 0 || s.AvgOutDegree <= 0 {
 		t.Fatalf("aggregate stats not positive: %+v", s)
 	}
-	if s.WaveletBits <= 0 || s.GraphBits <= 0 || s.CArrayBits <= 0 || s.LocateBits <= 0 {
+	if s.WaveletBits <= 0 || s.GraphBits <= 0 || s.CArrayBits <= 0 || s.LocateBits <= 0 || s.TableBits <= 0 {
 		t.Fatalf("aggregate size breakdown not positive: %+v", s)
 	}
 }

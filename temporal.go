@@ -16,7 +16,7 @@ import (
 // compressed losslessly as in CTR [3].
 //
 // Timestamps are a property of Index — Temporal, Timestamps, Search
-// with an Interval, and Save writing the temporal flavor all live
+// with an Interval, and Save writing the timestamp sections all live
 // there — so this type adds no methods. It remains only as the return
 // or argument type of BuildTemporal, LoadTemporal, OpenMappedTemporal
 // and NewTemporalWriterAt.
@@ -72,21 +72,19 @@ func (ix *Index) Timestamps(id int) []int64 {
 	return sh.ts.Column(local)
 }
 
-// TimestampBits returns the compressed size of the timestamp stores in
-// bits (reported separately from the spatial index, as the paper keeps
-// the two concerns separate); 0 on a spatial index.
+// TimestampBits returns the bits of the timestamp sections, reported
+// apart from Stats as the paper keeps the two concerns separate; 0 on
+// a spatial index.
 func (ix *Index) TimestampBits() int {
 	n := 0
-	if ix.Temporal() {
-		for _, sh := range ix.shards {
-			n += sh.ts.SizeBits()
-		}
+	for _, sh := range ix.shards {
+		n += sh.sectionBits(kindTimes)
 	}
 	return n
 }
 
 // LoadTemporal is Load for a file that must carry timestamps: a v3
-// file of the spatial flavor fails with ErrNoTimestamps.
+// file without timestamp sections fails with ErrNoTimestamps.
 //
 // Deprecated: Load returns what the file holds; check Temporal.
 func LoadTemporal(r io.Reader) (*TemporalIndex, error) {

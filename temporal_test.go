@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cinct/internal/flat"
 	"cinct/internal/tempo"
 	"cinct/internal/trajgen"
 )
@@ -111,11 +110,11 @@ func TestTemporalTimestampsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveWritesWhatItHolds pins that Save takes the flavor from the
-// index, as Load and OpenMapped do from the file: a temporal index —
-// built, loaded, mapped, or a temporal writer's Snapshot, the Writer
-// doc's persistence recipe — saves as the golden temporal container
-// and reloads with every timestamp.
+// TestSaveWritesWhatItHolds pins that every form of one temporal index
+// holds the same section words: built, loaded, mapped, a writer's
+// Snapshot (the Writer doc's persistence recipe), a sealed writer's and
+// a compacted writer's each save as the golden temporal container and
+// reload with every timestamp.
 func TestSaveWritesWhatItHolds(t *testing.T) {
 	trajs, times := timedCorpus(7)
 	for _, shards := range []int{1, 4} {
@@ -154,6 +153,20 @@ func TestSaveWritesWhatItHolds(t *testing.T) {
 				t.Fatal(err)
 			}
 			sources["sealed Writer.Snapshot"] = sealed.Snapshot()
+			// So does compacting a four-shard build into one.
+			opts.Shards = 4
+			four, err := BuildTemporal(trajs, times, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacted, err := NewWriterAt(four.Index, WriterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := compacted.Compact(true); err != nil || res.ShardsAfter != 1 {
+				t.Fatalf("Compact = %+v, %v; want one shard", res, err)
+			}
+			sources["compacted Writer.Snapshot"] = compacted.Snapshot()
 		}
 		golden := fmt.Sprintf("temporal-%d/v3", shards)
 		for name, ix := range sources {
@@ -325,14 +338,10 @@ func TestTemporalLoadRejectsShapeMismatch(t *testing.T) {
 		"column/trajectory length": short,
 		"column count":             times[:len(times)-1],
 	} {
-		fw := flat.NewWriter()
-		tempo.New(cols).AppendFlat(fw)
-		secs := []v3Section{ix.shards[0].spatialSection(0), {kind: v3KindTempo, words: fw.Words()}}
-		var buf bytes.Buffer
-		if _, err := writeV3(&buf, v3FlavorTemporal, 0, 1, secs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadTemporal(&buf); !errors.Is(err, ErrCorruptTimestamps) {
+		sh := ix.shards[0]
+		frame, secs := layoutShard(sh.corpus, sh.core, tempo.New(cols))
+		data := containerOf(t, &shard{frame: frame, secs: secs})
+		if _, err := LoadTemporal(bytes.NewReader(data)); !errors.Is(err, ErrCorruptTimestamps) {
 			t.Fatalf("%s mismatch: err = %v, want ErrCorruptTimestamps", name, err)
 		}
 	}

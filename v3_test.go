@@ -12,13 +12,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"cinct/internal/trajgen"
 )
 
 // saveV3Bytes serializes via Save into memory.
-func saveV3Bytes(t *testing.T, ix *Index) []byte {
+func saveV3Bytes(t testing.TB, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := ix.Save(&buf); err != nil {
@@ -139,9 +140,8 @@ func TestSampleRatesMatchBruteForce(t *testing.T) {
 }
 
 // TestLocateBitsMatchFile pins Stats().LocateBits to the file: it is
-// the words each shard's locate section adds to the v3 container Save
-// writes, the difference between the spatial sections with and
-// without locate support.
+// the words the locate sections add to the container Save writes, the
+// difference between the sections with and without locate support.
 func TestLocateBitsMatchFile(t *testing.T) {
 	trajs, _ := timedCorpus(7)
 	for _, shards := range []int{1, 4} {
@@ -155,7 +155,7 @@ func TestLocateBitsMatchFile(t *testing.T) {
 			data := saveV3Bytes(t, ix)
 			word := func(k uint64) uint64 { return binary.LittleEndian.Uint64(data[8*k:]) }
 			for i := uint64(0); i < word(3); i++ {
-				total += word(8 + 4*i + 3) // TOC entry i: {kind, shard, offset, length}
+				total += word(headerWords + tocEntryWords*i + 3) // TOC entry i: {kind|encoding, shard, offset, length}
 			}
 			return ix, total
 		}
@@ -163,6 +163,66 @@ func TestLocateBitsMatchFile(t *testing.T) {
 		_, without := sectionBytes(0)
 		if got, want := ix.Stats().LocateBits, int(with-without)*8; got != want {
 			t.Fatalf("shards=%d: LocateBits = %d, the file's locate sections hold %d bits", shards, got, want)
+		}
+	}
+}
+
+// TestFileAccountsForEveryByte pins the container's size account on
+// spatial and temporal indexes of 1, 4 and 16 shards, as built and as
+// opened from the file: header, TOC, sections and padding sum to the
+// file size, padding is less than a page after the TOC and after each
+// shard frame and nothing inside a frame, and Stats' size fields with
+// TimestampBits and the header, TOC and padding are the file's bits.
+func TestFileAccountsForEveryByte(t *testing.T) {
+	trajs, times := timedCorpus(7)
+	for _, temporal := range []bool{false, true} {
+		for _, shards := range []int{1, 4, 16} {
+			opts := DefaultOptions()
+			opts.Shards = shards
+			ix, err := Build(trajs, opts)
+			if temporal {
+				var tix *TemporalIndex
+				tix, err = BuildTemporal(trajs, times, opts)
+				ix = tix.Index
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := saveV3Bytes(t, ix)
+			word := func(k int) int { return int(binary.LittleEndian.Uint64(data[8*k:])) }
+			nSec := word(3)
+			framing := 8 * (headerWords + tocEntryWords*nSec) // header and TOC
+			end, sections, frames := framing, 0, 0
+			for i := range nSec {
+				e := headerWords + tocEntryWords*i
+				off, length := word(e+2), word(e+3)
+				newFrame := i == 0 || word(e+1) != word(e+1-tocEntryWords)
+				if gap := off - end; gap < 0 || gap >= v3PageSize || gap > 0 && !newFrame {
+					t.Fatalf("temporal=%v shards=%d: TOC entry %d leaves a %d-byte gap", temporal, shards, i, gap)
+				}
+				if newFrame {
+					frames++
+				}
+				framing += off - end
+				sections += length
+				end = off + length
+			}
+			if gap := len(data) - end; gap < 0 || gap >= v3PageSize {
+				t.Fatalf("temporal=%v shards=%d: %d bytes of padding after the last frame", temporal, shards, gap)
+			}
+			framing += len(data) - end
+			if frames != shards || framing+sections != len(data) {
+				t.Fatalf("temporal=%v shards=%d: %d frames, %d framing + %d section bytes in a %d-byte file",
+					temporal, shards, frames, framing, sections, len(data))
+			}
+			for name, got := range map[string]*Index{"built": ix, "mapped": mapV3(t, data)} {
+				st := got.Stats()
+				fields := st.WaveletBits + st.GraphBits + st.CArrayBits + st.LocateBits + st.TableBits + got.TimestampBits()
+				if fields != 8*sections || fields+8*framing != 8*len(data) {
+					t.Fatalf("temporal=%v shards=%d %s: size fields hold %d bits, sections %d, file %d with %d of framing",
+						temporal, shards, name, fields, 8*sections, 8*len(data), 8*framing)
+				}
+			}
 		}
 	}
 }
@@ -297,10 +357,12 @@ func TestV3TemporalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV3FlavorMismatch pins that the header's flavor, not the caller,
-// decides what a file is: Load returns a temporal container temporal
-// and a spatial one spatial, and only the entry points that promise
-// timestamps refuse a spatial file, with ErrNoTimestamps.
+// TestV3FlavorMismatch pins that the file, not the caller, decides what
+// an index is: Load returns a container whose shards have timestamp
+// sections temporal and one without them spatial, and only the entry
+// points that promise timestamps refuse a spatial file, with
+// ErrNoTimestamps. A container with timestamps on only some shards is
+// corrupt.
 func TestV3FlavorMismatch(t *testing.T) {
 	trajs, times := timedCorpus(17)
 	ix, err := Build(trajs, DefaultOptions())
@@ -331,11 +393,90 @@ func TestV3FlavorMismatch(t *testing.T) {
 			}
 		}
 	}
-	// A flavor word that is neither is corruption.
-	bad := append([]byte(nil), spatial...)
-	binary.LittleEndian.PutUint64(bad[16:], 3)
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load(flavor 3) err = %v, want ErrCorrupt", err)
+	mixed := mixedTimestamps(t, trajs, times)
+	if _, err := Load(bytes.NewReader(mixed)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load(timestamps on one of two shards) err = %v, want ErrCorrupt", err)
+	}
+	if _, err := OpenMapped(writeTemp(t, mixed)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenMapped(timestamps on one of two shards) err = %v, want ErrCorrupt", err)
+	}
+}
+
+// relaid lays sh's sections that keep admits out again as a frame of
+// their own, as a container writer that left the others out would.
+func relaid(sh *shard, keep func(section) bool) *shard {
+	out := &shard{}
+	for _, sec := range sh.secs {
+		if keep(sec) {
+			off := len(out.frame)
+			out.frame = append(out.frame, sh.frame[sec.off:sec.off+sec.len]...)
+			out.secs = append(out.secs, section{kind: sec.kind, off: off, len: sec.len})
+		}
+	}
+	return out
+}
+
+// retagged returns data with TOC entry i's kind | encoding<<32 word
+// set to tag.
+func retagged(data []byte, i int, tag uint64) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(out[8*(headerWords+tocEntryWords*i):], tag)
+	return out
+}
+
+// containerOf writes shards' frames as Save lays out a container.
+func containerOf(t testing.TB, shards ...*shard) []byte {
+	t.Helper()
+	return saveV3Bytes(t, &Index{shards: shards})
+}
+
+// mixedTimestamps writes a two-shard temporal index of trajs with the
+// timestamp section of its second shard left out.
+func mixedTimestamps(t testing.TB, trajs [][]uint32, times [][]int64) []byte {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Shards = 2
+	tix, err := BuildTemporal(trajs, times, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spatial := relaid(tix.shards[1], func(s section) bool { return s.kind != kindTimes })
+	return containerOf(t, tix.shards[0], spatial)
+}
+
+// TestContainerRefusesMalformedSections pins the TOC rules: an unknown
+// (kind, encoding) is ErrLegacyFormat naming both, and a shard missing
+// a required section, a locate section without a sample rate, or
+// sections out of kind order are ErrCorrupt.
+func TestContainerRefusesMalformedSections(t *testing.T) {
+	trajs, times := timedCorpus(7)
+	ix, err := Build(trajs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := ix.shards[0]
+	data := containerOf(t, sh)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+		msg  string
+	}{
+		{"unknown encoding", retagged(data, 7, 2<<32|kindSA), ErrLegacyFormat, "kind 8, encoding 2"},
+		{"unknown kind", retagged(data, len(sh.secs)-1, kindEncoding<<32|numKinds), ErrLegacyFormat, "kind 11, encoding 1"},
+		{"no C section", containerOf(t, relaid(sh, func(s section) bool { return s.kind != kindC })), ErrCorrupt, "C array"},
+		{"no trajectory tables", containerOf(t, relaid(sh, func(s section) bool { return s.kind != kindTables })), ErrCorrupt, "trajectory tables"},
+		{"no SA samples", containerOf(t, relaid(sh, func(s section) bool { return s.kind != kindSA })), ErrCorrupt, "locate sections"},
+		{"kinds out of order", retagged(retagged(data, 5, kindEncoding<<32|kindMark), 6, kindEncoding<<32|kindWT), ErrCorrupt, "reorders kind 6"},
+		{"mixed timestamps", mixedTimestamps(t, trajs, times), ErrCorrupt, "timestamps"},
+	} {
+		_, errLoad := Load(bytes.NewReader(tc.data))
+		_, errMap := OpenMapped(writeTemp(t, tc.data))
+		for _, err := range []error{errLoad, errMap} {
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
+				t.Errorf("%s: err = %v, want %v naming %q", tc.name, err, tc.want, tc.msg)
+			}
+		}
 	}
 }
 
@@ -378,8 +519,9 @@ func TestV3CorruptContainer(t *testing.T) {
 				}()
 				got, err := LoadTemporal(bytes.NewReader(mut))
 				if err != nil {
-					// A flip in the flavor word makes the file spatial.
-					if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNoTimestamps) {
+					// A flip in a TOC entry's kind or encoding names a
+					// section this build does not know.
+					if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrLegacyFormat) {
 						t.Fatalf("offset %d bit %d: untyped error %v", off, bit, err)
 					}
 					return
@@ -419,53 +561,51 @@ func TestOpenMappedErrors(t *testing.T) {
 	if _, err := OpenMapped(legacy); !errors.Is(err, ErrLegacyFormat) {
 		t.Fatalf("OpenMapped(pre-v3 file) err = %v, want ErrLegacyFormat", err)
 	}
-	// Version 4 is read and version 3 refused as legacy (see
-	// TestLegacyFormatRefused); any other version word is corruption.
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3-int32-spatial-1.cinct"))
+	// Version 5 is read and versions up to 4 refused as legacy (see
+	// TestLegacyFormatRefused); a later version word is corruption.
+	trajs, _ := timedCorpus(7)
+	ix, err := Build(trajs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint64{2, 5} {
+	data := saveV3Bytes(t, ix)
+	for version, want := range map[uint64]error{0: ErrLegacyFormat, 2: ErrLegacyFormat, 6: ErrCorrupt, 1 << 40: ErrCorrupt} {
 		binary.LittleEndian.PutUint64(data[8:], version)
 		path := filepath.Join(dir, fmt.Sprintf("version%d", version))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenMapped(path); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("OpenMapped(version %d) err = %v, want ErrCorrupt", version, err)
+		if _, err := OpenMapped(path); !errors.Is(err, want) {
+			t.Fatalf("OpenMapped(version %d) err = %v, want %v", version, err, want)
 		}
 	}
 }
 
 // craftedV3Header builds a one-page file carrying an otherwise valid
-// v3 header with the given flavor and counts — no TOC, no sections.
-func craftedV3Header(flavor, nSec, shardCount, storeCount uint64) []byte {
+// header with the given counts — no TOC, no sections.
+func craftedV3Header(shardCount, nSec uint64) []byte {
 	b := make([]byte, v3PageSize)
-	for i, w := range []uint64{
-		v3MagicWord(), v3Version, flavor, nSec, v3PageSize, shardCount, storeCount, 0,
-	} {
+	for i, w := range []uint64{v3MagicWord, v3Version, shardCount, nSec, v3PageSize} {
 		binary.LittleEndian.PutUint64(b[8*i:], w)
 	}
 	return b
 }
 
 // TestV3HeaderCountOverflow pins the open-boundary guard against
-// headers whose counts are chosen so shardCount+storeCount wraps
-// uint64 (e.g. 2^64-1 shards + 1 store = 0 sections): the loaders
-// must return ErrCorrupt, not panic sizing a 2^64-1-element slice.
+// headers whose counts would size a huge slice or wrap the TOC's
+// extent: the loaders must return ErrCorrupt, not panic.
 func TestV3HeaderCountOverflow(t *testing.T) {
 	cases := []struct {
-		name                 string
-		flavor               uint64
-		nSec, shards, stores uint64
+		name         string
+		shards, nSec uint64
 	}{
-		{"wrapping shard count", v3FlavorTemporal, 0, ^uint64(0), 1},
-		{"wrapping store count", v3FlavorTemporal, 0, 0, ^uint64(0)},
-		{"huge section count", v3FlavorSpatial, ^uint64(0), ^uint64(0) - 1, 0},
+		{"wrapping shard count", ^uint64(0), 1},
+		{"huge section count", 1, ^uint64(0)},
+		{"no shards", 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := craftedV3Header(tc.flavor, tc.nSec, tc.shards, tc.stores)
+			data := craftedV3Header(tc.shards, tc.nSec)
 			if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Load err = %v, want ErrCorrupt", err)
 			}
