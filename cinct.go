@@ -179,6 +179,11 @@ type Match struct {
 // index built with SampleRate == 0.
 var ErrNoLocate = errors.New("cinct: index built without locate support (SampleRate = 0)")
 
+// ErrOutOfRange reports a trajectory ID or a sub-path slice outside the
+// index: Trajectory and SubPath of Index and Writer return it, for
+// sealed and unsealed rows alike.
+var ErrOutOfRange = errors.New("cinct: out of range")
+
 // Build indexes a corpus. Each trajectory is a non-empty sequence of
 // road edge IDs in travel order; IDs need not be dense. opts may be
 // nil for defaults.
@@ -374,12 +379,21 @@ func sortMatches(ms []Match) {
 // errTrajectoryRange is the one out-of-range-ID error of Index and
 // Writer.
 func errTrajectoryRange(id, n int) error {
-	return fmt.Errorf("cinct: trajectory %d out of range [0,%d)", id, n)
+	return fmt.Errorf("%w: trajectory %d not in [0,%d)", ErrOutOfRange, id, n)
+}
+
+// checkSlice refuses a SubPath slice [from, to) outside a trajectory of
+// ln edges.
+func checkSlice(from, to, ln int) error {
+	if from < 0 || to > ln || from > to {
+		return fmt.Errorf("%w: SubPath[%d,%d) not in [0,%d]", ErrOutOfRange, from, to, ln)
+	}
+	return nil
 }
 
 // Trajectory reconstructs trajectory id (0 <= id < NumTrajectories) in
 // travel order from the compressed index alone; an out-of-range id is
-// an error. Requires locate support.
+// ErrOutOfRange. Requires locate support.
 func (ix *Index) Trajectory(id int) ([]uint32, error) {
 	return ix.SubPath(id, 0, ix.TrajectoryLen(id))
 }
@@ -396,7 +410,7 @@ func (ix *Index) TrajectoryLen(id int) int {
 
 // SubPath extracts edges [from, to) of trajectory id in travel order —
 // the paper's sub-path extraction query (§IV-C) lifted to trajectory
-// coordinates. An out-of-range id or slice is an error. Requires
+// coordinates. An out-of-range id or slice is ErrOutOfRange. Requires
 // locate support.
 func (ix *Index) SubPath(id, from, to int) ([]uint32, error) {
 	sh, local, ok := ix.shardOf(id)
@@ -411,8 +425,8 @@ func (sh *shard) subPath(local, from, to int) ([]uint32, error) {
 		return nil, ErrNoLocate
 	}
 	ln := sh.corpus.TrajectoryLen(local)
-	if from < 0 || to > ln || from > to {
-		return nil, fmt.Errorf("cinct: SubPath[%d,%d) out of range [0,%d)", from, to, ln)
+	if err := checkSlice(from, to, ln); err != nil {
+		return nil, err
 	}
 	if from == to {
 		return nil, nil

@@ -122,11 +122,11 @@ func TestSubPath(t *testing.T) {
 	if len(got) != 2 || got[0] != 11 || got[1] != 14 {
 		t.Fatalf("SubPath(0,1,3) = %v, want [11 14]", got)
 	}
-	if _, err := ix.SubPath(0, 2, 1); err == nil {
-		t.Fatal("inverted range should error")
+	if _, err := ix.SubPath(0, 2, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("inverted range: %v, want ErrOutOfRange", err)
 	}
-	if _, err := ix.SubPath(0, 0, 99); err == nil {
-		t.Fatal("overlong range should error")
+	if _, err := ix.SubPath(0, 0, 99); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("overlong range: %v, want ErrOutOfRange", err)
 	}
 	empty, err := ix.SubPath(0, 2, 2)
 	if err != nil || len(empty) != 0 {
@@ -135,9 +135,10 @@ func TestSubPath(t *testing.T) {
 }
 
 // TestOutOfRangeTrajectoryID pins one contract for a bad trajectory ID
-// on every index shape: Trajectory and SubPath return an error,
-// TrajectoryLen returns -1, Timestamps returns nil — never a panic, and
-// the same on an Index as on a Writer (sealed and delta ranges alike).
+// on every index shape: Trajectory and SubPath return ErrOutOfRange (as
+// SubPath does for a slice past a row's end), TrajectoryLen returns -1,
+// Timestamps returns nil — never a panic, and the same on an Index as on
+// a Writer (sealed and delta ranges alike).
 func TestOutOfRangeTrajectoryID(t *testing.T) {
 	trajs, times := fuzzCorpus()
 	type lookup interface {
@@ -184,11 +185,11 @@ func TestOutOfRangeTrajectoryID(t *testing.T) {
 	for name, ix := range shapes {
 		n := ix.NumTrajectories()
 		for _, id := range []int{-1, n, math.MaxInt} {
-			if tr, err := ix.Trajectory(id); err == nil {
-				t.Errorf("%s: Trajectory(%d) = %v, want an error", name, id, tr)
+			if tr, err := ix.Trajectory(id); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s: Trajectory(%d) = %v, %v; want ErrOutOfRange", name, id, tr, err)
 			}
-			if sub, err := ix.SubPath(id, 0, 1); err == nil {
-				t.Errorf("%s: SubPath(%d,0,1) = %v, want an error", name, id, sub)
+			if sub, err := ix.SubPath(id, 0, 1); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s: SubPath(%d,0,1) = %v, %v; want ErrOutOfRange", name, id, sub, err)
 			}
 			if got := ix.TrajectoryLen(id); got != -1 {
 				t.Errorf("%s: TrajectoryLen(%d) = %d, want -1", name, id, got)
@@ -202,6 +203,10 @@ func TestOutOfRangeTrajectoryID(t *testing.T) {
 		if n > 0 {
 			if _, err := ix.Trajectory(n - 1); err != nil {
 				t.Errorf("%s: Trajectory(%d): %v", name, n-1, err)
+			}
+			// The last row is a delta row on the delta writer.
+			if sub, err := ix.SubPath(n-1, 0, ix.TrajectoryLen(n-1)+1); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s: SubPath(%d) past its end = %v, %v; want ErrOutOfRange", name, n-1, sub, err)
 			}
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"cinct"
-	"cinct/internal/engine"
 	"cinct/internal/trajgen"
 	"cinct/internal/trajio"
 )
@@ -280,8 +279,8 @@ func TestLocalFlavorFromFile(t *testing.T) {
 		if err := cmdCount([]string{"-index", path, "-path", "2 3"}); err != nil {
 			t.Fatalf("%s: count: %v", name, err)
 		}
-		if err := cmdCount([]string{"-index", path, "-path", "2 3", "-from", "0"}); !errors.Is(err, engine.ErrNotTemporal) {
-			t.Fatalf("%s: interval count: %v, want engine.ErrNotTemporal", name, err)
+		if err := cmdCount([]string{"-index", path, "-path", "2 3", "-from", "0"}); !errors.Is(err, cinct.ErrNoTimestamps) {
+			t.Fatalf("%s: interval count: %v, want cinct.ErrNoTimestamps", name, err)
 		}
 	}
 }

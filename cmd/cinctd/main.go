@@ -39,7 +39,8 @@
 // index back to its file in the data dir. An index nobody appends to
 // keeps the shard layout it was built with. With -wal set, every
 // acknowledged append is also written to a per-index write-ahead log
-// and replayed on restart, so appends survive a crash between seals.
+// and replayed on restart, so appends survive a crash between seals;
+// the log fsyncs 50 ms after an append, or at once past 1 MiB unsynced.
 //
 // Traffic management: -rate-limit enforces a per-client request budget
 // (429 + Retry-After past it), -max-inflight sheds requests beyond the
@@ -82,10 +83,6 @@ func main() {
 			"serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 		walDir = flag.String("wal", "",
 			"write-ahead log directory (one subdirectory per index); empty disables the WAL")
-		walSync = flag.Duration("wal-sync", 0,
-			"WAL group-commit fsync interval (0 = 50ms default, negative = no timer)")
-		walSyncBytes = flag.Int("wal-sync-bytes", 0,
-			"fsync the WAL once this many unsynced bytes accumulate (0 = 1MiB default, negative = every append)")
 		rateLimit = flag.Float64("rate-limit", 0,
 			"per-client request budget in requests/second, keyed by X-Client-ID or remote IP (0 disables; over-budget requests get 429 + Retry-After)")
 		rateBurst = flag.Int("rate-burst", 0,
@@ -130,9 +127,7 @@ func main() {
 		Workers: *workers, CacheEntries: *cache,
 		SealThreshold: *sealAt, Logf: logger.Printf,
 		SlowQuery: *slowQuery,
-		WAL: engine.WALOptions{
-			Dir: *walDir, SyncInterval: *walSync, SyncBytes: *walSyncBytes,
-		},
+		WAL:       engine.WALOptions{Dir: *walDir},
 	})
 	names, err := eng.OpenDir(*data)
 	if err != nil {

@@ -370,14 +370,14 @@ func exerciseMapped(t *testing.T, ix *Index, tix *TemporalIndex) {
 		r, err = ix.Search(context.Background(), q)
 	}
 	if err != nil {
-		if errors.Is(err, ErrNoLocate) || errors.Is(err, ErrCorruptIndex) {
+		if errors.Is(err, ErrNoLocate) || errors.Is(err, ErrCorrupt) {
 			return
 		}
 		t.Fatalf("Search on mapped index: unexpected error %v", err)
 	}
 	for _, herr := range r.All() {
 		if herr != nil {
-			if errors.Is(herr, ErrCorruptIndex) {
+			if errors.Is(herr, ErrCorrupt) {
 				return
 			}
 			t.Fatalf("stream on mapped index: %v", herr)

@@ -20,30 +20,6 @@ func (n *naive) rank1(i int) int {
 	return r
 }
 
-func (n *naive) select1(k int) int {
-	for i, b := range n.bits {
-		if b {
-			if k == 0 {
-				return i
-			}
-			k--
-		}
-	}
-	return -1
-}
-
-func (n *naive) select0(k int) int {
-	for i, b := range n.bits {
-		if !b {
-			if k == 0 {
-				return i
-			}
-			k--
-		}
-	}
-	return -1
-}
-
 func randomBits(rng *rand.Rand, n int, density float64) (*Builder, *naive) {
 	b := NewBuilder(n)
 	nv := &naive{bits: make([]bool, n)}
@@ -74,50 +50,6 @@ func TestPlainAgainstNaive(t *testing.T) {
 					t.Fatalf("n=%d: Get(%d)=%v want %v", n, i, got, want)
 				}
 			}
-		}
-	}
-}
-
-func TestPlainSelect(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 100, 1000, 5000} {
-		b, nv := randomBits(rng, n, 0.3)
-		p := b.Plain()
-		ones := p.Ones()
-		for k := 0; k < ones; k++ {
-			if got, want := p.Select1(k), nv.select1(k); got != want {
-				t.Fatalf("n=%d: Select1(%d)=%d want %d", n, k, got, want)
-			}
-		}
-		if p.Select1(ones) != -1 {
-			t.Fatalf("Select1 past end should be -1")
-		}
-		if p.Select1(-1) != -1 {
-			t.Fatalf("Select1(-1) should be -1")
-		}
-		zeros := n - ones
-		for k := 0; k < zeros; k++ {
-			if got, want := p.Select0(k), nv.select0(k); got != want {
-				t.Fatalf("n=%d: Select0(%d)=%d want %d", n, k, got, want)
-			}
-		}
-		if p.Select0(zeros) != -1 {
-			t.Fatalf("Select0 past end should be -1")
-		}
-	}
-}
-
-func TestPlainSelectRankInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	b, _ := randomBits(rng, 2048, 0.5)
-	p := b.Plain()
-	for k := 0; k < p.Ones(); k++ {
-		pos := p.Select1(k)
-		if p.Rank1(pos) != k {
-			t.Fatalf("Rank1(Select1(%d))=%d", k, p.Rank1(pos))
-		}
-		if !p.Get(pos) {
-			t.Fatalf("bit at Select1(%d)=%d is not set", k, pos)
 		}
 	}
 }
@@ -276,9 +208,6 @@ func TestEmptyVectors(t *testing.T) {
 	}
 	if p.Rank1(0) != 0 || r.Rank1(0) != 0 {
 		t.Fatal("Rank1(0) on empty should be 0")
-	}
-	if p.Select1(0) != -1 {
-		t.Fatal("Select1 on empty should be -1")
 	}
 }
 

@@ -112,7 +112,7 @@ func (r *RRR) AppendFlat(w *flat.Writer) {
 // corruption therefore survives the view: a lying sample either reads
 // inside the guarded offset stream (wrong answer) or trips the
 // per-read guard in packed.read (a panic the query layer contains as
-// ErrCorruptIndex).
+// cinct.ErrCorrupt).
 func ViewRRR(c *flat.Cursor) (*RRR, error) {
 	n := c.Int()
 	blockSize := c.Int()

@@ -56,11 +56,6 @@ func TestFlatPlainRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: %d words left over", n, c.Remaining())
 		}
 		checkVectorEqual(t, orig, view)
-		for k := 1; k <= orig.Ones(); k++ {
-			if view.Select1(k) != orig.Select1(k) {
-				t.Fatalf("n=%d: Select1(%d) mismatch", n, k)
-			}
-		}
 	}
 }
 

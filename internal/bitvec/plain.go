@@ -88,71 +88,6 @@ func (p *Plain) AccessRank1(i int) (bool, int) {
 	return p.Get(i), p.Rank1(i)
 }
 
-// Select1 returns the position of the k-th (0-based) set bit, or -1 if
-// fewer than k+1 bits are set. It binary-searches the rank directory and
-// then scans within one block.
-func (p *Plain) Select1(k int) int {
-	if k < 0 || k >= p.ones {
-		return -1
-	}
-	// Binary search for the block whose cumulative count exceeds k.
-	lo, hi := 0, len(p.blocks)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(p.blocks[mid]) <= k {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	rem := k - int(p.blocks[lo])
-	for w := lo * plainBlockWords; w < len(p.words); w++ {
-		c := bits.OnesCount64(p.words[w])
-		if rem < c {
-			return w*64 + selectWord(p.words[w], rem)
-		}
-		rem -= c
-	}
-	return -1
-}
-
-// Select0 returns the position of the k-th (0-based) zero bit, or -1.
-func (p *Plain) Select0(k int) int {
-	if k < 0 || k >= p.n-p.ones {
-		return -1
-	}
-	lo, hi := 0, len(p.blocks)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if mid*512-int(p.blocks[mid]) <= k {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	rem := k - (lo*512 - int(p.blocks[lo]))
-	for w := lo * plainBlockWords; w < len(p.words); w++ {
-		inv := ^p.words[w]
-		if w == len(p.words)-1 && p.n&63 != 0 {
-			inv &= 1<<uint(p.n&63) - 1
-		}
-		c := bits.OnesCount64(inv)
-		if rem < c {
-			return w*64 + selectWord(inv, rem)
-		}
-		rem -= c
-	}
-	return -1
-}
-
-// selectWord returns the position of the k-th (0-based) set bit in w.
-func selectWord(w uint64, k int) int {
-	for i := 0; i < k; i++ {
-		w &= w - 1 // clear lowest set bit
-	}
-	return bits.TrailingZeros64(w)
-}
-
 // SizeBits returns the storage footprint in bits: the raw words plus the
 // rank directory.
 func (p *Plain) SizeBits() int {

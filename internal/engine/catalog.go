@@ -37,16 +37,6 @@ var (
 	// ErrNotFound reports a query against an index name the catalog
 	// does not hold (never loaded, or closed).
 	ErrNotFound = errors.New("engine: no such index")
-	// ErrNotTemporal reports a temporal query against a spatial-only
-	// index.
-	ErrNotTemporal = errors.New("engine: index has no timestamps")
-	// ErrOutOfRange reports a trajectory ID or sub-path slice outside
-	// the index's bounds.
-	ErrOutOfRange = errors.New("engine: out of range")
-	// ErrCorrupt reports a query that panicked over corrupt index
-	// state; the panic is contained at the engine boundary so one bad
-	// index degrades its own requests instead of the whole process.
-	ErrCorrupt = errors.New("engine: corrupt index state")
 	// ErrStaleCursor reports a resume cursor minted before the index
 	// was reloaded or replaced: the trajectory-ID space may have been
 	// renumbered, so resuming would silently page through wrong data.

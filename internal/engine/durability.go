@@ -13,16 +13,12 @@ import (
 // WALOptions configures the ingestion write-ahead log.
 type WALOptions struct {
 	// Dir is the root directory holding one WAL subdirectory per
-	// index. "" disables write-ahead logging.
-	Dir string
-	// SyncInterval is the group-commit fsync window (0 = 50ms,
-	// negative = no timer). Acknowledged appends survive process death
+	// index. "" disables write-ahead logging. The log group-commits:
+	// it fsyncs 50 ms after the first unsynced append, or at once when
+	// 1 MiB is unsynced. Acknowledged appends survive process death
 	// regardless — the record's write(2) completes before the ack —
 	// the window only bounds exposure to whole-machine failure.
-	SyncInterval time.Duration
-	// SyncBytes forces an fsync once this many unsynced bytes
-	// accumulate (0 = 1 MiB, negative = every append).
-	SyncBytes int
+	Dir string
 }
 
 // walDir returns the per-index WAL directory: one subdirectory per
@@ -56,10 +52,7 @@ func (e *Engine) openWAL(en *entry) error {
 		en.wal = nil
 	}
 	en.mu.Unlock()
-	l, err := wal.Open(e.walDir(en.name), wal.Options{
-		SyncInterval: e.walOpts.SyncInterval,
-		SyncBytes:    e.walOpts.SyncBytes,
-	})
+	l, err := wal.Open(e.walDir(en.name), wal.Options{})
 	if err != nil {
 		return fmt.Errorf("engine: opening %q write-ahead log: %w", en.name, err)
 	}
@@ -115,7 +108,7 @@ func (e *Engine) replayWAL(en *entry, pending []wal.Batch) (int, error) {
 			continue // fully sealed into the persisted file
 		case b.FirstID > have:
 			return replayed, fmt.Errorf("%w: %q write-ahead log resumes at row %d but the index holds %d — acknowledged rows are missing",
-				ErrCorrupt, en.name, b.FirstID, have)
+				wal.ErrCorrupt, en.name, b.FirstID, have)
 		}
 		off := have - b.FirstID
 		trajs := b.Trajs[off:]

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,15 +10,17 @@ import (
 
 	"cinct"
 	"cinct/internal/querygen"
+	"cinct/internal/wal"
 )
 
 // walEngine opens an engine over dir with write-ahead logging rooted
-// at wal; SyncBytes -1 keeps every test append on disk immediately.
+// at wal. Every acknowledged append's write(2) has completed, so an
+// in-process kill and reopen reads it whatever the fsync window.
 func walEngine(t *testing.T, dir, wal string) *Engine {
 	t.Helper()
 	e := New(Options{
 		SealThreshold: -1,
-		WAL:           WALOptions{Dir: wal, SyncBytes: -1},
+		WAL:           WALOptions{Dir: wal},
 	})
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatalf("OpenDir: %v", err)
@@ -141,12 +144,12 @@ func TestEngineWALSealRetiresAndNoDoubleReplay(t *testing.T) {
 // are gone, and the engine must refuse to serve rather than silently
 // come up short.
 func TestEngineWALGapFailsLoudly(t *testing.T) {
-	dir, wal := t.TempDir(), t.TempDir()
+	dir, walDir := t.TempDir(), t.TempDir()
 	trajs := testCorpus(23, 20)
 	writeIndexes(t, dir, trajs)
 	ctx := context.Background()
 
-	e1 := walEngine(t, dir, wal)
+	e1 := walEngine(t, dir, walDir)
 	if _, err := e1.Append(ctx, "spatial", [][]uint32{{1, 2}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +165,10 @@ func TestEngineWALGapFailsLoudly(t *testing.T) {
 	// Roll the index file back to its pre-ingestion state: the WAL now
 	// resumes at a row the file does not hold.
 	writeIndexes(t, dir, trajs[:len(trajs)-1])
-	e := New(Options{SealThreshold: -1, WAL: WALOptions{Dir: wal, SyncBytes: -1}})
-	if _, err := e.OpenDir(dir); err == nil {
+	e := New(Options{SealThreshold: -1, WAL: WALOptions{Dir: walDir}})
+	if _, err := e.OpenDir(dir); !errors.Is(err, wal.ErrCorrupt) {
 		e.CloseAll()
-		t.Fatal("OpenDir served an index whose WAL proves acknowledged rows are missing")
+		t.Fatalf("OpenDir over a WAL that proves acknowledged rows are missing: %v, want wal.ErrCorrupt", err)
 	}
 }
 

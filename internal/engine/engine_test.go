@@ -104,8 +104,8 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 
 	// Temporal-only query routing.
-	if _, err := search(ctx, eng, "spatial", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: 1 << 60}}); !errors.Is(err, ErrNotTemporal) {
-		t.Fatalf("FindInInterval on spatial index: %v, want ErrNotTemporal", err)
+	if _, err := search(ctx, eng, "spatial", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: 1 << 60}}); !errors.Is(err, cinct.ErrNoTimestamps) {
+		t.Fatalf("FindInInterval on spatial index: %v, want cinct.ErrNoTimestamps", err)
 	}
 	hits, err := search(ctx, eng, "temporal", cinct.Query{Path: path, Interval: &cinct.Interval{From: 0, To: 1 << 60}})
 	if err != nil {
@@ -116,11 +116,11 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 
 	// Out-of-range IDs become errors, not panics.
-	if _, err := eng.Trajectory(ctx, "spatial", len(trajs)); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("Trajectory(out of range): %v, want ErrOutOfRange", err)
+	if _, err := eng.Trajectory(ctx, "spatial", len(trajs)); !errors.Is(err, cinct.ErrOutOfRange) {
+		t.Fatalf("Trajectory(out of range): %v, want cinct.ErrOutOfRange", err)
 	}
-	if _, err := eng.SubPath(ctx, "spatial", 0, 0, len(trajs[0])+5); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("SubPath(bad range): %v, want ErrOutOfRange", err)
+	if _, err := eng.SubPath(ctx, "spatial", 0, 0, len(trajs[0])+5); !errors.Is(err, cinct.ErrOutOfRange) {
+		t.Fatalf("SubPath(bad range): %v, want cinct.ErrOutOfRange", err)
 	}
 
 	// Unknown names and closed entries 404.
@@ -386,14 +386,14 @@ func TestSearchKeyNoCollision(t *testing.T) {
 
 // TestRecoverQuery pins the engine-boundary panic contract for
 // temporal queries: a panic surfacing from corrupt index state becomes
-// ErrCorrupt instead of killing the goroutine.
+// cinct.ErrCorrupt instead of killing the goroutine.
 func TestRecoverQuery(t *testing.T) {
 	err := func() (err error) {
 		defer recoverQuery(&err)
 		panic("tempo: corrupt column")
 	}()
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("recovered err = %v, want ErrCorrupt", err)
+	if !errors.Is(err, cinct.ErrCorrupt) {
+		t.Fatalf("recovered err = %v, want cinct.ErrCorrupt", err)
 	}
 }
 

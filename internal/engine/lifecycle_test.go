@@ -93,7 +93,7 @@ func TestReloadRacingSealsLosesNoRow(t *testing.T) {
 	writeIndexes(t, dir, trajs)
 	ctx := context.Background()
 	marker := []uint32{301, 302}
-	e := New(Options{SealThreshold: 8, WAL: WALOptions{Dir: wal, SyncBytes: -1}})
+	e := New(Options{SealThreshold: 8, WAL: WALOptions{Dir: wal}})
 	if _, err := e.OpenDir(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func assertV3File(t *testing.T, path string) {
 
 // TestEngineFlavorFromFile pins that the engine serves what a file
 // holds, whatever its name: a spatial index saved as .tcinct loads
-// spatial, so an interval query on it is ErrNotTemporal, and a temporal
+// spatial, so an interval query on it is cinct.ErrNoTimestamps, and a temporal
 // one saved as .cinct loads temporal.
 func TestEngineFlavorFromFile(t *testing.T) {
 	trajs := testCorpus(41, 30)
@@ -175,8 +175,8 @@ func TestEngineFlavorFromFile(t *testing.T) {
 			t.Fatalf("Info(%q).Temporal = %v (%v), want %v", name, info.Temporal, err, want)
 		}
 	}
-	if _, err := searchCount(ctx, e, "spatial", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly}); !errors.Is(err, ErrNotTemporal) {
-		t.Fatalf("interval count on the spatial .tcinct: %v, want ErrNotTemporal", err)
+	if _, err := searchCount(ctx, e, "spatial", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly}); !errors.Is(err, cinct.ErrNoTimestamps) {
+		t.Fatalf("interval count on the spatial .tcinct: %v, want cinct.ErrNoTimestamps", err)
 	}
 	n, err := searchCount(ctx, e, "temporal", cinct.Query{Path: path, Interval: all, Kind: cinct.CountOnly})
 	if err != nil || n != ix.Count(path) {

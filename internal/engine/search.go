@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"iter"
 	"time"
@@ -152,7 +151,7 @@ func (r *Results) All() iter.Seq2[cinct.Hit, error] {
 			return
 		}
 		// The library stream resumes where a break left it, and turns a
-		// panic over corrupt index state into ErrCorruptIndex itself.
+		// panic over corrupt index state into cinct.ErrCorrupt itself.
 		for h, herr := range r.live.All() {
 			if herr != nil {
 				r.fail(herr)
@@ -272,9 +271,10 @@ func (r *Results) Cursor() string {
 // a cinct.Query executed here, cached here, and bounded by the same
 // worker pool. Results are keyed by (binding, generation, canonical
 // query encoding), so a Reload, an Append or a Close then Load of the
-// same name instantly orphans stale pages. Interval queries against a spatial-only index fail with
-// ErrNotTemporal; descriptor violations (negative limit, unknown kind)
-// fail with cinct.ErrBadQuery before any index work.
+// same name instantly orphans stale pages. Errors are the library's,
+// passed through: an interval query against a spatial-only index fails
+// with cinct.ErrNoTimestamps, a descriptor violation (negative limit,
+// unknown kind) with cinct.ErrBadQuery.
 func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -299,9 +299,6 @@ func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Resul
 	enc, err := q.MarshalBinary()
 	if err != nil {
 		return nil, err
-	}
-	if q.Interval != nil && !v.w.Temporal() {
-		return nil, fmt.Errorf("%w: %q", ErrNotTemporal, v.name)
 	}
 	key := cacheKey{binding: v.binding, gen: v.gen, query: string(enc)}
 	start := time.Now()
@@ -341,24 +338,10 @@ func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Resul
 		name: v.name, start: start, acc: make([]cinct.Hit, 0, 16)}, nil
 }
 
-// checkTrajectory validates a trajectory ID against the snapshot
-// (including unsealed delta rows), giving a bad ID the engine's typed
-// ErrOutOfRange — the error a server maps to a 4xx — before any worker
-// slot is taken.
-func checkTrajectory(v view, id int) error {
-	if n := v.w.NumTrajectories(); id < 0 || id >= n {
-		return fmt.Errorf("%w: trajectory %d not in [0,%d)", ErrOutOfRange, id, n)
-	}
-	return nil
-}
-
 // Trajectory reconstructs trajectory id of index name.
 func (e *Engine) Trajectory(ctx context.Context, name string, id int) ([]uint32, error) {
 	v, err := e.cat.view(name)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkTrajectory(v, id); err != nil {
 		return nil, err
 	}
 	if err := e.acquire(ctx); err != nil {
@@ -374,31 +357,19 @@ func (e *Engine) SubPath(ctx context.Context, name string, id, from, to int) ([]
 	if err != nil {
 		return nil, err
 	}
-	if err := checkTrajectory(v, id); err != nil {
-		return nil, err
-	}
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer e.release()
-	sub, err := v.w.SubPath(id, from, to)
-	if err != nil {
-		if errors.Is(err, cinct.ErrNoLocate) {
-			// Index capability, not bad parameters — don't blame the
-			// caller's range.
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %v", ErrOutOfRange, err)
-	}
-	return sub, nil
+	return v.w.SubPath(id, from, to)
 }
 
-// recoverQuery converts a panic escaping a library query into a typed
-// error, so corrupt in-memory state degrades a single request instead
-// of crashing the serving process — the same panic-to-error contract
-// checkTrajectory gives the spatial ops.
+// recoverQuery is the last panic boundary: a panic escaping a library
+// query (which contains its own as cinct.ErrCorrupt) becomes that
+// error too, so corrupt in-memory state degrades a single request
+// instead of crashing the serving process.
 func recoverQuery(err *error) {
 	if r := recover(); r != nil {
-		*err = fmt.Errorf("%w: %v", ErrCorrupt, r)
+		*err = fmt.Errorf("%w: %v", cinct.ErrCorrupt, r)
 	}
 }

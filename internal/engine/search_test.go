@@ -146,7 +146,7 @@ func TestEngineSearchCachesPages(t *testing.T) {
 
 // TestEngineSearchLimitRule pins the unified limit semantics at the
 // engine layer: negative limits are cinct.ErrBadQuery for every kind,
-// and interval queries on spatial indexes are ErrNotTemporal.
+// and interval queries on spatial indexes are cinct.ErrNoTimestamps.
 func TestEngineSearchLimitRule(t *testing.T) {
 	dir := t.TempDir()
 	trajs := testCorpus(19, 80)
@@ -164,8 +164,8 @@ func TestEngineSearchLimitRule(t *testing.T) {
 		}
 	}
 	iv := &cinct.Interval{From: 0, To: 1}
-	if _, err := e.Search(ctx, "spatial", cinct.Query{Path: path, Interval: iv}); !errors.Is(err, ErrNotTemporal) {
-		t.Fatalf("interval on spatial index: err = %v, want ErrNotTemporal", err)
+	if _, err := e.Search(ctx, "spatial", cinct.Query{Path: path, Interval: iv}); !errors.Is(err, cinct.ErrNoTimestamps) {
+		t.Fatalf("interval on spatial index: err = %v, want cinct.ErrNoTimestamps", err)
 	}
 	if _, err := e.Search(ctx, "nosuch", cinct.Query{Path: path}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown index: err = %v, want ErrNotFound", err)

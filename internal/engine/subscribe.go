@@ -332,8 +332,9 @@ func (e *Engine) Subscribe(name string, pred Predicate, opts SubscribeOptions) (
 	if len(pred.Path) == 0 {
 		return nil, fmt.Errorf("%w: empty path", ErrBadSubscription)
 	}
+	// No library call runs here to refuse the interval, so check it.
 	if pred.Interval != nil && !v.w.Temporal() {
-		return nil, fmt.Errorf("%w: %q", ErrNotTemporal, name)
+		return nil, fmt.Errorf("%w: %q", cinct.ErrNoTimestamps, name)
 	}
 	ttl := opts.TTL
 	switch {

@@ -152,7 +152,7 @@ func TestSubscribeValidation(t *testing.T) {
 		t.Fatalf("empty path: %v", err)
 	}
 	iv := &cinct.Interval{From: 1, To: 2}
-	if _, err := e.Subscribe("s", Predicate{Path: []uint32{1}, Interval: iv}, SubscribeOptions{}); !errors.Is(err, ErrNotTemporal) {
+	if _, err := e.Subscribe("s", Predicate{Path: []uint32{1}, Interval: iv}, SubscribeOptions{}); !errors.Is(err, cinct.ErrNoTimestamps) {
 		t.Fatalf("interval on spatial index: %v", err)
 	}
 	// A path-only subscription on a spatial index is fine.

@@ -93,28 +93,3 @@ func Hk(seq []uint32, k int) float64 {
 	}
 	return h
 }
-
-// Bigrams counts the occurrences of each adjacent pair (seq[i],
-// seq[i+1]), optionally including the cyclic wraparound pair
-// (seq[n−1], seq[0]) — the ET-graph construction needs the wraparound
-// so the BWT row of the full-string rotation is labelable.
-func Bigrams(seq []uint32, cyclic bool) map[[2]uint32]int {
-	out := make(map[[2]uint32]int, 1024)
-	n := len(seq)
-	for i := 0; i+1 < n; i++ {
-		out[[2]uint32{seq[i], seq[i+1]}]++
-	}
-	if cyclic && n > 1 {
-		out[[2]uint32{seq[n-1], seq[0]}]++
-	}
-	return out
-}
-
-// Unigrams counts symbol occurrences.
-func Unigrams(seq []uint32) map[uint32]int {
-	out := make(map[uint32]int, 256)
-	for _, s := range seq {
-		out[s]++
-	}
-	return out
-}

@@ -90,28 +90,3 @@ func TestHkDeterministicSequenceIsZero(t *testing.T) {
 		t.Fatalf("H1(periodic) = %v, want ~0", h)
 	}
 }
-
-func TestBigrams(t *testing.T) {
-	seq := []uint32{1, 2, 1, 2, 3}
-	bg := Bigrams(seq, false)
-	if bg[[2]uint32{1, 2}] != 2 || bg[[2]uint32{2, 1}] != 1 || bg[[2]uint32{2, 3}] != 1 {
-		t.Fatalf("unexpected bigrams: %v", bg)
-	}
-	if len(bg) != 3 {
-		t.Fatalf("expected 3 distinct bigrams, got %d", len(bg))
-	}
-	bgc := Bigrams(seq, true)
-	if bgc[[2]uint32{3, 1}] != 1 {
-		t.Fatal("cyclic bigram missing")
-	}
-	if total := len(Bigrams([]uint32{5}, true)); total != 0 {
-		t.Fatal("single-element cyclic bigrams should be empty")
-	}
-}
-
-func TestUnigrams(t *testing.T) {
-	u := Unigrams([]uint32{4, 4, 2})
-	if u[4] != 2 || u[2] != 1 {
-		t.Fatalf("unexpected unigrams: %v", u)
-	}
-}

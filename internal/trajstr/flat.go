@@ -9,10 +9,9 @@ import (
 // Flat form of the corpus metadata, in two sections: the symbol map
 // (alphabet size and edge IDs) and the trajectory tables (document
 // starts and lengths), without the text (the index is a self-index;
-// the text is dropped once the succinct structures exist). The symbol
-// map's reverse direction is the only piece rebuilt at view time —
-// O(edges) — since Go maps cannot be memory-mapped; everything else is
-// wrapped in place.
+// the text is dropped once the succinct structures exist). Both are
+// wrapped in place: the edge IDs are sorted, so EncodePath
+// binary-searches them and nothing is rebuilt at view time.
 
 // AppendSymbols writes the symbol map section.
 func (c *Corpus) AppendSymbols(w *flat.Writer) {
@@ -62,15 +61,10 @@ func ViewFlat(symbols, tables *flat.Cursor) (*Corpus, error) {
 		return nil, fmt.Errorf("%w: document table endpoints (start0=%d lastStart=%d lastLen=%d)",
 			flat.ErrCorrupt, docStarts[0], docStarts[last], docLens[last])
 	}
-	corpus := &Corpus{
+	return &Corpus{
 		Sigma:     sigma,
-		edgeToSym: make(map[uint32]uint32, len(symToEdge)),
 		symToEdge: symToEdge,
 		docStarts: docStarts,
 		docLens:   docLens,
-	}
-	for i, e := range symToEdge {
-		corpus.edgeToSym[e] = uint32(i) + FirstEdgeSym
-	}
-	return corpus, nil
+	}, nil
 }

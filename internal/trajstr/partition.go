@@ -66,11 +66,6 @@ func PartitionCorpus(trajs [][]uint32, bounds []int) ([]*Corpus, error) {
 	return shards, nil
 }
 
-// EdgeIDs returns the distinct external edge IDs of the corpus in
-// ascending order. The returned slice is owned by the Corpus and must
-// not be modified.
-func (c *Corpus) EdgeIDs() []uint32 { return c.symToEdge }
-
 // CountDistinctEdges returns the number of distinct external edge IDs
 // across all the given corpora (shards index disjoint trajectory
 // ranges, but their edge sets overlap wherever vehicles share roads).

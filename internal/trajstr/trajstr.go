@@ -10,6 +10,7 @@ package trajstr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -27,8 +28,7 @@ type Corpus struct {
 	// Sigma is the alphabet size (distinct edges + 2 sentinels).
 	Sigma int
 
-	edgeToSym map[uint32]uint32
-	symToEdge []uint32 // symToEdge[sym-FirstEdgeSym] = external edge ID
+	symToEdge []uint32 // symToEdge[sym-FirstEdgeSym] = external edge ID, strictly increasing
 	docStarts []int32  // text position of each reversed trajectory's first symbol
 	docLens   []int32
 }
@@ -64,13 +64,13 @@ func New(trajs [][]uint32) (*Corpus, error) {
 
 	c := &Corpus{
 		Sigma:     len(edges) + int(FirstEdgeSym),
-		edgeToSym: make(map[uint32]uint32, len(edges)),
 		symToEdge: edges,
 		docStarts: make([]int32, len(trajs)),
 		docLens:   make([]int32, len(trajs)),
 	}
+	edgeToSym := make(map[uint32]uint32, len(edges))
 	for i, e := range edges {
-		c.edgeToSym[e] = uint32(i) + FirstEdgeSym
+		edgeToSym[e] = uint32(i) + FirstEdgeSym
 	}
 
 	c.Text = make([]uint32, 0, total+len(trajs)+1)
@@ -78,7 +78,7 @@ func New(trajs [][]uint32) (*Corpus, error) {
 		c.docStarts[k] = int32(len(c.Text))
 		c.docLens[k] = int32(len(tr))
 		for i := len(tr) - 1; i >= 0; i-- { // reversed per Def. 2
-			c.Text = append(c.Text, c.edgeToSym[tr[i]])
+			c.Text = append(c.Text, edgeToSym[tr[i]])
 		}
 		c.Text = append(c.Text, SymSep)
 	}
@@ -108,12 +108,6 @@ func (c *Corpus) TextLenFromTables() int {
 // NumEdges returns the number of distinct road edges.
 func (c *Corpus) NumEdges() int { return len(c.symToEdge) }
 
-// SymbolFor maps an external edge ID to its dense symbol.
-func (c *Corpus) SymbolFor(edge uint32) (uint32, bool) {
-	s, ok := c.edgeToSym[edge]
-	return s, ok
-}
-
 // EdgeFor maps a dense symbol back to the external edge ID. It panics
 // on sentinel or out-of-range symbols.
 func (c *Corpus) EdgeFor(sym uint32) uint32 {
@@ -124,16 +118,17 @@ func (c *Corpus) EdgeFor(sym uint32) uint32 {
 }
 
 // EncodePath maps a path of external edge IDs (in travel order) to
-// internal symbols. ok is false if any edge never occurs in the corpus
-// — in which case no trajectory can match it.
+// internal symbols, by binary search of the sorted symbol map. ok is
+// false if any edge never occurs in the corpus — in which case no
+// trajectory can match it.
 func (c *Corpus) EncodePath(path []uint32) ([]uint32, bool) {
 	out := make([]uint32, len(path))
 	for i, e := range path {
-		s, ok := c.edgeToSym[e]
+		j, ok := slices.BinarySearch(c.symToEdge, e)
 		if !ok {
 			return nil, false
 		}
-		out[i] = s
+		out[i] = uint32(j) + FirstEdgeSym
 	}
 	return out, true
 }

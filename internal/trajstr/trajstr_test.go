@@ -123,17 +123,20 @@ func TestErrors(t *testing.T) {
 
 func TestEdgeSymbolMapping(t *testing.T) {
 	c := paperCorpus(t)
-	for _, e := range []uint32{10, 11, 12, 13, 14, 15} {
-		s, ok := c.SymbolFor(e)
-		if !ok {
-			t.Fatalf("edge %d not mapped", e)
-		}
-		if c.EdgeFor(s) != e {
-			t.Fatalf("EdgeFor(SymbolFor(%d)) = %d", e, c.EdgeFor(s))
+	edges := []uint32{10, 11, 12, 13, 14, 15}
+	syms, ok := c.EncodePath(edges)
+	if !ok {
+		t.Fatalf("edges %v not mapped", edges)
+	}
+	for i, e := range edges {
+		if c.EdgeFor(syms[i]) != e {
+			t.Fatalf("EdgeFor(EncodePath(%d)) = %d", e, c.EdgeFor(syms[i]))
 		}
 	}
-	if _, ok := c.SymbolFor(9999); ok {
-		t.Fatal("unknown edge should not map")
+	for _, e := range []uint32{0, 9, 16, 9999} {
+		if _, ok := c.EncodePath([]uint32{10, e}); ok {
+			t.Fatalf("unknown edge %d should not map", e)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cinct/internal/bitvec"
 	"cinct/internal/flat"
@@ -115,50 +114,4 @@ func ViewHWT(c *flat.Cursor) (*HWT, error) {
 		return nil, fmt.Errorf("%w: HWT root %d with %d nodes", flat.ErrCorrupt, root, nNodes)
 	}
 	return h, nil
-}
-
-// AppendFlat writes the matrix into a word stream.
-func (w *WM) AppendFlat(fw *flat.Writer) {
-	fw.U64(uint64(w.n))
-	fw.U64(uint64(w.sigma))
-	fw.U64(uint64(len(w.levels)))
-	for l := range w.levels {
-		fw.U64(uint64(w.zeros[l]))
-		bitvec.AppendVector(fw, w.levels[l])
-	}
-}
-
-// ViewWM wraps a flat WM in place.
-func ViewWM(c *flat.Cursor) (*WM, error) {
-	n := c.Int()
-	sigma := c.Int()
-	nLevels := c.Int()
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	wantLevels := bits.Len(uint(sigma - 1))
-	if wantLevels == 0 {
-		wantLevels = 1
-	}
-	if sigma < 1 || nLevels != wantLevels {
-		return nil, fmt.Errorf("%w: WM shape (sigma=%d levels=%d)", flat.ErrCorrupt, sigma, nLevels)
-	}
-	w := &WM{n: n, sigma: sigma,
-		levels: make([]bitvec.Vector, nLevels), zeros: make([]int, nLevels)}
-	for l := 0; l < nLevels; l++ {
-		w.zeros[l] = c.Int()
-		bv, err := bitvec.ViewVector(c)
-		if err != nil {
-			return nil, err
-		}
-		if bv.Len() != n || w.zeros[l] != n-bv.Ones() {
-			return nil, fmt.Errorf("%w: WM level %d (len=%d zeros=%d)",
-				flat.ErrCorrupt, l, bv.Len(), w.zeros[l])
-		}
-		w.levels[l] = bv
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return w, nil
 }

@@ -64,35 +64,6 @@ func TestFlatHWTRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlatWMRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, cs := range [][2]int{{0, 1}, {1, 1}, {50, 2}, {2000, 17}, {5000, 300}} {
-		n, sigma := cs[0], cs[1]
-		seq := randSeq(n, sigma, rng)
-		orig := NewWM(seq, sigma, PlainSpec)
-		w := flat.NewWriter()
-		orig.AppendFlat(w)
-		c := flat.NewCursor(w.Words())
-		view, err := ViewWM(c)
-		if err != nil {
-			t.Fatalf("n=%d sigma=%d: %v", n, sigma, err)
-		}
-		if c.Remaining() != 0 {
-			t.Fatalf("n=%d sigma=%d: %d words left over", n, sigma, c.Remaining())
-		}
-		counts := make([]int, sigma)
-		for i, s := range seq {
-			if view.Access(i) != s {
-				t.Fatalf("Access(%d) = %d, want %d", i, view.Access(i), s)
-			}
-			if view.Rank(s, i) != counts[s] {
-				t.Fatalf("Rank(%d,%d) mismatch", s, i)
-			}
-			counts[s]++
-		}
-	}
-}
-
 // Perturbing any single word must yield a typed error or a structure
 // whose reads stay in recoverable territory — the view itself must
 // never panic.

@@ -75,9 +75,6 @@ func (w *WM) Len() int { return w.n }
 // Sigma returns the alphabet bound.
 func (w *WM) Sigma() int { return w.sigma }
 
-// Levels returns the number of bit-vector levels (= ceil(lg sigma)).
-func (w *WM) Levels() int { return len(w.levels) }
-
 // Access returns the i-th symbol.
 func (w *WM) Access(i int) uint32 {
 	if i < 0 || i >= w.n {

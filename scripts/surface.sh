@@ -26,6 +26,13 @@ done
 for pkg in . ./internal/engine ./server; do
   printf 'deprecated exported %-20s %s\n' "$pkg:" "$(deprecated "$pkg")"
 done
+# Exported error sentinels: package-level Err… variables, each one
+# failure a caller tests with errors.Is (grouped var blocks list them
+# indented).
+sentinels() { go doc -all "$1" | grep -cE '^(var |[[:space:]])Err[A-Z][A-Za-z]* += ' || true; }
+for pkg in . ./internal/engine ./server; do
+  printf 'error sentinels %-24s %s\n' "$pkg:" "$(sentinels "$pkg")"
+done
 # Settable option fields of a struct type: its exported fields, where a
 # field whose type is itself a struct counts as that struct's fields
 # (engine.Options.WAL is three options, not one).

@@ -8,7 +8,7 @@ import (
 )
 
 // containCorrupt runs fn and converts any panic escaping it into an
-// ErrCorruptIndex error. View constructors over mmap'd v3 containers
+// ErrCorrupt error. View constructors over mmap'd v3 containers
 // validate structural invariants in O(metadata) but deliberately skip
 // O(n) semantic checks (label-in-context, LF-cycle coverage), so deep
 // corruption can first surface as an out-of-bounds panic inside a
@@ -19,7 +19,7 @@ import (
 func containCorrupt(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: query panicked: %v", ErrCorruptIndex, r)
+			err = fmt.Errorf("%w: query panicked: %v", ErrCorrupt, r)
 		}
 	}()
 	return fn()
@@ -539,7 +539,7 @@ type searchShared struct {
 // candidate) and trajectory deduplication happen. It stops on context
 // cancellation, so an abandoned or cancelled iteration performs no
 // further decodes. Timestamp probes against a corrupt mapped store are
-// contained here: a panic surfaces as ErrCorruptIndex on the unit.
+// contained here: a panic surfaces as ErrCorrupt on the unit.
 func (u *unitCursor) advance(s *searchShared) {
 	if err := containCorrupt(func() error { u.advanceStep(s); return nil }); err != nil {
 		u.err = err

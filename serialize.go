@@ -33,11 +33,6 @@ func checkLegacy(head []byte) error {
 	return nil
 }
 
-// ErrCorruptIndex reports an index whose corpus metadata and
-// compressed core disagree — each half parsed, but pairing them would
-// let a query walk out of bounds.
-var ErrCorruptIndex = errors.New("cinct: corpus metadata inconsistent with core index")
-
 // Load reads an index from r: the container Save writes, in one
 // aligned read into the heap (OpenMapped maps the same file instead).
 // It returns what the file holds — an index with timestamps when its
@@ -59,11 +54,11 @@ func Load(r io.Reader) (*Index, error) {
 func (sh *shard) validate() error {
 	if got, want := sh.core.Len(), sh.corpus.TextLenFromTables(); got != want {
 		return fmt.Errorf("%w: core holds %d symbols, document tables imply %d",
-			ErrCorruptIndex, got, want)
+			ErrCorrupt, got, want)
 	}
 	if got, want := sh.core.Sigma(), sh.corpus.Sigma; got != want {
 		return fmt.Errorf("%w: core alphabet %d, corpus alphabet %d",
-			ErrCorruptIndex, got, want)
+			ErrCorrupt, got, want)
 	}
 	return nil
 }

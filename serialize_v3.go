@@ -79,10 +79,11 @@ const (
 // writes.
 const kindEncoding = 1
 
-// ErrCorrupt reports a malformed container. Errors from OpenMapped and
-// Load wrap it (possibly alongside the more specific flat/section
-// error).
-var ErrCorrupt = errors.New("cinct: corrupt v3 container")
+// ErrCorrupt reports a corrupt index: a container that fails to parse
+// or to cross-check at open (errors from Load and OpenMapped wrap it,
+// possibly alongside the more specific flat/section error), or index
+// state that makes a query panic once open (containCorrupt).
+var ErrCorrupt = errors.New("cinct: corrupt index")
 
 var v3MagicWord = binary.LittleEndian.Uint64([]byte(v3Magic))
 
@@ -150,12 +151,12 @@ func viewShard(frame []uint64, secs []section) (*shard, error) {
 		}
 		if n := corpus.NumTrajectories(); sh.ts.NumTrajectories() != n {
 			return nil, fmt.Errorf("%w: %d timestamp columns for %d trajectories",
-				ErrCorruptTimestamps, sh.ts.NumTrajectories(), n)
+				ErrCorrupt, sh.ts.NumTrajectories(), n)
 		}
 		for k := range corpus.NumTrajectories() {
 			if want := corpus.TrajectoryLen(k); sh.ts.Len(k) != want {
 				return nil, fmt.Errorf("%w: trajectory %d has %d edges but %d timestamps",
-					ErrCorruptTimestamps, k, want, sh.ts.Len(k))
+					ErrCorrupt, k, want, sh.ts.Len(k))
 			}
 		}
 	}

@@ -4,9 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,38 +19,46 @@ import (
 
 	"cinct"
 	"cinct/internal/engine"
+	"cinct/internal/wal"
 )
 
 // TestHTTPStatusTable pins the status code for every typed error the
 // stack can surface, wrapped the way real call sites wrap them — the
-// wire contract clients key retry behavior off.
+// wire contract clients key retry behavior off. It lists every exported
+// error sentinel of cinct, engine and server exactly once, checked
+// against their sources, so a new sentinel cannot ship unmapped.
 func TestHTTPStatusTable(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
 		want int
 	}{
-		{"not found", engine.ErrNotFound, http.StatusNotFound},
-		{"out of range", engine.ErrOutOfRange, http.StatusBadRequest},
+		{"engine.ErrNotFound", engine.ErrNotFound, http.StatusNotFound},
+		{"cinct.ErrOutOfRange", cinct.ErrOutOfRange, http.StatusBadRequest},
+		{"cinct.ErrBadQuery", cinct.ErrBadQuery, http.StatusBadRequest},
+		{"cinct.ErrBadCursor", cinct.ErrBadCursor, http.StatusBadRequest},
+		{"cinct.ErrBadAppend", cinct.ErrBadAppend, http.StatusBadRequest},
+		{"engine.ErrBadSubscription", engine.ErrBadSubscription, http.StatusBadRequest},
+		{"engine.ErrStaleCursor", engine.ErrStaleCursor, http.StatusGone},
+		{"cinct.ErrNoLocate", cinct.ErrNoLocate, http.StatusUnprocessableEntity},
+		{"cinct.ErrNoTimestamps", cinct.ErrNoTimestamps, http.StatusUnprocessableEntity},
+		{"cinct.ErrNotAppendable", cinct.ErrNotAppendable, http.StatusUnprocessableEntity},
+		{"engine.ErrNoRoadnet", engine.ErrNoRoadnet, http.StatusUnprocessableEntity},
+		{"cinct.ErrLegacyFormat", cinct.ErrLegacyFormat, http.StatusUnprocessableEntity},
+		{"server.ErrRateLimited", ErrRateLimited, http.StatusTooManyRequests},
+		{"server.ErrOverloaded", ErrOverloaded, http.StatusServiceUnavailable},
+		{"cinct.ErrCorrupt", cinct.ErrCorrupt, http.StatusInternalServerError},
+		// Not sentinels of these packages.
 		{"bad request", errBadRequest, http.StatusBadRequest},
-		{"bad query", cinct.ErrBadQuery, http.StatusBadRequest},
-		{"bad cursor", cinct.ErrBadCursor, http.StatusBadRequest},
-		{"bad append", cinct.ErrBadAppend, http.StatusBadRequest},
-		{"stale cursor", engine.ErrStaleCursor, http.StatusGone},
-		{"not temporal", engine.ErrNotTemporal, http.StatusUnprocessableEntity},
-		{"no locate", cinct.ErrNoLocate, http.StatusUnprocessableEntity},
-		{"no timestamps", cinct.ErrNoTimestamps, http.StatusUnprocessableEntity},
-		{"not appendable", cinct.ErrNotAppendable, http.StatusUnprocessableEntity},
-		{"legacy format", cinct.ErrLegacyFormat, http.StatusUnprocessableEntity},
-		{"rate limited", ErrRateLimited, http.StatusTooManyRequests},
 		{"rate limited typed", &rateLimitError{retryAfter: time.Second}, http.StatusTooManyRequests},
-		{"overloaded", ErrOverloaded, http.StatusServiceUnavailable},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{"client gone", context.Canceled, statusClientClosedRequest},
-		{"corrupt", engine.ErrCorrupt, http.StatusInternalServerError},
+		{"corrupt WAL", wal.ErrCorrupt, http.StatusInternalServerError},
 		{"unknown", errors.New("boom"), http.StatusInternalServerError},
 	}
+	listed := map[string]int{}
 	for _, tc := range cases {
+		listed[tc.name]++
 		if got := httpStatus(tc.err); got != tc.want {
 			t.Errorf("httpStatus(%s) = %d, want %d", tc.name, got, tc.want)
 		}
@@ -54,6 +67,55 @@ func TestHTTPStatusTable(t *testing.T) {
 			t.Errorf("httpStatus(wrapped %s) = %d, want %d", tc.name, got, tc.want)
 		}
 	}
+	sentinels := exportedErrors(t, map[string]string{"cinct": "..", "engine": "../internal/engine", "server": "."})
+	for _, name := range sentinels {
+		if listed[name] != 1 {
+			t.Errorf("%s is listed %d times, want once", name, listed[name])
+		}
+		delete(listed, name)
+	}
+	for name := range listed {
+		if strings.Contains(name, ".Err") {
+			t.Errorf("%s is listed but is no exported sentinel of its package", name)
+		}
+	}
+}
+
+// exportedErrors returns "pkg.ErrX" for every exported package-level
+// variable named Err… in the non-test sources of each package
+// directory.
+func exportedErrors(t *testing.T, dirs map[string]string) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	for pkg, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, spec := range gd.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.IsExported() && strings.HasPrefix(id.Name, "Err") {
+								names = append(names, pkg+"."+id.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestRateLimitEndToEnd floods a rate-limited server and checks the

@@ -61,15 +61,14 @@ func httpStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, engine.ErrOutOfRange), errors.Is(err, errBadRequest),
+	case errors.Is(err, cinct.ErrOutOfRange), errors.Is(err, errBadRequest),
 		errors.Is(err, cinct.ErrBadQuery), errors.Is(err, cinct.ErrBadCursor),
 		errors.Is(err, cinct.ErrBadAppend), errors.Is(err, engine.ErrBadSubscription):
 		return http.StatusBadRequest
 	case errors.Is(err, engine.ErrStaleCursor):
 		// The cursor was valid once; the index it pointed into is gone.
 		return http.StatusGone
-	case errors.Is(err, engine.ErrNotTemporal),
-		errors.Is(err, cinct.ErrNoLocate), errors.Is(err, cinct.ErrNoTimestamps),
+	case errors.Is(err, cinct.ErrNoLocate), errors.Is(err, cinct.ErrNoTimestamps),
 		errors.Is(err, cinct.ErrNotAppendable), errors.Is(err, engine.ErrNoRoadnet),
 		errors.Is(err, cinct.ErrLegacyFormat):
 		// A reload onto a file in an older format: well-formed, only
@@ -87,6 +86,10 @@ func httpStatus(err error) int {
 		// server's own deadline reports DeadlineExceeded): accounted, but
 		// not as a fault the server committed.
 		return statusClientClosedRequest
+	case errors.Is(err, cinct.ErrCorrupt):
+		// A served file that fails a query: the server's fault, whatever
+		// the request asked for.
+		return http.StatusInternalServerError
 	default:
 		return http.StatusInternalServerError
 	}

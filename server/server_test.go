@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -213,4 +214,73 @@ func TestReloadOntoLegacyFileIs422(t *testing.T) {
 			t.Fatalf("after the refused reload onto %s count = %d, %v; want %d", file, n, err, ix.Count(path2))
 		}
 	}
+}
+
+// TestCorruptExtractionIs500 serves a file that loads but fails to
+// extract one row: a flipped bit the loader's O(metadata) checks do not
+// see. The engine passes the library's cinct.ErrCorrupt through, and
+// both extraction routes answer 500 — the served file is at fault, not
+// the requested range.
+func TestCorruptExtractionIs500(t *testing.T) {
+	trajs := trajgen.Singapore2(trajgen.Config{GridW: 6, GridH: 6, NumTrajs: 40, MeanLen: 10, Seed: 5}).Trajs
+	ix, err := cinct.Build(trajs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const id = 1
+	path := filepath.Join(t.TempDir(), "c"+engine.ExtSpatial)
+	if err := os.WriteFile(path, corruptExtraction(t, buf.Bytes(), id), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{})
+	defer eng.CloseAll()
+	if err := eng.Load("c", path); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := eng.SubPath(ctx, "c", id, 0, 2); !errors.Is(err, cinct.ErrCorrupt) {
+		t.Errorf("SubPath: %v, want cinct.ErrCorrupt", err)
+	}
+	if _, err := eng.Trajectory(ctx, "c", id); !errors.Is(err, cinct.ErrCorrupt) {
+		t.Errorf("Trajectory: %v, want cinct.ErrCorrupt", err)
+	}
+	ts := httptest.NewServer(New(eng, Config{}).Handler())
+	defer ts.Close()
+	for _, route := range []string{"/v1/c/subpath?traj=1&from=0&to=2", "/v1/c/trajectory/1"} {
+		resp, err := http.Get(ts.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("GET %s: HTTP %d, want 500", route, resp.StatusCode)
+		}
+	}
+}
+
+// corruptExtraction flips bits of a saved index, word by word, until the
+// file loads and still gives trajectory id at least two edges, yet both
+// SubPath(id, 0, 2) and Trajectory(id) fail on it.
+func corruptExtraction(t *testing.T, data []byte, id int) []byte {
+	t.Helper()
+	mut := append([]byte(nil), data...)
+	for off := 0; off+8 <= len(mut); off += 8 {
+		for _, bit := range []int{0, 1, 7, 17, 33, 63} {
+			mut[off+bit/8] ^= 1 << (bit % 8)
+			if ix, err := cinct.Load(bytes.NewReader(mut)); err == nil && ix.TrajectoryLen(id) >= 2 {
+				_, serr := ix.SubPath(id, 0, 2)
+				_, terr := ix.Trajectory(id)
+				if serr != nil && terr != nil {
+					return mut
+				}
+			}
+			mut[off+bit/8] ^= 1 << (bit % 8)
+		}
+	}
+	t.Fatal("no single-bit flip loads and fails the extraction")
+	return nil
 }

@@ -1,7 +1,6 @@
 package cinct
 
 import (
-	"errors"
 	"fmt"
 	"io"
 )
@@ -23,10 +22,6 @@ import (
 type TemporalIndex struct {
 	*Index
 }
-
-// ErrCorruptTimestamps reports temporal data inconsistent with the
-// spatial index it was loaded with.
-var ErrCorruptTimestamps = errors.New("cinct: timestamp store inconsistent with spatial index")
 
 // BuildTemporal indexes trajectories with their timestamp columns:
 // times[k][i] is when trajectory k entered its i-th edge. opts may be

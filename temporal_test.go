@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cinct/internal/tempo"
@@ -341,8 +342,8 @@ func TestTemporalLoadRejectsShapeMismatch(t *testing.T) {
 		sh := ix.shards[0]
 		frame, secs := layoutShard(sh.corpus, sh.core, tempo.New(cols))
 		data := containerOf(t, &shard{frame: frame, secs: secs})
-		if _, err := LoadTemporal(bytes.NewReader(data)); !errors.Is(err, ErrCorruptTimestamps) {
-			t.Fatalf("%s mismatch: err = %v, want ErrCorruptTimestamps", name, err)
+		if _, err := LoadTemporal(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "timestamp") {
+			t.Fatalf("%s mismatch: err = %v, want ErrCorrupt naming the timestamps", name, err)
 		}
 	}
 }

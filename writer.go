@@ -327,7 +327,8 @@ func (w *Writer) Stats() Stats {
 }
 
 // Trajectory reconstructs trajectory id — decompressed from a sealed
-// shard, or copied out of the delta; an out-of-range id is an error.
+// shard, or copied out of the delta; an out-of-range id is
+// ErrOutOfRange.
 func (w *Writer) Trajectory(id int) ([]uint32, error) {
 	return w.SubPath(id, 0, w.TrajectoryLen(id))
 }
@@ -346,7 +347,7 @@ func (w *Writer) TrajectoryLen(id int) int {
 }
 
 // SubPath extracts edges [from, to) of trajectory id; an out-of-range
-// id or slice is an error.
+// id or slice is ErrOutOfRange.
 func (w *Writer) SubPath(id, from, to int) ([]uint32, error) {
 	ix, snap := w.view()
 	sealed := ix.NumTrajectories()
@@ -361,8 +362,8 @@ func (w *Writer) SubPath(id, from, to int) ([]uint32, error) {
 		return ix.SubPath(id, from, to)
 	}
 	row := snap.trajs[id-snap.base]
-	if from < 0 || to > len(row) || from > to {
-		return nil, fmt.Errorf("cinct: SubPath[%d,%d) out of range [0,%d)", from, to, len(row))
+	if err := checkSlice(from, to, len(row)); err != nil {
+		return nil, err
 	}
 	out := make([]uint32, to-from)
 	copy(out, row[from:to])
