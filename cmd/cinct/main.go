@@ -1,8 +1,10 @@
 // Command cinct builds, inspects and queries CiNCT indexes from the
-// command line. Every retrieval subcommand is a cinct.Query executed
-// by Search — locally through internal/engine, or remotely through the
-// daemon's streaming /v1/{index}/query endpoint — and can target
-// either a local index file or a running daemon:
+// command line. Every query, ingest and compact subcommand is a client
+// of cinctd's HTTP handlers (a retrieval is one cinct.Query sent to
+// /v1/{index}/query) and targets either a local index file or a
+// running daemon. With -index the file is loaded into an engine in
+// this process and the same handlers answer without a socket, so the
+// two modes differ only in where the handlers run:
 //
 //	cinct build  -in corpus.txt -index corpus.cinct [-times times.txt] [-block 63] [-sample 40] [-shards N]
 //	cinct stats  -index corpus.cinct
@@ -22,8 +24,9 @@
 //	cinct gps-ingest -remote http://localhost:8132 -name corpus -in traces.ndjson [-v]
 //	cinct subscribe -remote http://localhost:8132 -name corpus -path "17 42" [-from 0 -to 999]
 //
-// Any query subcommand accepts -remote URL -name INDEX instead of
-// -index FILE to run against a cinctd daemon:
+// Any query, ingest or compact subcommand accepts -remote URL -name
+// INDEX instead of -index FILE to run against a cinctd daemon;
+// gps-ingest and subscribe run against a daemon only:
 //
 //	cinct count -remote http://localhost:8132 -name corpus -path "17 42 99"
 //
@@ -57,6 +60,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strconv"
@@ -124,31 +129,8 @@ func usage() {
 	os.Exit(2)
 }
 
-// searchResult is one drained Search: the hits (nil for CountOnly),
-// the summary count (full occurrence count for CountOnly, hit count
-// otherwise), and the resume cursor ("" when the stream is
-// exhausted).
-type searchResult struct {
-	hits   []cinct.Hit
-	count  int
-	cursor string
-}
-
-// querier is the transport-independent query surface the subcommands
-// run against: a local engine over an index file, or a server.Client
-// speaking to a daemon's streaming query endpoint. Both satisfy it
-// with identical semantics — that equivalence is what server's
-// differential tests pin down. Every retrieval operation is one
-// Search call with a cinct.Query descriptor.
-type querier interface {
-	Info(ctx context.Context) (engine.Info, error)
-	Search(ctx context.Context, q cinct.Query) (searchResult, error)
-	Trajectory(ctx context.Context, id int) ([]uint32, error)
-	SubPath(ctx context.Context, id, from, to int) ([]uint32, error)
-}
-
-// target holds the shared flags selecting what a query subcommand
-// talks to.
+// target holds the shared flags selecting the index a subcommand
+// talks to: a local file or an index at a daemon.
 type target struct {
 	index  *string // local index file
 	remote *string // daemon base URL
@@ -181,104 +163,79 @@ func addIntervalFlags(fs *flag.FlagSet) func() *cinct.Interval {
 	}
 }
 
-func (t *target) open() (querier, error) {
+// client returns the client every query, ingest and compact subcommand
+// runs through, and the index name to give it. -remote dials the
+// daemon. -index loads the file into an engine in this process and
+// hands the client cinctd's own handlers through inProcess, so both
+// modes run the same code from the request on. That engine seals only
+// when asked and keeps no write-ahead log.
+func (t *target) client() (*server.Client, string, error) {
 	switch {
 	case *t.remote != "" && *t.index != "":
-		return nil, fmt.Errorf("-index and -remote are mutually exclusive")
+		return nil, "", fmt.Errorf("-index and -remote are mutually exclusive")
 	case *t.remote != "":
 		if *t.name == "" {
-			return nil, fmt.Errorf("-name is required with -remote")
+			return nil, "", fmt.Errorf("-name is required with -remote")
 		}
-		return &remoteQuerier{c: server.NewClient(*t.remote, nil), name: *t.name}, nil
+		return server.NewClient(*t.remote, nil), *t.name, nil
 	case *t.index != "":
-		eng := engine.New(engine.Options{})
+		eng := engine.New(engine.Options{SealThreshold: -1})
 		const name = "local"
 		if err := eng.Load(name, *t.index); err != nil {
+			return nil, "", err
+		}
+		h := server.New(eng, server.Config{RequestTimeout: -1}).Handler()
+		return server.NewClient("http://"+name, &http.Client{Transport: inProcess{h}}), name, nil
+	}
+	return nil, "", fmt.Errorf("-index (local file) or -remote (daemon URL) is required")
+}
+
+// inProcess is an http.RoundTripper that answers each request by
+// running a handler in this process and recording its reply: no
+// socket, same handlers.
+type inProcess struct{ h http.Handler }
+
+func (t inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	r := req.Clone(req.Context())
+	if r.Body == nil {
+		r.Body = http.NoBody
+	}
+	defer r.Body.Close()
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// search drains one query. CountOnly and bounded queries fit one
+// page, which carries the count and the resume cursor; an unbounded
+// one drains through the paging iterator and ends with no cursor.
+func search(ctx context.Context, c *server.Client, name string, q cinct.Query) (*server.QueryPage, error) {
+	if q.Kind == cinct.CountOnly || q.Limit > 0 {
+		return c.SearchPage(ctx, name, q)
+	}
+	page := &server.QueryPage{}
+	for h, err := range c.Search(ctx, name, q) {
+		if err != nil {
 			return nil, err
 		}
-		return &localQuerier{eng: eng, name: name}, nil
+		page.Hits = append(page.Hits, h)
 	}
-	return nil, fmt.Errorf("-index (local file) or -remote (daemon URL) is required")
+	page.Count = len(page.Hits)
+	return page, nil
 }
 
-// localQuerier serves queries from an engine in this process.
-type localQuerier struct {
-	eng  *engine.Engine
-	name string
-}
-
-func (q *localQuerier) Info(ctx context.Context) (engine.Info, error) {
-	return q.eng.Info(q.name)
-}
-func (q *localQuerier) Search(ctx context.Context, query cinct.Query) (searchResult, error) {
-	r, err := q.eng.Search(ctx, q.name, query)
-	if err != nil {
-		return searchResult{}, err
-	}
-	defer r.Close()
-	if query.Kind == cinct.CountOnly {
-		n, cerr := r.Count()
-		return searchResult{count: n}, cerr
-	}
-	var hits []cinct.Hit
-	for h, herr := range r.All() {
-		if herr != nil {
-			return searchResult{}, herr
-		}
-		hits = append(hits, h)
-	}
-	return searchResult{hits: hits, count: len(hits), cursor: r.Cursor()}, nil
-}
-func (q *localQuerier) Trajectory(ctx context.Context, id int) ([]uint32, error) {
-	return q.eng.Trajectory(ctx, q.name, id)
-}
-func (q *localQuerier) SubPath(ctx context.Context, id, from, to int) ([]uint32, error) {
-	return q.eng.SubPath(ctx, q.name, id, from, to)
-}
-
-// remoteQuerier serves queries from a cinctd daemon.
-type remoteQuerier struct {
-	c    *server.Client
-	name string
-}
-
-func (q *remoteQuerier) Info(ctx context.Context) (engine.Info, error) {
-	infos, err := q.c.Indexes(ctx)
+// indexInfo returns the catalog entry of the named index.
+func indexInfo(ctx context.Context, c *server.Client, name string) (engine.Info, error) {
+	infos, err := c.Indexes(ctx)
 	if err != nil {
 		return engine.Info{}, err
 	}
 	for _, info := range infos {
-		if info.Name == q.name {
+		if info.Name == name {
 			return info, nil
 		}
 	}
-	return engine.Info{}, fmt.Errorf("%w: %q", engine.ErrNotFound, q.name)
-}
-func (q *remoteQuerier) Search(ctx context.Context, query cinct.Query) (searchResult, error) {
-	// CountOnly and bounded queries fit one page, which carries the
-	// resume cursor; unbounded ones drain via the transparently paging
-	// iterator.
-	if query.Kind == cinct.CountOnly || query.Limit > 0 {
-		page, err := q.c.SearchPage(ctx, q.name, query)
-		if err != nil {
-			return searchResult{}, err
-		}
-		return searchResult{hits: page.Hits, count: page.Count, cursor: page.Cursor}, nil
-	}
-	var hits []cinct.Hit
-	for h, err := range q.c.Search(ctx, q.name, query) {
-		if err != nil {
-			return searchResult{}, err
-		}
-		hits = append(hits, h)
-	}
-	return searchResult{hits: hits, count: len(hits)}, nil
-}
-func (q *remoteQuerier) Trajectory(ctx context.Context, id int) ([]uint32, error) {
-	return q.c.Trajectory(ctx, q.name, id)
-}
-func (q *remoteQuerier) SubPath(ctx context.Context, id, from, to int) ([]uint32, error) {
-	return q.c.SubPath(ctx, q.name, id, from, to)
+	return engine.Info{}, fmt.Errorf("%w: %q", engine.ErrNotFound, name)
 }
 
 func readCorpus(path string) ([][]uint32, error) {
@@ -364,11 +321,11 @@ func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	t := addTargetFlags(fs)
 	fs.Parse(args)
-	q, err := t.open()
+	c, name, err := t.client()
 	if err != nil {
 		return err
 	}
-	info, err := q.Info(context.Background())
+	info, err := indexInfo(context.Background(), c, name)
 	if err != nil {
 		return err
 	}
@@ -404,7 +361,7 @@ func cmdCount(args []string) error {
 	path := fs.String("path", "", "space-separated edge IDs in travel order")
 	fs.Parse(args)
 	iv := interval()
-	q, err := t.open()
+	c, name, err := t.client()
 	if err != nil {
 		return err
 	}
@@ -413,15 +370,15 @@ func cmdCount(args []string) error {
 		return err
 	}
 	t0 := time.Now()
-	res, err := q.Search(context.Background(), cinct.Query{Path: p, Interval: iv, Kind: cinct.CountOnly})
+	res, err := search(context.Background(), c, name, cinct.Query{Path: p, Interval: iv, Kind: cinct.CountOnly})
 	if err != nil {
 		return err
 	}
 	if iv != nil {
-		fmt.Printf("%d occurrences in [%d, %d] (%v)\n", res.count, iv.From, iv.To, time.Since(t0))
+		fmt.Printf("%d occurrences in [%d, %d] (%v)\n", res.Count, iv.From, iv.To, time.Since(t0))
 		return nil
 	}
-	fmt.Printf("%d occurrences (%v)\n", res.count, time.Since(t0))
+	fmt.Printf("%d occurrences (%v)\n", res.Count, time.Since(t0))
 	return nil
 }
 
@@ -434,7 +391,7 @@ func cmdFind(args []string) error {
 	cursor := fs.String("cursor", "", "resume cursor from a previous bounded find")
 	fs.Parse(args)
 	iv := interval()
-	q, err := t.open()
+	c, name, err := t.client()
 	if err != nil {
 		return err
 	}
@@ -442,22 +399,22 @@ func cmdFind(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := q.Search(context.Background(), cinct.Query{
+	res, err := search(context.Background(), c, name, cinct.Query{
 		Path: p, Interval: iv, Kind: cinct.Occurrences, Limit: *limit, Cursor: *cursor,
 	})
 	if err != nil {
 		return err
 	}
-	for _, h := range res.hits {
+	for _, h := range res.Hits {
 		if iv != nil {
 			fmt.Printf("trajectory %d @ offset %d, entered t=%d\n", h.Trajectory, h.Offset, h.EnteredAt)
 		} else {
 			fmt.Printf("trajectory %d @ offset %d\n", h.Trajectory, h.Offset)
 		}
 	}
-	fmt.Printf("%d match(es)\n", len(res.hits))
-	if res.cursor != "" {
-		fmt.Printf("next: -cursor %s\n", res.cursor)
+	fmt.Printf("%d match(es)\n", len(res.Hits))
+	if res.Cursor != "" {
+		fmt.Printf("next: -cursor %s\n", res.Cursor)
 	}
 	return nil
 }
@@ -470,7 +427,7 @@ func cmdFindTraj(args []string) error {
 	path := fs.String("path", "", "space-separated edge IDs in travel order")
 	limit := fs.Int("limit", 20, "max trajectories to report (0 = all)")
 	fs.Parse(args)
-	q, err := t.open()
+	c, name, err := t.client()
 	if err != nil {
 		return err
 	}
@@ -478,16 +435,16 @@ func cmdFindTraj(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := q.Search(context.Background(), cinct.Query{
+	res, err := search(context.Background(), c, name, cinct.Query{
 		Path: p, Kind: cinct.Trajectories, Limit: *limit,
 	})
 	if err != nil {
 		return err
 	}
-	for _, h := range res.hits {
+	for _, h := range res.Hits {
 		fmt.Printf("trajectory %d\n", h.Trajectory)
 	}
-	fmt.Printf("%d trajectorie(s)\n", len(res.hits))
+	fmt.Printf("%d trajectorie(s)\n", len(res.Hits))
 	return nil
 }
 
@@ -496,11 +453,11 @@ func cmdShow(args []string) error {
 	t := addTargetFlags(fs)
 	traj := fs.Int("traj", 0, "trajectory ID")
 	fs.Parse(args)
-	q, err := t.open()
+	c, name, err := t.client()
 	if err != nil {
 		return err
 	}
-	tr, err := q.Trajectory(context.Background(), *traj)
+	tr, err := c.Trajectory(context.Background(), name, *traj)
 	if err != nil {
 		return err
 	}
@@ -515,11 +472,11 @@ func cmdSubPath(args []string) error {
 	from := fs.Int("from", 0, "first edge offset (inclusive)")
 	to := fs.Int("to", 0, "last edge offset (exclusive)")
 	fs.Parse(args)
-	q, err := t.open()
+	c, name, err := t.client()
 	if err != nil {
 		return err
 	}
-	sub, err := q.SubPath(context.Background(), *traj, *from, *to)
+	sub, err := c.SubPath(context.Background(), name, *traj, *from, *to)
 	if err != nil {
 		return err
 	}
@@ -527,12 +484,10 @@ func cmdSubPath(args []string) error {
 	return nil
 }
 
-// cmdIngest appends trajectories from a corpus file to a live index —
-// remotely through the daemon's NDJSON /v1/{index}/ingest endpoint,
-// or locally by loading the index file, appending, sealing, and
-// letting the engine persist the sealed result back to the same file
-// (local mode always seals: an unsealed delta would die with the
-// process).
+// cmdIngest appends trajectories from a corpus file to a live index
+// through the NDJSON /v1/{index}/ingest endpoint. -index always seals
+// at the end, which persists the file in place: the local engine's
+// delta would die with the process.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	t := addTargetFlags(fs)
@@ -566,130 +521,70 @@ func cmdIngest(args []string) error {
 			return fmt.Errorf("%d timestamp lines for %d trajectories", len(times), len(trajs))
 		}
 	}
+	c, name, err := t.client()
+	if err != nil {
+		return err
+	}
 	ctx := context.Background()
 	t0 := time.Now()
-
-	switch {
-	case *t.remote != "" && *t.index != "":
-		return fmt.Errorf("-index and -remote are mutually exclusive")
-	case *t.remote != "":
-		if *t.name == "" {
-			return fmt.Errorf("-name is required with -remote")
-		}
-		c := server.NewClient(*t.remote, nil)
-		appended := 0
-		for lo := 0; lo < len(trajs); lo += *batch {
-			hi := lo + *batch
-			if hi > len(trajs) {
-				hi = len(trajs)
-			}
-			recs := make([]server.IngestRecord, hi-lo)
-			for i := range recs {
-				recs[i] = server.IngestRecord{Edges: trajs[lo+i]}
-				if times != nil {
-					recs[i].Times = times[lo+i]
-				}
-			}
-			resp, err := c.Ingest(ctx, *t.name, recs, false)
-			if err != nil {
-				return err
-			}
-			appended += resp.Appended
-		}
-		fmt.Printf("appended %d trajectories in %v\n", appended, time.Since(t0).Round(time.Millisecond))
-		if *seal {
-			sres, err := c.Seal(ctx, *t.name)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("sealed %d trajectories (delta now %d, generation %d)\n",
-				sres.Sealed, sres.Delta, sres.Generation)
-		}
-		return nil
-	case *t.index != "":
-		eng := engine.New(engine.Options{SealThreshold: -1})
-		const name = "local"
-		if err := eng.Load(name, *t.index); err != nil {
-			return err
-		}
-		appended := 0
-		for lo := 0; lo < len(trajs); lo += *batch {
-			hi := lo + *batch
-			if hi > len(trajs) {
-				hi = len(trajs)
-			}
-			var bt [][]int64
+	appended := 0
+	for lo := 0; lo < len(trajs); lo += *batch {
+		hi := min(lo+*batch, len(trajs))
+		recs := make([]server.IngestRecord, hi-lo)
+		for i := range recs {
+			recs[i] = server.IngestRecord{Edges: trajs[lo+i]}
 			if times != nil {
-				bt = times[lo:hi]
+				recs[i].Times = times[lo+i]
 			}
-			res, err := eng.Append(ctx, name, trajs[lo:hi], bt)
-			if err != nil {
-				return err
-			}
-			appended += res.Appended
 		}
-		sres, err := eng.Seal(ctx, name)
+		resp, err := c.Ingest(ctx, name, recs, false)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("appended %d trajectories, sealed %d, persisted to %s (%v)\n",
-			appended, sres.Sealed, *t.index, time.Since(t0).Round(time.Millisecond))
+		appended += resp.Appended
+	}
+	fmt.Printf("appended %d trajectories in %v\n", appended, time.Since(t0).Round(time.Millisecond))
+	if !*seal && *t.index == "" {
 		return nil
 	}
-	return fmt.Errorf("-index (local file) or -remote (daemon URL) is required")
+	sres, err := c.Seal(ctx, name)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("sealed %d trajectories (delta now %d, generation %d)\n",
+		sres.Sealed, sres.Delta, sres.Generation)
+	if *t.index != "" {
+		fmt.Printf("persisted to %s\n", *t.index)
+	}
+	return nil
 }
 
-// cmdCompact merges an index's sealed shards: against a daemon it
-// calls POST /v1/{index}/compact; against a local file it loads the
-// index, compacts, and persists the result in place. -full merges all
-// the way down to a single shard instead of stopping at the tiered
-// policy's fixpoint.
+// cmdCompact merges an index's sealed shards through POST
+// /v1/{index}/compact, which persists the result (in place, for
+// -index). -full merges all the way down to a single shard instead of
+// stopping at the tiered policy's fixpoint.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	t := addTargetFlags(fs)
 	full := fs.Bool("full", true, "merge down to a single shard (false = default tiered policy)")
 	fs.Parse(args)
-	ctx := context.Background()
+	c, name, err := t.client()
+	if err != nil {
+		return err
+	}
 	t0 := time.Now()
-
-	report := func(merged, rows, before, after int) {
-		if merged == 0 {
-			fmt.Printf("already compact: %d shard(s), nothing to merge (%v)\n",
-				after, time.Since(t0).Round(time.Millisecond))
-			return
-		}
-		fmt.Printf("compacted %d shards down to %d (%d trajectories re-compressed, %v)\n",
-			before, after, rows, time.Since(t0).Round(time.Millisecond))
+	res, err := c.Compact(context.Background(), name, *full)
+	if err != nil {
+		return err
 	}
-
-	switch {
-	case *t.remote != "" && *t.index != "":
-		return fmt.Errorf("-index and -remote are mutually exclusive")
-	case *t.remote != "":
-		if *t.name == "" {
-			return fmt.Errorf("-name is required with -remote")
-		}
-		c := server.NewClient(*t.remote, nil)
-		resp, err := c.Compact(ctx, *t.name, *full)
-		if err != nil {
-			return err
-		}
-		report(resp.Merged, resp.Rows, resp.ShardsBefore, resp.ShardsAfter)
-		return nil
-	case *t.index != "":
-		eng := engine.New(engine.Options{SealThreshold: -1})
-		const name = "local"
-		if err := eng.Load(name, *t.index); err != nil {
-			return err
-		}
-		res, err := eng.Compact(ctx, name, *full)
-		if err != nil {
-			return err
-		}
-		report(res.Merged, res.Rows, res.ShardsBefore, res.ShardsAfter)
+	if res.Merged == 0 {
+		fmt.Printf("already compact: %d shard(s), nothing to merge (%v)\n",
+			res.ShardsAfter, time.Since(t0).Round(time.Millisecond))
 		return nil
 	}
-	return fmt.Errorf("-index (local file) or -remote (daemon URL) is required")
+	fmt.Printf("compacted %d shards down to %d (%d trajectories re-compressed, %v)\n",
+		res.ShardsBefore, res.ShardsAfter, res.Rows, time.Since(t0).Round(time.Millisecond))
+	return nil
 }
 
 // cmdVerify cross-checks the index against the original corpus: counts
@@ -709,12 +604,12 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	q, err := t.open()
+	c, name, err := t.client()
 	if err != nil {
 		return err
 	}
 	ctx := context.Background()
-	info, err := q.Info(ctx)
+	info, err := indexInfo(ctx, c, name)
 	if err != nil {
 		return err
 	}
@@ -728,11 +623,11 @@ func cmdVerify(args []string) error {
 		if path == nil {
 			break
 		}
-		res, err := q.Search(ctx, cinct.Query{Path: path, Kind: cinct.CountOnly})
+		res, err := search(ctx, c, name, cinct.Query{Path: path, Kind: cinct.CountOnly})
 		if err != nil {
 			return err
 		}
-		if got, want := res.count, querygen.NaiveCount(trajs, path); got != want {
+		if got, want := res.Count, querygen.NaiveCount(trajs, path); got != want {
 			return fmt.Errorf("MISMATCH: Count(%v) = %d, naive scan = %d", path, got, want)
 		}
 	}
@@ -740,7 +635,7 @@ func cmdVerify(args []string) error {
 	recons := *samples/10 + 1
 	for k := 0; k < recons; k++ {
 		id := k * len(trajs) / recons
-		got, err := q.Trajectory(ctx, id)
+		got, err := c.Trajectory(ctx, name, id)
 		if err != nil {
 			return err
 		}

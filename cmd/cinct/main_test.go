@@ -5,15 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"cinct"
+	"cinct/internal/engine"
 	"cinct/internal/trajgen"
 	"cinct/internal/trajio"
+	"cinct/server"
 )
 
 // TestBuildWritesV3 pins that cinct build, with and without -times,
@@ -281,6 +285,137 @@ func TestLocalFlavorFromFile(t *testing.T) {
 		}
 		if err := cmdCount([]string{"-index", path, "-path", "2 3", "-from", "0"}); !errors.Is(err, cinct.ErrNoTimestamps) {
 			t.Fatalf("%s: interval count: %v, want cinct.ErrNoTimestamps", name, err)
+		}
+	}
+}
+
+// stdout runs fn with os.Stdout sent to a file and returns what it
+// printed, each "(duration)" removed: the one part of the output that
+// timing decides.
+func stdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	ferr := fn()
+	os.Stdout = saved
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return durations.ReplaceAllString(string(out), "")
+}
+
+var durations = regexp.MustCompile(` \(([0-9.]+(ns|µs|ms|s|m|h))+\)`)
+
+// writeCorpus writes trajectories, and their times when given, in the
+// files cinct build and ingest read.
+func writeCorpus(t *testing.T, trajs [][]uint32, times [][]int64, path, timesPath string) {
+	t.Helper()
+	var tb, mb bytes.Buffer
+	if err := trajio.Write(&tb, trajs); err != nil {
+		t.Fatal(err)
+	}
+	if err := trajio.WriteTimes(&mb, times); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, tb.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(timesPath, mb.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLocalMatchesRemote runs every query subcommand against -index F
+// and against -remote on a daemon serving a copy of F, and requires
+// the same output, byte for byte. Then ingest -index must leave F
+// holding the old and the new trajectories.
+func TestLocalMatchesRemote(t *testing.T) {
+	dir := t.TempDir()
+	trajs, times := legacyCorpus(7)
+	n := 100
+	corpus, timesPath := filepath.Join(dir, "corpus.txt"), filepath.Join(dir, "times.txt")
+	writeCorpus(t, trajs[:n], times[:n], corpus, timesPath)
+	ix := filepath.Join(dir, "ix.tcinct")
+	if err := cmdBuild([]string{"-in", corpus, "-times", timesPath, "-index", ix, "-shards", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := filepath.Join(dir, "served.tcinct")
+	if err := os.WriteFile(served, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{})
+	defer eng.CloseAll()
+	if err := eng.Load("served", served); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(eng, server.Config{}).Handler())
+	defer ts.Close()
+
+	// both runs cmd with args against the file and against the daemon
+	// and returns the output they agree on.
+	both := func(cmd func([]string) error, args ...string) string {
+		t.Helper()
+		local := stdout(t, func() error { return cmd(append([]string{"-index", ix}, args...)) })
+		remote := stdout(t, func() error { return cmd(append([]string{"-remote", ts.URL, "-name", "served"}, args...)) })
+		if local != remote {
+			t.Fatalf("%v: -index printed\n%s\n-remote printed\n%s", args, local, remote)
+		}
+		return local
+	}
+	path := fmt.Sprint(trajs[0][0])
+	both(cmdStats)
+	both(cmdCount, "-path", path)
+	both(cmdCount, "-path", path, "-from", fmt.Sprint(times[0][0]))
+	page := both(cmdFind, "-path", path, "-limit", "2")
+	cursor := regexp.MustCompile(`next: -cursor (\S+)`).FindStringSubmatch(page)
+	if cursor == nil {
+		t.Fatalf("find -limit 2 printed no cursor:\n%s", page)
+	}
+	both(cmdFind, "-path", path, "-limit", "2", "-cursor", cursor[1])
+	both(cmdFind, "-path", path, "-limit", "0", "-from", fmt.Sprint(times[0][0]))
+	both(cmdFindTraj, "-path", path, "-limit", "0")
+	both(cmdShow, "-traj", "5")
+	both(cmdSubPath, "-traj", "5", "-from", "1", "-to", "4")
+	if out := both(cmdVerify, "-in", corpus, "-samples", "40"); !strings.Contains(out, "OK") {
+		t.Fatalf("verify printed %q", out)
+	}
+
+	more, moreTimes := filepath.Join(dir, "more.txt"), filepath.Join(dir, "more-times.txt")
+	writeCorpus(t, trajs[n:], times[n:], more, moreTimes)
+	if err := cmdIngest([]string{"-index", ix, "-in", more, "-times", moreTimes}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := cinct.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats().Trajectories != len(trajs) || !got.Temporal() {
+		t.Fatalf("reopened after ingest: %d trajectories, temporal %v; want %d, temporal", got.Stats().Trajectories, got.Temporal(), len(trajs))
+	}
+	for _, id := range []int{0, n - 1, n, len(trajs) - 1} {
+		if tr, err := got.Trajectory(id); err != nil || !slices.Equal(tr, trajs[id]) {
+			t.Fatalf("reopened Trajectory(%d) = %v, %v; want %v", id, tr, err, trajs[id])
+		}
+		if ts := got.Timestamps(id); !slices.Equal(ts, times[id]) {
+			t.Fatalf("reopened Timestamps(%d) = %v, want %v", id, ts, times[id])
 		}
 	}
 }

@@ -18,11 +18,10 @@ import (
 // cached slices as immutable (Engine's query methods already promise
 // this to their callers).
 type queryCache struct {
-	mu           sync.Mutex
-	cap          int
-	ll           *list.List // front = most recently used
-	byK          map[cacheKey]*list.Element
-	hits, misses uint64
+	mu  sync.Mutex
+	cap int
+	ll  *list.List // front = most recently used
+	byK map[cacheKey]*list.Element
 }
 
 // cacheKey identifies a Search result: the entry binding (see
@@ -57,10 +56,8 @@ func (c *queryCache) get(key cacheKey) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byK[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheItem).val, true
 }
@@ -84,9 +81,9 @@ func (c *queryCache) put(key cacheKey, val any) {
 	}
 }
 
-// stats reports lifetime hit/miss counters (for /v1/indexes and tests).
-func (c *queryCache) stats() (hits, misses uint64, entries int) {
+// len reports the entries resident.
+func (c *queryCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	return c.ll.Len()
 }

@@ -156,6 +156,54 @@ func TestEngineMetricsExactness(t *testing.T) {
 	}
 }
 
+// TestCacheStatsMatchMetrics pins that CacheStats (what /v1/indexes
+// reports) and the cinct_cache_* series (what /metrics scrapes) are
+// one account, with the cache off as well as on: every Search is a hit
+// or a miss in both.
+func TestCacheStatsMatchMetrics(t *testing.T) {
+	dir := t.TempDir()
+	trajs := testCorpus(41, 60)
+	writeIndexes(t, dir, trajs)
+	for _, c := range []struct {
+		entries            int
+		wantHits, wantMiss uint64
+	}{
+		{-1, 0, 6}, // off: every lookup misses
+		{0, 3, 3},  // default: each repeat hits
+	} {
+		e := New(Options{CacheEntries: c.entries})
+		if _, err := e.OpenDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for range 2 {
+			for _, tr := range trajs[:3] {
+				if _, err := searchCount(ctx, e, "spatial", cinct.Query{Path: tr[:1], Kind: cinct.CountOnly}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		hits, misses, entries := e.CacheStats()
+		if hits != c.wantHits || misses != c.wantMiss {
+			t.Errorf("CacheEntries %d: CacheStats = %d hits, %d misses; want %d, %d", c.entries, hits, misses, c.wantHits, c.wantMiss)
+		}
+		var buf bytes.Buffer
+		if _, err := e.Metrics().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("cinct_cache_hits_total %d\n", hits),
+			fmt.Sprintf("cinct_cache_misses_total %d\n", misses),
+			fmt.Sprintf("cinct_cache_entries %d\n", entries),
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("CacheEntries %d: scrape lacks %q:\n%s", c.entries, want, buf.String())
+			}
+		}
+		e.CloseAll()
+	}
+}
+
 // TestSaturatedPoolQueues pins the worker pool's overload contract:
 // with every slot held, a query of any kind (a count, an occurrences
 // find, an interval find on a temporal index) queues for a slot until

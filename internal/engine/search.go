@@ -11,9 +11,12 @@ import (
 	"cinct"
 )
 
-// CacheStats reports the shared result cache's lifetime counters.
+// CacheStats reports the shared result cache's lifetime hits and
+// misses — the cinct_cache_hits_total and cinct_cache_misses_total
+// counters, so /v1/indexes and /metrics agree — and its resident
+// entries.
 func (e *Engine) CacheStats() (hits, misses uint64, entries int) {
-	return e.cache.stats()
+	return uint64(e.metrics.cacheHits.Value()), uint64(e.metrics.cacheMisses.Value()), e.cache.len()
 }
 
 // Engine cursors are the library's opaque tokens wrapped in an

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the serving stack: generate a corpus, build
 # spatial + temporal indexes, start cinctd, hit every endpoint with
-# curl (checking status and response schema with jq), round-trip the
-# CLI's -remote mode, and shut the daemon down gracefully. CI runs
-# this; it also works locally from the repo root.
+# curl (checking status and response schema with jq), run the CLI with
+# -index before the daemon starts and with -remote against it, and shut
+# the daemon down gracefully. CI runs this; it also works locally from
+# the repo root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -51,6 +52,18 @@ for f in "$workdir/legacy.cinct" "$workdir/v3legacy.tcinct" "$workdir/v4legacy.t
   grep -q 'cinct convert' <<<"$out" || { echo "smoke: refusal of $f does not name cinct convert: $out" >&2; exit 1; }
 done
 echo "ok pre-v3, version-3 and version-4 files refused, naming cinct convert"
+
+# -index runs the daemon's handlers in the CLI's own process: the
+# freshly built files answer before any daemon starts.
+"$bindir/cinct" stats -index "$datadir/smoke.cinct" \
+  | grep "^trajectories: *$(wc -l <"$workdir/corpus.txt")\$" >/dev/null \
+  || { echo "smoke: cinct stats -index failed" >&2; exit 1; }
+fpath=$(head -1 "$workdir/corpus.txt" | cut -d' ' -f1-2)
+"$bindir/cinct" find -index "$datadir/tsmoke.tcinct" -path "$fpath" -from 0 -limit 3 | grep 'entered t=' >/dev/null \
+  || { echo "smoke: cinct find -index failed" >&2; exit 1; }
+"$bindir/cinct" verify -index "$datadir/smoke.cinct" -in "$workdir/corpus.txt" -samples 40 | grep 'OK' >/dev/null \
+  || { echo "smoke: cinct verify -index failed" >&2; exit 1; }
+echo "ok cinct stats, find and verify -index"
 
 addr="127.0.0.1:18132"
 base="http://$addr"

@@ -20,6 +20,12 @@ deprecated() { go doc -all "$1" | grep -c 'Deprecated:' || true; }
 
 echo "non-test Go lines (outside benchmark/):  $(gofiles -v | lines)"
 echo "test Go lines (outside benchmark/):      $(gofiles -e | lines)"
+# Non-test lines of one layer: the package's own files, not its
+# subpackages'.
+for pkg in . internal/engine server cmd/cinct; do
+  dir=${pkg#.}
+  printf 'non-test Go lines %-22s %s\n' "$pkg:" "$(gofiles -v | grep -E "^${dir:+$dir/}[^/]*\.go$" | lines)"
+done
 for pkg in . ./internal/engine ./server; do
   printf 'exported funcs+types %-19s %s\n' "$pkg:" "$(exported "$pkg")"
 done

@@ -25,10 +25,11 @@ import (
 // when the caller did not bound the query (Limit 0) or set PageSize.
 const DefaultPageSize = 1000
 
-// Client speaks the cinctd wire protocol; it is what cmd/cinct's
-// -remote mode uses, and its method set deliberately mirrors
-// engine.Engine (Search, Trajectory, SubPath, ingest, lifecycle) so a
-// CLI command can target either transparently.
+// Client speaks the cinctd wire protocol; every cmd/cinct query, ingest
+// and compact subcommand runs through it, to a daemon with -remote and
+// to the same handlers in-process with -index (an http.Client whose
+// Transport calls Server.Handler). Its method set mirrors engine.Engine
+// (Search, Trajectory, SubPath, ingest, lifecycle).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -53,9 +54,8 @@ func orDefault(hc *http.Client) *http.Client {
 // APIError is the typed form of a non-2xx daemon reply: the HTTP
 // status, the server's error message, and — for 429/503 — the parsed
 // Retry-After hint. errors.Is maps it back onto the sentinel the
-// server mapped from, so `errors.Is(err, server.ErrRateLimited)` and
-// `errors.Is(err, server.ErrOverloaded)` work end-to-end across the
-// wire.
+// server mapped from (see Is), so remote and in-process callers test
+// failures the same way.
 type APIError struct {
 	Status  int
 	Message string
@@ -73,20 +73,23 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server: HTTP %d", e.Status)
 }
 
-// Is maps wire statuses back to the typed errors the server mapped
-// from, so remote and in-process callers handle overload identically.
+// Is reads the server's status table backwards. A status only target
+// answers (404, 410, 429, 503) matches on the status alone; a status
+// several sentinels share (400, 422, and 500, also the answer to every
+// unmapped error) matches when the message carries target's text,
+// which every handler keeps by wrapping with %w.
 func (e *APIError) Is(target error) bool {
-	switch target {
-	case ErrRateLimited:
-		return e.Status == http.StatusTooManyRequests
-	case ErrOverloaded:
-		return e.Status == http.StatusServiceUnavailable
-	case engine.ErrNotFound:
-		return e.Status == http.StatusNotFound
-	case engine.ErrStaleCursor:
-		return e.Status == http.StatusGone
+	mine, shared := false, e.Status == http.StatusInternalServerError
+	for _, s := range statuses {
+		if s.status == e.Status {
+			if s.err == target {
+				mine = true
+			} else {
+				shared = true
+			}
+		}
 	}
-	return false
+	return mine && (!shared || strings.Contains(e.Message, target.Error()))
 }
 
 // apiError builds the typed error for a non-2xx response whose body

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -22,40 +23,44 @@ import (
 	"cinct/internal/wal"
 )
 
+// statusCases is every typed error the stack can surface, with the
+// status it answers.
+var statusCases = []struct {
+	name string
+	err  error
+	want int
+}{
+	{"engine.ErrNotFound", engine.ErrNotFound, http.StatusNotFound},
+	{"cinct.ErrOutOfRange", cinct.ErrOutOfRange, http.StatusBadRequest},
+	{"cinct.ErrBadQuery", cinct.ErrBadQuery, http.StatusBadRequest},
+	{"cinct.ErrBadCursor", cinct.ErrBadCursor, http.StatusBadRequest},
+	{"cinct.ErrBadAppend", cinct.ErrBadAppend, http.StatusBadRequest},
+	{"engine.ErrBadSubscription", engine.ErrBadSubscription, http.StatusBadRequest},
+	{"engine.ErrStaleCursor", engine.ErrStaleCursor, http.StatusGone},
+	{"cinct.ErrNoLocate", cinct.ErrNoLocate, http.StatusUnprocessableEntity},
+	{"cinct.ErrNoTimestamps", cinct.ErrNoTimestamps, http.StatusUnprocessableEntity},
+	{"cinct.ErrNotAppendable", cinct.ErrNotAppendable, http.StatusUnprocessableEntity},
+	{"engine.ErrNoRoadnet", engine.ErrNoRoadnet, http.StatusUnprocessableEntity},
+	{"cinct.ErrLegacyFormat", cinct.ErrLegacyFormat, http.StatusUnprocessableEntity},
+	{"server.ErrRateLimited", ErrRateLimited, http.StatusTooManyRequests},
+	{"server.ErrOverloaded", ErrOverloaded, http.StatusServiceUnavailable},
+	{"cinct.ErrCorrupt", cinct.ErrCorrupt, http.StatusInternalServerError},
+	// Not sentinels of these packages.
+	{"bad request", errBadRequest, http.StatusBadRequest},
+	{"rate limited typed", &rateLimitError{retryAfter: time.Second}, http.StatusTooManyRequests},
+	{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
+	{"client gone", context.Canceled, statusClientClosedRequest},
+	{"corrupt WAL", wal.ErrCorrupt, http.StatusInternalServerError},
+	{"unknown", errors.New("boom"), http.StatusInternalServerError},
+}
+
 // TestHTTPStatusTable pins the status code for every typed error the
 // stack can surface, wrapped the way real call sites wrap them — the
 // wire contract clients key retry behavior off. It lists every exported
 // error sentinel of cinct, engine and server exactly once, checked
 // against their sources, so a new sentinel cannot ship unmapped.
 func TestHTTPStatusTable(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want int
-	}{
-		{"engine.ErrNotFound", engine.ErrNotFound, http.StatusNotFound},
-		{"cinct.ErrOutOfRange", cinct.ErrOutOfRange, http.StatusBadRequest},
-		{"cinct.ErrBadQuery", cinct.ErrBadQuery, http.StatusBadRequest},
-		{"cinct.ErrBadCursor", cinct.ErrBadCursor, http.StatusBadRequest},
-		{"cinct.ErrBadAppend", cinct.ErrBadAppend, http.StatusBadRequest},
-		{"engine.ErrBadSubscription", engine.ErrBadSubscription, http.StatusBadRequest},
-		{"engine.ErrStaleCursor", engine.ErrStaleCursor, http.StatusGone},
-		{"cinct.ErrNoLocate", cinct.ErrNoLocate, http.StatusUnprocessableEntity},
-		{"cinct.ErrNoTimestamps", cinct.ErrNoTimestamps, http.StatusUnprocessableEntity},
-		{"cinct.ErrNotAppendable", cinct.ErrNotAppendable, http.StatusUnprocessableEntity},
-		{"engine.ErrNoRoadnet", engine.ErrNoRoadnet, http.StatusUnprocessableEntity},
-		{"cinct.ErrLegacyFormat", cinct.ErrLegacyFormat, http.StatusUnprocessableEntity},
-		{"server.ErrRateLimited", ErrRateLimited, http.StatusTooManyRequests},
-		{"server.ErrOverloaded", ErrOverloaded, http.StatusServiceUnavailable},
-		{"cinct.ErrCorrupt", cinct.ErrCorrupt, http.StatusInternalServerError},
-		// Not sentinels of these packages.
-		{"bad request", errBadRequest, http.StatusBadRequest},
-		{"rate limited typed", &rateLimitError{retryAfter: time.Second}, http.StatusTooManyRequests},
-		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{"client gone", context.Canceled, statusClientClosedRequest},
-		{"corrupt WAL", wal.ErrCorrupt, http.StatusInternalServerError},
-		{"unknown", errors.New("boom"), http.StatusInternalServerError},
-	}
+	cases := statusCases
 	listed := map[string]int{}
 	for _, tc := range cases {
 		listed[tc.name]++
@@ -116,6 +121,52 @@ func exportedErrors(t *testing.T, dirs map[string]string) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// TestSentinelsCrossTheWire sends every sentinel of statusCases
+// through a real HTTP reply, wrapped the way handlers wrap it, and
+// requires the client's error to match that sentinel under errors.Is
+// and no other: a remote caller tests a failure exactly as an
+// in-process one does, shared statuses (400, 422, 500) included.
+func TestSentinelsCrossTheWire(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	defer eng.CloseAll()
+	srv := New(eng, Config{})
+	var sentinels []error
+	for _, tc := range statusCases {
+		if strings.Contains(tc.name, ".Err") {
+			sentinels = append(sentinels, tc.err)
+		}
+	}
+	// The handler fails with sentinel ?i, or with an unmapped error.
+	ts := httptest.NewServer(srv.serve(route{Handler: func(_ context.Context, _ http.ResponseWriter, r *http.Request) error {
+		i, err := strconv.Atoi(r.URL.Query().Get("i"))
+		if err != nil {
+			return errors.New("boom")
+		}
+		return fmt.Errorf("handler context: %w", sentinels[i])
+	}}))
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+	for i, want := range sentinels {
+		err := c.call(context.Background(), http.MethodGet, "/", url.Values{"i": {strconv.Itoa(i)}}, "", nil, nil)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != httpStatus(want) {
+			t.Fatalf("%v: client error %v, want an APIError with status %d", want, err, httpStatus(want))
+		}
+		for _, other := range sentinels {
+			if got := errors.Is(err, other); got != (other == want) {
+				t.Errorf("reply for %q (HTTP %d): errors.Is(err, %q) = %v", want, apiErr.Status, other, got)
+			}
+		}
+	}
+	// An unmapped failure is a 500 too, and matches no sentinel.
+	err := c.call(context.Background(), http.MethodGet, "/", nil, "", nil, nil)
+	for _, s := range sentinels {
+		if errors.Is(err, s) {
+			t.Errorf("unmapped 500 %v matches %q", err, s)
+		}
+	}
 }
 
 // TestRateLimitEndToEnd floods a rate-limited server and checks the

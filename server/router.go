@@ -56,29 +56,45 @@ var errBadRequest = errors.New("bad request")
 // whose client hung up before the reply; net/http has no name for it.
 const statusClientClosedRequest = 499
 
+// statuses is the one error-to-status table: httpStatus answers the
+// status of the first sentinel an error wraps, and APIError.Is reads it
+// back on the client side. Each sentinel is listed once.
+var statuses = []struct {
+	err    error
+	status int
+}{
+	{engine.ErrNotFound, http.StatusNotFound},
+	{cinct.ErrOutOfRange, http.StatusBadRequest},
+	{errBadRequest, http.StatusBadRequest},
+	{cinct.ErrBadQuery, http.StatusBadRequest},
+	{cinct.ErrBadCursor, http.StatusBadRequest},
+	{cinct.ErrBadAppend, http.StatusBadRequest},
+	{engine.ErrBadSubscription, http.StatusBadRequest},
+	// The cursor was valid once; the index it pointed into is gone.
+	{engine.ErrStaleCursor, http.StatusGone},
+	{cinct.ErrNoLocate, http.StatusUnprocessableEntity},
+	{cinct.ErrNoTimestamps, http.StatusUnprocessableEntity},
+	{cinct.ErrNotAppendable, http.StatusUnprocessableEntity},
+	{engine.ErrNoRoadnet, http.StatusUnprocessableEntity},
+	// A reload onto a file in an older format: well-formed, only
+	// unservable until `cinct convert` rewrites it.
+	{cinct.ErrLegacyFormat, http.StatusUnprocessableEntity},
+	{ErrRateLimited, http.StatusTooManyRequests},
+	// Shed by the concurrency gate.
+	{ErrOverloaded, http.StatusServiceUnavailable},
+	// A served file that fails a query: the server's fault, whatever
+	// the request asked for.
+	{cinct.ErrCorrupt, http.StatusInternalServerError},
+}
+
 // httpStatus maps an error to its response status code.
 func httpStatus(err error) int {
+	for _, s := range statuses {
+		if errors.Is(err, s.err) {
+			return s.status
+		}
+	}
 	switch {
-	case errors.Is(err, engine.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, cinct.ErrOutOfRange), errors.Is(err, errBadRequest),
-		errors.Is(err, cinct.ErrBadQuery), errors.Is(err, cinct.ErrBadCursor),
-		errors.Is(err, cinct.ErrBadAppend), errors.Is(err, engine.ErrBadSubscription):
-		return http.StatusBadRequest
-	case errors.Is(err, engine.ErrStaleCursor):
-		// The cursor was valid once; the index it pointed into is gone.
-		return http.StatusGone
-	case errors.Is(err, cinct.ErrNoLocate), errors.Is(err, cinct.ErrNoTimestamps),
-		errors.Is(err, cinct.ErrNotAppendable), errors.Is(err, engine.ErrNoRoadnet),
-		errors.Is(err, cinct.ErrLegacyFormat):
-		// A reload onto a file in an older format: well-formed, only
-		// unservable until `cinct convert` rewrites it.
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, ErrRateLimited):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrOverloaded):
-		// Shed by the concurrency gate.
-		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -86,13 +102,8 @@ func httpStatus(err error) int {
 		// server's own deadline reports DeadlineExceeded): accounted, but
 		// not as a fault the server committed.
 		return statusClientClosedRequest
-	case errors.Is(err, cinct.ErrCorrupt):
-		// A served file that fails a query: the server's fault, whatever
-		// the request asked for.
-		return http.StatusInternalServerError
-	default:
-		return http.StatusInternalServerError
 	}
+	return http.StatusInternalServerError
 }
 
 // writeJSON sends v with the canonical encoding.
