@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,6 +15,7 @@ import (
 
 	"cinct/internal/gps"
 	"cinct/internal/roadnet"
+	"cinct/internal/wire"
 	"cinct/server"
 )
 
@@ -143,24 +143,7 @@ func readTraces(path string) ([]gps.Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var traces []gps.Trace
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var tr gps.Trace
-		if err := json.Unmarshal(line, &tr); err != nil {
-			return nil, fmt.Errorf("trace %d: %v", len(traces), err)
-		}
-		traces = append(traces, tr)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return traces, nil
+	return wire.ReadBatch[gps.Trace](f, "trace")
 }
 
 // cmdGPSIngest posts raw GPS traces to a daemon's map-matching ingest

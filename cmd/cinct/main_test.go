@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -418,4 +423,160 @@ func TestLocalMatchesRemote(t *testing.T) {
 			t.Fatalf("reopened Timestamps(%d) = %v, want %v", id, ts, times[id])
 		}
 	}
+}
+
+// TestQueryFailureStaysTyped serves a file whose second shard fails to
+// locate: a trajectories query's first wave streams the first shard's
+// hits, well past what the server buffers, and the second wave fails
+// with cinct.ErrCorrupt. That failure stays typed end to end: find-traj
+// fails with an error that errors.Is matches to cinct.ErrCorrupt
+// against -index and against -remote, the daemon counts the request as
+// a 500 (not a 200) as the engine counts a query error, and the same
+// failure with nothing flushed yet is an ordinary 500 with an error
+// body.
+func TestQueryFailureStaysTyped(t *testing.T) {
+	const n = 600
+	trajs := make([][]uint32, n)
+	for i := range trajs {
+		trajs[i] = []uint32{1, 2, 3, 1, 2, uint32(4 + i%7)}
+	}
+	opts := cinct.DefaultOptions()
+	opts.Shards = 2
+	ix, err := cinct.Build(trajs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q := cinct.Query{Path: []uint32{1, 2}, Kind: cinct.Trajectories, Limit: 3 * n / 4}
+	data, first := corruptSecondWave(t, buf.Bytes(), q, n/2-20)
+	file := filepath.Join(t.TempDir(), "c.cinct")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{})
+	defer eng.CloseAll()
+	if err := eng.Load("c", file); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(eng, server.Config{}).Handler())
+	defer ts.Close()
+	ctx := context.Background()
+
+	// A cursor just before the first shard's last hit: resuming there
+	// yields one hit before the failing wave.
+	cl := server.NewClient(ts.URL, nil)
+	page, err := cl.SearchPage(ctx, "c", cinct.Query{Path: q.Path, Kind: q.Kind, Limit: first - 1})
+	if err != nil || len(page.Hits) != first-1 || page.Cursor == "" {
+		t.Fatalf("first %d hits: %v, %v; want that many and a cursor", first-1, page, err)
+	}
+
+	before := scrapeMetrics(t, ts.URL)
+	args := []string{"-path", "1 2", "-limit", fmt.Sprint(q.Limit)}
+	for _, target := range [][]string{{"-remote", ts.URL, "-name", "c"}, {"-index", file}} {
+		if err := cmdFindTraj(append(target, args...)); !errors.Is(err, cinct.ErrCorrupt) {
+			t.Errorf("find-traj %s: %v, want cinct.ErrCorrupt", target[0], err)
+		}
+	}
+	// On the wire: a 200 whose stream ends in a summary carrying the
+	// error and its status.
+	body := fmt.Sprintf(`{"path":[1,2],"kind":"trajectories","limit":%d}`, q.Limit)
+	status, raw := post(t, ts.URL+"/v1/c/query", body)
+	lines := strings.Split(strings.TrimSpace(raw), "\n")
+	var sum struct {
+		Error  string `json:"error"`
+		Status int    `json:"status"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); status != http.StatusOK || err != nil ||
+		len(lines) != first+1 || sum.Status != http.StatusInternalServerError || !strings.Contains(sum.Error, "corrupt") {
+		t.Errorf("failing after the flush: HTTP %d, %d lines ending %q; want 200, %d hits, then a summary with status 500",
+			status, len(lines), lines[len(lines)-1], first)
+	}
+	// Nothing flushed: the reply is the failure's own status.
+	body = fmt.Sprintf(`{"path":[1,2],"kind":"trajectories","limit":%d,"cursor":%q}`, q.Limit, page.Cursor)
+	status, raw = post(t, ts.URL+"/v1/c/query", body)
+	var er server.ErrorResponse
+	if err := json.Unmarshal([]byte(raw), &er); status != http.StatusInternalServerError || err != nil || !strings.Contains(er.Error, "corrupt") {
+		t.Errorf("failing before a flush: HTTP %d %q, want 500 and an error body", status, raw)
+	}
+	after := scrapeMetrics(t, ts.URL)
+	for series, want := range map[string]int64{
+		`cinct_http_requests_total{code="200"}`: 0,
+		`cinct_http_requests_total{code="500"}`: 3,
+		`cinct_query_errors_total`:              3,
+	} {
+		if got := after[series] - before[series]; got != want {
+			t.Errorf("%s advanced by %d, want %d", series, got, want)
+		}
+	}
+}
+
+// corruptSecondWave flips bits of a saved two-shard index, from its end
+// backwards, until the file loads and q yields at least min hits from
+// the first shard before failing with cinct.ErrCorrupt. It returns the
+// file and the number of hits before the failure.
+func corruptSecondWave(t *testing.T, data []byte, q cinct.Query, min int) ([]byte, int) {
+	t.Helper()
+	mut := append([]byte(nil), data...)
+	for off := len(mut) - 8; off >= 0; off -= 8 {
+		for _, bit := range []int{0, 1, 7, 17, 33, 63} {
+			mut[off+bit/8] ^= 1 << (bit % 8)
+			if ix, err := cinct.Load(bytes.NewReader(mut)); err == nil {
+				if res, err := ix.Search(context.Background(), q); err == nil {
+					hits := 0
+					for _, err := range res.All() {
+						if err != nil {
+							if errors.Is(err, cinct.ErrCorrupt) && hits >= min {
+								return mut, hits
+							}
+							break
+						}
+						hits++
+					}
+				}
+			}
+			mut[off+bit/8] ^= 1 << (bit % 8)
+		}
+	}
+	t.Fatal("no single-bit flip fails the second wave")
+	return nil, 0
+}
+
+// post sends body to url and returns the status and the reply.
+func post(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(raw)
+}
+
+// scrapeMetrics reads the daemon's /metrics into series → value.
+func scrapeMetrics(t *testing.T, base string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]int64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if v, err := strconv.ParseInt(value, 10, 64); ok && err == nil && !strings.HasPrefix(line, "#") {
+			series[name] = v
+		}
+	}
+	return series
 }

@@ -98,19 +98,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 // layer can expose it and register its own series alongside.
 func (e *Engine) Metrics() *metrics.Registry { return e.metrics.reg }
 
-// kindLabel maps a query kind to its metric label value.
-func kindLabel(k cinct.Kind) string {
-	switch k {
-	case cinct.CountOnly:
-		return "count"
-	case cinct.Occurrences:
-		return "occurrences"
-	case cinct.Trajectories:
-		return "trajectories"
-	}
-	return "unknown"
-}
-
 // recordQuery closes one query's account: latency and cost histograms
 // always, the error counter on failure, and — past the configured
 // threshold — one slow-query log line carrying the full QueryStats, so
@@ -126,6 +113,6 @@ func (e *Engine) recordQuery(name string, q cinct.Query, start time.Time, st cin
 	if e.slowQuery > 0 && d >= e.slowQuery {
 		e.metrics.slow.Inc()
 		e.logf("engine: slow query on %q: kind=%s path_len=%d limit=%d interval=%v took=%s cost=%d stats{%s} err=%v",
-			name, kindLabel(q.Kind), len(q.Path), q.Limit, q.Interval != nil, d, st.Cost(), st, qerr)
+			name, q.Kind, len(q.Path), q.Limit, q.Interval != nil, d, st.Cost(), st, qerr)
 	}
 }

@@ -305,7 +305,7 @@ func (e *Engine) Search(ctx context.Context, name string, q cinct.Query) (*Resul
 	}
 	key := cacheKey{binding: v.binding, gen: v.gen, query: string(enc)}
 	start := time.Now()
-	e.metrics.queries.With(kindLabel(q.Kind)).Inc()
+	e.metrics.queries.With(q.Kind.String()).Inc() // a valid kind: MarshalBinary checked it
 	if val, ok := e.cache.get(key); ok {
 		e.metrics.cacheHits.Inc()
 		e.recordQuery(v.name, q, start, cinct.QueryStats{}, nil)

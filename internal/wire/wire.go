@@ -1,16 +1,20 @@
 // Package wire holds the JSON shapes of the /v1/{index}/query NDJSON
-// protocol and the one decoder for its pages: the server package
-// aliases Request as its public QueryRequest, and both the HTTP client
-// and the benchmark's replay trace decode pages with ReadPage, so there
-// is no second parser to drift from what the daemon writes.
+// protocol, the encoders the daemon writes its records with and the
+// one decoder for its pages: the server package aliases these types as
+// its public QueryRequest, QueryHit, QuerySummary and QueryPage, and
+// both the HTTP client and the benchmark's replay trace decode pages
+// with ReadPage, so there is no second parser to drift from what the
+// daemon writes.
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"cinct"
 )
@@ -35,18 +39,23 @@ func (qr Request) Query() (cinct.Query, error) {
 	if err != nil {
 		return cinct.Query{}, err
 	}
-	q := cinct.Query{Path: qr.Path, Kind: kind, Limit: qr.Limit, Cursor: qr.Cursor}
-	if qr.From != nil || qr.To != nil {
-		iv := &cinct.Interval{From: math.MinInt64, To: math.MaxInt64}
-		if qr.From != nil {
-			iv.From = *qr.From
-		}
-		if qr.To != nil {
-			iv.To = *qr.To
-		}
-		q.Interval = iv
+	return cinct.Query{Path: qr.Path, Kind: kind, Interval: Interval(qr.From, qr.To), Limit: qr.Limit, Cursor: qr.Cursor}, nil
+}
+
+// Interval is the closed interval constraint of a wire from/to pair:
+// nil when both are absent, and a missing bound is the widest value.
+func Interval(from, to *int64) *cinct.Interval {
+	if from == nil && to == nil {
+		return nil
 	}
-	return q, nil
+	iv := &cinct.Interval{From: math.MinInt64, To: math.MaxInt64}
+	if from != nil {
+		iv.From = *from
+	}
+	if to != nil {
+		iv.To = *to
+	}
+	return iv
 }
 
 // FromQuery converts a library descriptor to the wire form (what
@@ -60,84 +69,165 @@ func FromQuery(q cinct.Query) Request {
 	return qr
 }
 
-// Page is one decoded page of POST /v1/{index}/query: the hits in
-// canonical order, the count reported by the summary record, and the
-// resume cursor ("" when the server exhausted the stream).
+// Hit is one hit record of the stream. For trajectories-kind queries
+// Offset is -1. EnteredAt is present only for interval-constrained
+// queries.
+type Hit struct {
+	Trajectory int    `json:"trajectory"`
+	Offset     int    `json:"offset"`
+	EnteredAt  *int64 `json:"enteredAt,omitempty"`
+}
+
+// Summary is the final record of the stream: Done, Count and Cursor
+// end a complete one; Error and the HTTP Status it maps to end one that
+// failed after its first bytes had left.
+type Summary struct {
+	Done   bool   `json:"done"`
+	Count  int    `json:"count"`
+	Cursor string `json:"cursor,omitempty"`
+	Error  string `json:"error,omitempty"`
+	Status int    `json:"status,omitempty"`
+}
+
+// AppendHit appends h's record, newline-terminated, to b without
+// reflection: hit records are a stream's bulk, and every field is an
+// integer, so no escaping is ever needed. The bytes are json.Marshal's.
+func AppendHit(b []byte, h Hit) []byte {
+	b = append(b, `{"trajectory":`...)
+	b = strconv.AppendInt(b, int64(h.Trajectory), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(h.Offset), 10)
+	if h.EnteredAt != nil {
+		b = append(b, `,"enteredAt":`...)
+		b = strconv.AppendInt(b, *h.EnteredAt, 10)
+	}
+	return append(b, "}\n"...)
+}
+
+// AppendSummary appends s's record, newline-terminated, to b.
+func AppendSummary(b []byte, s Summary) []byte {
+	rec, _ := json.Marshal(s) // a Summary always marshals
+	b = append(b, rec...)
+	return append(b, '\n')
+}
+
+// Page is one decoded page of the stream: the hits in canonical order,
+// the count reported by the summary record, and the resume cursor (""
+// when the server exhausted the stream).
 type Page struct {
 	Hits   []cinct.Hit
 	Count  int
 	Cursor string
 }
 
-// StreamError is a mid-stream failure reported by the summary record:
-// the earlier hit records form a valid prefix of the result.
+// StreamError is the failure a summary record reports, with the HTTP
+// status the server mapped it to: the status the reply would have had,
+// had the failure come before the first write. The Go client returns
+// it as that status's APIError.
 type StreamError struct {
-	Msg string
+	Status int
+	Msg    string
 }
 
 func (e *StreamError) Error() string { return e.Msg }
 
-// line is the union shape of an NDJSON stream record: a summary line
-// carries done/count/cursor/error, a hit line carries
-// trajectory/offset/enteredAt. The pointer fields disambiguate.
+// line is the union shape of an NDJSON stream record: a Summary, or a
+// hit's trajectory/offset/enteredAt. The pointer fields tell them
+// apart; Done shadows the Summary's own.
 type line struct {
 	Trajectory *int   `json:"trajectory"`
 	Offset     *int   `json:"offset"`
 	EnteredAt  *int64 `json:"enteredAt"`
 	Done       *bool  `json:"done"`
-	Count      *int   `json:"count"`
-	Cursor     string `json:"cursor"`
-	Error      string `json:"error"`
+	Summary
 }
 
 // maxLine bounds one NDJSON record; generous, since a record is one
-// hit or one summary. The scanner starts at its default size and grows
-// toward it only for a record that needs it, so a page of short
-// records never allocates a large line buffer.
+// hit, one summary or one batch record. The scanner starts at its
+// default size and grows toward it only for a record that needs it, so
+// a page of short records never allocates a large line buffer.
 const maxLine = 1 << 20
 
-// ReadPage decodes one NDJSON query stream into a Page. A summary
-// record carrying an error returns (*StreamError); a stream that ends
-// without a summary record is a transport truncation and errors too.
+// ReadPage decodes one NDJSON query stream into a Page. It accepts
+// only what the server writes: hit records, then exactly one summary,
+// which is either complete (done, with no error and no status) or a
+// failure (not done, with an HTTP error status), returned as a
+// *StreamError. Anything else errors: any other summary, a record
+// after the summary, and a stream that ends without a summary (a
+// transport truncation).
 func ReadPage(r io.Reader) (*Page, error) {
 	page := &Page{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, maxLine)
+	var failed *StreamError
 	sawSummary := false
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
+	err := records(r, func(raw []byte) error {
 		var rec line
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("server: bad stream record: %w", err)
+			return fmt.Errorf("server: bad stream record: %w", err)
 		}
 		switch {
-		case rec.Done != nil || rec.Error != "":
-			if rec.Error != "" {
-				return nil, &StreamError{Msg: rec.Error}
+		case sawSummary:
+			return fmt.Errorf("server: stream record after the summary: %q", raw)
+		case rec.Done == nil:
+			if rec.Trajectory == nil || rec.Offset == nil {
+				return fmt.Errorf("server: unrecognized stream record %q", raw)
 			}
-			if rec.Count != nil {
-				page.Count = *rec.Count
-			}
-			page.Cursor = rec.Cursor
-			sawSummary = true
-		case rec.Trajectory != nil && rec.Offset != nil:
 			h := cinct.Hit{Match: cinct.Match{Trajectory: *rec.Trajectory, Offset: *rec.Offset}}
 			if rec.EnteredAt != nil {
 				h.EnteredAt = *rec.EnteredAt
 			}
 			page.Hits = append(page.Hits, h)
+			return nil
+		case !*rec.Done && rec.Status >= 400 && rec.Status <= 599:
+			failed = &StreamError{Status: rec.Status, Msg: rec.Error}
+		case *rec.Done && rec.Error == "" && rec.Status == 0:
+			page.Count, page.Cursor = rec.Count, rec.Cursor
 		default:
-			return nil, fmt.Errorf("server: unrecognized stream record %q", raw)
+			return fmt.Errorf("server: malformed summary record %q", raw)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		sawSummary = true
+		return nil
+	})
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if !sawSummary {
+	case !sawSummary:
 		return nil, fmt.Errorf("server: truncated query stream (no summary record)")
+	case failed != nil:
+		return nil, failed
 	}
 	return page, nil
+}
+
+// ReadBatch decodes an NDJSON batch (the body of the ingest routes, a
+// trace file): one JSON value per non-blank line. An error names the
+// record it stopped at as what and its index.
+func ReadBatch[T any](r io.Reader, what string) ([]T, error) {
+	var recs []T
+	err := records(r, func(raw []byte) error {
+		var rec T
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return fmt.Errorf("%s %d: %v", what, len(recs), err)
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// records calls fn with each non-blank line of an NDJSON stream, of at
+// most maxLine bytes, until fn or the reader fails.
+func records(r io.Reader, fn func(raw []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine)
+	for sc.Scan() {
+		if raw := bytes.TrimSpace(sc.Bytes()); len(raw) > 0 {
+			if err := fn(raw); err != nil {
+				return err
+			}
+		}
+	}
+	return sc.Err()
 }

@@ -8,8 +8,6 @@ package server
 
 import (
 	"encoding/json"
-	"math"
-	"strconv"
 
 	"cinct"
 	"cinct/internal/engine"
@@ -67,24 +65,23 @@ func WireQuery(q cinct.Query) QueryRequest { return wire.FromQuery(q) }
 // QueryHit is one hit record in the NDJSON stream of POST
 // /v1/{index}/query. For trajectories-kind queries Offset is -1.
 // EnteredAt is present only for interval-constrained queries.
-type QueryHit struct {
-	Trajectory int    `json:"trajectory"`
-	Offset     int    `json:"offset"`
-	EnteredAt  *int64 `json:"enteredAt,omitempty"`
-}
+type QueryHit = wire.Hit
 
 // QuerySummary is the final NDJSON record of POST /v1/{index}/query:
 // done marks a complete stream, count is the hit count (or the full
-// occurrence count for count-kind queries), cursor — when present —
-// resumes the query past the last streamed hit, and error carries a
-// mid-stream failure (in which case done is false and the earlier
-// records form a valid prefix of the result).
-type QuerySummary struct {
-	Done   bool   `json:"done"`
-	Count  int    `json:"count"`
-	Cursor string `json:"cursor,omitempty"`
-	Error  string `json:"error,omitempty"`
-}
+// occurrence count for count-kind queries), and cursor — when present —
+// resumes the query past the last streamed hit. A query that fails
+// after the first bytes of its stream have left ends with a summary
+// carrying error and status, the HTTP status the failure maps to, as
+// any route would have answered it (done is false, and the earlier
+// records form a valid prefix of the result). A failure before that is
+// an ordinary error reply: that status and an ErrorResponse body.
+type QuerySummary = wire.Summary
+
+// QueryPage is one decoded page of POST /v1/{index}/query: the hits in
+// canonical order, the count reported by the summary record, and the
+// resume cursor ("" when the server exhausted the stream).
+type QueryPage = wire.Page
 
 // ReloadResponse is the body of POST /v1/{index}/reload.
 type ReloadResponse struct {
@@ -159,18 +156,7 @@ type SubscribeRequest struct {
 
 // Predicate converts the wire form to the engine descriptor.
 func (sr SubscribeRequest) Predicate() engine.Predicate {
-	p := engine.Predicate{Path: sr.Path}
-	if sr.From != nil || sr.To != nil {
-		iv := &cinct.Interval{From: math.MinInt64, To: math.MaxInt64}
-		if sr.From != nil {
-			iv.From = *sr.From
-		}
-		if sr.To != nil {
-			iv.To = *sr.To
-		}
-		p.Interval = iv
-	}
-	return p
+	return engine.Predicate{Path: sr.Path, Interval: wire.Interval(sr.From, sr.To)}
 }
 
 // SubscribeResponse is the body of POST /v1/{index}/subscribe: the
@@ -216,19 +202,4 @@ func EncodeJSON(v any) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// appendHit appends EncodeJSON(rec) to b without reflection: the hit
-// records of a query stream are its bulk, and every field is an
-// integer, so no escaping is ever needed.
-func appendHit(b []byte, rec QueryHit) []byte {
-	b = append(b, `{"trajectory":`...)
-	b = strconv.AppendInt(b, int64(rec.Trajectory), 10)
-	b = append(b, `,"offset":`...)
-	b = strconv.AppendInt(b, int64(rec.Offset), 10)
-	if rec.EnteredAt != nil {
-		b = append(b, `,"enteredAt":`...)
-		b = strconv.AppendInt(b, *rec.EnteredAt, 10)
-	}
-	return append(b, "}\n"...)
 }

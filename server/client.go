@@ -41,14 +41,10 @@ type Client struct {
 // NewClient targets a daemon at base (e.g. "http://localhost:8132").
 // httpClient may be nil for http.DefaultClient.
 func NewClient(base string, httpClient *http.Client) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: orDefault(httpClient)}
-}
-
-func orDefault(hc *http.Client) *http.Client {
-	if hc == nil {
-		return http.DefaultClient
+	if httpClient == nil {
+		httpClient = http.DefaultClient
 	}
-	return hc
+	return &Client{base: strings.TrimRight(base, "/"), hc: httpClient}
 }
 
 // APIError is the typed form of a non-2xx daemon reply: the HTTP
@@ -132,41 +128,53 @@ func parseRetryAfter(v string) (time.Duration, bool) {
 	return 0, false
 }
 
-// call performs one request — sending body, when non-nil, under the
-// given content type — and decodes the JSON reply into out, translating
-// non-2xx replies into errors carrying the server's message.
-func (c *Client) call(ctx context.Context, method, path string, q url.Values, contentType string, body io.Reader, out any) error {
+// do sends one request, with body, when non-nil, under contentType. A
+// 2xx reply is returned for the caller to read and close; any other
+// becomes its *APIError.
+func (c *Client) do(ctx context.Context, method, path string, q url.Values, contentType string, body io.Reader) (*http.Response, error) {
 	u := c.base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return nil, apiError(resp, raw)
+	}
+	return resp, nil
+}
+
+// call performs one request with do and decodes its JSON reply.
+func call[T any](ctx context.Context, c *Client, method, path string, q url.Values, contentType string, body io.Reader) (*T, error) {
+	resp, err := c.do(ctx, method, path, q, contentType, body)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if resp.StatusCode/100 != 2 {
-		return apiError(resp, raw)
+	out := new(T)
+	if err := json.Unmarshal(raw, out); err != nil {
+		return nil, err
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
+	return out, nil
 }
 
-// ndjson encodes recs one JSON value per line.
-func ndjson[T any](recs []T) (*bytes.Buffer, error) {
+// callBatch posts recs as an NDJSON batch with call.
+func callBatch[R, T any](ctx context.Context, c *Client, path string, q url.Values, recs []T) (*R, error) {
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	for _, rec := range recs {
@@ -174,13 +182,13 @@ func ndjson[T any](recs []T) (*bytes.Buffer, error) {
 			return nil, err
 		}
 	}
-	return &body, nil
+	return call[R](ctx, c, http.MethodPost, path, q, "application/x-ndjson", &body)
 }
 
 // Indexes lists the daemon's catalog.
 func (c *Client) Indexes(ctx context.Context) ([]engine.Info, error) {
-	var resp ListResponse
-	if err := c.call(ctx, http.MethodGet, "/v1/indexes", nil, "", nil, &resp); err != nil {
+	resp, err := call[ListResponse](ctx, c, http.MethodGet, "/v1/indexes", nil, "", nil)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Indexes, nil
@@ -188,9 +196,9 @@ func (c *Client) Indexes(ctx context.Context) ([]engine.Info, error) {
 
 // Trajectory fetches a full trajectory by ID.
 func (c *Client) Trajectory(ctx context.Context, index string, id int) ([]uint32, error) {
-	var resp TrajectoryResponse
 	p := "/v1/" + url.PathEscape(index) + "/trajectory/" + strconv.Itoa(id)
-	if err := c.call(ctx, http.MethodGet, p, nil, "", nil, &resp); err != nil {
+	resp, err := call[TrajectoryResponse](ctx, c, http.MethodGet, p, nil, "", nil)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Edges, nil
@@ -198,59 +206,40 @@ func (c *Client) Trajectory(ctx context.Context, index string, id int) ([]uint32
 
 // SubPath fetches edges [from, to) of a trajectory.
 func (c *Client) SubPath(ctx context.Context, index string, id, from, to int) ([]uint32, error) {
-	var resp SubPathResponse
 	q := url.Values{
 		"traj": {strconv.Itoa(id)},
 		"from": {strconv.Itoa(from)},
 		"to":   {strconv.Itoa(to)},
 	}
-	if err := c.call(ctx, http.MethodGet, "/v1/"+url.PathEscape(index)+"/subpath", q, "", nil, &resp); err != nil {
+	resp, err := call[SubPathResponse](ctx, c, http.MethodGet, "/v1/"+url.PathEscape(index)+"/subpath", q, "", nil)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Edges, nil
 }
 
-// QueryPage is one decoded page of POST /v1/{index}/query: the hits in
-// canonical order, the count reported by the summary record, and the
-// resume cursor ("" when the server exhausted the stream).
-type QueryPage struct {
-	Hits   []cinct.Hit
-	Count  int
-	Cursor string
-}
-
 // SearchPage executes exactly one Query page against the daemon,
 // decoding the NDJSON stream as it arrives. Most callers want Search,
-// which follows cursors transparently.
+// which follows cursors transparently. A failure is an *APIError
+// whether the server answered it with its status before the stream
+// began or with an error summary after (see QuerySummary), so
+// errors.Is matches the sentinel either way.
 func (c *Client) SearchPage(ctx context.Context, index string, q cinct.Query) (*QueryPage, error) {
 	body, err := json.Marshal(WireQuery(q))
 	if err != nil {
 		return nil, err
 	}
-	u := c.base + "/v1/" + url.PathEscape(index) + "/query"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/query", nil, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, apiError(resp, msg)
-	}
 	page, err := wire.ReadPage(resp.Body)
-	if err != nil {
-		var se *wire.StreamError
-		if errors.As(err, &se) {
-			return nil, fmt.Errorf("server: %s", se.Msg)
-		}
-		return nil, err
+	var se *wire.StreamError
+	if errors.As(err, &se) {
+		return nil, &APIError{Status: se.Status, Message: se.Msg}
 	}
-	return &QueryPage{Hits: page.Hits, Count: page.Count, Cursor: page.Cursor}, nil
+	return page, err
 }
 
 // Search executes a Query against the daemon and returns a lazy hit
@@ -298,8 +287,8 @@ func (c *Client) Search(ctx context.Context, index string, q cinct.Query) iter.S
 // Reload asks the daemon to re-read one index from disk; it returns
 // the new generation number.
 func (c *Client) Reload(ctx context.Context, index string) (uint64, error) {
-	var resp ReloadResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/reload", nil, "", nil, &resp); err != nil {
+	resp, err := call[ReloadResponse](ctx, c, http.MethodPost, "/v1/"+url.PathEscape(index)+"/reload", nil, "", nil)
+	if err != nil {
 		return 0, err
 	}
 	return resp.Generation, nil
@@ -310,19 +299,11 @@ func (c *Client) Reload(ctx context.Context, index string) (uint64, error) {
 // queryable; with seal the server compacts the delta before replying.
 // Temporal indexes require every record to carry Times.
 func (c *Client) Ingest(ctx context.Context, index string, recs []IngestRecord, seal bool) (*IngestResponse, error) {
-	body, err := ndjson(recs)
-	if err != nil {
-		return nil, err
-	}
 	var q url.Values
 	if seal {
 		q = url.Values{"seal": {"true"}}
 	}
-	var out IngestResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/ingest", q, "application/x-ndjson", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return callBatch[IngestResponse](ctx, c, "/v1/"+url.PathEscape(index)+"/ingest", q, recs)
 }
 
 // IngestGPS posts a batch of raw GPS traces to the daemon's
@@ -330,15 +311,7 @@ func (c *Client) Ingest(ctx context.Context, index string, recs []IngestRecord, 
 // independently; the response carries one typed result per trace in
 // input order.
 func (c *Client) IngestGPS(ctx context.Context, index string, traces []gps.Trace) (*GPSResponse, error) {
-	body, err := ndjson(traces)
-	if err != nil {
-		return nil, err
-	}
-	var out GPSResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/gps", nil, "application/x-ndjson", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return callBatch[GPSResponse](ctx, c, "/v1/"+url.PathEscape(index)+"/gps", nil, traces)
 }
 
 // Subscribe registers a standing query on the daemon and returns the
@@ -349,17 +322,14 @@ func (c *Client) Subscribe(ctx context.Context, index string, req SubscribeReque
 	if err != nil {
 		return nil, err
 	}
-	var out SubscribeResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/subscribe", nil, "application/json", bytes.NewReader(body), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[SubscribeResponse](ctx, c, http.MethodPost, "/v1/"+url.PathEscape(index)+"/subscribe", nil, "application/json", bytes.NewReader(body))
 }
 
 // Unsubscribe cancels a standing query; its streams close.
 func (c *Client) Unsubscribe(ctx context.Context, index, id string) error {
 	p := "/v1/" + url.PathEscape(index) + "/subscriptions/" + url.PathEscape(id)
-	return c.call(ctx, http.MethodDelete, p, nil, "", nil, nil)
+	_, err := call[CancelResponse](ctx, c, http.MethodDelete, p, nil, "", nil)
+	return err
 }
 
 // Notifications attaches to a subscription's SSE stream and yields
@@ -371,14 +341,8 @@ func (c *Client) Unsubscribe(ctx context.Context, index, id string) error {
 // that died) as io.ErrUnexpectedEOF.
 func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[engine.Notification, error] {
 	return func(yield func(engine.Notification, error) bool) {
-		u := c.base + "/v1/" + url.PathEscape(index) + "/subscriptions/" + url.PathEscape(id) + "/events"
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			yield(engine.Notification{}, err)
-			return
-		}
-		req.Header.Set("Accept", "text/event-stream")
-		resp, err := c.hc.Do(req)
+		p := "/v1/" + url.PathEscape(index) + "/subscriptions/" + url.PathEscape(id) + "/events"
+		resp, err := c.do(ctx, http.MethodGet, p, nil, "", nil)
 		if err != nil {
 			if ctx.Err() == nil {
 				yield(engine.Notification{}, err)
@@ -386,11 +350,6 @@ func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[
 			return
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-			yield(engine.Notification{}, apiError(resp, raw))
-			return
-		}
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 		var event string
@@ -435,11 +394,7 @@ func (c *Client) Notifications(ctx context.Context, index, id string) iter.Seq2[
 // Seal asks the daemon to compact one index's delta into a compressed
 // shard and persist it to the index file.
 func (c *Client) Seal(ctx context.Context, index string) (*SealResponse, error) {
-	var resp SealResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/seal", nil, "", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[SealResponse](ctx, c, http.MethodPost, "/v1/"+url.PathEscape(index)+"/seal", nil, "", nil)
 }
 
 // Compact asks the daemon to merge one index's sealed shards per its
@@ -449,9 +404,5 @@ func (c *Client) Compact(ctx context.Context, index string, full bool) (*Compact
 	if full {
 		q = url.Values{"full": {"true"}}
 	}
-	var resp CompactResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/"+url.PathEscape(index)+"/compact", q, "", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[CompactResponse](ctx, c, http.MethodPost, "/v1/"+url.PathEscape(index)+"/compact", q, "", nil)
 }

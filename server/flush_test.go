@@ -11,6 +11,7 @@ import (
 
 	"cinct"
 	"cinct/internal/engine"
+	"cinct/internal/wire"
 )
 
 // flushCounter wraps the server's ResponseWriter and records how many
@@ -155,8 +156,8 @@ func checkAppendHit(t *testing.T, rec QueryHit) {
 		t.Fatal(err)
 	}
 	prefix := []byte("{}\n")
-	got := appendHit(prefix, rec)
+	got := wire.AppendHit(prefix, rec)
 	if !bytes.Equal(got[:len(prefix)], []byte("{}\n")) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("appendHit(%q, %+v) = %q, want the prefix then %q", prefix, rec, got, want)
+		t.Fatalf("AppendHit(%q, %+v) = %q, want the prefix then %q", prefix, rec, got, want)
 	}
 }

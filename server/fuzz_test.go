@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func FuzzQueryUnmarshal(f *testing.F) {
 		if len(data) > 1<<16 {
 			t.Skip()
 		}
-		req, err := decodeQueryRequest(bytes.NewReader(data))
+		req, err := decodeQueryRequest(nil, io.NopCloser(bytes.NewReader(data)))
 		if err != nil {
 			if !errors.Is(err, errBadRequest) {
 				t.Fatalf("decodeQueryRequest: untyped error %v", err)

@@ -1,10 +1,9 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,18 +12,40 @@ import (
 	"time"
 
 	"cinct/internal/engine"
+	"cinct/internal/wire"
 )
 
 func badPathID(raw string) error {
 	return fmt.Errorf("%w: bad trajectory id %q", errBadRequest, raw)
 }
 
-// maxIngestBody bounds one NDJSON ingest batch; maxIngestLine bounds
-// one record.
-const (
-	maxIngestBody = 64 << 20
-	maxIngestLine = 1 << 20
-)
+// maxIngestBody bounds one NDJSON ingest batch.
+const maxIngestBody = 64 << 20
+
+// decodeBatch reads the body of an NDJSON batch route (ingest, gps)
+// with wire.ReadBatch. A batch is atomic, so a body past maxIngestBody
+// is refused whole rather than cut short and acknowledged, as is an
+// empty one.
+func decodeBatch[T any](w http.ResponseWriter, r *http.Request, what string) ([]T, error) {
+	recs, err := wire.ReadBatch[T](http.MaxBytesReader(w, r.Body, maxIngestBody), what)
+	if err != nil {
+		return nil, bodyError(err)
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("%w: empty batch", errBadRequest)
+	}
+	return recs, nil
+}
+
+// bodyError is the bad request a failed body read answers; a body past
+// its http.MaxBytesReader cap names the cap.
+func bodyError(err error) error {
+	var mb *http.MaxBytesError
+	if errors.As(err, &mb) {
+		return fmt.Errorf("%w: body over the %d-byte cap", errBadRequest, mb.Limit)
+	}
+	return fmt.Errorf("%w: %v", errBadRequest, err)
+}
 
 // ingest serves the write path: the body is an NDJSON batch of
 // IngestRecord lines, appended atomically to the named index's live
@@ -41,34 +62,19 @@ func (s *Server) ingest(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	if err != nil {
 		return err
 	}
-	var trajs [][]uint32
-	var times [][]int64
+	recs, err := decodeBatch[IngestRecord](w, r, "record")
+	if err != nil {
+		return err
+	}
+	trajs := make([][]uint32, len(recs))
+	times := make([][]int64, len(recs))
 	sawTimes := false
-	sc := bufio.NewScanner(io.LimitReader(r.Body, maxIngestBody))
-	sc.Buffer(make([]byte, 0, 64*1024), maxIngestLine)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec IngestRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("%w: record %d: %v", errBadRequest, len(trajs), err)
-		}
+	for i, rec := range recs {
 		if len(rec.Edges) == 0 {
-			return fmt.Errorf("%w: record %d: missing or empty edges", errBadRequest, len(trajs))
+			return fmt.Errorf("%w: record %d: missing or empty edges", errBadRequest, i)
 		}
-		trajs = append(trajs, rec.Edges)
-		times = append(times, rec.Times)
-		if rec.Times != nil {
-			sawTimes = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	if len(trajs) == 0 {
-		return fmt.Errorf("%w: empty ingest batch", errBadRequest)
+		trajs[i], times[i] = rec.Edges, rec.Times
+		sawTimes = sawTimes || rec.Times != nil
 	}
 	if !sawTimes {
 		times = nil // spatial batch: the engine expects no column slice at all
@@ -164,12 +170,14 @@ const maxRequestBody = 1 << 20
 
 // decodeStrict reads a JSON request body into v: exactly one object
 // with no unknown fields, else errBadRequest. Strictness is the point —
-// a misspelt "limit" must fail, not run as an unbounded stream.
-func decodeStrict(body io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(body, maxRequestBody))
+// a misspelt "limit" must fail, not run as an unbounded stream. The
+// body is capped at maxRequestBody, and bytes past the cap after the
+// object are trailing data too.
+func decodeStrict(w http.ResponseWriter, body io.ReadCloser, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
+		return bodyError(err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("%w: trailing data after the request object", errBadRequest)
@@ -179,9 +187,9 @@ func decodeStrict(body io.Reader, v any) error {
 
 // decodeQueryRequest reads the body of POST /v1/{index}/query with
 // decodeStrict and requires a path.
-func decodeQueryRequest(body io.Reader) (QueryRequest, error) {
+func decodeQueryRequest(w http.ResponseWriter, body io.ReadCloser) (QueryRequest, error) {
 	var req QueryRequest
-	if err := decodeStrict(body, &req); err != nil {
+	if err := decodeStrict(w, body, &req); err != nil {
 		return req, err
 	}
 	if len(req.Path) == 0 {
@@ -207,6 +215,38 @@ var pageBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
+// endStream ends a query reply with sum, or with err when it is
+// non-nil, after the records in buf; streamed says whether some of the
+// body has already been written. A failure before that is returned as
+// it is, so serve answers it with its status and an error body like any
+// route's. After it the 200 has gone out, so the stream ends with a
+// summary carrying the error and its status, and the error comes back
+// as a streamedError.
+func endStream(w http.ResponseWriter, buf []byte, streamed bool, sum QuerySummary, err error) error {
+	if err != nil {
+		if !streamed {
+			return err
+		}
+		sum = QuerySummary{Error: err.Error(), Status: httpStatus(err)}
+	}
+	buf = wire.AppendSummary(buf, sum)
+	if !streamed {
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	}
+	w.Write(buf) //nolint:errcheck // the reply ends here either way
+	if err != nil {
+		return streamedError{err}
+	}
+	return nil
+}
+
+// streamedError is a failure a handler has already reported inside the
+// reply it began: serve counts and logs its status, and writes nothing
+// more.
+type streamedError struct{ error }
+
+func (e streamedError) Unwrap() error { return e.error }
+
 // query serves the one retrieval endpoint: the body is a
 // QueryRequest, the response is NDJSON — one QueryHit per line in
 // canonical order, then one QuerySummary carrying the count and, for
@@ -214,12 +254,10 @@ var pageBufs = sync.Pool{New: func() any {
 // encoded as the engine's iterator produces them and written by the
 // flushBytes/flushEvery rule, so a large result set streams without
 // the server materializing it beyond what the cache layer retains.
-// Errors before the first byte map to normal JSON error responses; a
-// mid-stream failure terminates the stream with an error-carrying
-// summary record.
+// endStream answers a failure.
 func (s *Server) query(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
-	req, err := decodeQueryRequest(r.Body)
+	req, err := decodeQueryRequest(w, r.Body)
 	if err != nil {
 		return err
 	}
@@ -242,17 +280,16 @@ func (s *Server) query(ctx context.Context, w http.ResponseWriter, r *http.Reque
 	flusher, _ := w.(http.Flusher)
 	streamed := false // some of the body has already been written
 	last := time.Now()
-	var streamErr error
 	for h, herr := range res.All() {
 		if herr != nil {
-			streamErr = herr
+			err = herr
 			break
 		}
 		rec := QueryHit{Trajectory: h.Trajectory, Offset: h.Offset}
 		if q.Interval != nil {
 			rec.EnteredAt = &h.EnteredAt
 		}
-		buf = appendHit(buf, rec)
+		buf = wire.AppendHit(buf, rec)
 		if len(buf) < flushBytes && time.Since(last) < flushEvery {
 			continue
 		}
@@ -265,27 +302,12 @@ func (s *Server) query(ctx context.Context, w http.ResponseWriter, r *http.Reque
 		}
 		buf, streamed, last = buf[:0], true, time.Now()
 	}
-	sum := QuerySummary{}
-	if streamErr == nil {
-		n, cerr := res.Count()
-		if cerr != nil {
-			streamErr = cerr
-		} else {
-			sum.Done = true
-			sum.Count = n
-			sum.Cursor = res.Cursor()
-		}
+	sum := QuerySummary{Done: true}
+	if err == nil {
+		sum.Count, err = res.Count()
+		sum.Cursor = res.Cursor()
 	}
-	if streamErr != nil {
-		sum.Error = streamErr.Error()
-	}
-	body, _ := EncodeJSON(sum) // a QuerySummary always marshals
-	buf = append(buf, body...)
-	if !streamed {
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	}
-	w.Write(buf) //nolint:errcheck // stream is best-effort past this point
-	return nil
+	return endStream(w, buf, streamed, sum, err)
 }
 
 func (s *Server) trajectory(ctx context.Context, w http.ResponseWriter, r *http.Request) error {

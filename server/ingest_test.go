@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,6 +137,9 @@ func TestIngestEndToEnd(t *testing.T) {
 		{"times on spatial", "spatial4/ingest", `{"edges":[1],"times":[5]}`, http.StatusBadRequest},
 		{"malformed NDJSON", "spatial4/ingest", `{not json`, http.StatusBadRequest},
 		{"empty batch", "spatial4/ingest", "", http.StatusBadRequest},
+		{"blank lines only", "spatial4/ingest", "\n  \n\t\n", http.StatusBadRequest},
+		{"empty edges", "spatial4/ingest", marker2 + "\n" + `{"edges":[]}`, http.StatusBadRequest},
+		{"empty points", "spatial4/gps", `{"points":[]}`, http.StatusBadRequest},
 		{"unknown index", "nosuch/ingest", `{"edges":[1]}`, http.StatusNotFound},
 		{"seal=yes", "spatial4/ingest?seal=yes", marker2, http.StatusBadRequest},
 		{"seal=on", "spatial4/ingest?seal=on", marker2, http.StatusBadRequest},
@@ -335,4 +340,56 @@ func postBody(t *testing.T, url string) string {
 		t.Fatalf("POST %s: HTTP %d: %s", url, res.StatusCode, body)
 	}
 	return string(body)
+}
+
+// TestOverCapBodyIsRefused sends each capped body route a body that is
+// well formed up to its cap, padded there with blank space, and goes on
+// with one more record. The whole body is refused with a 400 naming
+// the cap: an ingest batch is atomic, so it must not be cut at the cap
+// and acknowledged, and a query must not run on what came before it.
+func TestOverCapBodyIsRefused(t *testing.T) {
+	eng := testEngine(t)
+	defer eng.CloseAll()
+	h := New(eng, Config{}).Handler()
+	before, err := eng.Info("ix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := strconv.Itoa(maxIngestBody) + "-byte cap"
+	for _, tc := range []struct {
+		route, first, second string
+		limit                int
+		want                 string
+	}{
+		{"/v1/ix/ingest", `{"edges":[1,2]}`, `{"edges":[2,3]}`, maxIngestBody, capped},
+		{"/v1/ix/gps", `{"points":[{"lat":1,"lon":1}]}`, `{"points":[{"lat":2,"lon":2}]}`, maxIngestBody, capped},
+		{"/v1/ix/query", `{"path":[1]}`, `{"path":[2]}`, maxRequestBody, "trailing data"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.route, bytes.NewReader(padToCap(tc.first, tc.second, tc.limit))))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("POST %s over its cap: HTTP %d %s, want 400 naming %q", tc.route, rec.Code, rec.Body, tc.want)
+		}
+	}
+	after, err := eng.Info("ix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Delta != before.Delta || after.Generation != before.Generation {
+		t.Fatalf("after the refused batches: delta %d, generation %d; want %d, %d",
+			after.Delta, after.Generation, before.Delta, before.Generation)
+	}
+}
+
+// padToCap returns first, then lines of blank space up to exactly limit
+// bytes, then second.
+func padToCap(first, second string, limit int) []byte {
+	pad := bytes.Repeat([]byte(" "), 64<<10)
+	pad[len(pad)-1] = '\n'
+	body := make([]byte, 0, limit+len(second))
+	body = append(append(body, first...), '\n')
+	for len(body) < limit {
+		body = append(body, pad[len(pad)-min(len(pad), limit-len(body)):]...)
+	}
+	return append(body, second...)
 }

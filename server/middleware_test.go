@@ -21,6 +21,7 @@ import (
 	"cinct"
 	"cinct/internal/engine"
 	"cinct/internal/wal"
+	"cinct/internal/wire"
 )
 
 // statusCases is every typed error the stack can surface, with the
@@ -124,10 +125,12 @@ func exportedErrors(t *testing.T, dirs map[string]string) []string {
 }
 
 // TestSentinelsCrossTheWire sends every sentinel of statusCases
-// through a real HTTP reply, wrapped the way handlers wrap it, and
-// requires the client's error to match that sentinel under errors.Is
-// and no other: a remote caller tests a failure exactly as an
-// in-process one does, shared statuses (400, 422, 500) included.
+// through serve to the Go client, the two ways a reply can fail: as an
+// error reply, and as the error summary that ends a query stream that
+// has already flushed past flushBytes, ended by endStream as query ends
+// it. Either way the client's error is an *APIError with
+// the sentinel's status that errors.Is matches to that sentinel and to
+// no other; an unmapped failure is a 500 that matches none.
 func TestSentinelsCrossTheWire(t *testing.T) {
 	eng := engine.New(engine.Options{})
 	defer eng.CloseAll()
@@ -138,33 +141,67 @@ func TestSentinelsCrossTheWire(t *testing.T) {
 			sentinels = append(sentinels, tc.err)
 		}
 	}
-	// The handler fails with sentinel ?i, or with an unmapped error.
-	ts := httptest.NewServer(srv.serve(route{Handler: func(_ context.Context, _ http.ResponseWriter, r *http.Request) error {
-		i, err := strconv.Atoi(r.URL.Query().Get("i"))
+	// failure is sentinel i, or an unmapped error when i is no index.
+	failure := func(i string) error {
+		n, err := strconv.Atoi(i)
 		if err != nil {
 			return errors.New("boom")
 		}
-		return fmt.Errorf("handler context: %w", sentinels[i])
+		return fmt.Errorf("handler context: %w", sentinels[n])
+	}
+	mux := http.NewServeMux()
+	mux.Handle("GET /fail", srv.serve(route{Handler: func(_ context.Context, _ http.ResponseWriter, r *http.Request) error {
+		return failure(r.URL.Query().Get("i"))
 	}}))
+	mux.Handle("POST /v1/{index}/query", srv.serve(route{Handler: func(_ context.Context, w http.ResponseWriter, r *http.Request) error {
+		var buf []byte
+		for i := 0; len(buf) <= flushBytes; i++ {
+			buf = wire.AppendHit(buf, QueryHit{Trajectory: i, Offset: i})
+		}
+		w.Write(buf) //nolint:errcheck // the client reads what arrived
+		w.(http.Flusher).Flush()
+		return endStream(w, nil, true, QuerySummary{}, failure(r.PathValue("index")))
+	}}))
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
-	for i, want := range sentinels {
-		err := c.call(context.Background(), http.MethodGet, "/", url.Values{"i": {strconv.Itoa(i)}}, "", nil, nil)
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) || apiErr.Status != httpStatus(want) {
-			t.Fatalf("%v: client error %v, want an APIError with status %d", want, err, httpStatus(want))
-		}
-		for _, other := range sentinels {
-			if got := errors.Is(err, other); got != (other == want) {
-				t.Errorf("reply for %q (HTTP %d): errors.Is(err, %q) = %v", want, apiErr.Status, other, got)
+	ctx := context.Background()
+	legs := []struct {
+		name string
+		fail func(i string) error
+	}{
+		{"error reply", func(i string) error {
+			_, err := call[ErrorResponse](ctx, c, http.MethodGet, "/fail", url.Values{"i": {i}}, "", nil)
+			return err
+		}},
+		{"stream summary", func(i string) error {
+			_, err := c.SearchPage(ctx, i, cinct.Query{Path: []uint32{1}})
+			return err
+		}},
+	}
+	for _, leg := range legs {
+		for i, want := range sentinels {
+			err := leg.fail(strconv.Itoa(i))
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != httpStatus(want) {
+				t.Fatalf("%s, %v: client error %#v, want an APIError with status %d", leg.name, want, err, httpStatus(want))
+			}
+			for _, other := range sentinels {
+				if got := errors.Is(err, other); got != (other == want) {
+					t.Errorf("%s for %q (HTTP %d): errors.Is(err, %q) = %v", leg.name, want, apiErr.Status, other, got)
+				}
 			}
 		}
-	}
-	// An unmapped failure is a 500 too, and matches no sentinel.
-	err := c.call(context.Background(), http.MethodGet, "/", nil, "", nil, nil)
-	for _, s := range sentinels {
-		if errors.Is(err, s) {
-			t.Errorf("unmapped 500 %v matches %q", err, s)
+		// An unmapped failure is a 500 too, and matches no sentinel.
+		err := leg.fail("unmapped")
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+			t.Fatalf("%s, unmapped: client error %#v, want an APIError with status 500", leg.name, err)
+		}
+		for _, s := range sentinels {
+			if errors.Is(err, s) {
+				t.Errorf("%s: unmapped 500 %v matches %q", leg.name, err, s)
+			}
 		}
 	}
 }

@@ -157,7 +157,9 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 //     request deadline (504 once engine work outlives it);
 //  5. the handler;
 //  6. a returned error becomes its status, a Retry-After hint where
-//     one applies, and a JSON error body.
+//     one applies, and a JSON error body — unless the handler had
+//     already begun its reply and reported the failure in it
+//     (streamedError), when the status is only counted and logged.
 //
 // A rejected request is still logged and counted, and never takes a
 // gate slot or a deadline timer. Streaming routes skip step 4: a
@@ -214,6 +216,12 @@ func (s *Server) serve(rt route) http.Handler {
 		if err == nil {
 			return
 		}
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Printf("%s %s: %d %v", r.Method, r.URL.Path, status, err)
+		}
+		if errors.As(err, new(streamedError)) {
+			return // the reply the handler began already carries the failure
+		}
 		switch status {
 		case http.StatusTooManyRequests:
 			var rl *rateLimitError
@@ -226,9 +234,6 @@ func (s *Server) serve(rt route) http.Handler {
 			// Shed load is transient by construction; any in-flight
 			// request finishing frees capacity.
 			w.Header().Set("Retry-After", "1")
-		}
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Printf("%s %s: %d %v", r.Method, r.URL.Path, status, err)
 		}
 		if status == statusClientClosedRequest {
 			// Nobody is left to read an error body.

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,28 +22,14 @@ import (
 // result per line, in order.
 func (s *Server) ingestGPS(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
-	var traces []gps.Trace
-	sc := bufio.NewScanner(io.LimitReader(r.Body, maxIngestBody))
-	sc.Buffer(make([]byte, 0, 64*1024), maxIngestLine)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var tr gps.Trace
-		if err := json.Unmarshal(line, &tr); err != nil {
-			return fmt.Errorf("%w: trace %d: %v", errBadRequest, len(traces), err)
-		}
+	traces, err := decodeBatch[gps.Trace](w, r, "trace")
+	if err != nil {
+		return err
+	}
+	for i, tr := range traces {
 		if len(tr.Points) == 0 {
-			return fmt.Errorf("%w: trace %d: missing or empty points", errBadRequest, len(traces))
+			return fmt.Errorf("%w: trace %d: missing or empty points", errBadRequest, i)
 		}
-		traces = append(traces, tr)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	if len(traces) == 0 {
-		return fmt.Errorf("%w: empty gps batch", errBadRequest)
 	}
 	res, err := s.eng.IngestGPS(ctx, name, traces)
 	if err != nil {
@@ -64,7 +48,7 @@ func (s *Server) ingestGPS(ctx context.Context, w http.ResponseWriter, r *http.R
 func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("index")
 	var req SubscribeRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(w, r.Body, &req); err != nil {
 		return err
 	}
 	sub, err := s.eng.Subscribe(name, req.Predicate(), engine.SubscribeOptions{
