@@ -461,15 +461,18 @@ type Stats struct {
 	Edges        int `json:"edges"`
 	// TextLen is |T|.
 	TextLen int `json:"textLen"`
-	// MaxLabel is the labeled-BWT alphabet size (max ET-graph
-	// out-degree).
-	MaxLabel int `json:"maxLabel"`
-	// ETGraphEdges is |E_T|.
-	ETGraphEdges int `json:"etGraphEdges"`
-	// AvgOutDegree is d̄ of the ET-graph (Table III).
+	// MaxLabel, ETGraphEdges and AvgOutDegree describe the served
+	// ET-graph: the paper's less the separator's out-edges, whose rows
+	// the labeled BWT escapes to one label. MaxLabel is the labeled
+	// BWT's alphabet size (the served graph's largest out-degree),
+	// ETGraphEdges its edge count, AvgOutDegree its d̄ (Table III's
+	// statistic, taken over the served graph).
+	MaxLabel     int     `json:"maxLabel"`
+	ETGraphEdges int     `json:"etGraphEdges"`
 	AvgOutDegree float64 `json:"avgOutDegree"`
 	// LabelEntropy is H0 of the RML-labeled BWT in bits per symbol —
-	// the paper's headline statistic (Table III's H0(φ) column).
+	// the paper's headline statistic (Table III's H0(φ) column), over
+	// every row with the paper's labels, the separator's included.
 	LabelEntropy float64 `json:"labelEntropy"`
 	// The size fields are the bits of the file's sections: the labeled
 	// wavelet tree, the ET-graph, C, the row marks with the SA and ISA

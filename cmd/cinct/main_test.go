@@ -159,13 +159,14 @@ func legacyCorpus(seed int64) ([][]uint32, [][]int64) {
 }
 
 // TestConvertLegacyFixtures converts every old fixture, version-3 and
-// -4 containers included, under a neutral file name, so nothing but the
+// -4 containers and version-5 ones with kind 6 encoding 1 included,
+// under a neutral file name, so nothing but the
 // bytes can tell whether it is temporal. The output must hold what the
 // input held — temporal or not, every trajectory and every timestamp —
 // and be byte-equal to Save of a fresh build of that corpus with the
 // options the file recorded: the fixture's shard count at the sample
 // rate that was the default when it was written (64, or 40 for the
-// version-4 files).
+// version-4 and -5 files).
 func TestConvertLegacyFixtures(t *testing.T) {
 	for _, fx := range []struct {
 		file     string
@@ -190,6 +191,10 @@ func TestConvertLegacyFixtures(t *testing.T) {
 		{"v4-spatial-4.cinct", 7, 4, false},
 		{"v4-temporal-1.tcinct", 7, 1, true},
 		{"v4-temporal-4.tcinct", 7, 4, true},
+		{"v5-spatial-1.cinct", 7, 1, false},
+		{"v5-spatial-4.cinct", 7, 4, false},
+		{"v5-temporal-1.tcinct", 7, 1, true},
+		{"v5-temporal-4.tcinct", 7, 4, true},
 	} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
 		if err != nil {
@@ -225,11 +230,11 @@ func TestConvertLegacyFixtures(t *testing.T) {
 				}
 			}
 		}
-		// The version-4 files were written at the default rate, the
-		// others at 64; each header records its rate.
+		// The version-4 and -5 files were written at the default rate,
+		// the others at 64; each header records its rate.
 		opts := cinct.DefaultOptions()
 		opts.Shards = fx.shards
-		if !strings.HasPrefix(fx.file, "v4-") {
+		if !strings.HasPrefix(fx.file, "v4-") && !strings.HasPrefix(fx.file, "v5-") {
 			opts.SampleRate = 64
 		}
 		var want bytes.Buffer

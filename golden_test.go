@@ -21,7 +21,8 @@ import (
 // decoding: /v1 the pre-v3 stream formats, /v3-all-rrr the version-3
 // bytes Save wrote before wavelet-tree nodes could be plain, and
 // /v3-int32 the ones it wrote before the locate samples were packed,
-// and /v4 the version-4 ones.
+// /v4 the version-4 ones, and /v5-wt1 the version-5 ones whose labeled
+// wavelet trees are kind 6 encoding 1.
 //
 // Re-pinned /v3 when each wavelet-tree node began keeping RRR only
 // where it is at least 1/8 smaller than plain: node kinds changed, the
@@ -35,15 +36,22 @@ import (
 // version 5): the section words are the version-4 ones, regrouped into
 // one page-aligned frame per shard. /v4 pins the version-4 bytes Save
 // wrote until then, frozen under testdata/legacy/.
+//
+// Re-pinned /v3 when the separator's context left the labeled wavelet
+// tree: kind 6 moved to encoding 2 (the tree with every $ row labeled
+// 1, then the wavelet matrix of the $ rows' symbols), the ET-graph lost
+// the separator's out-edges, and the container version stayed 5.
+// /v5-wt1 pins the bytes Save wrote until then, frozen under
+// testdata/legacy/.
 var goldenHashes = map[string]string{
 	"spatial-1/v1":  "129a9ed4ebd8c5ac715edefbdfe98dd34c52a55074e52dc87247c61ae780d2ef",
-	"spatial-1/v3":  "cd481ba83ce9af8b5784dc673f026257d9a333b67633a0166117b689f326ff18",
+	"spatial-1/v3":  "185d180d6c4cb861ec4e98952690d6dd714c4b4be58675638d2d28c30ef1937b",
 	"spatial-4/v1":  "0955a30de2985af0a05e2c2d130f12b5c186dc3da8326635d6835713e1056d4c",
-	"spatial-4/v3":  "b2efb59de9849a95cb8cac500cfc0988a6440138e55062b26486396486017fca",
+	"spatial-4/v3":  "fa040430dbcb0545943abd9cd5d16e47cfa56b7f4e7bbc1355923a80a3160c00",
 	"temporal-1/v1": "dd598cce416697f78ec632d9bbf5f355b3996f9121010302ab9551d5630c197f",
-	"temporal-1/v3": "fe5cd297ca3453688232bfbcc77e33ff43d17a5c7d2e6dcc7fa74a9e96518dfe",
+	"temporal-1/v3": "e04b558ae2085d5cba28e67d2772ecd2e655f07feb9004a9c8c176ca2f471b90",
 	"temporal-4/v1": "b670a187401fb7f7be67fa1ca09804a7e3c4b546991b75ad50acca13997949a1",
-	"temporal-4/v3": "f28c4a9b49937c130d9ab5141746a536523f89950cb35f34c17044f3272aa0f7",
+	"temporal-4/v3": "82c216d2e14c9f5521971a5d9ff98dd7ce93f99151f07d30431fc2040198258a",
 
 	"spatial-4/v3-all-rrr":  "9e456dd051aa3b102b9b0e09adac701e999f185602f46d836b8ed8c34f2c5a3b",
 	"temporal-1/v3-all-rrr": "eacbb31f4785f728b0b52874921232887d8e148f053550a24c5e4a39058dd4e2",
@@ -57,6 +65,11 @@ var goldenHashes = map[string]string{
 	"spatial-4/v4":  "07c5d91de84ad840c9f91fcf00612874727a2cf50b23c0546a54dedfe224b363",
 	"temporal-1/v4": "48f3160e8d46f234368e82ea1392965505f07c9a1d42fa88fd8e89df20707355",
 	"temporal-4/v4": "4366c549eef5b43e8b97e28fe37d936531bcd385268713731848f96ed54fb7b7",
+
+	"spatial-1/v5-wt1":  "cd481ba83ce9af8b5784dc673f026257d9a333b67633a0166117b689f326ff18",
+	"spatial-4/v5-wt1":  "b2efb59de9849a95cb8cac500cfc0988a6440138e55062b26486396486017fca",
+	"temporal-1/v5-wt1": "fe5cd297ca3453688232bfbcc77e33ff43d17a5c7d2e6dcc7fa74a9e96518dfe",
+	"temporal-4/v5-wt1": "f28c4a9b49937c130d9ab5141746a536523f89950cb35f34c17044f3272aa0f7",
 }
 
 func TestGoldenBytes(t *testing.T) {
@@ -113,6 +126,8 @@ func TestGoldenBytes(t *testing.T) {
 		checkFixture("temporal-"+tc.name+"/v3-int32", "v3-int32-temporal-"+tc.name+".tcinct")
 		checkFixture("spatial-"+tc.name+"/v4", "v4-spatial-"+tc.name+".cinct")
 		checkFixture("temporal-"+tc.name+"/v4", "v4-temporal-"+tc.name+".tcinct")
+		checkFixture("spatial-"+tc.name+"/v5-wt1", "v5-spatial-"+tc.name+".cinct")
+		checkFixture("temporal-"+tc.name+"/v5-wt1", "v5-temporal-"+tc.name+".tcinct")
 	}
 	checkFixture("spatial-4/v3-all-rrr", "v3-all-rrr-spatial-4.cinct")
 	checkFixture("temporal-1/v3-all-rrr", "v3-all-rrr-temporal-1.tcinct")

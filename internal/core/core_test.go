@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"cinct/internal/entropy"
 	"cinct/internal/etgraph"
 	"cinct/internal/flat"
 	"cinct/internal/suffix"
@@ -163,6 +165,141 @@ func TestPseudoRankMatchesDirectRank(t *testing.T) {
 				if got != want {
 					t.Fatalf("pseudoRank(w=%d, w'=%d, j=%d) = %d, want %d",
 						e.To, wp, j, got, want)
+				}
+			}
+		}
+	}
+	// The escaped $ block, one row per walk, has no out-edges to label:
+	// for every symbol and every j in it, the escape's rank is the raw
+	// BWT's.
+	lo, hi := ix.C(sep), ix.C(sep+1)
+	if hi-lo != 20 || ix.Graph().OutDegree(sep) != 0 {
+		t.Fatalf("$ block [%d,%d) with out-degree %d, want 20 rows and none", lo, hi, ix.Graph().OutDegree(sep))
+	}
+	for w := uint32(0); int(w) < sigma; w++ {
+		for j := lo; j <= hi; j++ {
+			if got, want := ix.sepRank(w, j), naiveRank(w, j); got != want {
+				t.Fatalf("sepRank(w=%d, j=%d) = %d, want %d", w, j, got, want)
+			}
+		}
+	}
+}
+
+// TestLabelEntropyIsRMLOverEveryRow pins LabelEntropy to the paper's
+// H0(φ(Tbwt)) under both strategies: the labels of the unescaped
+// ET-graph on every row, the $ block included. The served graph is that
+// graph less the separator's out-edges, every other context labeled
+// alike — so the random strategy still shuffles the $ list first.
+func TestLabelEntropyIsRMLOverEveryRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	text, sigma := markovText(rng, 60, 20, 25, 4)
+	sa := suffix.Array(text, sigma)
+	bwt := suffix.BWT(text, sa)
+	for _, strat := range []etgraph.Strategy{etgraph.BigramSorted, etgraph.RandomShuffle} {
+		opt := DefaultOptions()
+		opt.Strategy, opt.Seed = strat, 5
+		ix := BuildFromBWT(text, bwt, sa, sigma, opt)
+		full := etgraph.Build(text, sigma, strat, opt.Seed, nil)
+		freqs := make([]uint64, full.MaxOutDegree()+1)
+		for j, w := range bwt {
+			l, ok := full.Label(w, ix.contextOf(int64(j)))
+			if !ok {
+				t.Fatalf("strategy %d: row %d unlabeled", strat, j)
+			}
+			freqs[l]++
+		}
+		if got, want := ix.LabelEntropy(), entropy.H0Freqs(freqs); got != want {
+			t.Errorf("strategy %d: LabelEntropy %v, want %v", strat, got, want)
+		}
+		g := ix.Graph()
+		if g.NumEdges() != full.NumEdges()-full.OutDegree(sep) || full.OutDegree(sep) < 2 {
+			t.Fatalf("strategy %d: served graph has %d of %d edges, the $ vertex %d",
+				strat, g.NumEdges(), full.NumEdges(), full.OutDegree(sep))
+		}
+		for wp := uint32(0); int(wp) < sigma; wp++ {
+			if wp == sep {
+				continue
+			}
+			got, want := g.Edges(wp), full.Edges(wp)
+			if len(got) != len(want) {
+				t.Fatalf("strategy %d: context %d has %d edges, want %d", strat, wp, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].To != want[i].To {
+					t.Fatalf("strategy %d: context %d label %d is %d, want %d", strat, wp, i+1, got[i].To, want[i].To)
+				}
+			}
+		}
+	}
+}
+
+// TestEscapeEdgeTexts pins LF, locate, extraction and search on texts
+// whose $ block is unusual — one-symbol trajectories, a single
+// trajectory, $$ runs (with Tbwt[0] = $, so the # row counts in a $
+// row's rank), a text that starts with $ (its block holds the
+// terminator) and one without $ — against a brute-force suffix array
+// and scan, built and viewed, at sample rates 1 and 3.
+func TestEscapeEdgeTexts(t *testing.T) {
+	for name, text := range map[string][]uint32{
+		"one-edge trajectories":      {2, 1, 3, 1, 2, 1, 4, 1, 0},
+		"one trajectory":             {5, 4, 3, 2, 1, 0},
+		"one trajectory of one edge": {2, 1, 0},
+		"$$ runs":                    {2, 3, 1, 1, 1, 3, 2, 1, 1, 4, 0},
+		"$$ runs, $ last":            {2, 1, 1, 3, 2, 1, 1, 0},
+		"leading $":                  {1, 2, 3, 1, 3, 1, 0},
+		"no $":                       {2, 3, 4, 2, 3, 0},
+	} {
+		sigma := int(slices.Max(text)) + 1
+		n := len(text)
+		sa := bruteSA(text)
+		for _, rate := range []int{1, 3} {
+			opt := DefaultOptions()
+			opt.SASample = rate
+			ix := Build(text, sigma, opt)
+			view, err := viewFlat(flatSections(ix))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for form, x := range map[string]*Index{"built": ix, "view": view} {
+				where := fmt.Sprintf("%s, rate %d, %s", name, rate, form)
+				for j, p := range sa {
+					if got := x.Locate(int64(j)); got != int64(p) {
+						t.Fatalf("%s: Locate(%d) = %d, want %d", where, j, got, p)
+					}
+					if got := x.RowOf(int64(p)); got != int64(j) {
+						t.Fatalf("%s: RowOf(%d) = %d, want %d", where, p, got, j)
+					}
+					want := make([]uint32, n)
+					for k := range want {
+						want[k] = text[(p+k)%n]
+					}
+					if got := x.Extract(int64(j), n); !slices.Equal(got, want) {
+						t.Fatalf("%s: Extract(%d, %d) = %v, want %v", where, j, n, got, want)
+					}
+				}
+				for a := 0; a <= n; a++ {
+					for b := a; b <= n; b++ {
+						if got := x.ExtractRange(int64(a), int64(b)); !slices.Equal(got, text[a:b]) {
+							t.Fatalf("%s: ExtractRange(%d, %d) = %v, want %v", where, a, b, got, text[a:b])
+						}
+					}
+				}
+				// Every pattern of up to three symbols from [1, σ): '#'
+				// patterns can match the cyclic wraparound rotation.
+				var pats [][]uint32
+				for a := uint32(1); int(a) < sigma; a++ {
+					pats = append(pats, []uint32{a})
+					for b := uint32(1); int(b) < sigma; b++ {
+						pats = append(pats, []uint32{a, b})
+						for c := uint32(1); int(c) < sigma; c++ {
+							pats = append(pats, []uint32{a, b, c})
+						}
+					}
+				}
+				for _, pat := range pats {
+					if got, want := x.Count(pat), naiveOccurrences(text, pat); got != int64(want) {
+						t.Fatalf("%s: Count(%v) = %d, want %d", where, pat, got, want)
+					}
 				}
 			}
 		}

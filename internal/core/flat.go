@@ -21,6 +21,9 @@ import (
 // content corruption surfaces as a contained panic in the search
 // layer, which converts it to a typed error, instead of at open.
 //
+// The labeled wavelet tree's section holds the tree, then the wavelet
+// matrix of the escaped $ block's symbols.
+//
 // The locate sections, present exactly when the sample rate is > 0,
 // are the mark bit vector and the SA and ISA samples as packed ints:
 // SA/rate at ⌈lg(n/rate)⌉ bits, rows at ⌈lg n⌉.
@@ -32,7 +35,7 @@ const (
 	Params     Section = iota // n, σ, max label, build options, sample rate, H0(φ(Tbwt))
 	CArray                    // C
 	ETGraph                   // the CSR ET-graph
-	LabeledWT                 // the wavelet tree of φ(Tbwt)
+	LabeledWT                 // the wavelet tree of φ(Tbwt), then the $-row matrix
 	Mark                      // rows whose SA value is sampled (locate only)
 	SASamples                 // SA/rate at the marked rows (locate only)
 	ISASamples                // rows of every rate-th text position (locate only)
@@ -67,6 +70,7 @@ func (ix *Index) AppendSection(w *flat.Writer, s Section) {
 		ix.graph.AppendFlat(w)
 	case LabeledWT:
 		ix.labeled.AppendFlat(w)
+		ix.sepRows.AppendFlat(w)
 	case Mark:
 		ix.mark.AppendFlat(w)
 	case SASamples:
@@ -130,6 +134,9 @@ func ViewSections(secs [NumSections]*flat.Cursor) (*Index, error) {
 		return nil, fmt.Errorf("%w: labeled BWT shape (len=%d sigma=%d), want (%d, %d)",
 			flat.ErrCorrupt, ix.labeled.Len(), ix.labeled.Sigma(), ix.n, ix.maxLabel+1)
 	}
+	if err := ix.viewEscape(secs[LabeledWT]); err != nil {
+		return nil, err
+	}
 	if loc {
 		if err := ix.viewSamples(secs[Mark], secs[SASamples], secs[ISASamples]); err != nil {
 			return nil, err
@@ -142,6 +149,26 @@ func ViewSections(secs [NumSections]*flat.Cursor) (*Index, error) {
 		}
 	}
 	return ix, nil
+}
+
+// viewEscape wraps the $-row matrix and checks what LF and backward
+// search from a $ row rely on: one # row before the block (C[$] = 1),
+// whose symbol is the # context's one out-edge; a separator context
+// without out-edges; and a matrix over σ with one entry per $ row.
+func (ix *Index) viewEscape(c *flat.Cursor) error {
+	var err error
+	if ix.sepRows, err = wavelet.ViewWM(c); err != nil {
+		return err
+	}
+	rows := ix.cAt(int(sep)+1) - ix.cAt(int(sep))
+	if ix.cAt(int(sep)) != 1 || ix.graph.OutDegree(0) != 1 || ix.graph.OutDegree(sep) != 0 ||
+		ix.sepRows.Len() != int(rows) || ix.sepRows.Sigma() != ix.sigma {
+		return fmt.Errorf("%w: escaped $ block (C[$]=%d, # out-degree %d, $ out-degree %d, matrix %d×σ%d for %d rows, σ=%d)",
+			flat.ErrCorrupt, ix.cAt(int(sep)), ix.graph.OutDegree(0), ix.graph.OutDegree(sep),
+			ix.sepRows.Len(), ix.sepRows.Sigma(), rows, ix.sigma)
+	}
+	ix.bwt0 = ix.graph.Decode(1, 0)
+	return nil
 }
 
 // viewParams reads the parameters section.

@@ -4,6 +4,15 @@
 // Huffman-shaped wavelet tree over RRR bit vectors, and all queries run
 // through PseudoRank (Theorem 2), which simulates rank on the original
 // BWT using only the labeled one plus per-edge correction terms.
+//
+// The separator's context is escaped. Its block [C[$], C[$+1]) holds one
+// row per trajectory, and their symbols are the trajectories' first
+// edges, so RML would give the $ vertex an out-degree near σ and the
+// tree thousands of tiny nodes. Instead every row of that block carries
+// label 1 in φ(Tbwt), the $ vertex keeps no out-edges, and the rows'
+// real symbols sit in a wavelet matrix in row order, which answers
+// access and rank for LF and backward search from a $ context. Every
+// other context runs PseudoRank as in the paper.
 package core
 
 import (
@@ -14,8 +23,12 @@ import (
 	"cinct/internal/entropy"
 	"cinct/internal/etgraph"
 	"cinct/internal/suffix"
+	"cinct/internal/trajstr"
 	"cinct/internal/wavelet"
 )
+
+// sep is the escaped context: the trajectory separator.
+const sep = trajstr.SymSep
 
 // Options configures index construction.
 type Options struct {
@@ -58,8 +71,10 @@ type Index struct {
 
 	c         *bitvec.PackedInts // C[w] = #symbols < w in T; len sigma+1, lg(n+1) bits each
 	graph     *etgraph.Graph
-	labeled   *wavelet.HWT // φ(Tbwt)
-	h0Labeled float64      // H0(φ(Tbwt)), the paper's headline statistic
+	labeled   *wavelet.HWT // φ(Tbwt), every row of the $ block labeled 1
+	h0Labeled float64      // H0(φ(Tbwt)) under RML on every row, the paper's headline statistic
+	sepRows   *wavelet.WM  // Tbwt over the $ block [C[$], C[$+1]), in row order
+	bwt0      uint32       // Tbwt[0], the one row of the # block before C[$]
 
 	// Locate support (optional). Sampled SA values are multiples of the
 	// rate, so samples holds SA/rate.
@@ -126,13 +141,18 @@ func BuildFromBWT(text, bwt []uint32, sa []int32, sigma int, opt Options) *Index
 	for w := 1; w <= sigma; w++ {
 		rawC[w] += rawC[w-1]
 	}
-	var labels []uint32
+	var labels, sepSyms []uint32
 	ix.graph = etgraph.Build(text, sigma, opt.Strategy, opt.Seed, func(out [][]uint32) []int64 {
 		labels = labelBWT(bwt, rawC, out)
+		ix.h0Labeled = entropy.H0Freqs(labelFreqs(labels, out))
+		sepSyms = escapeSep(bwt, labels, rawC, out)
 		return corrections(bwt, labels, rawC, out)
 	})
 	ix.maxLabel = ix.graph.MaxOutDegree()
 	ix.c = bitvec.PackInts(rawC)
+	if n > 0 {
+		ix.bwt0 = bwt[0]
+	}
 	ix.Stats.ETGraph = time.Since(tGraph)
 
 	tWT := time.Now()
@@ -141,7 +161,8 @@ func BuildFromBWT(text, bwt []uint32, sa []int32, sigma int, opt Options) *Index
 		freqs[l]++
 	}
 	ix.labeled = wavelet.NewHWTFreqs(labels, freqs, opt.Spec)
-	ix.h0Labeled = entropy.H0Freqs(freqs)
+	// The block's first edges are close to uniform: RRR would not pay.
+	ix.sepRows = wavelet.NewWM(sepSyms, sigma, wavelet.PlainSpec)
 	ix.Stats.WT = time.Since(tWT)
 
 	if opt.SASample > 0 {
@@ -181,10 +202,38 @@ func labelBWT(bwt []uint32, rawC []uint64, out [][]uint32) []uint32 {
 	return labels
 }
 
+// labelFreqs counts the labels of φ(Tbwt) over every row, as RML
+// assigns them (out's longest list bounds the alphabet).
+func labelFreqs(labels []uint32, out [][]uint32) []uint64 {
+	maxDeg := 0
+	for _, es := range out {
+		maxDeg = max(maxDeg, len(es))
+	}
+	freqs := make([]uint64, maxDeg+1)
+	for _, l := range labels {
+		freqs[l]++
+	}
+	return freqs
+}
+
+// escapeSep escapes the separator's context once labelBWT has labeled
+// it: every row of the block [C[$], C[$+1]) gets label 1, the context
+// loses its out-edges, and the rows' BWT symbols, in row order, are
+// returned for the wavelet matrix that replaces them.
+func escapeSep(bwt, labels []uint32, rawC []uint64, out [][]uint32) []uint32 {
+	lo, hi := rawC[sep], rawC[sep+1]
+	for j := lo; j < hi; j++ {
+		labels[j] = 1
+	}
+	out[sep] = nil
+	return append([]uint32(nil), bwt[lo:hi]...)
+}
+
 // corrections computes the correction terms Z_{w′w} (Eq. 7) in one
 // sweep, in out's order: at each context boundary j = C[w′], the
 // running symbol and label counters are exactly rank_w(Tbwt, C[w′])
-// and rank_η(φ(Tbwt), C[w′]).
+// and rank_η(φ(Tbwt), C[w′]). The sweep covers every row, escaped
+// ones included, so the terms hold whatever labels those rows carry.
 func corrections(bwt, labels []uint32, rawC []uint64, out [][]uint32) []int64 {
 	maxDeg := 0
 	for _, es := range out {
@@ -233,20 +282,24 @@ func (ix *Index) Len() int { return ix.n }
 // Sigma returns the alphabet size.
 func (ix *Index) Sigma() int { return ix.sigma }
 
-// MaxLabel returns the alphabet size of the labeled BWT (= the maximum
-// out-degree of the ET-graph).
+// MaxLabel returns the alphabet size of the labeled BWT as served: the
+// maximum out-degree of the served ET-graph, whose separator vertex has
+// no out-edges.
 func (ix *Index) MaxLabel() int { return ix.maxLabel }
 
-// Graph exposes the ET-graph (read-only use).
+// Graph exposes the served ET-graph (read-only use): the paper's
+// ET-graph less the separator's out-edges.
 func (ix *Index) Graph() *etgraph.Graph { return ix.graph }
 
-// Labeled exposes the wavelet tree of φ(Tbwt) (used by the analysis
-// tests).
+// Labeled exposes the wavelet tree of φ(Tbwt), the $ block escaped to
+// label 1 (used by the analysis tests).
 func (ix *Index) Labeled() *wavelet.HWT { return ix.labeled }
 
 // LabelEntropy returns H0(φ(Tbwt)) in bits per symbol — the quantity
 // Eq. (10) shows collapses under RML and which drives both the index
-// size (§V-B) and the search speed (Theorem 1). Computed at build time.
+// size (§V-B) and the search speed (Theorem 1). It is the paper's
+// statistic: RML labels on every row, the $ block included, not the
+// escaped labels the tree stores. Computed at build time.
 func (ix *Index) LabelEntropy() float64 { return ix.h0Labeled }
 
 // C returns C[w] (the number of symbols in T smaller than w). w may
@@ -290,6 +343,11 @@ func (ix *Index) SuffixRange(pat []uint32) (sp, ep int64, ok bool) {
 		if int(w) >= ix.sigma {
 			return 0, 0, false
 		}
+		if wPrime == sep {
+			sp = ix.cAt(int(w)) + ix.sepRank(w, sp)
+			ep = ix.cAt(int(w)) + ix.sepRank(w, ep)
+			continue
+		}
 		label, found := ix.graph.Label(w, wPrime)
 		if !found {
 			// w ∉ Nout(w′): the bigram never occurs (Line 5–6).
@@ -303,6 +361,17 @@ func (ix *Index) SuffixRange(pat []uint32) (sp, ep int64, ok bool) {
 		return 0, 0, false
 	}
 	return sp, ep, true
+}
+
+// sepRank is rank_w(Tbwt, j) for C[$] ≤ j ≤ C[$+1], the escaped
+// block's replacement for PseudoRank: the one # row before the block,
+// then w's occurrences among the block's first j − C[$] rows.
+func (ix *Index) sepRank(w uint32, j int64) int64 {
+	r := int64(ix.sepRows.Rank(w, int(j-ix.cAt(int(sep)))))
+	if w == ix.bwt0 {
+		r++
+	}
+	return r
 }
 
 // Count returns the number of occurrences of the (text-order) pattern.
@@ -343,12 +412,30 @@ func (ix *Index) LF(j int64) (next int64, sym uint32) {
 // Every LF chain exploits Algorithm 4's Line 5 (w′ ← w): the decoded
 // symbol of this step is the context of the next, so the binary search
 // over C happens once per chain, not once per step. The combined
-// AccessRank gives label and rank_η in one wavelet-tree walk.
+// AccessRank gives label and rank_η in one wavelet-tree walk; a row of
+// the escaped $ block reads its symbol and rank from the matrix instead.
 func (ix *Index) lfFrom(j int64, wPrime uint32) (next int64, sym uint32) {
+	if wPrime == sep {
+		return ix.lfSep(j)
+	}
 	label, lrank := ix.labeled.AccessRank(int(j))
 	sym = ix.graph.Decode(label, wPrime)
 	z := ix.graph.Z(wPrime, label)
 	next = ix.cAt(int(sym)) + int64(lrank) - z
+	return next, sym
+}
+
+// lfSep is LF from row j of the $ block: C[w] + rank_w(Tbwt, j) with
+// w = Tbwt[j], both read from the matrix as in sepRank.
+func (ix *Index) lfSep(j int64) (next int64, sym uint32) {
+	sym, r := ix.sepRows.AccessRank(int(j - ix.cAt(int(sep))))
+	if int(sym) >= ix.sigma {
+		panic("core: escaped row symbol outside the alphabet; corrupt index")
+	}
+	next = ix.cAt(int(sym)) + int64(r)
+	if sym == ix.bwt0 {
+		next++
+	}
 	return next, sym
 }
 
@@ -475,7 +562,7 @@ func (ix *Index) ExtractRange(a, b int64) []uint32 {
 // by the size experiments; the paper's "CiNCT" curve includes the
 // ET-graph, the "w/o ET-graph" curve does not).
 type Sizes struct {
-	LabeledWT int // wavelet tree of φ(Tbwt), incl. RRR structures
+	LabeledWT int // wavelet tree of φ(Tbwt), incl. RRR structures, and the $-row matrix
 	ETGraph   int // adjacency lists with labels and Z terms
 	CArray    int // the C array (all FM variants carry this)
 	Locate    int // mark bit vector + SA and ISA samples, in the words of their flat form
@@ -487,7 +574,7 @@ func (s Sizes) Total() int { return s.LabeledWT + s.ETGraph + s.CArray + s.Locat
 // Sizes reports the index footprint.
 func (ix *Index) Sizes() Sizes {
 	s := Sizes{
-		LabeledWT: ix.labeled.SizeBits(),
+		LabeledWT: ix.labeled.SizeBits() + ix.sepRows.SizeBits(),
 		ETGraph:   ix.graph.SizeBits(),
 		CArray:    ix.c.SizeBits(),
 	}

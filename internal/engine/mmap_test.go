@@ -248,7 +248,7 @@ func TestEngineRefusesLegacyFiles(t *testing.T) {
 		}
 		e.CloseAll()
 	}
-	if refused != 18 {
-		t.Fatalf("%d files refused, want the 17 old fixtures and the unknown encoding", refused)
+	if refused != 22 {
+		t.Fatalf("%d files refused, want the 21 old fixtures and the unknown encoding", refused)
 	}
 }

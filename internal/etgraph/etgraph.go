@@ -57,7 +57,9 @@ type Graph struct {
 // handed every context's out-neighbours in label order — out[w′][i] is
 // labeled i+1 — and returns their correction terms in the same order,
 // context after context; nil leaves every Z at 0, for callers that
-// only need the graph's shape.
+// only need the graph's shape. A context whose list corrections sets
+// to nil is packed without out-edges (and contributes no terms): the
+// index escapes the separator's context that way, after labeling it.
 func Build(text []uint32, sigma int, strat Strategy, seed int64, corrections func(out [][]uint32) []int64) *Graph {
 	out := make([][]uint32, sigma)
 	if n := len(text); n > 0 {
@@ -101,6 +103,10 @@ func Build(text []uint32, sigma int, strat Strategy, seed int64, corrections fun
 			out[wp] = es
 		}
 	}
+	var z []int64
+	if corrections != nil {
+		z = corrections(out)
+	}
 	g := &Graph{sigma: sigma}
 	starts := make([]uint64, sigma+1)
 	var tos []uint64
@@ -115,7 +121,6 @@ func Build(text []uint32, sigma int, strat Strategy, seed int64, corrections fun
 	g.edges = len(tos)
 	zs := make([]uint64, g.edges)
 	if corrections != nil {
-		z := corrections(out)
 		if len(z) != g.edges {
 			panic(fmt.Sprintf("etgraph: %d correction terms for %d edges", len(z), g.edges))
 		}

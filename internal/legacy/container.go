@@ -19,7 +19,9 @@ const (
 	symbolsPerWord = 11 * 64
 )
 
-// container decodes a v3 container of version 3 or 4: a header {magic,
+// container decodes a v3 container of version 3 or 4, or of version 5
+// with its labeled wavelet trees in kind 6 encoding 1 (see v5). Version
+// 3 and 4 have a header {magic,
 // version, flavor (1 spatial, 2 temporal), section count, file size,
 // shard count K (0 for one shard), store count T, 0}, TOC entries
 // {kind, shard, offset, length}, then K page-aligned spatial frames
@@ -33,6 +35,9 @@ func (s stream) container() ([]shard, [][][]int64) {
 	words := make([]uint64, len(raw)/8)
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+	if words[1] == 5 {
+		return v5(words)
 	}
 	flavor, nSec, shards, stores := words[2], words[3], max(words[5], 1), words[6]
 	check(words[1] == 3 || words[1] == 4, "container version %d is not a legacy one", words[1])
@@ -51,16 +56,68 @@ func (s stream) container() ([]shard, [][][]int64) {
 	}
 	var stored [][][]int64
 	for i := range stores {
-		// The view checks that each column's bytes are in the blob, so
-		// decoding them allocates in proportion to the file.
-		ts, err := tempo.ViewFlat(section(shards+i, 2, i))
-		check(err == nil, "timestamp store %d: %v", i, err)
-		cols := make([][]int64, ts.NumTrajectories())
-		for k := range cols {
-			cols[k] = ts.Column(k)
-		}
-		stored = append(stored, cols)
+		stored = append(stored, columns(section(shards+i, 2, i), i))
 	}
+	return frames, stored
+}
+
+// columns decodes timestamp store i into its columns. The view checks
+// that each column's bytes are in the blob, so decoding them allocates
+// in proportion to the file.
+func columns(c *flat.Cursor, i uint64) [][]int64 {
+	ts, err := tempo.ViewFlat(c)
+	check(err == nil, "timestamp store %d: %v", i, err)
+	cols := make([][]int64, ts.NumTrajectories())
+	for k := range cols {
+		cols[k] = ts.Column(k)
+	}
+	return cols
+}
+
+// v5 decodes a container of version 5 whose labeled wavelet trees are
+// kind 6 encoding 1, from before the separator's context was escaped:
+// a header {magic, version, shard count K, section count S, file size},
+// S TOC entries {kind | encoding<<32, shard, byte offset, byte length}
+// grouped by shard. A shard's sections of kinds 1–6 (symbol map,
+// trajectory tables, core parameters, C, ET-graph, labeled wavelet
+// tree, each encoding 1) lie back to back, the words frame decodes; its
+// locate sections (kinds 7–9) are never read, and a kind-10 section is
+// its timestamp store, which every shard has or none.
+func v5(words []uint64) ([]shard, [][][]int64) {
+	shards, nSec := words[2], words[3]
+	check(shards > 0 && nSec <= uint64(len(words)-5)/4 && shards <= nSec,
+		"%d sections for %d shards in %d words", nSec, shards, len(words))
+	toc := words[5 : 5+4*nSec]
+	var frames []shard
+	var stored [][][]int64
+	for i := uint64(0); i < nSec; {
+		k := uint64(len(frames))
+		var start, end uint64
+		next := uint64(1) // the kind of the next frame section
+		for ; i < nSec && toc[4*i+1] == k; i++ {
+			e := toc[4*i : 4*i+4]
+			kind, enc, off, length := e[0]&(1<<32-1), e[0]>>32, e[2], e[3]
+			check(enc == 1 && off%8 == 0 && length%8 == 0 && off <= 8*uint64(len(words)) && length <= 8*uint64(len(words))-off,
+				"TOC entry %d {kind %d, encoding %d, %d, %d} is no legacy section of %d words", i, kind, enc, off, length, len(words))
+			switch {
+			case kind == next && kind <= 6:
+				check(kind == 1 || off == end, "shard %d: kind %d section at byte %d, want %d", k, kind, off, end)
+				if kind == 1 {
+					start = off
+				}
+				end, next = off+length, next+1
+			case kind >= 7 && kind <= 9 && next == 7:
+			case kind == 10 && next == 7 && len(stored) == len(frames):
+				stored = append(stored, columns(flat.NewCursor(words[off/8:(off+length)/8]), k))
+			default:
+				fail("shard %d: TOC entry %d has kind %d out of place", k, i, kind)
+			}
+		}
+		check(next == 7, "TOC entry %d: shard %d has %d of its 6 frame sections", i, k, next-1)
+		frames = append(frames, frame(flat.NewCursor(words[start/8:end/8]), len(words)))
+	}
+	check(uint64(len(frames)) == shards && (len(stored) == 0 || len(stored) == len(frames)),
+		"%d shards and %d timestamp stores, header says %d shards", len(frames), len(stored), shards)
 	return frames, stored
 }
 

@@ -1,9 +1,11 @@
 // Package legacy decodes the index files builds wrote in older
-// formats: the stream formats from before the v3 container, and v3
-// containers of versions 3 and 4. No serving path reads them — cinct.Load and
-// cinct.OpenMapped refuse them with cinct.ErrLegacyFormat — and `cinct
-// convert`, this package's only importer, turns one into the current
-// format by rebuilding the index from the corpus Decode recovers.
+// formats: the stream formats from before the v3 container, v3
+// containers of versions 3 and 4, and version-5 containers whose
+// labeled wavelet trees are kind 6 encoding 1. No serving path reads
+// them — cinct.Load and cinct.OpenMapped refuse them with
+// cinct.ErrLegacyFormat — and `cinct convert`, this package's only
+// importer, turns one into the current format by rebuilding the index
+// from the corpus Decode recovers.
 //
 // Decode needs neither the wavelet tree nor the locate samples those
 // files hold. It inverts the labeled BWT with plain slices — BWT[j] is

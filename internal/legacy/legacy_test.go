@@ -291,16 +291,86 @@ func TestDecodeContainerRejects(t *testing.T) {
 	}
 }
 
+// v5Files lists the version-5 fixtures whose labeled wavelet trees are
+// kind 6 encoding 1: timedCorpus(7) at SampleRate 40.
+var v5Files = []struct {
+	file     string
+	shards   int
+	temporal bool
+}{
+	{"v5-spatial-1.cinct", 1, false},
+	{"v5-spatial-4.cinct", 4, false},
+	{"v5-temporal-1.tcinct", 1, true},
+	{"v5-temporal-4.tcinct", 4, true},
+}
+
+// TestDecodeVersion5 pins Decode on the version-5 fixtures: the options
+// their first core parameters record, 120 trajectories, and timestamps
+// exactly when the shards have timestamp sections.
+func TestDecodeVersion5(t *testing.T) {
+	for _, fx := range v5Files {
+		c, err := Decode(bytes.NewReader(fixture(t, "..", "..", "testdata", "legacy", fx.file)))
+		if err != nil {
+			t.Fatalf("%s: %v", fx.file, err)
+		}
+		if want := (Options{Block: 63, SampleRate: 40, Shards: fx.shards}); c.Options != want {
+			t.Errorf("%s: options %+v, want %+v", fx.file, c.Options, want)
+		}
+		if len(c.Trajs) != 120 || (c.Times != nil) != fx.temporal {
+			t.Errorf("%s: %d trajectories, timestamps %v; want 120, %v", fx.file, len(c.Trajs), c.Times != nil, fx.temporal)
+		}
+	}
+}
+
+// TestDecodeVersion5Rejects pins the version-5 TOC walk's checks on a
+// real file (v5-temporal-4.tcinct: 4 shards of 10 sections each): a
+// labeled wavelet tree in the current encoding, a missing frame
+// section, a section that does not continue the frame, one past the
+// file, and a shard without its timestamp store each fail with
+// ErrCorrupt.
+func TestDecodeVersion5Rejects(t *testing.T) {
+	full := fixture(t, "..", "..", "testdata", "legacy", "v5-temporal-4.tcinct")
+	word := func(data []byte, k int, v uint64) []byte {
+		out := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(out[8*k:], v)
+		return out
+	}
+	toc := func(i, field int) int { return 5 + 4*i + field }
+	get := func(k int) uint64 { return binary.LittleEndian.Uint64(full[8*k:]) }
+	for name, data := range map[string][]byte{
+		"truncated":          full[:len(full)/2],
+		"current encoding":   word(full, toc(5, 0), 2<<32|6),
+		"no C section":       word(full, toc(3, 0), 1<<32|11),
+		"frame gap":          word(full, toc(4, 2), get(toc(4, 2))+8),
+		"section too far":    word(full, toc(2, 3), uint64(len(full))),
+		"store of 3 shards":  word(full, toc(39, 0), 1<<32|9),
+		"shard count 5":      word(full, 2, 5),
+		"section count 1000": word(full, 3, 1000),
+	} {
+		if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzDecode pins Decode: arbitrary bytes decode to a corpus that
 // cinct.Build accepts with the decoded options, or fail with
 // ErrCorrupt — never a panic, never an allocation past a small multiple
 // of the input. The in-code seeds are the whole old fixtures; the
 // committed ones are the frozen pre-v3 seeds of the cinct package's
 // FuzzLoadSharded (spatial-*, and the crash regression
-// 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*), and two
-// version-3 containers scripts/genfuzzseeds copies (v3-*).
+// 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*), and the
+// version-3, -4 and -5 containers scripts/genfuzzseeds copies (v3-*,
+// v4-*, v5-*).
 func FuzzDecode(f *testing.F) {
 	for _, fx := range files {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, fx := range v5Files {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
 		if err != nil {
 			f.Fatal(err)

@@ -1,10 +1,14 @@
 // Package mmapfile maps read-only index files into memory. On unix
-// hosts Open memory-maps the file, so opening costs O(1) regardless
-// of file size, the kernel pages data in on demand and evicts it
-// under pressure, and multiple processes serving the same file share
-// physical pages. On other hosts (or when the map syscall fails) Open
-// falls back to reading the whole file into an 8-byte-aligned heap
-// buffer, preserving the API at heap-load cost.
+// hosts Open memory-maps the file: the map itself reads nothing, the
+// kernel pages data in on demand and evicts it under pressure, and
+// multiple processes serving the same file share physical pages. What
+// a caller's view then touches is its own cost — a container view
+// reads every shard's C, symbol map and ET-graph, O(σ + |E|), and each
+// wavelet-tree node's header — and the kernel faults in whole
+// page-cache folios, so a file copied with large writes can come in
+// whole on the first touch. On other hosts (or when the map syscall
+// fails) Open falls back to reading the whole file into an
+// 8-byte-aligned heap buffer, preserving the API at heap-load cost.
 package mmapfile
 
 import (

@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cinct/internal/bitvec"
 	"cinct/internal/flat"
@@ -114,4 +115,46 @@ func ViewHWT(c *flat.Cursor) (*HWT, error) {
 		return nil, fmt.Errorf("%w: HWT root %d with %d nodes", flat.ErrCorrupt, root, nNodes)
 	}
 	return h, nil
+}
+
+// AppendFlat writes the matrix: n, σ, the level count, then each
+// level's zero count and bit vector.
+func (w *WM) AppendFlat(fw *flat.Writer) {
+	fw.U64(uint64(w.n))
+	fw.U64(uint64(w.sigma))
+	fw.U64(uint64(len(w.levels)))
+	for l, bv := range w.levels {
+		fw.U64(uint64(w.zeros[l]))
+		bitvec.AppendVector(fw, bv)
+	}
+}
+
+// ViewWM wraps a flat WM in place. It checks the level count against
+// σ, every level's length against n and its zero count against the
+// level's ones — the bounds a descent's index arithmetic relies on —
+// in O(levels), never sweeping the bits.
+func ViewWM(c *flat.Cursor) (*WM, error) {
+	n := c.Int()
+	sigma := c.Int()
+	nLevels := c.Int()
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if sigma < 1 || nLevels != max(bits.Len(uint(sigma-1)), 1) {
+		return nil, fmt.Errorf("%w: WM shape (n=%d sigma=%d levels=%d)", flat.ErrCorrupt, n, sigma, nLevels)
+	}
+	w := &WM{n: n, sigma: sigma, levels: make([]bitvec.Vector, nLevels), zeros: make([]int, nLevels)}
+	for l := range w.levels {
+		zeros := c.Int()
+		bv, err := bitvec.ViewVector(c)
+		if err != nil {
+			return nil, err
+		}
+		if bv.Len() != n || zeros != n-bv.Ones() {
+			return nil, fmt.Errorf("%w: WM level %d has %d bits and %d zeros (claims %d), want %d bits",
+				flat.ErrCorrupt, l, bv.Len(), bv.Len()-bv.Ones(), zeros, n)
+		}
+		w.levels[l], w.zeros[l] = bv, zeros
+	}
+	return w, nil
 }

@@ -3,6 +3,7 @@ package cinct
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -19,7 +20,8 @@ import (
 // legacyFixture describes one committed file under testdata/legacy/:
 // an index over timedCorpus(seed) built with DefaultOptions and the
 // given shard count, written by a writer Save no longer is — the
-// stream formats from before v3, or a v3 container of version 3 or 4. The
+// stream formats from before v3, a v3 container of version 3 or 4, or
+// one of version 5 with kind 6 encoding 1. The
 // readers refuse each with ErrLegacyFormat, and `cinct convert`
 // rewrites it.
 type legacyFixture struct {
@@ -47,6 +49,10 @@ var legacyFixtures = []legacyFixture{
 	{"v4-spatial-4.cinct", 7, 4, false},              // section per shard frame and
 	{"v4-temporal-1.tcinct", 7, 1, true},             // per timestamp store, at
 	{"v4-temporal-4.tcinct", 7, 4, true},             // SampleRate 40
+	{"v5-spatial-1.cinct", 7, 1, false},              // container version 5
+	{"v5-spatial-4.cinct", 7, 4, false},              // with kind 6 encoding 1:
+	{"v5-temporal-1.tcinct", 7, 1, true},             // the labeled wavelet tree
+	{"v5-temporal-4.tcinct", 7, 4, true},             // before the $ escape
 }
 
 func (fx legacyFixture) read(t *testing.T) []byte {
@@ -272,11 +278,12 @@ func TestLegacyFormatRefused(t *testing.T) {
 // TestLegacyTemporalLayout pins the global-store layout — several
 // spatial shards beside one corpus-wide timestamp store. Its pre-v3
 // encodings (the unversioned stream and the CNCTtemp container with
-// store count 1, both committed fixtures) and a version-3 container
-// with storeCount 1 < shardCount convert to one store per shard, and
-// then behave like the BuildTemporal index over the same corpus (see
-// checkLegacyAnswers). The readers refuse that version-3 file as
-// legacy.
+// store count 1, both committed fixtures, timedCorpus(12) in 3 shards)
+// and a version-3 container with storeCount 1 < shardCount (the frames
+// of v5-spatial-4.cinct beside one store of timedCorpus(7)) convert to
+// one store per shard, and then behave like the BuildTemporal index
+// over the same corpus (see checkLegacyAnswers). The readers refuse
+// that version-3 file as legacy.
 func TestLegacyTemporalLayout(t *testing.T) {
 	fixtures := map[string]legacyFixture{}
 	for _, fx := range legacyFixtures {
@@ -290,18 +297,11 @@ func TestLegacyTemporalLayout(t *testing.T) {
 		t.Run(enc.name, func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, fx.convert(t))) })
 	}
 
-	fx := fixtures["global-store-cncttemp.tcinct"]
-	trajs, times := timedCorpus(fx.seed)
-	opts := DefaultOptions()
-	opts.Shards = fx.shards
-	built, err := BuildTemporal(trajs, times, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var frames [][]uint64
-	for _, sh := range built.shards {
-		frames = append(frames, v4Frame(sh))
-	}
+	// The version-3 file takes its frames from a frozen version-5 one,
+	// whose wavelet trees are the encoding version 3 wrote.
+	fx := legacyFixture{"v5-spatial-4.cinct", 7, 4, true}
+	_, times := timedCorpus(fx.seed)
+	frames := v4Frames(fx.read(t))
 	fw := flat.NewWriter()
 	tempo.New(times).AppendFlat(fw)
 	v3 := v4Container(3, frames, [][]uint64{fw.Words()})
@@ -322,20 +322,24 @@ func TestLegacyTemporalLayout(t *testing.T) {
 	t.Run("v3-mapped", func(t *testing.T) { checkLegacyAnswers(t, fx, mapV3(t, converted)) })
 }
 
-// v4Frame lays a shard out as a version-3 or -4 container's spatial
-// frame: the corpus metadata (symbol map, then trajectory tables), then
-// the core index — the sections a version-5 frame holds, but for the
-// timestamps, with the parameters moved behind the tables.
-func v4Frame(sh *shard) []uint64 {
-	var words []uint64
-	for _, kind := range []uint64{kindSymbols, kindTables, kindParams, kindC, kindGraph, kindWT, kindMark, kindSA, kindISA} {
-		for _, sec := range sh.secs {
-			if sec.kind == kind {
-				words = append(words, sh.frame[sec.off:sec.off+sec.len]...)
-			}
+// v4Frames lays the shards of a version-5 container whose labeled
+// wavelet trees are kind 6 encoding 1 out as a version-3 or -4
+// container's spatial frames: the corpus metadata (symbol map, then
+// trajectory tables), then the core index — each shard's sections of
+// kinds 1–9 in kind order, its timestamps left out.
+func v4Frames(file []byte) [][]uint64 {
+	words := make([]uint64, len(file)/8)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(file[8*i:])
+	}
+	frames := make([][]uint64, words[2])
+	for i := uint64(0); i < words[3]; i++ {
+		e := words[headerWords+tocEntryWords*i:]
+		if e[0]&(1<<32-1) <= kindISA {
+			frames[e[1]] = append(frames[e[1]], words[e[2]/8:(e[2]+e[3])/8]...)
 		}
 	}
-	return words
+	return frames
 }
 
 // v4Container writes spatial frames and timestamp stores as a v3

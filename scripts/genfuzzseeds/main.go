@@ -1,7 +1,8 @@
 // Command genfuzzseeds regenerates the committed fuzz seed corpora
 // under testdata/fuzz/ and server/testdata/fuzz/: valid containers
 // (monolithic, sharded, temporal, trees mixing plain and RRR nodes),
-// version-3 and -4 containers, truncations, a locate header that lies
+// version-3 and -4 containers and version-5 ones with the retired
+// kind 6 encoding, truncations, a locate header that lies
 // about its width, bare magics, genuine cursors and representative query
 // bodies — the structured starting points that let short CI fuzz runs
 // reach deep parser states immediately. The FuzzLoadSharded and
@@ -178,8 +179,8 @@ func main() {
 	writeSeed(dir, "v3-mixed-nodes-temporal", buf.Bytes())
 	writeSeed(dir, "magic-only", []byte("CNCTidx3"))
 
-	// Version-3 and -4 containers, which the readers refuse and convert
-	// decodes.
+	// Version-3 and -4 containers, and version-5 ones with kind 6
+	// encoding 1, which the readers refuse and convert decodes.
 	version3 := func(file string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", "legacy", file))
 		if err != nil {
@@ -193,6 +194,8 @@ func main() {
 	writeSeed(decodeDir, "v3-int32-temporal-4.tcinct", version3("v3-int32-temporal-4.tcinct"))
 	writeSeed(dir, "v4-spatial-4", version3("v4-spatial-4.cinct"))
 	writeSeed(decodeDir, "v4-temporal-4.tcinct", version3("v4-temporal-4.tcinct"))
+	writeSeed(dir, "v5-wt1-spatial-4", version3("v5-spatial-4.cinct"))
+	writeSeed(decodeDir, "v5-temporal-4.tcinct", version3("v5-temporal-4.tcinct"))
 
 	// FuzzWALReplay: a genuine two-batch segment (spatial + temporal
 	// rows), its torn-tail truncation, a bit-flipped-CRC variant, and

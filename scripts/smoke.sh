@@ -38,20 +38,22 @@ for f in "$datadir/smoke.cinct" "$datadir/tsmoke.tcinct"; do
   [ "$(head -c 8 "$f")" = CNCTidx3 ] || { echo "smoke: $f is not a v3 container" >&2; exit 1; }
 done
 echo "ok cinct build / build -times write v3 containers"
-# Files older builds wrote (pre-v3 stream formats and version-3 and -4
-# containers, committed fixtures) are not served: every reader refuses
+# Files older builds wrote (pre-v3 stream formats, version-3 and -4
+# containers, and version-5 ones whose labeled wavelet tree is kind 6
+# encoding 1; committed fixtures) are not served: every reader refuses
 # one and names the converter.
 cp testdata/legacy/spatial-4.cinct "$workdir/legacy.cinct"
 cp testdata/legacy/temporal-4.tcinct "$workdir/tlegacy.tcinct"
 cp testdata/legacy/v3-int32-temporal-4.tcinct "$workdir/v3legacy.tcinct"
 cp testdata/legacy/v4-temporal-4.tcinct "$workdir/v4legacy.tcinct"
-for f in "$workdir/legacy.cinct" "$workdir/v3legacy.tcinct" "$workdir/v4legacy.tcinct"; do
+cp testdata/legacy/v5-temporal-4.tcinct "$workdir/v5legacy.tcinct"
+for f in "$workdir/legacy.cinct" "$workdir/v3legacy.tcinct" "$workdir/v4legacy.tcinct" "$workdir/v5legacy.tcinct"; do
   if out=$("$bindir/cinct" count -index "$f" -path "1 2" 2>&1); then
     echo "smoke: cinct count served the old file $f: $out" >&2; exit 1
   fi
   grep -q 'cinct convert' <<<"$out" || { echo "smoke: refusal of $f does not name cinct convert: $out" >&2; exit 1; }
 done
-echo "ok pre-v3, version-3 and version-4 files refused, naming cinct convert"
+echo "ok pre-v3, version-3, version-4 and kind-6-encoding-1 files refused, naming cinct convert"
 
 # -index runs the daemon's handlers in the CLI's own process: the
 # freshly built files answer before any daemon starts.
@@ -335,7 +337,7 @@ daemon_pid=""
 echo "== converting the old files to the current v3 container (page-aligned, mmap-ready)"
 # In-place conversion is safe: convert reads the whole file before
 # writing, and writes via a temp file + rename.
-for f in "$workdir/legacy.cinct" "$workdir/tlegacy.tcinct" "$workdir/v3legacy.tcinct" "$workdir/v4legacy.tcinct"; do
+for f in "$workdir/legacy.cinct" "$workdir/tlegacy.tcinct" "$workdir/v3legacy.tcinct" "$workdir/v4legacy.tcinct" "$workdir/v5legacy.tcinct"; do
   "$bindir/cinct" convert -in "$f" -out "$f"
   [ "$(head -c 8 "$f")" = CNCTidx3 ] || { echo "smoke: convert left $f not a v3 container" >&2; exit 1; }
   mv "$f" "$datadir/"
@@ -358,7 +360,7 @@ done
 # the old ones as converted — with every ingested row still present,
 # and answers must match the previous run's.
 check "/v1/indexes" \
-  '[.indexes[] | .mapped] == [true, true, true, true, true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403 and (.indexes[] | select(.name=="legacy") | .stats.trajectories) == 120 and ([.indexes[] | select(.name=="tlegacy" or .name=="v3legacy" or .name=="v4legacy") | .stats.trajectories, .temporal] == [120, true, 120, true, 120, true])'
+  '[.indexes[] | .mapped] == [true, true, true, true, true, true, true] and (.indexes[] | select(.name=="smoke") | .stats.trajectories) == 403 and (.indexes[] | select(.name=="legacy") | .stats.trajectories) == 120 and ([.indexes[] | select(.name=="tlegacy" or .name=="v3legacy" or .name=="v4legacy" or .name=="v5legacy") | .stats.trajectories, .temporal] == [120, true, 120, true, 120, true, 120, true])'
 post=$(qcount smoke "$mpath")
 [ "$post" = 3 ] || { echo "smoke: mmap count of marker path is $post, want 3" >&2; exit 1; }
 scount2=$(qcount smoke "$path")
@@ -377,10 +379,11 @@ lcount=$(qcount legacy "$lpath")
 tlcount=$(qcount tlegacy "$lpath" '"from":0')
 v3lcount=$(qcount v3legacy "$lpath" '"from":0')
 v4lcount=$(qcount v4legacy "$lpath" '"from":0')
-[ "$tlcount" = "$lcount" ] && [ "$v3lcount" = "$lcount" ] && [ "$v4lcount" = "$lcount" ] && [ "$lcount" -ge 1 ] || {
-  echo "smoke: converted interval counts tlegacy $tlcount, v3legacy $v3lcount, v4legacy $v4lcount; legacy count $lcount" >&2; exit 1
+v5lcount=$(qcount v5legacy "$lpath" '"from":0')
+[ "$tlcount" = "$lcount" ] && [ "$v3lcount" = "$lcount" ] && [ "$v4lcount" = "$lcount" ] && [ "$v5lcount" = "$lcount" ] && [ "$lcount" -ge 1 ] || {
+  echo "smoke: converted interval counts tlegacy $tlcount, v3legacy $v3lcount, v4legacy $v4lcount, v5legacy $v5lcount; legacy count $lcount" >&2; exit 1
 }
-echo "ok converted old files serve mapped (interval counts $tlcount, $v3lcount, $v4lcount == spatial count)"
+echo "ok converted old files serve mapped (interval counts $tlcount, $v3lcount, $v4lcount, $v5lcount == spatial count)"
 
 echo "== graceful shutdown (mmap daemon)"
 kill -TERM "$daemon_pid"

@@ -44,11 +44,12 @@ import (
 // frame, between frames and after the last, each time less than a page,
 // so header, TOC, sections and padding sum to the file size.
 //
-// A TOC entry's encoding names its section's layout; every kind has
-// encoding 1. A structure whose layout changes gets a new encoding id,
-// not a new container version: a reader refuses a (kind, encoding) it
-// does not know with ErrLegacyFormat naming both. Versions 3 and 4 are
-// refused alike, and `cinct convert` rebuilds them.
+// A TOC entry's encoding names its section's layout (kindEncoding). A
+// structure whose layout changes gets a new encoding id, not a new
+// container version: a reader refuses a (kind, encoding) it does not
+// know with ErrLegacyFormat naming both. Versions 3 and 4 are refused
+// alike, and so is kind 6 encoding 1, the labeled wavelet tree before
+// the separator's context was escaped; `cinct convert` rebuilds them.
 
 const (
 	v3Magic    = "CNCTidx3"
@@ -75,9 +76,13 @@ const (
 	numKinds
 )
 
-// kindEncoding is the one encoding of every kind this build reads and
-// writes.
-const kindEncoding = 1
+// kindEncoding is the one encoding of each kind this build reads and
+// writes. Kind 6's encoding 2 is the labeled wavelet tree with the $
+// block escaped, followed by the wavelet matrix of that block's symbols.
+var kindEncoding = [numKinds]uint64{
+	kindSymbols: 1, kindTables: 1, kindParams: 1, kindC: 1, kindGraph: 1,
+	kindWT: 2, kindMark: 1, kindSA: 1, kindISA: 1, kindTimes: 1,
+}
 
 // ErrCorrupt reports a corrupt index: a container that fails to parse
 // or to cross-check at open (errors from Load and OpenMapped wrap it,
@@ -88,7 +93,7 @@ var ErrCorrupt = errors.New("cinct: corrupt index")
 var v3MagicWord = binary.LittleEndian.Uint64([]byte(v3Magic))
 
 // section is one TOC entry of a shard: its kind, and the words it spans
-// in the shard's frame. Its encoding is kindEncoding.
+// in the shard's frame. Its encoding is kindEncoding[kind].
 type section struct {
 	kind     uint64
 	off, len int
@@ -194,7 +199,7 @@ func (ix *Index) Save(w io.Writer) (int64, error) {
 	off := pageAlign(int64(8 * cap(head)))
 	for s, sh := range ix.shards {
 		for _, sec := range sh.secs {
-			head = append(head, sec.kind|kindEncoding<<32, uint64(s), uint64(off+8*int64(sec.off)), uint64(8*sec.len))
+			head = append(head, sec.kind|kindEncoding[sec.kind]<<32, uint64(s), uint64(off+8*int64(sec.off)), uint64(8*sec.len))
 		}
 		off = pageAlign(off + 8*int64(len(sh.frame)))
 	}
@@ -389,7 +394,7 @@ func viewContainer(words []uint64) (ix *Index, err error) {
 		for ; i < nSec && toc[4*i+1] == uint64(len(shards)); i++ {
 			e := toc[4*i : 4*i+4]
 			kind, enc, off, length := e[0]&(1<<32-1), e[0]>>32, e[2], e[3]
-			if kind == 0 || kind >= numKinds || enc != kindEncoding {
+			if kind == 0 || kind >= numKinds || enc != kindEncoding[kind] {
 				return nil, fmt.Errorf("%w (section kind %d, encoding %d)", ErrLegacyFormat, kind, enc)
 			}
 			if len(secs) > 0 && kind <= secs[len(secs)-1].kind {

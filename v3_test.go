@@ -463,11 +463,12 @@ func TestContainerRefusesMalformedSections(t *testing.T) {
 		msg  string
 	}{
 		{"unknown encoding", retagged(data, 7, 2<<32|kindSA), ErrLegacyFormat, "kind 8, encoding 2"},
-		{"unknown kind", retagged(data, len(sh.secs)-1, kindEncoding<<32|numKinds), ErrLegacyFormat, "kind 11, encoding 1"},
+		{"retired encoding", retagged(data, 5, 1<<32|kindWT), ErrLegacyFormat, "kind 6, encoding 1"},
+		{"unknown kind", retagged(data, len(sh.secs)-1, 1<<32|numKinds), ErrLegacyFormat, "kind 11, encoding 1"},
 		{"no C section", containerOf(t, relaid(sh, func(s section) bool { return s.kind != kindC })), ErrCorrupt, "C array"},
 		{"no trajectory tables", containerOf(t, relaid(sh, func(s section) bool { return s.kind != kindTables })), ErrCorrupt, "trajectory tables"},
 		{"no SA samples", containerOf(t, relaid(sh, func(s section) bool { return s.kind != kindSA })), ErrCorrupt, "locate sections"},
-		{"kinds out of order", retagged(retagged(data, 5, kindEncoding<<32|kindMark), 6, kindEncoding<<32|kindWT), ErrCorrupt, "reorders kind 6"},
+		{"kinds out of order", retagged(retagged(data, 5, kindEncoding[kindMark]<<32|kindMark), 6, kindEncoding[kindWT]<<32|kindWT), ErrCorrupt, "reorders kind 6"},
 		{"mixed timestamps", mixedTimestamps(t, trajs, times), ErrCorrupt, "timestamps"},
 	} {
 		_, errLoad := Load(bytes.NewReader(tc.data))
