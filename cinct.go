@@ -37,12 +37,12 @@
 // each a complete CiNCT index (Options.Shards; the default is one).
 // Trajectories are split into ranges balanced by edge count, the
 // shards are built concurrently. A query prices every shard with one
-// backward search, then locates shards in ID order — in parallel within
-// a wave — only until its page is covered, with results merged under
-// global trajectory IDs. Query answers do not depend on the shard
-// count; build time on a multi-core machine approaches 1/K of the
-// one-shard build. A temporal index is the same thing with a timestamp
-// store per shard. Save writes the one v3 container that OpenMapped
+// backward search, then locates shards one at a time in ID order, on
+// the goroutine that pulls its results, only until its page is covered,
+// with results merged under global trajectory IDs. Query answers do not
+// depend on the shard count; build time on a multi-core machine
+// approaches 1/K of the one-shard build. A temporal index is the same
+// thing with a timestamp store per shard. Save writes the one v3 container that OpenMapped
 // serves in place and Load reads onto the heap; both return what the
 // file holds, timestamps included. Files older builds wrote — the
 // pre-v3 formats and containers of versions 3 and 4 — are refused with

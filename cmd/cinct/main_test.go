@@ -431,8 +431,8 @@ func TestLocalMatchesRemote(t *testing.T) {
 }
 
 // TestQueryFailureStaysTyped serves a file whose second shard fails to
-// locate: a trajectories query's first wave streams the first shard's
-// hits, well past what the server buffers, and the second wave fails
+// locate: a trajectories query streams the first shard's hits, well
+// past what the server buffers, and locating the second shard fails
 // with cinct.ErrCorrupt. That failure stays typed end to end: find-traj
 // fails with an error that errors.Is matches to cinct.ErrCorrupt
 // against -index and against -remote, the daemon counts the request as
@@ -456,7 +456,7 @@ func TestQueryFailureStaysTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := cinct.Query{Path: []uint32{1, 2}, Kind: cinct.Trajectories, Limit: 3 * n / 4}
-	data, first := corruptSecondWave(t, buf.Bytes(), q, n/2-20)
+	data, first := corruptSecondShard(t, buf.Bytes(), q, n/2-20)
 	file := filepath.Join(t.TempDir(), "c.cinct")
 	if err := os.WriteFile(file, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -471,7 +471,7 @@ func TestQueryFailureStaysTyped(t *testing.T) {
 	ctx := context.Background()
 
 	// A cursor just before the first shard's last hit: resuming there
-	// yields one hit before the failing wave.
+	// yields one hit before the failing shard.
 	cl := server.NewClient(ts.URL, nil)
 	page, err := cl.SearchPage(ctx, "c", cinct.Query{Path: q.Path, Kind: q.Kind, Limit: first - 1})
 	if err != nil || len(page.Hits) != first-1 || page.Cursor == "" {
@@ -518,11 +518,11 @@ func TestQueryFailureStaysTyped(t *testing.T) {
 	}
 }
 
-// corruptSecondWave flips bits of a saved two-shard index, from its end
+// corruptSecondShard flips bits of a saved two-shard index, from its end
 // backwards, until the file loads and q yields at least min hits from
 // the first shard before failing with cinct.ErrCorrupt. It returns the
 // file and the number of hits before the failure.
-func corruptSecondWave(t *testing.T, data []byte, q cinct.Query, min int) ([]byte, int) {
+func corruptSecondShard(t *testing.T, data []byte, q cinct.Query, min int) ([]byte, int) {
 	t.Helper()
 	mut := append([]byte(nil), data...)
 	for off := len(mut) - 8; off >= 0; off -= 8 {
@@ -545,7 +545,7 @@ func corruptSecondWave(t *testing.T, data []byte, q cinct.Query, min int) ([]byt
 			mut[off+bit/8] ^= 1 << (bit % 8)
 		}
 	}
-	t.Fatal("no single-bit flip fails the second wave")
+	t.Fatal("no single-bit flip fails the second shard")
 	return nil, 0
 }
 

@@ -71,7 +71,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8132", "listen address")
 		data    = flag.String("data", "", "directory of *.cinct / *.tcinct index files (required)")
-		workers = flag.Int("workers", 0, "max concurrent index traversals (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "max queries doing index work at once, one slot each (0 = GOMAXPROCS)")
 		cache   = flag.Int("cache", 0, "result cache entries (0 = default 4096, negative = off)")
 		sealAt  = flag.Int("seal-threshold", 0,
 			"auto-seal an index's ingest delta at this many trajectories (0 = default 4096, negative = manual sealing only)")

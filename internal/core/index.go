@@ -542,20 +542,12 @@ func (ix *Index) ExtractRange(a, b int64) []uint32 {
 	if a == b {
 		return nil
 	}
-	var j int64
 	if b == int64(ix.n) {
-		// The suffix at position n does not exist; but T[n-1] is the
-		// terminator whose row is 0 and extracting from row 0 yields
-		// symbols before position n-1, so extract T[a,n-1) then append
-		// the terminator... simpler: use the cyclic property — row 0 is
-		// the suffix at n-1; Extract from the row of the *rotation*
-		// start works because extraction is cyclic. Walk from row of
-		// position n-1 one symbol short, then add T[n-1] = 0.
-		out := append(ix.Extract(ix.RowOf(int64(ix.n)-1), int(b-a-1)), 0)
-		return out
+		// No suffix starts at n; the terminator's suffix T[n−1] sorts
+		// first, so walk back from row 0 and append the terminator.
+		return append(ix.Extract(0, int(b-a-1)), 0)
 	}
-	j = ix.RowOf(b)
-	return ix.Extract(j, int(b-a))
+	return ix.Extract(ix.RowOf(b), int(b-a))
 }
 
 // Sizes breaks down the index footprint in bits (the accounting used

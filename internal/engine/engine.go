@@ -8,9 +8,11 @@ import (
 
 // Options tunes an Engine. The zero value picks sensible defaults.
 type Options struct {
-	// Workers bounds the number of wavelet-tree traversals in flight
-	// at once; queries beyond it wait (or fail when their context
-	// expires first). 0 means runtime.GOMAXPROCS(0).
+	// Workers bounds the number of queries and extractions doing index
+	// work at once: each holds one slot, and a query runs on one
+	// goroutine while its stream does index work. Seals and
+	// compactions run outside it. Queries beyond it wait (or fail when
+	// their context expires first). 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// CacheEntries is the LRU capacity for Search result pages across
 	// all indexes. 0 means 4096; negative disables caching.

@@ -54,7 +54,7 @@ func TestEngineSearchLazyCancelReleasesSlot(t *testing.T) {
 }
 
 // TestEngineSearchLazySurvivesSealCompactReload pins that a stream
-// whose later waves run after its index was sealed, compacted,
+// whose later shards are located after its index was sealed, compacted,
 // persisted and remapped still answers from the snapshot it started
 // on: the shards it holds keep their mapping alive.
 func TestEngineSearchLazySurvivesSealCompactReload(t *testing.T) {
@@ -76,7 +76,7 @@ func TestEngineSearchLazySurvivesSealCompactReload(t *testing.T) {
 	ctx := context.Background()
 	// The delta's rows are the latest in time, so an interval starting
 	// at them rejects every sealed candidate: the stream has to walk
-	// the shards wave by wave before reaching its hits.
+	// the shards one by one before reaching its hits.
 	extra := testCorpus(32, 30)
 	extraTimes := testTimes(extra)
 	for _, col := range extraTimes {
@@ -115,7 +115,7 @@ func TestEngineSearchLazySurvivesSealCompactReload(t *testing.T) {
 	}
 	defer r.Close()
 	if st := r.live.Stats(); st.ShardsProbed >= 4 {
-		t.Fatalf("first wave probed %d of 4 units; nothing left to run after the reload", st.ShardsProbed)
+		t.Fatalf("Search probed %d of 4 units; nothing left to run after the reload", st.ShardsProbed)
 	}
 	if _, err := e.Seal(ctx, "t"); err != nil {
 		t.Fatal(err)

@@ -234,52 +234,81 @@ func TestSearchLazyDifferential(t *testing.T) {
 	}
 }
 
-// TestSearchLazyBreakLeavesUnitsUnlocated pins the early stop: a page
-// that needs two shards' worth of occurrences locates exactly those two
-// before the first hit, breaking out of the loop locates nothing more,
-// and resuming finishes the page without touching the shards past it.
+// TestSearchLazyBreakLeavesUnitsUnlocated pins the early stop for each
+// hit kind, with and without an interval: a page that needs two or more
+// shards' worth of hits locates exactly one shard before its first hit,
+// breaking out of the loop locates nothing more, and resuming finishes
+// the page locating only the shards up to the one holding its last hit.
 func TestSearchLazyBreakLeavesUnitsUnlocated(t *testing.T) {
-	trajs, _ := lazyCorpus(44)
+	trajs, times := lazyCorpus(44)
 	opts := DefaultOptions()
 	opts.Shards = 4
-	ix, err := Build(trajs, opts)
+	tix, err := BuildTemporal(trajs, times, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := frequentEdge(trajs)
 	for s := 0; s < 4; s++ {
-		if sp, ep := shardWidth(ix, s, path); sp >= ep {
+		if sp, ep := shardWidth(tix.Index, s, path); sp >= ep {
 			t.Fatalf("shard %d holds no occurrence of %v", s, path)
 		}
 	}
-	sp, ep := shardWidth(ix, 0, path)
-	limit := int(ep-sp) + 1
-	q := Query{Path: path, Kind: Occurrences, Limit: limit}
-	r, err := ix.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, herr := range r.All() {
-		if herr != nil {
-			t.Fatal(herr)
-		}
-		break
-	}
-	if st := r.Stats(); st.ShardsProbed != 2 || st.ShardsSkipped != 2 || st.HitsEmitted != 1 {
-		t.Fatalf("after one hit: probed/skipped/hits = %d/%d/%d, want 2/2/1",
-			st.ShardsProbed, st.ShardsSkipped, st.HitsEmitted)
-	}
-	rest := drain(t, r)
-	if want := bruteMatches(trajs, path)[1:limit]; len(rest) != len(want) || rest[len(rest)-1].Match != want[len(want)-1] {
-		t.Fatalf("resumed page ends %v, want %d hits ending %v", rest[len(rest)-1], len(want), want[len(want)-1])
-	}
-	if st := r.Stats(); st.ShardsProbed != 2 {
-		t.Fatalf("finishing the page probed %d shards, want 2", st.ShardsProbed)
+	for _, tc := range []struct {
+		name string
+		q    Query
+	}{
+		{"occurrences", Query{Path: path, Kind: Occurrences}},
+		{"trajectories", Query{Path: path, Kind: Trajectories}},
+		{"interval occurrences", Query{Path: path, Kind: Occurrences, Interval: &Interval{From: 20000, To: 60000}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			oracle, _, _ := page(t, tix, tc.q)
+			shardOf := func(h Hit) int {
+				s := 0
+				for h.Trajectory >= tix.bounds[s+1] {
+					s++
+				}
+				return s
+			}
+			// One hit past shard 0's: the page needs the next shard
+			// holding a hit, and the shards past that one stay unlocated.
+			limit := 1
+			for limit < len(oracle) && shardOf(oracle[limit-1]) == 0 {
+				limit++
+			}
+			needed := int64(shardOf(oracle[limit-1]) + 1)
+			if needed < 2 || needed > 3 {
+				t.Fatalf("a %d-hit page needs %d shards; the test needs 2 or 3", limit, needed)
+			}
+			q := tc.q
+			q.Limit = limit
+			r, err := tix.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, herr := range r.All() {
+				if herr != nil {
+					t.Fatal(herr)
+				}
+				break
+			}
+			if st := r.Stats(); st.ShardsProbed != 1 || st.ShardsSkipped != 3 || st.HitsEmitted != 1 {
+				t.Fatalf("after one hit: probed/skipped/hits = %d/%d/%d, want 1/3/1",
+					st.ShardsProbed, st.ShardsSkipped, st.HitsEmitted)
+			}
+			if rest := drain(t, r); !slices.Equal(rest, oracle[1:limit]) {
+				t.Fatalf("resumed page = %v, want %v", rest, oracle[1:limit])
+			}
+			if st := r.Stats(); st.ShardsProbed != needed || st.ShardsSkipped != 4-needed {
+				t.Fatalf("finishing the page: probed/skipped = %d/%d, want %d/%d",
+					st.ShardsProbed, st.ShardsSkipped, needed, 4-needed)
+			}
+		})
 	}
 }
 
-// TestSearchLazyCancelBetweenPulls pins that a wave started after the
-// context was cancelled does no work and ends the stream with the
+// TestSearchLazyCancelBetweenPulls pins that a shard reached after the
+// context was cancelled is not located and the stream ends with the
 // context's error.
 func TestSearchLazyCancelBetweenPulls(t *testing.T) {
 	trajs, times := lazyCorpus(45)
@@ -290,7 +319,7 @@ func TestSearchLazyCancelBetweenPulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An interval no trajectory overlaps: every width is an upper bound
-	// that yields nothing, so the stream has to walk wave by wave.
+	// that yields nothing, so the stream has to walk shard by shard.
 	iv := &Interval{From: -10, To: -1}
 	path := frequentEdge(trajs)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -301,7 +330,7 @@ func TestSearchLazyCancelBetweenPulls(t *testing.T) {
 	}
 	probed := r.Stats().ShardsProbed
 	if probed == 4 {
-		t.Fatal("first wave located every shard; nothing left to cancel")
+		t.Fatal("Search located every shard; nothing left to cancel")
 	}
 	cancel()
 	var streamErr error

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sync"
 )
 
 // containCorrupt runs fn and converts any panic escaping it into an
@@ -42,17 +41,18 @@ type Hit struct {
 // Offset) order, locating further units, decoding timestamps and
 // deduplicating on demand — breaking out of the loop stops that work
 // immediately. Iteration may be resumed by ranging over All again;
-// Count drains whatever remains. A Results is not safe for concurrent
-// use.
+// Count drains whatever remains. A Results does its work on the
+// goroutine that pulls it and is not safe for concurrent use.
 type Results struct {
 	q     Query
+	ctx   context.Context
+	c     compiled
 	count int // CountOnly answer
 	// units are the search units in ascending ID order. Units own
 	// contiguous ascending ID ranges, so the canonical merge is a
 	// concatenation: cur is the first unit not yet drained.
-	units  []unitCursor
-	stream *searchShared
-	cur    int
+	units []unitCursor
+	cur   int
 
 	n         int // hits yielded so far
 	last      Hit
@@ -66,7 +66,7 @@ type Results struct {
 // position, and a later range resumes), and iteration ends for good
 // when the stream is exhausted or Limit hits have been yielded. A
 // context cancellation, decoding error or failure to locate a later
-// wave is yielded once as the final element's error.
+// unit is yielded once as the final element's error.
 func (r *Results) All() iter.Seq2[Hit, error] {
 	return func(yield func(Hit, error) bool) {
 		if r.exhausted {
@@ -162,12 +162,11 @@ func compile(q Query) (compiled, error) {
 // Search executes a Query against the index: a plan prices every shard
 // with one O(|path|) backward search (its suffix-range width is its
 // exact occurrence count, which alone answers a CountOnly query without
-// an interval), then shards are located in ID order, in waves — each
-// the shortest run whose widths cover what the page still needs — and
-// a wave starts only when the stream is pulled past the last located
-// shard. Timestamp decoding, interval filtering and deduplication also
-// happen on pull, so a small Limit or an abandoned iteration does
-// proportionally less work. Interval queries need timestamps (a
+// an interval), then shards are located one at a time in ID order, each
+// only when the stream is pulled to it. Timestamp decoding, interval
+// filtering and deduplication also happen on pull, so a small Limit or
+// an abandoned iteration does proportionally less work. The whole query
+// runs on the caller's goroutine. Interval queries need timestamps (a
 // TemporalIndex): candidates are pruned against per-trajectory (min,
 // max) summaries before any timestamp decode and probed lazily during
 // iteration; on a spatial index they fail with ErrNoTimestamps.
@@ -182,8 +181,8 @@ func (ix *Index) Search(ctx context.Context, q Query) (*Results, error) {
 // stream, shared by the immutable Index and the live Writer: the units
 // are ix's shards followed by the delta snapshot (nil on an Index) —
 // each is planned, then contributes candidates through the same
-// collect / advance protocol. The first wave runs here, so its errors
-// come back from Search rather than from the stream.
+// collect / advance protocol. The first pending unit is located here,
+// so its errors come back from Search rather than from the stream.
 func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Results, error) {
 	c, err := compile(q)
 	if err != nil {
@@ -213,7 +212,7 @@ func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Resu
 	if err := plan(c, units); err != nil {
 		return nil, err
 	}
-	r := &Results{q: q, units: units, stream: &searchShared{ctx: ctx, c: c}}
+	r := &Results{q: q, ctx: ctx, c: c, units: units}
 	if c.kind == CountOnly {
 		if r.count, err = countUnits(ctx, c, units); err != nil {
 			return nil, err
@@ -221,8 +220,13 @@ func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Resu
 		r.exhausted = true
 		return r, nil
 	}
-	if err := r.wave(); err != nil {
-		return nil, err
+	for i := range units {
+		if units[i].pending {
+			if err := r.open(&units[i]); err != nil {
+				return nil, err
+			}
+			break
+		}
 	}
 	return r, nil
 }
@@ -250,50 +254,26 @@ func plan(c compiled, units []unitCursor) error {
 	})
 }
 
-// wave locates the next run of pending units in ID order: the shortest
-// run whose planned widths cover the hits the page still needs — every
-// remaining unit when there is no limit. Widths are exact for
-// Occurrences without an interval and upper bounds otherwise (an
-// interval, a cursor inside the unit or deduplication can drop
-// candidates), so a short wave is followed by another when the stream
-// is pulled past it. The run's units collect in parallel, then each
-// primes its head. A cancelled ctx starts no wave.
-func (r *Results) wave() error {
-	s := r.stream
-	if err := s.ctx.Err(); err != nil {
+// open locates a pending unit and primes its head. A cancelled ctx
+// locates nothing.
+func (r *Results) open(u *unitCursor) error {
+	if err := r.ctx.Err(); err != nil {
 		return err
 	}
-	need := s.c.limit - r.n
-	var run []*unitCursor
-	for i := r.cur; i < len(r.units) && (s.c.limit == 0 || need > 0); i++ {
-		if u := &r.units[i]; u.pending {
-			u.pending = false
-			run = append(run, u)
-			need -= int(u.ep - u.sp)
-		}
+	u.pending = false
+	if err := containCorrupt(func() error { return u.collect(r.ctx, r.c) }); err != nil {
+		return err
 	}
-	runUnits(run, func(_ int, u *unitCursor) {
-		u.err = containCorrupt(func() error { return u.collect(s.ctx, s.c) })
-	})
-	for _, u := range run {
-		if u.err == nil {
-			u.advance(s)
-		}
-		if u.err != nil {
-			return u.err
-		}
-	}
-	return nil
+	return u.advance(r.ctx, r.c)
 }
 
 // next yields the head of the first undrained unit and advances it,
-// starting the next wave when the stream reaches a unit not yet
-// located.
+// locating a unit when the stream reaches it.
 func (r *Results) next() (Hit, bool, error) {
 	for ; r.cur < len(r.units); r.cur++ {
 		u := &r.units[r.cur]
 		if u.pending {
-			if err := r.wave(); err != nil {
+			if err := r.open(u); err != nil {
 				return Hit{}, false, err
 			}
 		}
@@ -301,9 +281,8 @@ func (r *Results) next() (Hit, bool, error) {
 			continue
 		}
 		h := u.head
-		u.advance(r.stream)
-		if u.err != nil {
-			return Hit{}, false, u.err
+		if err := u.advance(r.ctx, r.c); err != nil {
+			return Hit{}, false, err
 		}
 		return h, true, nil
 	}
@@ -335,13 +314,8 @@ type unitCursor struct {
 	lastTraj int // last yielded trajectory (global), for dedupe; -1 none
 	head     Hit
 	hasHead  bool
-	err      error
 
-	// st is the unit's work account. Plain fields are sound: collect
-	// and count touch the unit from a single goroutine of a wave's
-	// parallel fan-out, and advance runs only on the pulling goroutine
-	// after that fan-out has joined.
-	st QueryStats
+	st QueryStats // the unit's work account
 }
 
 // beforeCursor reports whether the unit's whole ID range lies at or
@@ -387,65 +361,36 @@ func (u *unitCursor) tsAt(local, offset int) int64 {
 	return v
 }
 
-// runUnits executes fn once per unit, in parallel when there is more
-// than one — the one fan-out of the execution phase.
-func runUnits(units []*unitCursor, fn func(i int, u *unitCursor)) {
-	if len(units) == 1 {
-		fn(0, units[0])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(units))
-	for i, u := range units {
-		go func(i int, u *unitCursor) {
-			defer wg.Done()
-			fn(i, u)
-		}(i, u)
-	}
-	wg.Wait()
-}
-
 // countUnits answers a CountOnly query from the plan. Without an
-// interval a sealed unit's count is its planned width, with no locate
-// and no goroutine, and only the delta is scanned; with one, every
-// pending unit runs a locate-prune-probe scan, in parallel. Either
-// scan honors ctx.
+// interval a sealed unit's count is its planned width, with no locate;
+// the delta, and every pending unit under an interval, runs a
+// locate-prune-probe scan that honors ctx.
 func countUnits(ctx context.Context, c compiled, units []unitCursor) (int, error) {
 	total := 0
-	var scan []*unitCursor
 	for i := range units {
-		switch u := &units[i]; {
-		case !u.pending:
-		case c.hasInterval || u.d != nil:
-			scan = append(scan, u)
-		default:
-			u.st.ShardsProbed++
-			total += int(u.ep - u.sp)
+		u := &units[i]
+		if !u.pending {
+			continue
 		}
-	}
-	if len(scan) == 0 {
-		return total, nil
-	}
-	counts := make([]int, len(scan))
-	runUnits(scan, func(i int, u *unitCursor) {
-		u.err = containCorrupt(func() error {
-			u.st.ShardsProbed++
+		u.st.ShardsProbed++
+		if !c.hasInterval && u.d == nil {
+			total += int(u.ep - u.sp)
+			continue
+		}
+		err := containCorrupt(func() error {
 			return u.locate(ctx, c.path, func(doc, offset int) {
 				if !c.hasInterval {
-					counts[i]++
+					total++
 				} else if lo, hi := u.tsMinMax(doc); hi < c.from || lo > c.to {
 					u.st.SummaryPruned++
 				} else if at := u.tsAt(doc, offset); at >= c.from && at <= c.to {
-					counts[i]++
+					total++
 				}
 			})
 		})
-	})
-	for i, u := range scan {
-		if u.err != nil {
-			return 0, u.err
+		if err != nil {
+			return 0, err
 		}
-		total += counts[i]
 	}
 	return total, nil
 }
@@ -528,55 +473,42 @@ func (u *unitCursor) skipByCursor(c compiled, doc, offset int) bool {
 	return g < c.afterT || (g == c.afterT && offset <= c.afterO)
 }
 
-// searchShared is the per-search state every unit's advance consults.
-type searchShared struct {
-	ctx context.Context
-	c   compiled
-}
-
 // advance moves the unit to its next qualifying hit: the pull step
 // where interval filtering (one checkpointed timestamp probe per
 // candidate) and trajectory deduplication happen. It stops on context
 // cancellation, so an abandoned or cancelled iteration performs no
 // further decodes. Timestamp probes against a corrupt mapped store are
-// contained here: a panic surfaces as ErrCorrupt on the unit.
-func (u *unitCursor) advance(s *searchShared) {
-	if err := containCorrupt(func() error { u.advanceStep(s); return nil }); err != nil {
-		u.err = err
-		u.hasHead = false
-	}
-}
-
-func (u *unitCursor) advanceStep(s *searchShared) {
-	c := s.c
-	for u.pos < len(u.cands) {
-		if err := s.ctx.Err(); err != nil {
-			u.err = err
-			u.hasHead = false
-			return
-		}
-		m := u.cands[u.pos]
-		u.pos++
-		global := m.Trajectory + u.base
-		if c.kind == Trajectories && global == u.lastTraj {
-			continue
-		}
-		h := Hit{Match: Match{Trajectory: global, Offset: m.Offset}}
-		if c.hasInterval {
-			at := u.tsAt(m.Trajectory, m.Offset)
-			if at < c.from || at > c.to {
+// contained here: a panic comes back as ErrCorrupt.
+func (u *unitCursor) advance(ctx context.Context, c compiled) error {
+	u.hasHead = false
+	return containCorrupt(func() error {
+		for u.pos < len(u.cands) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			m := u.cands[u.pos]
+			u.pos++
+			global := m.Trajectory + u.base
+			if c.kind == Trajectories && global == u.lastTraj {
 				continue
 			}
-			h.EnteredAt = at
+			h := Hit{Match: Match{Trajectory: global, Offset: m.Offset}}
+			if c.hasInterval {
+				at := u.tsAt(m.Trajectory, m.Offset)
+				if at < c.from || at > c.to {
+					continue
+				}
+				h.EnteredAt = at
+			}
+			if c.kind == Trajectories {
+				u.lastTraj = global
+				h.Offset = -1
+			}
+			u.head, u.hasHead = h, true
+			return nil
 		}
-		if c.kind == Trajectories {
-			u.lastTraj = global
-			h.Offset = -1
-		}
-		u.head, u.hasHead = h, true
-		return
-	}
-	u.hasHead = false
+		return nil
+	})
 }
 
 // matchLess is the one canonical (Trajectory, Offset) comparison: the

@@ -9,10 +9,9 @@ import "fmt"
 // the work they actually performed rather than by wall clock alone.
 //
 // Counters accumulate per search unit (shard or delta snapshot) on
-// plain fields: each unit is touched by exactly one goroutine during
-// the parallel fan-out of the wave that locates it and only by the
-// pulling goroutine afterwards, so no atomics are needed and the hot
-// path stays allocation-free. Read the aggregate with Results.Stats.
+// plain fields: a query runs on the one goroutine that pulls its
+// results, so no atomics are needed and the hot path stays
+// allocation-free. Read the aggregate with Results.Stats.
 type QueryStats struct {
 	// LFSteps counts LF-mapping steps spent in SA-sample locate walks
 	// (at most SampleRate per occurrence).

@@ -260,7 +260,7 @@ func (w *Writer) view() (*Index, *deltaSnap) {
 }
 
 // Search executes a Query over the union of sealed shards and the
-// live delta, planned and located in waves like Index.Search: the
+// live delta, planned and located shard by shard like Index.Search: the
 // delta is one more unit after the last shard (brute-force scanned,
 // summary-pruned under intervals, its width unknown until scanned),
 // and hits stream in canonical (Trajectory, Offset) order — the
