@@ -259,7 +259,7 @@ func cmdBuild(args []string) error {
 	sample := fs.Int("sample", cinct.DefaultOptions().SampleRate,
 		"SA sample rate (0 = count-only index, spatial only); defaults to the library's, which seals and compactions use too")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
-		"corpus partitions built and queried in parallel (1 = monolithic)")
+		"corpus partitions, built in parallel; a query visits them one at a time (1 = monolithic)")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -index are required")

@@ -12,9 +12,9 @@ import (
 // slices (plus timestamp columns on temporal writers) so an Append is
 // O(len) with no index rebuild. The shard is append-only — rows, once
 // published, are never modified — which is what makes the lock-free
-// snapshot protocol below sound: a reader that captured the slice
-// headers and length under the Writer's lock can keep scanning its
-// prefix while later appends extend the same backing arrays.
+// snapshot protocol sound: a reader holding a copy of the shard taken
+// under the Writer's lock (Writer.view) can keep scanning its prefix
+// while later appends extend the same backing arrays.
 //
 // Query support is a brute-force scan: the delta is bounded by the
 // seal threshold, so O(rows × len) matching is cheaper than
@@ -86,35 +86,19 @@ func (d *deltaShard) tail(n int) *deltaShard {
 	return nd
 }
 
-// deltaSnap is an immutable view of the delta's published prefix,
-// captured under the Writer's lock. The slice headers pin the length;
-// concurrent appends only ever write past it.
-type deltaSnap struct {
-	base       int
-	trajs      [][]uint32
-	times      [][]int64
-	mins, maxs []int64
-}
+func (d *deltaShard) len() int { return len(d.trajs) }
 
-// snap captures the current published prefix. Caller holds at least a
-// read lock.
-func (d *deltaShard) snap() *deltaSnap {
-	return &deltaSnap{base: d.base, trajs: d.trajs, times: d.times, mins: d.mins, maxs: d.maxs}
-}
-
-func (s *deltaSnap) len() int { return len(s.trajs) }
-
-// locate enumerates every occurrence of path in the snapshot,
+// locate enumerates every occurrence of path in the delta,
 // mirroring shard.locate: visit(local trajectory, travel
 // offset), ctx checked periodically, rows scanned accounted into st.
 // Occurrences are produced in canonical order by construction (rows
 // ascending, offsets ascending), but callers do not rely on that —
 // they sort like any other unit.
-func (s *deltaSnap) locate(ctx context.Context, path []uint32, st *QueryStats, visit func(doc, offset int)) error {
+func (d *deltaShard) locate(ctx context.Context, path []uint32, st *QueryStats, visit func(doc, offset int)) error {
 	if len(path) == 0 {
 		return nil
 	}
-	for k, tr := range s.trajs {
+	for k, tr := range d.trajs {
 		if k&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -135,11 +119,11 @@ func (s *deltaSnap) locate(ctx context.Context, path []uint32, st *QueryStats, v
 }
 
 // minMax returns the row's timestamp summary; at probes one entry.
-// Both panic on a spatial snapshot, exactly like a nil tempo.Store —
+// Both panic on a spatial delta, exactly like a nil tempo.Store —
 // Search only calls them under an interval, which Writer.Search gates
 // on temporality.
-func (s *deltaSnap) minMax(k int) (int64, int64) { return s.mins[k], s.maxs[k] }
-func (s *deltaSnap) at(k, i int) int64           { return s.times[k][i] }
+func (d *deltaShard) minMax(k int) (int64, int64) { return d.mins[k], d.maxs[k] }
+func (d *deltaShard) at(k, i int) int64           { return d.times[k][i] }
 
 // MatchRow tests one trajectory row against a path+interval predicate
 // and reports the first (canonically smallest) matching occurrence:
@@ -147,7 +131,7 @@ func (s *deltaSnap) at(k, i int) int64           { return s.times[k][i] }
 // match's first edge. It is the standing-query evaluation primitive —
 // notification layers run it against every freshly landed row — and it
 // reuses the delta's brute-force scan machinery by wrapping the row as
-// a one-row snapshot, so its semantics are exactly those of a Search
+// a one-row delta, so its semantics are exactly those of a Search
 // against the live delta: iv (nil = unconstrained) filters on the
 // entry time of the first matched edge, closed on both ends. A non-nil
 // iv with nil times never matches (the row cannot satisfy a temporal
@@ -156,17 +140,17 @@ func MatchRow(edges []uint32, times []int64, path []uint32, iv *Interval) (offse
 	if len(path) == 0 || (iv != nil && times == nil) {
 		return 0, 0, false
 	}
-	s := &deltaSnap{trajs: [][]uint32{edges}, times: [][]int64{times}}
+	d := &deltaShard{trajs: [][]uint32{edges}, times: [][]int64{times}}
 	var st QueryStats
 	found := false
 	// locate visits offsets in ascending order; keep the first survivor.
-	s.locate(context.Background(), path, &st, func(_, off int) { //nolint:errcheck // background ctx never cancels
+	d.locate(context.Background(), path, &st, func(_, off int) { //nolint:errcheck // background ctx never cancels
 		if found {
 			return
 		}
 		var at int64
 		if times != nil {
-			at = s.at(0, off)
+			at = d.at(0, off)
 			if iv != nil && (at < iv.From || at > iv.To) {
 				return
 			}

@@ -16,18 +16,19 @@ import (
 // The fuzz fortress pins the container-format and cursor surfaces:
 // arbitrary bytes fed to Load / LoadTemporal / OpenMapped /
 // Query.Cursor must never panic and never allocate unboundedly — they
-// either produce a working index or fail with a typed error. Seed
-// corpora live under testdata/fuzz/ (regenerate with
-// scripts/genfuzzseeds; the committed FuzzLoadSharded and
-// FuzzLoadTemporal ones are frozen pre-v3 files, which the readers must
-// refuse, and internal/legacy's FuzzDecode decodes).
+// either produce a working index or fail with a typed error. Each
+// target seeds itself in code from the writers that make the format,
+// plus the older files under testdata/legacy/. The only committed
+// corpora, under testdata/fuzz/, are FuzzLoadSharded's and
+// FuzzLoadTemporal's frozen pre-v3 files, which the readers must refuse
+// and internal/legacy's FuzzDecode decodes.
 
 // maxFuzzInput bounds one fuzz input; larger blobs only slow
 // exploration down without reaching new code.
 const maxFuzzInput = 1 << 18
 
-// fuzzCorpus is the deterministic corpus behind every generated seed
-// and the FuzzCursor search target.
+// fuzzCorpus is the deterministic corpus behind the in-code container
+// seeds and the FuzzCursor search target.
 func fuzzCorpus() ([][]uint32, [][]int64) {
 	trajs := [][]uint32{
 		{1, 2, 3, 4},
@@ -263,15 +264,19 @@ func FuzzCursor(f *testing.F) {
 // fault past the mapping. A successfully opened index is
 // queried; with the structural invariants validated at open, residual
 // semantic corruption must surface as a typed error from the search
-// layer, not a crash.
+// layer, not a crash. Every file under testdata/legacy/ seeds it too.
 func FuzzLoadMapped(f *testing.F) {
 	trajs, times := fuzzCorpus()
+	var one *shard // the one-shard spatial build's shard
 	for _, shards := range []int{1, 2} {
 		opts := DefaultOptions()
 		opts.Shards = shards
 		ix, err := Build(trajs, opts)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if shards == 1 {
+			one = ix.shards[0]
 		}
 		var buf bytes.Buffer
 		if _, err := ix.Save(&buf); err != nil {
@@ -314,17 +319,27 @@ func FuzzLoadMapped(f *testing.F) {
 	// makeslice instead of returning ErrCorrupt).
 	f.Add(craftedV3Header(^uint64(0), 1))
 	// Sections the TOC rules refuse: an unknown (kind, encoding), a
-	// shard without a required section, timestamps on only some shards.
-	ix, err = Build(trajs, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// shard without a required section, timestamps on only some shards;
+	// and SA samples whose one sample claims 40-bit values, a shape only
+	// the width bound (bits.Len(n/rate)) rejects.
 	sh := ix.shards[0]
 	for _, data := range [][]byte{
 		retagged(containerOf(f, sh), 7, 2<<32|kindSA),
 		containerOf(f, relaid(sh, func(s section) bool { return s.kind != kindGraph })),
 		mixedTimestamps(f, trajs, times),
+		containerOf(f, widened(one, kindSA, 40)),
 	} {
+		f.Add(data)
+	}
+	legacy, err := filepath.Glob(filepath.Join("testdata", "legacy", "*cinct"))
+	if err != nil || len(legacy) == 0 {
+		f.Fatalf("no legacy fixtures (%v)", err)
+	}
+	for _, file := range legacy {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -22,7 +22,7 @@ import (
 // metaTrajs, columns3.v1 a store of randomColumns(seed 3, 30). The
 // whole files they make up are the fixtures under ../../testdata/legacy.
 
-func fixture(t *testing.T, path ...string) []byte {
+func fixture(t testing.TB, path ...string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(path...))
 	if err != nil {
@@ -223,27 +223,32 @@ func TestDecodeStoreRejectsCorruptBlob(t *testing.T) {
 }
 
 // files lists the whole old files under ../../testdata/legacy with
-// their shard count and flavor (their corpora are pinned by the cinct
-// package's tests): the pre-v3 stream formats, then the version-3
-// containers.
+// their shard count, flavor and the sample rate their core headers
+// record (their corpora are pinned by the cinct package's tests): the
+// pre-v3 stream formats, then the version-3 and version-4 containers.
 var files = []struct {
 	file     string
 	shards   int
 	temporal bool
+	rate     int
 }{
-	{"spatial-1.cinct", 1, false},
-	{"spatial-4.cinct", 4, false},
-	{"temporal-1.tcinct", 1, true},
-	{"temporal-4.tcinct", 4, true},
-	{"temporal-1-unversioned.tcinct", 1, true},
-	{"global-store-unversioned.tcinct", 3, true},
-	{"global-store-cncttemp.tcinct", 3, true},
-	{"v3-all-rrr-spatial-4.cinct", 4, false},
-	{"v3-all-rrr-temporal-1.tcinct", 1, true},
-	{"v3-int32-spatial-1.cinct", 1, false},
-	{"v3-int32-spatial-4.cinct", 4, false},
-	{"v3-int32-temporal-1.tcinct", 1, true},
-	{"v3-int32-temporal-4.tcinct", 4, true},
+	{"spatial-1.cinct", 1, false, 64},
+	{"spatial-4.cinct", 4, false, 64},
+	{"temporal-1.tcinct", 1, true, 64},
+	{"temporal-4.tcinct", 4, true, 64},
+	{"temporal-1-unversioned.tcinct", 1, true, 64},
+	{"global-store-unversioned.tcinct", 3, true, 64},
+	{"global-store-cncttemp.tcinct", 3, true, 64},
+	{"v3-all-rrr-spatial-4.cinct", 4, false, 64},
+	{"v3-all-rrr-temporal-1.tcinct", 1, true, 64},
+	{"v3-int32-spatial-1.cinct", 1, false, 64},
+	{"v3-int32-spatial-4.cinct", 4, false, 64},
+	{"v3-int32-temporal-1.tcinct", 1, true, 64},
+	{"v3-int32-temporal-4.tcinct", 4, true, 64},
+	{"v4-spatial-1.cinct", 1, false, 40},
+	{"v4-spatial-4.cinct", 4, false, 40},
+	{"v4-temporal-1.tcinct", 1, true, 40},
+	{"v4-temporal-4.tcinct", 4, true, 40},
 }
 
 // TestDecodeFixtures pins Decode on every whole old file: the shard
@@ -256,7 +261,7 @@ func TestDecodeFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fx.file, err)
 		}
-		if want := (Options{Block: 63, SampleRate: 64, Shards: fx.shards}); c.Options != want {
+		if want := (Options{Block: 63, SampleRate: fx.rate, Shards: fx.shards}); c.Options != want {
 			t.Errorf("%s: options %+v, want %+v", fx.file, c.Options, want)
 		}
 		if len(c.Trajs) != 120 || (c.Times != nil) != fx.temporal {
@@ -356,26 +361,17 @@ func TestDecodeVersion5Rejects(t *testing.T) {
 // FuzzDecode pins Decode: arbitrary bytes decode to a corpus that
 // cinct.Build accepts with the decoded options, or fail with
 // ErrCorrupt — never a panic, never an allocation past a small multiple
-// of the input. The in-code seeds are the whole old fixtures; the
-// committed ones are the frozen pre-v3 seeds of the cinct package's
-// FuzzLoadSharded (spatial-*, and the crash regression
-// 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*), and the
-// version-3, -4 and -5 containers scripts/genfuzzseeds copies (v3-*,
-// v4-*, v5-*).
+// of the input. The in-code seeds are every old file under
+// ../../testdata/legacy/; the committed ones are the frozen pre-v3
+// seeds of the cinct package's FuzzLoadSharded (spatial-*, and the
+// crash regression 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*).
 func FuzzDecode(f *testing.F) {
-	for _, fx := range files {
-		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	old, err := filepath.Glob(filepath.Join("..", "..", "testdata", "legacy", "*cinct"))
+	if err != nil || len(old) == 0 {
+		f.Fatalf("no legacy fixtures (%v)", err)
 	}
-	for _, fx := range v5Files {
-		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", fx.file))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	for _, file := range old {
+		f.Add(fixture(f, file))
 	}
 	for _, magic := range []string{metaMagic, shardMagic, temporalMagic, containerMagic} {
 		f.Add([]byte(magic))

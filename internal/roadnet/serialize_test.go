@@ -119,11 +119,18 @@ func TestRoadnetLoadRejectsCorrupt(t *testing.T) {
 // typed error or a structurally valid graph, never a panic; and any
 // accepted input must itself round-trip.
 func FuzzLoadRoadnet(f *testing.F) {
-	var buf bytes.Buffer
-	if err := Grid(3, 3, 1).Save(&buf); err != nil {
-		f.Fatal(err)
+	for _, g := range []*Graph{Grid(3, 3, 1), Grid(4, 3, 2)} {
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		valid := buf.Bytes()
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2]) // truncation
+		overcount := bytes.Clone(valid)
+		overcount[16] = 0xFF // the edge count past the body
+		f.Add(overcount)
 	}
-	f.Add(buf.Bytes())
 	f.Add([]byte(roadMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // BlockSize is the checkpoint spacing: At decodes at most BlockSize
@@ -46,9 +45,6 @@ type Store struct {
 	// Per-trajectory summaries for interval pushdown. An empty column
 	// has min > max so it never intersects any interval.
 	mins, maxs []int64
-	// atSteps counts varint decodes performed by At (instrumentation
-	// for early-exit and checkpoint regression tests).
-	atSteps atomic.Int64
 }
 
 // ErrCorrupt reports a flat store whose tables do not fit its blob.
@@ -124,8 +120,7 @@ func (s *Store) At(k, i int) int64 {
 
 // AtCounted is At plus the number of varint decodes this one probe
 // performed — the per-probe decode cost the serving layers account
-// against queries. The store-global AtSteps counter accumulates the
-// same quantity across probes.
+// against queries (QueryStats.DecodeSteps).
 func (s *Store) AtCounted(k, i int) (v int64, decodes int) {
 	if i < 0 || i >= int(s.lens[k]) {
 		panic(fmt.Sprintf("tempo: At(%d,%d) out of range [0,%d)", k, i, s.lens[k]))
@@ -139,7 +134,6 @@ func (s *Store) AtCounted(k, i int) (v int64, decodes int) {
 		pos += s.ckOff[ck]
 		steps = i - b*BlockSize
 	}
-	s.atSteps.Add(int64(steps))
 	for j := 0; j < steps; j++ {
 		d, n := binary.Varint(s.blob[pos:])
 		pos += int64(n)
@@ -147,15 +141,6 @@ func (s *Store) AtCounted(k, i int) (v int64, decodes int) {
 	}
 	return prev, steps
 }
-
-// AtSteps returns the cumulative number of varint decodes performed by
-// At since construction (or the last ResetAtSteps). Tests use it to
-// prove that checkpointed access and limit early-exit actually bound
-// the decode work.
-func (s *Store) AtSteps() int64 { return s.atSteps.Load() }
-
-// ResetAtSteps zeroes the At decode counter.
-func (s *Store) ResetAtSteps() { s.atSteps.Store(0) }
 
 // SizeBits returns the in-memory footprint of the compressed blob plus
 // every random-access structure at its actual width.

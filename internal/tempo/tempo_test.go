@@ -113,11 +113,11 @@ func TestAtDecodesAtMostOneBlock(t *testing.T) {
 	}
 	s := New([][]int64{col})
 	for _, i := range []int{0, BlockSize - 1, BlockSize, 7 * BlockSize, len(col) - 1} {
-		s.ResetAtSteps()
-		if at := s.At(0, i); at != col[i] {
+		at, steps := s.AtCounted(0, i)
+		if at != col[i] {
 			t.Fatalf("At(0,%d) = %d, want %d", i, at, col[i])
 		}
-		if steps := s.AtSteps(); steps > BlockSize {
+		if steps > BlockSize {
 			t.Fatalf("At(0,%d) decoded %d varints, want <= %d", i, steps, BlockSize)
 		}
 	}

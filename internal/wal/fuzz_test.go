@@ -15,12 +15,20 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte(segMagic))
 	f.Add([]byte("not a segment"))
-	valid := validSegment(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn tail
-	flipped := bytes.Clone(valid)
-	flipped[len(segMagic)+5] ^= 0x01 // bit-flipped CRC field
-	f.Add(flipped)
+	for _, valid := range [][]byte{
+		validSegment(f,
+			Batch{FirstID: 0, Trajs: [][]uint32{{1, 2, 3}, {4}}},
+			Batch{FirstID: 2, Trajs: [][]uint32{{7, 8}}, Times: [][]int64{{100, 90}}}),
+		validSegment(f,
+			Batch{FirstID: 0, Trajs: [][]uint32{{1, 2, 3}, {4, 5}}},
+			Batch{FirstID: 2, Trajs: [][]uint32{{7, 8, 9}}, Times: [][]int64{{100, 90, 250}}}),
+	} {
+		f.Add(valid)
+		f.Add(valid[:len(valid)-3]) // torn tail
+		flipped := bytes.Clone(valid)
+		flipped[len(segMagic)+5] ^= 0x01 // bit-flipped CRC field
+		f.Add(flipped)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batches, good, err := readSegment(data)
 		if good < 0 || good > int64(len(data)) {
@@ -56,15 +64,12 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// validSegment builds an in-memory segment holding both a spatial and
-// a temporal batch.
-func validSegment(f *testing.F) []byte {
+// validSegment builds an in-memory segment holding batches, as the log
+// writes them: the magic, then one record per batch.
+func validSegment(f *testing.F, batches ...Batch) []byte {
 	f.Helper()
 	out := []byte(segMagic)
-	for _, b := range []Batch{
-		{FirstID: 0, Trajs: [][]uint32{{1, 2, 3}, {4}}},
-		{FirstID: 2, Trajs: [][]uint32{{7, 8}}, Times: [][]int64{{100, 90}}},
-	} {
+	for _, b := range batches {
 		rec, err := encodeRecord(b)
 		if err != nil {
 			f.Fatal(err)

@@ -146,27 +146,8 @@ func (h *HWT) Codebook() *huffman.Codebook { return h.cb }
 
 // Access returns the i-th symbol.
 func (h *HWT) Access(i int) uint32 {
-	if i < 0 || i >= h.n {
-		panic(fmt.Sprintf("wavelet: Access(%d) out of range [0,%d)", i, h.n))
-	}
-	if h.root < 0 {
-		return h.soleSymbol
-	}
-	node := int32(h.root)
-	for {
-		nd := &h.nodes[node]
-		bit, r1 := nd.bv.AccessRank1(i)
-		if bit {
-			i = r1
-			node = nd.right
-		} else {
-			i -= r1
-			node = nd.left
-		}
-		if node < 0 {
-			return uint32(^node)
-		}
-	}
+	c, _ := h.AccessRank(i)
+	return c
 }
 
 // AccessRank returns the i-th symbol and its rank up to i in a single

@@ -495,25 +495,10 @@ func frequentEdge(trajs [][]uint32) []uint32 {
 	return []uint32{best}
 }
 
-// atSteps sums the decode counters across a temporal index's stores.
-func atSteps(tix *TemporalIndex) int64 {
-	var n int64
-	for _, sh := range tix.shards {
-		n += sh.ts.AtSteps()
-	}
-	return n
-}
-
-func resetAtSteps(tix *TemporalIndex) {
-	for _, sh := range tix.shards {
-		sh.ts.ResetAtSteps()
-	}
-}
-
 // TestSearchCancellationStopsDecoding is the streaming-semantics
 // acceptance test: cancelling the context mid-iteration stops the
-// shard-side timestamp decoding, observed through the tempo AtSteps
-// instrumentation counters.
+// shard-side timestamp decoding, observed through the stream's
+// DecodeSteps.
 func TestSearchCancellationStopsDecoding(t *testing.T) {
 	trajs, times := denseTimedCorpus(21)
 	for _, shards := range []int{1, 3} {
@@ -529,7 +514,6 @@ func TestSearchCancellationStopsDecoding(t *testing.T) {
 		q := Query{Path: path, Interval: &Interval{From: 0, To: 1 << 62}, Kind: Occurrences}
 
 		// Baseline: a full drain's decode work.
-		resetAtSteps(tix)
 		full := 0
 		r, err := tix.Search(context.Background(), q)
 		if err != nil {
@@ -541,15 +525,14 @@ func TestSearchCancellationStopsDecoding(t *testing.T) {
 			}
 			full++
 		}
-		fullSteps := atSteps(tix)
+		fullSteps := r.Stats().DecodeSteps
 		if full < 8 {
 			t.Skipf("corpus gave only %d hits; need more to observe early stop", full)
 		}
 
 		// Cancelled run: consume 2 hits, cancel, expect the stream to
-		// fail and the decode counters to freeze well short of the
+		// fail and the decode count to freeze well short of the
 		// full-drain total.
-		resetAtSteps(tix)
 		ctx, cancel := context.WithCancel(context.Background())
 		r, err = tix.Search(ctx, q)
 		if err != nil {
@@ -570,19 +553,19 @@ func TestSearchCancellationStopsDecoding(t *testing.T) {
 		if !errors.Is(streamErr, context.Canceled) {
 			t.Fatalf("shards=%d: stream error = %v, want context.Canceled", shards, streamErr)
 		}
-		frozen := atSteps(tix)
+		frozen := r.Stats().DecodeSteps
 		if frozen >= fullSteps {
 			t.Fatalf("shards=%d: cancelled run decoded %d steps, full drain %d — no early stop",
 				shards, frozen, fullSteps)
 		}
-		// The counters must not advance once the stream has failed.
+		// The count must not advance once the stream has failed.
 		for _, herr := range r.All() {
 			if herr == nil {
 				t.Fatal("failed stream yielded a hit")
 			}
 		}
-		if after := atSteps(tix); after != frozen {
-			t.Fatalf("shards=%d: decode counter advanced after cancellation: %d -> %d", shards, frozen, after)
+		if after := r.Stats().DecodeSteps; after != frozen {
+			t.Fatalf("shards=%d: decode count advanced after cancellation: %d -> %d", shards, frozen, after)
 		}
 		cancel()
 	}
@@ -609,7 +592,6 @@ func TestSearchLimitBoundsDecoding(t *testing.T) {
 		t.Skipf("only %d occurrences; need more to observe bounded decoding", total)
 	}
 	q := Query{Path: path, Interval: &Interval{From: 0, To: 1 << 62}, Kind: Occurrences, Limit: 3}
-	resetAtSteps(tix)
 	r, err := tix.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -621,7 +603,7 @@ func TestSearchLimitBoundsDecoding(t *testing.T) {
 	// limit + shards (each shard primes one head) at worst since the
 	// widest interval rejects nothing.
 	maxProbes := int64(3 + tix.Shards())
-	if steps := atSteps(tix); steps > maxProbes*int64(tempo.BlockSize) {
+	if steps := r.Stats().DecodeSteps; steps > maxProbes*int64(tempo.BlockSize) {
 		t.Fatalf("limit-3 search decoded %d steps over %d occurrences; want <= %d",
 			steps, total, maxProbes*int64(tempo.BlockSize))
 	}

@@ -183,7 +183,7 @@ func (ix *Index) Search(ctx context.Context, q Query) (*Results, error) {
 // each is planned, then contributes candidates through the same
 // collect / advance protocol. The first pending unit is located here,
 // so its errors come back from Search rather than from the stream.
-func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaSnap) (*Results, error) {
+func runSearch(ctx context.Context, q Query, ix *Index, delta *deltaShard) (*Results, error) {
 	c, err := compile(q)
 	if err != nil {
 		return nil, err
@@ -297,10 +297,10 @@ func (r *Results) next() (Hit, bool, error) {
 // (d) — the collect/advance protocol is identical, only the locate and
 // timestamp probes dispatch differently.
 type unitCursor struct {
-	sh   *shard     // compressed shard; nil for a delta unit
-	d    *deltaSnap // uncompressed delta snapshot; nil for sealed units
-	base int        // global ID of the unit's first trajectory
-	n    int        // trajectories in the unit
+	sh   *shard      // compressed shard; nil for a delta unit
+	d    *deltaShard // uncompressed delta snapshot; nil for sealed units
+	base int         // global ID of the unit's first trajectory
+	n    int         // trajectories in the unit
 
 	// sp, ep is the planned suffix range of a sealed unit (empty for
 	// the delta); pending marks a unit planned for locate but not yet

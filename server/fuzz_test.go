@@ -15,9 +15,7 @@ import (
 // either produces a Query whose canonical encoding round-trips, or
 // fails with a typed error (errBadRequest for a malformed, padded or
 // misspelt body, cinct.ErrBadQuery for descriptor violations) — never a
-// panic. Seed
-// corpus lives under testdata/fuzz/ (regenerate with
-// scripts/genfuzzseeds).
+// panic.
 func FuzzQueryUnmarshal(f *testing.F) {
 	f.Add([]byte(`{"path":[1,2,3]}`))
 	f.Add([]byte(`{"path":[1],"kind":"count","limit":10}`))

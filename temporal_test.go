@@ -2,6 +2,7 @@ package cinct
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -367,20 +368,17 @@ func TestTemporalEarlyExitAndPruning(t *testing.T) {
 	if n < 10 {
 		t.Fatalf("need a frequent path for the early-exit test; got %d hits", n)
 	}
-	store := tix.shards[0].ts
-
-	store.ResetAtSteps()
-	if _, err := search(tix, Query{Path: path, Interval: &Interval{From: math.MinInt64, To: math.MaxInt64}}); err != nil {
-		t.Fatal(err)
+	// run drains a search and returns its hits and timestamp decodes.
+	run := func(q Query) ([]Hit, int64) {
+		r, err := tix.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drain(t, r), r.Stats().DecodeSteps
 	}
-	stepsAll := store.AtSteps()
 
-	store.ResetAtSteps()
-	got, err := search(tix, Query{Path: path, Interval: &Interval{From: math.MinInt64, To: math.MaxInt64}, Limit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps1 := store.AtSteps()
+	_, stepsAll := run(Query{Path: path, Interval: &Interval{From: math.MinInt64, To: math.MaxInt64}})
+	got, steps1 := run(Query{Path: path, Interval: &Interval{From: math.MinInt64, To: math.MaxInt64}, Limit: 1})
 	if len(got) != 1 {
 		t.Fatalf("limit=1 returned %d matches", len(got))
 	}
@@ -393,15 +391,11 @@ func TestTemporalEarlyExitAndPruning(t *testing.T) {
 
 	// Summary pruning: an interval before every timestamp touches no
 	// blob bytes.
-	store.ResetAtSteps()
-	none, err := search(tix, Query{Path: path, Interval: &Interval{From: 0, To: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	none, steps := run(Query{Path: path, Interval: &Interval{From: 0, To: 1}})
 	if len(none) != 0 {
 		t.Fatalf("far-past interval matched %d", len(none))
 	}
-	if steps := store.AtSteps(); steps != 0 {
+	if steps != 0 {
 		t.Fatalf("pruned interval still decoded %d varints", steps)
 	}
 }

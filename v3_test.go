@@ -416,6 +416,19 @@ func relaid(sh *shard, keep func(section) bool) *shard {
 	return out
 }
 
+// widened returns a copy of sh whose sections of the given kind, a
+// packed array laid out {n, width, word count, words…}, claim
+// width-bit values.
+func widened(sh *shard, kind, width uint64) *shard {
+	out := relaid(sh, func(section) bool { return true })
+	for _, sec := range out.secs {
+		if sec.kind == kind {
+			out.frame[sec.off+1] = width
+		}
+	}
+	return out
+}
+
 // retagged returns data with TOC entry i's kind | encoding<<32 word
 // set to tag.
 func retagged(data []byte, i int, tag uint64) []byte {

@@ -248,15 +248,18 @@ func (w *Writer) Seal() (int, error) {
 // Deprecated: there is nothing to close.
 func (w *Writer) Close() {}
 
-// view captures a consistent (sealed, delta) pair; the delta snapshot
-// is nil while the delta is empty.
-func (w *Writer) view() (*Index, *deltaSnap) {
+// view captures a consistent (sealed, delta) pair. The delta is a copy
+// of the live one taken under the read lock: its slice headers pin the
+// published prefix, and concurrent appends only ever write past it.
+// It is nil while the delta is empty.
+func (w *Writer) view() (*Index, *deltaShard) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	if len(w.delta.trajs) == 0 {
 		return w.sealed, nil
 	}
-	return w.sealed, w.delta.snap()
+	snap := *w.delta
+	return w.sealed, &snap
 }
 
 // Search executes a Query over the union of sealed shards and the
