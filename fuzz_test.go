@@ -18,10 +18,12 @@ import (
 // Query.Cursor must never panic and never allocate unboundedly — they
 // either produce a working index or fail with a typed error. Each
 // target seeds itself in code from the writers that make the format,
-// plus the older files under testdata/legacy/. The only committed
-// corpora, under testdata/fuzz/, are FuzzLoadSharded's and
-// FuzzLoadTemporal's frozen pre-v3 files, which the readers must refuse
-// and internal/legacy's FuzzDecode decodes.
+// plus the older files under testdata/legacy/. The committed corpora
+// under testdata/fuzz/ are frozen: FuzzLoadSharded's and
+// FuzzLoadTemporal's pre-v3 files, which the readers must refuse and
+// internal/legacy's FuzzDecode decodes, and FuzzCursor's and
+// FuzzLoadMapped's earlier copies of in-code seeds. Nothing regenerates
+// them; after a format change they are old inputs to refuse.
 
 // maxFuzzInput bounds one fuzz input; larger blobs only slow
 // exploration down without reaching new code.

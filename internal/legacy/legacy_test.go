@@ -362,9 +362,10 @@ func TestDecodeVersion5Rejects(t *testing.T) {
 // cinct.Build accepts with the decoded options, or fail with
 // ErrCorrupt — never a panic, never an allocation past a small multiple
 // of the input. The in-code seeds are every old file under
-// ../../testdata/legacy/; the committed ones are the frozen pre-v3
+// ../../testdata/legacy/; the committed ones are frozen: the pre-v3
 // seeds of the cinct package's FuzzLoadSharded (spatial-*, and the
-// crash regression 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*).
+// crash regression 3a9bbfaf427a6827) and FuzzLoadTemporal (temporal-*),
+// and earlier copies of legacy fixtures (v3-*, v4-*, v5-*).
 func FuzzDecode(f *testing.F) {
 	old, err := filepath.Glob(filepath.Join("..", "..", "testdata", "legacy", "*cinct"))
 	if err != nil || len(old) == 0 {
